@@ -10,6 +10,7 @@ closed set: a point on the boundary belongs to the object.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -17,6 +18,11 @@ from typing import Sequence
 
 EPS_COVER = 1e-9
 EPS_DISJOINT = 1e-9
+
+# widening of the disk search windows, far above float rounding at the
+# coordinates used, so a window never drops a pair or disk the exact
+# predicate would keep
+_WINDOW_SLACK = 1e-7
 
 
 def _frac(v) -> Fraction:
@@ -160,46 +166,64 @@ def _max_stab_closed(spans) -> int:
     return best
 
 
+def _max_depth_boxes(boxes) -> int:
+    """Exact maximum depth of closed boxes given as (left, right, bottom, top).
+
+    An x-sweep over the side events, lefts before rights at equal x.  The
+    active set only grows between two removals, so its y-spans are reduced
+    to a 1-D maximum stabbing count once, just before the first removal
+    after an addition: that set contains the active set at every left side
+    since the previous removal.
+    """
+    events = []
+    for i, (left, right, _, _) in enumerate(boxes):
+        events.append((left, 0, i))
+        events.append((right, 1, i))
+    events.sort()
+    active = {}
+    grown = False
+    best = 0
+    for _, side, i in events:
+        if side == 0:
+            active[i] = boxes[i][2:]
+            grown = True
+            continue
+        if grown and len(active) > best:
+            best = max(best, _max_stab_closed(active.values()))
+        grown = False
+        del active[i]
+    return best
+
+
+def _sides(r: UnitRect) -> tuple:
+    return (r.left, r.left + r.width, r.bottom, r.bottom + 1)
+
+
 def ply_rects(rects: Sequence[UnitRect]) -> int:
     """Exact maximum depth of the closed-rectangle arrangement.
 
-    An x-sweep over the side events; at each event the active rectangles'
-    y-spans are reduced to a 1-D maximum stabbing count.  The depth of a
-    closed arrangement is attained at some side coordinate pair, so the
-    sweep is exact.
+    The depth of a closed arrangement is attained at a left side, so a
+    sweep over the side events that evaluates the active y-spans there is
+    exact.
     """
-    if not rects:
-        return 0
-    xs = sorted({r.left for r in rects} | {r.right for r in rects})
-    best = 0
-    for x in xs:
-        spans = [(r.bottom, r.top) for r in rects if r.left <= x <= r.right]
-        if len(spans) > best:
-            best = max(best, _max_stab_closed(spans))
-    return best
+    return _max_depth_boxes([_sides(r) for r in rects])
 
 
 def rect_depth_within(rects: Sequence[UnitRect], region: UnitRect) -> int:
-    """Maximum depth of `rects` over the points of the closed `region`."""
-    xs = {region.left, region.right}
-    ys = {region.bottom, region.top}
+    """Maximum depth of `rects` over the points of the closed `region`.
+
+    Only rectangles meeting `region` can contain a point of it, and inside
+    `region` each acts as its clipped (closed, possibly flat) box, so this
+    is the depth of the clipped boxes.
+    """
+    rl, rr, rb, rt = _sides(region)
+    boxes = []
     for r in rects:
-        for v in (r.left, r.right):
-            if region.left <= v <= region.right:
-                xs.add(v)
-        for v in (r.bottom, r.top):
-            if region.bottom <= v <= region.top:
-                ys.add(v)
-    best = 0
-    for x in xs:
-        for y in ys:
-            c = 0
-            for r in rects:
-                if r.left <= x <= r.right and r.bottom <= y <= r.top:
-                    c += 1
-            if c > best:
-                best = c
-    return best
+        left, right, bottom, top = _sides(r)
+        if left <= rr and right >= rl and bottom <= rt and top >= rb:
+            boxes.append((max(left, rl), min(right, rr),
+                          max(bottom, rb), min(top, rt)))
+    return _max_depth_boxes(boxes)
 
 
 def circle_intersections(a: UnitDisk, b: UnitDisk,
@@ -247,26 +271,60 @@ def ply_disks(disks: Sequence[UnitDisk], eps: float = EPS_COVER) -> int:
     either by an arc endpoint (a candidate) or by one full circle whose
     disk lies inside every other disk of the cell, in which case that
     disk's center attains the depth.
+
+    With disks sorted by center x, only pairs within an x-window of
+    1 + eps can intersect and only disks within 0.5 + eps of a candidate's
+    x can contain it; both windows carry float slack, and the exact
+    predicates still decide.
     """
     if not disks:
         return 0
+    order = sorted(range(len(disks)), key=lambda i: disks[i].center.x)
+    xs = [disks[i].center.x for i in order]
+    pair_reach = 1.0 + eps + _WINDOW_SLACK
     cands = [d.center for d in disks]
-    for i in range(len(disks)):
-        for j in range(i + 1, len(disks)):
-            cands.extend(circle_intersections(disks[i], disks[j], eps))
-    return _max_membership_disks(disks, cands, eps)
+    for a, i in enumerate(order):
+        hi = bisect_right(xs, xs[a] + pair_reach)
+        for j in order[a + 1:hi]:
+            lo_i, hi_i = (i, j) if i < j else (j, i)
+            cands.extend(circle_intersections(disks[lo_i], disks[hi_i], eps))
+    reach = 0.5 + eps + _WINDOW_SLACK
+    best = 0
+    for p in cands:
+        c = 0
+        for k in order[bisect_left(xs, p.x - reach):
+                       bisect_right(xs, p.x + reach)]:
+            if disks[k].contains(p, eps):
+                c += 1
+        if c > best:
+            best = c
+    return best
 
 
 def disk_depth_within(disks: Sequence[UnitDisk], region: UnitDisk,
                       eps: float = EPS_COVER) -> int:
-    """Maximum depth of `disks` over the points of the closed disk `region`."""
-    cands = [d.center for d in disks if region.contains(d.center, eps)]
-    for i in range(len(disks)):
-        for j in range(i + 1, len(disks)):
-            for p in circle_intersections(disks[i], disks[j], eps):
+    """Maximum depth of `disks` over the points of the closed disk `region`.
+
+    A disk can contain a point of `region` only if its center lies within
+    1 + 2*eps of the region's center, so only those disks (with float
+    slack) are considered.
+    """
+    reach = 1.0 + 2.0 * eps + _WINDOW_SLACK
+    reach2 = reach * reach
+    cx, cy = region.center.x, region.center.y
+    near = []
+    for d in disks:
+        dx = d.center.x - cx
+        dy = d.center.y - cy
+        if dx * dx + dy * dy <= reach2:
+            near.append(d)
+    cands = [d.center for d in near if region.contains(d.center, eps)]
+    for i in range(len(near)):
+        for j in range(i + 1, len(near)):
+            for p in circle_intersections(near[i], near[j], eps):
                 if region.contains(p, eps):
                     cands.append(p)
-    return _max_membership_disks(disks, cands, eps)
+    return _max_membership_disks(near, cands, eps)
 
 
 def disks_disjoint(a: UnitDisk, b: UnitDisk, eps: float = EPS_DISJOINT) -> bool:

@@ -1,21 +1,16 @@
 """Independent exact solvers used to cross-check the production ones.
 
 Branch-and-bound minimum ply cover, exhaustive 3-colorable cover search,
-subset enumeration for weighted intervals, and a dense-grid depth sampler
-for disks.  Size caps keep full test sweeps fast; instances above a cap
-are refused rather than solved slowly.
+and subset enumeration for weighted intervals.  Size caps keep full test
+sweeps fast; instances above a cap are refused rather than solved slowly.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
 
 from .errors import Infeasible, InstanceTooLarge
-from .geom import (EPS_COVER, EPS_DISJOINT, Point, UnitDisk,
-                   disk_depth_within, disks_disjoint, ply_disks, ply_rects,
-                   rect_depth_within)
+from .geom import (EPS_COVER, EPS_DISJOINT, Point, disk_depth_within,
+                   disks_disjoint, ply_disks, ply_rects, rect_depth_within)
 
 MAX_MIN_PLY = 20
 MAX_3COLOR = 12
@@ -258,19 +253,3 @@ def exact_intervals(points, intervals, mode: str = "mmsc"):
         raise Infeasible("some point lies in no interval")
     return best[0], best[1]
 
-
-def grid_depth_disks(disks: Sequence[UnitDisk], pitch: float = 0.01,
-                     eps: float = EPS_COVER) -> int:
-    """Dense-grid depth sampler; never exceeds the true ply."""
-    if not disks:
-        return 0
-    cx = [d.center.x for d in disks]
-    cy = [d.center.y for d in disks]
-    xs = np.arange(min(cx) - 0.5 - pitch, max(cx) + 0.5 + 2 * pitch, pitch)
-    ys = np.arange(min(cy) - 0.5 - pitch, max(cy) + 0.5 + 2 * pitch, pitch)
-    gx, gy = np.meshgrid(xs, ys)
-    counts = np.zeros(gx.shape, dtype=np.int32)
-    r2 = (0.5 + eps) ** 2
-    for d in disks:
-        counts += (gx - d.center.x) ** 2 + (gy - d.center.y) ** 2 <= r2
-    return int(counts.max())

@@ -1,10 +1,11 @@
-"""Height-2 slab decomposition and the global ply-budget iteration.
+"""Height-2 slab decomposition and the per-slab ply budgets.
 
 Points fall in exactly one slab and every unit-height object intersects at
-most two consecutive slabs, so the union of per-slab covers at budget ell
-has ply at most 2*ell.  Iterating ell upward and returning on the first
-budget at which every slab succeeds gives a 2-approximation, since the
-restriction of an optimal cover solves each slab at the optimum budget.
+most two consecutive slabs.  Each slab j is searched upward from ell = 1 to
+its own least budget ell_j; a point of the plane meets chosen objects of at
+most two consecutive slabs, so the union of the slab covers has ply at most
+max_j(ell_j + ell_{j+1}).  The restriction of an optimal cover solves every
+slab at the optimum, so ell_j <= OPT and the union is a 2-approximation.
 """
 from __future__ import annotations
 
@@ -115,10 +116,13 @@ def solve_mpc(points, objects, kind, ell_max: Optional[int] = None,
               eps: float = EPS_COVER) -> CoverSolution:
     """2-approximate minimum ply cover for unit-height rectangles or disks.
 
-    Raises Infeasible when some point is covered by no object, and
-    BudgetExceeded when ell_max is hit first.  Without ell_max the
-    iteration stops at the ply of the full object set, which always
-    suffices once coverage holds.
+    Each slab takes the least budget ell_j at which its strip search
+    succeeds, trying ell = 1, 2, ... up to its number of objects (at which
+    any coverable slab succeeds) or ell_max, whichever is smaller.  When a
+    slab's search fails at its first budget, its points are checked against
+    its objects; a point covered by none raises Infeasible naming it.  A
+    slab that needs more than ell_max raises BudgetExceeded, but only after
+    every slab has been checked, so an uncovered point anywhere wins.
     """
     if kind not in ("rects", "disks"):
         raise ValueError("kind must be 'rects' or 'disks'")
@@ -126,9 +130,6 @@ def solve_mpc(points, objects, kind, ell_max: Optional[int] = None,
     objects = list(objects)
     if not points:
         return CoverSolution([], 0)
-    for p in points:
-        if membership_at(p, objects, eps=eps) == 0:
-            raise Infeasible("point %r is covered by no object" % (p,))
 
     if kind == "rects":
         solve_points, solve_objects = points, objects
@@ -148,20 +149,28 @@ def solve_mpc(points, objects, kind, ell_max: Optional[int] = None,
         def slab_solve(pts, objs, ell):
             return _disks.solve_slab_disks(pts, objs, ell, eps)
 
-    slabs = assign_slabs(solve_points, solve_objects, kind)
-    base = objects if kind == "rects" else [objects[i] for i in orig]
-    cap = ell_max if ell_max is not None else max(1, ply_fn(base))
-
-    for ell in range(1, cap + 1):
-        union: set[int] = set()
-        for slab in slabs:
-            objs = [solve_objects[i] for i in slab.objects]
+    union: set[int] = set()
+    over = None
+    for slab in assign_slabs(solve_points, solve_objects, kind):
+        objs = [solve_objects[i] for i in slab.objects]
+        cap = len(objs) if ell_max is None else min(ell_max, len(objs))
+        ell = 1
+        res = slab_solve(slab.points, objs, ell) if cap >= 1 else None
+        if res is None:
+            for p in slab.points:
+                if membership_at(p, objs, eps=eps) == 0:
+                    unrotated = dict(zip(solve_points, points))
+                    raise Infeasible("point %r is covered by no object"
+                                     % (unrotated[p],))
+        while res is None and ell < cap:
+            ell += 1
             res = slab_solve(slab.points, objs, ell)
-            if res is None:
-                union = None
-                break
+        if res is None:
+            over = (slab.index, cap)
+        else:
             union.update(slab.objects[i] for i in res)
-        if union is not None:
-            chosen = sorted(orig[i] for i in union)
-            return CoverSolution(chosen, ply_fn([objects[i] for i in chosen]))
-    raise BudgetExceeded("no cover found within ply budget %d" % cap)
+    if over is not None:
+        raise BudgetExceeded("slab %d has no cover within ply budget %d"
+                             % over)
+    chosen = sorted(orig[i] for i in union)
+    return CoverSolution(chosen, ply_fn([objects[i] for i in chosen]))

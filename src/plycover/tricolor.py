@@ -99,14 +99,12 @@ def solve_slab_3color(points, disks, eps: float = EPS_COVER):
 def solve_3color(points, disks, eps: float = EPS_COVER) -> CoverSolution:
     """6-colorable cover of the points, or Infeasible when no 3-colorable
     cover exists.  colors maps chosen disk index -> color in 1..6; every
-    color class is pairwise disjoint."""
+    color class is pairwise disjoint.  A slab with an uncovered point fails
+    its search, so only a failed slab is checked for one to name."""
     points = list(points)
     disks_in = list(disks)
     if not points:
         return CoverSolution([], 0, colors={})
-    for p in points:
-        if membership_at(p, disks_in, eps=eps) == 0:
-            raise Infeasible("point %r is covered by no disk" % (p,))
     uniq, orig = dedupe_disks(disks_in)
     angle = canonical_rotation(points, uniq, eps)
     rpts, rdks = rotate_instance(points, uniq, angle)
@@ -114,9 +112,14 @@ def solve_3color(points, disks, eps: float = EPS_COVER) -> CoverSolution:
     colors: dict[int, int] = {}
     j0 = slabs[0].index
     for slab in slabs:
-        local = solve_slab_3color(slab.points,
-                                  [rdks[i] for i in slab.objects], eps)
+        objs = [rdks[i] for i in slab.objects]
+        local = solve_slab_3color(slab.points, objs, eps)
         if local is None:
+            for p in slab.points:
+                if membership_at(p, objs, eps=eps) == 0:
+                    unrotated = dict(zip(rpts, points))
+                    raise Infeasible("point %r is covered by no disk"
+                                     % (unrotated[p],))
             raise Infeasible("slab %d admits no 3-colorable cover" % slab.index)
         base = 3 * ((slab.index - j0) % 2)
         for a, cls in enumerate(local):

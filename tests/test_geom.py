@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depth_reference import grid_depth_disks
+
 from plycover.geom import (EventKey, Point, UnitDisk, UnitRect,
                            WeightedInterval, disks_disjoint, membership_at,
                            ply_disks, ply_rects, rect_depth_within,
                            verify_cover)
-from plycover.oracle import grid_depth_disks
 
 
 def sq(left, bottom):

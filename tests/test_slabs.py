@@ -3,9 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from plycover.disks import canonical_rotation, dedupe_disks, rotate_instance
 from plycover.errors import BudgetExceeded, Infeasible
-from plycover.geom import (Point, UnitRect, ply_rects, verify_cover)
+from plycover.geom import Point, UnitDisk, UnitRect, ply_rects, verify_cover
 from plycover.instances import generate
+from plycover.oracle import exact_min_ply
 from plycover.slabs import assign_slabs, slab_offset, solve_mpc
 
 from conftest import forced_pair_rects
@@ -80,6 +82,11 @@ class TestSolveMpc:
     def test_uncovered_point_is_infeasible(self):
         with pytest.raises(Infeasible):
             solve_mpc([Point(F(5), F(5))], [sq(0, 0)], "rects")
+        # equal center x forces a rotation; the message names the input point
+        disks = [UnitDisk(Point(0.5, 0.7)), UnitDisk(Point(0.5, 3.1))]
+        points = [Point(0.55, 0.75), Point(9.0, 3.1)]
+        with pytest.raises(Infeasible, match=r"Point\(x=9.0, y=3.1\)"):
+            solve_mpc(points, disks, "disks")
 
     def test_budget_cap_exceeded(self):
         points, rects = forced_pair_rects()
@@ -109,3 +116,76 @@ class TestSolveMpc:
                 objs = [inst.objects[i] for i in s.objects if i in chosen]
                 per_slab.append(ply_rects(objs))
             assert sol.objective <= 2 * max(per_slab)
+
+
+def _lifted(points, rects, dy):
+    return ([Point(p.x, p.y + dy) for p in points],
+            [UnitRect(r.left, r.bottom + dy, r.width) for r in rects])
+
+
+def _two_slabs(needs_two_first):
+    """A slab needing ell = 2 and, 10 units away, a slab with an uncovered
+    point; `needs_two_first` puts the ell = 2 slab lower."""
+    pair_pts, pair_rects = forced_pair_rects()
+    bad_pts = [Point(F(1, 2), F(1, 2)), Point(F(9), F(1, 2))]
+    bad_rects = [sq(0, 0)]
+    lo, hi = (0, 10) if needs_two_first else (10, 0)
+    p1, r1 = _lifted(pair_pts, pair_rects, lo)
+    p2, r2 = _lifted(bad_pts, bad_rects, hi)
+    return p1 + p2, r1 + r2
+
+
+def _slab_bound(opts):
+    # objects touch at most two consecutive slabs; a slab index without
+    # points contributes a budget of 0
+    return max(v + opts.get(j + 1, 0) for j, v in opts.items())
+
+
+class TestPerSlabBudgets:
+    @pytest.mark.parametrize("needs_two_first", [True, False])
+    @pytest.mark.parametrize("ell_max", [None, 1])
+    def test_uncovered_point_in_one_slab_is_infeasible(self, needs_two_first,
+                                                       ell_max):
+        points, rects = _two_slabs(needs_two_first)
+        assert len(assign_slabs(points, rects, "rects")) == 2
+        with pytest.raises(Infeasible, match="covered by no object"):
+            solve_mpc(points, rects, "rects", ell_max=ell_max)
+
+    def test_budget_exceeded_when_one_slab_needs_two(self):
+        pair_pts, pair_rects = forced_pair_rects()
+        far_pts, far_rects = _lifted([Point(F(1, 2), F(1, 2))], [sq(0, 0)], 10)
+        points, rects = pair_pts + far_pts, pair_rects + far_rects
+        assert len(assign_slabs(points, rects, "rects")) == 2
+        with pytest.raises(BudgetExceeded):
+            solve_mpc(points, rects, "rects", ell_max=1)
+        sol = solve_mpc(points, rects, "rects", ell_max=2)
+        assert sol.chosen == [0, 1, 2] and sol.objective == 2
+
+    def test_rects_within_adjacent_slab_optima(self):
+        rng = random.Random(0x51AB)
+        for seed in range(40):
+            inst = generate("rects", rng.randint(1, 14), rng.randint(1, 10),
+                            rng.choice(["uniform", "clustered"]),
+                            seed=seed + 900)
+            sol = solve_mpc(inst.points, inst.objects, "rects")
+            opts = {}
+            for s in assign_slabs(inst.points, inst.objects, "rects"):
+                objs = [inst.objects[i] for i in s.objects]
+                opts[s.index] = exact_min_ply(s.points, objs, "rects")[0]
+            assert sol.objective <= _slab_bound(opts), seed
+
+    def test_disks_within_adjacent_slab_optima(self):
+        rng = random.Random(0xD5AB)
+        for seed in range(40):
+            inst = generate("disks", rng.randint(1, 14), rng.randint(1, 10),
+                            rng.choice(["uniform", "clustered"]),
+                            seed=seed + 1900)
+            sol = solve_mpc(inst.points, inst.objects, "disks")
+            uniq, _ = dedupe_disks(inst.objects)
+            angle = canonical_rotation(inst.points, uniq)
+            rp, rd = rotate_instance(inst.points, uniq, angle)
+            opts = {}
+            for s in assign_slabs(rp, rd, "disks"):
+                objs = [rd[i] for i in s.objects]
+                opts[s.index] = exact_min_ply(s.points, objs, "disks")[0]
+            assert sol.objective <= _slab_bound(opts), seed

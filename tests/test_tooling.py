@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
 import pytest
 
+import plycover
 from plycover.geom import Point, UnitDisk, UnitRect
 from plycover.instances import (Instance, dumps, generate, load, loads, save)
 from plycover.intervals import count_overlapping_pairs
@@ -114,3 +118,12 @@ class TestSvg:
         root = ET.fromstring(render_svg(inst))
         objects = root.find("%sg[@id='objects']" % SVG_NS)
         assert len(list(objects)) == 4
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(plycover.__file__))
+    code = ("import sys, plycover.cli; "
+            "sys.exit('numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode == 0

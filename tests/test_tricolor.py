@@ -54,8 +54,13 @@ class TestSolve3Color:
         assert verify_cover(points, [disks[i] for i in sol.chosen])
 
     def test_uncoverable_point_is_infeasible(self):
-        with pytest.raises(Infeasible):
+        with pytest.raises(Infeasible, match=r"Point\(x=9.0, y=9.0\)"):
             solve_3color([Point(9.0, 9.0)], [UnitDisk(Point(0.0, 0.0))])
+        # equal center x forces a rotation; the message names the input point
+        disks = [UnitDisk(Point(0.5, 0.7)), UnitDisk(Point(0.5, 3.1))]
+        points = [Point(0.55, 0.75), Point(9.0, 3.1)]
+        with pytest.raises(Infeasible, match=r"Point\(x=9.0, y=3.1\)"):
+            solve_3color(points, disks)
 
     def test_k4_clique_infeasible(self):
         points, disks = k4_clique()

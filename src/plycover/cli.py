@@ -156,9 +156,7 @@ def _cmd_check(args) -> int:
         return EXIT_USAGE
     objs = [inst.objects[i] for i in chosen]
     for pi, p in enumerate(inst.points):
-        if kind == "intervals":
-            hit = any(o.contains(p) for o in objs)
-        elif kind == "rects":
+        if kind in ("intervals", "rects"):
             hit = any(o.contains(p) for o in objs)
         else:
             hit = any(o.contains(p, args.eps) for o in objs)

@@ -35,6 +35,11 @@ class Point:
     y: object
 
 
+def as_x(p):
+    """The coordinate of a point on the line, given as a Point or a number."""
+    return p.x if isinstance(p, Point) else p
+
+
 @dataclass(frozen=True)
 class UnitRect:
     """Closed axis-aligned rectangle of height exactly 1."""

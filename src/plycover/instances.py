@@ -62,37 +62,80 @@ def dumps(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
+# per kind: the record tags it accepts, each with its number of values
+_ARITY = {"rects": {"p": 2, "r": 3}, "disks": {"p": 2, "d": 2},
+          "intervals": {"p": 1, "i": 3}}
+
+
+def _json(lineno: int, ln: str):
+    try:
+        return json.loads(ln)
+    except ValueError as e:
+        raise ValueError("line %d: %s" % (lineno, e)) from None
+
+
+def _finite_point(x, y) -> Point:
+    x, y = float(x), float(y)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("coordinates must be finite")
+    return Point(x, y)
+
+
 def loads(text: str) -> Instance:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Parse an instance file; a malformed line raises ValueError naming it.
+
+    Each record is checked for its tag, a list of the right length, and
+    values that convert: exact rationals for rects and intervals, finite
+    floats for disks.
+    """
+    rows = enumerate(text.splitlines(), 1)
+    for lineno, ln in rows:
+        if ln.strip():
+            head = _json(lineno, ln)
+            break
+    else:
         raise ValueError("empty instance file")
-    head = json.loads(lines[0])
-    kind = head.get("kind")
+    kind = head.get("kind") if type(head) is dict else None
     if kind not in KINDS:
         raise ValueError("unknown instance kind: %r" % (kind,))
+    arity = _ARITY[kind]
     points, objects = [], []
-    for ln in lines[1:]:
-        rec = json.loads(ln)
-        if "p" in rec:
-            vals = rec["p"]
-            if kind == "intervals":
-                points.append(Fraction(vals[0]))
+    for lineno, ln in rows:
+        if not ln.strip():
+            continue
+        rec = _json(lineno, ln)
+        tag = next(iter(rec)) if type(rec) is dict and len(rec) == 1 else None
+        if tag not in arity:
+            raise ValueError("line %d: not a %s record: %s"
+                             % (lineno, kind, ln))
+        vals = rec[tag]
+        if type(vals) is not list or len(vals) != arity[tag]:
+            raise ValueError("line %d: %r record needs a list of length %d"
+                             % (lineno, tag, arity[tag]))
+        try:
+            if tag == "p":
+                if kind == "intervals":
+                    points.append(Fraction(vals[0]))
+                elif kind == "rects":
+                    points.append(Point(Fraction(vals[0]),
+                                        Fraction(vals[1])))
+                else:
+                    points.append(_finite_point(*vals))
             elif kind == "rects":
-                points.append(Point(Fraction(vals[0]), Fraction(vals[1])))
+                l, b, w = vals
+                objects.append(UnitRect(Fraction(l), Fraction(b),
+                                        Fraction(w)))
+            elif kind == "disks":
+                objects.append(UnitDisk(_finite_point(*vals)))
             else:
-                points.append(Point(float(vals[0]), float(vals[1])))
-        elif "r" in rec:
-            l, b, w = rec["r"]
-            objects.append(UnitRect(Fraction(l), Fraction(b), Fraction(w)))
-        elif "d" in rec:
-            cx, cy = rec["d"]
-            objects.append(UnitDisk(Point(float(cx), float(cy))))
-        elif "i" in rec:
-            lo, hi, w = rec["i"]
-            objects.append(WeightedInterval(Fraction(lo), Fraction(hi),
-                                            Fraction(w)))
-        else:
-            raise ValueError("unrecognized record: %s" % ln)
+                lo, hi, w = vals
+                objects.append(WeightedInterval(Fraction(lo), Fraction(hi),
+                                                Fraction(w)))
+        except (TypeError, ValueError, ArithmeticError) as e:
+            # Fraction refuses non-numbers, NaN, infinities and "p/0";
+            # the object constructors refuse empty or negative shapes
+            raise ValueError("line %d: bad %r record: %s"
+                             % (lineno, tag, e)) from None
     return Instance(kind, points, objects, head.get("seed"), head.get("meta"))
 
 

@@ -13,36 +13,80 @@ or not the strip holds a point.
 
 The graph has at most 2m+1 v0, (2m-1)+4M v1, and M v2 vertices, with at
 most two out-edges each, where M counts overlapping pairs.
+
+Every predicate runs on Python ints.  `prepare_instance` maps each point
+x and interval endpoint to its rank among all of them: coordinates are
+only compared, never added, so ranks order and tie exactly as the
+rationals they stand for, and stay small whatever the denominators.
+Weights are added, so they are scaled instead: each is multiplied by W,
+the lcm of the weight denominators, which keeps sums exact; each scaled
+weight has about as many bits as W, which grows with the number of
+distinct coprime weight denominators.  Ints, Fractions, floats (taken
+exactly) and Points are all accepted.  `Fraction` lives only at the
+boundary: the input objects, and the objective `solve_intervals`
+returns, Fraction(best, W).
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import Infeasible, UnsortedInput
-from .geom import EventClass, Point, WeightedInterval
+from .geom import EventClass, WeightedInterval, as_x
 from .slabs import CoverSolution
-from .stripdag import SideEvent
 
 MODES = ("mmsc", "mpc")
 
 V0, V1, V2 = 0, 1, 2
 
+_LEFT, _POINT, _RIGHT = (EventClass.LEFT_SIDE, EventClass.INPUT_POINT,
+                         EventClass.RIGHT_SIDE)
 
-def _as_x(p):
-    return p.x if isinstance(p, Point) else p
+
+def _ranks(values):
+    """Rank of each value among all of them, from 0; equal values share one.
+
+    Sorted on floor(v * 2**64), an int only 64 bits longer than the
+    value's integer part; only values that share that key are compared
+    exactly."""
+    keys = []
+    for v in values:
+        num, den = v.as_integer_ratio()
+        keys.append((num << 64) // den)
+    ranks = [0] * len(keys)
+    r = -1
+    last_k = last_v = None
+    for k, v, i in sorted(zip(keys, values, range(len(keys)))):
+        if k != last_k or v != last_v:
+            r += 1
+            last_k, last_v = k, v
+        ranks[i] = r
+    return ranks
+
+
+def _scaled(values):
+    """(ints, s): s is the lcm of the denominators and ints[i] = values[i] * s.
+
+    Ints and Fractions are used as they are; anything else (a float) goes
+    through Fraction, which converts it exactly."""
+    exact = [v if isinstance(v, (int, Fraction)) else Fraction(v)
+             for v in values]
+    s = math.lcm(*{v.denominator for v in exact})
+    return [v.numerator * (s // v.denominator) for v in exact], s
 
 
 @dataclass
 class PreparedIntervals:
     intervals: list       # deduplicated, still sorted by right endpoint
     orig_idx: list        # input position of each kept interval
-    events: list          # 2 * len(intervals) SideEvents in sweep order
-    left_pos: list
-    right_pos: list
-    reps: list            # one representative point per occupied strip
+    events: list          # (x rank, cls, 0, kept index) for both sides, sorted
+    right_pos: list       # position of each kept interval's right event
+    weights: list         # kept interval weights times weight_scale
+    weight_scale: int     # W: the lcm of the weight denominators
+    reps: list            # one point (x rank) per occupied strip
     rep_strip: list
 
     @property
@@ -51,61 +95,59 @@ class PreparedIntervals:
 
 
 def prepare_instance(points, intervals) -> PreparedIntervals:
-    """Strip layout plus per-strip point dedup.
+    """Strip layout plus per-strip point dedup, on coordinate ranks.
 
     Requires points sorted by x and intervals sorted by right endpoint;
     exact duplicate intervals collapse to their minimum-weight copy.
     """
-    xs = [_as_x(p) for p in points]
-    for a, b in zip(xs, xs[1:]):
-        if b < a:
-            raise UnsortedInput("points must be sorted by x")
-    his = [s.hi for s in intervals]
-    for a, b in zip(his, his[1:]):
-        if b < a:
-            raise UnsortedInput("intervals must be sorted by right endpoint")
+    coords = [as_x(p) for p in points]
+    n, m = len(coords), len(intervals)
+    coords += [s.lo for s in intervals]
+    coords += [s.hi for s in intervals]
+    ranks = _ranks(coords)
+    xs, los, his = ranks[:n], ranks[n:n + m], ranks[n + m:]
+    if xs != sorted(xs):
+        raise UnsortedInput("points must be sorted by x")
+    if his != sorted(his):
+        raise UnsortedInput("intervals must be sorted by right endpoint")
+    ws, w_scale = _scaled([s.weight for s in intervals])
 
     best: dict[tuple, int] = {}
-    for i, s in enumerate(intervals):
-        key = (s.lo, s.hi)
+    for i, key in enumerate(zip(los, his)):
         cur = best.get(key)
-        if cur is None or s.weight < intervals[cur].weight:
+        if cur is None or ws[i] < ws[cur]:
             best[key] = i
     keep = sorted(best.values())
-    kept = [intervals[i] for i in keep]
 
     events = []
-    for li, s in enumerate(kept):
-        events.append(SideEvent(s.lo, EventClass.LEFT_SIDE, 0, li))
-        events.append(SideEvent(s.hi, EventClass.RIGHT_SIDE, 0, li))
+    for q, i in enumerate(keep):
+        events.append((los[i], _LEFT, 0, q))
+        events.append((his[i], _RIGHT, 0, q))
     events.sort()
-    left_pos = [0] * len(kept)
-    right_pos = [0] * len(kept)
-    for pos, ev in enumerate(events):
-        if ev.cls == EventClass.LEFT_SIDE:
-            left_pos[ev.obj] = pos
-        else:
-            right_pos[ev.obj] = pos
+    right_pos = [0] * len(keep)
+    for pos, (_, cls, _, q) in enumerate(events):
+        if cls == _RIGHT:
+            right_pos[q] = pos
 
     reps, rep_strip = [], []
     last = -1
     for x in xs:
-        i = bisect_left(events, (x, EventClass.INPUT_POINT, 0))
+        i = bisect_left(events, (x, _POINT, 0))
         if i != last:
             reps.append(x)
             rep_strip.append(i)
             last = i
-    return PreparedIntervals(kept, keep, events, left_pos, right_pos,
+    return PreparedIntervals([intervals[i] for i in keep], keep, events,
+                             right_pos, [ws[i] for i in keep], w_scale,
                              reps, rep_strip)
 
 
-@dataclass
-class DagVertex:
+class DagVertex(NamedTuple):
     kind: int             # V0 / V1 / V2
     strip: int            # entry strip
     q: int = -1
     r: int = -1
-    weight: Fraction = Fraction(0)
+    weight: int = 0       # times PreparedIntervals.weight_scale
 
     @property
     def sort_id(self) -> tuple:
@@ -123,11 +165,14 @@ class IntervalDag:
 
 
 def build_dag(prep: PreparedIntervals, mode: str = "mmsc") -> IntervalDag:
-    """Vertex-weighted strip graph whose bottleneck path is an optimum."""
+    """Vertex-weighted strip graph whose bottleneck path is an optimum.
+
+    Vertex weights are ints: the real weight times `prep.weight_scale`."""
     if mode not in MODES:
         raise ValueError("mode must be one of %r" % (MODES,))
     mpc = mode == "mpc"
-    ivs = prep.intervals
+    wt = prep.weights
+    right_pos = prep.right_pos
     events = prep.events
     k = len(events)
 
@@ -136,51 +181,61 @@ def build_dag(prep: PreparedIntervals, mode: str = "mmsc") -> IntervalDag:
         has_point[i] = True
     pref = [0] * (k + 2)
     for i in range(k + 1):
-        pref[i + 1] = pref[i] + (1 if has_point[i] else 0)
+        pref[i + 1] = pref[i] + has_point[i]
 
-    def pointed(a, b):  # any occupied strip with index in [a, b]
-        return a <= b and pref[b + 1] - pref[a] > 0
-
+    # vertex i is vertices[i] with out-edges adj[i]; both grow together
     vertices: list[DagVertex] = []
     adj: list[list[int]] = []
-
-    def new_vertex(kind, strip, q=-1, r=-1, weight=Fraction(0)):
-        vertices.append(DagVertex(kind, strip, q, r, weight))
-        adj.append([])
-        return len(vertices) - 1
+    add_vertex = vertices.append
+    add_adj = adj.append
 
     n_overlaps = 0
-    source = new_vertex(V0, 0) if not has_point[0] else None
+    source = None
+    if not has_point[0]:
+        source = 0
+        add_vertex(DagVertex(V0, 0))
+        add_adj([])
     prev_v0 = source
     prev_v1: dict[int, int] = {}
     pending_v2: dict[int, list] = {}
     active: dict[int, None] = {}
 
-    for b, ev in enumerate(events):
+    for b, (_, cls, _, q0) in enumerate(events):
         i2 = b + 1
-        q0 = ev.obj
-        is_left = ev.cls == EventClass.LEFT_SIDE
+        is_left = cls == _LEFT
         if is_left:
             n_overlaps += len(active)
             active[q0] = None
         else:
             del active[q0]
 
-        cur_v0 = new_vertex(V0, i2) if not has_point[i2] else None
+        cur_v0 = None
+        if not has_point[i2]:
+            cur_v0 = len(vertices)
+            add_vertex(DagVertex(V0, i2))
+            add_adj([])
+        weighted = mpc or has_point[i2]
         cur_v1 = {}
         for q in active:
-            w = ivs[q].weight if (mpc or has_point[i2]) else Fraction(0)
-            cur_v1[q] = new_vertex(V1, i2, q=q, weight=w)
+            cur_v1[q] = len(vertices)
+            add_vertex(DagVertex(V1, i2, q, -1, wt[q] if weighted else 0))
+            add_adj([])
         created_v2 = {}
         if is_left:
+            end0 = right_pos[q0]
             for q in active:
                 # pair vertex only when q ends before q0 does (no nesting)
-                if q != q0 and prep.right_pos[q] < prep.right_pos[q0]:
-                    if mpc or pointed(i2, prep.right_pos[q]):
-                        w = ivs[q].weight + ivs[q0].weight
+                end = right_pos[q]
+                if q != q0 and end < end0:
+                    # mmsc: the pair counts only if a point lies in some
+                    # strip i2..end that both intervals span
+                    if mpc or pref[end + 1] > pref[i2]:
+                        w = wt[q] + wt[q0]
                     else:
-                        w = Fraction(0)
-                    vid = new_vertex(V2, i2, q=q, r=q0, weight=w)
+                        w = 0
+                    vid = len(vertices)
+                    add_vertex(DagVertex(V2, i2, q, q0, w))
+                    add_adj([])
                     created_v2[q] = vid
                     pending_v2.setdefault(q, []).append((vid, q0))
 
@@ -208,30 +263,33 @@ def build_dag(prep: PreparedIntervals, mode: str = "mmsc") -> IntervalDag:
         prev_v0, prev_v1 = cur_v0, cur_v1
 
     sink = prev_v0 if k > 0 else source
-    return IntervalDag(vertices, adj, source, sink, len(ivs), n_overlaps)
+    return IntervalDag(vertices, adj, source, sink, len(wt), n_overlaps)
 
 
 def bottleneck_path(dag: IntervalDag):
     """Minimax-weight source-to-sink path: (vertex index list, value), or
     None when the sink is unreachable.  Ties prefer the predecessor with
-    the lexicographically smaller vertex id."""
+    the lexicographically smaller vertex id.  The value is in the DAG's
+    vertex weight units, so the real optimum is Fraction(value,
+    prep.weight_scale)."""
     if dag.source is None or dag.sink is None:
         return None
-    n = len(dag.vertices)
+    vertices = dag.vertices
+    n = len(vertices)
     best = [None] * n
     pred = [-1] * n
-    best[dag.source] = dag.vertices[dag.source].weight
-    for u in range(n):  # creation order is topological
+    best[dag.source] = vertices[dag.source].weight
+    for u, nbrs in enumerate(dag.adj):  # creation order is topological
         bu = best[u]
         if bu is None:
             continue
-        uid = dag.vertices[u].sort_id
-        for v in dag.adj[u]:
-            w = dag.vertices[v].weight
+        uid = vertices[u].sort_id
+        for v in nbrs:
+            w = vertices[v].weight
             cand = bu if bu >= w else w
             bv = best[v]
             if bv is None or cand < bv or (
-                    cand == bv and uid < dag.vertices[pred[v]].sort_id):
+                    cand == bv and uid < vertices[pred[v]].sort_id):
                 best[v] = cand
                 pred[v] = u
     if best[dag.sink] is None:
@@ -259,7 +317,8 @@ def solve_intervals(points, intervals, mode: str = "mmsc") -> CoverSolution:
         elif v.kind == V2:
             chosen.add(v.q)
             chosen.add(v.r)
-    return CoverSolution(sorted(prep.orig_idx[q] for q in chosen), value)
+    return CoverSolution(sorted(prep.orig_idx[q] for q in chosen),
+                         Fraction(value, prep.weight_scale))
 
 
 def evaluate_objective(points, chosen: Sequence[WeightedInterval],
@@ -272,7 +331,7 @@ def evaluate_objective(points, chosen: Sequence[WeightedInterval],
     """
     if mode not in MODES:
         raise ValueError("mode must be one of %r" % (MODES,))
-    xs = [_as_x(p) for p in points] if mode == "mmsc" \
+    xs = [as_x(p) for p in points] if mode == "mmsc" \
         else sorted({s.lo for s in chosen})
     best = Fraction(0)
     for x in xs:

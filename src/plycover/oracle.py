@@ -9,16 +9,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import Infeasible, InstanceTooLarge
-from .geom import (EPS_COVER, EPS_DISJOINT, Point, disk_depth_within,
+from .geom import (EPS_COVER, EPS_DISJOINT, as_x, disk_depth_within,
                    disks_disjoint, ply_disks, ply_rects, rect_depth_within)
 
 MAX_MIN_PLY = 20
 MAX_3COLOR = 12
 MAX_INTERVALS = 12
-
-
-def _as_x(p):
-    return p.x if isinstance(p, Point) else p
 
 
 def _cover_masks(points, objects, contains):
@@ -205,7 +201,7 @@ def exact_intervals(points, intervals, mode: str = "mmsc"):
         raise ValueError("mode must be 'mmsc' or 'mpc'")
     if len(intervals) > MAX_INTERVALS:
         raise InstanceTooLarge("at most %d intervals" % MAX_INTERVALS)
-    xs = [_as_x(p) for p in points]
+    xs = [as_x(p) for p in points]
     intervals = list(intervals)
     n, m = len(xs), len(intervals)
     full = (1 << n) - 1

@@ -308,13 +308,18 @@ def test_criterion_8_scalability():
         # each size's time is the minimum of 5 repeats, so one preempted
         # run cannot fake a superlinear doubling step
         times = []
+        sizes = []  # DAG vertices + edges: the same doubling, without a clock
         for e in range(10, 17):
             m = 2 ** e
             inst = generate("intervals", m, m, "chain", seed=77)
             times.append(min(_timed_solve(inst.points, inst.objects)
                              for _ in range(5)))
+            dag = build_dag(prepare_instance(inst.points, inst.objects))
+            sizes.append(len(dag.vertices) + sum(map(len, dag.adj)))
         ratios = [b / a for a, b in zip(times, times[1:])]
         assert all(r < 3.0 for r in ratios), ratios
+        growth = [b / a for a, b in zip(sizes, sizes[1:])]
+        assert all(g <= 2.1 for g in growth), growth
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -326,9 +331,10 @@ def test_criterion_8_scalability():
     assert rect_time < 5.0
     assert sol.objective <= 2  # OPT = 1 by construction
     assert verify_cover(stress.points, [stress.objects[i] for i in sol.chosen])
-    _report(8, "chain doubling ratios %s all < 3; m=200 single-band "
-               "rectangles solved in %.2f s" %
-               (["%.2f" % r for r in ratios], rect_time))
+    _report(8, "chain doubling ratios %s all < 3, DAG size ratios %s all "
+               "<= 2.1; m=200 single-band rectangles solved in %.2f s" %
+               (["%.2f" % r for r in ratios], ["%.3f" % g for g in growth],
+                rect_time))
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 from conftest import greedy_trap_instance
 
 from plycover.cli import main
-from plycover.instances import Instance, generate, save
+from plycover.geom import WeightedInterval
+from plycover.instances import Instance, generate, load, save
 
 
 def _fig_instance():
@@ -75,6 +76,25 @@ class TestSolveCheck:
         assert "mismatch" in capsys.readouterr().err
 
 
+    def test_intervals_third_weights_round_trip(self, tmp_path):
+        inst = tmp_path / "inst.jsonl"
+        sol = tmp_path / "sol.json"
+        assert main(["gen", "--kind", "intervals", "-n", "12", "-m", "10",
+                     "--dist", "uniform", "--seed", "21",
+                     "--out", str(inst)]) == 0
+        gen = load(inst)
+        gen.objects = [WeightedInterval(s.lo, s.hi, F(1, 3))
+                       for s in gen.objects]
+        save(gen, inst)
+        for mode in ("mmsc", "mpc"):
+            assert main(["solve", "--kind", "intervals", "--mode", mode,
+                         "--in", str(inst), "--out", str(sol)]) == 0
+            # an optimum never stacks three intervals, so it is 1/3 or 2/3
+            assert json.loads(sol.read_text())["objective"] in ("1/3", "2/3")
+            assert main(["check", "--in", str(inst),
+                         "--solution", str(sol)]) == 0
+
+
 class TestExitCodes:
     def test_infeasible_exits_two(self, tmp_path):
         inst = tmp_path / "bad.jsonl"
@@ -107,6 +127,17 @@ class TestExitCodes:
         assert main(["solve", "--kind", "rects", "--in",
                      str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "s.json")]) == 1
+
+    def test_malformed_record_is_usage_error(self, tmp_path, capsys):
+        inst = tmp_path / "bad.jsonl"
+        for body in ('{"p":["0"]}', '{"d":[NaN,0]}'):
+            kind = "disks" if "d" in body else "rects"
+            inst.write_text('{"kind":"%s"}\n{"p":[0,0]}\n%s\n' % (kind, body))
+            capsys.readouterr()
+            assert main(["solve", "--kind", kind, "--in", str(inst),
+                         "--out", str(tmp_path / "s.json")]) == 1
+            err = capsys.readouterr().err
+            assert "line 3" in err and "Traceback" not in err
 
     def test_kind_mismatch_is_usage_error(self, tmp_path):
         inst = tmp_path / "inst.jsonl"

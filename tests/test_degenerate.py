@@ -11,31 +11,56 @@ from plycover.oracle import exact_intervals, exact_min_ply
 from plycover.slabs import solve_mpc
 
 
-def _gritty_intervals(rng):
+# strictly increasing map of grid 0..10, so shared endpoints and points on
+# boundaries stay exactly where the integer grid puts them, but the
+# coordinates mix thirds, sevenths, ninths and primes near 1e5 and go
+# negative
+_OFFSET = (F(0), F(1, 3), F(2, 7), F(1, 100_003), F(5, 9), F(3, 7), F(2, 3),
+           F(1, 7), F(8, 9), F(4, 100_019), F(7, 9))
+
+
+def _on_grid(g):
+    return g - 5 + _OFFSET[g]
+
+
+def _gritty_intervals(rng, mixed=False):
+    """Integer-grid instance; with `mixed`, moved by `_on_grid`, with
+    weights 1/3, 1/6 and 1/100043 among the choices.  Points come as
+    Fractions, Points, ints or floats (on the integer grid) and as
+    Fractions or Points (mixed)."""
+    at = _on_grid if mixed else F
+    weights = (0, 0, 1, 2, 5)
+    if mixed:
+        weights += (F(1, 3), F(1, 6), F(1, 100_043))
     m = rng.randint(1, 9)
     ivs = []
     for _ in range(m):
         lo = rng.randint(0, 6)
-        ivs.append(WeightedInterval(F(lo), F(lo + rng.randint(1, 4)),
-                                    F(rng.choice((0, 0, 1, 2, 5)))))
+        ivs.append(WeightedInterval(at(lo), at(lo + rng.randint(1, 4)),
+                                    F(rng.choice(weights))))
     ivs.sort(key=lambda s: (s.hi, s.lo, s.weight))
     n = rng.randint(0, 8)
-    pts = sorted(F(rng.choice(ivs).lo if rng.random() < 0.3
-                   else rng.randint(0, 10)) for _ in range(n))
-    pts = [x for x in pts if any(s.contains(x) for s in ivs)]
-    return pts, ivs
+    grid = sorted(rng.choice(ivs).lo if rng.random() < 0.3
+                  else at(rng.randint(0, 10)) for _ in range(n))
+    grid = [x for x in grid if any(s.contains(x) for s in ivs)]
+    forms = (F, lambda x: Point(x, 0))
+    if not mixed:
+        forms += (int, float)
+    return [rng.choice(forms)(x) for x in grid], ivs
 
 
 def test_interval_solver_on_integer_grid_matches_oracle():
     for seed in range(150):
-        rng = random.Random(seed)
-        pts, ivs = _gritty_intervals(rng)
-        for mode in ("mmsc", "mpc"):
-            sol = solve_intervals(pts, ivs, mode)
-            opt, _ = exact_intervals(pts, ivs, mode)
-            assert sol.objective == opt, (seed, mode)
-            chosen = [ivs[i] for i in sol.chosen]
-            assert verify_cover(pts, chosen)
+        for mixed in (False, True):
+            rng = random.Random(seed)
+            pts, ivs = _gritty_intervals(rng, mixed)
+            for mode in ("mmsc", "mpc"):
+                sol = solve_intervals(pts, ivs, mode)
+                opt, _ = exact_intervals(pts, ivs, mode)
+                assert sol.objective == opt, (seed, mixed, mode)
+                assert type(sol.objective) is F
+                chosen = [ivs[i] for i in sol.chosen]
+                assert verify_cover(pts, chosen)
 
 
 def _gritty_rects(rng):

@@ -6,9 +6,9 @@ import pytest
 from conftest import greedy_trap_instance
 
 from plycover.errors import Infeasible, UnsortedInput
-from plycover.geom import WeightedInterval
+from plycover.geom import Point, WeightedInterval
 from plycover.instances import generate
-from plycover.intervals import (DagVertex, IntervalDag, V2,
+from plycover.intervals import (DagVertex, IntervalDag, V2, _ranks,
                                 bottleneck_path, build_dag,
                                 count_overlapping_pairs, evaluate_objective,
                                 prepare_instance, solve_intervals)
@@ -17,6 +17,19 @@ from plycover.oracle import exact_intervals
 
 def iv(lo, hi, w=1):
     return WeightedInterval(F(lo), F(hi), F(w))
+
+
+def _primes(count, start):
+    out, c = [], start | 1
+    while len(out) < count:
+        if all(c % d for d in range(3, int(c ** 0.5) + 1, 2)):
+            out.append(c)
+        c += 2
+    return out
+
+
+# distinct primes near 1e5, so the lcm of k of them has about 17k bits
+_BIG_PRIMES = _primes(300, 100_000)
 
 
 class TestPrepare:
@@ -47,6 +60,34 @@ class TestPrepare:
         assert prep.orig_idx == [1]
 
 
+    def test_ranks_keep_order_and_ties_exactly(self):
+        # ties across Fraction, int and float; values closer than 2**-64;
+        # values far beyond float range
+        tiny = F(1, 2 ** 70)
+        vals = [F(1, 3), 0.5, 2, F(1, 100_003), F(1, 2), 2.0, F(-7, 9),
+                F(1, 3) + tiny, F(1, 3) - tiny, F(10 ** 400), -F(10 ** 400),
+                F(10 ** 400) + tiny, 0, -0.0, F(1, 3)]
+        ranks = _ranks(vals)
+        assert sorted(set(ranks)) == list(range(len(set(vals))))
+        for a, ra in zip(vals, ranks):
+            for b, rb in zip(vals, ranks):
+                assert (ra < rb) == (a < b) and (ra == rb) == (a == b)
+
+    def test_coordinates_become_ranks_whatever_the_denominators(self):
+        # every endpoint over its own prime near 1e5: the lcm of the
+        # denominators would have about 5000 bits, the ranks stay below
+        # the number of coordinates
+        m = 150
+        ivs = [iv(F(2 * i) + F(1, _BIG_PRIMES[2 * i]),
+                  F(2 * i + 3) + F(1, _BIG_PRIMES[2 * i + 1])) for i in range(m)]
+        points = [ivs[0].lo, Point(F(5, 2), 0), 7, 7.5, ivs[-1].hi]
+        prep = prepare_instance(points, ivs)
+        bound = len(points) + 2 * m
+        assert all(0 <= x < bound for x, _, _, _ in prep.events)
+        assert all(0 <= x < bound for x in prep.reps)
+        assert len(prep.reps) == len(points)
+
+
 class TestBuildDag:
     def test_single_interval_single_point(self):
         prep = prepare_instance([F(1, 2)], [iv(0, 1, 5)])
@@ -75,6 +116,27 @@ class TestBuildDag:
         mpc = build_dag(prep, "mpc")
         assert all(v.weight == 0 for v in mmsc.vertices)
         assert max(v.weight for v in mpc.vertices) == 10
+
+    def test_vertex_weights_are_scaled_by_weight_scale(self):
+        ivs = [iv(0, 2, F(1, 3)), iv(1, 3, F(2, 7)), iv(2, 5, F(2, 5)),
+               iv(4, 6, 1)]
+        prep = prepare_instance([F(1, 2), F(3, 2), F(9, 2)], ivs)
+        assert prep.weight_scale == 105
+        for mode in ("mmsc", "mpc"):
+            dag = build_dag(prep, mode)
+            seen = set()
+            for v in dag.vertices:
+                real = F(v.weight, prep.weight_scale)
+                if v.kind == V2 and v.weight:
+                    assert real == ivs[v.q].weight + ivs[v.r].weight
+                    seen.add(v.kind)
+                elif v.weight:
+                    assert real == ivs[v.q].weight
+                    seen.add(v.kind)
+            assert seen == {1, 2}
+            _, value = bottleneck_path(dag)
+            assert F(value, prep.weight_scale) == \
+                solve_intervals([F(1, 2), F(3, 2), F(9, 2)], ivs, mode).objective
 
     def test_size_bound(self):
         rng = random.Random(41)
@@ -203,6 +265,23 @@ class TestSolve:
                 assert evaluate_objective(inst.points,
                                           [inst.objects[i] for i in sol.chosen],
                                           mode) == opt
+
+    def test_many_coprime_weight_denominators(self):
+        # 300 distinct prime weight denominators: W has about 5000 bits
+        m = 300
+        ivs = [WeightedInterval(F(2 * i), F(2 * i + 3),
+                                1 + i % 4 + F(1, _BIG_PRIMES[i]))
+               for i in range(m)]
+        pts = [F(2 * i + 1) for i in range(m)]
+        for mode in ("mmsc", "mpc"):
+            sol = solve_intervals(pts, ivs, mode)
+            chosen = [ivs[i] for i in sol.chosen]
+            assert type(sol.objective) is F
+            assert sol.objective == evaluate_objective(pts, chosen, mode)
+            # every point is covered and no point lies in two chosen
+            # intervals whose weight sum beats the single heaviest needed
+            assert all(any(s.contains(x) for s in chosen) for x in pts)
+        assert solve_intervals(pts, ivs, "mmsc").objective < 5
 
     def test_unit_weights_reduce_to_unweighted(self):
         rng = random.Random(43)

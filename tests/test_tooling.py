@@ -48,6 +48,29 @@ class TestRoundTrip:
             loads("")
         with pytest.raises(ValueError):
             loads('{"kind":"hexagons"}')
+        bad = [
+            ("rects", '{"p":["0"]}'),                # too few values
+            ("intervals", '{"p":["0","1"]}'),        # too many values
+            ("intervals", '{"i":"123"}'),            # not a list
+            ("rects", '{"p":{"0":1}}'),
+            ("disks", '{"d":[NaN,0]}'),              # not finite
+            ("disks", '{"p":[0,Infinity]}'),
+            ("disks", '{"p":["nan",0]}'),
+            ("rects", '{"r":[0,1e400,1]}'),
+            ("intervals", '{"i":["0","1/0","1"]}'),  # zero denominator
+            ("intervals", '{"i":["0","1",null]}'),
+            ("intervals", '{"i":["2","1","1"]}'),    # empty interval
+            ("rects", '{"r":[0,"abc",1]}'),
+            ("intervals", '{"r":[0,0,1]}'),          # another kind's record
+            ("intervals", '{"p":["1"],"i":["0","2","1"]}'),
+            ("intervals", '[1]'),
+            ("disks", '{"p":[0,0]'),                 # not JSON
+        ]
+        for kind, rec in bad:
+            text = '{"kind":"%s"}\n\n{"p":[%s]}\n%s\n' % (
+                kind, ",".join(["0"] * (1 if kind == "intervals" else 2)), rec)
+            with pytest.raises(ValueError, match="^line 4: "):
+                loads(text)
 
 
 class TestGenerate:

@@ -6,6 +6,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -15,8 +16,8 @@ from . import instances as inst_mod
 from .errors import (BudgetExceeded, DegenerateInstance, Infeasible,
                      InstanceTooLarge, UnsortedInput)
 from .geom import disks_disjoint, ply_disks, ply_rects
-from .intervals import (count_overlapping_pairs, evaluate_objective,
-                        solve_intervals)
+from .intervals import (chosen_loads, count_overlapping_pairs,
+                        evaluate_objective, solve_intervals)
 from .oracle import exact_3color_cover, exact_intervals, exact_min_ply
 from .slabs import solve_mpc
 from .svg import render_svg
@@ -126,7 +127,7 @@ def _cmd_gen(args) -> int:
 
 
 def _check_colors(inst, sol, eps) -> str | None:
-    colors = {int(k): int(v) for k, v in (sol.get("colors") or {}).items()}
+    colors = {int(k): v for k, v in sol["colors"].items()}
     if sorted(colors) != sorted(sol["chosen"]):
         return "colors do not partition the chosen set"
     if any(not 1 <= c <= 6 for c in colors.values()):
@@ -143,23 +144,53 @@ def _check_colors(inst, sol, eps) -> str | None:
     return None
 
 
-def _cmd_check(args) -> int:
-    with open(args.solution) as fh:
+def _read_solution(path) -> dict:
+    """The solution file as a dict, refused unless its fields are usable."""
+    with open(path) as fh:
         sol = json.loads(fh.read())
+    if not isinstance(sol, dict):
+        raise _UsageError("solution file must hold a JSON object")
     kind = sol.get("kind")
     if kind not in SOLVE_KINDS:
         raise _UsageError("solution file has unknown kind %r" % (kind,))
+    chosen = sol.get("chosen")
+    if not isinstance(chosen, list) or any(type(i) is not int for i in chosen):
+        raise _UsageError("solution file needs \"chosen\", a list of ints")
+    objective = sol.get("objective")
+    if type(objective) is str:
+        try:
+            Fraction(objective)
+        except (ValueError, ZeroDivisionError):
+            objective = None
+    if type(objective) not in (int, str):
+        raise _UsageError("solution file needs \"objective\", an int or a "
+                          "rational string")
+    colors = sol.get("colors")
+    if kind == "3color" and not (
+            isinstance(colors, dict) and all(
+                k.isdigit() and type(v) is int for k, v in colors.items())):
+        raise _UsageError("solution file needs \"colors\", a map from "
+                          "chosen index to int color")
+    return sol
+
+
+def _cmd_check(args) -> int:
+    sol = _read_solution(args.solution)
+    kind = sol["kind"]
     inst = _load_instance(args.infile, kind)
-    chosen = sol.get("chosen", [])
+    chosen = sol["chosen"]
     if any(not 0 <= i < len(inst.objects) for i in chosen):
         print("chosen index out of range", file=sys.stderr)
         return EXIT_USAGE
     objs = [inst.objects[i] for i in chosen]
-    for pi, p in enumerate(inst.points):
-        if kind in ("intervals", "rects"):
-            hit = any(o.contains(p) for o in objs)
-        else:
-            hit = any(o.contains(p, args.eps) for o in objs)
+    if kind == "intervals":
+        covered = [c > 0 for c in chosen_loads(inst.points, objs)[0]]
+    elif kind == "rects":
+        covered = (any(o.contains(p) for o in objs) for p in inst.points)
+    else:
+        covered = (any(o.contains(p, args.eps) for o in objs)
+                   for p in inst.points)
+    for pi, hit in enumerate(covered):
         if not hit:
             print("uncovered point at index %d" % pi, file=sys.stderr)
             return EXIT_USAGE
@@ -212,7 +243,9 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and then reused."""
     p = _Parser(prog="plycover", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -6,6 +6,10 @@ and intervals carry exact rational coordinates, so all their predicates are
 exact sign tests; disks use float coordinates with a small containment
 tolerance because their predicates involve square roots.  Every object is a
 closed set: a point on the boundary belongs to the object.
+
+Rectangle and interval predicates only compare coordinates, so the solvers
+replace each coordinate by its rank (`ranks`) and run on small ints; a
+rectangle then becomes a `Box` of rank sides.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 EPS_COVER = 1e-9
 EPS_DISJOINT = 1e-9
@@ -65,6 +69,43 @@ class UnitRect:
 
     def contains(self, p: Point) -> bool:
         return self.left <= p.x <= self.right and self.bottom <= p.y <= self.top
+
+
+class Box(NamedTuple):
+    """Closed axis-aligned box given by its four sides.
+
+    The rectangle solver uses boxes of coordinate ranks; every rectangle
+    predicate accepts a Box where it accepts a UnitRect."""
+
+    left: object
+    right: object
+    bottom: object
+    top: object
+
+    def contains(self, p: Point) -> bool:
+        left, right, bottom, top = self
+        return left <= p.x <= right and bottom <= p.y <= top
+
+
+def ranks(values) -> list:
+    """Rank of each value among all of them, from 0; equal values share one.
+
+    Ints, Fractions and floats mix freely.  Sorted on floor(v * 2**64), an
+    int only 64 bits longer than the value's integer part; only values that
+    share that key are compared exactly."""
+    keys = []
+    for v in values:
+        num, den = v.as_integer_ratio()
+        keys.append((num << 64) // den)
+    out = [0] * len(keys)
+    r = -1
+    last_k = last_v = None
+    for k, v, i in sorted(zip(keys, values, range(len(keys)))):
+        if k != last_k or v != last_v:
+            r += 1
+            last_k, last_v = k, v
+        out[i] = r
+    return out
 
 
 @dataclass(frozen=True)
@@ -200,7 +241,9 @@ def _max_depth_boxes(boxes) -> int:
     return best
 
 
-def _sides(r: UnitRect) -> tuple:
+def _sides(r) -> tuple:
+    if r.__class__ is Box:
+        return r
     return (r.left, r.left + r.width, r.bottom, r.bottom + 1)
 
 

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import Infeasible, UnsortedInput
-from .geom import EventClass, WeightedInterval, as_x
+from .geom import EventClass, WeightedInterval, as_x, ranks
 from .slabs import CoverSolution
 
 MODES = ("mmsc", "mpc")
@@ -44,27 +44,6 @@ V0, V1, V2 = 0, 1, 2
 
 _LEFT, _POINT, _RIGHT = (EventClass.LEFT_SIDE, EventClass.INPUT_POINT,
                          EventClass.RIGHT_SIDE)
-
-
-def _ranks(values):
-    """Rank of each value among all of them, from 0; equal values share one.
-
-    Sorted on floor(v * 2**64), an int only 64 bits longer than the
-    value's integer part; only values that share that key are compared
-    exactly."""
-    keys = []
-    for v in values:
-        num, den = v.as_integer_ratio()
-        keys.append((num << 64) // den)
-    ranks = [0] * len(keys)
-    r = -1
-    last_k = last_v = None
-    for k, v, i in sorted(zip(keys, values, range(len(keys)))):
-        if k != last_k or v != last_v:
-            r += 1
-            last_k, last_v = k, v
-        ranks[i] = r
-    return ranks
 
 
 def _scaled(values):
@@ -104,8 +83,8 @@ def prepare_instance(points, intervals) -> PreparedIntervals:
     n, m = len(coords), len(intervals)
     coords += [s.lo for s in intervals]
     coords += [s.hi for s in intervals]
-    ranks = _ranks(coords)
-    xs, los, his = ranks[:n], ranks[n:n + m], ranks[n + m:]
+    rk = ranks(coords)
+    xs, los, his = rk[:n], rk[n:n + m], rk[n + m:]
     if xs != sorted(xs):
         raise UnsortedInput("points must be sorted by x")
     if his != sorted(his):
@@ -321,6 +300,37 @@ def solve_intervals(points, intervals, mode: str = "mmsc") -> CoverSolution:
                          Fraction(value, prep.weight_scale))
 
 
+def chosen_loads(points, chosen: Sequence[WeightedInterval]):
+    """(counts, loads, W): per point (a Point or a number), the number of
+    chosen intervals containing it and their weight sum times W, the lcm of
+    the weight denominators.
+
+    One sort of the points with the chosen endpoints: at equal
+    coordinates left endpoints come first and right endpoints last, so
+    every interval is closed.
+    """
+    ws, w_scale = _scaled([s.weight for s in chosen])
+    events = [(as_x(p), _POINT, i) for i, p in enumerate(points)]
+    for j, s in enumerate(chosen):
+        events.append((s.lo, _LEFT, j))
+        events.append((s.hi, _RIGHT, j))
+    events.sort()
+    counts = [0] * len(points)
+    loads = [0] * len(points)
+    count = load = 0
+    for _, cls, k in events:
+        if cls == _LEFT:
+            count += 1
+            load += ws[k]
+        elif cls == _RIGHT:
+            count -= 1
+            load -= ws[k]
+        else:
+            counts[k] = count
+            loads[k] = load
+    return counts, loads, w_scale
+
+
 def evaluate_objective(points, chosen: Sequence[WeightedInterval],
                        mode: str = "mmsc") -> Fraction:
     """Recompute an objective directly from a chosen set (no graph).
@@ -331,17 +341,9 @@ def evaluate_objective(points, chosen: Sequence[WeightedInterval],
     """
     if mode not in MODES:
         raise ValueError("mode must be one of %r" % (MODES,))
-    xs = [as_x(p) for p in points] if mode == "mmsc" \
-        else sorted({s.lo for s in chosen})
-    best = Fraction(0)
-    for x in xs:
-        total = Fraction(0)
-        for s in chosen:
-            if s.lo <= x <= s.hi:
-                total += s.weight
-        if total > best:
-            best = total
-    return best
+    xs = points if mode == "mmsc" else [s.lo for s in chosen]
+    _, loads, w_scale = chosen_loads(xs, chosen)
+    return Fraction(max(loads, default=0), w_scale)
 
 
 def count_overlapping_pairs(intervals) -> int:

@@ -17,7 +17,9 @@ from typing import Optional
 from . import disks as _disks
 from . import rects as _rects
 from .errors import BudgetExceeded, Infeasible
-from .geom import EPS_COVER, membership_at, ply_disks, ply_rects
+# membership_at stays bound here so that perfbench/tracing.py can wrap it
+from .geom import (EPS_COVER, Box, Point, membership_at, ply_disks,  # noqa: F401
+                   ply_rects, ranks, verify_cover)
 
 SLAB_HEIGHT = 2
 
@@ -112,6 +114,28 @@ def assign_slabs(points, objects, kind) -> list[SlabInstance]:
     return out
 
 
+def _rank_rects(points, rects):
+    """The rect instance on coordinate ranks: (rank Points, Boxes).
+
+    Point x, left and right sides are ranked together, and so are point y,
+    bottom and top sides.  Below the slab split every rect predicate only
+    compares coordinates, so the ranks decide exactly as the rationals do.
+    """
+    n = len(points)
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    for r in rects:
+        xs.append(r.left)
+        xs.append(r.left + r.width)
+        ys.append(r.bottom)
+        ys.append(r.bottom + 1)
+    xr, yr = ranks(xs), ranks(ys)
+    rank_points = [Point(x, y) for x, y in zip(xr[:n], yr[:n])]
+    boxes = [Box(xr[k], xr[k + 1], yr[k], yr[k + 1])
+             for k in range(n, len(xr), 2)]
+    return rank_points, boxes
+
+
 def solve_mpc(points, objects, kind, ell_max: Optional[int] = None,
               eps: float = EPS_COVER) -> CoverSolution:
     """2-approximate minimum ply cover for unit-height rectangles or disks.
@@ -123,6 +147,9 @@ def solve_mpc(points, objects, kind, ell_max: Optional[int] = None,
     its objects; a point covered by none raises Infeasible naming it.  A
     slab that needs more than ell_max raises BudgetExceeded, but only after
     every slab has been checked, so an uncovered point anywhere wins.
+
+    Rectangles are split into slabs on their exact coordinates and then
+    solved as Boxes of coordinate ranks (`_rank_rects`).
     """
     if kind not in ("rects", "disks"):
         raise ValueError("kind must be 'rects' or 'disks'")
@@ -132,9 +159,14 @@ def solve_mpc(points, objects, kind, ell_max: Optional[int] = None,
         return CoverSolution([], 0)
 
     if kind == "rects":
-        solve_points, solve_objects = points, objects
+        solve_points, solve_objects = _rank_rects(points, objects)
         orig = list(range(len(objects)))
-        ply_fn = ply_rects
+        to_solve = dict(zip(points, solve_points))
+        slabs = [(slab, [to_solve[p] for p in slab.points])
+                 for slab in assign_slabs(points, objects, kind)]
+
+        def objective(chosen):
+            return ply_rects([solve_objects[i] for i in chosen])
 
         def slab_solve(pts, objs, ell):
             return _rects.solve_slab_rects(pts, objs, ell)
@@ -142,29 +174,31 @@ def solve_mpc(points, objects, kind, ell_max: Optional[int] = None,
         uniq, orig = _disks.dedupe_disks(objects)
         angle = _disks.canonical_rotation(points, uniq, eps)
         solve_points, solve_objects = _disks.rotate_instance(points, uniq, angle)
+        slabs = [(slab, slab.points)
+                 for slab in assign_slabs(solve_points, solve_objects, kind)]
 
-        def ply_fn(objs):
-            return ply_disks(objs, eps)
+        def objective(chosen):
+            return ply_disks([objects[i] for i in chosen], eps)
 
         def slab_solve(pts, objs, ell):
             return _disks.solve_slab_disks(pts, objs, ell, eps)
 
     union: set[int] = set()
     over = None
-    for slab in assign_slabs(solve_points, solve_objects, kind):
+    for slab, pts in slabs:
         objs = [solve_objects[i] for i in slab.objects]
         cap = len(objs) if ell_max is None else min(ell_max, len(objs))
         ell = 1
-        res = slab_solve(slab.points, objs, ell) if cap >= 1 else None
+        res = slab_solve(pts, objs, ell) if cap >= 1 else None
         if res is None:
-            for p in slab.points:
-                if membership_at(p, objs, eps=eps) == 0:
-                    unrotated = dict(zip(solve_points, points))
+            for p in pts:
+                if not verify_cover([p], objs, eps):
+                    original = dict(zip(solve_points, points))
                     raise Infeasible("point %r is covered by no object"
-                                     % (unrotated[p],))
+                                     % (original[p],))
         while res is None and ell < cap:
             ell += 1
-            res = slab_solve(slab.points, objs, ell)
+            res = slab_solve(pts, objs, ell)
         if res is None:
             over = (slab.index, cap)
         else:
@@ -173,4 +207,4 @@ def solve_mpc(points, objects, kind, ell_max: Optional[int] = None,
         raise BudgetExceeded("slab %d has no cover within ply budget %d"
                              % over)
     chosen = sorted(orig[i] for i in union)
-    return CoverSolution(chosen, ply_fn([objects[i] for i in chosen]))
+    return CoverSolution(chosen, objective(chosen))

@@ -16,7 +16,9 @@ from bisect import bisect_left
 from .disks import (canonical_rotation, dedupe_disks, disk_side_events,
                     rotate_instance)
 from .errors import Infeasible
-from .geom import EPS_COVER, EventClass, disks_disjoint, membership_at, ply_disks
+# membership_at stays bound here so that perfbench/tracing.py can wrap it
+from .geom import (EPS_COVER, EventClass, disks_disjoint,  # noqa: F401
+                   membership_at, ply_disks, verify_cover)
 from .slabs import CoverSolution, assign_slabs
 from .stripdag import _merge_union, merge_member
 
@@ -116,7 +118,7 @@ def solve_3color(points, disks, eps: float = EPS_COVER) -> CoverSolution:
         local = solve_slab_3color(slab.points, objs, eps)
         if local is None:
             for p in slab.points:
-                if membership_at(p, objs, eps=eps) == 0:
+                if not verify_cover([p], objs, eps):
                     unrotated = dict(zip(rpts, points))
                     raise Infeasible("point %r is covered by no disk"
                                      % (unrotated[p],))

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from conftest import greedy_trap_instance
 
 from plycover.cli import main
@@ -75,6 +77,31 @@ class TestSolveCheck:
         assert main(["check", "--in", str(inst), "--solution", str(sol)]) == 1
         assert "mismatch" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("body", [
+        '[1]', '"x"', '{"kind":"intervals","chosen":[0,2,3]}',
+        '{"kind":"squares","chosen":[],"objective":0}',
+        '{"kind":"intervals","chosen":{"0":1},"objective":"3"}',
+        '{"kind":"intervals","chosen":[0,"2",3],"objective":"3"}',
+        '{"kind":"intervals","chosen":[0,2.0,3],"objective":"3"}',
+        '{"kind":"intervals","chosen":[0,true],"objective":"3"}',
+        '{"kind":"intervals","chosen":[0,2,3],"objective":[3]}',
+        '{"kind":"intervals","chosen":[0,2,3],"objective":"1/0"}',
+        '{"kind":"intervals","chosen":[0,2,3],"objective":"three"}',
+        '{"kind":"3color","chosen":[0],"objective":1,"colors":[1]}',
+        '{"kind":"3color","chosen":[0],"objective":1,"colors":{"0":null}}',
+        '{"kind":"3color","chosen":[0],"objective":1}',
+        '{"kind":"intervals","chosen":[0,2,3],"objective":"3"'])
+    def test_malformed_solution_is_refused(self, tmp_path, capsys, body):
+        inst = tmp_path / "trap.jsonl"
+        sol = tmp_path / "sol.json"
+        save(_fig_instance(), inst)
+        sol.write_text(body)
+        capsys.readouterr()
+        assert main(["check", "--in", str(inst), "--solution", str(sol)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(("usage error:", "error:"))
+        assert "Traceback" not in err
 
     def test_intervals_third_weights_round_trip(self, tmp_path):
         inst = tmp_path / "inst.jsonl"

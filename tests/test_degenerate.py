@@ -2,13 +2,17 @@
 shared endpoints, duplicate objects, and points exactly on boundaries are
 the common case rather than the exception."""
 import random
+import re
 from fractions import Fraction as F
 
+import pytest
+
+from plycover.errors import Infeasible
 from plycover.geom import (Point, UnitRect, WeightedInterval, ply_rects,
                            verify_cover)
 from plycover.intervals import solve_intervals
 from plycover.oracle import exact_intervals, exact_min_ply
-from plycover.slabs import solve_mpc
+from plycover.slabs import assign_slabs, solve_mpc
 
 
 # strictly increasing map of grid 0..10, so shared endpoints and points on
@@ -96,3 +100,55 @@ def test_duplicate_rects_and_points_are_handled():
     sol = solve_mpc(pts, rects, "rects")
     assert sol.objective == 1
     assert len(sol.chosen) == 1
+
+
+def _mixed_rects(rng):
+    """Rects whose sides sit on the `_on_grid` map (thirds, sevenths,
+    primes near 1e5, negative values), with bottoms b and b + 1 both in
+    use so that rects share and abut sides in y as well as in x, some
+    exact duplicates, and points on corners and edge midpoints."""
+    m = rng.randint(1, 8)
+    rects = []
+    for _ in range(m):
+        if rects and rng.random() < 0.2:
+            rects.append(rng.choice(rects))
+            continue
+        g = rng.randint(0, 8)
+        left, right = _on_grid(g), _on_grid(g + rng.randint(1, 2))
+        bottom = _on_grid(rng.randint(3, 6)) + rng.randint(0, 1)
+        rects.append(UnitRect(left, bottom, right - left))
+    pts = []
+    for _ in range(rng.randint(1, 8)):
+        r = rng.choice(rects)
+        fx = rng.choice((F(0), F(1, 2), F(1)))
+        fy = rng.choice((F(0), F(1, 2), F(1)))
+        pts.append(Point(r.left + fx * r.width, r.bottom + fy))
+    return pts, rects
+
+
+def test_rect_pipeline_on_mixed_denominators_matches_oracle():
+    for seed in range(120):
+        rng = random.Random(seed + 20_000)
+        pts, rects = _mixed_rects(rng)
+        opt, _ = exact_min_ply(pts, rects, "rects")
+        sol = solve_mpc(pts, rects, "rects")
+        chosen = [rects[i] for i in sol.chosen]
+        assert verify_cover(pts, chosen), seed
+        assert type(sol.objective) is int
+        assert sol.objective == ply_rects(chosen)
+        assert sol.objective <= 2 * opt, (seed, sol.objective, opt)
+        opts = {}
+        for s in assign_slabs(pts, rects, "rects"):
+            objs = [rects[i] for i in s.objects]
+            opts[s.index] = exact_min_ply(s.points, objs, "rects")[0]
+        bound = max(v + opts.get(j + 1, 0) for j, v in opts.items())
+        assert sol.objective <= bound, (seed, sol.objective, opts)
+
+
+def test_uncovered_mixed_point_is_named_as_given():
+    rects = [UnitRect(_on_grid(1), _on_grid(3)),
+             UnitRect(_on_grid(4), _on_grid(3) + 1, F(2, 7))]
+    lost = Point(_on_grid(9), _on_grid(3) + F(1, 2))
+    points = [Point(_on_grid(1) + F(1, 2), _on_grid(3)), lost]
+    with pytest.raises(Infeasible, match=re.escape(repr(lost))):
+        solve_mpc(points, rects, "rects")

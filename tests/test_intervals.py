@@ -6,10 +6,10 @@ import pytest
 from conftest import greedy_trap_instance
 
 from plycover.errors import Infeasible, UnsortedInput
-from plycover.geom import Point, WeightedInterval
+from plycover.geom import Point, WeightedInterval, ranks
 from plycover.instances import generate
-from plycover.intervals import (DagVertex, IntervalDag, V2, _ranks,
-                                bottleneck_path, build_dag,
+from plycover.intervals import (DagVertex, IntervalDag, V2,
+                                bottleneck_path, build_dag, chosen_loads,
                                 count_overlapping_pairs, evaluate_objective,
                                 prepare_instance, solve_intervals)
 from plycover.oracle import exact_intervals
@@ -67,10 +67,10 @@ class TestPrepare:
         vals = [F(1, 3), 0.5, 2, F(1, 100_003), F(1, 2), 2.0, F(-7, 9),
                 F(1, 3) + tiny, F(1, 3) - tiny, F(10 ** 400), -F(10 ** 400),
                 F(10 ** 400) + tiny, 0, -0.0, F(1, 3)]
-        ranks = _ranks(vals)
-        assert sorted(set(ranks)) == list(range(len(set(vals))))
-        for a, ra in zip(vals, ranks):
-            for b, rb in zip(vals, ranks):
+        rk = ranks(vals)
+        assert sorted(set(rk)) == list(range(len(set(vals))))
+        for a, ra in zip(vals, rk):
+            for b, rb in zip(vals, rk):
                 assert (ra < rb) == (a < b) and (ra == rb) == (a == b)
 
     def test_coordinates_become_ranks_whatever_the_denominators(self):
@@ -265,6 +265,30 @@ class TestSolve:
                 assert evaluate_objective(inst.points,
                                           [inst.objects[i] for i in sol.chosen],
                                           mode) == opt
+
+    def test_sweep_matches_brute_force_count(self):
+        # endpoints and points on a grid of eighths, so points on shared
+        # and abutting endpoints and duplicate intervals are common
+        rng = random.Random(45)
+        for seed in range(200):
+            ivs = []
+            for _ in range(rng.randint(0, 9)):
+                lo = F(rng.randint(-8, 8), 4)
+                ivs.append(WeightedInterval(lo, lo + F(rng.randint(1, 8), 4),
+                                            rng.choice((0, 1, F(1, 3),
+                                                        F(2, 7), 5))))
+            pts = [rng.choice((F, lambda x: Point(x, 0), float))(
+                F(rng.randint(-20, 30), 8)) for _ in range(rng.randint(0, 12))]
+            counts, loads, w_scale = chosen_loads(pts, ivs)
+            for p, c, load in zip(pts, counts, loads):
+                inside = [s for s in ivs if s.contains(p)]
+                assert c == len(inside), seed
+                assert F(load, w_scale) == sum(s.weight for s in inside), seed
+            for mode, xs in (("mmsc", pts), ("mpc", [s.lo for s in ivs])):
+                want = max((sum(s.weight for s in ivs if s.contains(x))
+                            for x in xs), default=0)
+                got = evaluate_objective(pts, ivs, mode)
+                assert got == want and type(got) is F, (seed, mode)
 
     def test_many_coprime_weight_denominators(self):
         # 300 distinct prime weight denominators: W has about 5000 bits

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import instances as inst_mod
 from .errors import (BudgetExceeded, DegenerateInstance, Infeasible,
                      InstanceTooLarge, UnsortedInput)
-from .geom import disks_disjoint, ply_disks, ply_rects
+from .geom import disks_disjoint, ply_disks, ply_rects, rects_cover
 from .intervals import (chosen_loads, count_overlapping_pairs,
                         evaluate_objective, solve_intervals)
 from .oracle import exact_3color_cover, exact_intervals, exact_min_ply
@@ -186,7 +186,7 @@ def _cmd_check(args) -> int:
     if kind == "intervals":
         covered = [c > 0 for c in chosen_loads(inst.points, objs)[0]]
     elif kind == "rects":
-        covered = (any(o.contains(p) for o in objs) for p in inst.points)
+        covered = rects_cover(inst.points, objs)
     else:
         covered = (any(o.contains(p, args.eps) for o in objs)
                    for p in inst.points)

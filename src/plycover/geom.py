@@ -18,6 +18,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import groupby
 from typing import NamedTuple, Sequence
 
 EPS_COVER = 1e-9
@@ -26,7 +28,7 @@ EPS_DISJOINT = 1e-9
 # widening of the disk search windows, far above float rounding at the
 # coordinates used, so a window never drops a pair or disk the exact
 # predicate would keep
-_WINDOW_SLACK = 1e-7
+WINDOW_SLACK = 1e-7
 
 
 def _frac(v) -> Fraction:
@@ -90,22 +92,39 @@ class Box(NamedTuple):
 def ranks(values) -> list:
     """Rank of each value among all of them, from 0; equal values share one.
 
-    Ints, Fractions and floats mix freely.  Sorted on floor(v * 2**64), an
-    int only 64 bits longer than the value's integer part; only values that
-    share that key are compared exactly."""
+    Ints, Fractions and floats mix freely.  A value num/den (in lowest
+    terms) is sorted on the int 2 * floor(v * 2**64), plus 1 when v * 2**64
+    is not an integer.  Different keys order their values, and an even key
+    holds one value; only the values that share an odd key are told apart,
+    exactly, by cross-multiplying their ratios.  No Fraction is compared.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
     keys = []
-    for v in values:
-        num, den = v.as_integer_ratio()
-        keys.append((num << 64) // den)
+    for num, den in ratios:
+        q, r = divmod(num << 64, den)
+        keys.append(2 * q + (r != 0))
     out = [0] * len(keys)
-    r = -1
-    last_k = last_v = None
-    for k, v, i in sorted(zip(keys, values, range(len(keys)))):
-        if k != last_k or v != last_v:
-            r += 1
-            last_k, last_v = k, v
-        out[i] = r
+    rank = -1
+    for k, group in groupby(sorted(range(len(keys)), key=keys.__getitem__),
+                            keys.__getitem__):
+        if not k & 1:
+            rank += 1
+            for i in group:
+                out[i] = rank
+            continue
+        group = list(group)
+        distinct = sorted({ratios[i] for i in group},
+                          key=cmp_to_key(_ratio_cmp))
+        at = {nd: rank + 1 + r for r, nd in enumerate(distinct)}
+        for i in group:
+            out[i] = at[ratios[i]]
+        rank += len(distinct)
     return out
+
+
+def _ratio_cmp(a, b) -> int:
+    d = a[0] * b[1] - b[0] * a[1]
+    return (d > 0) - (d < 0)
 
 
 @dataclass(frozen=True)
@@ -257,6 +276,44 @@ def ply_rects(rects: Sequence[UnitRect]) -> int:
     return _max_depth_boxes([_sides(r) for r in rects])
 
 
+def rects_cover(points, rects: Sequence[UnitRect]) -> list:
+    """For each point, whether some closed rectangle of height 1 contains it.
+
+    One x-sweep over the points and the rectangles' sides, lefts before
+    points before rights at equal x, so every rectangle is closed.  An
+    active rectangle contains a point iff its bottom lies in
+    [y - 1, y]; a Fenwick tree counts the active bottoms by rank.
+    """
+    bottoms = sorted({r.bottom for r in rects})
+    tree = [0] * (len(bottoms) + 1)
+
+    def below(i):  # active bottoms of rank < i
+        total = 0
+        while i:
+            total += tree[i]
+            i &= i - 1
+        return total
+
+    events = [(p.x, 1, i) for i, p in enumerate(points)]
+    for r in rects:
+        b = bisect_left(bottoms, r.bottom) + 1
+        events.append((r.left, 0, b))
+        events.append((r.left + r.width, 2, b))
+    events.sort()
+    out = [False] * len(points)
+    for _, cls, k in events:
+        if cls == 1:
+            y = points[k].y
+            out[k] = (below(bisect_right(bottoms, y))
+                      > below(bisect_left(bottoms, y - 1)))
+            continue
+        step = 1 if cls == 0 else -1
+        while k < len(tree):
+            tree[k] += step
+            k += k & -k
+    return out
+
+
 def rect_depth_within(rects: Sequence[UnitRect], region: UnitRect) -> int:
     """Maximum depth of `rects` over the points of the closed `region`.
 
@@ -329,14 +386,14 @@ def ply_disks(disks: Sequence[UnitDisk], eps: float = EPS_COVER) -> int:
         return 0
     order = sorted(range(len(disks)), key=lambda i: disks[i].center.x)
     xs = [disks[i].center.x for i in order]
-    pair_reach = 1.0 + eps + _WINDOW_SLACK
+    pair_reach = 1.0 + eps + WINDOW_SLACK
     cands = [d.center for d in disks]
     for a, i in enumerate(order):
         hi = bisect_right(xs, xs[a] + pair_reach)
         for j in order[a + 1:hi]:
             lo_i, hi_i = (i, j) if i < j else (j, i)
             cands.extend(circle_intersections(disks[lo_i], disks[hi_i], eps))
-    reach = 0.5 + eps + _WINDOW_SLACK
+    reach = 0.5 + eps + WINDOW_SLACK
     best = 0
     for p in cands:
         c = 0
@@ -357,7 +414,7 @@ def disk_depth_within(disks: Sequence[UnitDisk], region: UnitDisk,
     1 + 2*eps of the region's center, so only those disks (with float
     slack) are considered.
     """
-    reach = 1.0 + 2.0 * eps + _WINDOW_SLACK
+    reach = 1.0 + 2.0 * eps + WINDOW_SLACK
     reach2 = reach * reach
     cx, cy = region.center.x, region.center.y
     near = []

@@ -4,17 +4,23 @@ No more than 3*ell rectangles of a ply-ell solution can intersect a single
 strip: a vertical line through the strip meets the slab in a segment of
 length 2, and every rectangle spanning the strip contains its top, middle,
 or bottom point.
+
+The strip search is `stripdag`'s.  A rectangle may meet another when their
+closed boxes intersect, which is exactly when it can raise the depth
+inside it.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
-from .geom import EventClass, Point, UnitRect, ply_rects, rect_depth_within
-from .stripdag import (PlyCache, SideEvent, StripProblem, StripState,
-                       build_problem, search, successors)
+# ply_rects stays bound here so that perfbench/tracing.py can wrap it
+from .geom import (EventClass, Point, UnitRect, ply_rects,  # noqa: F401
+                   rect_depth_within)
+from .stripdag import (PlyCache, SideEvent, StripProblem, bits,
+                       build_problem, search)
 
 __all__ = ["build_strips_rects", "rect_slab_problem", "solve_slab_rects",
-           "successors", "StripState", "PER_STRIP_FACTOR"]
+           "PER_STRIP_FACTOR"]
 
 PER_STRIP_FACTOR = 3
 
@@ -32,16 +38,19 @@ def build_strips_rects(rects: Sequence[UnitRect]) -> list[SideEvent]:
 def rect_slab_problem(points: Sequence[Point], rects: Sequence[UnitRect],
                       ell: int) -> StripProblem:
     rects = list(rects)
+    sides = [(r.left, r.right, r.bottom, r.top) for r in rects]
 
-    def full(members):
-        return ply_rects([rects[i] for i in members])
+    def meets(o, q):
+        left, right, bottom, top = sides[o]
+        ql, qr, qb, qt = sides[q]
+        return left <= qr and right >= ql and bottom <= qt and top >= qb
 
     def added(members, q):
-        return rect_depth_within([rects[i] for i in members], rects[q])
+        return rect_depth_within([rects[i] for i in bits(members)], rects[q])
 
     return build_problem(points, build_strips_rects(rects),
-                         lambda o, p: rects[o].contains(p),
-                         PlyCache(full, added), PER_STRIP_FACTOR * ell, ell)
+                         lambda o, p: rects[o].contains(p), meets,
+                         PlyCache(added), PER_STRIP_FACTOR * ell, ell)
 
 
 def solve_slab_rects(points: Sequence[Point], rects: Sequence[UnitRect],

@@ -63,29 +63,51 @@ def slab_offset(points, objects, kind):
     stays in a single slab.  The C+1 candidates are pairwise distinct
     modulo the slab height and at most C residues are bad, so the smallest
     shift that works exists; it is returned.
+
+    Each critical y's residue mod 2 is computed once.  Exactly, it puts
+    candidate k on a boundary iff k/(8(C+1)) completes it to 2, so it
+    blocks at most one k, found with int arithmetic on its ratio.  In
+    floats, the boundary test keeps its tolerance and runs as before, but
+    only for the k whose shift comes within that tolerance (and a bound on
+    float error) of completing the residue; no other k can fail it.  Both
+    take O(C) steps while 8(C+1) times the tolerance stays below 1.
     """
     ys = _critical_ys(points, objects, kind)
-    exact = kind == "rects"
     if not ys:
-        return Fraction(0) if exact else 0.0
+        return Fraction(0) if kind == "rects" else 0.0
     n = len(ys)
+    steps = 8 * (n + 1)
     base = min(ys)
-    for k in range(1, n + 2):
-        if exact:
-            cand = base - Fraction(k, 8 * (n + 1))
-            if all((y - cand) % 2 != 0 for y in ys):
-                return cand
-        else:
-            cand = float(base) - k / (8.0 * (n + 1))
-            ok = True
-            for y in ys:
-                r = (y - cand) % 2.0
-                if r < _BOUNDARY_TOL or r > 2.0 - _BOUNDARY_TOL:
-                    ok = False
-                    break
-            if ok:
-                return cand
-    raise AssertionError("no valid slab offset among %d candidates" % (n + 1))
+    blocked = bytearray(n + 2)
+    if kind == "rects":
+        # (y - base) * steps + k must be a multiple of 2 * steps
+        bn, bd = base.as_integer_ratio()
+        for y in ys:
+            yn, yd = y.as_integer_ratio()
+            t, rem = divmod((yn * bd - bn * yd) * steps, yd * bd)
+            k = -t % (2 * steps)
+            if rem == 0 and k <= n + 1:
+                blocked[k] = 1
+        k = blocked.index(0, 1)
+        return base - Fraction(k, steps)
+    fbase = float(base)
+    # tolerance plus a bound on the float error of any residue, far above
+    # rounding at these magnitudes
+    band = _BOUNDARY_TOL + 2.0 ** -40 * (max(-fbase, max(ys)) + 2.0)
+    reach = band * steps
+    last = 1.875 - band
+    for y in ys:
+        r = (y - fbase) % 2.0
+        if r > band and r < last:
+            continue  # the shifts, in (0, 1/8], complete it to no boundary
+        centre = (2.0 - r) * steps if r > band else 0.0
+        for k in range(max(1, math.floor(centre - reach)),
+                       min(n + 1, math.ceil(centre + reach)) + 1):
+            r = (y - (fbase - k / (8.0 * (n + 1)))) % 2.0
+            if r < _BOUNDARY_TOL or r > 2.0 - _BOUNDARY_TOL:
+                blocked[k] = 1
+    k = blocked.index(0, 1)
+    return fbase - k / (8.0 * (n + 1))
 
 
 def assign_slabs(points, objects, kind) -> list[SlabInstance]:

@@ -1,19 +1,31 @@
 """Reachable-state search over the strip-transition graph inside one slab.
 
 The plane restricted to a height-2 slab is cut into vertical strips by the
-object side events.  A search state is (strip index, Q) where Q is the
-sorted tuple of candidate object indices intersecting that strip.  Crossing
-a boundary (exactly one side event) either keeps Q, drops the object whose
-right side sits on the boundary, or adds the object whose left side does.
-A successor survives only if it covers the next strip's points, keeps ply
-within the budget, and respects the per-strip cardinality cap.  States are
-memoized per strip, so only the reachable part of the graph is ever built.
+object side events.  A search state is (strip index, members), where the
+members are the chosen objects crossing that strip, held as an int bitmask
+(bit i for object i).  Crossing a boundary (exactly one side event) either
+keeps the members, drops the object whose right side sits on the boundary,
+or adds the object whose left side does.
+
+`build_problem` makes one sweep over the events.  It gives every strip
+point its cover mask, the objects crossing its strip that contain it, and
+every object q its meet mask, the objects crossing q's left side that may
+meet q.  A state then covers its strip iff it meets each cover mask of the
+strip.  Adding q keeps ply within ell without asking the depth oracle when
+fewer than ell members may meet q, because the depth inside q is then at
+most 1 plus that count.  A successor also respects the per-strip cap.
+
+`run` is the one search loop.  States are memoized per strip, and for each
+state it keeps the smallest union of chosen objects over the paths that
+reach it, in the sorted-tuple order of index sets (`union_lt`).  Rectangles
+and disks step with `successors`; the 3-color search (`tricolor`) steps
+over triples of class masks on the same problem.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from .geom import EventClass
 
@@ -25,54 +37,67 @@ class SideEvent(NamedTuple):
     obj: int
 
 
+def bits(mask: int) -> list:
+    """Indices of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def union_lt(a: int, b: int) -> bool:
+    """True iff index set a sorts before b as sorted tuples.
+
+    Below d, the lowest bit of a ^ b, the sets agree.  If a holds d, it is
+    smaller iff b goes on past d; otherwise it is smaller iff it stops at d.
+    """
+    if a == b:
+        return False
+    low = (a ^ b) & -(a ^ b)
+    return b >= low << 1 if a & low else a < low << 1
+
+
 class StripState(NamedTuple):
     strip: int
-    members: tuple
+    mask: int          # members; the 3-color search keeps its class masks
+    union: int = 0     # chosen objects on the best path to this state
+
+    @property
+    def members(self) -> tuple:
+        return tuple(bits(self.mask))
 
 
-def merge_member(members: tuple, q: int) -> tuple:
-    out = list(members)
-    insort(out, q)
-    return tuple(out)
+# StripState(a, b, c) without the generated Python __new__, for hot loops
+_new = tuple.__new__
 
 
 class PlyCache:
-    """Memoized exact ply per member tuple.
+    """The ply test for adding one object to a member set.
 
-    Additions reuse the cached parent value: adding one object can create
-    new depth only inside that object, so only that region is rechecked.
-    Member sets first produced by a removal are computed in full on demand,
-    because the parent's value is only an upper bound for them.
+    Adding q can create new depth only inside q, and every state the
+    search reaches has ply at most ell: it grew only by additions that
+    passed this test, and a removal cannot raise ply.  So members | q keeps
+    ply within ell iff its depth inside q does, and `with_added` returns
+    that depth.  No member set is ever asked about twice, so nothing is
+    memoized; the name and method are what perfbench/tracing.py wraps.
     """
 
-    def __init__(self, full: Callable[[tuple], int],
-                 added_depth: Callable[[tuple, int], int]):
-        self._full = full
+    def __init__(self, added_depth: Callable[[int, int], int]):
         self._added = added_depth
-        self._vals = {(): 0}
 
-    def value(self, members: tuple) -> int:
-        v = self._vals.get(members)
-        if v is None:
-            v = self._vals[members] = self._full(members)
-        return v
-
-    def with_added(self, members: tuple, q: int) -> int:
-        key = merge_member(members, q)
-        v = self._vals.get(key)
-        if v is None:
-            v = max(self.value(members), self._added(key, q))
-            self._vals[key] = v
-        return v
+    def with_added(self, members: int, q: int) -> int:
+        return self._added(members | 1 << q, q)
 
 
 @dataclass
 class StripProblem:
-    events: list                       # sorted SideEvents; k of them
-    strip_points: list                 # k + 1 per-strip point lists
-    covers: Callable                   # (object index, point) -> bool
-    ply: PlyCache
-    cap: int                           # max objects per strip (3*ell or 8*ell)
+    events: list                 # sorted SideEvents; k of them
+    strip_cover: list            # k + 1 per-strip lists of point cover masks
+    meets: list                  # per object, the mask of objects it may meet
+    ply: Optional[PlyCache]      # None for 3-color
+    cap: int                     # max members per strip (3*ell or 8*ell)
     ell: int
 
 
@@ -85,81 +110,98 @@ def locate_strip_points(points, events) -> list:
     return strip_points
 
 
-def build_problem(points, events, covers, ply, cap, ell) -> StripProblem:
+def build_problem(points, events, covers, meets, ply, cap,
+                  ell) -> StripProblem:
+    """One sweep: `covers(o, p)` gives each strip point its cover mask over
+    the objects crossing its strip, and `meets(o, q)` gives each object q
+    the mask of the objects crossing its left side that it may meet.  Every
+    object has one left and one right event."""
     events = sorted(events)
-    return StripProblem(events, locate_strip_points(points, events),
-                        covers, ply, cap, ell)
-
-
-def _covers_all(problem, members, pts) -> bool:
-    covers = problem.covers
-    for p in pts:
-        for o in members:
-            if covers(o, p):
-                break
+    strip_points = locate_strip_points(points, events)
+    meet = [0] * (len(events) // 2)
+    strip_cover = []
+    active = []
+    for i, pts in enumerate(strip_points):
+        masks = set()
+        for p in pts:
+            m = 0
+            for o in active:
+                if covers(o, p):
+                    m |= 1 << o
+            masks.add(m)
+        strip_cover.append(list(masks))
+        if i == len(events):
+            break
+        ev = events[i]
+        q = ev.obj
+        if ev.cls == EventClass.LEFT_SIDE:
+            m = 0
+            for o in active:
+                if meets(o, q):
+                    m |= 1 << o
+            meet[q] = m
+            active.append(q)
         else:
+            active.remove(q)
+    return StripProblem(events, strip_cover, meet, ply, cap, ell)
+
+
+def covered(mask: int, cover: list) -> bool:
+    """True iff the objects in `mask` cover a strip with these cover masks."""
+    for c in cover:
+        if not mask & c:
             return False
     return True
 
 
 def successors(problem: StripProblem, state: StripState) -> list[StripState]:
     """Valid states one strip to the right of `state`."""
-    ev = problem.events[state.strip]
-    q = ev.obj
-    members = state.members
-    if ev.cls == EventClass.LEFT_SIDE:
-        cands = [(members, False)]
-        if len(members) < problem.cap:
-            cands.append((merge_member(members, q), True))
-    elif q in members:
-        cands = [(tuple(m for m in members if m != q), False)]
-    else:
-        cands = [(members, False)]
-    nxt = state.strip + 1
-    pts = problem.strip_points[nxt]
+    strip, members, union = state
+    ev = problem.events[strip]
+    bit = 1 << ev.obj
+    nxt = strip + 1
+    cover = problem.strip_cover[nxt]
+    if ev.cls != EventClass.LEFT_SIDE:
+        members &= ~bit
     out = []
-    for cand, added in cands:
-        if pts and not _covers_all(problem, cand, pts):
-            continue
-        if added and problem.ply.with_added(members, q) > problem.ell:
-            continue
-        out.append(StripState(nxt, cand))
+    if covered(members, cover):
+        out.append(_new(StripState, (nxt, members, union)))
+    if (ev.cls != EventClass.LEFT_SIDE or members.bit_count() >= problem.cap
+            or not covered(members | bit, cover)):
+        return out
+    ell = problem.ell
+    if ((members & problem.meets[ev.obj]).bit_count() >= ell
+            and problem.ply.with_added(members, ev.obj) > ell):
+        return out
+    out.append(_new(StripState, (nxt, members | bit, union | bit)))
     return out
 
 
-def _merge_union(union: tuple, members: tuple) -> tuple:
-    if not members:
-        return union
-    s = set(union)
-    s.update(members)
-    if len(s) == len(union):
-        return union
-    return tuple(sorted(s))
+def run(problem: StripProblem, step, less, start):
+    """Forward search source -> sink: the least union reaching the `start`
+    state again after the last strip, or None.
 
-
-def search(problem: StripProblem):
-    """Forward search source -> sink; the chosen index union, or None.
-
-    Among all state sequences the per-state union is propagated greedily
-    keeping the lexicographically smallest candidate, which makes the
-    output deterministic and biased toward small indices.
+    `step(problem, state)` yields (strip, key, union) successors; for each
+    key of the next strip only the union least under `less` is kept, which
+    makes the output deterministic and biased toward small indices.
     """
-    if problem.strip_points[0]:
+    if problem.strip_cover[0]:
         return None  # a point left of every object side is uncoverable here
-    if not problem.events:
-        return []
-    states = {(): ()}
+    states = {start: start}
     for i in range(len(problem.events)):
         nxt = {}
-        for members in sorted(states):
-            union = states[members]
-            for succ in successors(problem, StripState(i, members)):
-                u = _merge_union(union, succ.members)
-                cur = nxt.get(succ.members)
-                if cur is None or u < cur:
-                    nxt[succ.members] = u
+        for key, union in states.items():
+            for _, k, u in step(problem, _new(StripState, (i, key, union))):
+                cur = nxt.get(k)
+                if cur is None or (u != cur and less(u, cur)):
+                    nxt[k] = u
         if not nxt:
             return None
         states = nxt
-    union = states.get(())
-    return None if union is None else list(union)
+    return states.get(start)
+
+
+def search(problem: StripProblem):
+    """The chosen index union of a cover of the slab points, or None."""
+    union = run(problem, successors, union_lt, 0)
+    return None if union is None else bits(union)

@@ -8,10 +8,16 @@ every color class stays pairwise disjoint globally.  A solution 3-colorable
 globally restricts to a 3-colorable cover of every slab, hence a failed
 slab proves global infeasibility and the 6-colorable output is at most a
 factor 2 from the optimum.
+
+The slab search is `stripdag.run` on a strip problem whose meet masks are
+conflict masks: an entering disk's mask holds the disks crossing its left
+side that it is not disjoint from, so it may join a class iff the class
+mask misses its conflict mask.  A state is a triple of class masks in
+canonical order (by index tuple, empties last), with a triple of unions;
+coverage is tested on the OR of the classes against the strip's cover
+masks.
 """
 from __future__ import annotations
-
-from bisect import bisect_left
 
 from .disks import (canonical_rotation, dedupe_disks, disk_side_events,
                     rotate_instance)
@@ -20,82 +26,77 @@ from .errors import Infeasible
 from .geom import (EPS_COVER, EventClass, disks_disjoint,  # noqa: F401
                    membership_at, ply_disks, verify_cover)
 from .slabs import CoverSolution, assign_slabs
-from .stripdag import _merge_union, merge_member
+from .stripdag import bits, build_problem, covered, run, union_lt
 
 MAX_PER_CLASS = 8
 
-_EMPTY = ((), (), ())
+_EMPTY = (0, 0, 0)
 
 
-def _canonical(classes, unions):
-    # collapse the 3! symmetry: order classes by their member tuples,
-    # empties last; unions follow the same permutation
-    order = sorted(range(3),
-                   key=lambda a: (1,) if not classes[a] else (0, classes[a]))
-    return (tuple(classes[a] for a in order),
-            tuple(unions[a] for a in order))
+def _classes_lt(a, b) -> bool:
+    for x, y in zip(a, b):
+        if x != y:
+            return union_lt(x, y)
+    return False
+
+
+def _canonical(c, u):
+    # collapse the 3! symmetry: a stable sort of the class list c by index
+    # tuples, empties last; the union list u follows the same permutation
+    for a, b in ((0, 1), (1, 2), (0, 1)):
+        x, y = c[a], c[b]
+        if y and (not x or union_lt(y, x)):
+            c[a], c[b] = y, x
+            u[a], u[b] = u[b], u[a]
+    return tuple(c), tuple(u)
+
+
+def _step(problem, state):
+    """Successors (strip, classes, unions) of a canonical 3-color state: an
+    entering disk joins no class or one class it meets no member of, and a
+    leaving disk leaves its class."""
+    strip, classes, unions = state
+    ev = problem.events[strip]
+    bit = 1 << ev.obj
+    nxt = strip + 1
+    cover = problem.strip_cover[nxt]
+    active = classes[0] | classes[1] | classes[2]
+    if ev.cls != EventClass.LEFT_SIDE:
+        if not active & bit:
+            return [(nxt, classes, unions)] if covered(active, cover) else []
+        if not covered(active ^ bit, cover):
+            return []
+        return [(nxt, *_canonical([c & ~bit for c in classes], list(unions)))]
+    out = [(nxt, classes, unions)] if covered(active, cover) else []
+    if not covered(active | bit, cover):
+        return out
+    conflict = problem.meets[ev.obj]
+    for a in range(3):
+        cls = classes[a]
+        if cls and (cls.bit_count() >= MAX_PER_CLASS or cls & conflict):
+            continue
+        grown, grown_u = list(classes), list(unions)
+        grown[a] = cls | bit
+        grown_u[a] |= bit
+        out.append((nxt, *_canonical(grown, grown_u)))
+        if not cls:
+            break  # the empty classes come last and are interchangeable
+    return out
 
 
 def solve_slab_3color(points, disks, eps: float = EPS_COVER):
     """Three pairwise-disjoint-within classes jointly covering the slab
     points, as disk index tuples, or None when no 3-colorable cover exists."""
     disks = list(disks)
-    events = disk_side_events(disks)
-    strip_points = [[] for _ in range(len(events) + 1)]
-    for p in points:
-        i = bisect_left(events, (p.x, EventClass.INPUT_POINT, p.y))
-        strip_points[i].append(p)
-    if strip_points[0]:
-        return None
-    if not events:
-        return _EMPTY
-    states = {_EMPTY: _EMPTY}
-    for b, ev in enumerate(events):
-        q = ev.obj
-        is_left = ev.cls == EventClass.LEFT_SIDE
-        pts = strip_points[b + 1]
-        nxt = {}
-        for classes in sorted(states):
-            unions = states[classes]
-            if is_left:
-                cands = [classes]
-                tried_empty = False
-                for a in range(3):
-                    cls = classes[a]
-                    if not cls:
-                        if tried_empty:
-                            continue
-                        tried_empty = True
-                    if len(cls) >= MAX_PER_CLASS:
-                        continue
-                    if all(disks_disjoint(disks[q], disks[m], eps) for m in cls):
-                        grown = list(classes)
-                        grown[a] = merge_member(cls, q)
-                        cands.append(tuple(grown))
-            else:
-                hit = next((a for a in range(3) if q in classes[a]), None)
-                if hit is None:
-                    cands = [classes]
-                else:
-                    shrunk = list(classes)
-                    shrunk[hit] = tuple(m for m in classes[hit] if m != q)
-                    cands = [tuple(shrunk)]
-            for cand in cands:
-                if pts:
-                    active = cand[0] + cand[1] + cand[2]
-                    if not all(any(disks[o].contains(p, eps) for o in active)
-                               for p in pts):
-                        continue
-                new_unions = tuple(_merge_union(unions[a], cand[a])
-                                   for a in range(3))
-                canon_cls, canon_uni = _canonical(cand, new_unions)
-                old = nxt.get(canon_cls)
-                if old is None or canon_uni < old:
-                    nxt[canon_cls] = canon_uni
-        if not nxt:
-            return None
-        states = nxt
-    return states.get(_EMPTY)
+
+    def meets(o, q):
+        return not disks_disjoint(disks[q], disks[o], eps)
+
+    problem = build_problem(points, disk_side_events(disks),
+                            lambda o, p: disks[o].contains(p, eps),
+                            meets, None, MAX_PER_CLASS, 1)
+    unions = run(problem, _step, _classes_lt, _EMPTY)
+    return None if unions is None else tuple(tuple(bits(u)) for u in unions)
 
 
 def solve_3color(points, disks, eps: float = EPS_COVER) -> CoverSolution:

@@ -7,8 +7,11 @@ once and cached at module level.
 import gc
 import itertools
 import json
+import math
 import random
 import time
+from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
@@ -120,6 +123,38 @@ def _timed_solve(points, intervals):
     t0 = time.perf_counter()
     solve_intervals(points, intervals, "mmsc")
     return time.perf_counter() - t0
+
+
+@dataclass(frozen=True)
+class _RefPoint:
+    x: Fraction
+    y: Fraction
+
+
+def _reference_seconds():
+    """Fastest of three runs of a fixed loop like the solvers' inner loops
+    (the benchmark's calibration loop): rational points built, sorted and
+    swept.  It measures how fast the CPU runs right now."""
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        pts = [_RefPoint(Fraction(i * 37 % 101, 8), Fraction(i * 53 % 97, 8))
+               for i in range(110)]
+        pts.sort(key=lambda p: (p.x, p.y))
+        acc = Fraction(0)
+        for a, b in zip(pts, pts[1:]):
+            if a.x <= b.x and a.y <= b.y + 1:
+                acc += b.x - a.x
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def _scaled_solve(points, intervals):
+    """Solve time over the reference loop's time around it: a shared CPU
+    that runs slower for seconds at a time slows both alike."""
+    before = _reference_seconds()
+    t = _timed_solve(points, intervals)
+    return 2 * t / (before + _reference_seconds())
 
 
 def test_criterion_2_interval_exactness():
@@ -306,13 +341,15 @@ def test_criterion_8_scalability():
         warm = generate("intervals", 512, 512, "chain", seed=77)
         solve_intervals(warm.points, warm.objects, "mmsc")
         # each size's time is the minimum of 5 repeats, so one preempted
-        # run cannot fake a superlinear doubling step
+        # run cannot fake a superlinear doubling step, and each repeat is
+        # rescaled by the reference loop timed beside it, so a slower CPU
+        # state during the larger sizes cannot either
         times = []
         sizes = []  # DAG vertices + edges: the same doubling, without a clock
         for e in range(10, 17):
             m = 2 ** e
             inst = generate("intervals", m, m, "chain", seed=77)
-            times.append(min(_timed_solve(inst.points, inst.objects)
+            times.append(min(_scaled_solve(inst.points, inst.objects)
                              for _ in range(5)))
             dag = build_dag(prepare_instance(inst.points, inst.objects))
             sizes.append(len(dag.vertices) + sum(map(len, dag.adj)))

@@ -10,7 +10,7 @@ from depth_reference import grid_depth_disks
 from plycover.geom import (EventKey, Point, UnitDisk, UnitRect,
                            WeightedInterval, disks_disjoint, membership_at,
                            ply_disks, ply_rects, rect_depth_within,
-                           verify_cover)
+                           rects_cover, verify_cover)
 
 
 def sq(left, bottom):
@@ -131,6 +131,36 @@ class TestPlyDisks:
             disks = [UnitDisk(Point(rng.randint(0, 12) / 4, rng.randint(0, 12) / 4))
                      for _ in range(m)]
             assert ply_disks(disks) == grid_depth_disks(disks)
+
+
+class TestRectsCover:
+    def test_matches_contains_on_shared_and_abutting_sides(self):
+        # coarse grids: sides shared and abutting in x and y, duplicate
+        # rects, points on corners and edges, points given as ints, floats
+        # and Fractions
+        rng = random.Random(0xC0F)
+        for seed in range(300):
+            step = rng.choice((1, 2, 4))
+
+            def c():
+                return F(rng.randint(-2, 10), step)
+            rects = [UnitRect(c(), c(), F(rng.randint(1, 2 * step), step))
+                     for _ in range(rng.randint(0, 12))]
+            if rects and seed % 3 == 0:
+                rects += rng.sample(rects, rng.randint(1, len(rects)))
+            points = [Point(c(), c()) for _ in range(rng.randint(0, 20))]
+            for r in rects[:3]:
+                points += [Point(r.left, r.bottom), Point(r.right, r.top),
+                           Point(r.right, r.bottom + F(1, 2))]
+            points += [Point(int(p.x), float(p.y)) for p in points[:2]]
+            want = [any(r.contains(p) for r in rects) for p in points]
+            assert rects_cover(points, rects) == want, seed
+
+    def test_abutting_squares(self):
+        rects = [sq(0, 0), sq(1, 0), sq(0, 1)]
+        points = [Point(F(1), F(1, 2)), Point(F(2), F(2)), Point(F(1), F(2)),
+                  Point(F(-1, 100), F(0)), Point(F(2), F(1))]
+        assert rects_cover(points, rects) == [True, False, True, False, True]
 
 
 class TestDisjoint:

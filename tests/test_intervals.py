@@ -73,6 +73,23 @@ class TestPrepare:
             for b, rb in zip(vals, rk):
                 assert (ra < rb) == (a < b) and (ra == rb) == (a == b)
 
+    def test_ranks_compare_no_fractions(self):
+        # repeated inexact values share an odd floor key; values 2**-70
+        # apart share it too and still get their own ranks, all on ints
+        tiny = F(1, 2 ** 70)
+        vals = [F(1, 3), F(1, 3) + tiny, F(1, 7), F(1, 3), F(1, 3) - tiny,
+                F(1, 3) + tiny, F(5, 8), F(5, 8), F(-1, 3), F(10 ** 400, 3)]
+        want = ranks(vals)
+        assert want == [3, 4, 1, 3, 2, 4, 5, 5, 0, 6]
+
+        class NoCompare(F):
+            def _refuse(self, other):
+                raise AssertionError("Fraction compared")
+            __lt__ = __le__ = __gt__ = __ge__ = __eq__ = _refuse
+            __hash__ = F.__hash__
+
+        assert ranks([NoCompare(v) for v in vals]) == want
+
     def test_coordinates_become_ranks_whatever_the_denominators(self):
         # every endpoint over its own prime near 1e5: the lcm of the
         # denominators would have about 5000 bits, the ranks stay below

@@ -35,18 +35,18 @@ class TestStrips:
 class TestSuccessors:
     def test_left_event_offers_keep_and_take(self):
         prob = rect_slab_problem([], [sq(0, 0)], 1)
-        out = successors(prob, StripState(0, ()))
+        out = successors(prob, StripState(0, 0))
         assert sorted(s.members for s in out) == [(), (0,)]
 
     def test_right_event_forces_drop(self):
         prob = rect_slab_problem([], [sq(0, 0)], 1)
-        out = successors(prob, StripState(1, (0,)))
+        out = successors(prob, StripState(1, 0b1, 0b1))
         assert [s.members for s in out] == [()]
 
     def test_uncovered_point_kills_keep_branch(self):
         # point inside the square's strip: the empty set cannot continue
         prob = rect_slab_problem([Point(F(1, 2), F(1, 2))], [sq(0, 0)], 1)
-        out = successors(prob, StripState(0, ()))
+        out = successors(prob, StripState(0, 0))
         assert [s.members for s in out] == [(0,)]
 
     def test_ply_budget_prunes_overlapping_take(self):
@@ -54,7 +54,7 @@ class TestSuccessors:
         prob = rect_slab_problem([], [sq(0, 0), r2], 1)
         ev = prob.events
         assert ev[1].obj == 1 and ev[1].cls == EventClass.LEFT_SIDE
-        out = successors(prob, StripState(1, (0,)))
+        out = successors(prob, StripState(1, 0b1, 0b1))
         assert [s.members for s in out] == [(0,)]  # {0,1} exceeds ply 1
 
 

@@ -40,6 +40,45 @@ class TestAssignSlabs:
         for y in (F(0), F(1), F(1, 2)):
             assert (y - off) % 2 != 0
 
+    def test_offset_matches_candidate_scan(self):
+        # the residue rule returns the offset the plain scan over every
+        # candidate and every y finds, on both paths, also when many early
+        # candidates are blocked
+        rng = random.Random(0x0FF5)
+        shifted = 0
+        for seed in range(400):
+            c = rng.randint(1, 30)
+            step = rng.choice((1, 2, 8))
+            ys = [F(rng.randint(-40, 40), step) for _ in range(c)]
+            if seed % 2:
+                ys = _blocking_ys(c)[:c]
+                rng.shuffle(ys)
+            pts = [Point(F(0), y) for y in ys]
+            off = slab_offset(pts, [], "rects")
+            assert off == _offset_reference([p.y for p in pts], True)
+            shifted += off != min(ys) - F(1, 8 * (c + 1))
+            for scale in (1.0, 1e3, 1e-3):
+                fys = [float(y) * scale for y in ys]
+                fpts = [Point(0.0, y) for y in fys]
+                assert (slab_offset(fpts, [], "disks")
+                        == _offset_reference(fys, False))
+        assert shifted > 100
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_offset_is_linear_on_blocking_ys(self, exact):
+        # ys at 2 - k/(8(C+1)) block candidates k = 1..C-1 one by one; the
+        # plain scan subtracted each candidate from every y, about C**2/2
+        # times.  Count the subtractions with y on the left instead of timing.
+        c = 600
+        num = _CountingFraction if exact else _CountingFloat
+        ys = [num(y if exact else float(y)) for y in _blocking_ys(c)]
+        pts = [Point(F(0) if exact else 0.0, y) for y in reversed(ys)]
+        _Count.subs = 0
+        off = slab_offset(pts, [], "rects" if exact else "disks")
+        assert _Count.subs <= 8 * c, _Count.subs
+        assert off == _offset_reference([p.y for p in pts], exact)
+        assert float(off) == float(-F(c, 8 * (c + 1)))
+
     def test_every_point_in_exactly_one_slab(self):
         rng = random.Random(3)
         for seed in range(15):
@@ -67,6 +106,44 @@ class TestAssignSlabs:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             assign_slabs([], [], "intervals")
+
+
+def _blocking_ys(c):
+    """0 and 2 - k/(8(c+1)) for k = 1..c-1: y number k puts the candidate
+    offset -k/(8(c+1)) on a slab boundary."""
+    return [F(0)] + [2 - F(k, 8 * (c + 1)) for k in range(1, c)]
+
+
+def _offset_reference(ys, exact):
+    """The plain scan: try k = 1..C+1 against every y."""
+    n = len(ys)
+    base = min(ys)
+    for k in range(1, n + 2):
+        if exact:
+            cand = base - F(k, 8 * (n + 1))
+            if all((y - cand) % 2 != 0 for y in ys):
+                return cand
+        else:
+            cand = float(base) - k / (8.0 * (n + 1))
+            if all(1e-7 <= (y - cand) % 2.0 <= 2.0 - 1e-7 for y in ys):
+                return cand
+    raise AssertionError("no candidate")
+
+
+class _Count:
+    subs = 0
+
+
+class _CountingFraction(F):
+    def __sub__(self, other):
+        _Count.subs += 1
+        return F.__sub__(self, other)
+
+
+class _CountingFloat(float):
+    def __sub__(self, other):
+        _Count.subs += 1
+        return float(self) - other
 
 
 class TestSolveMpc:

@@ -150,3 +150,31 @@ def test_cli_import_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env,
                           timeout=60).returncode == 0
+
+
+def test_benchmark_tracer_wraps_the_solvers():
+    # perfbench/tracing.py wraps solver functions by name from outside;
+    # a renamed or re-signed one makes `--trace 1` crash in install()
+    here = os.path.dirname(os.path.abspath(__file__))
+    sys.path.insert(0, os.path.join(os.path.dirname(here), "perfbench"))
+    try:
+        import tracing
+    finally:
+        sys.path.pop(0)
+    from plycover.slabs import solve_mpc
+    from plycover.tricolor import solve_3color
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rects = generate("rects", 8, 6, "clustered", seed=5)
+        disks = generate("disks", 8, 6, "clustered", seed=5)
+        solve_mpc(rects.points, rects.objects, "rects")
+        solve_mpc(disks.points, disks.objects, "disks")
+        solve_3color(disks.points, disks.objects)
+    finally:
+        tracer.uninstall()
+    counts = tracer.metrics()
+    assert counts["stripdag.states"] > 0
+    assert counts["slabs.slab_solves"] > 0
+    assert counts["tricolor.slab_solves"] > 0
+    assert 0 < counts["stripdag.width_over_cap_max"] <= 1

@@ -9,9 +9,9 @@ oracles.
 
 from .errors import (BudgetExceeded, DegenerateInstance, Infeasible,
                      InstanceTooLarge, PlyCoverError, UnsortedInput)
-from .geom import (EPS_COVER, EPS_DISJOINT, EventClass, EventKey, Point,
-                   UnitDisk, UnitRect, WeightedInterval, disks_disjoint,
-                   membership_at, ply_disks, ply_rects, verify_cover)
+from .geom import (EPS_COVER, EventClass, Point, UnitDisk, UnitRect,
+                   WeightedInterval, disks_disjoint, membership_at, ply_disks,
+                   ply_rects, verify_cover)
 from .instances import Instance, generate, load, loads, save, dumps
 from .intervals import (IntervalDag, bottleneck_path, build_dag,
                         prepare_instance, solve_intervals)
@@ -20,7 +20,7 @@ from .tricolor import solve_3color
 
 __all__ = [
     "BudgetExceeded", "CoverSolution", "DegenerateInstance", "EPS_COVER",
-    "EPS_DISJOINT", "EventClass", "EventKey", "Infeasible", "Instance",
+    "EventClass", "Infeasible", "Instance",
     "InstanceTooLarge", "IntervalDag", "PlyCoverError", "Point",
     "SlabInstance", "UnitDisk", "UnitRect", "UnsortedInput",
     "WeightedInterval", "assign_slabs", "bottleneck_path", "build_dag",

@@ -68,10 +68,10 @@ def _cmd_solve(args) -> int:
     if args.kind == "intervals":
         sol = solve_intervals(inst.points, inst.objects, args.mode)
     elif args.kind == "3color":
-        sol = solve_3color(inst.points, inst.objects, eps=args.eps)
+        sol = solve_3color(inst.points, inst.objects)
     else:
         sol = solve_mpc(inst.points, inst.objects, args.kind,
-                        ell_max=args.ell_max, eps=args.eps)
+                        ell_max=args.ell_max)
     ms = (time.perf_counter() - t0) * 1000.0
     payload = {"kind": args.kind, "chosen": list(sol.chosen),
                "objective": _enc_objective(sol.objective)}
@@ -97,8 +97,7 @@ def _cmd_oracle(args) -> int:
         payload["chosen"] = chosen
         payload["objective"] = _enc_objective(opt)
     elif args.kind == "3color":
-        witness = exact_3color_cover(inst.points, inst.objects,
-                                     eps_cover=args.eps)
+        witness = exact_3color_cover(inst.points, inst.objects)
         if witness is None:
             raise Infeasible("no 3-colorable cover exists")
         colors = {}
@@ -107,11 +106,10 @@ def _cmd_oracle(args) -> int:
                 colors[i] = a + 1
         payload["chosen"] = sorted(colors)
         payload["colors"] = {str(k): v for k, v in sorted(colors.items())}
-        payload["objective"] = ply_disks([inst.objects[i] for i in sorted(colors)],
-                                         args.eps)
+        payload["objective"] = ply_disks([inst.objects[i]
+                                          for i in sorted(colors)])
     else:
-        opt, chosen = exact_min_ply(inst.points, inst.objects, args.kind,
-                                    eps=args.eps)
+        opt, chosen = exact_min_ply(inst.points, inst.objects, args.kind)
         payload["chosen"] = chosen
         payload["objective"] = opt
     with open(args.outfile, "w") as fh:
@@ -126,7 +124,7 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _check_colors(inst, sol, eps) -> str | None:
+def _check_colors(inst, sol) -> str | None:
     colors = {int(k): v for k, v in sol["colors"].items()}
     if sorted(colors) != sorted(sol["chosen"]):
         return "colors do not partition the chosen set"
@@ -139,7 +137,7 @@ def _check_colors(inst, sol, eps) -> str | None:
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
                 if not disks_disjoint(inst.objects[members[a]],
-                                      inst.objects[members[b]], eps):
+                                      inst.objects[members[b]]):
                     return "color class %d is not pairwise disjoint" % c
     return None
 
@@ -188,7 +186,7 @@ def _cmd_check(args) -> int:
     elif kind == "rects":
         covered = rects_cover(inst.points, objs)
     else:
-        covered = (any(o.contains(p, args.eps) for o in objs)
+        covered = (any(o.contains(p) for o in objs)
                    for p in inst.points)
     for pi, hit in enumerate(covered):
         if not hit:
@@ -199,13 +197,13 @@ def _cmd_check(args) -> int:
     elif kind == "rects":
         want = ply_rects(objs)
     else:
-        want = ply_disks(objs, args.eps)
+        want = ply_disks(objs)
     if _dec_objective(sol["objective"]) != want:
         print("objective mismatch: file says %r, recomputed %r"
               % (sol["objective"], want), file=sys.stderr)
         return EXIT_USAGE
     if kind == "3color":
-        err = _check_colors(inst, sol, args.eps)
+        err = _check_colors(inst, sol)
         if err:
             print(err, file=sys.stderr)
             return EXIT_USAGE
@@ -254,7 +252,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--in", dest="infile", required=True)
         sp.add_argument("--out", dest="outfile", required=True)
         sp.add_argument("--mode", choices=("mpc", "mmsc"), default="mpc")
-        sp.add_argument("--eps", type=float, default=1e-9)
 
     sp = sub.add_parser("solve", help="run the approximation/exact solver")
     common(sp)
@@ -281,7 +278,6 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("check", help="verify a solution file")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--solution", required=True)
-    sp.add_argument("--eps", type=float, default=1e-9)
     sp.set_defaults(func=_cmd_check)
 
     sp = sub.add_parser("render", help="render an instance to SVG")

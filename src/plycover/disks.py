@@ -6,30 +6,32 @@ Every disk spanning a strip has its center inside a 1-by-3 box around the
 strip's vertical line, and that box is coverable by eight unit disks, so a
 ply-ell solution puts at most 8*ell disks across any strip.
 
-The strip search is `stripdag`'s, on member masks, with cover masks from
-the eps-closed `UnitDisk.contains`.  A disk may meet another when their
-centres lie within the window of `disk_depth_within`.  Its depth oracle is
-a `DiskArrangement`, built once per strip problem: the candidate points of
-`disk_depth_within` with the masks of the disks producing and containing
-each, so that a depth is a popcount maximum over one disk's points.
+Every disk predicate is closed under the fixed tolerance `EPS_COVER`, so
+the strips are cut at the tolerance-widened extrema cx -/+ (0.5 +
+EPS_COVER): two disks that meet only within the tolerance are then both
+active in some strip.  The strip search is `stripdag`'s, on member masks,
+with cover masks from `UnitDisk.contains`.  A disk may meet another when
+their centres lie within the window of `disk_depth_within`.  Its depth
+oracle is a `DiskArrangement`, built once per strip problem: the candidate
+points of `geom.disk_candidates` with the masks of the disks producing and
+containing each, so that a depth is a popcount maximum over one disk's
+points.
 
 Because disk extrema cannot be ordered symbolically the way rectangle
-sides can, degenerate x-coordinates are removed up front by a global
-rotation instead.
+sides can, coinciding extremum and point x-coordinates are removed up
+front by a global rotation instead.
 """
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 from .errors import DegenerateInstance
 # ply_disks and disk_depth_within stay bound here so that
 # perfbench/tracing.py can wrap them; the search uses DiskArrangement
 from .geom import (EPS_COVER, WINDOW_SLACK, EventClass, Point,  # noqa: F401
-                   UnitDisk, circle_intersections, disk_depth_within,
-                   ply_disks)
+                   UnitDisk, disk_candidates, disk_depth_within, ply_disks)
 from .stripdag import PlyCache, SideEvent, StripProblem, build_problem, search
 
 PER_STRIP_FACTOR = 8
@@ -55,7 +57,6 @@ def _extrema_xs(points, disks) -> list:
     xs = [x for x, _ in {(p.x, p.y) for p in points}]
     for cx, _ in {(d.center.x, d.center.y) for d in disks}:
         xs.append(cx - 0.5)
-        xs.append(cx)
         xs.append(cx + 0.5)
     return xs
 
@@ -65,15 +66,14 @@ def _all_distinct(xs, tol: float) -> bool:
     return all(b - a > tol for a, b in zip(xs, xs[1:]))
 
 
-def canonical_rotation(points, disks, eps: float = EPS_COVER) -> float:
-    """Angle making every point, disk-center, and disk-extremum
-    x-coordinate distinct.
+def canonical_rotation(points, disks) -> float:
+    """Angle making every point and disk-extremum x-coordinate distinct.
 
     Returns 0 when the input (after collapsing exact duplicates) is already
     in general position; otherwise a deterministic pseudo-random angle in
     (0, pi/4), re-tested up to 32 times.
     """
-    tol = 10 * eps
+    tol = 10 * EPS_COVER
     if _all_distinct(_extrema_xs(points, disks), tol):
         return 0.0
     rng = random.Random(_ROTATION_SEED)
@@ -86,56 +86,34 @@ def canonical_rotation(points, disks, eps: float = EPS_COVER) -> float:
 
 
 def disk_side_events(disks: Sequence[UnitDisk]) -> list[SideEvent]:
-    """One event per disk extremum, in sweep order."""
+    """One event per tolerance-widened disk extremum, in sweep order."""
+    r = 0.5 + EPS_COVER
     events = []
     for i, d in enumerate(disks):
-        events.append(SideEvent(d.center.x - 0.5, EventClass.LEFT_SIDE,
+        events.append(SideEvent(d.center.x - r, EventClass.LEFT_SIDE,
                                 d.center.y, i))
-        events.append(SideEvent(d.center.x + 0.5, EventClass.RIGHT_SIDE,
+        events.append(SideEvent(d.center.x + r, EventClass.RIGHT_SIDE,
                                 d.center.y, i))
     events.sort()
     return events
 
 
 class DiskArrangement:
-    """The candidate points of a slab's disks, built on first use.
+    """The candidate points of a slab's disks, listed per disk.
 
-    The candidates are every centre and, for each pair (lo, hi) in index
-    order, `circle_intersections(disks[lo], disks[hi], eps)`: the points
-    that `disk_depth_within` evaluates.  Each is kept, as (generators,
+    Each candidate of `disk_candidates` is kept, as (generators,
     containers), in the list of every disk that contains it: the mask of
-    the disks that produce it and the mask of the disks that contain it
-    under `contains(p, eps)`.  Given a mask of disks, a point counts when
-    all its generators are in the mask, and its depth is the number of
-    mask disks containing it.  The window of `disk_depth_within` drops
-    only disks that reach no point of the region, and with them only
-    candidates outside it, so the maximum over disk q's list equals
-    `disk_depth_within` of the mask disks over q.
+    the disks that produce it and the mask of the disks that contain it.
+    Given a mask of disks, a point counts when all its generators are in
+    the mask, and its depth is the number of mask disks containing it.  The
+    window of `disk_depth_within` drops only disks that reach no point of
+    the region, and with them only candidates outside it, so the maximum
+    over disk q's list equals `disk_depth_within` of the mask disks over q.
     """
 
-    def __init__(self, disks, eps: float = EPS_COVER):
-        self._disks = disks
-        self._eps = eps
-        self._within = None
-
-    def _build(self):
-        disks, eps = self._disks, self._eps
-        order = sorted(range(len(disks)), key=lambda i: disks[i].center.x)
-        xs = [disks[i].center.x for i in order]
-        cands = [(1 << i, d.center) for i, d in enumerate(disks)]
-        pair_reach = 1.0 + eps + WINDOW_SLACK
-        for a, i in enumerate(order):
-            for j in order[a + 1:bisect_right(xs, xs[a] + pair_reach)]:
-                lo, hi = (i, j) if i < j else (j, i)
-                gen = 1 << lo | 1 << hi
-                for p in circle_intersections(disks[lo], disks[hi], eps):
-                    cands.append((gen, p))
-        reach = 0.5 + eps + WINDOW_SLACK
+    def __init__(self, disks):
         self._within = within = [[] for _ in disks]
-        for gen, p in cands:
-            holders = [k for k in order[bisect_left(xs, p.x - reach):
-                                        bisect_right(xs, p.x + reach)]
-                       if disks[k].contains(p, eps)]
+        for gen, holders in disk_candidates(disks):
             cont = 0
             for k in holders:
                 cont |= 1 << k
@@ -144,8 +122,6 @@ class DiskArrangement:
 
     def depth_within(self, mask: int, q: int) -> int:
         """`disk_depth_within` of the disks in `mask` over disk q."""
-        if self._within is None:
-            self._build()
         best = 0
         for gen, cont in self._within[q]:
             if gen & mask == gen:
@@ -155,11 +131,10 @@ class DiskArrangement:
         return best
 
 
-def disk_slab_problem(points, disks, ell: int,
-                      eps: float = EPS_COVER) -> StripProblem:
+def disk_slab_problem(points, disks, ell: int) -> StripProblem:
     disks = list(disks)
-    arrangement = DiskArrangement(disks, eps)
-    reach = 1.0 + 2.0 * eps + WINDOW_SLACK
+    arrangement = DiskArrangement(disks)
+    reach = 1.0 + 2.0 * EPS_COVER + WINDOW_SLACK
     reach2 = reach * reach
 
     def meets(o, q):
@@ -169,14 +144,14 @@ def disk_slab_problem(points, disks, ell: int,
         return dx * dx + dy * dy <= reach2
 
     return build_problem(points, disk_side_events(disks),
-                         lambda o, p: disks[o].contains(p, eps), meets,
+                         lambda o, p: disks[o].contains(p), meets,
                          PlyCache(arrangement.depth_within),
                          PER_STRIP_FACTOR * ell, ell)
 
 
-def solve_slab_disks(points, disks, ell: int, eps: float = EPS_COVER):
+def solve_slab_disks(points, disks, ell: int):
     """Indices of a cover of the slab points with ply <= ell, or None."""
-    return search(disk_slab_problem(points, disks, ell, eps))
+    return search(disk_slab_problem(points, disks, ell))
 
 
 def dedupe_disks(disks):

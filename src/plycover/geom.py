@@ -3,9 +3,10 @@
 Points, unit-height rectangles, unit disks, weighted intervals, closed-set
 membership tests, and exact maximum-depth (ply) computations.  Rectangles
 and intervals carry exact rational coordinates, so all their predicates are
-exact sign tests; disks use float coordinates with a small containment
-tolerance because their predicates involve square roots.  Every object is a
-closed set: a point on the boundary belongs to the object.
+exact sign tests.  Disks use float coordinates, and because their
+predicates involve square roots every disk predicate widens the radius by
+the one fixed tolerance `EPS_COVER`; it is not configurable.  Every object
+is a closed set: a point on the boundary belongs to the object.
 
 Rectangle and interval predicates only compare coordinates, so the solvers
 replace each coordinate by its rank (`ranks`) and run on small ints; a
@@ -22,8 +23,11 @@ from functools import cmp_to_key
 from itertools import groupby
 from typing import NamedTuple, Sequence
 
+# the disk tolerance: a disk holds the points within 0.5 + EPS_COVER of its
+# centre, and two disks meet when their centres are within 1 + EPS_COVER
 EPS_COVER = 1e-9
-EPS_DISJOINT = 1e-9
+_R_COVER2 = (0.5 + EPS_COVER) * (0.5 + EPS_COVER)
+_R_MEET2 = (1.0 + EPS_COVER) * (1.0 + EPS_COVER)
 
 # widening of the disk search windows, far above float rounding at the
 # coordinates used, so a window never drops a pair or disk the exact
@@ -133,11 +137,10 @@ class UnitDisk:
 
     center: Point
 
-    def contains(self, p: Point, eps: float = EPS_COVER) -> bool:
+    def contains(self, p: Point) -> bool:
         dx = p.x - self.center.x
         dy = p.y - self.center.y
-        r = 0.5 + eps
-        return dx * dx + dy * dy <= r * r
+        return dx * dx + dy * dy <= _R_COVER2
 
 
 @dataclass(frozen=True)
@@ -171,27 +174,7 @@ class EventClass(IntEnum):
     RIGHT_SIDE = 2
 
 
-@dataclass(frozen=True, order=True)
-class EventKey:
-    """Lexicographic sweep key (x, class, y).
-
-    Coinciding x-coordinates are resolved symbolically by the class and the
-    y tiebreaker instead of any numeric perturbation.
-    """
-
-    x: object
-    cls: int
-    y: object
-
-
-def _contains(obj, p, eps):
-    if isinstance(obj, UnitDisk):
-        return obj.contains(p, eps)
-    return obj.contains(p)
-
-
-def membership_at(p, objects: Sequence, weighted: bool = False,
-                  eps: float = EPS_COVER):
+def membership_at(p, objects: Sequence, weighted: bool = False):
     """Number (or weight sum) of objects containing p, closed containment."""
     kinds = {type(o) for o in objects}
     if len(kinds) > 1:
@@ -199,15 +182,15 @@ def membership_at(p, objects: Sequence, weighted: bool = False,
         raise ValueError("mixed object kinds: %s" % ", ".join(names))
     total = Fraction(0) if weighted else 0
     for o in objects:
-        if _contains(o, p, eps):
+        if o.contains(p):
             total += getattr(o, "weight", 1) if weighted else 1
     return total
 
 
-def verify_cover(points, chosen, eps: float = EPS_COVER) -> bool:
+def verify_cover(points, chosen) -> bool:
     """True iff every point is contained in at least one chosen object."""
     for p in points:
-        if not any(_contains(o, p, eps) for o in chosen):
+        if not any(o.contains(p) for o in chosen):
             return False
     return True
 
@@ -331,18 +314,16 @@ def rect_depth_within(rects: Sequence[UnitRect], region: UnitRect) -> int:
     return _max_depth_boxes(boxes)
 
 
-def circle_intersections(a: UnitDisk, b: UnitDisk,
-                         eps: float = EPS_COVER) -> list[Point]:
+def circle_intersections(a: UnitDisk, b: UnitDisk) -> list[Point]:
     """Intersection points of the two bounding circles (0, 1, or 2 points).
 
-    Pairs within the eps-closed touching distance yield their midpoint, so
-    candidate generation matches the eps-tolerant containment test.
+    Pairs within the tolerance-closed touching distance 1 + EPS_COVER yield
+    their midpoint, so candidate generation matches `UnitDisk.contains`.
     """
     dx = b.center.x - a.center.x
     dy = b.center.y - a.center.y
     d2 = dx * dx + dy * dy
-    r = 1.0 + eps
-    if d2 == 0.0 or d2 > r * r:
+    if d2 == 0.0 or d2 > _R_MEET2:
         return []
     d = math.sqrt(d2)
     mx = a.center.x + dx / 2.0
@@ -356,65 +337,57 @@ def circle_intersections(a: UnitDisk, b: UnitDisk,
     return [Point(mx + ux, my + uy), Point(mx - ux, my - uy)]
 
 
-def _max_membership_disks(disks, cands, eps) -> int:
-    best = 0
-    for p in cands:
-        c = 0
-        for d in disks:
-            if d.contains(p, eps):
-                c += 1
-        if c > best:
-            best = c
-    return best
+def disk_candidates(disks: Sequence[UnitDisk]) -> list:
+    """The candidate points of the closed-disk arrangement, as
+    (generators, holders) pairs.
 
-
-def ply_disks(disks: Sequence[UnitDisk], eps: float = EPS_COVER) -> int:
-    """Maximum depth of the closed-disk arrangement.
-
-    Evaluated at candidate points only: every disk center plus every
-    pairwise circle-circle intersection.  The deepest cell is bounded
-    either by an arc endpoint (a candidate) or by one full circle whose
-    disk lies inside every other disk of the cell, in which case that
-    disk's center attains the depth.
-
-    With disks sorted by center x, only pairs within an x-window of
-    1 + eps can intersect and only disks within 0.5 + eps of a candidate's
-    x can contain it; both windows carry float slack, and the exact
-    predicates still decide.
+    The candidates are every centre, generated by its own disk, and, for
+    each pair (lo, hi) in index order, `circle_intersections(disks[lo],
+    disks[hi])`, generated by the pair; generators is the mask of the
+    generating disks and holders the indices of the disks containing the
+    point.  With disks sorted by center x, only pairs within an x-window of
+    1 + EPS_COVER can intersect and only disks within 0.5 + EPS_COVER of a
+    candidate's x can contain it; both windows carry float slack, and the
+    exact predicates still decide.
     """
-    if not disks:
-        return 0
     order = sorted(range(len(disks)), key=lambda i: disks[i].center.x)
     xs = [disks[i].center.x for i in order]
-    pair_reach = 1.0 + eps + WINDOW_SLACK
-    cands = [d.center for d in disks]
+    cands = [(1 << i, d.center) for i, d in enumerate(disks)]
+    pair_reach = 1.0 + EPS_COVER + WINDOW_SLACK
     for a, i in enumerate(order):
-        hi = bisect_right(xs, xs[a] + pair_reach)
-        for j in order[a + 1:hi]:
-            lo_i, hi_i = (i, j) if i < j else (j, i)
-            cands.extend(circle_intersections(disks[lo_i], disks[hi_i], eps))
-    reach = 0.5 + eps + WINDOW_SLACK
-    best = 0
-    for p in cands:
-        c = 0
-        for k in order[bisect_left(xs, p.x - reach):
-                       bisect_right(xs, p.x + reach)]:
-            if disks[k].contains(p, eps):
-                c += 1
-        if c > best:
-            best = c
-    return best
+        for j in order[a + 1:bisect_right(xs, xs[a] + pair_reach)]:
+            lo, hi = (i, j) if i < j else (j, i)
+            gen = 1 << lo | 1 << hi
+            for p in circle_intersections(disks[lo], disks[hi]):
+                cands.append((gen, p))
+    reach = 0.5 + EPS_COVER + WINDOW_SLACK
+    return [(gen, [k for k in order[bisect_left(xs, p.x - reach):
+                                    bisect_right(xs, p.x + reach)]
+                   if disks[k].contains(p)])
+            for gen, p in cands]
 
 
-def disk_depth_within(disks: Sequence[UnitDisk], region: UnitDisk,
-                      eps: float = EPS_COVER) -> int:
+def ply_disks(disks: Sequence[UnitDisk]) -> int:
+    """Maximum depth of the closed-disk arrangement.
+
+    Evaluated at the candidate points of `disk_candidates` only: every disk
+    center plus every pairwise circle-circle intersection.  The deepest
+    cell is bounded either by an arc endpoint (a candidate) or by one full
+    circle whose disk lies inside every other disk of the cell, in which
+    case that disk's center attains the depth.
+    """
+    return max((len(holders) for _, holders in disk_candidates(disks)),
+               default=0)
+
+
+def disk_depth_within(disks: Sequence[UnitDisk], region: UnitDisk) -> int:
     """Maximum depth of `disks` over the points of the closed disk `region`.
 
     A disk can contain a point of `region` only if its center lies within
-    1 + 2*eps of the region's center, so only those disks (with float
+    1 + 2*EPS_COVER of the region's center, so only those disks (with float
     slack) are considered.
     """
-    reach = 1.0 + 2.0 * eps + WINDOW_SLACK
+    reach = 1.0 + 2.0 * EPS_COVER + WINDOW_SLACK
     reach2 = reach * reach
     cx, cy = region.center.x, region.center.y
     near = []
@@ -423,18 +396,25 @@ def disk_depth_within(disks: Sequence[UnitDisk], region: UnitDisk,
         dy = d.center.y - cy
         if dx * dx + dy * dy <= reach2:
             near.append(d)
-    cands = [d.center for d in near if region.contains(d.center, eps)]
+    cands = [d.center for d in near if region.contains(d.center)]
     for i in range(len(near)):
         for j in range(i + 1, len(near)):
-            for p in circle_intersections(near[i], near[j], eps):
-                if region.contains(p, eps):
+            for p in circle_intersections(near[i], near[j]):
+                if region.contains(p):
                     cands.append(p)
-    return _max_membership_disks(near, cands, eps)
+    best = 0
+    for p in cands:
+        c = 0
+        for d in near:
+            if d.contains(p):
+                c += 1
+        if c > best:
+            best = c
+    return best
 
 
-def disks_disjoint(a: UnitDisk, b: UnitDisk, eps: float = EPS_DISJOINT) -> bool:
+def disks_disjoint(a: UnitDisk, b: UnitDisk) -> bool:
     """True iff the closed disks share no point (touching disks overlap)."""
     dx = a.center.x - b.center.x
     dy = a.center.y - b.center.y
-    r = 1.0 + eps
-    return dx * dx + dy * dy > r * r
+    return dx * dx + dy * dy > _R_MEET2

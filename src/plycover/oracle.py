@@ -9,20 +9,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import Infeasible, InstanceTooLarge
-from .geom import (EPS_COVER, EPS_DISJOINT, as_x, disk_depth_within,
-                   disks_disjoint, ply_disks, ply_rects, rect_depth_within)
+from .geom import (as_x, disk_depth_within, disks_disjoint, ply_disks,
+                   ply_rects, rect_depth_within)
 
 MAX_MIN_PLY = 20
 MAX_3COLOR = 12
 MAX_INTERVALS = 12
 
 
-def _cover_masks(points, objects, contains):
+def _cover_masks(points, objects):
     masks = []
     for o in objects:
         m = 0
         for pi, p in enumerate(points):
-            if contains(o, p):
+            if o.contains(p):
                 m |= 1 << pi
         masks.append(m)
     return masks
@@ -35,7 +35,7 @@ def _suffix_or(masks):
     return out
 
 
-def exact_min_ply(points, objects, kind, eps: float = EPS_COVER):
+def exact_min_ply(points, objects, kind):
     """Exact minimum ply cover by branch and bound: (opt, chosen indices).
 
     Prunes a branch once its partial ply reaches the incumbent (ply never
@@ -48,22 +48,10 @@ def exact_min_ply(points, objects, kind, eps: float = EPS_COVER):
         raise InstanceTooLarge("at most %d objects" % MAX_MIN_PLY)
     points = list(points)
     objects = list(objects)
-    if kind == "rects":
-        def contains(o, p):
-            return o.contains(p)
-
-        def added_depth(objs, q):
-            return rect_depth_within(objs, q)
-    else:
-        def contains(o, p):
-            return o.contains(p, eps)
-
-        def added_depth(objs, q):
-            return disk_depth_within(objs, q, eps)
-
+    added_depth = rect_depth_within if kind == "rects" else disk_depth_within
     n, m = len(points), len(objects)
     full = (1 << n) - 1
-    masks = _cover_masks(points, objects, contains)
+    masks = _cover_masks(points, objects)
     union = 0
     for v in masks:
         union |= v
@@ -98,29 +86,16 @@ def exact_min_ply(points, objects, kind, eps: float = EPS_COVER):
     return best[0], best[1]
 
 
-def exhaustive_min_ply(points, objects, kind, eps: float = EPS_COVER):
+def exhaustive_min_ply(points, objects, kind):
     """Unpruned full enumeration; cross-check for exact_min_ply."""
     if len(objects) > 16:
         raise InstanceTooLarge("at most 16 objects for full enumeration")
     points = list(points)
     objects = list(objects)
-    m = len(objects)
-    if kind == "rects":
-        def contains(o, p):
-            return o.contains(p)
-
-        def ply_of(objs):
-            return ply_rects(objs)
-    else:
-        def contains(o, p):
-            return o.contains(p, eps)
-
-        def ply_of(objs):
-            return ply_disks(objs, eps)
-
-    n = len(points)
+    ply_of = ply_rects if kind == "rects" else ply_disks
+    n, m = len(points), len(objects)
     full = (1 << n) - 1
-    masks = _cover_masks(points, objects, contains)
+    masks = _cover_masks(points, objects)
     best = None
     for mask in range(1 << m):
         covered = 0
@@ -138,8 +113,7 @@ def exhaustive_min_ply(points, objects, kind, eps: float = EPS_COVER):
     return best
 
 
-def exact_3color_cover(points, disks, eps_cover: float = EPS_COVER,
-                       eps_disjoint: float = EPS_DISJOINT):
+def exact_3color_cover(points, disks):
     """Covering subset split into three pairwise-disjoint classes, or None.
 
     Searches over covering subsets together with proper 3-colorings of
@@ -152,14 +126,13 @@ def exact_3color_cover(points, disks, eps_cover: float = EPS_COVER,
     disks = list(disks)
     n, m = len(points), len(disks)
     full = (1 << n) - 1
-    masks = _cover_masks(points, disks,
-                         lambda o, p: o.contains(p, eps_cover))
+    masks = _cover_masks(points, disks)
     union = 0
     for v in masks:
         union |= v
     if union != full:
         return None
-    conflict = [[not disks_disjoint(a, b, eps_disjoint) for b in disks]
+    conflict = [[not disks_disjoint(a, b) for b in disks]
                 for a in disks]
     suffix = _suffix_or(masks)
     cols: tuple[list, list, list] = ([], [], [])
@@ -205,7 +178,7 @@ def exact_intervals(points, intervals, mode: str = "mmsc"):
     intervals = list(intervals)
     n, m = len(xs), len(intervals)
     full = (1 << n) - 1
-    masks = _cover_masks(xs, intervals, lambda o, x: o.contains(x))
+    masks = _cover_masks(xs, intervals)
     union = 0
     for v in masks:
         union |= v

@@ -6,6 +6,12 @@ its own least budget ell_j; a point of the plane meets chosen objects of at
 most two consecutive slabs, so the union of the slab covers has ply at most
 max_j(ell_j + ell_{j+1}).  The restriction of an optimal cover solves every
 slab at the optimum, so ell_j <= OPT and the union is a 2-approximation.
+
+Disks are attached to slabs by their exact y-extents cy -/+ 0.5, while
+`UnitDisk.contains` is closed under the tolerance EPS_COVER.  Slab
+boundaries keep `_BOUNDARY_TOL` from every point y and disk extremum, and
+_BOUNDARY_TOL > 2 * EPS_COVER, so no point of a slab lies within the
+tolerance of a disk the slab does not hold.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from . import disks as _disks
 from . import rects as _rects
 from .errors import BudgetExceeded, Infeasible
 # membership_at stays bound here so that perfbench/tracing.py can wrap it
-from .geom import (EPS_COVER, Box, Point, membership_at, ply_disks,  # noqa: F401
+from .geom import (Box, Point, membership_at, ply_disks,  # noqa: F401
                    ply_rects, ranks, verify_cover)
 
 SLAB_HEIGHT = 2
@@ -158,8 +164,8 @@ def _rank_rects(points, rects):
     return rank_points, boxes
 
 
-def solve_mpc(points, objects, kind, ell_max: Optional[int] = None,
-              eps: float = EPS_COVER) -> CoverSolution:
+def solve_mpc(points, objects, kind,
+              ell_max: Optional[int] = None) -> CoverSolution:
     """2-approximate minimum ply cover for unit-height rectangles or disks.
 
     Each slab takes the least budget ell_j at which its strip search
@@ -194,16 +200,16 @@ def solve_mpc(points, objects, kind, ell_max: Optional[int] = None,
             return _rects.solve_slab_rects(pts, objs, ell)
     else:
         uniq, orig = _disks.dedupe_disks(objects)
-        angle = _disks.canonical_rotation(points, uniq, eps)
+        angle = _disks.canonical_rotation(points, uniq)
         solve_points, solve_objects = _disks.rotate_instance(points, uniq, angle)
         slabs = [(slab, slab.points)
                  for slab in assign_slabs(solve_points, solve_objects, kind)]
 
         def objective(chosen):
-            return ply_disks([objects[i] for i in chosen], eps)
+            return ply_disks([objects[i] for i in chosen])
 
         def slab_solve(pts, objs, ell):
-            return _disks.solve_slab_disks(pts, objs, ell, eps)
+            return _disks.solve_slab_disks(pts, objs, ell)
 
     union: set[int] = set()
     over = None
@@ -214,7 +220,7 @@ def solve_mpc(points, objects, kind, ell_max: Optional[int] = None,
         res = slab_solve(pts, objs, ell) if cap >= 1 else None
         if res is None:
             for p in pts:
-                if not verify_cover([p], objs, eps):
+                if not verify_cover([p], objs):
                     original = dict(zip(solve_points, points))
                     raise Infeasible("point %r is covered by no object"
                                      % (original[p],))

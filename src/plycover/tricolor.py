@@ -23,8 +23,8 @@ from .disks import (canonical_rotation, dedupe_disks, disk_side_events,
                     rotate_instance)
 from .errors import Infeasible
 # membership_at stays bound here so that perfbench/tracing.py can wrap it
-from .geom import (EPS_COVER, EventClass, disks_disjoint,  # noqa: F401
-                   membership_at, ply_disks, verify_cover)
+from .geom import (EventClass, disks_disjoint, membership_at,  # noqa: F401
+                   ply_disks, verify_cover)
 from .slabs import CoverSolution, assign_slabs
 from .stripdag import bits, build_problem, covered, run, union_lt
 
@@ -84,22 +84,22 @@ def _step(problem, state):
     return out
 
 
-def solve_slab_3color(points, disks, eps: float = EPS_COVER):
+def solve_slab_3color(points, disks):
     """Three pairwise-disjoint-within classes jointly covering the slab
     points, as disk index tuples, or None when no 3-colorable cover exists."""
     disks = list(disks)
 
     def meets(o, q):
-        return not disks_disjoint(disks[q], disks[o], eps)
+        return not disks_disjoint(disks[q], disks[o])
 
     problem = build_problem(points, disk_side_events(disks),
-                            lambda o, p: disks[o].contains(p, eps),
+                            lambda o, p: disks[o].contains(p),
                             meets, None, MAX_PER_CLASS, 1)
     unions = run(problem, _step, _classes_lt, _EMPTY)
     return None if unions is None else tuple(tuple(bits(u)) for u in unions)
 
 
-def solve_3color(points, disks, eps: float = EPS_COVER) -> CoverSolution:
+def solve_3color(points, disks) -> CoverSolution:
     """6-colorable cover of the points, or Infeasible when no 3-colorable
     cover exists.  colors maps chosen disk index -> color in 1..6; every
     color class is pairwise disjoint.  A slab with an uncovered point fails
@@ -109,17 +109,17 @@ def solve_3color(points, disks, eps: float = EPS_COVER) -> CoverSolution:
     if not points:
         return CoverSolution([], 0, colors={})
     uniq, orig = dedupe_disks(disks_in)
-    angle = canonical_rotation(points, uniq, eps)
+    angle = canonical_rotation(points, uniq)
     rpts, rdks = rotate_instance(points, uniq, angle)
     slabs = assign_slabs(rpts, rdks, "disks")
     colors: dict[int, int] = {}
     j0 = slabs[0].index
     for slab in slabs:
         objs = [rdks[i] for i in slab.objects]
-        local = solve_slab_3color(slab.points, objs, eps)
+        local = solve_slab_3color(slab.points, objs)
         if local is None:
             for p in slab.points:
-                if not verify_cover([p], objs, eps):
+                if not verify_cover([p], objs):
                     unrotated = dict(zip(rpts, points))
                     raise Infeasible("point %r is covered by no disk"
                                      % (unrotated[p],))
@@ -129,5 +129,5 @@ def solve_3color(points, disks, eps: float = EPS_COVER) -> CoverSolution:
             for li in cls:
                 colors.setdefault(orig[slab.objects[li]], base + a + 1)
     chosen = sorted(colors)
-    objective = ply_disks([disks_in[i] for i in chosen], eps)
+    objective = ply_disks([disks_in[i] for i in chosen])
     return CoverSolution(chosen, objective, colors=colors)

@@ -51,43 +51,41 @@ def rect_depth_within(rects: Sequence[UnitRect], region: UnitRect) -> int:
     return best
 
 
-def _max_membership_disks(disks, cands, eps) -> int:
+def _max_membership_disks(disks, cands) -> int:
     best = 0
     for p in cands:
         c = 0
         for d in disks:
-            if d.contains(p, eps):
+            if d.contains(p):
                 c += 1
         if c > best:
             best = c
     return best
 
 
-def ply_disks(disks: Sequence[UnitDisk], eps: float = EPS_COVER) -> int:
+def ply_disks(disks: Sequence[UnitDisk]) -> int:
     """Maximum depth at every center and every pairwise intersection."""
     if not disks:
         return 0
     cands = [d.center for d in disks]
     for i in range(len(disks)):
         for j in range(i + 1, len(disks)):
-            cands.extend(circle_intersections(disks[i], disks[j], eps))
-    return _max_membership_disks(disks, cands, eps)
+            cands.extend(circle_intersections(disks[i], disks[j]))
+    return _max_membership_disks(disks, cands)
 
 
-def disk_depth_within(disks: Sequence[UnitDisk], region: UnitDisk,
-                      eps: float = EPS_COVER) -> int:
+def disk_depth_within(disks: Sequence[UnitDisk], region: UnitDisk) -> int:
     """Maximum depth over the region at every candidate point inside it."""
-    cands = [d.center for d in disks if region.contains(d.center, eps)]
+    cands = [d.center for d in disks if region.contains(d.center)]
     for i in range(len(disks)):
         for j in range(i + 1, len(disks)):
-            for p in circle_intersections(disks[i], disks[j], eps):
-                if region.contains(p, eps):
+            for p in circle_intersections(disks[i], disks[j]):
+                if region.contains(p):
                     cands.append(p)
-    return _max_membership_disks(disks, cands, eps)
+    return _max_membership_disks(disks, cands)
 
 
-def grid_depth_disks(disks: Sequence[UnitDisk], pitch: float = 0.01,
-                     eps: float = EPS_COVER) -> int:
+def grid_depth_disks(disks: Sequence[UnitDisk], pitch: float = 0.01) -> int:
     """Dense-grid depth sampler; never exceeds the true ply."""
     if not disks:
         return 0
@@ -97,7 +95,7 @@ def grid_depth_disks(disks: Sequence[UnitDisk], pitch: float = 0.01,
     ys = np.arange(min(cy) - 0.5 - pitch, max(cy) + 0.5 + 2 * pitch, pitch)
     gx, gy = np.meshgrid(xs, ys)
     counts = np.zeros(gx.shape, dtype=np.int32)
-    r2 = (0.5 + eps) ** 2
+    r2 = (0.5 + EPS_COVER) ** 2
     for d in disks:
         counts += (gx - d.center.x) ** 2 + (gy - d.center.y) ** 2 <= r2
     return int(counts.max())

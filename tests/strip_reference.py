@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from plycover.disks import disk_side_events
-from plycover.geom import (EPS_COVER, EventClass, disk_depth_within,
-                           disks_disjoint, ply_disks, ply_rects,
-                           rect_depth_within)
+from plycover.geom import (EventClass, disk_depth_within, disks_disjoint,
+                           ply_disks, ply_rects, rect_depth_within)
 from plycover.rects import build_strips_rects
 
 
@@ -161,17 +160,17 @@ def solve_slab_rects(points, rects, ell):
                                 PlyCache(full, added), 3 * ell, ell))
 
 
-def solve_slab_disks(points, disks, ell, eps=EPS_COVER):
+def solve_slab_disks(points, disks, ell):
     disks = list(disks)
 
     def full(members):
-        return ply_disks([disks[i] for i in members], eps)
+        return ply_disks([disks[i] for i in members])
 
     def added(members, q):
-        return disk_depth_within([disks[i] for i in members], disks[q], eps)
+        return disk_depth_within([disks[i] for i in members], disks[q])
 
     return search(build_problem(points, disk_side_events(disks),
-                                lambda o, p: disks[o].contains(p, eps),
+                                lambda o, p: disks[o].contains(p),
                                 PlyCache(full, added), 8 * ell, ell))
 
 
@@ -185,7 +184,7 @@ def _canonical(classes, unions):
             tuple(unions[a] for a in order))
 
 
-def solve_slab_3color(points, disks, eps=EPS_COVER):
+def solve_slab_3color(points, disks):
     disks = list(disks)
     events = disk_side_events(disks)
     strip_points = locate_strip_points(points, events)
@@ -212,7 +211,7 @@ def solve_slab_3color(points, disks, eps=EPS_COVER):
                         tried_empty = True
                     if len(cls) >= 8:
                         continue
-                    if all(disks_disjoint(disks[q], disks[m], eps)
+                    if all(disks_disjoint(disks[q], disks[m])
                            for m in cls):
                         grown = list(classes)
                         grown[a] = merge_member(cls, q)
@@ -228,7 +227,7 @@ def solve_slab_3color(points, disks, eps=EPS_COVER):
             for cand in cands:
                 if pts:
                     active = cand[0] + cand[1] + cand[2]
-                    if not all(any(disks[o].contains(p, eps) for o in active)
+                    if not all(any(disks[o].contains(p) for o in active)
                                for p in pts):
                         continue
                 new_unions = tuple(_merge_union(unions[a], cand[a])

@@ -33,9 +33,6 @@ from plycover.rects import build_strips_rects, solve_slab_rects
 from plycover.slabs import assign_slabs, solve_mpc
 from plycover.tricolor import solve_3color
 
-EPS = 1e-9
-
-
 def _report(num, desc):
     print("\nACCEPTANCE %d: PASS - %s" % (num, desc))
 
@@ -194,19 +191,19 @@ def test_criterion_3_rect_approximation():
 
 def test_criterion_4_disk_approximation():
     for inst, opt, _ in _disk_results():
-        sol = solve_mpc(inst.points, inst.objects, "disks", eps=EPS)
+        sol = solve_mpc(inst.points, inst.objects, "disks")
         chosen = [inst.objects[i] for i in sol.chosen]
-        assert verify_cover(inst.points, chosen, eps=EPS)
-        assert sol.objective == ply_disks(chosen, EPS)
-        assert grid_depth_disks(chosen, pitch=0.01, eps=EPS) <= sol.objective
+        assert verify_cover(inst.points, chosen)
+        assert sol.objective == ply_disks(chosen)
+        assert grid_depth_disks(chosen, pitch=0.01) <= sol.objective
         assert sol.objective <= 2 * opt
         uniq, orig = dedupe_disks(inst.objects)
-        angle = canonical_rotation(inst.points, uniq, EPS)
+        angle = canonical_rotation(inst.points, uniq)
         rp, rd = rotate_instance(inst.points, uniq, angle)
         for slab in assign_slabs(rp, rd, "disks"):
             objs = [rd[i] for i in slab.objects]
             slab_opt, _ = exact_min_ply(slab.points, objs, "disks")
-            assert solve_slab_disks(slab.points, objs, slab_opt, EPS) is not None
+            assert solve_slab_disks(slab.points, objs, slab_opt) is not None
     _report(4, "200 disk instances: verified cover, ply <= 2*OPT, grid "
                "sampler never exceeds the candidate-point ply")
 
@@ -222,7 +219,7 @@ def test_criterion_5_strip_capacity_bounds():
                 violations += 1
     for inst, opt, wit in _disk_results():
         uniq, orig = dedupe_disks(inst.objects)
-        angle = canonical_rotation(inst.points, uniq, EPS)
+        angle = canonical_rotation(inst.points, uniq)
         rp, rd = rotate_instance(inst.points, uniq, angle)
         back = {orig[u]: u for u in range(len(uniq))}
         for slab in assign_slabs(rp, rd, "disks"):

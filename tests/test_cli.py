@@ -6,7 +6,7 @@ import pytest
 from conftest import greedy_trap_instance
 
 from plycover.cli import main
-from plycover.geom import WeightedInterval
+from plycover.geom import Point, UnitDisk, WeightedInterval
 from plycover.instances import Instance, generate, load, save
 
 
@@ -165,6 +165,27 @@ class TestExitCodes:
                          "--out", str(tmp_path / "s.json")]) == 1
             err = capsys.readouterr().err
             assert "line 3" in err and "Traceback" not in err
+
+    def test_eps_option_is_gone(self, tmp_path, capsys):
+        # the disk tolerance is the constant EPS_COVER: solve and oracle
+        # agree on this instance, whose first point lies 4e-4 outside its
+        # disk, and no command takes a tolerance
+        inst = tmp_path / "inst.jsonl"
+        sol = tmp_path / "s.json"
+        save(Instance("disks", [Point(0.31, 1.0004), Point(5.0, -0.88212)],
+                      [UnitDisk(Point(0.3, 0.5)),
+                       UnitDisk(Point(5.02, -0.48212))]), inst)
+        for kind in ("disks", "3color"):
+            for cmd in ("solve", "oracle"):
+                argv = [cmd, "--kind", kind, "--in", str(inst),
+                        "--out", str(sol)]
+                assert main(argv) == 2
+                capsys.readouterr()
+                assert main(argv + ["--eps", "1e-3"]) == 1
+                assert "usage error" in capsys.readouterr().err
+        assert main(["check", "--in", str(inst), "--solution", str(sol),
+                     "--eps", "1e-3"]) == 1
+        assert "usage error" in capsys.readouterr().err
 
     def test_kind_mismatch_is_usage_error(self, tmp_path):
         inst = tmp_path / "inst.jsonl"

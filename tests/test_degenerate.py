@@ -8,11 +8,12 @@ from fractions import Fraction as F
 import pytest
 
 from plycover.errors import Infeasible
-from plycover.geom import (Point, UnitRect, WeightedInterval, ply_rects,
-                           verify_cover)
+from plycover.geom import (Point, UnitDisk, UnitRect, WeightedInterval,
+                           disks_disjoint, ply_disks, ply_rects, verify_cover)
 from plycover.intervals import solve_intervals
-from plycover.oracle import exact_intervals, exact_min_ply
+from plycover.oracle import exact_3color_cover, exact_intervals, exact_min_ply
 from plycover.slabs import assign_slabs, solve_mpc
+from plycover.tricolor import solve_3color
 
 
 # strictly increasing map of grid 0..10, so shared endpoints and points on
@@ -152,3 +153,39 @@ def test_uncovered_mixed_point_is_named_as_given():
     points = [Point(_on_grid(1) + F(1, 2), _on_grid(3)), lost]
     with pytest.raises(Infeasible, match=re.escape(repr(lost))):
         solve_mpc(points, rects, "rects")
+
+
+def _half_grid_disks(rng):
+    """Disks centred on the half-integer grid, so extrema coincide and
+    disks touch, with points at centres and straight above or below them,
+    some on a boundary circle."""
+    disks = [UnitDisk(Point(rng.randint(0, 8) / 2, rng.randint(0, 6) / 2))
+             for _ in range(rng.randint(1, 9))]
+    pts = [rng.choice(disks).center for _ in range(rng.randint(1, 5))]
+    for _ in range(rng.randint(0, 4)):
+        c = rng.choice(disks).center
+        pts.append(Point(c.x, c.y + rng.choice((-0.5, -0.25, 0.25, 0.5))))
+    return pts, disks
+
+
+def test_disk_pipelines_with_points_at_centres_match_oracles():
+    for seed in range(200):
+        rng = random.Random(seed + 30_000)
+        pts, disks = _half_grid_disks(rng)
+        opt, _ = exact_min_ply(pts, disks, "disks")
+        sol = solve_mpc(pts, disks, "disks")
+        chosen = [disks[i] for i in sol.chosen]
+        assert verify_cover(pts, chosen), seed
+        assert sol.objective == ply_disks(chosen)
+        assert sol.objective <= 2 * opt, (seed, sol.objective, opt)
+        witness = exact_3color_cover(pts, disks)
+        try:
+            sol = solve_3color(pts, disks)
+        except Infeasible:
+            assert witness is None, seed
+            continue
+        assert verify_cover(pts, [disks[i] for i in sol.chosen]), seed
+        for color in set(sol.colors.values()):
+            cls = [disks[i] for i, c in sol.colors.items() if c == color]
+            assert all(disks_disjoint(a, b)
+                       for k, a in enumerate(cls) for b in cls[k + 1:]), seed

@@ -11,6 +11,7 @@ from plycover.geom import (EventClass, Point, UnitDisk, ply_disks,
 from plycover.instances import generate
 from plycover.oracle import exact_min_ply
 from plycover.slabs import assign_slabs, solve_mpc
+from plycover.tricolor import solve_3color
 
 EIGHT_POINTS = [(sx * 0.25, sy) for sx in (-1, 1)
                 for sy in (-1.125, -0.375, 0.375, 1.125)]
@@ -32,14 +33,15 @@ class TestRotation:
         xs = sorted(_extrema_xs([], rot))
         assert all(b - a > 1e-8 for a, b in zip(xs, xs[1:]))
 
-    def test_point_above_center_rotates(self):
-        pts = [Point(2.0, 5.0)]
+    def test_points_above_and_at_a_centre_solve(self):
+        # no strip is cut at a centre, so a point sharing a centre's x
+        # needs no rotation (a point at a centre keeps that x under every
+        # rotation) and both searches solve
         dks = [UnitDisk(Point(2.0, 0.0))]
-        angle = canonical_rotation(pts, dks)
-        assert angle != 0.0
-        rp, rd = rotate_instance(pts, dks, angle)
-        xs = sorted(_extrema_xs(rp, rd))
-        assert all(b - a > 1e-8 for a, b in zip(xs, xs[1:]))
+        for pts in ([Point(2.0, 0.3)], [Point(2.0, 0.0)]):
+            assert canonical_rotation(pts, dks) == 0.0
+            assert solve_mpc(pts, dks, "disks").chosen == [0]
+            assert solve_3color(pts, dks).colors == {0: 1}
 
     def test_duplicate_disks_do_not_block_rotation(self):
         # exact duplicates collapse before the distinctness check, so they

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from depth_reference import grid_depth_disks
 
-from plycover.geom import (EventKey, Point, UnitDisk, UnitRect,
-                           WeightedInterval, disks_disjoint, membership_at,
-                           ply_disks, ply_rects, rect_depth_within,
-                           rects_cover, verify_cover)
+from plycover.geom import (Point, UnitDisk, UnitRect, WeightedInterval,
+                           disks_disjoint, membership_at, ply_disks,
+                           ply_rects, rect_depth_within, rects_cover,
+                           verify_cover)
+from plycover.stripdag import SideEvent
 
 
 def sq(left, bottom):
@@ -185,13 +186,14 @@ class TestVerifyCover:
         assert not verify_cover([Point(F(5), F(5))], [sq(0, 0)])
 
 
-class TestEventKey:
-    keys = st.tuples(st.integers(-4, 4), st.integers(0, 2), st.integers(-4, 4))
+class TestSideEvent:
+    keys = st.tuples(st.integers(-4, 4), st.integers(0, 2), st.integers(-4, 4),
+                     st.integers(0, 2))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(keys, min_size=2, max_size=6))
     def test_strict_total_order(self, raw):
-        ks = [EventKey(F(x), c, F(y)) for x, c, y in raw]
+        ks = [SideEvent(F(x), c, F(y), o) for x, c, y, o in raw]
         for a in ks:
             for b in ks:
                 assert (a < b) + (b < a) + (a == b) == 1
@@ -200,15 +202,16 @@ class TestEventKey:
                         assert a < c
 
     def test_side_ordering_at_equal_x(self):
-        left = EventKey(F(1), 0, F(0))
-        point = EventKey(F(1), 1, F(-9))
-        right = EventKey(F(1), 2, F(-9))
+        left = SideEvent(F(1), 0, F(0), 2)
+        point = SideEvent(F(1), 1, F(-9), 1)
+        right = SideEvent(F(1), 2, F(-9), 0)
         assert left < point < right
 
-    def test_invariants_validation(self):
-        with pytest.raises(ValueError):
-            UnitRect(F(0), F(0), F(0))
-        with pytest.raises(ValueError):
-            WeightedInterval(F(2), F(1))
-        with pytest.raises(ValueError):
-            WeightedInterval(F(0), F(1), F(-1))
+
+def test_invariants_validation():
+    with pytest.raises(ValueError):
+        UnitRect(F(0), F(0), F(0))
+    with pytest.raises(ValueError):
+        WeightedInterval(F(2), F(1))
+    with pytest.raises(ValueError):
+        WeightedInterval(F(0), F(1), F(-1))

@@ -14,8 +14,6 @@ from plycover.geom import (EPS_COVER, Point, UnitDisk, UnitRect,
                            disk_depth_within, ply_disks, ply_rects,
                            rect_depth_within)
 
-EPSILONS = (EPS_COVER, 1e-6)
-
 
 def _rect(rng, step):
     # coarse coordinates make shared and abutting sides common
@@ -40,6 +38,16 @@ def _assert_rects_agree(rects, regions):
                 == ref.rect_depth_within(rects, region))
 
 
+# the gap steps of the near-tangent columns: one inside the fixed disk
+# tolerance, one far outside it
+GAPS = (EPS_COVER, 1e-6)
+
+
+def _near_copy(disk, gap, angle):
+    return UnitDisk(Point(disk.center.x + gap * math.cos(angle),
+                          disk.center.y + gap * math.sin(angle)))
+
+
 def _disk_sets(seed):
     rng = random.Random(seed)
     if seed % 2:
@@ -56,11 +64,11 @@ def _disk_sets(seed):
     return disks, regions
 
 
-def _assert_disks_agree(disks, regions, eps):
-    assert ply_disks(disks, eps) == ref.ply_disks(disks, eps)
+def _assert_disks_agree(disks, regions):
+    assert ply_disks(disks) == ref.ply_disks(disks)
     for region in regions:
-        assert (disk_depth_within(disks, region, eps)
-                == ref.disk_depth_within(disks, region, eps))
+        assert (disk_depth_within(disks, region)
+                == ref.disk_depth_within(disks, region))
 
 
 class TestRects:
@@ -88,15 +96,19 @@ class TestRects:
 
 
 class TestDisks:
-    @pytest.mark.parametrize("eps", EPSILONS)
-    def test_seeded_fuzz(self, eps):
+    @pytest.mark.parametrize("gap", GAPS)
+    def test_seeded_fuzz(self, gap):
+        # every third set also holds a copy of its first disk moved by gap
         for seed in range(200):
-            _assert_disks_agree(*_disk_sets(seed), eps)
+            disks, regions = _disk_sets(seed)
+            if disks and seed % 3 == 0:
+                disks.append(_near_copy(disks[0], gap, 0.1 * seed))
+            _assert_disks_agree(disks, regions)
 
-    @pytest.mark.parametrize("eps", EPSILONS)
+    @pytest.mark.parametrize("gap", GAPS)
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
-    def test_center_distance_one_plus_k_eps(self, eps, k):
-        d = 1.0 + k * eps
+    def test_center_distance_one_plus_k_eps(self, gap, k):
+        d = 1.0 + k * gap
         for angle in (0.0, math.pi / 2, math.pi / 4, 0.3):
             ox, oy = 0.25, -1.5
             a = UnitDisk(Point(ox, oy))
@@ -106,15 +118,19 @@ class TestDisks:
                                  oy + d / 2 * math.sin(angle)))
             disks = [a, b, mid]
             for sub in itertools.combinations(disks, 2):
-                _assert_disks_agree(list(sub), disks, eps)
-            _assert_disks_agree(disks, disks, eps)
+                _assert_disks_agree(list(sub), disks)
+            _assert_disks_agree(disks, disks)
 
-    @pytest.mark.parametrize("eps", EPSILONS)
-    def test_duplicates(self, eps):
+    @pytest.mark.parametrize("gap", GAPS)
+    def test_duplicates(self, gap):
+        # exact copies, and copies moved by gap, all count in the ply
         a, b = UnitDisk(Point(0.0, 0.0)), UnitDisk(Point(0.7, 0.1))
+        near = _near_copy(a, gap, 0.3)
         for k in range(1, 4):
-            _assert_disks_agree([a] * k + [b], [a, b], eps)
-        assert ply_disks([a] * 3 + [b], eps) == 4
+            _assert_disks_agree([a] * k + [b], [a, b])
+            _assert_disks_agree([a] * k + [near, b], [a, near, b])
+        assert ply_disks([a] * 3 + [b]) == 4
+        assert ply_disks([a] * 3 + [near, b]) == 5
 
     def test_empty(self):
-        _assert_disks_agree([], [UnitDisk(Point(0.0, 0.0))], EPS_COVER)
+        _assert_disks_agree([], [UnitDisk(Point(0.0, 0.0))])

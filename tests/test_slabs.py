@@ -5,10 +5,11 @@ import pytest
 
 from plycover.disks import canonical_rotation, dedupe_disks, rotate_instance
 from plycover.errors import BudgetExceeded, Infeasible
-from plycover.geom import Point, UnitDisk, UnitRect, ply_rects, verify_cover
+from plycover.geom import (EPS_COVER, Point, UnitDisk, UnitRect, ply_rects,
+                           verify_cover)
 from plycover.instances import generate
 from plycover.oracle import exact_min_ply
-from plycover.slabs import assign_slabs, slab_offset, solve_mpc
+from plycover.slabs import _BOUNDARY_TOL, assign_slabs, slab_offset, solve_mpc
 
 from conftest import forced_pair_rects
 
@@ -106,6 +107,12 @@ class TestAssignSlabs:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             assign_slabs([], [], "intervals")
+
+    def test_boundary_margin_exceeds_the_disk_tolerance(self):
+        # a slab attaches disks by their exact y-extents; with point ys and
+        # extrema kept _BOUNDARY_TOL from every boundary, no point lies
+        # within EPS_COVER of a disk its slab does not hold
+        assert _BOUNDARY_TOL > 2 * EPS_COVER
 
 
 def _blocking_ys(c):

@@ -13,7 +13,7 @@ import strip_reference as ref
 
 from plycover.disks import DiskArrangement, solve_slab_disks
 from plycover.geom import (EPS_COVER, Point, UnitDisk, UnitRect,
-                           disk_depth_within)
+                           disk_depth_within, disks_disjoint, ply_disks)
 from plycover.instances import generate
 from plycover.rects import solve_slab_rects
 from plycover.slabs import assign_slabs
@@ -112,11 +112,10 @@ class TestAgainstTupleEngine:
 
     @pytest.mark.parametrize("k", [0.5, 1, 1.5, 2])
     def test_centre_in_lens_of_a_far_pair(self, k):
-        # disks 0 and 1 are 1 + k*eps apart, and disk 2's centre lies
-        # within 0.5 + eps of both: three disks share that centre, so a
-        # budget of 2 fails, whether or not disks 0 and 1 meet each other
-        eps = 1e-6
-        d = 1.0 + k * eps
+        # disks 0 and 1 are 1 + k*EPS_COVER apart, and disk 2's centre lies
+        # within 0.5 + EPS_COVER of both: three disks share that centre, so
+        # a budget of 2 fails, whether or not disks 0 and 1 meet each other
+        d = 1.0 + k * EPS_COVER
         ux, uy = math.cos(0.3), math.sin(0.3)  # x-extents overlap
 
         def at(s, t):
@@ -125,9 +124,20 @@ class TestAgainstTupleEngine:
                  UnitDisk(at(d / 2, 0.0))]
         points = [at(-0.45, 0.0), at(d + 0.45, 0.0), at(d / 2, 0.45)]
         for ell in (1, 2, 3):
-            got = solve_slab_disks(points, disks, ell, eps)
-            assert got == ref.solve_slab_disks(points, disks, ell, eps)
+            got = solve_slab_disks(points, disks, ell)
+            assert got == ref.solve_slab_disks(points, disks, ell)
             assert got == (None if ell < 3 else [0, 1, 2])
+
+    def test_near_touching_pair_shares_a_strip(self):
+        # the disks meet only within the tolerance, beyond their exact
+        # x-extents: strips cut at the widened extrema make both members of
+        # one strip, so ply 1 fails and 3-color puts them in two classes
+        disks = [UnitDisk(Point(0.0, 0.0)), UnitDisk(Point(1.0 + 1e-9, 0.0))]
+        points = [Point(-0.45, 0.0), Point(1.45, 0.0)]
+        assert not disks_disjoint(*disks) and ply_disks(disks) == 2
+        assert solve_slab_disks(points, disks, 1) is None
+        assert solve_slab_disks(points, disks, 2) == [0, 1]
+        assert solve_slab_3color(points, disks) == ((1,), (0,), ())
 
     def test_3color(self):
         solved = failed = 0
@@ -177,22 +187,23 @@ class TestUnionOrder:
         assert bits(1 << 200 | 4) == [2, 200]
 
 
-def _assert_depths_agree(disks, eps):
-    arrangement = DiskArrangement(disks, eps)
+def _assert_depths_agree(disks):
+    arrangement = DiskArrangement(disks)
     m = len(disks)
     for mask in range(1, 1 << m):
         members = bits(mask)
         for q in members:
             assert (arrangement.depth_within(mask, q)
                     == disk_depth_within([disks[i] for i in members],
-                                         disks[q], eps)), (mask, q)
+                                         disks[q])), (mask, q)
 
 
 class TestDiskArrangement:
-    @pytest.mark.parametrize("eps", (EPS_COVER, 1e-6))
+    # gap steps inside and far outside the fixed disk tolerance
+    @pytest.mark.parametrize("gap", (EPS_COVER, 1e-6))
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
-    def test_center_distance_one_plus_k_eps(self, eps, k):
-        d = 1.0 + k * eps
+    def test_center_distance_one_plus_k_eps(self, gap, k):
+        d = 1.0 + k * gap
         for angle in (0.0, math.pi / 2, math.pi / 4, 0.3):
             ox, oy = 0.25, -1.5
             ux, uy = math.cos(angle), math.sin(angle)
@@ -201,11 +212,13 @@ class TestDiskArrangement:
                      UnitDisk(Point(ox + d / 2 * ux, oy + d / 2 * uy)),
                      UnitDisk(Point(ox + d / 2 * ux - d * uy,
                                     oy + d / 2 * uy + d * ux))]
-            _assert_depths_agree(disks, eps)
-            _assert_depths_agree(disks[::-1], eps)
+            _assert_depths_agree(disks)
+            _assert_depths_agree(disks[::-1])
 
-    @pytest.mark.parametrize("eps", (EPS_COVER, 1e-6))
-    def test_seeded_fuzz(self, eps):
+    @pytest.mark.parametrize("gap", (EPS_COVER, 1e-6))
+    def test_seeded_fuzz(self, gap):
+        # every fifth set repeats its first disk, every third set also
+        # holds a copy of it moved by gap
         for seed in range(60):
             rng = random.Random(seed)
             if seed % 2:
@@ -218,4 +231,8 @@ class TestDiskArrangement:
                      for _ in range(rng.randint(1, 7))]
             if seed % 5 == 0:
                 disks.append(disks[0])
-            _assert_depths_agree(disks, eps)
+            if seed % 3 == 0 and len(disks) < 8:
+                c = disks[0].center
+                disks.append(UnitDisk(Point(c.x + gap * math.cos(0.1 * seed),
+                                            c.y + gap * math.sin(0.1 * seed))))
+            _assert_depths_agree(disks)

@@ -66,7 +66,7 @@ def _cmd_solve(args) -> int:
     inst = _load_instance(args.infile, args.kind)
     t0 = time.perf_counter()
     if args.kind == "intervals":
-        sol = solve_intervals(inst.points, inst.objects, args.mode)
+        sol = solve_intervals(*inst.pairs, args.mode)
     elif args.kind == "3color":
         sol = solve_3color(inst.points, inst.objects)
     else:

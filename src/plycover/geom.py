@@ -50,6 +50,23 @@ def as_x(p):
     return p.x if isinstance(p, Point) else p
 
 
+def line_pairs(points, intervals):
+    """Points on the line and weighted intervals as exact int pairs.
+
+    Returns ([(num, den) per point], [(lo, hi, weight) per interval, each a
+    (num, den) pair]).  An element already in that form is kept as it is;
+    Points, numbers and WeightedIntervals are converted exactly with
+    `as_integer_ratio`, which gives lowest terms and den > 0.
+    """
+    xs = [p if type(p) is tuple else as_x(p).as_integer_ratio()
+          for p in points]
+    ivs = [s if type(s) is tuple else (s.lo.as_integer_ratio(),
+                                       s.hi.as_integer_ratio(),
+                                       s.weight.as_integer_ratio())
+           for s in intervals]
+    return xs, ivs
+
+
 @dataclass(frozen=True)
 class UnitRect:
     """Closed axis-aligned rectangle of height exactly 1."""
@@ -96,15 +113,21 @@ class Box(NamedTuple):
 def ranks(values) -> list:
     """Rank of each value among all of them, from 0; equal values share one.
 
-    Ints, Fractions and floats mix freely.  A value num/den (in lowest
-    terms) is sorted on the int 2 * floor(v * 2**64), plus 1 when v * 2**64
-    is not an integer.  Different keys order their values, and an even key
-    holds one value; only the values that share an odd key are told apart,
-    exactly, by cross-multiplying their ratios.  No Fraction is compared.
+    Ints, Fractions and floats mix freely; see `pair_ranks`."""
+    return pair_ranks([v.as_integer_ratio() for v in values])
+
+
+def pair_ranks(pairs) -> list:
+    """`ranks` of exact (num, den) int pairs, den != 0.
+
+    A value num/den is sorted on the int 2 * floor(v * 2**64), plus 1 when
+    v * 2**64 is not an integer.  Different keys order their values, and an
+    even key holds one value; only the values that share an odd key are
+    told apart, exactly: their pairs are brought to lowest terms with
+    den > 0 and cross-multiplied.  No Fraction is made or compared.
     """
-    ratios = [v.as_integer_ratio() for v in values]
     keys = []
-    for num, den in ratios:
+    for num, den in pairs:
         q, r = divmod(num << 64, den)
         keys.append(2 * q + (r != 0))
     out = [0] * len(keys)
@@ -116,14 +139,18 @@ def ranks(values) -> list:
             for i in group:
                 out[i] = rank
             continue
-        group = list(group)
-        distinct = sorted({ratios[i] for i in group},
-                          key=cmp_to_key(_ratio_cmp))
+        low = {i: _lowest(*pairs[i]) for i in group}
+        distinct = sorted(set(low.values()), key=cmp_to_key(_ratio_cmp))
         at = {nd: rank + 1 + r for r, nd in enumerate(distinct)}
-        for i in group:
-            out[i] = at[ratios[i]]
+        for i, nd in low.items():
+            out[i] = at[nd]
         rank += len(distinct)
     return out
+
+
+def _lowest(num: int, den: int) -> tuple:
+    g = math.gcd(num, den)
+    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
 
 
 def _ratio_cmp(a, b) -> int:

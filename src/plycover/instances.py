@@ -1,31 +1,76 @@
 """Instance file format (line-delimited JSON) and seeded random generators.
 
 Rational coordinates are serialized as "p/q" strings so files round-trip
-losslessly; disk coordinates stay floats.  Generated points are covered by
-construction unless explicitly allowed to be uncovered.
+losslessly; disk coordinates stay floats.  The loader reads every rational
+into an exact (num, den) int pair (`rational_pair`).  An interval file
+keeps those pairs, which `intervals.solve_intervals` takes as they are, so
+a solve makes no `Fraction` or `WeightedInterval` between the file and the
+objective; the `points` and `objects` lists are built only when read.
+Generated points are covered by construction unless explicitly allowed to
+be uncovered.
 """
 from __future__ import annotations
 
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .geom import Point, UnitDisk, UnitRect, WeightedInterval
+from .geom import Point, UnitDisk, UnitRect, WeightedInterval, line_pairs
 
 KINDS = ("rects", "disks", "intervals")
 DISTRIBUTIONS = ("uniform", "clustered", "slab-stress", "chain")
 
 
-@dataclass
 class Instance:
-    kind: str
-    points: list
-    objects: list
-    seed: Optional[int] = None
-    meta: Optional[dict] = None
+    """A problem instance: its kind, points and objects, plus the seed and
+    meta data of a generated one.
+
+    An interval instance read by `loads` keeps its values as exact int
+    pairs (`pairs`); `points` and `objects` are built from them the first
+    time they are read.
+    """
+
+    def __init__(self, kind: str, points: list, objects: list,
+                 seed: Optional[int] = None, meta: Optional[dict] = None):
+        self.kind = kind
+        self.points = points
+        self.objects = objects
+        self.seed = seed
+        self.meta = meta
+        self._pairs = None
+
+    @property
+    def points(self) -> list:
+        if self._points is None:
+            self._points = [Fraction(*x) for x in self._pairs[0]]
+        return self._points
+
+    @points.setter
+    def points(self, points: list):
+        self._points = points
+
+    @property
+    def objects(self) -> list:
+        if self._objects is None:
+            self._objects = [WeightedInterval(Fraction(*lo), Fraction(*hi),
+                                              Fraction(*w))
+                             for lo, hi, w in self._pairs[1]]
+        return self._objects
+
+    @objects.setter
+    def objects(self, objects: list):
+        self._objects = objects
+
+    @property
+    def pairs(self):
+        """An interval instance as exact int pairs, the form `geom.line_pairs`
+        returns: those read from the file while neither list has been read
+        or assigned, else those of the lists."""
+        if self._points is None and self._objects is None:
+            return self._pairs
+        return line_pairs(self.points, self.objects)
 
 
 def _enc(v) -> str:
@@ -81,12 +126,46 @@ def _finite_point(x, y) -> Point:
     return Point(x, y)
 
 
+def rational_pair(v) -> tuple:
+    """The exact (num, den) int pair of a record value: lowest terms, den > 0.
+
+    Accepts and refuses exactly what `Fraction(v)` does.  Plain ASCII "p/q"
+    and "p" strings (digits, a leading "-" on p, q not zero) are split and
+    read with `int`; every other value goes through `Fraction`.
+    """
+    if type(v) is str and v.isascii():
+        num, slash, den = v.partition("/")
+        if num.isdigit() or num[:1] == "-" and num[1:].isdigit():
+            if not slash:
+                return int(num), 1
+            if den.isdigit():
+                num, den = int(num), int(den)
+                if den:
+                    g = math.gcd(num, den)
+                    return (num, den) if g == 1 else (num // g, den // g)
+    return Fraction(v).as_integer_ratio()
+
+
+def _checked_interval(vals) -> tuple:
+    lo, hi, w = map(rational_pair, vals)
+    if lo[0] * hi[1] >= hi[0] * lo[1]:
+        raise ValueError("interval needs lo < hi")
+    if w[0] < 0:
+        raise ValueError("interval weight must be nonnegative")
+    return lo, hi, w
+
+
+def _rational(v) -> Fraction:
+    return Fraction(*rational_pair(v))
+
+
 def loads(text: str) -> Instance:
     """Parse an instance file; a malformed line raises ValueError naming it.
 
     Each record is checked for its tag, a list of the right length, and
     values that convert: exact rationals for rects and intervals, finite
-    floats for disks.
+    floats for disks.  An interval file is kept as exact int pairs (see
+    `Instance`), checked here as `WeightedInterval` would check them.
     """
     rows = enumerate(text.splitlines(), 1)
     for lineno, ln in rows:
@@ -113,30 +192,31 @@ def loads(text: str) -> Instance:
             raise ValueError("line %d: %r record needs a list of length %d"
                              % (lineno, tag, arity[tag]))
         try:
-            if tag == "p":
-                if kind == "intervals":
-                    points.append(Fraction(vals[0]))
-                elif kind == "rects":
-                    points.append(Point(Fraction(vals[0]),
-                                        Fraction(vals[1])))
+            if kind == "intervals":
+                if tag == "p":
+                    points.append(rational_pair(vals[0]))
                 else:
-                    points.append(_finite_point(*vals))
+                    objects.append(_checked_interval(vals))
             elif kind == "rects":
-                l, b, w = vals
-                objects.append(UnitRect(Fraction(l), Fraction(b),
-                                        Fraction(w)))
-            elif kind == "disks":
-                objects.append(UnitDisk(_finite_point(*vals)))
+                if tag == "p":
+                    points.append(Point(*map(_rational, vals)))
+                else:
+                    objects.append(UnitRect(*map(_rational, vals)))
+            elif tag == "p":
+                points.append(_finite_point(*vals))
             else:
-                lo, hi, w = vals
-                objects.append(WeightedInterval(Fraction(lo), Fraction(hi),
-                                                Fraction(w)))
+                objects.append(UnitDisk(_finite_point(*vals)))
         except (TypeError, ValueError, ArithmeticError) as e:
             # Fraction refuses non-numbers, NaN, infinities and "p/0";
-            # the object constructors refuse empty or negative shapes
+            # empty or negative shapes are refused as the objects would
             raise ValueError("line %d: bad %r record: %s"
                              % (lineno, tag, e)) from None
-    return Instance(kind, points, objects, head.get("seed"), head.get("meta"))
+    seed, meta = head.get("seed"), head.get("meta")
+    if kind != "intervals":
+        return Instance(kind, points, objects, seed, meta)
+    inst = Instance(kind, None, None, seed, meta)
+    inst._pairs = points, objects
+    return inst
 
 
 def save(inst: Instance, path) -> None:

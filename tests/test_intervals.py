@@ -1,13 +1,15 @@
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import greedy_trap_instance
+from test_degenerate import _gritty_intervals
 
 from plycover.errors import Infeasible, UnsortedInput
-from plycover.geom import Point, WeightedInterval, ranks
-from plycover.instances import generate
+from plycover.geom import Point, WeightedInterval, as_x, line_pairs, ranks
+from plycover.instances import Instance, dumps, generate, loads
 from plycover.intervals import (DagVertex, IntervalDag, V2,
                                 bottleneck_path, build_dag, chosen_loads,
                                 count_overlapping_pairs, evaluate_objective,
@@ -361,3 +363,95 @@ class TestSolve:
             naive = sum(1 for i in range(len(ivs)) for j in range(i + 1, len(ivs))
                         if max(ivs[i].lo, ivs[j].lo) <= min(ivs[i].hi, ivs[j].hi))
             assert count_overlapping_pairs(ivs) == naive
+
+
+def _fraction_load(text):
+    """Reference reader of an interval file: every value through `Fraction`
+    and every interval through `WeightedInterval`."""
+    points, ivs = [], []
+    for ln in text.splitlines()[1:]:
+        rec = json.loads(ln)
+        if "p" in rec:
+            points.append(F(rec["p"][0]))
+        else:
+            lo, hi, w = rec["i"]
+            ivs.append(WeightedInterval(F(lo), F(hi), F(w)))
+    return points, ivs
+
+
+def _file_instances():
+    rng = random.Random(46)
+    for dist in ("chain", "uniform", "clustered"):
+        for seed in range(8):
+            yield generate("intervals", rng.randint(0, 40),
+                           rng.randint(1, 30), dist, seed=seed + 500)
+    for seed in range(60):
+        points, ivs = _gritty_intervals(random.Random(seed), mixed=True)
+        yield Instance("intervals", [as_x(p) for p in points], ivs)
+
+
+class TestPairPath:
+    def test_pairs_and_objects_solve_alike(self):
+        # the int pairs a file is read into solve exactly as the objects,
+        # and the lazily built objects equal a Fraction-by-Fraction read
+        for inst in _file_instances():
+            text = dumps(inst)
+            back = loads(text)
+            for mode in ("mmsc", "mpc"):
+                from_pairs = solve_intervals(*back.pairs, mode)
+                from_objects = solve_intervals(inst.points, inst.objects, mode)
+                assert from_pairs.chosen == from_objects.chosen
+                assert from_pairs.objective == from_objects.objective
+                assert type(from_pairs.objective) is F
+            points, ivs = _fraction_load(text)
+            assert back.points == points == inst.points
+            assert all(type(x) is F for x in back.points)
+            assert back.objects == ivs == inst.objects
+            assert back.pairs == loads(text).pairs
+
+    def test_pairs_of_objects_are_exact(self):
+        points, ivs = greedy_trap_instance()
+        inst = Instance("intervals", points, ivs)
+        xs, pairs = inst.pairs
+        assert [F(*x) for x in xs] == [as_x(p) for p in points]
+        assert [WeightedInterval(F(*lo), F(*hi), F(*w))
+                for lo, hi, w in pairs] == ivs
+        assert solve_intervals(xs, pairs).chosen == [0, 2, 3]
+
+    def test_pairs_follow_the_lists_once_read(self):
+        inst = loads(dumps(generate("intervals", 6, 5, "chain", seed=2)))
+        file_pairs = inst.pairs
+        inst.points.append(F(100, 3))
+        assert inst.pairs[0] == file_pairs[0] + [(100, 3)]
+        assert inst.pairs[1] == file_pairs[1]
+        inst.objects = inst.objects[:2]
+        assert inst.pairs[1] == file_pairs[1][:2]
+
+    def test_any_int_pairs_solve_as_their_values(self):
+        # pairs a caller builds need not be in lowest terms or have den > 0
+        rng = random.Random(47)
+
+        def scramble(pair):
+            k = rng.choice((1, 2, 3, -1, -6))
+            return pair[0] * k, pair[1] * k
+
+        for seed in range(60):
+            points, ivs = _gritty_intervals(random.Random(seed), mixed=True)
+            xs, pairs = line_pairs(points, ivs)
+            xs = [scramble(x) for x in xs]
+            pairs = [tuple(scramble(v) for v in s) for s in pairs]
+            for mode in ("mmsc", "mpc"):
+                got = solve_intervals(xs, pairs, mode)
+                want = solve_intervals(points, ivs, mode)
+                assert got.chosen == want.chosen, seed
+                assert got.objective == want.objective, seed
+
+    def test_bad_pairs_refused(self):
+        one = (1, 1)
+        for bad, why in ((((0, 1), (0, 5), one), "lo < hi"),
+                         (((1, 3), (2, 6), one), "lo < hi"),
+                         (((1, 1), (0, 1), one), "lo < hi"),
+                         (((0, 1), one, (1, -2)), "nonnegative"),
+                         (((0, 1), one, (-1, 9)), "nonnegative")):
+            with pytest.raises(ValueError, match=why):
+                solve_intervals([], [bad])

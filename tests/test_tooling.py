@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -8,9 +9,11 @@ from fractions import Fraction as F
 import pytest
 
 import plycover
-from plycover.geom import Point, UnitDisk, UnitRect
-from plycover.instances import (Instance, dumps, generate, load, loads, save)
-from plycover.intervals import count_overlapping_pairs
+from plycover import cli
+from plycover.geom import Point, UnitDisk, UnitRect, WeightedInterval
+from plycover.instances import (Instance, dumps, generate, load, loads,
+                                rational_pair, save)
+from plycover.intervals import count_overlapping_pairs, solve_intervals
 from plycover.slabs import CoverSolution, assign_slabs
 from plycover.svg import render_svg
 
@@ -71,6 +74,62 @@ class TestRoundTrip:
                 kind, ",".join(["0"] * (1 if kind == "intervals" else 2)), rec)
             with pytest.raises(ValueError, match="^line 4: "):
                 loads(text)
+
+    def test_interval_refusals_need_no_objects(self):
+        # an interval file is kept as int pairs, so the loader itself must
+        # refuse what WeightedInterval would, before any object is built
+        bad = [('{"i":["2","1","1"]}', "interval needs lo < hi"),
+               ('{"i":["1/2","2/4","1"]}', "interval needs lo < hi"),
+               ('{"i":["-1/3","-1/2","1"]}', "interval needs lo < hi"),
+               ('{"i":["0","1","-1"]}', "interval weight must be nonnegative"),
+               ('{"i":["0","1","-1/7"]}', "interval weight must be "
+                                          "nonnegative")]
+        for rec, why in bad:
+            text = '{"kind":"intervals"}\n{"p":["1/2"]}\n\n%s\n' % rec
+            with pytest.raises(ValueError,
+                               match="^line 4: bad 'i' record: " + why):
+                loads(text)
+        ok = loads('{"kind":"intervals"}\n{"i":["-1/2","-1/3","0"]}\n')
+        assert ok.objects == [WeightedInterval(F(-1, 2), F(-1, 3), F(0))]
+
+
+def _pair_or_none(parse, v):
+    try:
+        return parse(v)
+    except (TypeError, ValueError, ArithmeticError):
+        return None
+
+
+def _fraction_pair(v):
+    return _pair_or_none(lambda x: F(x).as_integer_ratio(), v)
+
+
+class TestRationalPair:
+    def test_same_pairs_and_refusals_as_fraction(self):
+        # int() takes a signed or padded denominator and does not reduce,
+        # so a plain split differs from Fraction on several of these
+        strings = [" 3/4 ", "+3/4", "3/-4", "3 /4", "3/ 4", "-0/5", "00/08",
+                   "3_0", "\u0663/\u0664", "1e3", "0.5", "1/0", "abc", "6/4",
+                   "-6/4", "-", "--3", "-/4", "3/", "/4", "3/4/5", "", " ",
+                   "7", "-7", "0", "-0", "0/0", "12345678901234567890/6",
+                   "1/-0", "\u00b2/3", "3/4\n", "inf", "nan", "1_/2"]
+        values = strings + json.loads(
+            "[true, false, 1e400, -1e400, 0, 7, -12, 123456789012345678901,"
+            " 0.5, -2.75, 0.1, 1e300, 5e-324, -0.0, null, [1], {}]")
+        for v in values:
+            want = _fraction_pair(v)
+            got = _pair_or_none(rational_pair, v)
+            assert got == want, v
+            assert got is None or (type(got[0]) is int
+                                   and type(got[1]) is int)
+
+    def test_random_strings_match_fraction(self):
+        rng = random.Random(8)
+        alphabet = "0123456789-+/ _.e"
+        for _ in range(4000):
+            v = "".join(rng.choice(alphabet)
+                        for _ in range(rng.randint(1, 6)))
+            assert _pair_or_none(rational_pair, v) == _fraction_pair(v), v
 
 
 class TestGenerate:
@@ -152,9 +211,28 @@ def test_cli_import_leaves_numpy_unloaded():
                           timeout=60).returncode == 0
 
 
-def test_benchmark_tracer_wraps_the_solvers():
+def test_interval_solve_builds_no_interval_objects(tmp_path, monkeypatch):
+    # `plycover solve --kind intervals` runs from the loaded int pairs
+    inst = generate("intervals", 40, 30, "clustered", seed=6)
+    want = solve_intervals(inst.points, inst.objects, "mpc")
+    path, out = tmp_path / "inst.jsonl", tmp_path / "sol.json"
+    save(inst, path)
+
+    def refuse(self):
+        raise AssertionError("WeightedInterval built")
+
+    monkeypatch.setattr(WeightedInterval, "__post_init__", refuse)
+    assert cli.main(["solve", "--kind", "intervals", "--mode", "mpc",
+                     "--in", str(path), "--out", str(out)]) == 0
+    sol = json.loads(out.read_text())
+    assert sol["chosen"] == want.chosen
+    assert F(sol["objective"]) == want.objective
+
+
+def test_benchmark_tracer_wraps_the_solvers(tmp_path):
     # perfbench/tracing.py wraps solver functions by name from outside;
-    # a renamed or re-signed one makes `--trace 1` crash in install()
+    # a renamed or re-signed one makes `--trace 1` crash in install(), and
+    # one no longer called leaves its span at zero
     here = os.path.dirname(os.path.abspath(__file__))
     sys.path.insert(0, os.path.join(os.path.dirname(here), "perfbench"))
     try:
@@ -163,6 +241,8 @@ def test_benchmark_tracer_wraps_the_solvers():
         sys.path.pop(0)
     from plycover.slabs import solve_mpc
     from plycover.tricolor import solve_3color
+    ivs = tmp_path / "ivs.jsonl"
+    save(generate("intervals", 20, 16, "uniform", seed=5), ivs)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -171,9 +251,16 @@ def test_benchmark_tracer_wraps_the_solvers():
         solve_mpc(rects.points, rects.objects, "rects")
         solve_mpc(disks.points, disks.objects, "disks")
         solve_3color(disks.points, disks.objects)
+        assert cli.main(["solve", "--kind", "intervals", "--mode", "mmsc",
+                         "--in", str(ivs),
+                         "--out", str(tmp_path / "sol.json")]) == 0
     finally:
         tracer.uninstall()
     counts = tracer.metrics()
+    for span in ("instances.load_s", "solve.self_s", "intervals.prepare_s",
+                 "intervals.build_dag_s", "intervals.bottleneck_s"):
+        assert counts[span] > 0, span
+    assert counts["intervals.dag_vertices"] > 0
     assert counts["stripdag.states"] > 0
     assert counts["slabs.slab_solves"] > 0
     assert counts["tricolor.slab_solves"] > 0

@@ -15,7 +15,8 @@ their centres lie within the window of `disk_depth_within`.  Its depth
 oracle is a `DiskArrangement`, built once per strip problem: the candidate
 points of `geom.disk_candidates` with the masks of the disks producing and
 containing each, so that a depth is a popcount maximum over one disk's
-points.
+points.  A slab's problem, arrangement included, is built once and every
+budget of its ell ladder searches a view of it (`StripProblem.at`).
 
 Because disk extrema cannot be ordered symbolically the way rectangle
 sides can, coinciding extremum and point x-coordinates are removed up
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import DegenerateInstance
 # ply_disks and disk_depth_within stay bound here so that
@@ -146,12 +147,18 @@ def disk_slab_problem(points, disks, ell: int) -> StripProblem:
     return build_problem(points, disk_side_events(disks),
                          lambda o, p: disks[o].contains(p), meets,
                          PlyCache(arrangement.depth_within),
-                         PER_STRIP_FACTOR * ell, ell)
+                         PER_STRIP_FACTOR, ell)
 
 
-def solve_slab_disks(points, disks, ell: int):
-    """Indices of a cover of the slab points with ply <= ell, or None."""
-    return search(disk_slab_problem(points, disks, ell))
+def solve_slab_disks(points, disks, ell: int,
+                     problem: Optional[StripProblem] = None):
+    """Indices of a cover of the slab points with ply <= ell, or None.
+
+    `problem`, this slab's `disk_slab_problem` at any budget, is searched
+    at ell instead of building it again."""
+    if problem is None:
+        problem = disk_slab_problem(points, disks, ell)
+    return search(problem.at(ell))
 
 
 def dedupe_disks(disks):

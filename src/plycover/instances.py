@@ -164,8 +164,9 @@ def loads(text: str) -> Instance:
 
     Each record is checked for its tag, a list of the right length, and
     values that convert: exact rationals for rects and intervals, finite
-    floats for disks.  An interval file is kept as exact int pairs (see
-    `Instance`), checked here as `WeightedInterval` would check them.
+    floats for disks.  JSON booleans are refused in every record.  An
+    interval file is kept as exact int pairs (see `Instance`), checked here
+    as `WeightedInterval` would check them.
     """
     rows = enumerate(text.splitlines(), 1)
     for lineno, ln in rows:
@@ -192,6 +193,10 @@ def loads(text: str) -> Instance:
             raise ValueError("line %d: %r record needs a list of length %d"
                              % (lineno, tag, arity[tag]))
         try:
+            # Fraction and float would take a bool as 1 or 0; json makes
+            # one only from a bare true or false literal
+            if ("true" in ln or "false" in ln) and bool in map(type, vals):
+                raise ValueError("a boolean is not a number")
             if kind == "intervals":
                 if tag == "p":
                     points.append(rational_pair(vals[0]))

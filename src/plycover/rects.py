@@ -11,7 +11,7 @@ inside it.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 # ply_rects stays bound here so that perfbench/tracing.py can wrap it
 from .geom import (EventClass, Point, UnitRect, ply_rects,  # noqa: F401
@@ -50,10 +50,15 @@ def rect_slab_problem(points: Sequence[Point], rects: Sequence[UnitRect],
 
     return build_problem(points, build_strips_rects(rects),
                          lambda o, p: rects[o].contains(p), meets,
-                         PlyCache(added), PER_STRIP_FACTOR * ell, ell)
+                         PlyCache(added), PER_STRIP_FACTOR, ell)
 
 
 def solve_slab_rects(points: Sequence[Point], rects: Sequence[UnitRect],
-                     ell: int):
-    """Indices of a cover of the slab points with ply <= ell, or None."""
-    return search(rect_slab_problem(points, rects, ell))
+                     ell: int, problem: Optional[StripProblem] = None):
+    """Indices of a cover of the slab points with ply <= ell, or None.
+
+    `problem`, this slab's `rect_slab_problem` at any budget, is searched
+    at ell instead of building it again."""
+    if problem is None:
+        problem = rect_slab_problem(points, rects, ell)
+    return search(problem.at(ell))

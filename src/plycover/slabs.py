@@ -6,6 +6,10 @@ its own least budget ell_j; a point of the plane meets chosen objects of at
 most two consecutive slabs, so the union of the slab covers has ply at most
 max_j(ell_j + ell_{j+1}).  The restriction of an optimal cover solves every
 slab at the optimum, so ell_j <= OPT and the union is a 2-approximation.
+A slab's strip problem is built once and every rung of its ladder searches
+a view of it at that budget.  The problem's cover masks show whether a
+point is covered by no object, so the points are scanned against the
+objects only to name such a point.
 
 Disks are attached to slabs by their exact y-extents cy -/+ 0.5, while
 `UnitDisk.contains` is closed under the tolerance EPS_COVER.  Slab
@@ -118,28 +122,40 @@ def slab_offset(points, objects, kind):
 
 def assign_slabs(points, objects, kind) -> list[SlabInstance]:
     """Partition points into height-2 slabs; attach the objects each slab
-    intersects.  Only slabs containing at least one point are returned."""
+    intersects.  Only slabs containing at least one point are returned.
+
+    An object's y-span has height 1, so it meets at most the slab holding
+    its bottom and the next one; only those two are tested, and
+    `yhi > lo and ylo < hi` decides.  Slab indices are exact for rects, on
+    ints.  For disks they are floats, and `slab_offset` keeps every
+    extremum farther from a boundary than their rounding reaches."""
     if kind not in ("rects", "disks"):
         raise ValueError("kind must be 'rects' or 'disks'")
     off = slab_offset(points, objects, kind)
+    if kind == "rects":
+        on, od = off.as_integer_ratio()
+
+        def index(y):
+            # floor((y - off) / 2), without making a Fraction
+            yn, yd = y.as_integer_ratio()
+            return (yn * od - on * yd) // (2 * yd * od)
+        spans = [(r.bottom, r.top) for r in objects]
+    else:
+        def index(y):
+            return math.floor((y - off) / 2)
+        spans = [(d.center.y - 0.5, d.center.y + 0.5) for d in objects]
     by_slab: dict[int, list] = {}
     for p in points:
-        j = math.floor((p.y - off) / 2)
-        by_slab.setdefault(j, []).append(p)
-    spans = []
-    for o in objects:
-        if kind == "rects":
-            spans.append((o.bottom, o.top))
-        else:
-            spans.append((o.center.y - 0.5, o.center.y + 0.5))
-    out = []
-    for j in sorted(by_slab):
-        lo = off + SLAB_HEIGHT * j
-        hi = off + SLAB_HEIGHT * (j + 1)
-        idxs = [i for i, (ylo, yhi) in enumerate(spans)
-                if yhi > lo and ylo < hi]
-        out.append(SlabInstance(j, lo, hi, by_slab[j], idxs))
-    return out
+        by_slab.setdefault(index(p.y), []).append(p)
+    slabs = {j: SlabInstance(j, off + SLAB_HEIGHT * j,
+                             off + SLAB_HEIGHT * (j + 1), by_slab[j], [])
+             for j in sorted(by_slab)}
+    for i, (ylo, yhi) in enumerate(spans):
+        j = index(ylo)
+        for slab in (slabs.get(j), slabs.get(j + 1)):
+            if slab is not None and yhi > slab.y_lo and ylo < slab.y_hi:
+                slab.objects.append(i)
+    return list(slabs.values())
 
 
 def _rank_rects(points, rects):
@@ -170,11 +186,13 @@ def solve_mpc(points, objects, kind,
 
     Each slab takes the least budget ell_j at which its strip search
     succeeds, trying ell = 1, 2, ... up to its number of objects (at which
-    any coverable slab succeeds) or ell_max, whichever is smaller.  When a
-    slab's search fails at its first budget, its points are checked against
-    its objects; a point covered by none raises Infeasible naming it.  A
-    slab that needs more than ell_max raises BudgetExceeded, but only after
-    every slab has been checked, so an uncovered point anywhere wins.
+    any coverable slab succeeds) or ell_max, whichever is smaller.  The
+    slab's strip problem is built once, and every budget searches a view of
+    it.  When the problem's cover masks leave a point uncovered, its points
+    are checked against its objects; a point covered by none raises
+    Infeasible naming it.  A slab that needs more than ell_max raises
+    BudgetExceeded, but only after every slab has been checked, so an
+    uncovered point anywhere wins.
 
     Rectangles are split into slabs on their exact coordinates and then
     solved as Boxes of coordinate ranks (`_rank_rects`).
@@ -196,8 +214,7 @@ def solve_mpc(points, objects, kind,
         def objective(chosen):
             return ply_rects([solve_objects[i] for i in chosen])
 
-        def slab_solve(pts, objs, ell):
-            return _rects.solve_slab_rects(pts, objs, ell)
+        build, slab_solve = _rects.rect_slab_problem, _rects.solve_slab_rects
     else:
         uniq, orig = _disks.dedupe_disks(objects)
         angle = _disks.canonical_rotation(points, uniq)
@@ -208,17 +225,17 @@ def solve_mpc(points, objects, kind,
         def objective(chosen):
             return ply_disks([objects[i] for i in chosen])
 
-        def slab_solve(pts, objs, ell):
-            return _disks.solve_slab_disks(pts, objs, ell)
+        build, slab_solve = _disks.disk_slab_problem, _disks.solve_slab_disks
 
     union: set[int] = set()
     over = None
     for slab, pts in slabs:
         objs = [solve_objects[i] for i in slab.objects]
         cap = len(objs) if ell_max is None else min(ell_max, len(objs))
+        problem = build(pts, objs, 1)
         ell = 1
-        res = slab_solve(pts, objs, ell) if cap >= 1 else None
-        if res is None:
+        res = slab_solve(pts, objs, ell, problem) if cap >= 1 else None
+        if res is None and problem.uncovered:
             for p in pts:
                 if not verify_cover([p], objs):
                     original = dict(zip(solve_points, points))
@@ -226,7 +243,7 @@ def solve_mpc(points, objects, kind,
                                      % (original[p],))
         while res is None and ell < cap:
             ell += 1
-            res = slab_solve(pts, objs, ell)
+            res = slab_solve(pts, objs, ell, problem)
         if res is None:
             over = (slab.index, cap)
         else:

@@ -15,6 +15,13 @@ strip.  Adding q keeps ply within ell without asking the depth oracle when
 fewer than ell members may meet q, because the depth inside q is then at
 most 1 plus that count.  A successor also respects the per-strip cap.
 
+None of that depends on the budget, so a slab's problem is built once and
+`StripProblem.at` applies each budget of its ell ladder to a view sharing
+the events, masks and depth oracle.  A set bit of a cover mask is a
+`contains` test that held, so a point with the empty mask is the only kind
+that can be uncovered; `uncovered` records whether there is one, and then
+no search is run.
+
 `run` is the one search loop.  States are memoized per strip, and for each
 state it keeps the smallest union of chosen objects over the paths that
 reach it, in the sorted-tuple order of index sets (`union_lt`).  Rectangles
@@ -24,7 +31,7 @@ over triples of class masks on the same problem.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 from .geom import EventClass
@@ -97,8 +104,14 @@ class StripProblem:
     strip_cover: list            # k + 1 per-strip lists of point cover masks
     meets: list                  # per object, the mask of objects it may meet
     ply: Optional[PlyCache]      # None for 3-color
-    cap: int                     # max members per strip (3*ell or 8*ell)
+    factor: int                  # members per strip per unit of budget
+    uncovered: bool              # some strip point has the empty cover mask
     ell: int
+    cap: int                     # max members per strip, factor * ell
+
+    def at(self, ell: int) -> StripProblem:
+        """The same problem under budget ell; nothing is rebuilt."""
+        return replace(self, ell=ell, cap=self.factor * ell)
 
 
 def locate_strip_points(points, events) -> list:
@@ -110,16 +123,17 @@ def locate_strip_points(points, events) -> list:
     return strip_points
 
 
-def build_problem(points, events, covers, meets, ply, cap,
-                  ell) -> StripProblem:
-    """One sweep: `covers(o, p)` gives each strip point its cover mask over
-    the objects crossing its strip, and `meets(o, q)` gives each object q
-    the mask of the objects crossing its left side that it may meet.  Every
-    object has one left and one right event."""
-    events = sorted(events)
+def build_problem(points, events, covers, meets, ply, factor,
+                  ell: int = 1) -> StripProblem:
+    """One sweep over `events`, in sweep order: `covers(o, p)` gives each
+    strip point its cover mask over the objects crossing its strip, and
+    `meets(o, q)` gives each object q the mask of the objects crossing its
+    left side that it may meet.  Every object has one left and one right
+    event.  The per-strip cap is `factor * ell`."""
     strip_points = locate_strip_points(points, events)
     meet = [0] * (len(events) // 2)
     strip_cover = []
+    uncovered = False
     active = []
     for i, pts in enumerate(strip_points):
         masks = set()
@@ -129,6 +143,7 @@ def build_problem(points, events, covers, meets, ply, cap,
                 if covers(o, p):
                     m |= 1 << o
             masks.add(m)
+        uncovered = uncovered or 0 in masks
         strip_cover.append(list(masks))
         if i == len(events):
             break
@@ -143,7 +158,8 @@ def build_problem(points, events, covers, meets, ply, cap,
             active.append(q)
         else:
             active.remove(q)
-    return StripProblem(events, strip_cover, meet, ply, cap, ell)
+    return StripProblem(events, strip_cover, meet, ply, factor, uncovered,
+                        ell, factor * ell)
 
 
 def covered(mask: int, cover: list) -> bool:
@@ -185,8 +201,8 @@ def run(problem: StripProblem, step, less, start):
     key of the next strip only the union least under `less` is kept, which
     makes the output deterministic and biased toward small indices.
     """
-    if problem.strip_cover[0]:
-        return None  # a point left of every object side is uncoverable here
+    if problem.uncovered:
+        return None
     states = {start: start}
     for i in range(len(problem.events)):
         nxt = {}

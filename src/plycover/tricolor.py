@@ -84,17 +84,23 @@ def _step(problem, state):
     return out
 
 
-def solve_slab_3color(points, disks):
-    """Three pairwise-disjoint-within classes jointly covering the slab
-    points, as disk index tuples, or None when no 3-colorable cover exists."""
+def _slab_problem(points, disks):
     disks = list(disks)
 
     def meets(o, q):
         return not disks_disjoint(disks[q], disks[o])
 
-    problem = build_problem(points, disk_side_events(disks),
-                            lambda o, p: disks[o].contains(p),
-                            meets, None, MAX_PER_CLASS, 1)
+    return build_problem(points, disk_side_events(disks),
+                         lambda o, p: disks[o].contains(p),
+                         meets, None, MAX_PER_CLASS)
+
+
+def solve_slab_3color(points, disks, problem=None):
+    """Three pairwise-disjoint-within classes jointly covering the slab
+    points, as disk index tuples, or None when no 3-colorable cover exists.
+    `problem` is this slab's strip problem, if already built."""
+    if problem is None:
+        problem = _slab_problem(points, disks)
     unions = run(problem, _step, _classes_lt, _EMPTY)
     return None if unions is None else tuple(tuple(bits(u)) for u in unions)
 
@@ -102,8 +108,8 @@ def solve_slab_3color(points, disks):
 def solve_3color(points, disks) -> CoverSolution:
     """6-colorable cover of the points, or Infeasible when no 3-colorable
     cover exists.  colors maps chosen disk index -> color in 1..6; every
-    color class is pairwise disjoint.  A slab with an uncovered point fails
-    its search, so only a failed slab is checked for one to name."""
+    color class is pairwise disjoint.  Only a failed slab whose cover masks
+    leave a point uncovered is scanned for that point, to name it."""
     points = list(points)
     disks_in = list(disks)
     if not points:
@@ -116,13 +122,15 @@ def solve_3color(points, disks) -> CoverSolution:
     j0 = slabs[0].index
     for slab in slabs:
         objs = [rdks[i] for i in slab.objects]
-        local = solve_slab_3color(slab.points, objs)
-        if local is None:
+        problem = _slab_problem(slab.points, objs)
+        local = solve_slab_3color(slab.points, objs, problem)
+        if local is None and problem.uncovered:
             for p in slab.points:
                 if not verify_cover([p], objs):
                     unrotated = dict(zip(rpts, points))
                     raise Infeasible("point %r is covered by no disk"
                                      % (unrotated[p],))
+        if local is None:
             raise Infeasible("slab %d admits no 3-colorable cover" % slab.index)
         base = 3 * ((slab.index - j0) % 2)
         for a, cls in enumerate(local):

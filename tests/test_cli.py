@@ -166,6 +166,24 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "line 3" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind, body", [
+        ("rects", '{"p":[true,0]}'),
+        ("rects", '{"r":[0,0,true]}'),
+        ("disks", '{"d":[0,false]}'),
+        ("intervals", '{"i":[false,true,true]}'),
+    ])
+    def test_boolean_value_is_refused(self, tmp_path, capsys, kind, body):
+        # json reads true and false as bools, which Fraction and float
+        # would take as 1 and 0
+        inst = tmp_path / "bad.jsonl"
+        first = '{"p":["0"]}' if kind == "intervals" else '{"p":[0,0]}'
+        inst.write_text('{"kind":"%s"}\n%s\n%s\n' % (kind, first, body))
+        assert main(["solve", "--kind", kind, "--in", str(inst),
+                     "--out", str(tmp_path / "s.json")]) == 1
+        err = capsys.readouterr().err
+        assert "line 3: bad %r record" % body[2] in err
+        assert "Traceback" not in err
+
     def test_eps_option_is_gone(self, tmp_path, capsys):
         # the disk tolerance is the constant EPS_COVER: solve and oracle
         # agree on this instance, whose first point lies 4e-4 outside its

@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from plycover import slabs as slabs_mod
+from plycover import tricolor
 from plycover.disks import canonical_rotation, dedupe_disks, rotate_instance
 from plycover.errors import BudgetExceeded, Infeasible
 from plycover.geom import (EPS_COVER, Point, UnitDisk, UnitRect, ply_rects,
@@ -10,8 +13,10 @@ from plycover.geom import (EPS_COVER, Point, UnitDisk, UnitRect, ply_rects,
 from plycover.instances import generate
 from plycover.oracle import exact_min_ply
 from plycover.slabs import _BOUNDARY_TOL, assign_slabs, slab_offset, solve_mpc
+from plycover.tricolor import solve_3color
 
-from conftest import forced_pair_rects
+from conftest import (forced_pair_disks, forced_pair_rects,
+                      ply3_not_3colorable, triangle_3colorable)
 
 
 def sq(left, bottom):
@@ -108,11 +113,84 @@ class TestAssignSlabs:
         with pytest.raises(ValueError):
             assign_slabs([], [], "intervals")
 
+    def test_matches_scan_over_every_slab(self):
+        rng = random.Random(0xA55)
+        near = 0
+        for seed in range(300):
+            if seed % 3 == 0:
+                kind = ("rects", "disks")[seed % 2]
+                inst = generate(kind, rng.randint(1, 15), rng.randint(1, 12),
+                                rng.choice(["uniform", "clustered",
+                                            "slab-stress"]), seed=seed)
+                points, objects = inst.points, inst.objects
+            elif seed % 3 == 1:
+                kind = "rects"
+                points, objects = _mixed_rects(rng)
+            else:
+                kind = "disks"
+                points, objects = _disks_near_boundaries(rng)
+                off = slab_offset(points, objects, kind)
+                near += sum(abs((y - off + 1) % 2 - 1) < 2e-3
+                            for d in objects
+                            for y in (d.center.y - 0.5, d.center.y + 0.5))
+            got = [(s.index, s.y_lo, s.y_hi, s.points, s.objects)
+                   for s in assign_slabs(points, objects, kind)]
+            assert got == _assign_reference(points, objects, kind), seed
+        assert near > 300
+
     def test_boundary_margin_exceeds_the_disk_tolerance(self):
         # a slab attaches disks by their exact y-extents; with point ys and
         # extrema kept _BOUNDARY_TOL from every boundary, no point lies
         # within EPS_COVER of a disk its slab does not hold
         assert _BOUNDARY_TOL > 2 * EPS_COVER
+
+
+def _assign_reference(points, objects, kind):
+    """The scan `assign_slabs` replaced: every object against every slab."""
+    off = slab_offset(points, objects, kind)
+    by_slab = {}
+    for p in points:
+        by_slab.setdefault(math.floor((p.y - off) / 2), []).append(p)
+    if kind == "rects":
+        spans = [(r.bottom, r.top) for r in objects]
+    else:
+        spans = [(d.center.y - 0.5, d.center.y + 0.5) for d in objects]
+    out = []
+    for j in sorted(by_slab):
+        lo, hi = off + 2 * j, off + 2 * (j + 1)
+        out.append((j, lo, hi, by_slab[j],
+                    [i for i, (ylo, yhi) in enumerate(spans)
+                     if yhi > lo and ylo < hi]))
+    return out
+
+
+def _mixed_rects(rng):
+    """Rects and points on coordinates of mixed denominators."""
+    def coord(lo, hi):
+        d = rng.choice((1, 2, 3, 7, 8, 12))
+        return F(rng.randint(lo * d, hi * d), d)
+    rects = [UnitRect(coord(0, 6), coord(-6, 8), coord(1, 2))
+             for _ in range(rng.randint(1, 14))]
+    points = [Point(coord(0, 8), coord(-6, 9))
+              for _ in range(rng.randint(1, 10))]
+    return points, rects
+
+
+def _disks_near_boundaries(rng):
+    """Disks whose extrema lie just off the slab boundaries: with a point at
+    y = 0 below every extremum, the boundaries sit at 2j - 1/(8(C+1)) when
+    the first candidate offset is not blocked."""
+    n, m = rng.randint(1, 6), rng.randint(1, 12)
+    shift = 1.0 / (8 * (n + 2 * m + 1))
+    disks = []
+    for _ in range(m):
+        edge = 2 * rng.randint(1, 5) - shift
+        delta = rng.choice((1, -1)) * rng.choice((2e-7, 1e-6, 1e-5, 1e-3))
+        cy = edge + delta + rng.choice((0.5, -0.5))
+        disks.append(UnitDisk(Point(rng.uniform(0, 6), max(cy, 0.5))))
+    points = [Point(0.0, 0.0)] + [
+        Point(rng.uniform(0, 6), rng.uniform(0.1, 10.5)) for _ in range(n - 1)]
+    return points, disks
 
 
 def _blocking_ys(c):
@@ -273,3 +351,71 @@ class TestPerSlabBudgets:
                 objs = [rd[i] for i in s.objects]
                 opts[s.index] = exact_min_ply(s.points, objs, "disks")[0]
             assert sol.objective <= _slab_bound(opts), seed
+
+
+def _scan_refused(*args):
+    raise AssertionError("points were scanned against the objects")
+
+
+class TestCoverageFromMasks:
+    """The cover masks show that every point is covered, so coverable
+    instances are never scanned point by point."""
+
+    @pytest.fixture(autouse=True)
+    def no_scan(self, monkeypatch):
+        monkeypatch.setattr(slabs_mod, "verify_cover", _scan_refused)
+        monkeypatch.setattr(tricolor, "verify_cover", _scan_refused)
+
+    def test_slabs_needing_two(self):
+        pair_pts, pair_rects = forced_pair_rects()
+        points, rects = _lifted(pair_pts, pair_rects, 10)
+        points, rects = pair_pts + points, pair_rects + rects
+        assert solve_mpc(points, rects, "rects").objective == 2
+        for ell_max in (0, 1):
+            with pytest.raises(BudgetExceeded,
+                               match="within ply budget %d" % ell_max):
+                solve_mpc(points, rects, "rects", ell_max=ell_max)
+        points, disks = forced_pair_disks()
+        assert solve_mpc(points, disks, "disks").objective == 2
+        with pytest.raises(BudgetExceeded, match="within ply budget 1"):
+            solve_mpc(points, disks, "disks", ell_max=1)
+
+    def test_coverable_fuzz(self):
+        rng = random.Random(0xC0F)
+        for seed in range(30):
+            kind = "rects" if seed % 2 else "disks"
+            inst = generate(kind, rng.randint(1, 14), rng.randint(1, 10),
+                            rng.choice(["uniform", "clustered"]), seed=seed)
+            sol = solve_mpc(inst.points, inst.objects, kind)
+            assert sol.objective >= 1
+
+    def test_3color(self):
+        points, disks = triangle_3colorable()
+        assert solve_3color(points, disks).chosen == [0, 1, 2]
+        points, disks = ply3_not_3colorable()
+        with pytest.raises(Infeasible, match="admits no 3-colorable cover"):
+            solve_3color(points, disks)
+
+
+class TestUncoveredWithoutSearch:
+    """Slabs searched at no budget still name an uncovered point."""
+
+    def test_slab_without_objects(self):
+        points = [Point(F(1, 2), F(1, 2)), Point(F(1, 2), F(21, 2))]
+        for ell_max in (None, 0):
+            with pytest.raises(Infeasible, match=r"y=Fraction\(21, 2\)"):
+                solve_mpc(points, [sq(0, 0)], "rects", ell_max=ell_max)
+        disks = [UnitDisk(Point(0.5, 0.5))]
+        points = [Point(0.6, 0.5), Point(0.6, 10.5)]
+        with pytest.raises(Infeasible, match=r"y=10.5"):
+            solve_mpc(points, disks, "disks")
+        with pytest.raises(Infeasible, match=r"y=10.5"):
+            solve_3color(points, disks)
+
+    def test_zero_budget_on_coverable_slab(self):
+        points = [Point(F(1, 2), F(1, 2))]
+        with pytest.raises(BudgetExceeded, match="budget 0"):
+            solve_mpc(points, [sq(0, 0)], "rects", ell_max=0)
+        with pytest.raises(Infeasible, match="covered by no object"):
+            solve_mpc(points + [Point(F(3), F(1, 2))], [sq(0, 0)], "rects",
+                      ell_max=0)

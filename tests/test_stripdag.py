@@ -1,22 +1,26 @@
 """The bitmask strip engine against the tuple engine it replaced
 (`strip_reference`): the same covers, classes and failures on seeded fuzz,
 the bit order rule against tuple order, and the disk arrangement against
-`disk_depth_within`."""
+`disk_depth_within`.  A slab's problem built once and searched at every
+budget of its ladder gives what a fresh build at each budget gives."""
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 import strip_reference as ref
+from conftest import forced_pair_disks
 
-from plycover.disks import DiskArrangement, solve_slab_disks
+from plycover import disks as disks_mod
+from plycover.disks import DiskArrangement, disk_slab_problem, solve_slab_disks
 from plycover.geom import (EPS_COVER, Point, UnitDisk, UnitRect,
                            disk_depth_within, disks_disjoint, ply_disks)
 from plycover.instances import generate
-from plycover.rects import solve_slab_rects
-from plycover.slabs import assign_slabs
+from plycover.rects import rect_slab_problem, solve_slab_rects
+from plycover.slabs import assign_slabs, solve_mpc
 from plycover.stripdag import bits, union_lt
 from plycover.tricolor import solve_slab_3color
 
@@ -62,6 +66,24 @@ def _disk_instances(seed):
         c = rng.choice(disks).center
         a = rng.uniform(0, 2 * math.pi)
         points.append(Point(c.x + 0.4 * math.cos(a), c.y + 0.4 * math.sin(a)))
+    return points, disks
+
+
+def _near_touching_instances(seed):
+    """Pairs of disks at centre distance 1 + k*EPS_COVER in random
+    directions, with a point beyond each far side and sometimes one between
+    them: the disks of a pair meet only within the tolerance, or not."""
+    rng = random.Random(seed)
+    disks, points = [], []
+    for _ in range(rng.randint(1, 3)):
+        d = 1.0 + rng.choice((0, 0.5, 1, 1.5, 2, 3)) * EPS_COVER
+        a = rng.uniform(0, math.pi)
+        ux, uy = math.cos(a), math.sin(a)
+        ox, oy = rng.uniform(0, 5), rng.uniform(0, 1)
+        disks += [UnitDisk(Point(ox, oy)), UnitDisk(Point(ox + d * ux,
+                                                          oy + d * uy))]
+        for s in (-0.45, d + 0.45) + ((d / 2,) if rng.random() < 0.5 else ()):
+            points.append(Point(ox + s * ux, oy + s * uy))
     return points, disks
 
 
@@ -236,3 +258,69 @@ class TestDiskArrangement:
                 disks.append(UnitDisk(Point(c.x + gap * math.cos(0.1 * seed),
                                             c.y + gap * math.sin(0.1 * seed))))
             _assert_depths_agree(disks)
+
+
+def _ladder(pts, objs, build, solve):
+    """Results at ell = 1..3 on one problem built at ell = 1, checked
+    against a fresh build at each ell and against a second pass."""
+    problem = build(pts, objs, 1)
+    got = [solve(pts, objs, ell, problem) for ell in (1, 2, 3)]
+    assert got == [solve(pts, objs, ell) for ell in (1, 2, 3)]
+    assert [solve(pts, objs, ell, problem) for ell in (3, 1, 2)] == [
+        got[2], got[0], got[1]]
+    return got
+
+
+class TestLadderReuse:
+    def test_rects(self):
+        climbed = 0
+        for seed in range(150):
+            for pts, objs in _slabs(*_rect_instances(seed), "rects"):
+                got = _ladder(pts, objs, rect_slab_problem, solve_slab_rects)
+                climbed += got[0] is None and got[2] is not None
+        assert climbed > 10
+
+    def test_disks(self):
+        climbed = 0
+        for seed in range(150):
+            make = (_near_touching_instances, _disk_instances,
+                    _private_point_instances)[seed % 3]
+            for pts, objs in _slabs(*make(seed), "disks"):
+                got = _ladder(pts, objs, disk_slab_problem, solve_slab_disks)
+                climbed += got[0] is None and got[2] is not None
+        assert climbed > 20
+
+    def test_one_arrangement_and_one_event_sort_per_slab(self, monkeypatch):
+        # two slabs, each needing ell = 2; `disk_side_events` makes the one
+        # sort of a problem's events
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(disks_mod, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(disks_mod, name, wrapped)
+        for name in ("DiskArrangement", "disk_side_events",
+                     "solve_slab_disks"):
+            counted(name)
+        pts, dks = forced_pair_disks()
+        points = pts + [Point(p.x + 5, p.y + 10) for p in pts]
+        disks = dks + [UnitDisk(Point(d.center.x + 5, d.center.y + 10))
+                       for d in dks]
+        assert len(assign_slabs(points, disks, "disks")) == 2
+        assert solve_mpc(points, disks, "disks").chosen == [0, 1, 2, 3]
+        assert calls == {"DiskArrangement": 2, "disk_side_events": 2,
+                         "solve_slab_disks": 4}
+
+    def test_uncovered_flag(self):
+        disks = [UnitDisk(Point(0.0, 0.5)), UnitDisk(Point(2.0, 0.5))]
+        inside, left, gap, outside = (Point(0.1, 0.5), Point(-1.0, 0.5),
+                                      Point(1.0, 0.5), Point(0.0, 1.2))
+        assert not disk_slab_problem([inside], disks, 1).uncovered
+        for p in (left, gap, outside):
+            problem = disk_slab_problem([inside, p], disks, 1)
+            assert problem.uncovered
+            assert solve_slab_disks([inside, p], disks, 3, problem) is None
+            assert problem.at(3).uncovered and problem.at(3).cap == 24

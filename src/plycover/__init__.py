@@ -7,8 +7,8 @@ weighted intervals on a line, all cross-checked against brute-force
 oracles.
 """
 
-from .errors import (BudgetExceeded, DegenerateInstance, Infeasible,
-                     InstanceTooLarge, PlyCoverError, UnsortedInput)
+from .errors import (BudgetExceeded, Infeasible, InstanceTooLarge,
+                     PlyCoverError, UnsortedInput)
 from .geom import (EPS_COVER, EventClass, Point, UnitDisk, UnitRect,
                    WeightedInterval, disks_disjoint, membership_at, ply_disks,
                    ply_rects, verify_cover)
@@ -19,8 +19,8 @@ from .slabs import CoverSolution, SlabInstance, assign_slabs, solve_mpc
 from .tricolor import solve_3color
 
 __all__ = [
-    "BudgetExceeded", "CoverSolution", "DegenerateInstance", "EPS_COVER",
-    "EventClass", "Infeasible", "Instance",
+    "BudgetExceeded", "CoverSolution", "EPS_COVER", "EventClass",
+    "Infeasible", "Instance",
     "InstanceTooLarge", "IntervalDag", "PlyCoverError", "Point",
     "SlabInstance", "UnitDisk", "UnitRect", "UnsortedInput",
     "WeightedInterval", "assign_slabs", "bottleneck_path", "build_dag",

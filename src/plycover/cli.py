@@ -13,8 +13,8 @@ import time
 from fractions import Fraction
 
 from . import instances as inst_mod
-from .errors import (BudgetExceeded, DegenerateInstance, Infeasible,
-                     InstanceTooLarge, UnsortedInput)
+from .errors import (BudgetExceeded, Infeasible, InstanceTooLarge,
+                     UnsortedInput)
 from .geom import disks_disjoint, ply_disks, ply_rects, rects_cover
 from .intervals import (chosen_loads, count_overlapping_pairs,
                         evaluate_objective, solve_intervals)
@@ -63,6 +63,8 @@ def _load_instance(path, expect_kind):
 def _cmd_solve(args) -> int:
     if args.mode == "mmsc" and args.kind != "intervals":
         raise _UsageError("--mode mmsc is only valid for --kind intervals")
+    if args.ell_max is not None and args.kind not in ("rects", "disks"):
+        raise _UsageError("--ell-max is only valid for --kind rects or disks")
     inst = _load_instance(args.infile, args.kind)
     t0 = time.perf_counter()
     if args.kind == "intervals":
@@ -172,14 +174,20 @@ def _read_solution(path) -> dict:
     return sol
 
 
-def _cmd_check(args) -> int:
+def _load_solved(args):
+    """(instance, solution) of `--in` and `--solution`, refused unless the
+    solution's kind and chosen indices fit the instance."""
     sol = _read_solution(args.solution)
+    inst = _load_instance(args.infile, sol["kind"])
+    if any(not 0 <= i < len(inst.objects) for i in sol["chosen"]):
+        raise _UsageError("chosen index out of range")
+    return inst, sol
+
+
+def _cmd_check(args) -> int:
+    inst, sol = _load_solved(args)
     kind = sol["kind"]
-    inst = _load_instance(args.infile, kind)
     chosen = sol["chosen"]
-    if any(not 0 <= i < len(inst.objects) for i in chosen):
-        print("chosen index out of range", file=sys.stderr)
-        return EXIT_USAGE
     objs = [inst.objects[i] for i in chosen]
     if kind == "intervals":
         covered = [c > 0 for c in chosen_loads(inst.points, objs)[0]]
@@ -212,11 +220,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    inst = inst_mod.load(args.infile)
-    sol = None
     if args.solution:
-        with open(args.solution) as fh:
-            sol = json.loads(fh.read())
+        inst, sol = _load_solved(args)
+    else:
+        inst, sol = inst_mod.load(args.infile), None
     with open(args.outfile, "w") as fh:
         fh.write(render_svg(inst, sol))
     return EXIT_OK
@@ -305,8 +312,7 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
-    except (UnsortedInput, InstanceTooLarge, DegenerateInstance,
-            ValueError) as e:
+    except (UnsortedInput, InstanceTooLarge, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
     except OSError as e:

@@ -18,72 +18,26 @@ containing each, so that a depth is a popcount maximum over one disk's
 points.  A slab's problem, arrangement included, is built once and every
 budget of its ell ladder searches a view of it (`StripProblem.at`).
 
-Because disk extrema cannot be ordered symbolically the way rectangle
-sides can, coinciding extremum and point x-coordinates are removed up
-front by a global rotation instead.
+Disk extrema and points that share an x-coordinate are ordered as
+rectangle sides are, symbolically by `(x, EventClass, y, obj)`: lefts
+before points before rights.  The solvers run on the input as given, and
+no input is refused as degenerate.
 """
 from __future__ import annotations
 
-import math
-import random
 from typing import Optional, Sequence
 
-from .errors import DegenerateInstance
 # ply_disks and disk_depth_within stay bound here so that
 # perfbench/tracing.py can wrap them; the search uses DiskArrangement
-from .geom import (EPS_COVER, WINDOW_SLACK, EventClass, Point,  # noqa: F401
+from .geom import (EPS_COVER, WINDOW_SLACK, EventClass,  # noqa: F401
                    UnitDisk, disk_candidates, disk_depth_within, ply_disks)
 from .stripdag import PlyCache, SideEvent, StripProblem, build_problem, search
 
 PER_STRIP_FACTOR = 8
 
-_ROTATION_SEED = 0x1D15C5
-
-
-def rotate_point(p: Point, angle: float) -> Point:
-    if angle == 0.0:
-        return p
-    c, s = math.cos(angle), math.sin(angle)
-    return Point(p.x * c - p.y * s, p.x * s + p.y * c)
-
-
-def rotate_instance(points, disks, angle: float):
-    if angle == 0.0:
-        return list(points), list(disks)
-    return ([rotate_point(p, angle) for p in points],
-            [UnitDisk(rotate_point(d.center, angle)) for d in disks])
-
-
-def _extrema_xs(points, disks) -> list:
-    xs = [x for x, _ in {(p.x, p.y) for p in points}]
-    for cx, _ in {(d.center.x, d.center.y) for d in disks}:
-        xs.append(cx - 0.5)
-        xs.append(cx + 0.5)
-    return xs
-
-
-def _all_distinct(xs, tol: float) -> bool:
-    xs = sorted(xs)
-    return all(b - a > tol for a, b in zip(xs, xs[1:]))
-
-
-def canonical_rotation(points, disks) -> float:
-    """Angle making every point and disk-extremum x-coordinate distinct.
-
-    Returns 0 when the input (after collapsing exact duplicates) is already
-    in general position; otherwise a deterministic pseudo-random angle in
-    (0, pi/4), re-tested up to 32 times.
-    """
-    tol = 10 * EPS_COVER
-    if _all_distinct(_extrema_xs(points, disks), tol):
-        return 0.0
-    rng = random.Random(_ROTATION_SEED)
-    for _ in range(32):
-        angle = rng.uniform(1e-4, math.pi / 4 - 1e-4)
-        pts, dks = rotate_instance(points, disks, angle)
-        if _all_distinct(_extrema_xs(pts, dks), tol):
-            return angle
-    raise DegenerateInstance("no rotation separates the x-coordinates")
+# canonical_rotation and rotate_instance stay bound here so that
+# perfbench/tracing.py can wrap them; nothing calls them
+canonical_rotation = rotate_instance = None
 
 
 def disk_side_events(disks: Sequence[UnitDisk]) -> list[SideEvent]:
@@ -165,7 +119,7 @@ def dedupe_disks(disks):
     """Collapse exact duplicates; returns (unique disks, original indices).
 
     A duplicate disk never helps a minimum-ply or 3-colorable cover, and
-    exact coincidences cannot be separated by any rotation.
+    dropping it keeps the strip states free of interchangeable copies.
     """
     seen = set()
     uniq, orig = [], []

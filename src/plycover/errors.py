@@ -13,10 +13,6 @@ class BudgetExceeded(PlyCoverError):
     """The ply budget cap was exhausted without finding a cover."""
 
 
-class DegenerateInstance(PlyCoverError):
-    """General position could not be restored by rotation."""
-
-
 class UnsortedInput(PlyCoverError):
     """Interval input violates the required sorted order."""
 

@@ -216,11 +216,9 @@ def solve_mpc(points, objects, kind,
 
         build, slab_solve = _rects.rect_slab_problem, _rects.solve_slab_rects
     else:
-        uniq, orig = _disks.dedupe_disks(objects)
-        angle = _disks.canonical_rotation(points, uniq)
-        solve_points, solve_objects = _disks.rotate_instance(points, uniq, angle)
+        solve_objects, orig = _disks.dedupe_disks(objects)
         slabs = [(slab, slab.points)
-                 for slab in assign_slabs(solve_points, solve_objects, kind)]
+                 for slab in assign_slabs(points, solve_objects, kind)]
 
         def objective(chosen):
             return ply_disks([objects[i] for i in chosen])
@@ -236,11 +234,10 @@ def solve_mpc(points, objects, kind,
         ell = 1
         res = slab_solve(pts, objs, ell, problem) if cap >= 1 else None
         if res is None and problem.uncovered:
-            for p in pts:
+            for p, given in zip(pts, slab.points):
                 if not verify_cover([p], objs):
-                    original = dict(zip(solve_points, points))
                     raise Infeasible("point %r is covered by no object"
-                                     % (original[p],))
+                                     % (given,))
         while res is None and ell < cap:
             ell += 1
             res = slab_solve(pts, objs, ell, problem)

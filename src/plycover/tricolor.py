@@ -19,8 +19,10 @@ masks.
 """
 from __future__ import annotations
 
-from .disks import (canonical_rotation, dedupe_disks, disk_side_events,
-                    rotate_instance)
+# canonical_rotation and rotate_instance stay bound here so that
+# perfbench/tracing.py can wrap them; nothing calls them
+from .disks import (canonical_rotation, dedupe_disks,  # noqa: F401
+                    disk_side_events, rotate_instance)
 from .errors import Infeasible
 # membership_at stays bound here so that perfbench/tracing.py can wrap it
 from .geom import (EventClass, disks_disjoint, membership_at,  # noqa: F401
@@ -115,21 +117,17 @@ def solve_3color(points, disks) -> CoverSolution:
     if not points:
         return CoverSolution([], 0, colors={})
     uniq, orig = dedupe_disks(disks_in)
-    angle = canonical_rotation(points, uniq)
-    rpts, rdks = rotate_instance(points, uniq, angle)
-    slabs = assign_slabs(rpts, rdks, "disks")
+    slabs = assign_slabs(points, uniq, "disks")
     colors: dict[int, int] = {}
     j0 = slabs[0].index
     for slab in slabs:
-        objs = [rdks[i] for i in slab.objects]
+        objs = [uniq[i] for i in slab.objects]
         problem = _slab_problem(slab.points, objs)
         local = solve_slab_3color(slab.points, objs, problem)
         if local is None and problem.uncovered:
             for p in slab.points:
                 if not verify_cover([p], objs):
-                    unrotated = dict(zip(rpts, points))
-                    raise Infeasible("point %r is covered by no disk"
-                                     % (unrotated[p],))
+                    raise Infeasible("point %r is covered by no disk" % (p,))
         if local is None:
             raise Infeasible("slab %d admits no 3-colorable cover" % slab.index)
         base = 3 * ((slab.index - j0) % 2)

@@ -22,7 +22,7 @@ def greedy_trap_instance():
 
 def _spin(offsets, pivot, shift_y, angle=0.1):
     """Rotate offset vectors about a pivot and lift into the (0, 2) band,
-    so every x-coordinate is generic and no runtime rotation is needed."""
+    so that the fixture's x-coordinates are generic: no two of them tie."""
     c, s = math.cos(angle), math.sin(angle)
     out = []
     for dx, dy in offsets:

@@ -19,9 +19,7 @@ from conftest import greedy_trap_instance, k4_clique, ply3_not_3colorable
 from depth_reference import grid_depth_disks
 
 from plycover.cli import main
-from plycover.disks import (canonical_rotation, dedupe_disks,
-                            disk_side_events, rotate_instance,
-                            solve_slab_disks)
+from plycover.disks import dedupe_disks, disk_side_events, solve_slab_disks
 from plycover.errors import Infeasible
 from plycover.geom import (EventClass, Point, UnitDisk, disks_disjoint,
                            ply_disks, ply_rects, verify_cover)
@@ -197,11 +195,9 @@ def test_criterion_4_disk_approximation():
         assert sol.objective == ply_disks(chosen)
         assert grid_depth_disks(chosen, pitch=0.01) <= sol.objective
         assert sol.objective <= 2 * opt
-        uniq, orig = dedupe_disks(inst.objects)
-        angle = canonical_rotation(inst.points, uniq)
-        rp, rd = rotate_instance(inst.points, uniq, angle)
-        for slab in assign_slabs(rp, rd, "disks"):
-            objs = [rd[i] for i in slab.objects]
+        uniq, _ = dedupe_disks(inst.objects)
+        for slab in assign_slabs(inst.points, uniq, "disks"):
+            objs = [uniq[i] for i in slab.objects]
             slab_opt, _ = exact_min_ply(slab.points, objs, "disks")
             assert solve_slab_disks(slab.points, objs, slab_opt) is not None
     _report(4, "200 disk instances: verified cover, ply <= 2*OPT, grid "
@@ -219,12 +215,10 @@ def test_criterion_5_strip_capacity_bounds():
                 violations += 1
     for inst, opt, wit in _disk_results():
         uniq, orig = dedupe_disks(inst.objects)
-        angle = canonical_rotation(inst.points, uniq)
-        rp, rd = rotate_instance(inst.points, uniq, angle)
         back = {orig[u]: u for u in range(len(uniq))}
-        for slab in assign_slabs(rp, rd, "disks"):
+        for slab in assign_slabs(inst.points, uniq, "disks"):
             local = {g: l for l, g in enumerate(slab.objects)}
-            events = disk_side_events([rd[i] for i in slab.objects])
+            events = disk_side_events([uniq[i] for i in slab.objects])
             witness = {local[back[g]] for g in wit
                        if back.get(g) in local}
             if not _strip_capacity_ok(events, witness, 8 * opt):

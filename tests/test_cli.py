@@ -91,14 +91,20 @@ class TestSolveCheck:
         '{"kind":"3color","chosen":[0],"objective":1,"colors":[1]}',
         '{"kind":"3color","chosen":[0],"objective":1,"colors":{"0":null}}',
         '{"kind":"3color","chosen":[0],"objective":1}',
-        '{"kind":"intervals","chosen":[0,2,3],"objective":"3"'])
-    def test_malformed_solution_is_refused(self, tmp_path, capsys, body):
+        '{"kind":"intervals","chosen":[0,2,3],"objective":"3"',
+        '{"kind":"intervals","chosen":[0,99],"objective":"3"}',
+        '{"kind":"intervals","chosen":[-1],"objective":"3"}'])
+    @pytest.mark.parametrize("command", ["check", "render"])
+    def test_malformed_solution_is_refused(self, tmp_path, capsys, body,
+                                           command):
         inst = tmp_path / "trap.jsonl"
         sol = tmp_path / "sol.json"
         save(_fig_instance(), inst)
         sol.write_text(body)
         capsys.readouterr()
-        assert main(["check", "--in", str(inst), "--solution", str(sol)]) == 1
+        out = ["--out", str(tmp_path / "pic.svg")] if command == "render" else []
+        assert main([command, "--in", str(inst), "--solution", str(sol),
+                     *out]) == 1
         err = capsys.readouterr().err
         assert err.startswith(("usage error:", "error:"))
         assert "Traceback" not in err
@@ -146,6 +152,19 @@ class TestExitCodes:
         save(generate("rects", 2, 2, "uniform", seed=0), inst)
         assert main(["solve", "--kind", "rects", "--mode", "mmsc",
                      "--in", str(inst), "--out", str(tmp_path / "s.json")]) == 1
+
+    @pytest.mark.parametrize("kind,gen_kind", [("3color", "disks"),
+                                               ("intervals", "intervals")])
+    def test_ell_max_outside_rects_and_disks_is_usage_error(
+            self, tmp_path, capsys, kind, gen_kind):
+        inst = tmp_path / "inst.jsonl"
+        out = tmp_path / "s.json"
+        save(generate(gen_kind, 4, 4, "uniform", seed=0), inst)
+        capsys.readouterr()
+        assert main(["solve", "--kind", kind, "--ell-max", "2",
+                     "--in", str(inst), "--out", str(out)]) == 1
+        assert "--ell-max" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 1

@@ -1,15 +1,19 @@
 """Collision-heavy fuzz: coordinates drawn from tiny integer grids so that
 shared endpoints, duplicate objects, and points exactly on boundaries are
 the common case rather than the exception."""
+import json
+import math
 import random
 import re
 from fractions import Fraction as F
 
 import pytest
 
+from plycover.cli import main
 from plycover.errors import Infeasible
 from plycover.geom import (Point, UnitDisk, UnitRect, WeightedInterval,
                            disks_disjoint, ply_disks, ply_rects, verify_cover)
+from plycover.instances import Instance, save
 from plycover.intervals import solve_intervals
 from plycover.oracle import exact_3color_cover, exact_intervals, exact_min_ply
 from plycover.slabs import assign_slabs, solve_mpc
@@ -168,24 +172,86 @@ def _half_grid_disks(rng):
     return pts, disks
 
 
+def _check_disk_pipelines(pts, disks, seed):
+    """Both disk solvers against the oracles on one instance."""
+    try:
+        opt, _ = exact_min_ply(pts, disks, "disks")
+    except Infeasible:
+        with pytest.raises(Infeasible):
+            solve_mpc(pts, disks, "disks")
+        with pytest.raises(Infeasible):
+            solve_3color(pts, disks)
+        return
+    sol = solve_mpc(pts, disks, "disks")
+    chosen = [disks[i] for i in sol.chosen]
+    assert verify_cover(pts, chosen), seed
+    assert sol.objective == ply_disks(chosen)
+    assert sol.objective <= 2 * opt, (seed, sol.objective, opt)
+    witness = exact_3color_cover(pts, disks)
+    try:
+        sol = solve_3color(pts, disks)
+    except Infeasible:
+        assert witness is None, seed
+        return
+    assert verify_cover(pts, [disks[i] for i in sol.chosen]), seed
+    for color in set(sol.colors.values()):
+        cls = [disks[i] for i, c in sol.colors.items() if c == color]
+        assert all(disks_disjoint(a, b)
+                   for k, a in enumerate(cls) for b in cls[k + 1:]), seed
+
+
 def test_disk_pipelines_with_points_at_centres_match_oracles():
     for seed in range(200):
         rng = random.Random(seed + 30_000)
-        pts, disks = _half_grid_disks(rng)
-        opt, _ = exact_min_ply(pts, disks, "disks")
-        sol = solve_mpc(pts, disks, "disks")
-        chosen = [disks[i] for i in sol.chosen]
-        assert verify_cover(pts, chosen), seed
-        assert sol.objective == ply_disks(chosen)
-        assert sol.objective <= 2 * opt, (seed, sol.objective, opt)
-        witness = exact_3color_cover(pts, disks)
-        try:
-            sol = solve_3color(pts, disks)
-        except Infeasible:
-            assert witness is None, seed
-            continue
-        assert verify_cover(pts, [disks[i] for i in sol.chosen]), seed
-        for color in set(sol.colors.values()):
-            cls = [disks[i] for i, c in sol.colors.items() if c == color]
-            assert all(disks_disjoint(a, b)
-                       for k, a in enumerate(cls) for b in cls[k + 1:]), seed
+        _check_disk_pipelines(*_half_grid_disks(rng), seed)
+
+
+def _near_coincident_disks(rng):
+    """Half-grid disks and points, each coordinate moved by nothing or by
+    a jitter of 5e-10 to 7e-9 either way, so that centres, extrema and
+    points tie or nearly tie in x, and some disks nearly duplicate
+    another.  Points sit at a centre or a quarter or half unit away from
+    it along an axis, the half unit moved only inward, so that every
+    point stays covered."""
+    def shift():
+        return rng.choice((0, 1)) * rng.uniform(5e-10, 7e-9)
+
+    def jitter(v):
+        return v + rng.choice((-1, 1)) * shift()
+    disks = []
+    for _ in range(rng.randint(1, 9)):
+        if disks and rng.random() < 0.3:
+            c = rng.choice(disks).center
+        else:
+            c = Point(rng.randint(0, 8) / 2, rng.randint(0, 6) / 2)
+        disks.append(UnitDisk(Point(jitter(c.x), jitter(c.y))))
+    pts = []
+    for _ in range(rng.randint(1, 6)):
+        c = rng.choice(disks).center
+        dx, dy = rng.choice(((0, 0), (0, 0), (0, 0.25), (0, -0.5),
+                             (0, 0.5), (0.25, 0), (-0.5, 0), (0.5, 0)))
+        x = c.x + dx - math.copysign(shift(), dx) if dx else jitter(c.x)
+        y = c.y + dy - math.copysign(shift(), dy) if dy else jitter(c.y)
+        pts.append(Point(x, y))
+    return pts, disks
+
+
+def test_disk_pipelines_on_near_coincident_coordinates_match_oracles():
+    # ties and near-ties far inside the disk tolerance: the (x, class, y,
+    # obj) event order decides them, and no instance is refused
+    for seed in range(200):
+        rng = random.Random(seed + 40_000)
+        _check_disk_pipelines(*_near_coincident_disks(rng), seed)
+
+
+@pytest.mark.parametrize("kind", ["disks", "3color"])
+def test_near_duplicate_disks_solve_from_the_cli(tmp_path, kind):
+    inst = tmp_path / "inst.jsonl"
+    sol = tmp_path / "sol.json"
+    save(Instance("disks", [Point(0.0, 0.5)],
+                  [UnitDisk(Point(0.0, 0.5)),
+                   UnitDisk(Point(0.0, 0.500000005))]), inst)
+    assert main(["solve", "--kind", kind, "--in", str(inst),
+                 "--out", str(sol)]) == 0
+    assert json.loads(sol.read_text())["objective"] == 1
+    assert main(["check", "--in", str(inst), "--solution", str(sol)]) == 0

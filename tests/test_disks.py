@@ -3,9 +3,7 @@ import random
 
 from conftest import forced_pair_disks
 
-from plycover.disks import (canonical_rotation, dedupe_disks,
-                            disk_side_events, rotate_instance,
-                            solve_slab_disks, _extrema_xs)
+from plycover.disks import dedupe_disks, disk_side_events, solve_slab_disks
 from plycover.geom import (EventClass, Point, UnitDisk, ply_disks,
                            verify_cover)
 from plycover.instances import generate
@@ -17,39 +15,33 @@ EIGHT_POINTS = [(sx * 0.25, sy) for sx in (-1, 1)
                 for sy in (-1.125, -0.375, 0.375, 1.125)]
 
 
-class TestRotation:
-    def test_generic_instance_needs_no_rotation(self):
-        rng = random.Random(1)
-        pts = [Point(rng.uniform(0, 5), rng.uniform(0, 3)) for _ in range(6)]
-        dks = [UnitDisk(Point(rng.uniform(0, 5), rng.uniform(0, 3)))
-               for _ in range(6)]
-        assert canonical_rotation(pts, dks) == 0.0
-
-    def test_equal_center_x_rotates(self):
-        dks = [UnitDisk(Point(1.0, 0.0)), UnitDisk(Point(1.0, 2.5))]
-        angle = canonical_rotation([], dks)
-        assert angle != 0.0
-        _, rot = rotate_instance([], dks, angle)
-        xs = sorted(_extrema_xs([], rot))
-        assert all(b - a > 1e-8 for a, b in zip(xs, xs[1:]))
-
+class TestTies:
     def test_points_above_and_at_a_centre_solve(self):
-        # no strip is cut at a centre, so a point sharing a centre's x
-        # needs no rotation (a point at a centre keeps that x under every
-        # rotation) and both searches solve
+        # no strip is cut at a centre, and a point sharing a disk's x is
+        # placed by the symbolic event order; both searches solve
         dks = [UnitDisk(Point(2.0, 0.0))]
         for pts in ([Point(2.0, 0.3)], [Point(2.0, 0.0)]):
-            assert canonical_rotation(pts, dks) == 0.0
             assert solve_mpc(pts, dks, "disks").chosen == [0]
             assert solve_3color(pts, dks).colors == {0: 1}
 
-    def test_duplicate_disks_do_not_block_rotation(self):
-        # exact duplicates collapse before the distinctness check, so they
-        # never force (or defeat) a rotation
+    def test_equal_center_x_ties_break_symbolically(self):
+        # shared extremum x-coordinates, and points on them, are ordered
+        # (x, class, y, obj) as rectangle sides are
+        dks = [UnitDisk(Point(1.0, 0.0)), UnitDisk(Point(1.0, 2.5))]
+        pts = [Point(1.0, 0.0), Point(1.0, 2.5), Point(0.5, 0.0),
+               Point(1.5, 2.5)]
+        events = disk_side_events(dks)
+        assert [(e.cls, e.obj) for e in events] == [
+            (EventClass.LEFT_SIDE, 0), (EventClass.LEFT_SIDE, 1),
+            (EventClass.RIGHT_SIDE, 0), (EventClass.RIGHT_SIDE, 1)]
+        sol = solve_mpc(pts, dks, "disks")
+        assert sol.chosen == [0, 1] and sol.objective == 1
+        assert solve_3color(pts, dks).chosen == [0, 1]
+
+    def test_duplicate_disks_collapse(self):
         dks = [UnitDisk(Point(1.0, 1.0)), UnitDisk(Point(1.0, 1.0))]
         uniq, orig = dedupe_disks(dks)
         assert len(uniq) == 1 and orig == [0]
-        assert canonical_rotation([], dks) == 0.0
 
 
 class TestSolveSlab:
@@ -119,29 +111,17 @@ class TestEightPointCover:
             assert any(d.contains(Point(px, py)) for px, py in EIGHT_POINTS)
 
 
+def _rotate(points, disks, angle):
+    """The instance turned by `angle` about the origin."""
+    c, s = math.cos(angle), math.sin(angle)
+
+    def turn(p):
+        return Point(p.x * c - p.y * s, p.x * s + p.y * c)
+    return [turn(p) for p in points], [UnitDisk(turn(d.center))
+                                       for d in disks]
+
+
 class TestRotationInvariance:
-    def _first_budget(self, points, disks):
-        uniq, _ = dedupe_disks(disks)
-        angle = canonical_rotation(points, uniq)
-        rp, rd = rotate_instance(points, uniq, angle)
-        slabs = assign_slabs(rp, rd, "disks")
-        for ell in range(1, 8):
-            if all(solve_slab_disks(s.points, [rd[i] for i in s.objects], ell)
-                   is not None for s in slabs):
-                return ell
-        raise AssertionError("no budget worked")
-
-    def test_canonical_rotation_is_identity_in_general_position(self):
-        # on general-position instances the canonical rotation is 0, so the
-        # budget the pipeline finds is the unrotated instance's budget
-        rng = random.Random(11)
-        for seed in range(10):
-            inst = generate("disks", rng.randint(1, 8), rng.randint(1, 6),
-                            "uniform", seed=seed)
-            assert canonical_rotation(inst.points, inst.objects) == 0.0
-            base = self._first_budget(inst.points, inst.objects)
-            assert self._first_budget(inst.points, inst.objects) == base
-
     def test_approximation_guarantee_survives_prerotation(self):
         # the slab budget itself depends on the orientation of the slab
         # grid, but the optimum is geometric, so the 2-approximation bound
@@ -152,7 +132,7 @@ class TestRotationInvariance:
                             "uniform", seed=seed)
             opt, _ = exact_min_ply(inst.points, inst.objects, "disks")
             for angle in (0.0, 0.31):
-                rp, rd = rotate_instance(inst.points, inst.objects, angle)
+                rp, rd = _rotate(inst.points, inst.objects, angle)
                 ropt, _ = exact_min_ply(rp, rd, "disks")
                 assert ropt == opt
                 sol = solve_mpc(rp, rd, "disks")

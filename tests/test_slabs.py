@@ -6,7 +6,7 @@ import pytest
 
 from plycover import slabs as slabs_mod
 from plycover import tricolor
-from plycover.disks import canonical_rotation, dedupe_disks, rotate_instance
+from plycover.disks import dedupe_disks
 from plycover.errors import BudgetExceeded, Infeasible
 from plycover.geom import (EPS_COVER, Point, UnitDisk, UnitRect, ply_rects,
                            verify_cover)
@@ -244,7 +244,7 @@ class TestSolveMpc:
     def test_uncovered_point_is_infeasible(self):
         with pytest.raises(Infeasible):
             solve_mpc([Point(F(5), F(5))], [sq(0, 0)], "rects")
-        # equal center x forces a rotation; the message names the input point
+        # disks sharing a centre x; the message names the input point
         disks = [UnitDisk(Point(0.5, 0.7)), UnitDisk(Point(0.5, 3.1))]
         points = [Point(0.55, 0.75), Point(9.0, 3.1)]
         with pytest.raises(Infeasible, match=r"Point\(x=9.0, y=3.1\)"):
@@ -344,11 +344,9 @@ class TestPerSlabBudgets:
                             seed=seed + 1900)
             sol = solve_mpc(inst.points, inst.objects, "disks")
             uniq, _ = dedupe_disks(inst.objects)
-            angle = canonical_rotation(inst.points, uniq)
-            rp, rd = rotate_instance(inst.points, uniq, angle)
             opts = {}
-            for s in assign_slabs(rp, rd, "disks"):
-                objs = [rd[i] for i in s.objects]
+            for s in assign_slabs(inst.points, uniq, "disks"):
+                objs = [uniq[i] for i in s.objects]
                 opts[s.index] = exact_min_ply(s.points, objs, "disks")[0]
             assert sol.objective <= _slab_bound(opts), seed
 

@@ -56,7 +56,7 @@ class TestSolve3Color:
     def test_uncoverable_point_is_infeasible(self):
         with pytest.raises(Infeasible, match=r"Point\(x=9.0, y=9.0\)"):
             solve_3color([Point(9.0, 9.0)], [UnitDisk(Point(0.0, 0.0))])
-        # equal center x forces a rotation; the message names the input point
+        # disks sharing a centre x; the message names the input point
         disks = [UnitDisk(Point(0.5, 0.7)), UnitDisk(Point(0.5, 3.1))]
         points = [Point(0.55, 0.75), Point(9.0, 3.1)]
         with pytest.raises(Infeasible, match=r"Point\(x=9.0, y=3.1\)"):

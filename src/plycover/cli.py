@@ -65,6 +65,9 @@ def _cmd_solve(args) -> int:
         raise _UsageError("--mode mmsc is only valid for --kind intervals")
     if args.ell_max is not None and args.kind not in ("rects", "disks"):
         raise _UsageError("--ell-max is only valid for --kind rects or disks")
+    if args.ell_max is not None and args.ell_max < 1:
+        raise _UsageError("--ell-max must be a positive integer, got %d"
+                          % args.ell_max)
     inst = _load_instance(args.infile, args.kind)
     t0 = time.perf_counter()
     if args.kind == "intervals":
@@ -128,8 +131,6 @@ def _cmd_gen(args) -> int:
 
 def _check_colors(inst, sol) -> str | None:
     colors = {int(k): v for k, v in sol["colors"].items()}
-    if sorted(colors) != sorted(sol["chosen"]):
-        return "colors do not partition the chosen set"
     if any(not 1 <= c <= 6 for c in colors.values()):
         return "color out of range 1..6"
     by_class: dict[int, list] = {}
@@ -176,8 +177,12 @@ def _read_solution(path) -> dict:
 
 def _load_solved(args):
     """(instance, solution) of `--in` and `--solution`, refused unless the
-    solution's kind and chosen indices fit the instance."""
+    solution's kind and chosen indices fit the instance and a 3-color
+    solution's colors map partitions its chosen set."""
     sol = _read_solution(args.solution)
+    if sol["kind"] == "3color" and (sorted(int(k) for k in sol["colors"])
+                                    != sorted(sol["chosen"])):
+        raise _UsageError("colors do not partition the chosen set")
     inst = _load_instance(args.infile, sol["kind"])
     if any(not 0 <= i < len(inst.objects) for i in sol["chosen"]):
         raise _UsageError("chosen index out of range")

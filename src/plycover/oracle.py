@@ -9,8 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import Infeasible, InstanceTooLarge
-from .geom import (as_x, disk_depth_within, disks_disjoint, ply_disks,
-                   ply_rects, rect_depth_within)
+from .geom import as_x, disk_depth_within, disks_disjoint, rect_depth_within
 
 MAX_MIN_PLY = 20
 MAX_3COLOR = 12
@@ -84,33 +83,6 @@ def exact_min_ply(points, objects, kind):
 
     rec(0, 0, 0)
     return best[0], best[1]
-
-
-def exhaustive_min_ply(points, objects, kind):
-    """Unpruned full enumeration; cross-check for exact_min_ply."""
-    if len(objects) > 16:
-        raise InstanceTooLarge("at most 16 objects for full enumeration")
-    points = list(points)
-    objects = list(objects)
-    ply_of = ply_rects if kind == "rects" else ply_disks
-    n, m = len(points), len(objects)
-    full = (1 << n) - 1
-    masks = _cover_masks(points, objects)
-    best = None
-    for mask in range(1 << m):
-        covered = 0
-        for i in range(m):
-            if mask >> i & 1:
-                covered |= masks[i]
-        if covered != full:
-            continue
-        subset = [i for i in range(m) if mask >> i & 1]
-        cand = (ply_of([objects[i] for i in subset]), subset)
-        if best is None or cand < best:
-            best = cand
-    if best is None:
-        raise Infeasible("some point is covered by no object")
-    return best
 
 
 def exact_3color_cover(points, disks):

@@ -11,6 +11,14 @@ a view of it at that budget.  The problem's cover masks show whether a
 point is covered by no object, so the points are scanned against the
 objects only to name such a point.
 
+Each slab is searched over its live objects only (`live_objects`): those
+that contain at least one of its points.  This keeps every guarantee.  An
+optimal cover restricted to the live objects still covers the slab's
+points at ply <= OPT, so the slab is still solved at some ell_j <= OPT; a
+3-colorable cover minus some disks stays 3-colorable (`tricolor`); and a
+point covered by no object is covered by no live one, so `Infeasible`
+still names it.
+
 Disks are attached to slabs by their exact y-extents cy -/+ 0.5, while
 `UnitDisk.contains` is closed under the tolerance EPS_COVER.  Slab
 boundaries keep `_BOUNDARY_TOL` from every point y and disk extremum, and
@@ -20,16 +28,18 @@ tolerance of a disk the slab does not hold.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional
 
 from . import disks as _disks
 from . import rects as _rects
 from .errors import BudgetExceeded, Infeasible
 # membership_at stays bound here so that perfbench/tracing.py can wrap it
-from .geom import (Box, Point, membership_at, ply_disks,  # noqa: F401
-                   ply_rects, ranks, verify_cover)
+from .geom import (EPS_COVER, WINDOW_SLACK, Box, Point,  # noqa: F401
+                   membership_at, ply_disks, ply_rects, ranks, verify_cover)
 
 SLAB_HEIGHT = 2
 
@@ -158,6 +168,32 @@ def assign_slabs(points, objects, kind) -> list[SlabInstance]:
     return list(slabs.values())
 
 
+def live_objects(points, objects, indices, kind) -> list:
+    """The indices in `indices` whose object contains at least one of
+    `points`, in their given order.
+
+    The points are sorted by x once.  Each object tests only the points in
+    its x-window, found by bisection, and stops at its first hit: the
+    window is [left, right] for rectangles and `Box`es, and cx -/+ (0.5 +
+    EPS_COVER + WINDOW_SLACK) for disks.  It holds every point `contains`
+    can accept, and `contains` decides.
+    """
+    pts = sorted(points, key=attrgetter("x"))
+    xs = [p.x for p in pts]
+    reach = 0.5 + EPS_COVER + WINDOW_SLACK
+    live = []
+    for i in indices:
+        o = objects[i]
+        if kind == "rects":
+            lo, hi = o.left, o.right
+        else:
+            lo, hi = o.center.x - reach, o.center.x + reach
+        window = pts[bisect_left(xs, lo):bisect_right(xs, hi)]
+        if any(map(o.contains, window)):
+            live.append(i)
+    return live
+
+
 def _rank_rects(points, rects):
     """The rect instance on coordinate ranks: (rank Points, Boxes).
 
@@ -184,13 +220,13 @@ def solve_mpc(points, objects, kind,
               ell_max: Optional[int] = None) -> CoverSolution:
     """2-approximate minimum ply cover for unit-height rectangles or disks.
 
-    Each slab takes the least budget ell_j at which its strip search
-    succeeds, trying ell = 1, 2, ... up to its number of objects (at which
-    any coverable slab succeeds) or ell_max, whichever is smaller.  The
-    slab's strip problem is built once, and every budget searches a view of
-    it.  When the problem's cover masks leave a point uncovered, its points
-    are checked against its objects; a point covered by none raises
-    Infeasible naming it.  A slab that needs more than ell_max raises
+    Each slab is searched over its live objects, and takes the least
+    budget ell_j at which its strip search succeeds, trying ell = 1, 2, ...
+    up to its number of live objects (at which any coverable slab succeeds)
+    or ell_max, whichever is smaller.  The slab's strip problem is built
+    once, and every budget searches a view of it.  When the problem's cover
+    masks leave a point uncovered, its points are checked against its
+    objects; a point covered by none raises Infeasible naming it.  A slab that needs more than ell_max raises
     BudgetExceeded, but only after every slab has been checked, so an
     uncovered point anywhere wins.
 
@@ -228,7 +264,8 @@ def solve_mpc(points, objects, kind,
     union: set[int] = set()
     over = None
     for slab, pts in slabs:
-        objs = [solve_objects[i] for i in slab.objects]
+        live = live_objects(pts, solve_objects, slab.objects, kind)
+        objs = [solve_objects[i] for i in live]
         cap = len(objs) if ell_max is None else min(ell_max, len(objs))
         problem = build(pts, objs, 1)
         ell = 1
@@ -244,7 +281,7 @@ def solve_mpc(points, objects, kind,
         if res is None:
             over = (slab.index, cap)
         else:
-            union.update(slab.objects[i] for i in res)
+            union.update(live[i] for i in res)
     if over is not None:
         raise BudgetExceeded("slab %d has no cover within ply budget %d"
                              % over)

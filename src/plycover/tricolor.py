@@ -9,6 +9,13 @@ globally restricts to a 3-colorable cover of every slab, hence a failed
 slab proves global infeasibility and the 6-colorable output is at most a
 factor 2 from the optimum.
 
+Each slab is searched over its live disks only, those containing one of
+its points (`slabs.live_objects`).  A 3-colorable cover of the slab minus
+the disks that cover none of its points is still a 3-colorable cover of
+it, so a slab that fails on its live disks fails on all of them; and a
+point covered by no disk is covered by no live one, so `Infeasible` still
+names it.
+
 The slab search is `stripdag.run` on a strip problem whose meet masks are
 conflict masks: an entering disk's mask holds the disks crossing its left
 side that it is not disjoint from, so it may join a class iff the class
@@ -27,7 +34,7 @@ from .errors import Infeasible
 # membership_at stays bound here so that perfbench/tracing.py can wrap it
 from .geom import (EventClass, disks_disjoint, membership_at,  # noqa: F401
                    ply_disks, verify_cover)
-from .slabs import CoverSolution, assign_slabs
+from .slabs import CoverSolution, assign_slabs, live_objects
 from .stripdag import bits, build_problem, covered, run, union_lt
 
 MAX_PER_CLASS = 8
@@ -110,8 +117,9 @@ def solve_slab_3color(points, disks, problem=None):
 def solve_3color(points, disks) -> CoverSolution:
     """6-colorable cover of the points, or Infeasible when no 3-colorable
     cover exists.  colors maps chosen disk index -> color in 1..6; every
-    color class is pairwise disjoint.  Only a failed slab whose cover masks
-    leave a point uncovered is scanned for that point, to name it."""
+    color class is pairwise disjoint.  Each slab is searched over its live
+    disks.  Only a failed slab whose cover masks leave a point uncovered is
+    scanned for that point, to name it."""
     points = list(points)
     disks_in = list(disks)
     if not points:
@@ -121,7 +129,8 @@ def solve_3color(points, disks) -> CoverSolution:
     colors: dict[int, int] = {}
     j0 = slabs[0].index
     for slab in slabs:
-        objs = [uniq[i] for i in slab.objects]
+        live = live_objects(slab.points, uniq, slab.objects, "disks")
+        objs = [uniq[i] for i in live]
         problem = _slab_problem(slab.points, objs)
         local = solve_slab_3color(slab.points, objs, problem)
         if local is None and problem.uncovered:
@@ -133,7 +142,7 @@ def solve_3color(points, disks) -> CoverSolution:
         base = 3 * ((slab.index - j0) % 2)
         for a, cls in enumerate(local):
             for li in cls:
-                colors.setdefault(orig[slab.objects[li]], base + a + 1)
+                colors.setdefault(orig[live[li]], base + a + 1)
     chosen = sorted(colors)
     objective = ply_disks([disks_in[i] for i in chosen])
     return CoverSolution(chosen, objective, colors=colors)

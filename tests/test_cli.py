@@ -91,6 +91,7 @@ class TestSolveCheck:
         '{"kind":"3color","chosen":[0],"objective":1,"colors":[1]}',
         '{"kind":"3color","chosen":[0],"objective":1,"colors":{"0":null}}',
         '{"kind":"3color","chosen":[0],"objective":1}',
+        '{"kind":"3color","chosen":[0],"objective":1,"colors":{"99":1}}',
         '{"kind":"intervals","chosen":[0,2,3],"objective":"3"',
         '{"kind":"intervals","chosen":[0,99],"objective":"3"}',
         '{"kind":"intervals","chosen":[-1],"objective":"3"}'])
@@ -108,6 +109,28 @@ class TestSolveCheck:
         err = capsys.readouterr().err
         assert err.startswith(("usage error:", "error:"))
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["check", "render"])
+    def test_colors_not_partitioning_chosen_are_refused(self, tmp_path,
+                                                        capsys, command):
+        inst = tmp_path / "disks.jsonl"
+        sol = tmp_path / "sol.json"
+        assert main(["gen", "--kind", "disks", "-n", "6", "-m", "6",
+                     "--seed", "0", "--out", str(inst)]) == 0
+        assert main(["solve", "--kind", "3color", "--in", str(inst),
+                     "--out", str(sol)]) == 0
+        data = json.loads(sol.read_text())
+        first = str(data["chosen"][0])
+        data["colors"]["99"] = data["colors"].pop(first)
+        sol.write_text(json.dumps(data))
+        capsys.readouterr()
+        out = ["--out", str(tmp_path / "pic.svg")] if command == "render" else []
+        assert main([command, "--in", str(inst), "--solution", str(sol),
+                     *out]) == 1
+        err = capsys.readouterr().err
+        assert "colors do not partition the chosen set" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "pic.svg").exists()
 
     def test_intervals_third_weights_round_trip(self, tmp_path):
         inst = tmp_path / "inst.jsonl"
@@ -164,6 +187,20 @@ class TestExitCodes:
         assert main(["solve", "--kind", kind, "--ell-max", "2",
                      "--in", str(inst), "--out", str(out)]) == 1
         assert "--ell-max" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ell_max", ["0", "-1"])
+    @pytest.mark.parametrize("kind", ["rects", "disks"])
+    def test_non_positive_ell_max_is_usage_error(self, tmp_path, capsys,
+                                                 kind, ell_max):
+        inst = tmp_path / "inst.jsonl"
+        out = tmp_path / "s.json"
+        save(generate(kind, 4, 4, "uniform", seed=0), inst)
+        capsys.readouterr()
+        assert main(["solve", "--kind", kind, "--ell-max", ell_max,
+                     "--in", str(inst), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--ell-max" in err
         assert not out.exists()
 
     def test_unknown_subcommand_is_usage_error(self):

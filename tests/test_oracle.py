@@ -5,13 +5,13 @@ import pytest
 
 from conftest import greedy_trap_instance, k4_clique
 from depth_reference import grid_depth_disks
+from oracle_reference import exhaustive_min_ply
 
 from plycover.errors import Infeasible, InstanceTooLarge
 from plycover.geom import (Point, UnitDisk, UnitRect, WeightedInterval,
                            ply_disks, ply_rects, verify_cover)
 from plycover.instances import generate
-from plycover.oracle import (exact_3color_cover, exact_intervals,
-                             exact_min_ply, exhaustive_min_ply)
+from plycover.oracle import exact_3color_cover, exact_intervals, exact_min_ply
 
 
 class TestCaps:

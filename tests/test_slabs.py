@@ -1,18 +1,22 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
+from plycover import disks as disks_mod
+from plycover import rects as rects_mod
 from plycover import slabs as slabs_mod
-from plycover import tricolor
+from plycover import stripdag, tricolor
 from plycover.disks import dedupe_disks
 from plycover.errors import BudgetExceeded, Infeasible
 from plycover.geom import (EPS_COVER, Point, UnitDisk, UnitRect, ply_rects,
                            verify_cover)
 from plycover.instances import generate
 from plycover.oracle import exact_min_ply
-from plycover.slabs import _BOUNDARY_TOL, assign_slabs, slab_offset, solve_mpc
+from plycover.slabs import (_BOUNDARY_TOL, assign_slabs, live_objects,
+                            slab_offset, solve_mpc)
 from plycover.tricolor import solve_3color
 
 from conftest import (forced_pair_disks, forced_pair_rects,
@@ -417,3 +421,155 @@ class TestUncoveredWithoutSearch:
         with pytest.raises(Infeasible, match="covered by no object"):
             solve_mpc(points + [Point(F(3), F(1, 2))], [sq(0, 0)], "rects",
                       ell_max=0)
+
+
+def _brute_live(points, objects, indices):
+    return [i for i in indices if any(objects[i].contains(p) for p in points)]
+
+
+def _half_grid_rects(rng):
+    """Rects with sides on the half-integer grid, so sides are shared and
+    abut, and points on that grid, some at rect corners."""
+    rects = [UnitRect(F(rng.randint(0, 12), 2), F(rng.randint(0, 8), 2),
+                      F(rng.randint(1, 4), 2))
+             for _ in range(rng.randint(1, 10))]
+    points = [Point(F(rng.randint(-1, 16), 2), F(rng.randint(-1, 12), 2))
+              for _ in range(rng.randint(1, 8))]
+    for _ in range(rng.randint(0, 4)):
+        r = rng.choice(rects)
+        points.append(Point(rng.choice((r.left, r.right)),
+                            rng.choice((r.bottom, r.top))))
+    return points, rects
+
+
+def _grid_disks_with_edge_points(rng):
+    """Disks centred on the half-integer grid, with points at centres, on
+    the boundary circle at the x-extrema and just inside and outside the
+    tolerance there."""
+    disks = [UnitDisk(Point(rng.randint(0, 8) / 2, rng.randint(0, 6) / 2))
+             for _ in range(rng.randint(1, 9))]
+    points = [Point(rng.uniform(-1, 5), rng.uniform(-1, 4))
+              for _ in range(rng.randint(0, 4))]
+    for _ in range(rng.randint(1, 8)):
+        c = rng.choice(disks).center
+        dx = rng.choice((0.0, 0.5, 0.5 + EPS_COVER / 2, 0.5 + 2 * EPS_COVER))
+        dy = rng.choice((0.0, 0.0, 0.25, 0.5))
+        points.append(Point(c.x + rng.choice((-1, 1)) * dx,
+                            c.y + rng.choice((-1, 1)) * dy))
+    return points, disks
+
+
+class TestLiveObjects:
+    """Each slab is searched over the objects that contain one of its
+    points, and nothing else reaches its strip problem."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        # per strip problem built: for each object in its events, whether
+        # it contains one of the problem's points
+        seen = []
+
+        def spy(points, events, covers, *rest):
+            objs = sorted({ev.obj for ev in events})
+            seen.append([any(covers(o, p) for p in points) for o in objs])
+            return stripdag.build_problem(points, events, covers, *rest)
+
+        for mod in (rects_mod, disks_mod, tricolor):
+            monkeypatch.setattr(mod, "build_problem", spy)
+        return seen
+
+    @pytest.mark.parametrize("kind", ["rects", "disks", "3color"])
+    def test_object_covering_no_slab_point_is_never_built(self, built, kind):
+        if kind == "rects":
+            points, objects = [Point(F(1, 2), F(1, 2))], [sq(0, 0), sq(5, 0)]
+        else:
+            points = [Point(0.5, 0.5)]
+            objects = [UnitDisk(Point(0.5, 0.5)), UnitDisk(Point(5.0, 0.5))]
+        obj_kind = "rects" if kind == "rects" else "disks"
+        assert assign_slabs(points, objects, obj_kind)[0].objects == [0, 1]
+        if kind == "3color":
+            sol = solve_3color(points, objects)
+        else:
+            sol = solve_mpc(points, objects, kind)
+        assert sol.chosen == [0]
+        assert built == [[True]]
+
+    @pytest.mark.parametrize("kind", ["rects", "disks", "3color"])
+    def test_fuzz_builds_exactly_the_live_objects(self, built, kind):
+        rng = random.Random(0x11E + len(kind))
+        obj_kind = "rects" if kind == "rects" else "disks"
+        live = dead = 0
+        for seed in range(40):
+            inst = generate(obj_kind, rng.randint(4, 20), rng.randint(4, 14),
+                            rng.choice(["uniform", "clustered",
+                                        "slab-stress"]), seed=seed)
+            objects = inst.objects
+            if obj_kind == "disks":
+                objects, _ = dedupe_disks(objects)
+            for s in assign_slabs(inst.points, objects, obj_kind):
+                n = len(_brute_live(s.points, objects, s.objects))
+                live += n
+                dead += len(s.objects) - n
+            try:
+                if kind == "3color":
+                    solve_3color(inst.points, inst.objects)
+                else:
+                    solve_mpc(inst.points, inst.objects, kind)
+            except Infeasible:
+                assert kind == "3color"
+        assert dead > 0
+        assert all(all(flags) for flags in built)
+        assert sum(len(flags) for flags in built) == live
+
+    @pytest.mark.parametrize("points, objects", [
+        ([Point(F(5), F(5))], [sq(0, 0)]),
+        _two_slabs(True),
+        _two_slabs(False),
+        ([Point(F(1, 2), F(1, 2)), Point(F(3), F(1, 2))], [sq(0, 0), sq(5, 0)]),
+        ([Point(0.55, 0.75), Point(9.0, 3.1)],
+         [UnitDisk(Point(0.5, 0.7)), UnitDisk(Point(0.5, 3.1))]),
+        ([Point(9.0, 9.0)], [UnitDisk(Point(0.0, 0.0))]),
+        ([Point(0.6, 0.5), Point(0.6, 10.5)], [UnitDisk(Point(0.5, 0.5))]),
+        ([Point(0.5, 0.5), Point(3.0, 0.5)],
+         [UnitDisk(Point(0.5, 0.5)), UnitDisk(Point(5.0, 0.5))]),
+    ])
+    def test_infeasible_names_the_input_point(self, points, objects):
+        lost, = [p for p in points
+                 if not any(o.contains(p) for o in objects)]
+        name = re.escape(repr(lost))
+        if isinstance(objects[0], UnitRect):
+            with pytest.raises(Infeasible, match=name):
+                solve_mpc(points, objects, "rects")
+            return
+        with pytest.raises(Infeasible, match=name):
+            solve_mpc(points, objects, "disks")
+        with pytest.raises(Infeasible, match=name):
+            solve_3color(points, objects)
+
+    def test_rects_match_brute_force_on_half_grid(self):
+        rng = random.Random(0x11F)
+        for seed in range(300):
+            points, rects = _half_grid_rects(rng)
+            rank_points, boxes = slabs_mod._rank_rects(points, rects)
+            to_rank = dict(zip(points, rank_points))
+            every = range(len(rects))
+            assert (live_objects(points, rects, every, "rects")
+                    == _brute_live(points, rects, every)), seed
+            for s in assign_slabs(points, rects, "rects"):
+                want = _brute_live(s.points, rects, s.objects)
+                assert live_objects(s.points, rects, s.objects,
+                                    "rects") == want, seed
+                pts = [to_rank[p] for p in s.points]
+                assert live_objects(pts, boxes, s.objects, "rects") == want
+                assert _brute_live(pts, boxes, s.objects) == want
+
+    def test_disks_match_brute_force_on_half_grid(self):
+        rng = random.Random(0xD11F)
+        for seed in range(300):
+            points, disks = _grid_disks_with_edge_points(rng)
+            every = range(len(disks))
+            assert (live_objects(points, disks, every, "disks")
+                    == _brute_live(points, disks, every)), seed
+            for s in assign_slabs(points, disks, "disks"):
+                assert (live_objects(s.points, disks, s.objects, "disks")
+                        == _brute_live(s.points, disks, s.objects)), seed

@@ -86,7 +86,7 @@ class DiskArrangement:
         return best
 
 
-def disk_slab_problem(points, disks, ell: int) -> StripProblem:
+def disk_slab_problem(points, disks, ell: int = 1) -> StripProblem:
     disks = list(disks)
     arrangement = DiskArrangement(disks)
     reach = 1.0 + 2.0 * EPS_COVER + WINDOW_SLACK

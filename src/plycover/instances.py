@@ -355,6 +355,8 @@ def generate(kind: str, n: int, m: int, distribution: str = "uniform",
         raise ValueError("chain distribution is interval-only")
     if distribution == "slab-stress" and kind == "intervals":
         raise ValueError("slab-stress distribution needs a 2-D kind")
+    if n < 0:
+        raise ValueError("need a nonnegative number of points")
     if m <= 0:
         raise ValueError("need at least one object")
     rng = random.Random(seed)

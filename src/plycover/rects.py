@@ -1,9 +1,9 @@
 """Ply-budget cover search for unit-height rectangles inside one slab.
 
 No more than 3*ell rectangles of a ply-ell solution can intersect a single
-strip: a vertical line through the strip meets the slab in a segment of
-length 2, and every rectangle spanning the strip contains its top, middle,
-or bottom point.
+strip: a vertical line through the strip meets the closed slab in a
+segment of length 2, and every rectangle of the slab spanning the strip
+contains its top, middle, or bottom point.
 
 The strip search is `stripdag`'s.  A rectangle may meet another when their
 closed boxes intersect, which is exactly when it can raise the depth
@@ -36,7 +36,7 @@ def build_strips_rects(rects: Sequence[UnitRect]) -> list[SideEvent]:
 
 
 def rect_slab_problem(points: Sequence[Point], rects: Sequence[UnitRect],
-                      ell: int) -> StripProblem:
+                      ell: int = 1) -> StripProblem:
     rects = list(rects)
     sides = [(r.left, r.right, r.bottom, r.top) for r in rects]
 

@@ -1,15 +1,26 @@
-"""Height-2 slab decomposition and the per-slab ply budgets.
+"""Height-2 slab decomposition and the one per-slab loop of the 2-D
+solvers.
 
-Points fall in exactly one slab and every unit-height object intersects at
-most two consecutive slabs.  Each slab j is searched upward from ell = 1 to
-its own least budget ell_j; a point of the plane meets chosen objects of at
-most two consecutive slabs, so the union of the slab covers has ply at most
+Points fall in exactly one slab and every unit-height object meets at
+most two consecutive slabs.  `search_slabs` searches each slab on its own,
+for `solve_mpc` (rects and disks) and `tricolor.solve_3color` alike: it
+ranks rects into `Box`es or dedupes disks, assigns slabs, builds each
+slab's strip problem once over the slab's live objects, walks the slab's
+ladder of budgets on views of that problem, and maps each result back to
+input indices.
+
+`solve_mpc` searches each slab j upward from ell = 1 to its own least
+budget ell_j; a point of the plane meets chosen objects of at most two
+consecutive slabs, so the union of the slab covers has ply at most
 max_j(ell_j + ell_{j+1}).  The restriction of an optimal cover solves every
 slab at the optimum, so ell_j <= OPT and the union is a 2-approximation.
-A slab's strip problem is built once and every rung of its ladder searches
-a view of it at that budget.  The problem's cover masks show whether a
-point is covered by no object, so the points are scanned against the
-objects only to name such a point.
+The 3-color ladder has one rung.
+
+Every solver fails in one order.  A point covered by no object, in any
+slab, raises Infeasible naming it; the strip problem's cover masks name
+it (`StripProblem.uncovered`), so no point is scanned against the
+objects.  Otherwise the lowest slab whose ladder fails is reported, and
+the slabs above it are built, for that check, but not searched.
 
 Each slab is searched over its live objects only (`live_objects`): those
 that contain at least one of its points.  This keeps every guarantee.  An
@@ -18,12 +29,6 @@ points at ply <= OPT, so the slab is still solved at some ell_j <= OPT; a
 3-colorable cover minus some disks stays 3-colorable (`tricolor`); and a
 point covered by no object is covered by no live one, so `Infeasible`
 still names it.
-
-Disks are attached to slabs by their exact y-extents cy -/+ 0.5, while
-`UnitDisk.contains` is closed under the tolerance EPS_COVER.  Slab
-boundaries keep `_BOUNDARY_TOL` from every point y and disk extremum, and
-_BOUNDARY_TOL > 2 * EPS_COVER, so no point of a slab lies within the
-tolerance of a disk the slab does not hold.
 """
 from __future__ import annotations
 
@@ -39,7 +44,7 @@ from . import rects as _rects
 from .errors import BudgetExceeded, Infeasible
 # membership_at stays bound here so that perfbench/tracing.py can wrap it
 from .geom import (EPS_COVER, WINDOW_SLACK, Box, Point,  # noqa: F401
-                   membership_at, ply_disks, ply_rects, ranks, verify_cover)
+                   membership_at, ply_disks, ply_rects, ranks)
 
 SLAB_HEIGHT = 2
 
@@ -62,55 +67,46 @@ class CoverSolution:
     colors: Optional[dict] = None
 
 
-def _critical_ys(points, objects, kind) -> list:
-    ys = [p.y for p in points]
-    if kind == "rects":
-        for r in objects:
-            ys.append(r.bottom)
-            ys.append(r.top)
-    else:
-        for d in objects:
-            ys.append(d.center.y - 0.5)
-            ys.append(d.center.y + 0.5)
-    return ys
-
-
 def slab_offset(points, objects, kind):
-    """Grid offset putting no point or object extremum on a slab boundary.
+    """The offset `off` of the slabs: slab j is [off + 2j, off + 2j + 2).
 
-    Candidates sit just below the lowest critical y (shift k/(8(C+1)) for
-    k = 1..C+1, all below 1/8), so any instance spanning less than 15/8
-    stays in a single slab.  The C+1 candidates are pairwise distinct
-    modulo the slab height and at most C residues are bad, so the smallest
-    shift that works exists; it is returned.
+    Rects take the least point y or rect bottom.  Their coordinates are
+    exact and the slabs half-open, so no boundary needs avoiding: a rect
+    is attached to a slab when it reaches into it (`assign_slabs`), and
+    then every rect containing a point meets that point's slab, a rect
+    meets at most two consecutive slabs, rects attached to slabs j and
+    j + 2 share no point (the first lie below off + 2j + 3, the second from
+    there up), and the 3*ell strip cap holds: a rect that reaches into
+    slab j and crosses a vertical line holds the bottom, middle or top
+    point of the line's closed segment [off + 2j, off + 2j + 2].
 
-    Each critical y's residue mod 2 is computed once.  Exactly, it puts
-    candidate k on a boundary iff k/(8(C+1)) completes it to 2, so it
-    blocks at most one k, found with int arithmetic on its ratio.  In
-    floats, the boundary test keeps its tolerance and runs as before, but
-    only for the k whose shift comes within that tolerance (and a bound on
-    float error) of completing the residue; no other k can fail it.  Both
-    take O(C) steps while 8(C+1) times the tolerance stays below 1.
+    Disks are attached by their exact y-extents cy -/+ 0.5, while
+    `UnitDisk.contains` is closed under the tolerance EPS_COVER, so their
+    boundaries keep `_BOUNDARY_TOL` > 2 * EPS_COVER from every point y and
+    disk extremum; then no point of a slab lies within the tolerance of a
+    disk the slab does not hold.  Candidates sit just below the lowest
+    critical y (shift k/(8(C+1)) for k = 1..C+1, all below 1/8).  The C+1
+    candidates are pairwise distinct modulo the slab height and at most C
+    residues are bad, so the smallest shift that works exists; it is
+    returned.  Each critical y's residue mod 2 is computed once, and the
+    boundary test runs only for the k whose shift comes within the
+    tolerance (and a bound on float error) of completing the residue; no
+    other k can fail it.  That takes O(C) steps while 8(C+1) times the
+    tolerance stays below 1.
     """
-    ys = _critical_ys(points, objects, kind)
+    if kind == "rects":
+        return min([p.y for p in points] + [r.bottom for r in objects],
+                   default=Fraction(0))
+    ys = [p.y for p in points]
+    for d in objects:
+        ys.append(d.center.y - 0.5)
+        ys.append(d.center.y + 0.5)
     if not ys:
-        return Fraction(0) if kind == "rects" else 0.0
+        return 0.0
     n = len(ys)
     steps = 8 * (n + 1)
-    base = min(ys)
     blocked = bytearray(n + 2)
-    if kind == "rects":
-        # (y - base) * steps + k must be a multiple of 2 * steps
-        bn, bd = base.as_integer_ratio()
-        for y in ys:
-            yn, yd = y.as_integer_ratio()
-            t, rem = divmod((yn * bd - bn * yd) * steps, yd * bd)
-            k = -t % (2 * steps)
-            if rem == 0 and k <= n + 1:
-                blocked[k] = 1
-        k = blocked.index(0, 1)
-        return base - Fraction(k, steps)
-    fbase = float(base)
+    fbase = float(min(ys))
     # tolerance plus a bound on the float error of any residue, far above
     # rounding at these magnitudes
     band = _BOUNDARY_TOL + 2.0 ** -40 * (max(-fbase, max(ys)) + 2.0)
@@ -132,13 +128,14 @@ def slab_offset(points, objects, kind):
 
 def assign_slabs(points, objects, kind) -> list[SlabInstance]:
     """Partition points into height-2 slabs; attach the objects each slab
-    intersects.  Only slabs containing at least one point are returned.
+    meets.  Only slabs containing at least one point are returned.
 
-    An object's y-span has height 1, so it meets at most the slab holding
-    its bottom and the next one; only those two are tested, and
-    `yhi > lo and ylo < hi` decides.  Slab indices are exact for rects, on
-    ints.  For disks they are floats, and `slab_offset` keeps every
-    extremum farther from a boundary than their rounding reaches."""
+    A point lies in slab j when y_lo <= y < y_hi.  An object's y-span
+    [ylo, yhi] has height 1, so it meets at most the slab holding ylo and
+    the next one; only those two are tested, and `yhi >= y_lo and ylo <
+    y_hi` decides.  Slab indices are exact for rects, on ints.  For disks
+    they are floats, and `slab_offset` keeps every extremum farther from a
+    boundary than their rounding reaches."""
     if kind not in ("rects", "disks"):
         raise ValueError("kind must be 'rects' or 'disks'")
     off = slab_offset(points, objects, kind)
@@ -163,7 +160,7 @@ def assign_slabs(points, objects, kind) -> list[SlabInstance]:
     for i, (ylo, yhi) in enumerate(spans):
         j = index(ylo)
         for slab in (slabs.get(j), slabs.get(j + 1)):
-            if slab is not None and yhi > slab.y_lo and ylo < slab.y_hi:
+            if slab is not None and yhi >= slab.y_lo and ylo < slab.y_hi:
                 slab.objects.append(i)
     return list(slabs.values())
 
@@ -216,74 +213,84 @@ def _rank_rects(points, rects):
     return rank_points, boxes
 
 
+def search_slabs(points, objects, kind, build, solve, ell_max):
+    """Search every slab of the instance: the one loop of `solve_mpc` and
+    `tricolor.solve_3color`.
+
+    Rects are split into slabs on their exact coordinates and searched as
+    Boxes of coordinate ranks (`_rank_rects`); disks are deduped
+    (`disks.dedupe_disks`).  Each slab's strip problem is built once over
+    its live objects by `build(points, objects)`, and its ladder calls
+    `solve(points, objects, ell, problem)` for ell = 1, 2, ... up to its
+    number of live objects or ell_max, whichever is smaller, until a
+    result comes back.
+
+    A point covered by no object, in any slab, raises Infeasible naming it
+    as given.  Otherwise returns (found, failed, searched).  `found` holds
+    (slab index, result, input index of each live object) per slab
+    solved, and `failed` is (slab index, top budget) for the lowest slab
+    whose ladder failed, or None; the slabs above it are built, for the
+    coverage check, but not searched.  `searched[i]` is input object i as
+    searched: its rank Box for a rect, the disk itself for a disk.
+    """
+    points, objects = list(points), list(objects)
+    if kind == "rects":
+        slabs = assign_slabs(points, objects, kind)
+        rank_points, searched = _rank_rects(points, objects)
+        solve_objects, orig = searched, range(len(objects))
+        to_rank = dict(zip(points, rank_points))
+    else:
+        solve_objects, orig = _disks.dedupe_disks(objects)
+        slabs = assign_slabs(points, solve_objects, kind)
+        searched = objects
+    found, failed = [], None
+    for slab in slabs:
+        pts = slab.points
+        if kind == "rects":
+            pts = [to_rank[p] for p in pts]
+        live = live_objects(pts, solve_objects, slab.objects, kind)
+        objs = [solve_objects[i] for i in live]
+        problem = build(pts, objs)
+        if problem.uncovered is not None:
+            given = slab.points[pts.index(problem.uncovered)]
+            raise Infeasible("point %r is covered by no object" % (given,))
+        if failed is not None:
+            continue
+        cap = len(objs) if ell_max is None else min(ell_max, len(objs))
+        ell, res = 0, None
+        while res is None and ell < cap:
+            ell += 1
+            res = solve(pts, objs, ell, problem)
+        if res is None:
+            failed = (slab.index, cap)
+        else:
+            found.append((slab.index, res, [orig[i] for i in live]))
+    return found, failed, searched
+
+
 def solve_mpc(points, objects, kind,
               ell_max: Optional[int] = None) -> CoverSolution:
     """2-approximate minimum ply cover for unit-height rectangles or disks.
 
-    Each slab is searched over its live objects, and takes the least
-    budget ell_j at which its strip search succeeds, trying ell = 1, 2, ...
-    up to its number of live objects (at which any coverable slab succeeds)
-    or ell_max, whichever is smaller.  The slab's strip problem is built
-    once, and every budget searches a view of it.  When the problem's cover
-    masks leave a point uncovered, its points are checked against its
-    objects; a point covered by none raises Infeasible naming it.  A slab that needs more than ell_max raises
-    BudgetExceeded, but only after every slab has been checked, so an
-    uncovered point anywhere wins.
-
-    Rectangles are split into slabs on their exact coordinates and then
-    solved as Boxes of coordinate ranks (`_rank_rects`).
+    `search_slabs` runs the slabs, each taking the least budget ell_j at
+    which its strip search succeeds, up to its number of live objects (at
+    which any coverable slab succeeds) or ell_max.  The lowest slab that
+    needs more than ell_max raises BudgetExceeded, unless some point is
+    covered by no object.  The ply of the union is taken on the objects
+    as searched, rank Boxes for rects.
     """
-    if kind not in ("rects", "disks"):
-        raise ValueError("kind must be 'rects' or 'disks'")
-    points = list(points)
-    objects = list(objects)
-    if not points:
-        return CoverSolution([], 0)
-
     if kind == "rects":
-        solve_points, solve_objects = _rank_rects(points, objects)
-        orig = list(range(len(objects)))
-        to_solve = dict(zip(points, solve_points))
-        slabs = [(slab, [to_solve[p] for p in slab.points])
-                 for slab in assign_slabs(points, objects, kind)]
-
-        def objective(chosen):
-            return ply_rects([solve_objects[i] for i in chosen])
-
-        build, slab_solve = _rects.rect_slab_problem, _rects.solve_slab_rects
+        build, solve, ply = (_rects.rect_slab_problem,
+                             _rects.solve_slab_rects, ply_rects)
+    elif kind == "disks":
+        build, solve, ply = (_disks.disk_slab_problem,
+                             _disks.solve_slab_disks, ply_disks)
     else:
-        solve_objects, orig = _disks.dedupe_disks(objects)
-        slabs = [(slab, slab.points)
-                 for slab in assign_slabs(points, solve_objects, kind)]
-
-        def objective(chosen):
-            return ply_disks([objects[i] for i in chosen])
-
-        build, slab_solve = _disks.disk_slab_problem, _disks.solve_slab_disks
-
-    union: set[int] = set()
-    over = None
-    for slab, pts in slabs:
-        live = live_objects(pts, solve_objects, slab.objects, kind)
-        objs = [solve_objects[i] for i in live]
-        cap = len(objs) if ell_max is None else min(ell_max, len(objs))
-        problem = build(pts, objs, 1)
-        ell = 1
-        res = slab_solve(pts, objs, ell, problem) if cap >= 1 else None
-        if res is None and problem.uncovered:
-            for p, given in zip(pts, slab.points):
-                if not verify_cover([p], objs):
-                    raise Infeasible("point %r is covered by no object"
-                                     % (given,))
-        while res is None and ell < cap:
-            ell += 1
-            res = slab_solve(pts, objs, ell, problem)
-        if res is None:
-            over = (slab.index, cap)
-        else:
-            union.update(live[i] for i in res)
-    if over is not None:
+        raise ValueError("kind must be 'rects' or 'disks'")
+    found, failed, searched = search_slabs(points, objects, kind, build,
+                                           solve, ell_max)
+    if failed is not None:
         raise BudgetExceeded("slab %d has no cover within ply budget %d"
-                             % over)
-    chosen = sorted(orig[i] for i in union)
-    return CoverSolution(chosen, objective(chosen))
+                             % failed)
+    chosen = sorted({inputs[k] for _, res, inputs in found for k in res})
+    return CoverSolution(chosen, ply([searched[i] for i in chosen]))

@@ -19,8 +19,8 @@ None of that depends on the budget, so a slab's problem is built once and
 `StripProblem.at` applies each budget of its ell ladder to a view sharing
 the events, masks and depth oracle.  A set bit of a cover mask is a
 `contains` test that held, so a point with the empty mask is the only kind
-that can be uncovered; `uncovered` records whether there is one, and then
-no search is run.
+that can be uncovered; `uncovered` names the first such point in sweep
+order, or is None, and when there is one no search is run.
 
 `run` is the one search loop.  States are memoized per strip, and for each
 state it keeps the smallest union of chosen objects over the paths that
@@ -105,7 +105,7 @@ class StripProblem:
     meets: list                  # per object, the mask of objects it may meet
     ply: Optional[PlyCache]      # None for 3-color
     factor: int                  # members per strip per unit of budget
-    uncovered: bool              # some strip point has the empty cover mask
+    uncovered: object            # first point with the empty mask, or None
     ell: int
     cap: int                     # max members per strip, factor * ell
 
@@ -133,7 +133,7 @@ def build_problem(points, events, covers, meets, ply, factor,
     strip_points = locate_strip_points(points, events)
     meet = [0] * (len(events) // 2)
     strip_cover = []
-    uncovered = False
+    uncovered = None
     active = []
     for i, pts in enumerate(strip_points):
         masks = set()
@@ -142,8 +142,9 @@ def build_problem(points, events, covers, meets, ply, factor,
             for o in active:
                 if covers(o, p):
                     m |= 1 << o
+            if not m and uncovered is None:
+                uncovered = p
             masks.add(m)
-        uncovered = uncovered or 0 in masks
         strip_cover.append(list(masks))
         if i == len(events):
             break
@@ -201,7 +202,7 @@ def run(problem: StripProblem, step, less, start):
     key of the next strip only the union least under `less` is kept, which
     makes the output deterministic and biased toward small indices.
     """
-    if problem.uncovered:
+    if problem.uncovered is not None:
         return None
     states = {start: start}
     for i in range(len(problem.events)):

@@ -9,12 +9,10 @@ globally restricts to a 3-colorable cover of every slab, hence a failed
 slab proves global infeasibility and the 6-colorable output is at most a
 factor 2 from the optimum.
 
-Each slab is searched over its live disks only, those containing one of
-its points (`slabs.live_objects`).  A 3-colorable cover of the slab minus
-the disks that cover none of its points is still a 3-colorable cover of
-it, so a slab that fails on its live disks fails on all of them; and a
-point covered by no disk is covered by no live one, so `Infeasible` still
-names it.
+`slabs.search_slabs` runs the slabs, as it does for the ply solvers: it
+dedupes the disks, searches each slab over its live disks only, and
+applies the one failure order; its docstring gives why the live disks
+suffice.  A slab's ladder here has one rung.
 
 The slab search is `stripdag.run` on a strip problem whose meet masks are
 conflict masks: an entering disk's mask holds the disks crossing its left
@@ -26,15 +24,15 @@ masks.
 """
 from __future__ import annotations
 
-# canonical_rotation and rotate_instance stay bound here so that
-# perfbench/tracing.py can wrap them; nothing calls them
-from .disks import (canonical_rotation, dedupe_disks,  # noqa: F401
-                    disk_side_events, rotate_instance)
+# canonical_rotation, rotate_instance, assign_slabs and membership_at stay
+# bound here so that perfbench/tracing.py can wrap them; nothing calls them
+from .disks import (canonical_rotation, disk_side_events,  # noqa: F401
+                    rotate_instance)
 from .errors import Infeasible
-# membership_at stays bound here so that perfbench/tracing.py can wrap it
 from .geom import (EventClass, disks_disjoint, membership_at,  # noqa: F401
-                   ply_disks, verify_cover)
-from .slabs import CoverSolution, assign_slabs, live_objects
+                   ply_disks)
+from .slabs import (CoverSolution, assign_slabs,  # noqa: F401
+                    search_slabs)
 from .stripdag import bits, build_problem, covered, run, union_lt
 
 MAX_PER_CLASS = 8
@@ -114,35 +112,27 @@ def solve_slab_3color(points, disks, problem=None):
     return None if unions is None else tuple(tuple(bits(u)) for u in unions)
 
 
+def _rung(points, disks, ell, problem):
+    # the one rung of a slab's ladder; the budget plays no part
+    return solve_slab_3color(points, disks, problem)
+
+
 def solve_3color(points, disks) -> CoverSolution:
     """6-colorable cover of the points, or Infeasible when no 3-colorable
     cover exists.  colors maps chosen disk index -> color in 1..6; every
-    color class is pairwise disjoint.  Each slab is searched over its live
-    disks.  Only a failed slab whose cover masks leave a point uncovered is
-    scanned for that point, to name it."""
-    points = list(points)
-    disks_in = list(disks)
-    if not points:
-        return CoverSolution([], 0, colors={})
-    uniq, orig = dedupe_disks(disks_in)
-    slabs = assign_slabs(points, uniq, "disks")
+    color class is pairwise disjoint.  The lowest slab with no 3-colorable
+    cover raises, unless some point is covered by no disk
+    (`slabs.search_slabs`)."""
+    found, failed, searched = search_slabs(points, disks, "disks",
+                                           _slab_problem, _rung, 1)
+    if failed is not None:
+        raise Infeasible("slab %d admits no 3-colorable cover" % failed[0])
     colors: dict[int, int] = {}
-    j0 = slabs[0].index
-    for slab in slabs:
-        live = live_objects(slab.points, uniq, slab.objects, "disks")
-        objs = [uniq[i] for i in live]
-        problem = _slab_problem(slab.points, objs)
-        local = solve_slab_3color(slab.points, objs, problem)
-        if local is None and problem.uncovered:
-            for p in slab.points:
-                if not verify_cover([p], objs):
-                    raise Infeasible("point %r is covered by no disk" % (p,))
-        if local is None:
-            raise Infeasible("slab %d admits no 3-colorable cover" % slab.index)
-        base = 3 * ((slab.index - j0) % 2)
-        for a, cls in enumerate(local):
-            for li in cls:
-                colors.setdefault(orig[live[li]], base + a + 1)
+    for j, classes, inputs in found:
+        base = 3 * ((j - found[0][0]) % 2)
+        for a, cls in enumerate(classes):
+            for k in cls:
+                colors.setdefault(inputs[k], base + a + 1)
     chosen = sorted(colors)
-    objective = ply_disks([disks_in[i] for i in chosen])
-    return CoverSolution(chosen, objective, colors=colors)
+    return CoverSolution(chosen, ply_disks([searched[i] for i in chosen]),
+                         colors=colors)

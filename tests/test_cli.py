@@ -203,6 +203,20 @@ class TestExitCodes:
         assert err.startswith("usage error:") and "--ell-max" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["rects", "disks", "intervals"])
+    def test_negative_point_count_is_refused(self, tmp_path, capsys, kind):
+        out = tmp_path / "inst.jsonl"
+        with pytest.raises(ValueError, match="nonnegative number of points"):
+            generate(kind, -3, 2, "uniform", seed=0)
+        capsys.readouterr()
+        assert main(["gen", "--kind", kind, "-n", "-3", "-m", "2",
+                     "--out", str(out)]) == 1
+        assert "nonnegative number of points" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["gen", "--kind", kind, "-n", "0", "-m", "2",
+                     "--out", str(out)]) == 0
+        assert load(out).points == []
+
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 1
 

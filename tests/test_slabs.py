@@ -42,18 +42,10 @@ class TestAssignSlabs:
         assert slabs[1].index - slabs[0].index >= 2
         assert slabs[0].objects == [0] and slabs[1].objects == [1]
 
-    def test_offset_avoids_boundary_through_square_edge(self):
-        # bottom exactly on the zero-offset boundary forces a shift
-        pts = [Point(F(1, 2), F(1, 2))]
-        rects = [sq(0, 0)]
-        off = slab_offset(pts, rects, "rects")
-        for y in (F(0), F(1), F(1, 2)):
-            assert (y - off) % 2 != 0
-
     def test_offset_matches_candidate_scan(self):
-        # the residue rule returns the offset the plain scan over every
-        # candidate and every y finds, on both paths, also when many early
-        # candidates are blocked
+        # the residue rule returns the disk offset the plain scan over every
+        # candidate and every y finds, also when many early candidates are
+        # blocked
         rng = random.Random(0x0FF5)
         shifted = 0
         for seed in range(400):
@@ -63,31 +55,32 @@ class TestAssignSlabs:
             if seed % 2:
                 ys = _blocking_ys(c)[:c]
                 rng.shuffle(ys)
-            pts = [Point(F(0), y) for y in ys]
-            off = slab_offset(pts, [], "rects")
-            assert off == _offset_reference([p.y for p in pts], True)
-            shifted += off != min(ys) - F(1, 8 * (c + 1))
             for scale in (1.0, 1e3, 1e-3):
                 fys = [float(y) * scale for y in ys]
-                fpts = [Point(0.0, y) for y in fys]
-                assert (slab_offset(fpts, [], "disks")
-                        == _offset_reference(fys, False))
+                off = slab_offset([Point(0.0, y) for y in fys], [], "disks")
+                assert off == _offset_reference(fys)
+                if scale == 1.0:
+                    shifted += off != min(fys) - 1 / (8 * (c + 1))
         assert shifted > 100
 
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_offset_is_linear_on_blocking_ys(self, exact):
+    def test_offset_is_linear_on_blocking_ys(self):
         # ys at 2 - k/(8(C+1)) block candidates k = 1..C-1 one by one; the
         # plain scan subtracted each candidate from every y, about C**2/2
         # times.  Count the subtractions with y on the left instead of timing.
         c = 600
-        num = _CountingFraction if exact else _CountingFloat
-        ys = [num(y if exact else float(y)) for y in _blocking_ys(c)]
-        pts = [Point(F(0) if exact else 0.0, y) for y in reversed(ys)]
-        _Count.subs = 0
-        off = slab_offset(pts, [], "rects" if exact else "disks")
-        assert _Count.subs <= 8 * c, _Count.subs
-        assert off == _offset_reference([p.y for p in pts], exact)
-        assert float(off) == float(-F(c, 8 * (c + 1)))
+        ys = [_CountingFloat(float(y)) for y in _blocking_ys(c)]
+        pts = [Point(0.0, y) for y in reversed(ys)]
+        _CountingFloat.subs = 0
+        off = slab_offset(pts, [], "disks")
+        assert _CountingFloat.subs <= 8 * c, _CountingFloat.subs
+        assert off == _offset_reference([p.y for p in pts])
+        assert off == float(-F(c, 8 * (c + 1)))
+
+    def test_rect_offset_is_the_lowest_y(self):
+        pts = [Point(F(1, 2), F(5, 2)), Point(F(1, 2), F(3))]
+        assert slab_offset(pts, [sq(0, 2), sq(0, 1)], "rects") == 1
+        assert slab_offset(pts, [sq(0, 3)], "rects") == F(5, 2)
+        assert slab_offset([], [], "rects") == 0
 
     def test_every_point_in_exactly_one_slab(self):
         rng = random.Random(3)
@@ -150,7 +143,8 @@ class TestAssignSlabs:
 
 
 def _assign_reference(points, objects, kind):
-    """The scan `assign_slabs` replaced: every object against every slab."""
+    """The scan `assign_slabs` replaced: every object against every slab,
+    attached when it reaches into the half-open slab."""
     off = slab_offset(points, objects, kind)
     by_slab = {}
     for p in points:
@@ -164,7 +158,7 @@ def _assign_reference(points, objects, kind):
         lo, hi = off + 2 * j, off + 2 * (j + 1)
         out.append((j, lo, hi, by_slab[j],
                     [i for i, (ylo, yhi) in enumerate(spans)
-                     if yhi > lo and ylo < hi]))
+                     if yhi >= lo and ylo < hi]))
     return out
 
 
@@ -203,35 +197,22 @@ def _blocking_ys(c):
     return [F(0)] + [2 - F(k, 8 * (c + 1)) for k in range(1, c)]
 
 
-def _offset_reference(ys, exact):
-    """The plain scan: try k = 1..C+1 against every y."""
+def _offset_reference(ys):
+    """The plain scan of the disk offset: try k = 1..C+1 against every y."""
     n = len(ys)
-    base = min(ys)
+    base = float(min(ys))
     for k in range(1, n + 2):
-        if exact:
-            cand = base - F(k, 8 * (n + 1))
-            if all((y - cand) % 2 != 0 for y in ys):
-                return cand
-        else:
-            cand = float(base) - k / (8.0 * (n + 1))
-            if all(1e-7 <= (y - cand) % 2.0 <= 2.0 - 1e-7 for y in ys):
-                return cand
+        cand = base - k / (8.0 * (n + 1))
+        if all(1e-7 <= (y - cand) % 2.0 <= 2.0 - 1e-7 for y in ys):
+            return cand
     raise AssertionError("no candidate")
 
 
-class _Count:
+class _CountingFloat(float):
     subs = 0
 
-
-class _CountingFraction(F):
     def __sub__(self, other):
-        _Count.subs += 1
-        return F.__sub__(self, other)
-
-
-class _CountingFloat(float):
-    def __sub__(self, other):
-        _Count.subs += 1
+        _CountingFloat.subs += 1
         return float(self) - other
 
 
@@ -327,6 +308,30 @@ class TestPerSlabBudgets:
         sol = solve_mpc(points, rects, "rects", ell_max=2)
         assert sol.chosen == [0, 1, 2] and sol.objective == 2
 
+    def test_lowest_failing_slab_is_named_and_no_later_one_searched(
+            self, monkeypatch):
+        pair_pts, pair_rects = forced_pair_rects()
+        up_pts, up_rects = _lifted(pair_pts, pair_rects, 10)
+        points, rects = pair_pts + up_pts, pair_rects + up_rects
+        lower, upper = assign_slabs(points, rects, "rects")
+        searched = []
+        real = rects_mod.solve_slab_rects
+
+        def spy(pts, objs, ell, problem=None):
+            searched.append(pts)
+            return real(pts, objs, ell, problem)
+
+        monkeypatch.setattr(rects_mod, "solve_slab_rects", spy)
+        with pytest.raises(BudgetExceeded,
+                           match="^slab %d has no cover within ply budget 1$"
+                           % lower.index):
+            solve_mpc(points, rects, "rects", ell_max=1)
+        to_rank = dict(zip(points, slabs_mod._rank_rects(points, rects)[0]))
+        assert searched == [[to_rank[p] for p in lower.points]]
+        searched.clear()
+        assert solve_mpc(points, rects, "rects", ell_max=2).objective == 2
+        assert searched[-1] == [to_rank[p] for p in upper.points]
+
     def test_rects_within_adjacent_slab_optima(self):
         rng = random.Random(0x51AB)
         for seed in range(40):
@@ -355,18 +360,31 @@ class TestPerSlabBudgets:
             assert sol.objective <= _slab_bound(opts), seed
 
 
-def _scan_refused(*args):
-    raise AssertionError("points were scanned against the objects")
-
-
 class TestCoverageFromMasks:
-    """The cover masks show that every point is covered, so coverable
-    instances are never scanned point by point."""
+    """The cover masks prove coverage: no solver scans the points against
+    the objects, and no strip problem built for a coverable instance names
+    an uncovered point."""
 
     @pytest.fixture(autouse=True)
-    def no_scan(self, monkeypatch):
-        monkeypatch.setattr(slabs_mod, "verify_cover", _scan_refused)
-        monkeypatch.setattr(tricolor, "verify_cover", _scan_refused)
+    def uncovered(self, monkeypatch):
+        # StripProblem.uncovered of every strip problem built; each test
+        # builds at least one, and none may name a point
+        seen = []
+
+        def spy(*args):
+            problem = stripdag.build_problem(*args)
+            seen.append(problem.uncovered)
+            return problem
+
+        for mod in (rects_mod, disks_mod, tricolor):
+            monkeypatch.setattr(mod, "build_problem", spy)
+        yield seen
+        assert seen and all(u is None for u in seen)
+
+    def test_no_point_scan_is_bound(self):
+        solve_mpc([Point(F(1, 2), F(1, 2))], [sq(0, 0)], "rects")
+        for mod in (slabs_mod, tricolor):
+            assert not hasattr(mod, "verify_cover")
 
     def test_slabs_needing_two(self):
         pair_pts, pair_rects = forced_pair_rects()
@@ -421,6 +439,57 @@ class TestUncoveredWithoutSearch:
         with pytest.raises(Infeasible, match="covered by no object"):
             solve_mpc(points + [Point(F(3), F(1, 2))], [sq(0, 0)], "rects",
                       ell_max=0)
+
+
+def _even_grid_rects(rng):
+    """Rects with left and right sides on even ints and a bottom or top on
+    an even int, and points on even ints inside them, the lowest at y = 0:
+    every point and a horizontal side of every rect lie on a boundary of
+    the slabs, which start at y = 0."""
+    rects = [UnitRect(2 * rng.randint(0, 4), rng.randint(0, 7) if k else 0,
+                      2 * rng.randint(1, 2))
+             for k in range(rng.randint(1, 8))]
+    points = []
+    for k in range(rng.randint(1, 8)):
+        r = rng.choice(rects) if k else rects[0]
+        points.append(Point(r.left + 2 * rng.randint(0, int(r.width) // 2),
+                            r.bottom if r.bottom % 2 == 0 else r.top))
+    return points, rects
+
+
+class TestHalfOpenRectSlabs:
+    """Rect slabs are half-open, [y_lo, y_hi), with no offset search: a
+    rect is attached to each slab it reaches into, also when only its top
+    touches the slab's bottom boundary."""
+
+    def test_even_grid_fuzz(self):
+        rng = random.Random(0xE7E)
+        tops_on_boundary = 0
+        for seed in range(150):
+            points, rects = _even_grid_rects(rng)
+            slabs = assign_slabs(points, rects, "rects")
+            where = {}
+            for s in slabs:
+                assert (s.y_lo, s.y_hi) == (2 * s.index, 2 * s.index + 2)
+                for p in s.points:
+                    assert s.y_lo <= p.y < s.y_hi, seed
+                    for i, r in enumerate(rects):
+                        if r.contains(p):
+                            assert i in s.objects, seed
+                            tops_on_boundary += r.top == s.y_lo
+                for i in s.objects:
+                    where.setdefault(i, []).append(s.index)
+            for js in where.values():
+                assert js in ([js[0]], [js[0], js[0] + 1]), seed
+            sol = solve_mpc(points, rects, "rects")
+            opts = {s.index: exact_min_ply(s.points,
+                                           [rects[i] for i in s.objects],
+                                           "rects")[0]
+                    for s in slabs}
+            assert sol.objective <= _slab_bound(opts), seed
+            opt, _ = exact_min_ply(points, rects, "rects")
+            assert sol.objective <= 2 * opt, seed
+        assert tops_on_boundary > 50
 
 
 def _brute_live(points, objects, indices):

@@ -318,9 +318,9 @@ class TestLadderReuse:
         disks = [UnitDisk(Point(0.0, 0.5)), UnitDisk(Point(2.0, 0.5))]
         inside, left, gap, outside = (Point(0.1, 0.5), Point(-1.0, 0.5),
                                       Point(1.0, 0.5), Point(0.0, 1.2))
-        assert not disk_slab_problem([inside], disks, 1).uncovered
+        assert disk_slab_problem([inside], disks, 1).uncovered is None
         for p in (left, gap, outside):
             problem = disk_slab_problem([inside, p], disks, 1)
-            assert problem.uncovered
+            assert problem.uncovered == p
             assert solve_slab_disks([inside, p], disks, 3, problem) is None
             assert problem.at(3).uncovered and problem.at(3).cap == 24

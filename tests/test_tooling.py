@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -265,3 +266,40 @@ def test_benchmark_tracer_wraps_the_solvers(tmp_path):
     assert counts["slabs.slab_solves"] > 0
     assert counts["tricolor.slab_solves"] > 0
     assert 0 < counts["stripdag.width_over_cap_max"] <= 1
+
+
+def test_no_stale_module_imports():
+    # every module-level import in the package is used in its module,
+    # listed in its __all__, or kept bound for perfbench/tracing.py to wrap
+    here = os.path.dirname(os.path.abspath(__file__))
+    sys.path.insert(0, os.path.join(os.path.dirname(here), "perfbench"))
+    try:
+        import tracing
+    finally:
+        sys.path.pop(0)
+    pinned = {(mod.__name__, attr) for mod, attr, _ in tracing.SPANS}
+    pkg = os.path.dirname(plycover.__file__)
+    stale = []
+    for fname in sorted(os.listdir(pkg)):
+        if not fname.endswith(".py"):
+            continue
+        module = "plycover" if fname == "__init__.py" else \
+            "plycover." + fname[:-3]
+        with open(os.path.join(pkg, fname)) as fh:
+            tree = ast.parse(fh.read())
+        bound, exported = [], set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound += [a.asname or a.name for a in node.names]
+            elif (isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets]
+                  == ["__all__"]):
+                exported = set(ast.literal_eval(node.value))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        stale += ["%s.%s" % (module, name) for name in bound
+                  if name not in used | exported
+                  and (module, name) not in pinned]
+    assert stale == []

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -61,6 +62,22 @@ class TestSolve3Color:
         points = [Point(0.55, 0.75), Point(9.0, 3.1)]
         with pytest.raises(Infeasible, match=r"Point\(x=9.0, y=3.1\)"):
             solve_3color(points, disks)
+
+    @pytest.mark.parametrize("far_y", [10.0, -10.0])
+    def test_uncovered_point_wins_over_a_failed_slab(self, far_y):
+        # four pairwise-meeting disks, each holding only the point at 2.16
+        # times its centre, make a slab with no 3-colorable cover; a point
+        # covered by no disk, above or below that slab, is still named
+        centres = [Point(sx * 0.3, sy * 0.3) for sx in (-1, 1)
+                   for sy in (-1, 1)]
+        points = [Point(2.16 * c.x, 2.16 * c.y) for c in centres]
+        disks = [UnitDisk(c) for c in centres]
+        with pytest.raises(Infeasible, match="admits no 3-colorable cover"):
+            solve_3color(points, disks)
+        lost = Point(0.0, far_y)
+        with pytest.raises(Infeasible, match=re.escape(
+                "point %r is covered by no object" % (lost,))):
+            solve_3color(points + [lost], disks)
 
     def test_k4_clique_infeasible(self):
         points, disks = k4_clique()

@@ -74,8 +74,10 @@ def _cmd_solve(args) -> int:
         sol = solve_intervals(*inst.pairs, args.mode)
     elif args.kind == "3color":
         sol = solve_3color(inst.points, inst.objects)
+    elif args.kind == "rects":
+        sol = solve_mpc(*inst.pairs, "rects", ell_max=args.ell_max)
     else:
-        sol = solve_mpc(inst.points, inst.objects, args.kind,
+        sol = solve_mpc(inst.points, inst.objects, "disks",
                         ell_max=args.ell_max)
     ms = (time.perf_counter() - t0) * 1000.0
     payload = {"kind": args.kind, "chosen": list(sol.chosen),

@@ -9,8 +9,9 @@ the one fixed tolerance `EPS_COVER`; it is not configurable.  Every object
 is a closed set: a point on the boundary belongs to the object.
 
 Rectangle and interval predicates only compare coordinates, so the solvers
-replace each coordinate by its rank (`ranks`) and run on small ints; a
-rectangle then becomes a `Box` of rank sides.
+take their inputs as exact (num, den) int pairs (`rect_pairs`,
+`line_pairs`), replace each coordinate by its rank (`pair_ranks`) and run
+on small ints; a rectangle then becomes a `Box` of rank sides.
 """
 from __future__ import annotations
 
@@ -67,6 +68,30 @@ def line_pairs(points, intervals):
     return xs, ivs
 
 
+def rect_pairs(points, rects):
+    """Points in the plane and unit-height rectangles as exact int pairs.
+
+    Returns ([(x, y) per point], [(left, bottom, width) per rectangle]),
+    each coordinate a (num, den) pair.  An element already in that form is
+    kept as it is; Points and UnitRects are converted exactly with
+    `as_integer_ratio`, which gives lowest terms and den > 0.
+    """
+    pts = [p if type(p) is tuple else (p.x.as_integer_ratio(),
+                                        p.y.as_integer_ratio())
+           for p in points]
+    rs = [r if type(r) is tuple else (r.left.as_integer_ratio(),
+                                      r.bottom.as_integer_ratio(),
+                                      r.width.as_integer_ratio())
+          for r in rects]
+    return pts, rs
+
+
+def pair_point(p) -> Point:
+    """The Point, with Fraction coordinates, of a point given as an (x, y)
+    pair of (num, den) int pairs."""
+    return Point(Fraction(*p[0]), Fraction(*p[1]))
+
+
 @dataclass(frozen=True)
 class UnitRect:
     """Closed axis-aligned rectangle of height exactly 1."""
@@ -110,15 +135,9 @@ class Box(NamedTuple):
         return left <= p.x <= right and bottom <= p.y <= top
 
 
-def ranks(values) -> list:
-    """Rank of each value among all of them, from 0; equal values share one.
-
-    Ints, Fractions and floats mix freely; see `pair_ranks`."""
-    return pair_ranks([v.as_integer_ratio() for v in values])
-
-
 def pair_ranks(pairs) -> list:
-    """`ranks` of exact (num, den) int pairs, den != 0.
+    """Rank of each exact (num, den) int pair, den != 0, among all of them,
+    from 0; pairs of equal value share one.
 
     A value num/den is sorted on the int 2 * floor(v * 2**64), plus 1 when
     v * 2**64 is not an integer.  Different keys order their values, and an

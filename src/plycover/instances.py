@@ -2,9 +2,10 @@
 
 Rational coordinates are serialized as "p/q" strings so files round-trip
 losslessly; disk coordinates stay floats.  The loader reads every rational
-into an exact (num, den) int pair (`rational_pair`).  An interval file
-keeps those pairs, which `intervals.solve_intervals` takes as they are, so
-a solve makes no `Fraction` or `WeightedInterval` between the file and the
+into an exact (num, den) int pair (`rational_pair`).  A rect or interval
+file keeps those pairs, which `slabs.solve_mpc` and
+`intervals.solve_intervals` take as they are, so a solve makes no
+`Fraction`, `UnitRect` or `WeightedInterval` between the file and the
 objective; the `points` and `objects` lists are built only when read.
 Generated points are covered by construction unless explicitly allowed to
 be uncovered.
@@ -17,7 +18,8 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .geom import Point, UnitDisk, UnitRect, WeightedInterval, line_pairs
+from .geom import (Point, UnitDisk, UnitRect, WeightedInterval, line_pairs,
+                   pair_point, rect_pairs)
 
 KINDS = ("rects", "disks", "intervals")
 DISTRIBUTIONS = ("uniform", "clustered", "slab-stress", "chain")
@@ -27,9 +29,9 @@ class Instance:
     """A problem instance: its kind, points and objects, plus the seed and
     meta data of a generated one.
 
-    An interval instance read by `loads` keeps its values as exact int
-    pairs (`pairs`); `points` and `objects` are built from them the first
-    time they are read.
+    A rect or interval instance read by `loads` keeps its values as exact
+    int pairs (`pairs`); `points` and `objects` are built from them the
+    first time they are read.
     """
 
     def __init__(self, kind: str, points: list, objects: list,
@@ -44,7 +46,10 @@ class Instance:
     @property
     def points(self) -> list:
         if self._points is None:
-            self._points = [Fraction(*x) for x in self._pairs[0]]
+            if self.kind == "rects":
+                self._points = list(map(pair_point, self._pairs[0]))
+            else:
+                self._points = [Fraction(*x) for x in self._pairs[0]]
         return self._points
 
     @points.setter
@@ -54,9 +59,10 @@ class Instance:
     @property
     def objects(self) -> list:
         if self._objects is None:
-            self._objects = [WeightedInterval(Fraction(*lo), Fraction(*hi),
-                                              Fraction(*w))
-                             for lo, hi, w in self._pairs[1]]
+            # (left, bottom, width) or (lo, hi, weight)
+            make = UnitRect if self.kind == "rects" else WeightedInterval
+            self._objects = [make(*(Fraction(*v) for v in o))
+                             for o in self._pairs[1]]
         return self._objects
 
     @objects.setter
@@ -65,12 +71,14 @@ class Instance:
 
     @property
     def pairs(self):
-        """An interval instance as exact int pairs, the form `geom.line_pairs`
-        returns: those read from the file while neither list has been read
-        or assigned, else those of the lists."""
+        """A rect or interval instance as exact int pairs, the form
+        `geom.rect_pairs` or `geom.line_pairs` returns: those read from the
+        file while neither list has been read or assigned, else those of
+        the lists."""
         if self._points is None and self._objects is None:
             return self._pairs
-        return line_pairs(self.points, self.objects)
+        to_pairs = rect_pairs if self.kind == "rects" else line_pairs
+        return to_pairs(self.points, self.objects)
 
 
 def _enc(v) -> str:
@@ -155,8 +163,11 @@ def _checked_interval(vals) -> tuple:
     return lo, hi, w
 
 
-def _rational(v) -> Fraction:
-    return Fraction(*rational_pair(v))
+def _checked_rect(vals) -> tuple:
+    left, bottom, width = map(rational_pair, vals)
+    if width[0] <= 0:
+        raise ValueError("rectangle width must be positive")
+    return left, bottom, width
 
 
 def loads(text: str) -> Instance:
@@ -164,9 +175,9 @@ def loads(text: str) -> Instance:
 
     Each record is checked for its tag, a list of the right length, and
     values that convert: exact rationals for rects and intervals, finite
-    floats for disks.  JSON booleans are refused in every record.  An
-    interval file is kept as exact int pairs (see `Instance`), checked here
-    as `WeightedInterval` would check them.
+    floats for disks.  JSON booleans are refused in every record.  A rect
+    or interval file is kept as exact int pairs (see `Instance`), checked
+    here as `UnitRect` or `WeightedInterval` would check them.
     """
     rows = enumerate(text.splitlines(), 1)
     for lineno, ln in rows:
@@ -204,9 +215,9 @@ def loads(text: str) -> Instance:
                     objects.append(_checked_interval(vals))
             elif kind == "rects":
                 if tag == "p":
-                    points.append(Point(*map(_rational, vals)))
+                    points.append(tuple(map(rational_pair, vals)))
                 else:
-                    objects.append(UnitRect(*map(_rational, vals)))
+                    objects.append(_checked_rect(vals))
             elif tag == "p":
                 points.append(_finite_point(*vals))
             else:
@@ -217,7 +228,7 @@ def loads(text: str) -> Instance:
             raise ValueError("line %d: bad %r record: %s"
                              % (lineno, tag, e)) from None
     seed, meta = head.get("seed"), head.get("meta")
-    if kind != "intervals":
+    if kind == "disks":
         return Instance(kind, points, objects, seed, meta)
     inst = Instance(kind, None, None, seed, meta)
     inst._pairs = points, objects

@@ -4,10 +4,10 @@ solvers.
 Points fall in exactly one slab and every unit-height object meets at
 most two consecutive slabs.  `search_slabs` searches each slab on its own,
 for `solve_mpc` (rects and disks) and `tricolor.solve_3color` alike: it
-ranks rects into `Box`es or dedupes disks, assigns slabs, builds each
-slab's strip problem once over the slab's live objects, walks the slab's
-ladder of budgets on views of that problem, and maps each result back to
-input indices.
+takes rects as exact int pairs and ranks them into `Box`es, or dedupes
+disks, assigns slabs, builds each slab's strip problem once over the
+slab's live objects, walks the slab's ladder of budgets on views of that
+problem, and maps each result back to input indices.
 
 `solve_mpc` searches each slab j upward from ell = 1 to its own least
 budget ell_j; a point of the plane meets chosen objects of at most two
@@ -44,7 +44,8 @@ from . import rects as _rects
 from .errors import BudgetExceeded, Infeasible
 # membership_at stays bound here so that perfbench/tracing.py can wrap it
 from .geom import (EPS_COVER, WINDOW_SLACK, Box, Point,  # noqa: F401
-                   membership_at, ply_disks, ply_rects, ranks)
+                   membership_at, pair_point, pair_ranks, ply_disks,
+                   ply_rects, rect_pairs)
 
 SLAB_HEIGHT = 2
 
@@ -53,11 +54,30 @@ _BOUNDARY_TOL = 1e-7  # float slack when testing extrema against boundaries
 
 @dataclass(frozen=True)
 class SlabInstance:
+    """Slab `index`, [y_lo, y_hi) = [offset + 2 index, offset + 2 index + 2):
+    its points as given, their indices in the input, and the indices of
+    the objects it holds.  The offset is a float for disks and an exact
+    (num, den) pair for rects, whose y_lo and y_hi are Fractions."""
+
     index: int
-    y_lo: object
-    y_hi: object
+    offset: object
     points: list
+    point_indices: list
     objects: list  # indices into the global object list
+
+    @property
+    def y_lo(self):
+        return _above(self.offset, SLAB_HEIGHT * self.index)
+
+    @property
+    def y_hi(self):
+        return _above(self.offset, SLAB_HEIGHT * (self.index + 1))
+
+
+def _above(off, dy):
+    if type(off) is tuple:
+        return Fraction(off[0] + dy * off[1], off[1])
+    return off + dy
 
 
 @dataclass
@@ -67,18 +87,32 @@ class CoverSolution:
     colors: Optional[dict] = None
 
 
+def _least_y(pts, rects) -> tuple:
+    """The least point y or rect bottom of a rect instance in int pairs
+    (`geom.rect_pairs`), as a (num, den) pair; (0, 1) when there is none.
+    Tops lie above their bottoms and need no look."""
+    ys = [y for _, y in pts] + [b for _, b, _ in rects]
+    on, od = ys[0] if ys else (0, 1)
+    for yn, yd in ys:
+        # yn/yd < on/od, whatever the signs of the denominators
+        if (yn * od - on * yd) * yd * od < 0:
+            on, od = yn, yd
+    return on, od
+
+
 def slab_offset(points, objects, kind):
     """The offset `off` of the slabs: slab j is [off + 2j, off + 2j + 2).
 
-    Rects take the least point y or rect bottom.  Their coordinates are
-    exact and the slabs half-open, so no boundary needs avoiding: a rect
-    is attached to a slab when it reaches into it (`assign_slabs`), and
-    then every rect containing a point meets that point's slab, a rect
-    meets at most two consecutive slabs, rects attached to slabs j and
-    j + 2 share no point (the first lie below off + 2j + 3, the second from
-    there up), and the 3*ell strip cap holds: a rect that reaches into
-    slab j and crosses a vertical line holds the bottom, middle or top
-    point of the line's closed segment [off + 2j, off + 2j + 2].
+    Rects take the least point y or rect bottom, found on exact int pairs
+    (`_least_y`) and returned as a Fraction.  Their coordinates are exact
+    and the slabs half-open, so no boundary needs avoiding: a rect is
+    attached to a slab when it reaches into it (`assign_slabs`), and then
+    every rect containing a point meets that point's slab, a rect meets at
+    most two consecutive slabs, rects attached to slabs j and j + 2 share
+    no point (the first lie below off + 2j + 3, the second from there up),
+    and the 3*ell strip cap holds: a rect that reaches into slab j and
+    crosses a vertical line holds the bottom, middle or top point of the
+    line's closed segment [off + 2j, off + 2j + 2].
 
     Disks are attached by their exact y-extents cy -/+ 0.5, while
     `UnitDisk.contains` is closed under the tolerance EPS_COVER, so their
@@ -95,8 +129,7 @@ def slab_offset(points, objects, kind):
     tolerance stays below 1.
     """
     if kind == "rects":
-        return min([p.y for p in points] + [r.bottom for r in objects],
-                   default=Fraction(0))
+        return Fraction(*_least_y(*rect_pairs(points, objects)))
     ys = [p.y for p in points]
     for d in objects:
         ys.append(d.center.y - 0.5)
@@ -130,38 +163,49 @@ def assign_slabs(points, objects, kind) -> list[SlabInstance]:
     """Partition points into height-2 slabs; attach the objects each slab
     meets.  Only slabs containing at least one point are returned.
 
-    A point lies in slab j when y_lo <= y < y_hi.  An object's y-span
-    [ylo, yhi] has height 1, so it meets at most the slab holding ylo and
-    the next one; only those two are tested, and `yhi >= y_lo and ylo <
-    y_hi` decides.  Slab indices are exact for rects, on ints.  For disks
-    they are floats, and `slab_offset` keeps every extremum farther from a
-    boundary than their rounding reaches."""
-    if kind not in ("rects", "disks"):
-        raise ValueError("kind must be 'rects' or 'disks'")
-    off = slab_offset(points, objects, kind)
+    A point lies in slab j when y_lo <= y < y_hi, that is when j is the
+    floor of (y - off) / 2.  An object's y-span [ylo, yhi] has height 1,
+    so it reaches into the slab j of ylo and, when yhi's slab is above j,
+    into slab j + 1, and into no other.  Rects may be given as Points and
+    UnitRects or as exact int pairs (`geom.rect_pairs`); their slab
+    indices are computed on those ints, and no Fraction is made.  Disk
+    indices are floats, and `slab_offset` keeps every extremum farther
+    from a boundary than their rounding reaches."""
     if kind == "rects":
-        on, od = off.as_integer_ratio()
+        pts, rects = rect_pairs(points, objects)
+        off = _least_y(pts, rects)
+        on, od = off
+        od2 = 2 * od
 
         def index(y):
-            # floor((y - off) / 2), without making a Fraction
-            yn, yd = y.as_integer_ratio()
-            return (yn * od - on * yd) // (2 * yd * od)
-        spans = [(r.bottom, r.top) for r in objects]
-    else:
+            # floor((y - off) / 2), on ints
+            yn, yd = y
+            return (yn * od - on * yd) // (yd * od2)
+        ys = [y for _, y in pts]
+        spans = [(b, (b[0] + b[1], b[1])) for _, b, _ in rects]
+    elif kind == "disks":
+        off = slab_offset(points, objects, kind)
+
         def index(y):
             return math.floor((y - off) / 2)
+        ys = [p.y for p in points]
         spans = [(d.center.y - 0.5, d.center.y + 0.5) for d in objects]
+    else:
+        raise ValueError("kind must be 'rects' or 'disks'")
     by_slab: dict[int, list] = {}
-    for p in points:
-        by_slab.setdefault(index(p.y), []).append(p)
-    slabs = {j: SlabInstance(j, off + SLAB_HEIGHT * j,
-                             off + SLAB_HEIGHT * (j + 1), by_slab[j], [])
+    for k, y in enumerate(ys):
+        by_slab.setdefault(index(y), []).append(k)
+    slabs = {j: SlabInstance(j, off, [points[k] for k in by_slab[j]],
+                             by_slab[j], [])
              for j in sorted(by_slab)}
     for i, (ylo, yhi) in enumerate(spans):
         j = index(ylo)
-        for slab in (slabs.get(j), slabs.get(j + 1)):
-            if slab is not None and yhi >= slab.y_lo and ylo < slab.y_hi:
-                slab.objects.append(i)
+        slab = slabs.get(j)
+        if slab is not None:
+            slab.objects.append(i)
+        slab = slabs.get(j + 1)
+        if slab is not None and index(yhi) > j:
+            slab.objects.append(i)
     return list(slabs.values())
 
 
@@ -191,68 +235,61 @@ def live_objects(points, objects, indices, kind) -> list:
     return live
 
 
-def _rank_rects(points, rects):
-    """The rect instance on coordinate ranks: (rank Points, Boxes).
-
-    Point x, left and right sides are ranked together, and so are point y,
-    bottom and top sides.  Below the slab split every rect predicate only
-    compares coordinates, so the ranks decide exactly as the rationals do.
-    """
-    n = len(points)
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    for r in rects:
-        xs.append(r.left)
-        xs.append(r.left + r.width)
-        ys.append(r.bottom)
-        ys.append(r.bottom + 1)
-    xr, yr = ranks(xs), ranks(ys)
-    rank_points = [Point(x, y) for x, y in zip(xr[:n], yr[:n])]
-    boxes = [Box(xr[k], xr[k + 1], yr[k], yr[k + 1])
-             for k in range(n, len(xr), 2)]
-    return rank_points, boxes
-
-
 def search_slabs(points, objects, kind, build, solve, ell_max):
     """Search every slab of the instance: the one loop of `solve_mpc` and
     `tricolor.solve_3color`.
 
-    Rects are split into slabs on their exact coordinates and searched as
-    Boxes of coordinate ranks (`_rank_rects`); disks are deduped
-    (`disks.dedupe_disks`).  Each slab's strip problem is built once over
-    its live objects by `build(points, objects)`, and its ladder calls
-    `solve(points, objects, ell, problem)` for ell = 1, 2, ... up to its
-    number of live objects or ell_max, whichever is smaller, until a
-    result comes back.
+    Rects, given as Points and UnitRects or as exact int pairs, run on
+    int pairs (`geom.rect_pairs`): they are split into slabs on those
+    pairs, and searched as Boxes of coordinate ranks.  Point x, left and
+    right sides are ranked together by `pair_ranks`, and so are point y,
+    bottom and top sides; below the slab split every rect predicate only
+    compares coordinates, so the ranks decide exactly as the rationals do.
+    Disks are deduped (`disks.dedupe_disks`).  Each slab's strip problem is
+    built once over its live objects by `build(points, objects)`, and its
+    ladder calls `solve(points, objects, ell, problem)` for ell = 1, 2, ...
+    up to its number of live objects or ell_max, whichever is smaller,
+    until a result comes back.
 
     A point covered by no object, in any slab, raises Infeasible naming it
-    as given.  Otherwise returns (found, failed, searched).  `found` holds
-    (slab index, result, input index of each live object) per slab
-    solved, and `failed` is (slab index, top budget) for the lowest slab
-    whose ladder failed, or None; the slabs above it are built, for the
-    coverage check, but not searched.  `searched[i]` is input object i as
-    searched: its rank Box for a rect, the disk itself for a disk.
+    as given, as a Point (`geom.pair_point` names a pair).  Otherwise
+    returns (found, failed, searched).  `found` holds (slab index, result,
+    input index of each live object) per slab solved, and `failed` is
+    (slab index, top budget) for the lowest slab whose ladder failed, or
+    None; the slabs above it are built, for the coverage check, but not
+    searched.  `searched[i]` is input object i as searched: its rank Box
+    for a rect, the disk itself for a disk.
     """
     points, objects = list(points), list(objects)
     if kind == "rects":
-        slabs = assign_slabs(points, objects, kind)
-        rank_points, searched = _rank_rects(points, objects)
+        pts, rects = rect_pairs(points, objects)
+        slabs = assign_slabs(pts, rects, kind)
+        n = len(pts)
+        xs, ys = [x for x, _ in pts], [y for _, y in pts]
+        for (ln, ld), b, (wn, wd) in rects:
+            if wn * wd <= 0:
+                raise ValueError("rectangle width must be positive")
+            xs += (ln, ld), (ln * wd + wn * ld, ld * wd)
+            ys += b, (b[0] + b[1], b[1])
+        xr, yr = pair_ranks(xs), pair_ranks(ys)
+        solve_points = [Point(x, y) for x, y in zip(xr[:n], yr[:n])]
+        searched = [Box(xr[k], xr[k + 1], yr[k], yr[k + 1])
+                    for k in range(n, len(xr), 2)]
         solve_objects, orig = searched, range(len(objects))
-        to_rank = dict(zip(points, rank_points))
     else:
         solve_objects, orig = _disks.dedupe_disks(objects)
         slabs = assign_slabs(points, solve_objects, kind)
-        searched = objects
+        solve_points, searched = points, objects
     found, failed = [], None
     for slab in slabs:
-        pts = slab.points
-        if kind == "rects":
-            pts = [to_rank[p] for p in pts]
+        pts = [solve_points[k] for k in slab.point_indices]
         live = live_objects(pts, solve_objects, slab.objects, kind)
         objs = [solve_objects[i] for i in live]
         problem = build(pts, objs)
         if problem.uncovered is not None:
-            given = slab.points[pts.index(problem.uncovered)]
+            given = points[slab.point_indices[pts.index(problem.uncovered)]]
+            if type(given) is tuple:
+                given = pair_point(given)
             raise Infeasible("point %r is covered by no object" % (given,))
         if failed is not None:
             continue
@@ -277,7 +314,9 @@ def solve_mpc(points, objects, kind,
     which any coverable slab succeeds) or ell_max.  The lowest slab that
     needs more than ell_max raises BudgetExceeded, unless some point is
     covered by no object.  The ply of the union is taken on the objects
-    as searched, rank Boxes for rects.
+    as searched, rank Boxes for rects.  Rects may be given as Points and
+    UnitRects or as the exact int pairs of `geom.rect_pairs`; both run the
+    same code on the pairs.
     """
     if kind == "rects":
         build, solve, ply = (_rects.rect_slab_problem,

@@ -8,7 +8,8 @@ from conftest import greedy_trap_instance
 from test_degenerate import _gritty_intervals
 
 from plycover.errors import Infeasible, UnsortedInput
-from plycover.geom import Point, WeightedInterval, as_x, line_pairs, ranks
+from plycover.geom import (Point, WeightedInterval, as_x, line_pairs,
+                           pair_ranks)
 from plycover.instances import Instance, dumps, generate, loads
 from plycover.intervals import (DagVertex, IntervalDag, V2,
                                 bottleneck_path, build_dag, chosen_loads,
@@ -69,7 +70,7 @@ class TestPrepare:
         vals = [F(1, 3), 0.5, 2, F(1, 100_003), F(1, 2), 2.0, F(-7, 9),
                 F(1, 3) + tiny, F(1, 3) - tiny, F(10 ** 400), -F(10 ** 400),
                 F(10 ** 400) + tiny, 0, -0.0, F(1, 3)]
-        rk = ranks(vals)
+        rk = pair_ranks([v.as_integer_ratio() for v in vals])
         assert sorted(set(rk)) == list(range(len(set(vals))))
         for a, ra in zip(vals, rk):
             for b, rb in zip(vals, rk):
@@ -81,7 +82,7 @@ class TestPrepare:
         tiny = F(1, 2 ** 70)
         vals = [F(1, 3), F(1, 3) + tiny, F(1, 7), F(1, 3), F(1, 3) - tiny,
                 F(1, 3) + tiny, F(5, 8), F(5, 8), F(-1, 3), F(10 ** 400, 3)]
-        want = ranks(vals)
+        want = pair_ranks([v.as_integer_ratio() for v in vals])
         assert want == [3, 4, 1, 3, 2, 4, 5, 5, 0, 6]
 
         class NoCompare(F):
@@ -90,7 +91,8 @@ class TestPrepare:
             __lt__ = __le__ = __gt__ = __ge__ = __eq__ = _refuse
             __hash__ = F.__hash__
 
-        assert ranks([NoCompare(v) for v in vals]) == want
+        assert pair_ranks([NoCompare(v).as_integer_ratio()
+                           for v in vals]) == want
 
     def test_coordinates_become_ranks_whatever_the_denominators(self):
         # every endpoint over its own prime near 1e5: the lcm of the

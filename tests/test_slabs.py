@@ -11,8 +11,8 @@ from plycover import slabs as slabs_mod
 from plycover import stripdag, tricolor
 from plycover.disks import dedupe_disks
 from plycover.errors import BudgetExceeded, Infeasible
-from plycover.geom import (EPS_COVER, Point, UnitDisk, UnitRect, ply_rects,
-                           verify_cover)
+from plycover.geom import (EPS_COVER, Box, Point, UnitDisk, UnitRect,
+                           ply_rects, verify_cover)
 from plycover.instances import generate
 from plycover.oracle import exact_min_ply
 from plycover.slabs import (_BOUNDARY_TOL, assign_slabs, live_objects,
@@ -326,7 +326,7 @@ class TestPerSlabBudgets:
                            match="^slab %d has no cover within ply budget 1$"
                            % lower.index):
             solve_mpc(points, rects, "rects", ell_max=1)
-        to_rank = dict(zip(points, slabs_mod._rank_rects(points, rects)[0]))
+        to_rank = dict(zip(points, _ranked(points, rects)[0]))
         assert searched == [[to_rank[p] for p in lower.points]]
         searched.clear()
         assert solve_mpc(points, rects, "rects", ell_max=2).objective == 2
@@ -492,6 +492,20 @@ class TestHalfOpenRectSlabs:
         assert tops_on_boundary > 50
 
 
+def _ranked(points, rects):
+    """The rect instance on coordinate ranks, found by sorting the
+    rationals: (rank Points, Boxes), as the rect search runs on them."""
+    xs = sorted({p.x for p in points} | {r.left for r in rects}
+                | {r.right for r in rects})
+    ys = sorted({p.y for p in points} | {r.bottom for r in rects}
+                | {r.top for r in rects})
+    xr = {v: k for k, v in enumerate(xs)}
+    yr = {v: k for k, v in enumerate(ys)}
+    return ([Point(xr[p.x], yr[p.y]) for p in points],
+            [Box(xr[r.left], xr[r.right], yr[r.bottom], yr[r.top])
+             for r in rects])
+
+
 def _brute_live(points, objects, indices):
     return [i for i in indices if any(objects[i].contains(p) for p in points)]
 
@@ -619,7 +633,7 @@ class TestLiveObjects:
         rng = random.Random(0x11F)
         for seed in range(300):
             points, rects = _half_grid_rects(rng)
-            rank_points, boxes = slabs_mod._rank_rects(points, rects)
+            rank_points, boxes = _ranked(points, rects)
             to_rank = dict(zip(points, rank_points))
             every = range(len(rects))
             assert (live_objects(points, rects, every, "rects")

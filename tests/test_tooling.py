@@ -15,7 +15,7 @@ from plycover.geom import Point, UnitDisk, UnitRect, WeightedInterval
 from plycover.instances import (Instance, dumps, generate, load, loads,
                                 rational_pair, save)
 from plycover.intervals import count_overlapping_pairs, solve_intervals
-from plycover.slabs import CoverSolution, assign_slabs
+from plycover.slabs import CoverSolution, assign_slabs, solve_mpc
 from plycover.svg import render_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -228,6 +228,28 @@ def test_interval_solve_builds_no_interval_objects(tmp_path, monkeypatch):
     sol = json.loads(out.read_text())
     assert sol["chosen"] == want.chosen
     assert F(sol["objective"]) == want.objective
+
+
+def test_rect_solve_builds_no_rect_objects(tmp_path, monkeypatch):
+    # `plycover solve --kind rects` runs from the loaded int pairs: no
+    # UnitRect, and no Fraction, is made between the file and the objective
+    for dist, seed in (("uniform", 6), ("clustered", 7), ("slab-stress", 8)):
+        inst = generate("rects", 40, 30, dist, seed=seed)
+        want = solve_mpc(inst.points, inst.objects, "rects")
+        path, out = tmp_path / "inst.jsonl", tmp_path / "sol.json"
+        save(inst, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("UnitRect or Fraction built")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(UnitRect, "__post_init__", refuse)
+            patched.setattr(F, "__new__", refuse)
+            assert cli.main(["solve", "--kind", "rects", "--in", str(path),
+                             "--out", str(out)]) == 0
+        sol = json.loads(out.read_text())
+        assert sol["chosen"] == want.chosen
+        assert sol["objective"] == want.objective
 
 
 def test_benchmark_tracer_wraps_the_solvers(tmp_path):

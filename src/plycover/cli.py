@@ -150,7 +150,11 @@ def _check_colors(inst, sol) -> str | None:
 def _read_solution(path) -> dict:
     """The solution file as a dict, refused unless its fields are usable."""
     with open(path) as fh:
-        sol = json.loads(fh.read())
+        text = fh.read()
+    try:
+        sol = json.loads(text)
+    except RecursionError:
+        raise _UsageError("solution file nests JSON too deeply") from None
     if not isinstance(sol, dict):
         raise _UsageError("solution file must hold a JSON object")
     kind = sol.get("kind")

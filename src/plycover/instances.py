@@ -7,8 +7,10 @@ file keeps those pairs, which `slabs.solve_mpc` and
 `intervals.solve_intervals` take as they are, so a solve makes no
 `Fraction`, `UnitRect` or `WeightedInterval` between the file and the
 objective; the `points` and `objects` lists are built only when read.
-Generated points are covered by construction unless explicitly allowed to
-be uncovered.
+Each record line is decoded by one `raw_decode` call into the C JSON
+scanner; only a line it does not take whole goes through `json.loads`, for
+its refusal.  Generated points are covered by construction unless
+explicitly allowed to be uncovered.
 """
 from __future__ import annotations
 
@@ -123,8 +125,14 @@ _ARITY = {"rects": {"p": 2, "r": 3}, "disks": {"p": 2, "d": 2},
 def _json(lineno: int, ln: str):
     try:
         return json.loads(ln)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
+        # the C scanner raises RecursionError on deeply nested JSON
         raise ValueError("line %d: %s" % (lineno, e)) from None
+
+
+# a record line's decode: the C scanner without `json.loads`' wrapper calls
+_decode = json.JSONDecoder().raw_decode
+_JSON_WS = " \t\n\r"
 
 
 def _finite_point(x, y) -> Point:
@@ -178,6 +186,13 @@ def loads(text: str) -> Instance:
     floats for disks.  JSON booleans are refused in every record.  A rect
     or interval file is kept as exact int pairs (see `Instance`), checked
     here as `UnitRect` or `WeightedInterval` would check them.
+
+    Lines are those of `str.splitlines`, and each holds one JSON value.  A
+    record line is decoded by `raw_decode` on the line stripped of JSON
+    whitespace and taken when the decode ends at the line's end.  Any
+    other line is skipped when blank and otherwise goes through `_json`,
+    so a refusal carries the text of `json.loads`, nesting past the
+    recursion limit included.
     """
     rows = enumerate(text.splitlines(), 1)
     for lineno, ln in rows:
@@ -192,9 +207,17 @@ def loads(text: str) -> Instance:
     arity = _ARITY[kind]
     points, objects = [], []
     for lineno, ln in rows:
-        if not ln.strip():
-            continue
-        rec = _json(lineno, ln)
+        # a line json.loads takes is one value between JSON whitespace;
+        # anything else, blank lines too, goes the long way
+        s = ln.strip(_JSON_WS)
+        try:
+            rec, end = _decode(s)
+        except (ValueError, RecursionError):
+            end = -1
+        if end != len(s):
+            if not ln.strip():
+                continue
+            rec = _json(lineno, ln)
         tag = next(iter(rec)) if type(rec) is dict and len(rec) == 1 else None
         if tag not in arity:
             raise ValueError("line %d: not a %s record: %s"

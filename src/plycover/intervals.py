@@ -27,6 +27,11 @@ denominators, which keeps sums exact.  A solve from a file therefore makes
 no `Fraction` between the file and the objective, Fraction(best, W), that
 `solve_intervals` returns.
 
+The per-vertex loops call no Python-level wrapper: `build_dag` makes each
+`DagVertex` with `tuple.__new__`, passing all five fields, and
+`bottleneck_path` reads the weights from one flat list and computes
+`sort_id` only to break a tie.
+
 Memory: each of the m scaled weights has about as many bits as W, and W
 grows with the number of distinct coprime weight denominators, so the
 weights take O(m * bits(W)) memory.  With 4000 uniform intervals weighted
@@ -145,6 +150,13 @@ class DagVertex(NamedTuple):
         return (self.strip, self.kind, self.q, self.r)
 
 
+_weight = operator.itemgetter(4)   # DagVertex.weight
+
+# DagVertex(kind, strip, q, r, weight) without the generated Python
+# __new__, for the build loop; every field is passed
+_new = tuple.__new__
+
+
 @dataclass
 class IntervalDag:
     vertices: list
@@ -184,7 +196,7 @@ def build_dag(prep: PreparedIntervals, mode: str = "mmsc") -> IntervalDag:
     source = None
     if not has_point[0]:
         source = 0
-        add_vertex(DagVertex(V0, 0))
+        add_vertex(_new(DagVertex, (V0, 0, -1, -1, 0)))
         add_adj([])
     prev_v0 = source
     prev_v1: dict[int, int] = {}
@@ -203,13 +215,14 @@ def build_dag(prep: PreparedIntervals, mode: str = "mmsc") -> IntervalDag:
         cur_v0 = None
         if not has_point[i2]:
             cur_v0 = len(vertices)
-            add_vertex(DagVertex(V0, i2))
+            add_vertex(_new(DagVertex, (V0, i2, -1, -1, 0)))
             add_adj([])
         weighted = mpc or has_point[i2]
         cur_v1 = {}
         for q in active:
             cur_v1[q] = len(vertices)
-            add_vertex(DagVertex(V1, i2, q, -1, wt[q] if weighted else 0))
+            add_vertex(_new(DagVertex,
+                            (V1, i2, q, -1, wt[q] if weighted else 0)))
             add_adj([])
         created_v2 = {}
         if is_left:
@@ -225,7 +238,7 @@ def build_dag(prep: PreparedIntervals, mode: str = "mmsc") -> IntervalDag:
                     else:
                         w = 0
                     vid = len(vertices)
-                    add_vertex(DagVertex(V2, i2, q, q0, w))
+                    add_vertex(_new(DagVertex, (V2, i2, q, q0, w)))
                     add_adj([])
                     created_v2[q] = vid
                     pending_v2.setdefault(q, []).append((vid, q0))
@@ -267,20 +280,21 @@ def bottleneck_path(dag: IntervalDag):
         return None
     vertices = dag.vertices
     n = len(vertices)
+    weight = list(map(_weight, vertices))
     best = [None] * n
     pred = [-1] * n
-    best[dag.source] = vertices[dag.source].weight
+    best[dag.source] = weight[dag.source]
     for u, nbrs in enumerate(dag.adj):  # creation order is topological
         bu = best[u]
         if bu is None:
             continue
-        uid = vertices[u].sort_id
         for v in nbrs:
-            w = vertices[v].weight
+            w = weight[v]
             cand = bu if bu >= w else w
             bv = best[v]
             if bv is None or cand < bv or (
-                    cand == bv and uid < vertices[pred[v]].sort_id):
+                    cand == bv
+                    and vertices[u].sort_id < vertices[pred[v]].sort_id):
                 best[v] = cand
                 pred[v] = u
     if best[dag.sink] is None:

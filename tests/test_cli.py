@@ -236,6 +236,30 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "line 3" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("where", ["record", "header", "solution"])
+    def test_deeply_nested_json_is_refused(self, tmp_path, capsys, where):
+        # the C scanner raises RecursionError past the recursion limit
+        deep = "[" * 200_000 + "]" * 200_000
+        head, rec = '{"kind":"intervals"}', '{"i":[0,2,1]}'
+        sol = '{"kind":"intervals","chosen":[0],"objective":1}'
+        if where == "record":
+            rec = deep
+        elif where == "header":
+            head = deep
+        else:
+            sol = deep
+        inst = tmp_path / "in.jsonl"
+        inst.write_text('%s\n{"p":["1"]}\n%s\n' % (head, rec))
+        (tmp_path / "sol.json").write_text(sol)
+        assert main(["check", "--in", str(inst),
+                     "--solution", str(tmp_path / "sol.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith({"record": "error: line 3: ",
+                               "header": "error: line 1: ",
+                               "solution": "usage error: "}[where]), err
+        assert "Traceback" not in err
+
+
     @pytest.mark.parametrize("kind, body", [
         ("rects", '{"p":[true,0]}'),
         ("rects", '{"r":[0,0,true]}'),

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import dag_reference
 from conftest import greedy_trap_instance
 from test_degenerate import _gritty_intervals
 
@@ -11,7 +12,7 @@ from plycover.errors import Infeasible, UnsortedInput
 from plycover.geom import (Point, WeightedInterval, as_x, line_pairs,
                            pair_ranks)
 from plycover.instances import Instance, dumps, generate, loads
-from plycover.intervals import (DagVertex, IntervalDag, V2,
+from plycover.intervals import (V0, V1, V2, DagVertex, IntervalDag,
                                 bottleneck_path, build_dag, chosen_loads,
                                 count_overlapping_pairs, evaluate_objective,
                                 prepare_instance, solve_intervals)
@@ -230,6 +231,48 @@ class TestBottleneck:
             dag = IntervalDag(vertices, adj, 0, n - 1, 0, 0)
             _, value = bottleneck_path(dag)
             assert value == min(_enumerate_paths(dag))
+
+
+def _seeded_dags():
+    """(mode, dag) over seeded instances, some with every weight 0 or in
+    {0, 1} so that most paths tie, some with uncovered points."""
+    rng = random.Random(14)
+    for seed in range(120):
+        inst = generate("intervals", rng.randint(0, 24), rng.randint(1, 16),
+                        rng.choice(["uniform", "clustered", "chain"]),
+                        seed=seed, allow_uncovered=rng.random() < 0.2)
+        ivs = inst.objects
+        levels = rng.choice([None, 1, 2])  # as generated, all 0, 0 or 1
+        if levels:
+            ivs = [WeightedInterval(s.lo, s.hi, F(rng.randrange(levels)))
+                   for s in ivs]
+        prep = prepare_instance(inst.points, ivs)
+        for mode in ("mmsc", "mpc"):
+            yield mode, build_dag(prep, mode)
+
+
+class TestAgainstReferenceDp:
+    def test_same_path_and_value(self):
+        solved = 0
+        for mode, dag in _seeded_dags():
+            want = dag_reference.bottleneck_path(dag)
+            assert bottleneck_path(dag) == want, mode
+            solved += want is not None
+        assert solved > 100
+
+    def test_vertices_are_the_constructors(self):
+        # build_dag makes its vertices with tuple.__new__; each must be the
+        # DagVertex its constructor gives, unused fields at their defaults
+        assert DagVertex(V0, 3) == (V0, 3, -1, -1, 0)
+        for _, dag in _seeded_dags():
+            for v in dag.vertices:
+                assert type(v) is DagVertex
+                if v.kind == V0:
+                    assert v == DagVertex(V0, v.strip)
+                elif v.kind == V1:
+                    assert v == DagVertex(V1, v.strip, v.q, weight=v.weight)
+                else:
+                    assert v == DagVertex(V2, v.strip, v.q, v.r, v.weight)
 
 
 class TestSolve:

@@ -12,9 +12,10 @@ import pytest
 import plycover
 from plycover import cli
 from plycover.geom import Point, UnitDisk, UnitRect, WeightedInterval
-from plycover.instances import (Instance, dumps, generate, load, loads,
-                                rational_pair, save)
-from plycover.intervals import count_overlapping_pairs, solve_intervals
+from plycover.instances import (_ARITY, Instance, dumps, generate, load,
+                                loads, rational_pair, save)
+from plycover.intervals import (DagVertex, count_overlapping_pairs,
+                                solve_intervals)
 from plycover.slabs import CoverSolution, assign_slabs, solve_mpc
 from plycover.svg import render_svg
 
@@ -133,6 +134,94 @@ class TestRationalPair:
             assert _pair_or_none(rational_pair, v) == _fraction_pair(v), v
 
 
+def _load_outcome(load, text):
+    """What a loader makes of a file: the instance's contents, or the text
+    of the ValueError it raises."""
+    try:
+        inst = load(text)
+    except ValueError as e:
+        return "refused", str(e)
+    pairs = None if inst.kind == "disks" else inst.pairs
+    return (inst.kind, pairs, inst.points, inst.objects, inst.seed,
+            inst.meta)
+
+
+_VALUES = {"rects": ['"1/3"', '"-5/3"', '"2"', "0", "7", "0.5", "-2.75"],
+           "disks": ["0.25", "1", "-3.5", "2e0", "0"],
+           "intervals": ['"1/2"', '"-1/3"', '"0"', '"3"', "2", "0.5",
+                         '"9/4"']}
+# what str.splitlines cuts at besides \n and \r
+_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+           "\u2029", "\r\n"]
+_ODD = ["NaN", "-NaN", "Infinity", "-Infinity", "true", "false", "null",
+        '"nan"', "1e400", "[1]", '"1/0"']
+
+
+def _fuzz_record(rng, kind):
+    tag, arity = rng.choice(sorted(_ARITY[kind].items()))
+    vals = [rng.choice(_VALUES[kind]) for _ in range(arity)]
+    if rng.random() < 0.15:
+        vals[rng.randrange(arity)] = rng.choice(_ODD)
+    return '{"%s":[%s]}' % (tag, ",".join(vals))
+
+
+def _fuzz_line(rng, kind, rec):
+    """`rec` with zero or more of the edits a loader must treat exactly as
+    a per-line `json.loads` does."""
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        edit = rng.randrange(9)
+        cut = rng.randint(0, len(rec))
+        if edit == 0:      # JSON whitespace around the record
+            rec = (rng.choice(["", " ", "\t", " \t ", "\t\t"]) + rec
+                   + rng.choice(["", " ", "\t", "\t ", "   "]))
+        elif edit == 1:    # whitespace JSON does not skip
+            rec = rec[:cut] + rng.choice(["\u00a0", "\ufeff"]) + rec[cut:]
+        elif edit == 2:
+            rec = rng.choice(["\u00a0", "\ufeff", " \ufeff"]) + rec
+        elif edit == 3:    # a line break only splitlines honours
+            rec = rec[:cut] + rng.choice(_BREAKS) + rec[cut:]
+        elif edit == 4:    # one record split over two lines
+            rec = rec[:cut] + "\n" + rec[cut:]
+        elif edit == 5:    # two records on one line
+            rec += rng.choice(["", " ", "\t"]) + _fuzz_record(rng, kind)
+        elif edit == 6:    # trailing garbage
+            rec += rng.choice(["x", "]", "}", ",", " 1", "//", "\\", '"'])
+        elif edit == 7:    # a blank or whitespace-only line after it
+            rec += "\n" + rng.choice(["", " ", "\t", "\u00a0", "\ufeff",
+                                      "\u3000", " \x0b "])
+        else:              # a truncated record
+            rec = rec[:cut]
+    return rec
+
+
+class TestLoaderAgainstPerLineJson:
+    def test_fuzzed_files_load_alike(self):
+        # the loader decodes record lines with raw_decode on the line
+        # stripped of JSON whitespace; every file must give the instance,
+        # or the refusal text, of a json.loads per line
+        from loader_reference import loads as loads_per_line
+        rng = random.Random(14)
+        loaded = refused = 0
+        for _ in range(3000):
+            kind = rng.choice(("rects", "disks", "intervals"))
+            head = '{"kind":"%s","seed":%d}' % (kind, rng.randint(0, 9))
+            if rng.random() < 0.1:
+                head = _fuzz_line(rng, kind, head)
+            lines = [head] + [
+                _fuzz_line(rng, kind, _fuzz_record(rng, kind))
+                for _ in range(rng.randint(0, 6))]
+            text = rng.choice(["\n", "\r\n", "\n\n"]).join(lines)
+            if rng.random() < 0.5:
+                text += "\n"
+            want = _load_outcome(loads_per_line, text)
+            assert _load_outcome(loads, text) == want, text
+            if want[0] == "refused":
+                refused += 1
+            else:
+                loaded += 1
+        assert loaded > 500 and refused > 500
+
+
 class TestGenerate:
     def test_deterministic(self):
         for kind, dist in (("rects", "uniform"), ("disks", "clustered"),
@@ -228,6 +317,36 @@ def test_interval_solve_builds_no_interval_objects(tmp_path, monkeypatch):
     sol = json.loads(out.read_text())
     assert sol["chosen"] == want.chosen
     assert F(sol["objective"]) == want.objective
+
+
+def test_interval_solve_takes_the_fast_paths(tmp_path, monkeypatch):
+    # record lines are decoded by raw_decode, not one json.loads each, and
+    # build_dag makes its vertices without DagVertex's generated __new__
+    for dist, seed, mode in (("uniform", 6, "mmsc"), ("clustered", 7, "mpc"),
+                             ("chain", 8, "mmsc")):
+        inst = generate("intervals", 40, 30, dist, seed=seed)
+        want = solve_intervals(inst.points, inst.objects, mode)
+        path, out = tmp_path / "inst.jsonl", tmp_path / "sol.json"
+        save(inst, path)
+        calls = []
+        json_loads = json.loads
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return json_loads(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("DagVertex.__new__ called")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(json, "loads", counted)
+            patched.setattr(DagVertex, "__new__", refuse)
+            assert cli.main(["solve", "--kind", "intervals", "--mode", mode,
+                             "--in", str(path), "--out", str(out)]) == 0
+        assert len(calls) <= 1
+        sol = json.loads(out.read_text())
+        assert sol["chosen"] == want.chosen
+        assert F(sol["objective"]) == want.objective
 
 
 def test_rect_solve_builds_no_rect_objects(tmp_path, monkeypatch):

@@ -163,6 +163,8 @@ def _read_solution(path) -> dict:
     chosen = sol.get("chosen")
     if not isinstance(chosen, list) or any(type(i) is not int for i in chosen):
         raise _UsageError("solution file needs \"chosen\", a list of ints")
+    if len(set(chosen)) != len(chosen):
+        raise _UsageError("solution file repeats a chosen index")
     objective = sol.get("objective")
     if type(objective) is str:
         try:

@@ -29,8 +29,8 @@ no `Fraction` between the file and the objective, Fraction(best, W), that
 
 The per-vertex loops call no Python-level wrapper: `build_dag` makes each
 `DagVertex` with `tuple.__new__`, passing all five fields, and
-`bottleneck_path` reads the weights from one flat list and computes
-`sort_id` only to break a tie.
+`bottleneck_path` reads the weights from one flat list and needs no
+tie-break (see its docstring).
 
 Memory: each of the m scaled weights has about as many bits as W, and W
 grows with the number of distinct coprime weight denominators, so the
@@ -70,8 +70,7 @@ def _scaled(pairs):
 
 @dataclass
 class PreparedIntervals:
-    intervals: list       # kept input intervals as given, sorted by right end
-    orig_idx: list        # input position of each kept interval
+    orig_idx: list        # input position of each kept interval, ascending
     events: list          # (x rank, cls, 0, kept index) for both sides, sorted
     right_pos: list       # position of each kept interval's right event
     weights: list         # kept interval weights times weight_scale
@@ -133,9 +132,8 @@ def prepare_instance(points, intervals) -> PreparedIntervals:
             reps.append(x)
             rep_strip.append(i)
             last = i
-    return PreparedIntervals([intervals[i] for i in keep], keep, events,
-                             right_pos, [ws[i] for i in keep], w_scale,
-                             reps, rep_strip)
+    return PreparedIntervals(keep, events, right_pos, [ws[i] for i in keep],
+                             w_scale, reps, rep_strip)
 
 
 class DagVertex(NamedTuple):
@@ -144,10 +142,6 @@ class DagVertex(NamedTuple):
     q: int = -1
     r: int = -1
     weight: int = 0       # times PreparedIntervals.weight_scale
-
-    @property
-    def sort_id(self) -> tuple:
-        return (self.strip, self.kind, self.q, self.r)
 
 
 _weight = operator.itemgetter(4)   # DagVertex.weight
@@ -272,10 +266,17 @@ def build_dag(prep: PreparedIntervals, mode: str = "mmsc") -> IntervalDag:
 
 def bottleneck_path(dag: IntervalDag):
     """Minimax-weight source-to-sink path: (vertex index list, value), or
-    None when the sink is unreachable.  Ties prefer the predecessor with
-    the lexicographically smaller vertex id.  The value is in the DAG's
-    vertex weight units, so the real optimum is Fraction(value,
-    prep.weight_scale)."""
+    None when the sink is unreachable.  The value is in the DAG's vertex
+    weight units, so the real optimum is Fraction(value,
+    prep.weight_scale).
+
+    A vertex keeps the first predecessor, in creation order, to reach its
+    best value, which is also its least (strip, kind, q, r): a vertex has
+    at most two predecessors, made in that order.  A V0 has the V0 one
+    strip back and, at a right event, the leaving V1 made after it; a V1
+    has its V1 one strip back and, at a right event, the pending V2 pair,
+    made after it or at an earlier strip; a V2 has only its q's V1.
+    """
     if dag.source is None or dag.sink is None:
         return None
     vertices = dag.vertices
@@ -292,9 +293,7 @@ def bottleneck_path(dag: IntervalDag):
             w = weight[v]
             cand = bu if bu >= w else w
             bv = best[v]
-            if bv is None or cand < bv or (
-                    cand == bv
-                    and vertices[u].sort_id < vertices[pred[v]].sort_id):
+            if bv is None or cand < bv:
                 best[v] = cand
                 pred[v] = u
     if best[dag.sink] is None:

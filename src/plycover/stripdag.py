@@ -22,11 +22,11 @@ the events, masks and depth oracle.  A set bit of a cover mask is a
 that can be uncovered; `uncovered` names the first such point in sweep
 order, or is None, and when there is one no search is run.
 
-`run` is the one search loop.  States are memoized per strip, and for each
-state it keeps the smallest union of chosen objects over the paths that
-reach it, in the sorted-tuple order of index sets (`union_lt`).  Rectangles
-and disks step with `successors`; the 3-color search (`tricolor`) steps
-over triples of class masks on the same problem.
+`run` is the one search loop.  States are memoized per strip, and each
+keeps the union of the first path that reaches it, so every slab's result
+is inclusion-minimal (see `run`).  Rectangles and disks step with
+`successors`; the 3-color search (`tricolor`) steps over triples of class
+masks on the same problem.
 """
 from __future__ import annotations
 
@@ -54,22 +54,10 @@ def bits(mask: int) -> list:
     return out
 
 
-def union_lt(a: int, b: int) -> bool:
-    """True iff index set a sorts before b as sorted tuples.
-
-    Below d, the lowest bit of a ^ b, the sets agree.  If a holds d, it is
-    smaller iff b goes on past d; otherwise it is smaller iff it stops at d.
-    """
-    if a == b:
-        return False
-    low = (a ^ b) & -(a ^ b)
-    return b >= low << 1 if a & low else a < low << 1
-
-
 class StripState(NamedTuple):
     strip: int
     mask: int          # members; the 3-color search keeps its class masks
-    union: int = 0     # chosen objects on the best path to this state
+    union: int = 0     # chosen objects on the first path to this state
 
     @property
     def members(self) -> tuple:
@@ -194,13 +182,21 @@ def successors(problem: StripProblem, state: StripState) -> list[StripState]:
     return out
 
 
-def run(problem: StripProblem, step, less, start):
-    """Forward search source -> sink: the least union reaching the `start`
-    state again after the last strip, or None.
+def run(problem: StripProblem, step, start):
+    """Forward search source -> sink: the union of the first path that
+    reaches the `start` state again after the last strip, or None.
 
-    `step(problem, state)` yields (strip, key, union) successors; for each
-    key of the next strip only the union least under `less` is kept, which
-    makes the output deterministic and biased toward small indices.
+    `step(problem, state)` yields (strip, key, union) successors, skipping
+    the entering object (rank 0) before taking it; each key of the next
+    strip keeps the union of the first successor to reach it.  A strip's
+    states are visited in the order they were first reached, so by
+    induction each key keeps its least decision path: the least rank
+    sequence, in sweep order.  Dict insertion order decides.
+
+    So a result is inclusion-minimal: if it still covered the slab without
+    some chosen q, skipping q at its left side and deciding as before
+    elsewhere would be a valid, smaller path, since removing an object
+    never raises depth, strip counts or conflicts.
     """
     if problem.uncovered is not None:
         return None
@@ -209,8 +205,7 @@ def run(problem: StripProblem, step, less, start):
         nxt = {}
         for key, union in states.items():
             for _, k, u in step(problem, _new(StripState, (i, key, union))):
-                cur = nxt.get(k)
-                if cur is None or (u != cur and less(u, cur)):
+                if k not in nxt:
                     nxt[k] = u
         if not nxt:
             return None
@@ -220,5 +215,5 @@ def run(problem: StripProblem, step, less, start):
 
 def search(problem: StripProblem):
     """The chosen index union of a cover of the slab points, or None."""
-    union = run(problem, successors, union_lt, 0)
+    union = run(problem, successors, 0)
     return None if union is None else bits(union)

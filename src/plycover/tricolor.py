@@ -18,9 +18,10 @@ The slab search is `stripdag.run` on a strip problem whose meet masks are
 conflict masks: an entering disk's mask holds the disks crossing its left
 side that it is not disjoint from, so it may join a class iff the class
 mask misses its conflict mask.  A state is a triple of class masks in
-canonical order (by index tuple, empties last), with a triple of unions;
-coverage is tested on the OR of the classes against the strip's cover
-masks.
+canonical order (nonempty classes by mask value, empties last), with a
+triple of unions; coverage is tested on the OR of the classes against the
+strip's cover masks.  A step emits keep, then joins to classes 0, 1, 2:
+the ranks 0 to 3 of `run`'s least decision path.
 """
 from __future__ import annotations
 
@@ -33,26 +34,19 @@ from .geom import (EventClass, disks_disjoint, membership_at,  # noqa: F401
                    ply_disks)
 from .slabs import (CoverSolution, assign_slabs,  # noqa: F401
                     search_slabs)
-from .stripdag import bits, build_problem, covered, run, union_lt
+from .stripdag import bits, build_problem, covered, run
 
 MAX_PER_CLASS = 8
 
 _EMPTY = (0, 0, 0)
 
 
-def _classes_lt(a, b) -> bool:
-    for x, y in zip(a, b):
-        if x != y:
-            return union_lt(x, y)
-    return False
-
-
 def _canonical(c, u):
-    # collapse the 3! symmetry: a stable sort of the class list c by index
-    # tuples, empties last; the union list u follows the same permutation
+    # collapse the 3! symmetry: a stable sort of the class list c by mask
+    # value, empties last; the union list u follows the same permutation
     for a, b in ((0, 1), (1, 2), (0, 1)):
         x, y = c[a], c[b]
-        if y and (not x or union_lt(y, x)):
+        if y and (not x or y < x):
             c[a], c[b] = y, x
             u[a], u[b] = u[b], u[a]
     return tuple(c), tuple(u)
@@ -108,7 +102,7 @@ def solve_slab_3color(points, disks, problem=None):
     `problem` is this slab's strip problem, if already built."""
     if problem is None:
         problem = _slab_problem(points, disks)
-    unions = run(problem, _step, _classes_lt, _EMPTY)
+    unions = run(problem, _step, _EMPTY)
     return None if unions is None else tuple(tuple(bits(u)) for u in unions)
 
 

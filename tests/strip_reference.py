@@ -7,6 +7,14 @@ tested point by point with the objects' `contains`, and ply through a
 tuple-keyed cache over the `geom` depth functions.  The 3-color search is
 its own loop over triples of class tuples.  The differential tests require
 the production engine to return exactly what these return.
+
+Each state carries its decision path, a tuple of per-boundary ranks, and
+keeps the union of the least path that reaches it.  In the ply search the
+rank is 1 when the step adds the entering object, else 0; in the 3-color
+search it is 0 to keep and a + 1 to join class a, with the classes in
+canonical order: by mask value, sum(1 << i), empties last.  States are
+visited in sorted order, so the rule stands apart from any insertion
+order.
 """
 from __future__ import annotations
 
@@ -90,7 +98,8 @@ def _covers_all(problem, members, pts) -> bool:
     return True
 
 
-def successors(problem: StripProblem, state: StripState) -> list[StripState]:
+def successors(problem: StripProblem, state: StripState) -> list:
+    """(successor state, rank) pairs; the rank is 1 iff q is added."""
     ev = problem.events[state.strip]
     q = ev.obj
     members = state.members
@@ -110,7 +119,7 @@ def successors(problem: StripProblem, state: StripState) -> list[StripState]:
             continue
         if added and problem.ply.with_added(members, q) > problem.ell:
             continue
-        out.append(StripState(nxt, cand))
+        out.append((StripState(nxt, cand), int(added)))
     return out
 
 
@@ -129,21 +138,21 @@ def search(problem: StripProblem):
         return None
     if not problem.events:
         return []
-    states = {(): ()}
+    states = {(): ((), ())}   # members -> (least path, its union)
     for i in range(len(problem.events)):
         nxt = {}
         for members in sorted(states):
-            union = states[members]
-            for succ in successors(problem, StripState(i, members)):
-                u = _merge_union(union, succ.members)
+            path, union = states[members]
+            for succ, rank in successors(problem, StripState(i, members)):
+                p = path + (rank,)
                 cur = nxt.get(succ.members)
-                if cur is None or u < cur:
-                    nxt[succ.members] = u
+                if cur is None or p < cur[0]:
+                    nxt[succ.members] = (p, _merge_union(union, succ.members))
         if not nxt:
             return None
         states = nxt
-    union = states.get(())
-    return None if union is None else list(union)
+    best = states.get(())
+    return None if best is None else list(best[1])
 
 
 def solve_slab_rects(points, rects, ell):
@@ -178,8 +187,8 @@ _EMPTY = ((), (), ())
 
 
 def _canonical(classes, unions):
-    order = sorted(range(3),
-                   key=lambda a: (1,) if not classes[a] else (0, classes[a]))
+    order = sorted(range(3), key=lambda a: (
+        (1,) if not classes[a] else (0, sum(1 << i for i in classes[a]))))
     return (tuple(classes[a] for a in order),
             tuple(unions[a] for a in order))
 
@@ -192,16 +201,17 @@ def solve_slab_3color(points, disks):
         return None
     if not events:
         return _EMPTY
-    states = {_EMPTY: _EMPTY}
+    # canonical classes -> (least path, unions)
+    states = {_EMPTY: ((), _EMPTY)}
     for b, ev in enumerate(events):
         q = ev.obj
         is_left = ev.cls == EventClass.LEFT_SIDE
         pts = strip_points[b + 1]
         nxt = {}
         for classes in sorted(states):
-            unions = states[classes]
+            path, unions = states[classes]
             if is_left:
-                cands = [classes]
+                cands = [(classes, 0)]
                 tried_empty = False
                 for a in range(3):
                     cls = classes[a]
@@ -215,28 +225,30 @@ def solve_slab_3color(points, disks):
                            for m in cls):
                         grown = list(classes)
                         grown[a] = merge_member(cls, q)
-                        cands.append(tuple(grown))
+                        cands.append((tuple(grown), a + 1))
             else:
                 hit = next((a for a in range(3) if q in classes[a]), None)
                 if hit is None:
-                    cands = [classes]
+                    cands = [(classes, 0)]
                 else:
                     shrunk = list(classes)
                     shrunk[hit] = tuple(m for m in classes[hit] if m != q)
-                    cands = [tuple(shrunk)]
-            for cand in cands:
+                    cands = [(tuple(shrunk), 0)]
+            for cand, rank in cands:
                 if pts:
                     active = cand[0] + cand[1] + cand[2]
                     if not all(any(disks[o].contains(p) for o in active)
                                for p in pts):
                         continue
+                p = path + (rank,)
                 new_unions = tuple(_merge_union(unions[a], cand[a])
                                    for a in range(3))
                 canon_cls, canon_uni = _canonical(cand, new_unions)
                 old = nxt.get(canon_cls)
-                if old is None or canon_uni < old:
-                    nxt[canon_cls] = canon_uni
+                if old is None or p < old[0]:
+                    nxt[canon_cls] = (p, canon_uni)
         if not nxt:
             return None
         states = nxt
-    return states.get(_EMPTY)
+    best = states.get(_EMPTY)
+    return None if best is None else best[1]

@@ -8,7 +8,10 @@ import gc
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +21,7 @@ import pytest
 from conftest import greedy_trap_instance, k4_clique, ply3_not_3colorable
 from depth_reference import grid_depth_disks
 
+import plycover
 from plycover.cli import main
 from plycover.disks import dedupe_disks, disk_side_events, solve_slab_disks
 from plycover.errors import Infeasible
@@ -393,3 +397,32 @@ def test_criterion_9_determinism(tmp_path):
         assert files["a"] == files["b"], solve_kind
     _report(9, "byte-identical instance, solution, and SVG files across "
                "repeated runs for every kind")
+
+
+def test_criterion_9_determinism_across_processes(tmp_path):
+    # the strip search keeps the first path to each state, so outputs rest
+    # on dict insertion order; no set or str-hash order may leak into them
+    src = os.path.dirname(os.path.dirname(plycover.__file__))
+    configs = [
+        ("rects", "rects", "clustered", 21),
+        ("disks", "disks", "clustered", 22),
+        ("3color", "disks", "uniform", 23),
+        ("intervals", "intervals", "clustered", 24),
+    ]
+    for solve_kind, gen_kind, dist, seed in configs:
+        inst = tmp_path / ("%s.jsonl" % solve_kind)
+        assert main(["gen", "--kind", gen_kind, "-n", "40", "-m", "24",
+                     "--dist", dist, "--seed", str(seed),
+                     "--out", str(inst)]) == 0
+        outs = []
+        for hash_seed in ("1", "2"):
+            sol = tmp_path / ("%s_%s.sol" % (solve_kind, hash_seed))
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            assert subprocess.run(
+                [sys.executable, "-m", "plycover.cli", "solve", "--kind",
+                 solve_kind, "--in", str(inst), "--out", str(sol)],
+                env=env, timeout=120).returncode == 0, solve_kind
+            outs.append(sol.read_bytes())
+        assert outs[0] == outs[1], solve_kind
+    _report(9, "byte-identical solutions from two processes with different "
+               "PYTHONHASHSEED for every kind")

@@ -94,7 +94,9 @@ class TestSolveCheck:
         '{"kind":"3color","chosen":[0],"objective":1,"colors":{"99":1}}',
         '{"kind":"intervals","chosen":[0,2,3],"objective":"3"',
         '{"kind":"intervals","chosen":[0,99],"objective":"3"}',
-        '{"kind":"intervals","chosen":[-1],"objective":"3"}'])
+        '{"kind":"intervals","chosen":[-1],"objective":"3"}',
+        # interval 2 twice: the objective is what counting it twice gives
+        '{"kind":"intervals","chosen":[0,2,2,3],"objective":"4"}'])
     @pytest.mark.parametrize("command", ["check", "render"])
     def test_malformed_solution_is_refused(self, tmp_path, capsys, body,
                                            command):

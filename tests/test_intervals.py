@@ -58,10 +58,11 @@ class TestPrepare:
             prepare_instance([], [iv(0, 5), iv(1, 2)])
 
     def test_duplicates_collapse_to_min_weight(self):
-        prep = prepare_instance([], [iv(0, 1, 7), iv(0, 1, 3), iv(0, 1, 5)])
-        assert len(prep.intervals) == 1
-        assert prep.intervals[0].weight == 3
+        ivs = [iv(0, 1, 7), iv(0, 1, 3), iv(0, 1, 5)]
+        prep = prepare_instance([], ivs)
         assert prep.orig_idx == [1]
+        assert ivs[prep.orig_idx[0]].weight == 3
+        assert prep.weights == [3 * prep.weight_scale]
 
 
     def test_ranks_keep_order_and_ties_exactly(self):

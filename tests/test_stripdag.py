@@ -1,9 +1,8 @@
 """The bitmask strip engine against the tuple engine it replaced
 (`strip_reference`): the same covers, classes and failures on seeded fuzz,
-the bit order rule against tuple order, and the disk arrangement against
-`disk_depth_within`.  A slab's problem built once and searched at every
+and the disk arrangement against `disk_depth_within`.  Each slab's result
+is inclusion-minimal.  A slab's problem built once and searched at every
 budget of its ladder gives what a fresh build at each budget gives."""
-import itertools
 import math
 import random
 from collections import Counter
@@ -20,8 +19,8 @@ from plycover.geom import (EPS_COVER, Point, UnitDisk, UnitRect,
                            disk_depth_within, disks_disjoint, ply_disks)
 from plycover.instances import generate
 from plycover.rects import rect_slab_problem, solve_slab_rects
-from plycover.slabs import assign_slabs, solve_mpc
-from plycover.stripdag import bits, union_lt
+from plycover.slabs import assign_slabs, live_objects, solve_mpc
+from plycover.stripdag import bits
 from plycover.tricolor import solve_slab_3color
 
 
@@ -173,40 +172,56 @@ class TestAgainstTupleEngine:
         assert solved > 50 and failed > 30
 
 
-def _bit_set(rng, n):
-    return rng.getrandbits(n) & rng.getrandbits(n)
+def _live_slabs(kind, seed):
+    """The slabs of a seeded instance as `search_slabs` searches them: each
+    slab's points with its live objects only."""
+    rng = random.Random(seed)
+    m_hi = 24 if kind == "3color" else 40
+    inst = generate("rects" if kind == "rects" else "disks",
+                    rng.randint(4, 30), rng.randint(4, m_hi),
+                    ("uniform", "clustered", "slab-stress")[seed % 3],
+                    seed=seed)
+    objects = inst.objects
+    for slab in assign_slabs(inst.points, objects, inst.kind):
+        live = live_objects(slab.points, objects, slab.objects, inst.kind)
+        yield slab.points, [objects[i] for i in live]
 
 
-class TestUnionOrder:
-    def test_matches_tuple_order(self):
-        rng = random.Random(0xB17)
-        pairs = []
-        for _ in range(20000):
-            n = rng.choice((1, 3, 8, 40, 130))
-            a = _bit_set(rng, n)
-            kind = rng.randrange(4)
-            if kind == 0:  # b a prefix of a, or a of b
-                cut = rng.randrange(n + 1)
-                b = a & ((1 << cut) - 1)
-            elif kind == 1:  # shared prefix, then anything
-                cut = rng.randrange(n + 1)
-                b = (a & ((1 << cut) - 1)) | (_bit_set(rng, n) >> cut << cut)
-            else:
-                b = _bit_set(rng, n)
-            pairs.append((a, b))
-        pairs += [(0, 0), (0, 1), (1, 0), (0, 1 << 70), (5, 5)]
-        for a, b in pairs:
-            ta, tb = tuple(bits(a)), tuple(bits(b))
-            assert union_lt(a, b) == (ta < tb), (ta, tb)
-            assert union_lt(b, a) == (tb < ta), (ta, tb)
+def _least_rung(solve, pts, objs):
+    for ell in range(1, len(objs) + 1):
+        got = solve(pts, objs, ell)
+        if got is not None:
+            return got
+    return None
 
-    def test_small_universe_exhaustive(self):
-        for a, b in itertools.product(range(64), repeat=2):
-            assert union_lt(a, b) == (tuple(bits(a)) < tuple(bits(b)))
 
-    def test_bits(self):
-        assert bits(0) == [] and bits(0b1011) == [0, 1, 3]
-        assert bits(1 << 200 | 4) == [2, 200]
+class TestInclusionMinimal:
+    """Each slab's result loses coverage of some slab point when any one
+    chosen object is dropped: `run` keeps the least decision path."""
+
+    @pytest.mark.parametrize("kind", ["rects", "disks", "3color"])
+    def test_no_chosen_object_can_go(self, kind):
+        chosen_total = 0
+        for seed in range(120):
+            for pts, objs in _live_slabs(kind, seed):
+                if kind == "3color":
+                    got = solve_slab_3color(pts, objs)
+                    got = got and [i for cls in got for i in cls]
+                else:
+                    solve = (solve_slab_rects if kind == "rects"
+                             else solve_slab_disks)
+                    got = _least_rung(solve, pts, objs)
+                for q in got or ():
+                    rest = [objs[i] for i in got if i != q]
+                    assert not all(any(o.contains(p) for o in rest)
+                                   for p in pts), (seed, q)
+                chosen_total += len(got or ())
+        assert chosen_total > 300
+
+
+def test_bits():
+    assert bits(0) == [] and bits(0b1011) == [0, 1, 3]
+    assert bits(1 << 200 | 4) == [2, 200]
 
 
 def _assert_depths_agree(disks):

@@ -9,7 +9,7 @@ oracles.
 
 from .errors import (BudgetExceeded, Infeasible, InstanceTooLarge,
                      PlyCoverError, UnsortedInput)
-from .geom import (EPS_COVER, EventClass, Point, UnitDisk, UnitRect,
+from .geom import (EventClass, Point, UnitDisk, UnitRect,
                    WeightedInterval, disks_disjoint, membership_at, ply_disks,
                    ply_rects, verify_cover)
 from .instances import Instance, generate, load, loads, save, dumps
@@ -19,7 +19,7 @@ from .slabs import CoverSolution, SlabInstance, assign_slabs, solve_mpc
 from .tricolor import solve_3color
 
 __all__ = [
-    "BudgetExceeded", "CoverSolution", "EPS_COVER", "EventClass",
+    "BudgetExceeded", "CoverSolution", "EventClass",
     "Infeasible", "Instance",
     "InstanceTooLarge", "IntervalDag", "PlyCoverError", "Point",
     "SlabInstance", "UnitDisk", "UnitRect", "UnsortedInput",

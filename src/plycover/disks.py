@@ -2,21 +2,22 @@
 
 Same skeleton as the rectangle solver, with two changes: strips are cut at
 the leftmost/rightmost points of disks, and the per-strip cap is 8*ell.
-Every disk spanning a strip has its center inside a 1-by-3 box around the
-strip's vertical line, and that box is coverable by eight unit disks, so a
-ply-ell solution puts at most 8*ell disks across any strip.
 
-Every disk predicate is closed under the fixed tolerance `EPS_COVER`, so
-the strips are cut at the tolerance-widened extrema cx -/+ (0.5 +
-EPS_COVER): two disks that meet only within the tolerance are then both
-active in some strip.  The strip search is `stripdag`'s, on member masks,
-with cover masks from `UnitDisk.contains`.  A disk may meet another when
-their centres lie within the window of `disk_depth_within`.  Its depth
-oracle is a `DiskArrangement`, built once per strip problem: the candidate
-points of `geom.disk_candidates` with the masks of the disks producing and
-containing each, so that a depth is a popcount maximum over one disk's
-points.  A slab's problem, arrangement included, is built once and every
-budget of its ell ladder searches a view of it (`StripProblem.at`).
+The strips are cut at the float extrema fl(cx -/+ 1/2).  Rounding is
+monotone and lefts sort before points before rights, so a disk is active
+at every point it holds.  A disk spanning a strip has its centre within
+1/2 of the strip's vertical line, give or take a rounding, and its slab
+puts the centre in a band of height 3 (`slabs.slab_offset`).  Eight cells
+of about 0.5 by 0.75, of diagonal 0.90 < 1, cut that 1-by-3 box; the
+disks centred in one cell share the cell's centre, so a ply-ell solution
+has at most ell disks in a cell and 8*ell across any strip.
+
+The strip search is `stripdag`'s, on member masks, with cover masks from
+`UnitDisk.contains`; a disk may meet another when they are not
+`disks_disjoint`.  Its depth oracle is a `DiskArrangement`, built once per
+strip problem from the candidate points of `geom.disk_candidates`.  A
+slab's problem, arrangement included, is built once and every budget of
+its ell ladder searches a view of it (`StripProblem.at`).
 
 Disk extrema and points that share an x-coordinate are ordered as
 rectangle sides are, symbolically by `(x, EventClass, y, obj)`: lefts
@@ -29,8 +30,8 @@ from typing import Optional, Sequence
 
 # ply_disks and disk_depth_within stay bound here so that
 # perfbench/tracing.py can wrap them; the search uses DiskArrangement
-from .geom import (EPS_COVER, WINDOW_SLACK, EventClass,  # noqa: F401
-                   UnitDisk, disk_candidates, disk_depth_within, ply_disks)
+from .geom import (EventClass, UnitDisk, disk_candidates,  # noqa: F401
+                   disk_depth_within, disks_disjoint, ply_disks)
 from .stripdag import PlyCache, SideEvent, StripProblem, build_problem, search
 
 PER_STRIP_FACTOR = 8
@@ -41,13 +42,12 @@ canonical_rotation = rotate_instance = None
 
 
 def disk_side_events(disks: Sequence[UnitDisk]) -> list[SideEvent]:
-    """One event per tolerance-widened disk extremum, in sweep order."""
-    r = 0.5 + EPS_COVER
+    """One event per float disk extremum, in sweep order."""
     events = []
     for i, d in enumerate(disks):
-        events.append(SideEvent(d.center.x - r, EventClass.LEFT_SIDE,
+        events.append(SideEvent(d.center.x - 0.5, EventClass.LEFT_SIDE,
                                 d.center.y, i))
-        events.append(SideEvent(d.center.x + r, EventClass.RIGHT_SIDE,
+        events.append(SideEvent(d.center.x + 0.5, EventClass.RIGHT_SIDE,
                                 d.center.y, i))
     events.sort()
     return events
@@ -56,51 +56,40 @@ def disk_side_events(disks: Sequence[UnitDisk]) -> list[SideEvent]:
 class DiskArrangement:
     """The candidate points of a slab's disks, listed per disk.
 
-    Each candidate of `disk_candidates` is kept, as (generators,
-    containers), in the list of every disk that contains it: the mask of
-    the disks that produce it and the mask of the disks that contain it.
-    Given a mask of disks, a point counts when all its generators are in
-    the mask, and its depth is the number of mask disks containing it.  The
-    window of `disk_depth_within` drops only disks that reach no point of
-    the region, and with them only candidates outside it, so the maximum
-    over disk q's list equals `disk_depth_within` of the mask disks over q.
+    Each disk q keeps the distinct masks of the disks holding a candidate
+    of `disk_candidates` that q holds.  Given a mask of disks holding q,
+    the depth within q is the largest count of mask disks in one of them:
+    every such candidate lies in q, and the depth is attained at a
+    candidate made by mask disks alone (see `geom.ply_disks`), which q
+    holds.
     """
 
     def __init__(self, disks):
-        self._within = within = [[] for _ in disks]
-        for gen, holders in disk_candidates(disks):
+        self._within = within = [set() for _ in disks]
+        for holders in disk_candidates(disks):
             cont = 0
             for k in holders:
                 cont |= 1 << k
             for k in holders:
-                within[k].append((gen, cont))
+                within[k].add(cont)
 
     def depth_within(self, mask: int, q: int) -> int:
-        """`disk_depth_within` of the disks in `mask` over disk q."""
+        """`disk_depth_within` of the disks in `mask`, q among them, over
+        disk q."""
         best = 0
-        for gen, cont in self._within[q]:
-            if gen & mask == gen:
-                c = (cont & mask).bit_count()
-                if c > best:
-                    best = c
+        for cont in self._within[q]:
+            c = (cont & mask).bit_count()
+            if c > best:
+                best = c
         return best
 
 
 def disk_slab_problem(points, disks, ell: int = 1) -> StripProblem:
     disks = list(disks)
-    arrangement = DiskArrangement(disks)
-    reach = 1.0 + 2.0 * EPS_COVER + WINDOW_SLACK
-    reach2 = reach * reach
-
-    def meets(o, q):
-        # the window of disk_depth_within: no farther disk reaches into q
-        dx = disks[o].center.x - disks[q].center.x
-        dy = disks[o].center.y - disks[q].center.y
-        return dx * dx + dy * dy <= reach2
-
     return build_problem(points, disk_side_events(disks),
-                         lambda o, p: disks[o].contains(p), meets,
-                         PlyCache(arrangement.depth_within),
+                         lambda o, p: disks[o].contains(p),
+                         lambda o, q: not disks_disjoint(disks[o], disks[q]),
+                         PlyCache(DiskArrangement(disks).depth_within),
                          PER_STRIP_FACTOR, ell)
 
 

@@ -1,17 +1,21 @@
 """Geometric primitives shared by every solver.
 
 Points, unit-height rectangles, unit disks, weighted intervals, closed-set
-membership tests, and exact maximum-depth (ply) computations.  Rectangles
-and intervals carry exact rational coordinates, so all their predicates are
-exact sign tests.  Disks use float coordinates, and because their
-predicates involve square roots every disk predicate widens the radius by
-the one fixed tolerance `EPS_COVER`; it is not configurable.  Every object
+membership tests, and exact maximum-depth (ply) computations.  Every object
 is a closed set: a point on the boundary belongs to the object.
 
-Rectangle and interval predicates only compare coordinates, so the solvers
-take their inputs as exact (num, den) int pairs (`rect_pairs`,
-`line_pairs`), replace each coordinate by its rank (`pair_ranks`) and run
-on small ints; a rectangle then becomes a `Box` of rank sides.
+Rectangles and intervals carry exact rational coordinates, and their
+predicates only compare coordinates, so the solvers take their inputs as
+exact (num, den) int pairs (`rect_pairs`, `line_pairs`), replace each
+coordinate by its rank (`pair_ranks`) and run on small ints; a rectangle
+then becomes a `Box` of rank sides.
+
+Disks have float coordinates, exact dyadic rationals, and their
+predicates are exact too: each is a sign test, decided in floats when the
+float value lies farther from its threshold than a bound on its rounding
+error, and on ints otherwise (Shewchuk, "Adaptive precision floating-point
+arithmetic and fast robust geometric predicates", DCG 1997).  Where two
+circles meet is held symbolically (`_pair_points`).
 """
 from __future__ import annotations
 
@@ -24,16 +28,8 @@ from functools import cmp_to_key
 from itertools import groupby
 from typing import NamedTuple, Sequence
 
-# the disk tolerance: a disk holds the points within 0.5 + EPS_COVER of its
-# centre, and two disks meet when their centres are within 1 + EPS_COVER
-EPS_COVER = 1e-9
-_R_COVER2 = (0.5 + EPS_COVER) * (0.5 + EPS_COVER)
-_R_MEET2 = (1.0 + EPS_COVER) * (1.0 + EPS_COVER)
-
-# widening of the disk search windows, far above float rounding at the
-# coordinates used, so a window never drops a pair or disk the exact
-# predicate would keep
-WINDOW_SLACK = 1e-7
+_FILTER = 1e-12  # the float filter of the disk predicates (UnitDisk.contains)
+_INF = math.inf
 
 
 def _frac(v) -> Fraction:
@@ -179,14 +175,43 @@ def _ratio_cmp(a, b) -> int:
 
 @dataclass(frozen=True)
 class UnitDisk:
-    """Closed disk of diameter 1."""
+    """Closed disk of diameter 1, centred at a Point of floats."""
 
     center: Point
 
     def contains(self, p: Point) -> bool:
-        dx = p.x - self.center.x
-        dy = p.y - self.center.y
-        return dx * dx + dy * dy <= _R_COVER2
+        """|p - centre|^2 <= 1/4, decided exactly.
+
+        The float value v of d^2 - 1/4 is off by at most 5u (d^2 + |v|), u
+        = 2**-53: correctly rounded differences, squares, sum and
+        subtraction.  A wrong sign needs an error of |v| + |d^2 - 1/4|,
+        which that allows only for |v| < 1.4e-16, at any magnitude.  So
+        beyond the filter 1e-12 v's sign is exact; otherwise, or when v
+        overflows to inf, ints decide (`_excess`).
+        """
+        c = self.center
+        dx = p.x - c.x
+        dy = p.y - c.y
+        v = dx * dx + dy * dy - 0.25
+        if v < -_FILTER:
+            return True
+        if _FILTER < v < _INF:
+            return False
+        return _excess(p, c, 1) <= 0
+
+
+def _on_ints(*vs) -> tuple:
+    """The rationals vs as ints over their least common denominator, and
+    that denominator: a power of two for floats."""
+    rs = [v.as_integer_ratio() for v in vs]
+    den = math.lcm(*[d for _, d in rs])
+    return [n * (den // d) for n, d in rs], den
+
+
+def _excess(p: Point, c: Point, k: int) -> int:
+    """An int of the sign of |p - c|^2 - k/4, exactly."""
+    (px, py, cx, cy), den = _on_ints(p.x, p.y, c.x, c.y)
+    return 4 * ((px - cx) ** 2 + (py - cy) ** 2) - k * den * den
 
 
 @dataclass(frozen=True)
@@ -360,107 +385,144 @@ def rect_depth_within(rects: Sequence[UnitRect], region: UnitRect) -> int:
     return _max_depth_boxes(boxes)
 
 
-def circle_intersections(a: UnitDisk, b: UnitDisk) -> list[Point]:
-    """Intersection points of the two bounding circles (0, 1, or 2 points).
+def _pair_points(a: Point, b: Point) -> list:
+    """The points where the circles of the disks centred at a and b meet,
+    as (x, y, tol, s): a float approximation, its filter bound and s.
 
-    Pairs within the tolerance-closed touching distance 1 + EPS_COVER yield
-    their midpoint, so candidate generation matches `UnitDisk.contains`.
+    Let D = b - a, M = (a + b) / 2, J = (-D_y, D_x) and E = (1 - |D|^2) /
+    (4 |D|^2).  The circles meet at M + s sqrt(E) J, s = +1 and -1, when 0
+    < |D|^2 <= 1, decided as in `disks_disjoint`; at tangency the two are
+    M.  A disk centred at c holds the point iff X + s Y sqrt(E) <= 0, X =
+    |M - c|^2 - |D|^2 / 4 and Y = 2 (M - c).J (`_exact_holds`).
+
+    The float point p = M + s h J / |J|, h = sqrt(1/4 - |D|^2 / 4), is
+    within delta <= 1e-15 (1 + |m_x| + |m_y|) + 1.45e-16 / max(h, 1.2e-8)
+    of it: M and the sums round by u (|m_x| + |m_y| + 2) each, u = 2**-53;
+    the float h^2 is off by 1.3u, so h by min(sqrt(1.3u), 1.3u / h) plus a
+    rounding; and J h / |J| rounds by 5u h.  Let t = |p - c| and v the
+    float value of t^2 - 1/4.  If |v| > tol >= 1e-12 + 2 delta, delta <=
+    1, then beyond v's own error (`UnitDisk.contains`) t^2 < 1/4 - 2 delta,
+    so (t + delta)^2 < 1/4, or t^2 > 1/4 + 2 delta >= (1/2 + delta)^2, so t
+    - delta > 1/2: v's sign is exact.  tol = 1e-12 + 1e-14 (1 + |m_x| +
+    |m_y|) + 3e-16 / max(h, 1e-8) is such a bound, made infinite, so that
+    every test is exact, where it exceeds 1; it also widens the point's
+    holder window.
     """
-    dx = b.center.x - a.center.x
-    dy = b.center.y - a.center.y
+    dx = b.x - a.x
+    dy = b.y - a.y
+    if dx == 0.0 and dy == 0.0:
+        return []  # one circle
     d2 = dx * dx + dy * dy
-    if d2 == 0.0 or d2 > _R_MEET2:
+    v = d2 - 1.0
+    if v >= -_FILTER and (_FILTER < v < _INF or _excess(a, b, 4) > 0):
         return []
-    d = math.sqrt(d2)
-    mx = a.center.x + dx / 2.0
-    my = a.center.y + dy / 2.0
-    h2 = 0.25 - d2 / 4.0
-    if h2 <= 0.0:
-        return [Point(mx, my)]
-    h = math.sqrt(h2)
+    mx = a.x + dx / 2.0
+    my = a.y + dy / 2.0
+    h = math.sqrt(max(0.25 - d2 / 4.0, 0.0))
+    tol = _FILTER + 1e-14 * (1.0 + abs(mx) + abs(my)) + 3e-16 / max(h, 1e-8)
+    if tol > 1.0:
+        tol = _INF
+    d = math.hypot(dx, dy)
     ux = -dy / d * h
     uy = dx / d * h
-    return [Point(mx + ux, my + uy), Point(mx - ux, my - uy)]
+    return [(mx + ux, my + uy, tol, 1), (mx - ux, my - uy, tol, -1)]
+
+
+def _exact_holds(a: Point, b: Point, s: int, c: Point) -> bool:
+    """Whether the closed disk centred at c holds the meeting point s of
+    the circles centred at a and b (`_pair_points`): the sign of X + s Y
+    sqrt(E), squaring both terms when their signs differ.  On ints over
+    the denominator L, 4X = |2W|^2 - q, 4Y = 4 (2W).J and E = (L^2 - q) /
+    (4q), with 2W = a + b - 2c and q = |D|^2."""
+    (ax, ay, bx, by, cx, cy), den = _on_ints(a.x, a.y, b.x, b.y, c.x, c.y)
+    ddx, ddy = bx - ax, by - ay
+    q = ddx * ddx + ddy * ddy
+    wx, wy = ax + bx - 2 * cx, ay + by - 2 * cy
+    x = wx * wx + wy * wy - q
+    z = 4 * s * (wy * ddx - wx * ddy)
+    if x <= 0 and z <= 0:
+        return True
+    if x > 0 and z >= 0:
+        return False
+    x2, z2 = 4 * q * x * x, z * z * (den * den - q)
+    return x2 <= z2 if x > 0 else z2 <= x2
 
 
 def disk_candidates(disks: Sequence[UnitDisk]) -> list:
-    """The candidate points of the closed-disk arrangement, as
-    (generators, holders) pairs.
+    """The candidate points of the closed-disk arrangement, each as the
+    list of the indices of the disks holding it.
 
-    The candidates are every centre, generated by its own disk, and, for
-    each pair (lo, hi) in index order, `circle_intersections(disks[lo],
-    disks[hi])`, generated by the pair; generators is the mask of the
-    generating disks and holders the indices of the disks containing the
-    point.  With disks sorted by center x, only pairs within an x-window of
-    1 + EPS_COVER can intersect and only disks within 0.5 + EPS_COVER of a
-    candidate's x can contain it; both windows carry float slack, and the
-    exact predicates still decide.
+    The candidates are every centre and, for each pair (lo, hi) in index
+    order, the points where their circles meet (`_pair_points`).  A
+    point's own disks hold it and are not tested.  With disks sorted by
+    centre x, only pairs with |dx| <= 1 meet, and only disks with |cx - x|
+    <= 1/2 hold a point at x; the float windows fl(x + 1) and fl(x -/+ 1/2)
+    of a centre x need no slack, as rounding is monotone, and a meeting
+    point's window is widened by its filter bound.
     """
-    order = sorted(range(len(disks)), key=lambda i: disks[i].center.x)
-    xs = [disks[i].center.x for i in order]
-    cands = [(1 << i, d.center) for i, d in enumerate(disks)]
-    pair_reach = 1.0 + EPS_COVER + WINDOW_SLACK
+    cs = [d.center for d in disks]
+    order = sorted(range(len(cs)), key=lambda i: cs[i].x)
+    xs = [cs[i].x for i in order]
+    out = []
     for a, i in enumerate(order):
-        for j in order[a + 1:bisect_right(xs, xs[a] + pair_reach)]:
+        c = cs[i]
+        out.append([i] + [k for k in order[bisect_left(xs, c.x - 0.5):
+                                           bisect_right(xs, c.x + 0.5)]
+                          if k != i and disks[k].contains(c)])
+        for j in order[a + 1:bisect_right(xs, c.x + 1.0)]:
             lo, hi = (i, j) if i < j else (j, i)
-            gen = 1 << lo | 1 << hi
-            for p in circle_intersections(disks[lo], disks[hi]):
-                cands.append((gen, p))
-    reach = 0.5 + EPS_COVER + WINDOW_SLACK
-    return [(gen, [k for k in order[bisect_left(xs, p.x - reach):
-                                    bisect_right(xs, p.x + reach)]
-                   if disks[k].contains(p)])
-            for gen, p in cands]
+            for px, py, tol, s in _pair_points(cs[lo], cs[hi]):
+                holders = [lo, hi]
+                reach = 0.5 + tol
+                for k in order[bisect_left(xs, px - reach):
+                               bisect_right(xs, px + reach)]:
+                    if k == lo or k == hi:
+                        continue
+                    ck = cs[k]
+                    dx, dy = px - ck.x, py - ck.y
+                    v = dx * dx + dy * dy - 0.25
+                    if v < -tol or (not tol < v < _INF and _exact_holds(
+                            cs[lo], cs[hi], s, ck)):
+                        holders.append(k)
+                out.append(holders)
+    return out
 
 
 def ply_disks(disks: Sequence[UnitDisk]) -> int:
     """Maximum depth of the closed-disk arrangement.
 
     Evaluated at the candidate points of `disk_candidates` only: every disk
-    center plus every pairwise circle-circle intersection.  The deepest
-    cell is bounded either by an arc endpoint (a candidate) or by one full
-    circle whose disk lies inside every other disk of the cell, in which
-    case that disk's center attains the depth.
+    center plus every point where two circles meet.  The disks holding a
+    deepest point meet in a compact convex set, whose boundary has a vertex
+    where two circles meet, a candidate, or which is one whole disk, whose
+    centre is a candidate.
     """
-    return max((len(holders) for _, holders in disk_candidates(disks)),
-               default=0)
+    return max(map(len, disk_candidates(disks)), default=0)
 
 
 def disk_depth_within(disks: Sequence[UnitDisk], region: UnitDisk) -> int:
     """Maximum depth of `disks` over the points of the closed disk `region`.
 
-    A disk can contain a point of `region` only if its center lies within
-    1 + 2*EPS_COVER of the region's center, so only those disks (with float
-    slack) are considered.
+    The depth of the disks meeting `region`, with the region added as one
+    more disk, taken at the candidates that region holds; by the argument
+    of `ply_disks` the maximum over the region is attained at one of them.
     """
-    reach = 1.0 + 2.0 * EPS_COVER + WINDOW_SLACK
-    reach2 = reach * reach
-    cx, cy = region.center.x, region.center.y
-    near = []
-    for d in disks:
-        dx = d.center.x - cx
-        dy = d.center.y - cy
-        if dx * dx + dy * dy <= reach2:
-            near.append(d)
-    cands = [d.center for d in near if region.contains(d.center)]
-    for i in range(len(near)):
-        for j in range(i + 1, len(near)):
-            for p in circle_intersections(near[i], near[j]):
-                if region.contains(p):
-                    cands.append(p)
-    best = 0
-    for p in cands:
-        c = 0
-        for d in near:
-            if d.contains(p):
-                c += 1
-        if c > best:
-            best = c
-    return best
+    near = [d for d in disks if not disks_disjoint(d, region)]
+    r = len(near)
+    return max((len(holders) - 1
+                for holders in disk_candidates(near + [region])
+                if r in holders), default=0)
 
 
 def disks_disjoint(a: UnitDisk, b: UnitDisk) -> bool:
-    """True iff the closed disks share no point (touching disks overlap)."""
+    """True iff the closed disks share no point (touching disks overlap):
+    |a - b|^2 > 1, decided exactly with the filter of `UnitDisk.contains`,
+    whose argument holds for the threshold 1 with |v| < 5.6e-16."""
     dx = a.center.x - b.center.x
     dy = a.center.y - b.center.y
-    return dx * dx + dy * dy > _R_MEET2
+    v = dx * dx + dy * dy - 1.0
+    if v < -_FILTER:
+        return False
+    if _FILTER < v < _INF:
+        return True
+    return _excess(a.center, b.center, 4) > 0

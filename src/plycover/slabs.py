@@ -32,7 +32,6 @@ still names it.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,41 +42,32 @@ from . import disks as _disks
 from . import rects as _rects
 from .errors import BudgetExceeded, Infeasible
 # membership_at stays bound here so that perfbench/tracing.py can wrap it
-from .geom import (EPS_COVER, WINDOW_SLACK, Box, Point,  # noqa: F401
-                   membership_at, pair_point, pair_ranks, ply_disks,
-                   ply_rects, rect_pairs)
+from .geom import (Box, Point, membership_at, pair_point,  # noqa: F401
+                   pair_ranks, ply_disks, ply_rects, rect_pairs)
 
 SLAB_HEIGHT = 2
-
-_BOUNDARY_TOL = 1e-7  # float slack when testing extrema against boundaries
 
 
 @dataclass(frozen=True)
 class SlabInstance:
     """Slab `index`, [y_lo, y_hi) = [offset + 2 index, offset + 2 index + 2):
     its points as given, their indices in the input, and the indices of
-    the objects it holds.  The offset is a float for disks and an exact
-    (num, den) pair for rects, whose y_lo and y_hi are Fractions."""
+    the objects it holds.  The offset is an exact (num, den) pair."""
 
     index: int
-    offset: object
+    offset: tuple
     points: list
     point_indices: list
     objects: list  # indices into the global object list
 
     @property
     def y_lo(self):
-        return _above(self.offset, SLAB_HEIGHT * self.index)
+        on, od = self.offset
+        return Fraction(on + SLAB_HEIGHT * self.index * od, od)
 
     @property
     def y_hi(self):
-        return _above(self.offset, SLAB_HEIGHT * (self.index + 1))
-
-
-def _above(off, dy):
-    if type(off) is tuple:
-        return Fraction(off[0] + dy * off[1], off[1])
-    return off + dy
+        return self.y_lo + SLAB_HEIGHT
 
 
 @dataclass
@@ -87,76 +77,50 @@ class CoverSolution:
     colors: Optional[dict] = None
 
 
-def _least_y(pts, rects) -> tuple:
-    """The least point y or rect bottom of a rect instance in int pairs
-    (`geom.rect_pairs`), as a (num, den) pair; (0, 1) when there is none.
-    Tops lie above their bottoms and need no look."""
-    ys = [y for _, y in pts] + [b for _, b, _ in rects]
-    on, od = ys[0] if ys else (0, 1)
-    for yn, yd in ys:
+def _slab_ys(points, objects, kind) -> tuple:
+    """(point ys, object y-spans (bottom, top), least y or bottom) of an
+    instance, each y an exact (num, den) pair; the least is (0, 1) when
+    there is none.  Rects may be given as Points and UnitRects or as the
+    int pairs of `geom.rect_pairs`; a disk's span is cy -/+ 1/2, from its
+    float's `as_integer_ratio`."""
+    if kind == "rects":
+        pts, rects = rect_pairs(points, objects)
+        ys = [y for _, y in pts]
+        spans = [(b, (b[0] + b[1], b[1])) for _, b, _ in rects]
+    elif kind == "disks":
+        ys = [p.y.as_integer_ratio() for p in points]
+        spans = []
+        for d in objects:
+            n, den = d.center.y.as_integer_ratio()
+            spans.append(((2 * n - den, 2 * den), (2 * n + den, 2 * den)))
+    else:
+        raise ValueError("kind must be 'rects' or 'disks'")
+    lows = ys + [lo for lo, _ in spans]
+    on, od = lows[0] if lows else (0, 1)
+    for yn, yd in lows:
         # yn/yd < on/od, whatever the signs of the denominators
         if (yn * od - on * yd) * yd * od < 0:
             on, od = yn, yd
-    return on, od
+    return ys, spans, (on, od)
 
 
-def slab_offset(points, objects, kind):
+def slab_offset(points, objects, kind) -> Fraction:
     """The offset `off` of the slabs: slab j is [off + 2j, off + 2j + 2).
 
-    Rects take the least point y or rect bottom, found on exact int pairs
-    (`_least_y`) and returned as a Fraction.  Their coordinates are exact
-    and the slabs half-open, so no boundary needs avoiding: a rect is
-    attached to a slab when it reaches into it (`assign_slabs`), and then
-    every rect containing a point meets that point's slab, a rect meets at
-    most two consecutive slabs, rects attached to slabs j and j + 2 share
-    no point (the first lie below off + 2j + 3, the second from there up),
-    and the 3*ell strip cap holds: a rect that reaches into slab j and
-    crosses a vertical line holds the bottom, middle or top point of the
-    line's closed segment [off + 2j, off + 2j + 2].
-
-    Disks are attached by their exact y-extents cy -/+ 0.5, while
-    `UnitDisk.contains` is closed under the tolerance EPS_COVER, so their
-    boundaries keep `_BOUNDARY_TOL` > 2 * EPS_COVER from every point y and
-    disk extremum; then no point of a slab lies within the tolerance of a
-    disk the slab does not hold.  Candidates sit just below the lowest
-    critical y (shift k/(8(C+1)) for k = 1..C+1, all below 1/8).  The C+1
-    candidates are pairwise distinct modulo the slab height and at most C
-    residues are bad, so the smallest shift that works exists; it is
-    returned.  Each critical y's residue mod 2 is computed once, and the
-    boundary test runs only for the k whose shift comes within the
-    tolerance (and a bound on float error) of completing the residue; no
-    other k can fail it.  That takes O(C) steps while 8(C+1) times the
-    tolerance stays below 1.
+    Rects and disks take one rule: the least point y or object bottom,
+    found on exact int pairs (`_slab_ys`) and returned as a Fraction.
+    Coordinates and predicates are exact and the slabs half-open, so no
+    boundary needs avoiding: an object is attached to a slab when its
+    y-span reaches into it (`assign_slabs`), and then every object
+    containing a point meets that point's slab, an object meets at most two
+    consecutive slabs, objects attached to slabs j and j + 2 share no point
+    (the first lie below off + 2j + 3, the second from there up), and the
+    strip caps hold: a rect that reaches into slab j and crosses a vertical
+    line holds the bottom, middle or top point of the line's closed segment
+    [off + 2j, off + 2j + 2] (3*ell), and a disk attached to slab j has its
+    centre in [off + 2j - 1/2, off + 2j + 5/2) (8*ell, see `disks`).
     """
-    if kind == "rects":
-        return Fraction(*_least_y(*rect_pairs(points, objects)))
-    ys = [p.y for p in points]
-    for d in objects:
-        ys.append(d.center.y - 0.5)
-        ys.append(d.center.y + 0.5)
-    if not ys:
-        return 0.0
-    n = len(ys)
-    steps = 8 * (n + 1)
-    blocked = bytearray(n + 2)
-    fbase = float(min(ys))
-    # tolerance plus a bound on the float error of any residue, far above
-    # rounding at these magnitudes
-    band = _BOUNDARY_TOL + 2.0 ** -40 * (max(-fbase, max(ys)) + 2.0)
-    reach = band * steps
-    last = 1.875 - band
-    for y in ys:
-        r = (y - fbase) % 2.0
-        if r > band and r < last:
-            continue  # the shifts, in (0, 1/8], complete it to no boundary
-        centre = (2.0 - r) * steps if r > band else 0.0
-        for k in range(max(1, math.floor(centre - reach)),
-                       min(n + 1, math.ceil(centre + reach)) + 1):
-            r = (y - (fbase - k / (8.0 * (n + 1)))) % 2.0
-            if r < _BOUNDARY_TOL or r > 2.0 - _BOUNDARY_TOL:
-                blocked[k] = 1
-    k = blocked.index(0, 1)
-    return fbase - k / (8.0 * (n + 1))
+    return Fraction(*_slab_ys(points, objects, kind)[2])
 
 
 def assign_slabs(points, objects, kind) -> list[SlabInstance]:
@@ -167,31 +131,17 @@ def assign_slabs(points, objects, kind) -> list[SlabInstance]:
     floor of (y - off) / 2.  An object's y-span [ylo, yhi] has height 1,
     so it reaches into the slab j of ylo and, when yhi's slab is above j,
     into slab j + 1, and into no other.  Rects may be given as Points and
-    UnitRects or as exact int pairs (`geom.rect_pairs`); their slab
-    indices are computed on those ints, and no Fraction is made.  Disk
-    indices are floats, and `slab_offset` keeps every extremum farther
-    from a boundary than their rounding reaches."""
-    if kind == "rects":
-        pts, rects = rect_pairs(points, objects)
-        off = _least_y(pts, rects)
-        on, od = off
-        od2 = 2 * od
+    UnitRects or as exact int pairs (`geom.rect_pairs`).  Every slab index
+    is computed on the exact int pairs of `_slab_ys`, and no Fraction is
+    made."""
+    ys, spans, off = _slab_ys(points, objects, kind)
+    on, od = off
+    od2 = 2 * od
 
-        def index(y):
-            # floor((y - off) / 2), on ints
-            yn, yd = y
-            return (yn * od - on * yd) // (yd * od2)
-        ys = [y for _, y in pts]
-        spans = [(b, (b[0] + b[1], b[1])) for _, b, _ in rects]
-    elif kind == "disks":
-        off = slab_offset(points, objects, kind)
-
-        def index(y):
-            return math.floor((y - off) / 2)
-        ys = [p.y for p in points]
-        spans = [(d.center.y - 0.5, d.center.y + 0.5) for d in objects]
-    else:
-        raise ValueError("kind must be 'rects' or 'disks'")
+    def index(y):
+        # floor((y - off) / 2), on ints
+        yn, yd = y
+        return (yn * od - on * yd) // (yd * od2)
     by_slab: dict[int, list] = {}
     for k, y in enumerate(ys):
         by_slab.setdefault(index(y), []).append(k)
@@ -215,20 +165,19 @@ def live_objects(points, objects, indices, kind) -> list:
 
     The points are sorted by x once.  Each object tests only the points in
     its x-window, found by bisection, and stops at its first hit: the
-    window is [left, right] for rectangles and `Box`es, and cx -/+ (0.5 +
-    EPS_COVER + WINDOW_SLACK) for disks.  It holds every point `contains`
-    can accept, and `contains` decides.
+    window is [left, right] for rectangles and `Box`es, and the float
+    [cx - 1/2, cx + 1/2] for disks, which holds every point the disk does,
+    as rounding is monotone; `contains` decides.
     """
     pts = sorted(points, key=attrgetter("x"))
     xs = [p.x for p in pts]
-    reach = 0.5 + EPS_COVER + WINDOW_SLACK
     live = []
     for i in indices:
         o = objects[i]
         if kind == "rects":
             lo, hi = o.left, o.right
         else:
-            lo, hi = o.center.x - reach, o.center.x + reach
+            lo, hi = o.center.x - 0.5, o.center.x + 0.5
         window = pts[bisect_left(xs, lo):bisect_right(xs, hi)]
         if any(map(o.contains, window)):
             live.append(i)

@@ -1,6 +1,9 @@
 """Deterministic SVG rendering of instances and optional solutions."""
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from .slabs import CoverSolution, slab_offset
 
 SCALE = 40.0
@@ -87,15 +90,10 @@ def render_svg(instance, solution=None) -> str:
         out.append('<line x1="%s" y1="0" x2="%s" y2="%s"/>'
                    % (_f(sx(x)), _f(sx(x)), _f(height)))
     if kind in ("rects", "disks") and instance.objects:
-        off = float(slab_offset(instance.points, instance.objects, kind))
-        j = -(int((off - y0) // 2) + 2)
-        while True:
+        off = slab_offset(instance.points, instance.objects, kind)
+        for j in range(math.ceil((Fraction(y0) - 1 - off) / 2),
+                       math.floor((Fraction(y1) + 1 - off) / 2) + 1):
             yb = off + 2 * j
-            j += 1
-            if yb < y0 - 1:
-                continue
-            if yb > y1 + 1:
-                break
             out.append('<line x1="0" y1="%s" x2="%s" y2="%s" stroke="#fdae6b"/>'
                        % (_f(sy(yb)), _f(width), _f(sy(yb))))
     elif kind == "intervals":

@@ -82,3 +82,8 @@ def forced_pair_disks():
     disks = [UnitDisk(Point(0.0, 0.5)), UnitDisk(Point(0.3, 0.5))]
     points = [Point(-0.45, 0.5), Point(0.75, 0.5)]
     return points, disks
+
+
+def nudged(v: float, ulps: int) -> float:
+    """The float v moved by `ulps` units in the last place, -1, 0 or 1."""
+    return math.nextafter(v, math.copysign(math.inf, ulps)) if ulps else v

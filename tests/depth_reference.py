@@ -3,7 +3,9 @@
 `oracle.py` uses the production ply functions, so these straightforward
 versions are what the rewritten ones are checked against: the exact
 candidate-point scans for rectangles and disks, and a dense-grid depth
-sampler for disks (the only user of numpy).
+sampler for disks (the only user of numpy).  The disk scans are exact on
+ints, with no float filter, and test every disk against every candidate,
+its own disks included.
 """
 from __future__ import annotations
 
@@ -11,8 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from plycover.geom import (EPS_COVER, UnitDisk, UnitRect, _max_stab_closed,
-                           circle_intersections)
+from plycover.geom import UnitDisk, UnitRect, _max_stab_closed
 
 
 def ply_rects(rects: Sequence[UnitRect]) -> int:
@@ -51,38 +52,76 @@ def rect_depth_within(rects: Sequence[UnitRect], region: UnitRect) -> int:
     return best
 
 
-def _max_membership_disks(disks, cands) -> int:
-    best = 0
-    for p in cands:
-        c = 0
-        for d in disks:
-            if d.contains(p):
-                c += 1
-        if c > best:
-            best = c
-    return best
+def _sign_of_roots(a, m, b, n) -> int:
+    """The sign of a sqrt(m) + b sqrt(n) for ints a, b and m > 0, n >= 0."""
+    sa, sb = (a > 0) - (a < 0), ((b > 0) - (b < 0)) if n else 0
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    d = a * a * m - b * b * n  # the two terms differ in sign
+    return sa if d > 0 else -sa if d < 0 else 0
+
+
+def _scaled(disks):
+    """The centres as int pairs in units of 1/L, and L, the largest float
+    denominator (a power of two), so a disk has radius L/2."""
+    ratios = [(d.center.x.as_integer_ratio(), d.center.y.as_integer_ratio())
+              for d in disks]
+    big = max((den for c in ratios for _, den in c), default=1)
+    return [tuple(n * (big // den) for n, den in c) for c in ratios], big
+
+
+def _candidates(cs, big):
+    """Every centre as (x, y), and every point where two circles meet as
+    (a, dx, dy, s, q): a + (dx, dy)/2 + s sqrt(e) (-dy, dx), s = 1 and -1,
+    with q = dx^2 + dy^2 and e = (L^2 - q) / (4q); e = 0 when they touch,
+    and both points are listed then too."""
+    out = list(cs)
+    for i in range(len(cs)):
+        for j in range(i + 1, len(cs)):
+            dx, dy = cs[j][0] - cs[i][0], cs[j][1] - cs[i][1]
+            q = dx * dx + dy * dy
+            if 0 < q <= big * big:
+                out += [(cs[i], dx, dy, s, q) for s in (1, -1)]
+    return out
+
+
+def _holds(c, cand, big) -> bool:
+    cx, cy = c
+    if len(cand) == 2:
+        return 4 * ((cand[0] - cx) ** 2 + (cand[1] - cy) ** 2) <= big * big
+    # the point P lies on the circle of a, so |P - c|^2 - L^2/4 =
+    # 2 (P - a).(a - c) + |a - c|^2 = A + B sqrt(e); times sqrt(4q) > 0
+    (ax, ay), dx, dy, s, q = cand
+    wx, wy = ax - cx, ay - cy
+    a = dx * wx + dy * wy + wx * wx + wy * wy
+    b = 2 * s * (dx * wy - dy * wx)
+    return _sign_of_roots(a, 4 * q, b, big * big - q) <= 0
+
+
+def candidate_holders(disks: Sequence[UnitDisk]) -> list:
+    """For every candidate point, the sorted indices of the disks holding
+    it; the list sorted."""
+    cs, big = _scaled(disks)
+    return sorted([k for k, c in enumerate(cs) if _holds(c, p, big)]
+                  for p in _candidates(cs, big))
 
 
 def ply_disks(disks: Sequence[UnitDisk]) -> int:
-    """Maximum depth at every center and every pairwise intersection."""
-    if not disks:
-        return 0
-    cands = [d.center for d in disks]
-    for i in range(len(disks)):
-        for j in range(i + 1, len(disks)):
-            cands.extend(circle_intersections(disks[i], disks[j]))
-    return _max_membership_disks(disks, cands)
+    """Maximum depth at every centre and every point where circles meet."""
+    cs, big = _scaled(disks)
+    return max((sum(_holds(c, p, big) for c in cs)
+                for p in _candidates(cs, big)), default=0)
 
 
 def disk_depth_within(disks: Sequence[UnitDisk], region: UnitDisk) -> int:
-    """Maximum depth over the region at every candidate point inside it."""
-    cands = [d.center for d in disks if region.contains(d.center)]
-    for i in range(len(disks)):
-        for j in range(i + 1, len(disks)):
-            for p in circle_intersections(disks[i], disks[j]):
-                if region.contains(p):
-                    cands.append(p)
-    return _max_membership_disks(disks, cands)
+    """Maximum depth over the region at every candidate point of the disks
+    and the region that the region holds."""
+    cs, big = _scaled(list(disks) + [region])
+    return max((sum(_holds(c, p, big) for c in cs[:-1])
+                for p in _candidates(cs, big) if _holds(cs[-1], p, big)),
+               default=0)
 
 
 def grid_depth_disks(disks: Sequence[UnitDisk], pitch: float = 0.01) -> int:
@@ -95,7 +134,7 @@ def grid_depth_disks(disks: Sequence[UnitDisk], pitch: float = 0.01) -> int:
     ys = np.arange(min(cy) - 0.5 - pitch, max(cy) + 0.5 + 2 * pitch, pitch)
     gx, gy = np.meshgrid(xs, ys)
     counts = np.zeros(gx.shape, dtype=np.int32)
-    r2 = (0.5 + EPS_COVER) ** 2
+    r2 = 0.25
     for d in disks:
         counts += (gx - d.center.x) ** 2 + (gy - d.center.y) ** 2 <= r2
     return int(counts.max())

@@ -6,7 +6,8 @@ import pytest
 from conftest import greedy_trap_instance
 
 from plycover.cli import main
-from plycover.geom import Point, UnitDisk, WeightedInterval
+from plycover.geom import (Point, UnitDisk, WeightedInterval, disks_disjoint,
+                           ply_disks)
 from plycover.instances import Instance, generate, load, save
 
 
@@ -281,9 +282,9 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_eps_option_is_gone(self, tmp_path, capsys):
-        # the disk tolerance is the constant EPS_COVER: solve and oracle
-        # agree on this instance, whose first point lies 4e-4 outside its
-        # disk, and no command takes a tolerance
+        # disks are exact closed sets: solve and oracle agree on this
+        # instance, whose first point lies 4e-4 outside its disk, and no
+        # command takes a tolerance
         inst = tmp_path / "inst.jsonl"
         sol = tmp_path / "s.json"
         save(Instance("disks", [Point(0.31, 1.0004), Point(5.0, -0.88212)],
@@ -306,6 +307,54 @@ class TestExitCodes:
         save(generate("disks", 2, 2, "uniform", seed=0), inst)
         assert main(["solve", "--kind", "rects", "--in", str(inst),
                      "--out", str(tmp_path / "s.json")]) == 1
+
+
+class TestExactDisks:
+    """Disks are exact closed sets of diameter 1 at any magnitude."""
+
+    @pytest.mark.parametrize("y", [1e16, -1e16, 1e300])
+    def test_huge_coordinates_solve_and_render(self, tmp_path, y):
+        inst = tmp_path / "inst.jsonl"
+        sol = tmp_path / "s.json"
+        save(Instance("disks", [Point(3.0, y)], [UnitDisk(Point(3.0, y))]),
+             inst)
+        for kind in ("disks", "3color"):
+            assert main(["solve", "--kind", kind, "--in", str(inst),
+                         "--out", str(sol)]) == 0
+            data = json.loads(sol.read_text())
+            assert data["chosen"] == [0] and data["objective"] == 1
+            assert main(["check", "--in", str(inst),
+                         "--solution", str(sol)]) == 0
+            assert main(["render", "--in", str(inst), "--solution", str(sol),
+                         "--out", str(tmp_path / "pic.svg")]) == 0
+
+    def test_point_just_outside_is_infeasible(self, tmp_path):
+        inst = tmp_path / "inst.jsonl"
+        save(Instance("disks", [Point(0.5 + 5e-10, 0.0)],
+                      [UnitDisk(Point(0.0, 0.0))]), inst)
+        for cmd in ("solve", "oracle"):
+            for kind in ("disks", "3color"):
+                assert main([cmd, "--kind", kind, "--in", str(inst),
+                             "--out", str(tmp_path / "s.json")]) == 2
+
+    def test_disks_just_apart_share_no_point(self, tmp_path):
+        a, b = UnitDisk(Point(0.0, 0.0)), UnitDisk(Point(1.0 + 5e-10, 0.0))
+        assert disks_disjoint(a, b) and ply_disks([a, b]) == 1
+        inst = tmp_path / "inst.jsonl"
+        sol = tmp_path / "s.json"
+        save(Instance("disks", [a.center, b.center], [a, b]), inst)
+        assert main(["solve", "--kind", "disks", "--in", str(inst),
+                     "--out", str(sol)]) == 0
+        assert json.loads(sol.read_text())["objective"] == 1
+        sol.write_text(json.dumps({"kind": "3color", "chosen": [0, 1],
+                                   "colors": {"0": 1, "1": 1},
+                                   "objective": 1}))
+        assert main(["check", "--in", str(inst), "--solution", str(sol)]) == 0
+
+    def test_tangent_disks_meet(self):
+        a, b = UnitDisk(Point(0.0, 0.0)), UnitDisk(Point(1.0, 0.0))
+        assert not disks_disjoint(a, b) and ply_disks([a, b]) == 2
+        assert a.contains(Point(0.5, 0.0)) and b.contains(Point(0.5, 0.0))
 
 
 class TestOracleCommand:

@@ -1,16 +1,19 @@
 """The sweep and window ply functions in `geom` against the plain scans
 they replaced (kept in `depth_reference`): exact equality on seeded fuzz
-and on degenerate arrangements."""
+and on degenerate arrangements, disks also at exact tangency and one ulp
+either side of it."""
 import itertools
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
 
 import depth_reference as ref
+from conftest import nudged
 
-from plycover.geom import (EPS_COVER, Point, UnitDisk, UnitRect,
+from plycover.geom import (Point, UnitDisk, UnitRect, disk_candidates,
                            disk_depth_within, ply_disks, ply_rects,
                            rect_depth_within)
 
@@ -38,14 +41,41 @@ def _assert_rects_agree(rects, regions):
                 == ref.rect_depth_within(rects, region))
 
 
-# the gap steps of the near-tangent columns: one inside the fixed disk
-# tolerance, one far outside it
-GAPS = (EPS_COVER, 1e-6)
+# the offsets of the near-tangent columns, in ulps of the moved coordinate:
+# overlapping, exactly tangent or apart by one ulp
+ULPS = (-1, 0, 1)
+
+# unit directions: exact along the axes, rounded on the diagonals
+DIRECTIONS = ((1.0, 0.0), (0.0, 1.0), (math.cos(math.pi / 4),
+                                       math.sin(math.pi / 4)),
+              (math.cos(0.3), math.sin(0.3)))
 
 
-def _near_copy(disk, gap, angle):
-    return UnitDisk(Point(disk.center.x + gap * math.cos(angle),
-                          disk.center.y + gap * math.sin(angle)))
+def _tangent_copy(disk, ulps, direction):
+    """A copy of disk one unit away along direction, its x then moved by
+    ulps: tangent to disk at 0 along an axis."""
+    ux, uy = direction
+    return UnitDisk(Point(nudged(disk.center.x + ux, ulps),
+                          disk.center.y + uy))
+
+
+@pytest.fixture
+def decimal60():
+    """60-digit Decimal arithmetic for one test."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        yield
+
+
+def _meeting_points(a, b):
+    """The points where the circles of diameter 1 centred at the float
+    pairs a and b meet, as 60-digit Decimals."""
+    ax, ay, bx, by = map(Decimal, a + b)
+    dx, dy = bx - ax, by - ay
+    q = dx * dx + dy * dy
+    e = ((1 - q) / (4 * q)).sqrt()
+    mx, my = (ax + bx) / 2, (ay + by) / 2
+    return [(mx - s * e * dy, my + s * e * dx) for s in (1, -1)]
 
 
 def _disk_sets(seed):
@@ -65,6 +95,8 @@ def _disk_sets(seed):
 
 
 def _assert_disks_agree(disks, regions):
+    assert (sorted(sorted(h) for h in disk_candidates(disks))
+            == ref.candidate_holders(disks))
     assert ply_disks(disks) == ref.ply_disks(disks)
     for region in regions:
         assert (disk_depth_within(disks, region)
@@ -96,36 +128,88 @@ class TestRects:
 
 
 class TestDisks:
-    @pytest.mark.parametrize("gap", GAPS)
-    def test_seeded_fuzz(self, gap):
-        # every third set also holds a copy of its first disk moved by gap
+    @pytest.mark.parametrize("ulps", ULPS)
+    def test_seeded_fuzz(self, ulps):
+        # every third set also holds a copy of its first disk one unit
+        # away, moved by ulps
         for seed in range(200):
             disks, regions = _disk_sets(seed)
             if disks and seed % 3 == 0:
-                disks.append(_near_copy(disks[0], gap, 0.1 * seed))
+                disks.append(_tangent_copy(disks[0], ulps,
+                                           DIRECTIONS[seed % 4]))
             _assert_disks_agree(disks, regions)
 
-    @pytest.mark.parametrize("gap", GAPS)
-    @pytest.mark.parametrize("k", [0, 1, 2, 3])
-    def test_center_distance_one_plus_k_eps(self, gap, k):
-        d = 1.0 + k * gap
-        for angle in (0.0, math.pi / 2, math.pi / 4, 0.3):
-            ox, oy = 0.25, -1.5
-            a = UnitDisk(Point(ox, oy))
-            b = UnitDisk(Point(ox + d * math.cos(angle),
-                               oy + d * math.sin(angle)))
-            mid = UnitDisk(Point(ox + d / 2 * math.cos(angle),
-                                 oy + d / 2 * math.sin(angle)))
-            disks = [a, b, mid]
-            for sub in itertools.combinations(disks, 2):
-                _assert_disks_agree(list(sub), disks)
+    def test_quarter_grid(self):
+        # centres on a small quarter grid: many circles meet at one point,
+        # and third circles pass exactly through meeting points
+        grid = [(x / 4, y / 4) for x in range(7) for y in range(7)]
+        for seed in range(150):
+            rng = random.Random(seed)
+            disks = [UnitDisk(Point(*c))
+                     for c in rng.sample(grid, rng.randint(3, 9))]
+            _assert_disks_agree(disks, disks[:3] + [rng.choice(disks)])
+
+    def test_holders_half_a_unit_away_in_x(self, decimal60):
+        # at 2**40 a float ulp is 2**-12, so the float meeting points are
+        # ulps off; disks centred at the floats nearest to 1/2 left and
+        # right of each exact meeting point may hold it, and a holder
+        # window of exactly 1/2 around the float point would miss some
+        big = 2.0 ** 40
+        for seed in range(40):
+            rng = random.Random(seed)
+            a = (big + rng.uniform(0, 4), big + rng.uniform(0, 4))
+            t = rng.uniform(0, 2 * math.pi)
+            r = rng.uniform(0.2, 0.99)
+            b = (a[0] + r * math.cos(t), a[1] + r * math.sin(t))
+            disks = [UnitDisk(Point(*a)), UnitDisk(Point(*b))]
+            for px, py in _meeting_points(a, b):
+                for side in (-1, 1):
+                    x = float(px + side * Decimal(0.5))
+                    if (Decimal(x) - px) * side > Decimal(0.5):
+                        x = math.nextafter(x, -side * math.inf)
+                    disks.append(UnitDisk(Point(x, float(py))))
             _assert_disks_agree(disks, disks)
 
-    @pytest.mark.parametrize("gap", GAPS)
-    def test_duplicates(self, gap):
-        # exact copies, and copies moved by gap, all count in the ply
+    def test_holders_of_near_tangent_meeting_points(self, decimal60):
+        # circles a hair from tangent, in rounded directions: the float
+        # meeting points are about sqrt(ulp) = 1e-8 off, and disks centred
+        # at the floats nearest to 1/2 from an exact meeting point hold it
+        # or miss it by about an ulp
+        for seed in range(40):
+            rng = random.Random(seed)
+            t = rng.uniform(0, 2 * math.pi)
+            r = 1 - rng.randint(1, 64) * 2.0 ** -53
+            a, b = (0.0, 0.0), (r * math.cos(t), r * math.sin(t))
+            disks = [UnitDisk(Point(*a)), UnitDisk(Point(*b))]
+            for px, py in _meeting_points(a, b):
+                for phi in (t + 1.0, t + 2.0, t - 1.0, t - 2.0):
+                    disks.append(UnitDisk(Point(
+                        float(px + Decimal(0.5 * math.cos(phi))),
+                        float(py + Decimal(0.5 * math.sin(phi))))))
+            _assert_disks_agree(disks, disks[:3])
+
+    @pytest.mark.parametrize("ulps", ULPS)
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_near_tangent_pair_and_midpoint(self, ulps, direction):
+        # a, b one unit (and ulps) apart, and a disk centred where they
+        # touch when exactly tangent
+        a = UnitDisk(Point(0.25, -1.5))
+        b = _tangent_copy(a, ulps, direction)
+        mid = UnitDisk(Point(0.25 + direction[0] / 2,
+                             -1.5 + direction[1] / 2))
+        disks = [a, b, mid]
+        for sub in itertools.combinations(disks, 2):
+            _assert_disks_agree(list(sub), disks)
+        _assert_disks_agree(disks, disks)
+        if direction[1] == 0.0:
+            assert ply_disks([a, b]) == (1 if ulps > 0 else 2)
+            assert ply_disks(disks) == (2 if ulps > 0 else 3)
+
+    @pytest.mark.parametrize("ulps", ULPS)
+    def test_duplicates(self, ulps):
+        # exact copies, and copies moved by ulps, all count in the ply
         a, b = UnitDisk(Point(0.0, 0.0)), UnitDisk(Point(0.7, 0.1))
-        near = _near_copy(a, gap, 0.3)
+        near = UnitDisk(Point(nudged(0.0, ulps), 0.0))
         for k in range(1, 4):
             _assert_disks_agree([a] * k + [b], [a, b])
             _assert_disks_agree([a] * k + [near, b], [a, near, b])

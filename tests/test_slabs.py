@@ -11,15 +11,14 @@ from plycover import slabs as slabs_mod
 from plycover import stripdag, tricolor
 from plycover.disks import dedupe_disks
 from plycover.errors import BudgetExceeded, Infeasible
-from plycover.geom import (EPS_COVER, Box, Point, UnitDisk, UnitRect,
+from plycover.geom import (Box, Point, UnitDisk, UnitRect, disks_disjoint,
                            ply_rects, verify_cover)
 from plycover.instances import generate
 from plycover.oracle import exact_min_ply
-from plycover.slabs import (_BOUNDARY_TOL, assign_slabs, live_objects,
-                            slab_offset, solve_mpc)
+from plycover.slabs import assign_slabs, live_objects, slab_offset, solve_mpc
 from plycover.tricolor import solve_3color
 
-from conftest import (forced_pair_disks, forced_pair_rects,
+from conftest import (forced_pair_disks, forced_pair_rects, nudged,
                       ply3_not_3colorable, triangle_3colorable)
 
 
@@ -42,45 +41,20 @@ class TestAssignSlabs:
         assert slabs[1].index - slabs[0].index >= 2
         assert slabs[0].objects == [0] and slabs[1].objects == [1]
 
-    def test_offset_matches_candidate_scan(self):
-        # the residue rule returns the disk offset the plain scan over every
-        # candidate and every y finds, also when many early candidates are
-        # blocked
-        rng = random.Random(0x0FF5)
-        shifted = 0
-        for seed in range(400):
-            c = rng.randint(1, 30)
-            step = rng.choice((1, 2, 8))
-            ys = [F(rng.randint(-40, 40), step) for _ in range(c)]
-            if seed % 2:
-                ys = _blocking_ys(c)[:c]
-                rng.shuffle(ys)
-            for scale in (1.0, 1e3, 1e-3):
-                fys = [float(y) * scale for y in ys]
-                off = slab_offset([Point(0.0, y) for y in fys], [], "disks")
-                assert off == _offset_reference(fys)
-                if scale == 1.0:
-                    shifted += off != min(fys) - 1 / (8 * (c + 1))
-        assert shifted > 100
-
-    def test_offset_is_linear_on_blocking_ys(self):
-        # ys at 2 - k/(8(C+1)) block candidates k = 1..C-1 one by one; the
-        # plain scan subtracted each candidate from every y, about C**2/2
-        # times.  Count the subtractions with y on the left instead of timing.
-        c = 600
-        ys = [_CountingFloat(float(y)) for y in _blocking_ys(c)]
-        pts = [Point(0.0, y) for y in reversed(ys)]
-        _CountingFloat.subs = 0
-        off = slab_offset(pts, [], "disks")
-        assert _CountingFloat.subs <= 8 * c, _CountingFloat.subs
-        assert off == _offset_reference([p.y for p in pts])
-        assert off == float(-F(c, 8 * (c + 1)))
-
     def test_rect_offset_is_the_lowest_y(self):
         pts = [Point(F(1, 2), F(5, 2)), Point(F(1, 2), F(3))]
         assert slab_offset(pts, [sq(0, 2), sq(0, 1)], "rects") == 1
         assert slab_offset(pts, [sq(0, 3)], "rects") == F(5, 2)
         assert slab_offset([], [], "rects") == 0
+
+    def test_disk_offset_is_the_lowest_y(self):
+        # the rect rule: the least point y or disk bottom, exactly
+        pts = [Point(0.5, 2.5), Point(0.5, 3.0)]
+        disks = [UnitDisk(Point(0.0, 2.25)), UnitDisk(Point(0.0, 2.1))]
+        assert slab_offset(pts, disks[:1], "disks") == F(7, 4)
+        assert slab_offset(pts, disks, "disks") == F(2.1) - F(1, 2)
+        assert slab_offset(pts[1:], [], "disks") == 3
+        assert slab_offset([], [], "disks") == 0
 
     def test_every_point_in_exactly_one_slab(self):
         rng = random.Random(3)
@@ -127,32 +101,35 @@ class TestAssignSlabs:
                 kind = "disks"
                 points, objects = _disks_near_boundaries(rng)
                 off = slab_offset(points, objects, kind)
-                near += sum(abs((y - off + 1) % 2 - 1) < 2e-3
+                near += sum(abs((F(y) - off + 1) % 2 - 1) < F(1, 500)
                             for d in objects
                             for y in (d.center.y - 0.5, d.center.y + 0.5))
+            slabs = assign_slabs(points, objects, kind)
             got = [(s.index, s.y_lo, s.y_hi, s.points, s.objects)
-                   for s in assign_slabs(points, objects, kind)]
+                   for s in slabs]
             assert got == _assign_reference(points, objects, kind), seed
+            if kind == "disks":
+                # disks of slabs two apart share no point, extrema on the
+                # boundaries included (the 3-color colors rely on it)
+                assert all(disks_disjoint(objects[a], objects[b])
+                           for s in slabs for t in slabs
+                           if t.index >= s.index + 2
+                           for a in s.objects for b in t.objects), seed
         assert near > 300
-
-    def test_boundary_margin_exceeds_the_disk_tolerance(self):
-        # a slab attaches disks by their exact y-extents; with point ys and
-        # extrema kept _BOUNDARY_TOL from every boundary, no point lies
-        # within EPS_COVER of a disk its slab does not hold
-        assert _BOUNDARY_TOL > 2 * EPS_COVER
 
 
 def _assign_reference(points, objects, kind):
-    """The scan `assign_slabs` replaced: every object against every slab,
-    attached when it reaches into the half-open slab."""
+    """The scan `assign_slabs` replaced, on Fractions: every object against
+    every slab, attached when it reaches into the half-open slab."""
     off = slab_offset(points, objects, kind)
     by_slab = {}
     for p in points:
-        by_slab.setdefault(math.floor((p.y - off) / 2), []).append(p)
+        by_slab.setdefault(math.floor((F(p.y) - off) / 2), []).append(p)
     if kind == "rects":
         spans = [(r.bottom, r.top) for r in objects]
     else:
-        spans = [(d.center.y - 0.5, d.center.y + 0.5) for d in objects]
+        spans = [(F(d.center.y) - F(1, 2), F(d.center.y) + F(1, 2))
+                 for d in objects]
     out = []
     for j in sorted(by_slab):
         lo, hi = off + 2 * j, off + 2 * (j + 1)
@@ -175,45 +152,24 @@ def _mixed_rects(rng):
 
 
 def _disks_near_boundaries(rng):
-    """Disks whose extrema lie just off the slab boundaries: with a point at
-    y = 0 below every extremum, the boundaries sit at 2j - 1/(8(C+1)) when
-    the first candidate offset is not blocked."""
+    """Disks whose extrema lie on a slab boundary, one ulp off it or a
+    little off it, and points on boundaries too: with a point at y = 0
+    below every extremum, the boundaries sit at the even ints."""
     n, m = rng.randint(1, 6), rng.randint(1, 12)
-    shift = 1.0 / (8 * (n + 2 * m + 1))
     disks = []
     for _ in range(m):
-        edge = 2 * rng.randint(1, 5) - shift
-        delta = rng.choice((1, -1)) * rng.choice((2e-7, 1e-6, 1e-5, 1e-3))
-        cy = edge + delta + rng.choice((0.5, -0.5))
-        disks.append(UnitDisk(Point(rng.uniform(0, 6), max(cy, 0.5))))
-    points = [Point(0.0, 0.0)] + [
-        Point(rng.uniform(0, 6), rng.uniform(0.1, 10.5)) for _ in range(n - 1)]
+        cy = 2 * rng.randint(1, 5) + rng.choice((0.5, -0.5))
+        if rng.random() < 0.5:
+            cy = nudged(cy, rng.choice((-1, 0, 1)))
+        else:
+            cy += rng.choice((1, -1)) * rng.choice((1e-9, 1e-6, 1e-3))
+        disks.append(UnitDisk(Point(rng.uniform(0, 6), cy)))
+    points = [Point(0.0, 0.0)]
+    for _ in range(n - 1):
+        y = nudged(2.0 * rng.randint(1, 5), rng.choice((-1, 0, 1)))
+        points.append(Point(rng.uniform(0, 6),
+                            rng.choice((y, rng.uniform(0.1, 10.5)))))
     return points, disks
-
-
-def _blocking_ys(c):
-    """0 and 2 - k/(8(c+1)) for k = 1..c-1: y number k puts the candidate
-    offset -k/(8(c+1)) on a slab boundary."""
-    return [F(0)] + [2 - F(k, 8 * (c + 1)) for k in range(1, c)]
-
-
-def _offset_reference(ys):
-    """The plain scan of the disk offset: try k = 1..C+1 against every y."""
-    n = len(ys)
-    base = float(min(ys))
-    for k in range(1, n + 2):
-        cand = base - k / (8.0 * (n + 1))
-        if all(1e-7 <= (y - cand) % 2.0 <= 2.0 - 1e-7 for y in ys):
-            return cand
-    raise AssertionError("no candidate")
-
-
-class _CountingFloat(float):
-    subs = 0
-
-    def __sub__(self, other):
-        _CountingFloat.subs += 1
-        return float(self) - other
 
 
 class TestSolveMpc:
@@ -527,17 +483,18 @@ def _half_grid_rects(rng):
 
 def _grid_disks_with_edge_points(rng):
     """Disks centred on the half-integer grid, with points at centres, on
-    the boundary circle at the x-extrema and just inside and outside the
-    tolerance there."""
+    the boundary circle at the x-extrema and one ulp inside or outside
+    there."""
     disks = [UnitDisk(Point(rng.randint(0, 8) / 2, rng.randint(0, 6) / 2))
              for _ in range(rng.randint(1, 9))]
     points = [Point(rng.uniform(-1, 5), rng.uniform(-1, 4))
               for _ in range(rng.randint(0, 4))]
     for _ in range(rng.randint(1, 8)):
         c = rng.choice(disks).center
-        dx = rng.choice((0.0, 0.5, 0.5 + EPS_COVER / 2, 0.5 + 2 * EPS_COVER))
+        dx = rng.choice((0.0, 0.5, 0.5, 0.5))
         dy = rng.choice((0.0, 0.0, 0.25, 0.5))
-        points.append(Point(c.x + rng.choice((-1, 1)) * dx,
+        points.append(Point(nudged(c.x + rng.choice((-1, 1)) * dx,
+                                   rng.choice((-1, 0, 1))),
                             c.y + rng.choice((-1, 1)) * dy))
     return points, disks
 

@@ -11,11 +11,11 @@ from fractions import Fraction as F
 import pytest
 
 import strip_reference as ref
-from conftest import forced_pair_disks
+from conftest import forced_pair_disks, nudged
 
 from plycover import disks as disks_mod
 from plycover.disks import DiskArrangement, disk_slab_problem, solve_slab_disks
-from plycover.geom import (EPS_COVER, Point, UnitDisk, UnitRect,
+from plycover.geom import (Point, UnitDisk, UnitRect,
                            disk_depth_within, disks_disjoint, ply_disks)
 from plycover.instances import generate
 from plycover.rects import rect_slab_problem, solve_slab_rects
@@ -69,19 +69,18 @@ def _disk_instances(seed):
 
 
 def _near_touching_instances(seed):
-    """Pairs of disks at centre distance 1 + k*EPS_COVER in random
-    directions, with a point beyond each far side and sometimes one between
-    them: the disks of a pair meet only within the tolerance, or not."""
+    """Pairs of disks one unit apart along an axis, one centre then moved
+    by -1, 0 or 1 ulp, with a point beyond each far side and sometimes one
+    between them: the disks of a pair overlap, touch or miss by an ulp."""
     rng = random.Random(seed)
     disks, points = [], []
     for _ in range(rng.randint(1, 3)):
-        d = 1.0 + rng.choice((0, 0.5, 1, 1.5, 2, 3)) * EPS_COVER
-        a = rng.uniform(0, math.pi)
-        ux, uy = math.cos(a), math.sin(a)
-        ox, oy = rng.uniform(0, 5), rng.uniform(0, 1)
-        disks += [UnitDisk(Point(ox, oy)), UnitDisk(Point(ox + d * ux,
-                                                          oy + d * uy))]
-        for s in (-0.45, d + 0.45) + ((d / 2,) if rng.random() < 0.5 else ()):
+        ulps = rng.choice((-1, 0, 1))
+        ux, uy = rng.choice(((1.0, 0.0), (0.0, 1.0)))
+        ox, oy = rng.randint(0, 20) / 4, rng.randint(0, 4) / 4
+        far = UnitDisk(Point(nudged(ox + ux, ulps), oy + uy))
+        disks += [UnitDisk(Point(ox, oy)), far]
+        for s in (-0.45, 1.45) + ((0.5,) if rng.random() < 0.5 else ()):
             points.append(Point(ox + s * ux, oy + s * uy))
     return points, disks
 
@@ -131,30 +130,36 @@ class TestAgainstTupleEngine:
                     failed += got is None
         assert solved > 100 and failed > 50
 
-    @pytest.mark.parametrize("k", [0.5, 1, 1.5, 2])
-    def test_centre_in_lens_of_a_far_pair(self, k):
-        # disks 0 and 1 are 1 + k*EPS_COVER apart, and disk 2's centre lies
-        # within 0.5 + EPS_COVER of both: three disks share that centre, so
-        # a budget of 2 fails, whether or not disks 0 and 1 meet each other
-        d = 1.0 + k * EPS_COVER
-        ux, uy = math.cos(0.3), math.sin(0.3)  # x-extents overlap
-
-        def at(s, t):
-            return Point(s * ux - t * uy, s * uy + t * ux)
-        disks = [UnitDisk(at(0.0, 0.0)), UnitDisk(at(d, 0.0)),
-                 UnitDisk(at(d / 2, 0.0))]
-        points = [at(-0.45, 0.0), at(d + 0.45, 0.0), at(d / 2, 0.45)]
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_centre_in_lens_of_a_pair(self, ulps):
+        # disks 0 and 1 are one unit apart, moved by ulps, with equal
+        # x-extrema, and disk 2's centre lies where they touch: the three
+        # disks share that centre, so a budget of 2 fails, unless disks 0
+        # and 1 miss each other by an ulp and disk 2's centre with them
+        disks = [UnitDisk(Point(0.0, 0.0)),
+                 UnitDisk(Point(0.0, nudged(1.0, ulps))),
+                 UnitDisk(Point(0.0, 0.5))]
+        points = [Point(0.0, -0.45), Point(0.0, 1.45), Point(0.45, 0.5)]
+        assert ply_disks(disks) == (2 if ulps > 0 else 3)
         for ell in (1, 2, 3):
             got = solve_slab_disks(points, disks, ell)
             assert got == ref.solve_slab_disks(points, disks, ell)
-            assert got == (None if ell < 3 else [0, 1, 2])
+            assert got == (None if ell < ply_disks(disks) else [0, 1, 2])
 
-    def test_near_touching_pair_shares_a_strip(self):
-        # the disks meet only within the tolerance, beyond their exact
-        # x-extents: strips cut at the widened extrema make both members of
-        # one strip, so ply 1 fails and 3-color puts them in two classes
-        disks = [UnitDisk(Point(0.0, 0.0)), UnitDisk(Point(1.0 + 1e-9, 0.0))]
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_touching_pair_shares_a_strip(self, ulps):
+        # the right extremum of disk 0 and the left one of disk 1 are one
+        # float apart or equal, and lefts sort first: disks that touch or
+        # overlap are both members of one strip, so ply 1 fails and 3-color
+        # puts them in two classes; disks an ulp apart take one class
+        disks = [UnitDisk(Point(0.0, 0.0)),
+                 UnitDisk(Point(nudged(1.0, ulps), 0.0))]
         points = [Point(-0.45, 0.0), Point(1.45, 0.0)]
+        if ulps > 0:
+            assert disks_disjoint(*disks) and ply_disks(disks) == 1
+            assert solve_slab_disks(points, disks, 1) == [0, 1]
+            assert solve_slab_3color(points, disks) == ((0, 1), (), ())
+            return
         assert not disks_disjoint(*disks) and ply_disks(disks) == 2
         assert solve_slab_disks(points, disks, 1) is None
         assert solve_slab_disks(points, disks, 2) == [0, 1]
@@ -236,26 +241,26 @@ def _assert_depths_agree(disks):
 
 
 class TestDiskArrangement:
-    # gap steps inside and far outside the fixed disk tolerance
-    @pytest.mark.parametrize("gap", (EPS_COVER, 1e-6))
-    @pytest.mark.parametrize("k", [0, 1, 2, 3])
-    def test_center_distance_one_plus_k_eps(self, gap, k):
-        d = 1.0 + k * gap
-        for angle in (0.0, math.pi / 2, math.pi / 4, 0.3):
-            ox, oy = 0.25, -1.5
-            ux, uy = math.cos(angle), math.sin(angle)
-            disks = [UnitDisk(Point(ox, oy)),
-                     UnitDisk(Point(ox + d * ux, oy + d * uy)),
-                     UnitDisk(Point(ox + d / 2 * ux, oy + d / 2 * uy)),
-                     UnitDisk(Point(ox + d / 2 * ux - d * uy,
-                                    oy + d / 2 * uy + d * ux))]
-            _assert_depths_agree(disks)
-            _assert_depths_agree(disks[::-1])
+    # centres one unit apart along an axis or a diagonal, moved by -1, 0 or
+    # 1 ulp: overlapping, tangent (on the axes) or apart
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    @pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0),
+                                           (math.cos(math.pi / 4),
+                                            math.sin(math.pi / 4))])
+    def test_near_tangent_pairs(self, ulps, direction):
+        ux, uy = direction
+        ox, oy = 0.25, -1.5
+        disks = [UnitDisk(Point(ox, oy)),
+                 UnitDisk(Point(nudged(ox + ux, ulps), oy + uy)),
+                 UnitDisk(Point(ox + ux / 2, oy + uy / 2)),
+                 UnitDisk(Point(ox + ux / 2 - uy, oy + uy / 2 + ux))]
+        _assert_depths_agree(disks)
+        _assert_depths_agree(disks[::-1])
 
-    @pytest.mark.parametrize("gap", (EPS_COVER, 1e-6))
-    def test_seeded_fuzz(self, gap):
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_seeded_fuzz(self, ulps):
         # every fifth set repeats its first disk, every third set also
-        # holds a copy of it moved by gap
+        # holds a copy of it one unit away, moved by ulps
         for seed in range(60):
             rng = random.Random(seed)
             if seed % 2:
@@ -270,8 +275,7 @@ class TestDiskArrangement:
                 disks.append(disks[0])
             if seed % 3 == 0 and len(disks) < 8:
                 c = disks[0].center
-                disks.append(UnitDisk(Point(c.x + gap * math.cos(0.1 * seed),
-                                            c.y + gap * math.sin(0.1 * seed))))
+                disks.append(UnitDisk(Point(nudged(c.x + 1.0, ulps), c.y)))
             _assert_depths_agree(disks)
 
 

@@ -15,7 +15,8 @@ from fractions import Fraction
 from . import instances as inst_mod
 from .errors import (BudgetExceeded, Infeasible, InstanceTooLarge,
                      UnsortedInput)
-from .geom import disks_disjoint, ply_disks, ply_rects, rects_cover
+from .geom import (disks_cover, disks_pairwise_disjoint, ply_disks,
+                   ply_rects, rects_cover)
 from .intervals import (chosen_loads, count_overlapping_pairs,
                         evaluate_objective, solve_intervals)
 from .oracle import exact_3color_cover, exact_intervals, exact_min_ply
@@ -139,11 +140,8 @@ def _check_colors(inst, sol) -> str | None:
     for i, c in colors.items():
         by_class.setdefault(c, []).append(i)
     for c, members in sorted(by_class.items()):
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                if not disks_disjoint(inst.objects[members[a]],
-                                      inst.objects[members[b]]):
-                    return "color class %d is not pairwise disjoint" % c
+        if not disks_pairwise_disjoint([inst.objects[i] for i in members]):
+            return "color class %d is not pairwise disjoint" % c
     return None
 
 
@@ -207,8 +205,7 @@ def _cmd_check(args) -> int:
     elif kind == "rects":
         covered = rects_cover(inst.points, objs)
     else:
-        covered = (any(o.contains(p) for o in objs)
-                   for p in inst.points)
+        covered = disks_cover(inst.points, objs)
     for pi, hit in enumerate(covered):
         if not hit:
             print("uncovered point at index %d" % pi, file=sys.stderr)

@@ -500,6 +500,41 @@ def ply_disks(disks: Sequence[UnitDisk]) -> int:
     return max(map(len, disk_candidates(disks)), default=0)
 
 
+def _unit_cells(disks) -> dict:
+    """The indices of the disks by the unit grid cell (floor cx, floor cy)
+    of their centres.  A closed disk holding a point, or meeting another
+    disk, has its centre within 1 of it in x and in y, so in one of the
+    nine cells around the point's or the centre's own; floor is exact."""
+    cells = {}
+    for i, d in enumerate(disks):
+        c = d.center
+        cells.setdefault((math.floor(c.x), math.floor(c.y)), []).append(i)
+    return cells
+
+
+def _near(cells, p) -> list:
+    """The indices in `_unit_cells` of the nine cells around p."""
+    i, j = math.floor(p.x), math.floor(p.y)
+    return [k for a in (i - 1, i, i + 1) for b in (j - 1, j, j + 1)
+            for k in cells.get((a, b), ())]
+
+
+def disks_cover(points, disks: Sequence[UnitDisk]) -> list:
+    """For each point, whether some closed disk contains it; each point is
+    tested against the disks of the cells around it only."""
+    cells = _unit_cells(disks)
+    return [any(disks[k].contains(p) for k in _near(cells, p))
+            for p in points]
+
+
+def disks_pairwise_disjoint(disks: Sequence[UnitDisk]) -> bool:
+    """True iff no two of the closed disks share a point; each disk is
+    tested against the later disks of the cells around its centre only."""
+    cells = _unit_cells(disks)
+    return all(k <= i or disks_disjoint(d, disks[k])
+               for i, d in enumerate(disks) for k in _near(cells, d.center))
+
+
 def disk_depth_within(disks: Sequence[UnitDisk], region: UnitDisk) -> int:
     """Maximum depth of `disks` over the points of the closed disk `region`.
 

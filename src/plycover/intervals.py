@@ -75,12 +75,7 @@ class PreparedIntervals:
     right_pos: list       # position of each kept interval's right event
     weights: list         # kept interval weights times weight_scale
     weight_scale: int     # W: the lcm of the weight denominators
-    reps: list            # one point (x rank) per occupied strip
-    rep_strip: list
-
-    @property
-    def n_strips(self) -> int:
-        return len(self.events) + 1
+    rep_strip: list       # each occupied strip once, ascending
 
 
 def prepare_instance(points, intervals) -> PreparedIntervals:
@@ -124,16 +119,15 @@ def prepare_instance(points, intervals) -> PreparedIntervals:
         if cls == _RIGHT:
             right_pos[q] = pos
 
-    reps, rep_strip = [], []
+    rep_strip = []
     last = -1
     for x in xs:
         i = bisect_left(events, (x, _POINT, 0))
         if i != last:
-            reps.append(x)
             rep_strip.append(i)
             last = i
     return PreparedIntervals(keep, events, right_pos, [ws[i] for i in keep],
-                             w_scale, reps, rep_strip)
+                             w_scale, rep_strip)
 
 
 class DagVertex(NamedTuple):

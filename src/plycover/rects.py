@@ -14,29 +14,24 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 # ply_rects stays bound here so that perfbench/tracing.py can wrap it
-from .geom import (EventClass, Point, UnitRect, ply_rects,  # noqa: F401
+from .geom import (Point, UnitRect, ply_rects,  # noqa: F401
                    rect_depth_within)
-from .stripdag import (PlyCache, SideEvent, StripProblem, bits,
-                       build_problem, search)
+from .stripdag import PlyCache, StripProblem, bits, build_problem, search
 
-__all__ = ["build_strips_rects", "rect_slab_problem", "solve_slab_rects",
+__all__ = ["rect_spans", "rect_slab_problem", "solve_slab_rects",
            "PER_STRIP_FACTOR"]
 
 PER_STRIP_FACTOR = 3
 
 
-def build_strips_rects(rects: Sequence[UnitRect]) -> list[SideEvent]:
-    """Strip boundaries: one event per rectangle side, in sweep order."""
-    events = []
-    for i, r in enumerate(rects):
-        events.append(SideEvent(r.left, EventClass.LEFT_SIDE, r.bottom, i))
-        events.append(SideEvent(r.right, EventClass.RIGHT_SIDE, r.bottom, i))
-    events.sort()
-    return events
+def rect_spans(rects) -> list:
+    """Each rectangle's x-span (left, right, bottom): its sides' events,
+    ordered at equal x by the bottom."""
+    return [(r.left, r.right, r.bottom) for r in rects]
 
 
-def rect_slab_problem(points: Sequence[Point], rects: Sequence[UnitRect],
-                      ell: int = 1) -> StripProblem:
+def rect_slab_problem(points: Sequence[Point],
+                      rects: Sequence[UnitRect]) -> StripProblem:
     rects = list(rects)
     sides = [(r.left, r.right, r.bottom, r.top) for r in rects]
 
@@ -48,17 +43,16 @@ def rect_slab_problem(points: Sequence[Point], rects: Sequence[UnitRect],
     def added(members, q):
         return rect_depth_within([rects[i] for i in bits(members)], rects[q])
 
-    return build_problem(points, build_strips_rects(rects),
-                         lambda o, p: rects[o].contains(p), meets,
-                         PlyCache(added), PER_STRIP_FACTOR, ell)
+    return build_problem(points, rects, rect_spans(rects), meets,
+                         PlyCache(added), PER_STRIP_FACTOR)
 
 
 def solve_slab_rects(points: Sequence[Point], rects: Sequence[UnitRect],
                      ell: int, problem: Optional[StripProblem] = None):
     """Indices of a cover of the slab points with ply <= ell, or None.
 
-    `problem`, this slab's `rect_slab_problem` at any budget, is searched
-    at ell instead of building it again."""
+    `problem`, this slab's `rect_slab_problem`, is searched at ell instead
+    of building it again."""
     if problem is None:
-        problem = rect_slab_problem(points, rects, ell)
+        problem = rect_slab_problem(points, rects)
     return search(problem.at(ell))

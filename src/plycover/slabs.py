@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import attrgetter
 from typing import Optional
 
@@ -45,29 +44,17 @@ from .errors import BudgetExceeded, Infeasible
 from .geom import (Box, Point, membership_at, pair_point,  # noqa: F401
                    pair_ranks, ply_disks, ply_rects, rect_pairs)
 
-SLAB_HEIGHT = 2
-
-
 @dataclass(frozen=True)
 class SlabInstance:
-    """Slab `index`, [y_lo, y_hi) = [offset + 2 index, offset + 2 index + 2):
-    its points as given, their indices in the input, and the indices of
-    the objects it holds.  The offset is an exact (num, den) pair."""
+    """Slab `index`, [offset + 2 index, offset + 2 index + 2): its points
+    as given, their indices in the input, and the indices of the objects
+    it holds.  The offset is an exact (num, den) pair."""
 
     index: int
     offset: tuple
     points: list
     point_indices: list
     objects: list  # indices into the global object list
-
-    @property
-    def y_lo(self):
-        on, od = self.offset
-        return Fraction(on + SLAB_HEIGHT * self.index * od, od)
-
-    @property
-    def y_hi(self):
-        return self.y_lo + SLAB_HEIGHT
 
 
 @dataclass
@@ -104,36 +91,28 @@ def _slab_ys(points, objects, kind) -> tuple:
     return ys, spans, (on, od)
 
 
-def slab_offset(points, objects, kind) -> Fraction:
-    """The offset `off` of the slabs: slab j is [off + 2j, off + 2j + 2).
-
-    Rects and disks take one rule: the least point y or object bottom,
-    found on exact int pairs (`_slab_ys`) and returned as a Fraction.
-    Coordinates and predicates are exact and the slabs half-open, so no
-    boundary needs avoiding: an object is attached to a slab when its
-    y-span reaches into it (`assign_slabs`), and then every object
-    containing a point meets that point's slab, an object meets at most two
-    consecutive slabs, objects attached to slabs j and j + 2 share no point
-    (the first lie below off + 2j + 3, the second from there up), and the
-    strip caps hold: a rect that reaches into slab j and crosses a vertical
-    line holds the bottom, middle or top point of the line's closed segment
-    [off + 2j, off + 2j + 2] (3*ell), and a disk attached to slab j has its
-    centre in [off + 2j - 1/2, off + 2j + 5/2) (8*ell, see `disks`).
-    """
-    return Fraction(*_slab_ys(points, objects, kind)[2])
-
-
 def assign_slabs(points, objects, kind) -> list[SlabInstance]:
     """Partition points into height-2 slabs; attach the objects each slab
     meets.  Only slabs containing at least one point are returned.
 
-    A point lies in slab j when y_lo <= y < y_hi, that is when j is the
-    floor of (y - off) / 2.  An object's y-span [ylo, yhi] has height 1,
-    so it reaches into the slab j of ylo and, when yhi's slab is above j,
-    into slab j + 1, and into no other.  Rects may be given as Points and
-    UnitRects or as exact int pairs (`geom.rect_pairs`).  Every slab index
-    is computed on the exact int pairs of `_slab_ys`, and no Fraction is
-    made."""
+    Slab j is [off + 2j, off + 2j + 2), off the least point y or object
+    bottom, and holds the points with j = floor((y - off) / 2).  An
+    object's y-span [ylo, yhi] has height 1, so it reaches into the slab j
+    of ylo and, when yhi's slab is above j, into slab j + 1, and into no
+    other.  Rects may be given as Points and UnitRects or as exact int
+    pairs (`geom.rect_pairs`).  All of it is computed on the exact int
+    pairs of `_slab_ys`, and no Fraction is made.
+
+    Coordinates and predicates are exact and the slabs half-open, so no
+    offset search is needed to keep objects off the boundaries.  Every
+    object containing a point meets that point's slab, an object meets at
+    most two consecutive slabs, objects attached to slabs j and j + 2
+    share no point (the first lie below off + 2j + 3, the second from
+    there up), and the strip caps hold: a rect that reaches into slab j
+    and crosses a vertical line holds the bottom, middle or top point of
+    the line's closed segment [off + 2j, off + 2j + 2] (3*ell), and a disk
+    attached to slab j has its centre in [off + 2j - 1/2, off + 2j + 5/2)
+    (8*ell, see `disks`)."""
     ys, spans, off = _slab_ys(points, objects, kind)
     on, od = off
     od2 = 2 * od
@@ -159,32 +138,27 @@ def assign_slabs(points, objects, kind) -> list[SlabInstance]:
     return list(slabs.values())
 
 
-def live_objects(points, objects, indices, kind) -> list:
+def live_objects(points, objects, indices, spans) -> list:
     """The indices in `indices` whose object contains at least one of
     `points`, in their given order.
 
     The points are sorted by x once.  Each object tests only the points in
     its x-window, found by bisection, and stops at its first hit: the
-    window is [left, right] for rectangles and `Box`es, and the float
-    [cx - 1/2, cx + 1/2] for disks, which holds every point the disk does,
-    as rounding is monotone; `contains` decides.
+    window is the object's span (`rects.rect_spans`, `disks.disk_spans`),
+    which holds every point the object does; `contains` decides.
     """
     pts = sorted(points, key=attrgetter("x"))
     xs = [p.x for p in pts]
     live = []
     for i in indices:
-        o = objects[i]
-        if kind == "rects":
-            lo, hi = o.left, o.right
-        else:
-            lo, hi = o.center.x - 0.5, o.center.x + 0.5
+        lo, hi, _ = spans[i]
         window = pts[bisect_left(xs, lo):bisect_right(xs, hi)]
-        if any(map(o.contains, window)):
+        if any(map(objects[i].contains, window)):
             live.append(i)
     return live
 
 
-def search_slabs(points, objects, kind, build, solve, ell_max):
+def search_slabs(points, objects, kind, solve, ell_max):
     """Search every slab of the instance: the one loop of `solve_mpc` and
     `tricolor.solve_3color`.
 
@@ -195,10 +169,11 @@ def search_slabs(points, objects, kind, build, solve, ell_max):
     bottom and top sides; below the slab split every rect predicate only
     compares coordinates, so the ranks decide exactly as the rationals do.
     Disks are deduped (`disks.dedupe_disks`).  Each slab's strip problem is
-    built once over its live objects by `build(points, objects)`, and its
-    ladder calls `solve(points, objects, ell, problem)` for ell = 1, 2, ...
-    up to its number of live objects or ell_max, whichever is smaller,
-    until a result comes back.
+    built once over its live objects by the kind's builder
+    (`rects.rect_slab_problem`, `disks.disk_slab_problem`), and its ladder
+    calls `solve(points, objects, ell, problem)` for ell = 1, 2, ... up to
+    its number of live objects or ell_max, whichever is smaller, until a
+    result comes back.
 
     A point covered by no object, in any slab, raises Infeasible naming it
     as given, as a Point (`geom.pair_point` names a pair).  Otherwise
@@ -225,14 +200,17 @@ def search_slabs(points, objects, kind, build, solve, ell_max):
         searched = [Box(xr[k], xr[k + 1], yr[k], yr[k + 1])
                     for k in range(n, len(xr), 2)]
         solve_objects, orig = searched, range(len(objects))
+        spans, build = _rects.rect_spans(searched), _rects.rect_slab_problem
     else:
         solve_objects, orig = _disks.dedupe_disks(objects)
         slabs = assign_slabs(points, solve_objects, kind)
         solve_points, searched = points, objects
+        spans, build = (_disks.disk_spans(solve_objects),
+                        _disks.disk_slab_problem)
     found, failed = [], None
     for slab in slabs:
         pts = [solve_points[k] for k in slab.point_indices]
-        live = live_objects(pts, solve_objects, slab.objects, kind)
+        live = live_objects(pts, solve_objects, slab.objects, spans)
         objs = [solve_objects[i] for i in live]
         problem = build(pts, objs)
         if problem.uncovered is not None:
@@ -268,15 +246,13 @@ def solve_mpc(points, objects, kind,
     same code on the pairs.
     """
     if kind == "rects":
-        build, solve, ply = (_rects.rect_slab_problem,
-                             _rects.solve_slab_rects, ply_rects)
+        solve, ply = _rects.solve_slab_rects, ply_rects
     elif kind == "disks":
-        build, solve, ply = (_disks.disk_slab_problem,
-                             _disks.solve_slab_disks, ply_disks)
+        solve, ply = _disks.solve_slab_disks, ply_disks
     else:
         raise ValueError("kind must be 'rects' or 'disks'")
-    found, failed, searched = search_slabs(points, objects, kind, build,
-                                           solve, ell_max)
+    found, failed, searched = search_slabs(points, objects, kind, solve,
+                                           ell_max)
     if failed is not None:
         raise BudgetExceeded("slab %d has no cover within ply budget %d"
                              % failed)

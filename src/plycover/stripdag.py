@@ -7,13 +7,15 @@ members are the chosen objects crossing that strip, held as an int bitmask
 keeps the members, drops the object whose right side sits on the boundary,
 or adds the object whose left side does.
 
-`build_problem` makes one sweep over the events.  It gives every strip
-point its cover mask, the objects crossing its strip that contain it, and
-every object q its meet mask, the objects crossing q's left side that may
-meet q.  A state then covers its strip iff it meets each cover mask of the
-strip.  Adding q keeps ply within ell without asking the depth oracle when
-fewer than ell members may meet q, because the depth inside q is then at
-most 1 plus that count.  A successor also respects the per-strip cap.
+`build_problem` sorts the side events of the objects' x-spans, which each
+object kind states once (`rects.rect_spans`, `disks.disk_spans`), and
+makes one sweep over them.  It gives every strip point its cover mask, the
+objects crossing its strip that contain it, and every object q its meet
+mask, the objects crossing q's left side that may meet q.  A state then
+covers its strip iff it meets each cover mask of the strip.  Adding q
+keeps ply within ell without asking the depth oracle when fewer than ell
+members may meet q, because the depth inside q is then at most 1 plus
+that count.  A successor also respects the per-strip cap.
 
 None of that depends on the budget, so a slab's problem is built once and
 `StripProblem.at` applies each budget of its ell ladder to a view sharing
@@ -26,7 +28,7 @@ order, or is None, and when there is one no search is run.
 keeps the union of the first path that reaches it, so every slab's result
 is inclusion-minimal (see `run`).  Rectangles and disks step with
 `successors`; the 3-color search (`tricolor`) steps over triples of class
-masks on the same problem.
+masks on the disk problem.
 """
 from __future__ import annotations
 
@@ -102,24 +104,31 @@ class StripProblem:
         return replace(self, ell=ell, cap=self.factor * ell)
 
 
-def locate_strip_points(points, events) -> list:
-    """Group points into strips; strip i lies between events i-1 and i."""
+def side_events(spans) -> list[SideEvent]:
+    """One event per side of each object's `(left, right, y)` span, in
+    sweep order `(x, EventClass, y, obj)`: lefts before points before
+    rights at equal x, then by y and index."""
+    events = []
+    for i, (left, right, y) in enumerate(spans):
+        events.append(SideEvent(left, EventClass.LEFT_SIDE, y, i))
+        events.append(SideEvent(right, EventClass.RIGHT_SIDE, y, i))
+    events.sort()
+    return events
+
+
+def build_problem(points, objects, spans, meets, ply, factor) -> StripProblem:
+    """One sweep over the side events of the objects' `(left, right, y)`
+    spans: `objects[o].contains(p)` gives each strip point its cover mask
+    over the objects crossing its strip, and `meets(o, q)` gives each
+    object q the mask of the objects crossing its left side that it may
+    meet.  The problem is at ell = 1; `StripProblem.at` sets a budget, and
+    the per-strip cap is `factor * ell`."""
+    events = side_events(spans)
     strip_points = [[] for _ in range(len(events) + 1)]
-    for p in points:
+    for p in points:  # strip i lies between events i - 1 and i
         i = bisect_left(events, (p.x, EventClass.INPUT_POINT, p.y))
         strip_points[i].append(p)
-    return strip_points
-
-
-def build_problem(points, events, covers, meets, ply, factor,
-                  ell: int = 1) -> StripProblem:
-    """One sweep over `events`, in sweep order: `covers(o, p)` gives each
-    strip point its cover mask over the objects crossing its strip, and
-    `meets(o, q)` gives each object q the mask of the objects crossing its
-    left side that it may meet.  Every object has one left and one right
-    event.  The per-strip cap is `factor * ell`."""
-    strip_points = locate_strip_points(points, events)
-    meet = [0] * (len(events) // 2)
+    meet = [0] * len(objects)
     strip_cover = []
     uncovered = None
     active = []
@@ -128,7 +137,7 @@ def build_problem(points, events, covers, meets, ply, factor,
         for p in pts:
             m = 0
             for o in active:
-                if covers(o, p):
+                if objects[o].contains(p):
                     m |= 1 << o
             if not m and uncovered is None:
                 uncovered = p
@@ -148,7 +157,7 @@ def build_problem(points, events, covers, meets, ply, factor,
         else:
             active.remove(q)
     return StripProblem(events, strip_cover, meet, ply, factor, uncovered,
-                        ell, factor * ell)
+                        1, factor)
 
 
 def covered(mask: int, cover: list) -> bool:

@@ -1,10 +1,7 @@
 """Deterministic SVG rendering of instances and optional solutions."""
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
-from .slabs import CoverSolution, slab_offset
+from .slabs import CoverSolution, assign_slabs
 
 SCALE = 40.0
 MARGIN = 1.0
@@ -89,11 +86,12 @@ def render_svg(instance, solution=None) -> str:
     for x in sorted(set(guide_xs)):
         out.append('<line x1="%s" y1="0" x2="%s" y2="%s"/>'
                    % (_f(sx(x)), _f(sx(x)), _f(height)))
-    if kind in ("rects", "disks") and instance.objects:
-        off = slab_offset(instance.points, instance.objects, kind)
-        for j in range(math.ceil((Fraction(y0) - 1 - off) / 2),
-                       math.floor((Fraction(y1) + 1 - off) / 2) + 1):
-            yb = off + 2 * j
+    if kind in ("rects", "disks"):
+        # the bottom and top of every slab the solvers search
+        slabs = assign_slabs(instance.points, instance.objects, kind)
+        for (on, od), j in sorted({(s.offset, s.index + k)
+                                   for s in slabs for k in (0, 1)}):
+            yb = (on + 2 * j * od) / od
             out.append('<line x1="0" y1="%s" x2="%s" y2="%s" stroke="#fdae6b"/>'
                        % (_f(sy(yb)), _f(width), _f(sy(yb))))
     elif kind == "intervals":

@@ -14,29 +14,28 @@ dedupes the disks, searches each slab over its live disks only, and
 applies the one failure order; its docstring gives why the live disks
 suffice.  A slab's ladder here has one rung.
 
-The slab search is `stripdag.run` on a strip problem whose meet masks are
-conflict masks: an entering disk's mask holds the disks crossing its left
-side that it is not disjoint from, so it may join a class iff the class
-mask misses its conflict mask.  A state is a triple of class masks in
-canonical order (nonempty classes by mask value, empties last), with a
-triple of unions; coverage is tested on the OR of the classes against the
-strip's cover masks.  A step emits keep, then joins to classes 0, 1, 2:
-the ranks 0 to 3 of `run`'s least decision path.
+The slab search is `stripdag.run` on the disk strip problem
+(`disks.disk_slab_problem`), whose meet masks serve as conflict masks: an
+entering disk's mask holds the disks crossing its left side that it is not
+disjoint from, so it may join a class iff the class mask misses its
+conflict mask.  A state is a triple of class masks in canonical order
+(nonempty classes by mask value, empties last), with a triple of unions;
+coverage is tested on the OR of the classes against the strip's cover
+masks.  A step emits keep, then joins to classes 0, 1, 2: the ranks 0 to
+3 of `run`'s least decision path.  The problem's depth oracle is never
+queried, so its disk arrangement is never listed.
 """
 from __future__ import annotations
 
 # canonical_rotation, rotate_instance, assign_slabs and membership_at stay
 # bound here so that perfbench/tracing.py can wrap them; nothing calls them
-from .disks import (canonical_rotation, disk_side_events,  # noqa: F401
-                    rotate_instance)
+from .disks import (PER_STRIP_FACTOR, canonical_rotation,  # noqa: F401
+                    disk_slab_problem, rotate_instance)
 from .errors import Infeasible
-from .geom import (EventClass, disks_disjoint, membership_at,  # noqa: F401
-                   ply_disks)
+from .geom import EventClass, membership_at, ply_disks  # noqa: F401
 from .slabs import (CoverSolution, assign_slabs,  # noqa: F401
                     search_slabs)
-from .stripdag import bits, build_problem, covered, run
-
-MAX_PER_CLASS = 8
+from .stripdag import bits, covered, run
 
 _EMPTY = (0, 0, 0)
 
@@ -74,7 +73,7 @@ def _step(problem, state):
     conflict = problem.meets[ev.obj]
     for a in range(3):
         cls = classes[a]
-        if cls and (cls.bit_count() >= MAX_PER_CLASS or cls & conflict):
+        if cls and (cls.bit_count() >= PER_STRIP_FACTOR or cls & conflict):
             continue
         grown, grown_u = list(classes), list(unions)
         grown[a] = cls | bit
@@ -85,23 +84,12 @@ def _step(problem, state):
     return out
 
 
-def _slab_problem(points, disks):
-    disks = list(disks)
-
-    def meets(o, q):
-        return not disks_disjoint(disks[q], disks[o])
-
-    return build_problem(points, disk_side_events(disks),
-                         lambda o, p: disks[o].contains(p),
-                         meets, None, MAX_PER_CLASS)
-
-
 def solve_slab_3color(points, disks, problem=None):
     """Three pairwise-disjoint-within classes jointly covering the slab
     points, as disk index tuples, or None when no 3-colorable cover exists.
-    `problem` is this slab's strip problem, if already built."""
+    `problem` is this slab's `disks.disk_slab_problem`, if already built."""
     if problem is None:
-        problem = _slab_problem(points, disks)
+        problem = disk_slab_problem(points, disks)
     unions = run(problem, _step, _EMPTY)
     return None if unions is None else tuple(tuple(bits(u)) for u in unions)
 
@@ -117,8 +105,7 @@ def solve_3color(points, disks) -> CoverSolution:
     color class is pairwise disjoint.  The lowest slab with no 3-colorable
     cover raises, unless some point is covered by no disk
     (`slabs.search_slabs`)."""
-    found, failed, searched = search_slabs(points, disks, "disks",
-                                           _slab_problem, _rung, 1)
+    found, failed, searched = search_slabs(points, disks, "disks", _rung, 1)
     if failed is not None:
         raise Infeasible("slab %d admits no 3-colorable cover" % failed[0])
     colors: dict[int, int] = {}

@@ -5,8 +5,10 @@ This is the engine the bitmask one replaced: states keyed by sorted member
 tuples, unions merged as tuples and compared with tuple `<`, coverage
 tested point by point with the objects' `contains`, and ply through a
 tuple-keyed cache over the `geom` depth functions.  The 3-color search is
-its own loop over triples of class tuples.  The differential tests require
-the production engine to return exactly what these return.
+its own loop over triples of class tuples.  The side events are built here
+too, in the documented sweep order `(x, EventClass, y, obj)`.  The
+differential tests require the production engine to return exactly what
+these return, and to cut the same strips.
 
 Each state carries its decision path, a tuple of per-boundary ranks, and
 keeps the union of the least path that reaches it.  In the ply search the
@@ -22,10 +24,35 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from plycover.disks import disk_side_events
 from plycover.geom import (EventClass, disk_depth_within, disks_disjoint,
                            ply_disks, ply_rects, rect_depth_within)
-from plycover.rects import build_strips_rects
+
+
+class Event(NamedTuple):
+    x: object
+    cls: int
+    y: object
+    obj: int
+
+
+def _events(sides) -> list:
+    # the documented sweep order (x, EventClass, y, obj): lefts before
+    # points before rights at equal x
+    return sorted(e for i, (left, right, y) in enumerate(sides)
+                  for e in (Event(left, EventClass.LEFT_SIDE, y, i),
+                            Event(right, EventClass.RIGHT_SIDE, y, i)))
+
+
+def rect_events(rects) -> list:
+    """Both sides of each rectangle, tied at equal x by the bottom."""
+    return _events([(r.left, r.left + r.width, r.bottom) for r in rects])
+
+
+def disk_events(disks) -> list:
+    """Both float x-extrema of each disk, tied at equal x by the centre
+    y."""
+    return _events([(d.center.x - 0.5, d.center.x + 0.5, d.center.y)
+                    for d in disks])
 
 
 class StripState(NamedTuple):
@@ -164,7 +191,7 @@ def solve_slab_rects(points, rects, ell):
     def added(members, q):
         return rect_depth_within([rects[i] for i in members], rects[q])
 
-    return search(build_problem(points, build_strips_rects(rects),
+    return search(build_problem(points, rect_events(rects),
                                 lambda o, p: rects[o].contains(p),
                                 PlyCache(full, added), 3 * ell, ell))
 
@@ -178,7 +205,7 @@ def solve_slab_disks(points, disks, ell):
     def added(members, q):
         return disk_depth_within([disks[i] for i in members], disks[q])
 
-    return search(build_problem(points, disk_side_events(disks),
+    return search(build_problem(points, disk_events(disks),
                                 lambda o, p: disks[o].contains(p),
                                 PlyCache(full, added), 8 * ell, ell))
 
@@ -195,7 +222,7 @@ def _canonical(classes, unions):
 
 def solve_slab_3color(points, disks):
     disks = list(disks)
-    events = disk_side_events(disks)
+    events = disk_events(disks)
     strip_points = locate_strip_points(points, events)
     if strip_points[0]:
         return None

@@ -23,7 +23,7 @@ from depth_reference import grid_depth_disks
 
 import plycover
 from plycover.cli import main
-from plycover.disks import dedupe_disks, disk_side_events, solve_slab_disks
+from plycover.disks import dedupe_disks, disk_spans, solve_slab_disks
 from plycover.errors import Infeasible
 from plycover.geom import (EventClass, Point, UnitDisk, disks_disjoint,
                            ply_disks, ply_rects, verify_cover)
@@ -31,8 +31,9 @@ from plycover.instances import Instance, generate, save
 from plycover.intervals import build_dag, prepare_instance, solve_intervals
 from plycover.oracle import (exact_3color_cover, exact_intervals,
                              exact_min_ply)
-from plycover.rects import build_strips_rects, solve_slab_rects
+from plycover.rects import rect_spans, solve_slab_rects
 from plycover.slabs import assign_slabs, solve_mpc
+from plycover.stripdag import side_events
 from plycover.tricolor import solve_3color
 
 def _report(num, desc):
@@ -213,7 +214,8 @@ def test_criterion_5_strip_capacity_bounds():
     for inst, opt, wit in _rect_results():
         for slab in assign_slabs(inst.points, inst.objects, "rects"):
             local = {g: l for l, g in enumerate(slab.objects)}
-            events = build_strips_rects([inst.objects[i] for i in slab.objects])
+            events = side_events(rect_spans([inst.objects[i]
+                                             for i in slab.objects]))
             witness = {local[g] for g in wit if g in local}
             if not _strip_capacity_ok(events, witness, 3 * opt):
                 violations += 1
@@ -222,7 +224,7 @@ def test_criterion_5_strip_capacity_bounds():
         back = {orig[u]: u for u in range(len(uniq))}
         for slab in assign_slabs(inst.points, uniq, "disks"):
             local = {g: l for l, g in enumerate(slab.objects)}
-            events = disk_side_events([uniq[i] for i in slab.objects])
+            events = side_events(disk_spans([uniq[i] for i in slab.objects]))
             witness = {local[back[g]] for g in wit
                        if back.get(g) in local}
             if not _strip_capacity_ok(events, witness, 8 * opt):

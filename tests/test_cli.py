@@ -1,13 +1,15 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import greedy_trap_instance
+from conftest import greedy_trap_instance, nudged
 
 from plycover.cli import main
-from plycover.geom import (Point, UnitDisk, WeightedInterval, disks_disjoint,
-                           ply_disks)
+from plycover.geom import (Point, UnitDisk, UnitRect, WeightedInterval,
+                           disks_cover, disks_disjoint,
+                           disks_pairwise_disjoint, ply_disks)
 from plycover.instances import Instance, generate, load, save
 
 
@@ -357,6 +359,95 @@ class TestExactDisks:
         assert a.contains(Point(0.5, 0.0)) and b.contains(Point(0.5, 0.0))
 
 
+def _brute_cover(points, disks):
+    return [any(d.contains(p) for d in disks) for p in points]
+
+
+def _brute_disjoint(disks):
+    return all(disks_disjoint(disks[a], disks[b])
+               for a in range(len(disks)) for b in range(a + 1, len(disks)))
+
+
+def _tangent_disks_and_edge_points(rng):
+    """Disks on the half-integer grid, some moved by an ulp, so that many
+    pairs touch or miss by an ulp, and points on their boundary circles,
+    an ulp inside or outside, and anywhere; coordinates of both signs."""
+    disks = []
+    for _ in range(rng.randint(1, 12)):
+        x, y = rng.randint(-6, 6) / 2, rng.randint(-6, 6) / 2
+        disks.append(UnitDisk(Point(nudged(x, rng.choice((-1, 0, 1))),
+                                    nudged(y, rng.choice((-1, 0, 1))))))
+    points = [Point(rng.uniform(-4, 4), rng.uniform(-4, 4))
+              for _ in range(rng.randint(0, 3))]
+    for _ in range(rng.randint(1, 10)):
+        c = rng.choice(disks).center
+        dx, dy = rng.choice(((0.5, 0.0), (0.0, 0.5), (0.3, 0.4), (0.0, 0.0)))
+        sx, sy = rng.choice((-1, 1)), rng.choice((-1, 1))
+        points.append(Point(nudged(c.x + sx * dx, rng.choice((-1, 0, 1))),
+                            nudged(c.y + sy * dy, rng.choice((-1, 0, 1)))))
+    return points, disks
+
+
+class TestCheckDisks:
+    """`check` tests each point and each color-class pair only against
+    nearby disks, and decides as the all-pairs loops do."""
+
+    def test_matches_brute_force_loops(self, tmp_path, capsys):
+        rng = random.Random(0xC4EC)
+        inst, sol = tmp_path / "inst.jsonl", tmp_path / "s.json"
+        verdicts = set()
+        for seed in range(400):
+            points, disks = _tangent_disks_and_edge_points(rng)
+            assert disks_cover(points, disks) == _brute_cover(points, disks)
+            assert (disks_pairwise_disjoint(disks)
+                    == _brute_disjoint(disks)), seed
+            chosen = sorted(rng.sample(range(len(disks)),
+                                       rng.randint(1, len(disks))))
+            colors = {i: rng.randint(1, 6) for i in chosen}
+            objs = [disks[i] for i in chosen]
+            if seed % 2:
+                # keep the points the chosen disks cover, so that the
+                # colors are checked too
+                points = [p for p, h in zip(points, _brute_cover(points, objs))
+                          if h]
+            save(Instance("disks", points, disks), inst)
+            sol.write_text(json.dumps({
+                "kind": "3color", "chosen": chosen,
+                "colors": {str(i): c for i, c in colors.items()},
+                "objective": ply_disks(objs)}))
+            capsys.readouterr()
+            rc = main(["check", "--in", str(inst), "--solution", str(sol)])
+            err = capsys.readouterr().err
+            hit = _brute_cover(points, objs)
+            clashing = [c for c in sorted(set(colors.values()))
+                        if not _brute_disjoint([disks[i] for i in chosen
+                                                if colors[i] == c])]
+            if not all(hit):
+                want = "uncovered point at index %d\n" % hit.index(False)
+            elif clashing:
+                want = ("color class %d is not pairwise disjoint\n"
+                        % clashing[0])
+            else:
+                want = ""
+            assert (rc, err) == (1 if want else 0, want), seed
+            verdicts.add(want.split(" ")[0])
+        assert verdicts == {"", "uncovered", "color"}
+
+    def test_check_tests_nearby_disks_only(self, tmp_path, monkeypatch):
+        inst, sol = _run_gen_solve_check(tmp_path, "3color", seed=3,
+                                         n=2000, m=2000)
+        calls = [0]
+        real = UnitDisk.contains
+
+        def counted(self, p):
+            calls[0] += 1
+            return real(self, p)
+        monkeypatch.setattr(UnitDisk, "contains", counted)
+        assert main(["check", "--in", str(inst), "--solution", str(sol)]) == 0
+        # the all-pairs loops made about 2000 * 1000 tests here
+        assert calls[0] < 20_000
+
+
 class TestOracleCommand:
     def test_oracle_solution_passes_check(self, tmp_path):
         inst = tmp_path / "inst.jsonl"
@@ -387,6 +478,25 @@ class TestRenderBench:
         assert main(["render", "--in", str(inst), "--solution", str(sol),
                      "--out", str(out)]) == 0
         assert out.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("kind", ["disks", "rects"])
+    def test_render_draws_only_the_searched_slabs(self, tmp_path, kind):
+        # two objects 1e12 apart: the bottom and top of their two slabs
+        # are drawn, not a guide per slab between them
+        far = 10 ** 12
+        if kind == "disks":
+            objects = [UnitDisk(Point(0.0, 0.0)),
+                       UnitDisk(Point(0.0, float(far)))]
+            points = [o.center for o in objects]
+        else:
+            objects = [UnitRect(F(0), F(0)), UnitRect(F(0), F(far))]
+            points = [Point(F(1, 2), F(1, 2)), Point(F(1, 2), far + F(1, 2))]
+        inst, out = tmp_path / "inst.jsonl", tmp_path / "pic.svg"
+        save(Instance(kind, points, objects), inst)
+        assert main(["render", "--in", str(inst), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert sum('stroke="#fdae6b"' in ln for ln in lines) == 4
+        assert len(lines) < 30
 
     def test_bench_csv_columns(self, tmp_path):
         out = tmp_path / "bench.csv"

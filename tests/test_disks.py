@@ -3,12 +3,13 @@ import random
 
 from conftest import forced_pair_disks
 
-from plycover.disks import dedupe_disks, disk_side_events, solve_slab_disks
+from plycover.disks import dedupe_disks, disk_spans, solve_slab_disks
 from plycover.geom import (EventClass, Point, UnitDisk, ply_disks,
                            verify_cover)
 from plycover.instances import generate
 from plycover.oracle import exact_min_ply
 from plycover.slabs import assign_slabs, solve_mpc
+from plycover.stripdag import side_events
 from plycover.tricolor import solve_3color
 
 EIGHT_POINTS = [(sx * 0.25, sy) for sx in (-1, 1)
@@ -30,7 +31,7 @@ class TestTies:
         dks = [UnitDisk(Point(1.0, 0.0)), UnitDisk(Point(1.0, 2.5))]
         pts = [Point(1.0, 0.0), Point(1.0, 2.5), Point(0.5, 0.0),
                Point(1.5, 2.5)]
-        events = disk_side_events(dks)
+        events = side_events(disk_spans(dks))
         assert [(e.cls, e.obj) for e in events] == [
             (EventClass.LEFT_SIDE, 0), (EventClass.LEFT_SIDE, 1),
             (EventClass.RIGHT_SIDE, 0), (EventClass.RIGHT_SIDE, 1)]
@@ -81,7 +82,7 @@ class TestSolveSlab:
             for slab in slabs:
                 objs = [inst.objects[i] for i in slab.objects]
                 opt, wit = exact_min_ply(slab.points, objs, "disks")
-                events = disk_side_events(objs)
+                events = side_events(disk_spans(objs))
                 left, right = {}, {}
                 for pos, e in enumerate(events):
                     (left if e.cls == EventClass.LEFT_SIDE else right)[e.obj] = pos

@@ -39,15 +39,15 @@ _BIG_PRIMES = _primes(300, 100_000)
 class TestPrepare:
     def test_points_in_one_strip_collapse(self):
         prep = prepare_instance([F(1, 4), F(1, 2), F(3, 4)], [iv(0, 1)])
-        assert len(prep.reps) == 1
+        assert len(prep.rep_strip) == 1
 
     def test_single_interval_three_strips(self):
         prep = prepare_instance([], [iv(0, 1)])
-        assert prep.n_strips == 3
+        assert len(prep.events) + 1 == 3
 
     def test_fixture_has_nine_strips(self):
         points, intervals = greedy_trap_instance()
-        assert prepare_instance(points, intervals).n_strips == 9
+        assert len(prepare_instance(points, intervals).events) + 1 == 9
 
     def test_unsorted_points_rejected(self):
         with pytest.raises(UnsortedInput):
@@ -107,8 +107,8 @@ class TestPrepare:
         prep = prepare_instance(points, ivs)
         bound = len(points) + 2 * m
         assert all(0 <= x < bound for x, _, _, _ in prep.events)
-        assert all(0 <= x < bound for x in prep.reps)
-        assert len(prep.reps) == len(points)
+        assert all(0 <= i < len(prep.events) + 1 for i in prep.rep_strip)
+        assert len(prep.rep_strip) == len(points)
 
 
 class TestBuildDag:

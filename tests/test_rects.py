@@ -10,10 +10,9 @@ from plycover.geom import (EventClass, Point, UnitRect, ply_rects,
                            rect_pairs, verify_cover)
 from plycover.instances import Instance, dumps, generate, loads
 from plycover.oracle import exact_min_ply
-from plycover.rects import (build_strips_rects, rect_slab_problem,
-                            solve_slab_rects)
+from plycover.rects import rect_slab_problem, rect_spans, solve_slab_rects
 from plycover.slabs import assign_slabs, solve_mpc
-from plycover.stripdag import StripState, successors
+from plycover.stripdag import StripState, side_events, successors
 
 
 def sq(left, bottom):
@@ -22,13 +21,13 @@ def sq(left, bottom):
 
 class TestStrips:
     def test_one_square_three_strips(self):
-        assert len(build_strips_rects([sq(0, 0)])) + 1 == 3
+        assert len(side_events(rect_spans([sq(0, 0)]))) + 1 == 3
 
     def test_two_disjoint_squares_five_strips(self):
-        assert len(build_strips_rects([sq(0, 0), sq(3, 0)])) + 1 == 5
+        assert len(side_events(rect_spans([sq(0, 0), sq(3, 0)]))) + 1 == 5
 
     def test_shared_left_x_breaks_ties_by_y(self):
-        ev = build_strips_rects([sq(0, 0), UnitRect(F(0), F(3, 2))])
+        ev = side_events(rect_spans([sq(0, 0), UnitRect(F(0), F(3, 2))]))
         assert len(ev) + 1 == 5
         assert [e.cls for e in ev] == [EventClass.LEFT_SIDE, EventClass.LEFT_SIDE,
                                        EventClass.RIGHT_SIDE, EventClass.RIGHT_SIDE]
@@ -37,24 +36,24 @@ class TestStrips:
 
 class TestSuccessors:
     def test_left_event_offers_keep_and_take(self):
-        prob = rect_slab_problem([], [sq(0, 0)], 1)
+        prob = rect_slab_problem([], [sq(0, 0)])
         out = successors(prob, StripState(0, 0))
         assert sorted(s.members for s in out) == [(), (0,)]
 
     def test_right_event_forces_drop(self):
-        prob = rect_slab_problem([], [sq(0, 0)], 1)
+        prob = rect_slab_problem([], [sq(0, 0)])
         out = successors(prob, StripState(1, 0b1, 0b1))
         assert [s.members for s in out] == [()]
 
     def test_uncovered_point_kills_keep_branch(self):
         # point inside the square's strip: the empty set cannot continue
-        prob = rect_slab_problem([Point(F(1, 2), F(1, 2))], [sq(0, 0)], 1)
+        prob = rect_slab_problem([Point(F(1, 2), F(1, 2))], [sq(0, 0)])
         out = successors(prob, StripState(0, 0))
         assert [s.members for s in out] == [(0,)]
 
     def test_ply_budget_prunes_overlapping_take(self):
         r2 = UnitRect(F(1, 2), F(0))
-        prob = rect_slab_problem([], [sq(0, 0), r2], 1)
+        prob = rect_slab_problem([], [sq(0, 0), r2])
         ev = prob.events
         assert ev[1].obj == 1 and ev[1].cls == EventClass.LEFT_SIDE
         out = successors(prob, StripState(1, 0b1, 0b1))
@@ -116,7 +115,7 @@ class TestFuzzAgainstOracle:
                             "slab-stress", seed=seed + 900)
             for pts, objs in _slab_restriction(inst):
                 opt, wit = exact_min_ply(pts, objs, "rects")
-                events = build_strips_rects(objs)
+                events = side_events(rect_spans(objs))
                 chosen = set(wit)
                 for counts in _strip_counts(events, len(objs), chosen):
                     assert counts <= 3 * opt

@@ -9,13 +9,14 @@ from plycover import disks as disks_mod
 from plycover import rects as rects_mod
 from plycover import slabs as slabs_mod
 from plycover import stripdag, tricolor
-from plycover.disks import dedupe_disks
+from plycover.disks import dedupe_disks, disk_spans
 from plycover.errors import BudgetExceeded, Infeasible
 from plycover.geom import (Box, Point, UnitDisk, UnitRect, disks_disjoint,
                            ply_rects, verify_cover)
 from plycover.instances import generate
 from plycover.oracle import exact_min_ply
-from plycover.slabs import assign_slabs, live_objects, slab_offset, solve_mpc
+from plycover.rects import rect_spans
+from plycover.slabs import assign_slabs, live_objects, solve_mpc
 from plycover.tricolor import solve_3color
 
 from conftest import (forced_pair_disks, forced_pair_rects, nudged,
@@ -24,6 +25,26 @@ from conftest import (forced_pair_disks, forced_pair_rects, nudged,
 
 def sq(left, bottom):
     return UnitRect(F(left), F(bottom))
+
+
+def _least_y(points, objects, kind):
+    """The slab offset by its rule, on Fractions: the least point y or
+    object bottom, 0 when there is none."""
+    if kind == "rects":
+        bottoms = [r.bottom for r in objects]
+    else:
+        bottoms = [F(d.center.y) - F(1, 2) for d in objects]
+    return min([F(p.y) for p in points] + bottoms, default=F(0))
+
+
+def _bounds(slab):
+    """The bottom and top of a slab, as Fractions."""
+    lo = F(*slab.offset) + 2 * slab.index
+    return lo, lo + 2
+
+
+def _offset(points, objects, kind):
+    return F(*assign_slabs(points, objects, kind)[0].offset)
 
 
 class TestAssignSlabs:
@@ -43,18 +64,18 @@ class TestAssignSlabs:
 
     def test_rect_offset_is_the_lowest_y(self):
         pts = [Point(F(1, 2), F(5, 2)), Point(F(1, 2), F(3))]
-        assert slab_offset(pts, [sq(0, 2), sq(0, 1)], "rects") == 1
-        assert slab_offset(pts, [sq(0, 3)], "rects") == F(5, 2)
-        assert slab_offset([], [], "rects") == 0
+        assert _offset(pts, [sq(0, 2), sq(0, 1)], "rects") == 1
+        assert _offset(pts, [sq(0, 3)], "rects") == F(5, 2)
+        assert assign_slabs([], [sq(0, 0)], "rects") == []
 
     def test_disk_offset_is_the_lowest_y(self):
         # the rect rule: the least point y or disk bottom, exactly
         pts = [Point(0.5, 2.5), Point(0.5, 3.0)]
         disks = [UnitDisk(Point(0.0, 2.25)), UnitDisk(Point(0.0, 2.1))]
-        assert slab_offset(pts, disks[:1], "disks") == F(7, 4)
-        assert slab_offset(pts, disks, "disks") == F(2.1) - F(1, 2)
-        assert slab_offset(pts[1:], [], "disks") == 3
-        assert slab_offset([], [], "disks") == 0
+        assert _offset(pts, disks[:1], "disks") == F(7, 4)
+        assert _offset(pts, disks, "disks") == F(2.1) - F(1, 2)
+        assert _offset(pts[1:], [], "disks") == 3
+        assert assign_slabs([], disks, "disks") == []
 
     def test_every_point_in_exactly_one_slab(self):
         rng = random.Random(3)
@@ -100,12 +121,12 @@ class TestAssignSlabs:
             else:
                 kind = "disks"
                 points, objects = _disks_near_boundaries(rng)
-                off = slab_offset(points, objects, kind)
+                off = _least_y(points, objects, kind)
                 near += sum(abs((F(y) - off + 1) % 2 - 1) < F(1, 500)
                             for d in objects
                             for y in (d.center.y - 0.5, d.center.y + 0.5))
             slabs = assign_slabs(points, objects, kind)
-            got = [(s.index, s.y_lo, s.y_hi, s.points, s.objects)
+            got = [(s.index, *_bounds(s), s.points, s.objects)
                    for s in slabs]
             assert got == _assign_reference(points, objects, kind), seed
             if kind == "disks":
@@ -121,7 +142,7 @@ class TestAssignSlabs:
 def _assign_reference(points, objects, kind):
     """The scan `assign_slabs` replaced, on Fractions: every object against
     every slab, attached when it reaches into the half-open slab."""
-    off = slab_offset(points, objects, kind)
+    off = _least_y(points, objects, kind)
     by_slab = {}
     for p in points:
         by_slab.setdefault(math.floor((F(p.y) - off) / 2), []).append(p)
@@ -332,7 +353,7 @@ class TestCoverageFromMasks:
             seen.append(problem.uncovered)
             return problem
 
-        for mod in (rects_mod, disks_mod, tricolor):
+        for mod in (rects_mod, disks_mod):
             monkeypatch.setattr(mod, "build_problem", spy)
         yield seen
         assert seen and all(u is None for u in seen)
@@ -426,13 +447,14 @@ class TestHalfOpenRectSlabs:
             slabs = assign_slabs(points, rects, "rects")
             where = {}
             for s in slabs:
-                assert (s.y_lo, s.y_hi) == (2 * s.index, 2 * s.index + 2)
+                y_lo, y_hi = _bounds(s)
+                assert (y_lo, y_hi) == (2 * s.index, 2 * s.index + 2)
                 for p in s.points:
-                    assert s.y_lo <= p.y < s.y_hi, seed
+                    assert y_lo <= p.y < y_hi, seed
                     for i, r in enumerate(rects):
                         if r.contains(p):
                             assert i in s.objects, seed
-                            tops_on_boundary += r.top == s.y_lo
+                            tops_on_boundary += r.top == y_lo
                 for i in s.objects:
                     where.setdefault(i, []).append(s.index)
             for js in where.values():
@@ -505,16 +527,15 @@ class TestLiveObjects:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        # per strip problem built: for each object in its events, whether
-        # it contains one of the problem's points
+        # per strip problem built: for each of its objects, whether it
+        # contains one of the problem's points
         seen = []
 
-        def spy(points, events, covers, *rest):
-            objs = sorted({ev.obj for ev in events})
-            seen.append([any(covers(o, p) for p in points) for o in objs])
-            return stripdag.build_problem(points, events, covers, *rest)
+        def spy(points, objects, *rest):
+            seen.append([any(map(o.contains, points)) for o in objects])
+            return stripdag.build_problem(points, objects, *rest)
 
-        for mod in (rects_mod, disks_mod, tricolor):
+        for mod in (rects_mod, disks_mod):
             monkeypatch.setattr(mod, "build_problem", spy)
         return seen
 
@@ -593,14 +614,15 @@ class TestLiveObjects:
             rank_points, boxes = _ranked(points, rects)
             to_rank = dict(zip(points, rank_points))
             every = range(len(rects))
-            assert (live_objects(points, rects, every, "rects")
+            spans, box_spans = rect_spans(rects), rect_spans(boxes)
+            assert (live_objects(points, rects, every, spans)
                     == _brute_live(points, rects, every)), seed
             for s in assign_slabs(points, rects, "rects"):
                 want = _brute_live(s.points, rects, s.objects)
                 assert live_objects(s.points, rects, s.objects,
-                                    "rects") == want, seed
+                                    spans) == want, seed
                 pts = [to_rank[p] for p in s.points]
-                assert live_objects(pts, boxes, s.objects, "rects") == want
+                assert live_objects(pts, boxes, s.objects, box_spans) == want
                 assert _brute_live(pts, boxes, s.objects) == want
 
     def test_disks_match_brute_force_on_half_grid(self):
@@ -608,8 +630,9 @@ class TestLiveObjects:
         for seed in range(300):
             points, disks = _grid_disks_with_edge_points(rng)
             every = range(len(disks))
-            assert (live_objects(points, disks, every, "disks")
+            spans = disk_spans(disks)
+            assert (live_objects(points, disks, every, spans)
                     == _brute_live(points, disks, every)), seed
             for s in assign_slabs(points, disks, "disks"):
-                assert (live_objects(s.points, disks, s.objects, "disks")
+                assert (live_objects(s.points, disks, s.objects, spans)
                         == _brute_live(s.points, disks, s.objects)), seed

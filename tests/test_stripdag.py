@@ -14,14 +14,17 @@ import strip_reference as ref
 from conftest import forced_pair_disks, nudged
 
 from plycover import disks as disks_mod
-from plycover.disks import DiskArrangement, disk_slab_problem, solve_slab_disks
+from plycover import stripdag
+from plycover.disks import (DiskArrangement, dedupe_disks, disk_slab_problem,
+                            disk_spans, solve_slab_disks)
+from plycover.errors import Infeasible
 from plycover.geom import (Point, UnitDisk, UnitRect,
                            disk_depth_within, disks_disjoint, ply_disks)
 from plycover.instances import generate
-from plycover.rects import rect_slab_problem, solve_slab_rects
+from plycover.rects import rect_slab_problem, rect_spans, solve_slab_rects
 from plycover.slabs import assign_slabs, live_objects, solve_mpc
 from plycover.stripdag import bits
-from plycover.tricolor import solve_slab_3color
+from plycover.tricolor import solve_3color, solve_slab_3color
 
 
 def _slabs(points, objects, kind):
@@ -110,6 +113,8 @@ class TestAgainstTupleEngine:
         solved = failed = 0
         for seed in range(150):
             for pts, objs in _slabs(*_rect_instances(seed), "rects"):
+                assert (rect_slab_problem(pts, objs).events
+                        == ref.rect_events(objs)), seed
                 for ell in (1, 2, 3):
                     got = solve_slab_rects(pts, objs, ell)
                     assert got == ref.solve_slab_rects(pts, objs, ell), seed
@@ -123,6 +128,8 @@ class TestAgainstTupleEngine:
             make = (_private_point_instances if seed % 3 == 0
                     else _disk_instances)
             for pts, objs in _slabs(*make(seed), "disks"):
+                assert (disk_slab_problem(pts, objs).events
+                        == ref.disk_events(objs)), seed
                 for ell in (1, 2, 3):
                     got = solve_slab_disks(pts, objs, ell)
                     assert got == ref.solve_slab_disks(pts, objs, ell), seed
@@ -187,8 +194,9 @@ def _live_slabs(kind, seed):
                     ("uniform", "clustered", "slab-stress")[seed % 3],
                     seed=seed)
     objects = inst.objects
+    spans = (rect_spans if kind == "rects" else disk_spans)(objects)
     for slab in assign_slabs(inst.points, objects, inst.kind):
-        live = live_objects(slab.points, objects, slab.objects, inst.kind)
+        live = live_objects(slab.points, objects, slab.objects, spans)
         yield slab.points, [objects[i] for i in live]
 
 
@@ -280,9 +288,9 @@ class TestDiskArrangement:
 
 
 def _ladder(pts, objs, build, solve):
-    """Results at ell = 1..3 on one problem built at ell = 1, checked
-    against a fresh build at each ell and against a second pass."""
-    problem = build(pts, objs, 1)
+    """Results at ell = 1..3 on one problem built once, checked against a
+    fresh build at each ell and against a second pass."""
+    problem = build(pts, objs)
     got = [solve(pts, objs, ell, problem) for ell in (1, 2, 3)]
     assert got == [solve(pts, objs, ell) for ell in (1, 2, 3)]
     assert [solve(pts, objs, ell, problem) for ell in (3, 1, 2)] == [
@@ -310,36 +318,67 @@ class TestLadderReuse:
         assert climbed > 20
 
     def test_one_arrangement_and_one_event_sort_per_slab(self, monkeypatch):
-        # two slabs, each needing ell = 2; `disk_side_events` makes the one
-        # sort of a problem's events
+        # two slabs, each needing ell = 2; `stripdag.side_events` makes the
+        # one sort of a problem's events
         calls = Counter()
 
-        def counted(name):
-            fn = getattr(disks_mod, name)
+        def counted(mod, name):
+            fn = getattr(mod, name)
 
             def wrapped(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
-            monkeypatch.setattr(disks_mod, name, wrapped)
-        for name in ("DiskArrangement", "disk_side_events",
-                     "solve_slab_disks"):
-            counted(name)
+            monkeypatch.setattr(mod, name, wrapped)
+        for mod, name in ((disks_mod, "DiskArrangement"),
+                          (stripdag, "side_events"),
+                          (disks_mod, "solve_slab_disks")):
+            counted(mod, name)
         pts, dks = forced_pair_disks()
         points = pts + [Point(p.x + 5, p.y + 10) for p in pts]
         disks = dks + [UnitDisk(Point(d.center.x + 5, d.center.y + 10))
                        for d in dks]
         assert len(assign_slabs(points, disks, "disks")) == 2
         assert solve_mpc(points, disks, "disks").chosen == [0, 1, 2, 3]
-        assert calls == {"DiskArrangement": 2, "disk_side_events": 2,
+        assert calls == {"DiskArrangement": 2, "side_events": 2,
                          "solve_slab_disks": 4}
+
+    def test_arrangement_is_listed_only_when_queried(self, monkeypatch):
+        # 3-color searches the disk problem but never asks its depth
+        # oracle, so it lists no arrangement; a ply search lists at most
+        # one per slab
+        calls = []
+        real = disks_mod.disk_candidates
+
+        def counted(disks):
+            calls.append(len(disks))
+            return real(disks)
+        monkeypatch.setattr(disks_mod, "disk_candidates", counted)
+        rng = random.Random(0x1A2)
+        listed = 0
+        for seed in range(30):
+            inst = generate("disks", rng.randint(4, 30), rng.randint(4, 24),
+                            ("uniform", "clustered", "slab-stress")[seed % 3],
+                            seed=seed)
+            try:
+                solve_3color(inst.points, inst.objects)
+            except Infeasible:
+                pass
+            assert calls == [], seed
+            uniq, _ = dedupe_disks(inst.objects)
+            slabs = assign_slabs(inst.points, uniq, "disks")
+            solve_mpc(inst.points, inst.objects, "disks")
+            assert len(calls) <= len(slabs), seed
+            listed += len(calls)
+            calls.clear()
+        assert listed > 10
 
     def test_uncovered_flag(self):
         disks = [UnitDisk(Point(0.0, 0.5)), UnitDisk(Point(2.0, 0.5))]
         inside, left, gap, outside = (Point(0.1, 0.5), Point(-1.0, 0.5),
                                       Point(1.0, 0.5), Point(0.0, 1.2))
-        assert disk_slab_problem([inside], disks, 1).uncovered is None
+        assert disk_slab_problem([inside], disks).uncovered is None
         for p in (left, gap, outside):
-            problem = disk_slab_problem([inside, p], disks, 1)
+            problem = disk_slab_problem([inside, p], disks)
             assert problem.uncovered == p
             assert solve_slab_disks([inside, p], disks, 3, problem) is None
             assert problem.at(3).uncovered and problem.at(3).cap == 24

@@ -8,7 +8,7 @@ oracles.
 """
 
 from .errors import (BudgetExceeded, Infeasible, InstanceTooLarge,
-                     PlyCoverError, UnsortedInput)
+                     PlyCoverError)
 from .geom import (EventClass, Point, UnitDisk, UnitRect,
                    WeightedInterval, disks_disjoint, membership_at, ply_disks,
                    ply_rects, verify_cover)
@@ -22,7 +22,7 @@ __all__ = [
     "BudgetExceeded", "CoverSolution", "EventClass",
     "Infeasible", "Instance",
     "InstanceTooLarge", "IntervalDag", "PlyCoverError", "Point",
-    "SlabInstance", "UnitDisk", "UnitRect", "UnsortedInput",
+    "SlabInstance", "UnitDisk", "UnitRect",
     "WeightedInterval", "assign_slabs", "bottleneck_path", "build_dag",
     "disks_disjoint", "dumps", "generate", "load", "loads", "membership_at",
     "ply_disks", "ply_rects", "prepare_instance", "save", "solve_3color",

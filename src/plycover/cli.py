@@ -13,8 +13,7 @@ import time
 from fractions import Fraction
 
 from . import instances as inst_mod
-from .errors import (BudgetExceeded, Infeasible, InstanceTooLarge,
-                     UnsortedInput)
+from .errors import BudgetExceeded, Infeasible, InstanceTooLarge
 from .geom import (disks_cover, disks_pairwise_disjoint, ply_disks,
                    ply_rects, rects_cover)
 from .intervals import (chosen_loads, count_overlapping_pairs,
@@ -234,8 +233,9 @@ def _cmd_render(args) -> int:
         inst, sol = _load_solved(args)
     else:
         inst, sol = inst_mod.load(args.infile), None
+    svg = render_svg(inst, sol)  # a refusal leaves no --out file behind
     with open(args.outfile, "w") as fh:
-        fh.write(render_svg(inst, sol))
+        fh.write(svg)
     return EXIT_OK
 
 
@@ -322,7 +322,7 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
-    except (UnsortedInput, InstanceTooLarge, ValueError) as e:
+    except (InstanceTooLarge, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
     except OSError as e:

@@ -13,9 +13,5 @@ class BudgetExceeded(PlyCoverError):
     """The ply budget cap was exhausted without finding a cover."""
 
 
-class UnsortedInput(PlyCoverError):
-    """Interval input violates the required sorted order."""
-
-
 class InstanceTooLarge(PlyCoverError):
     """Instance exceeds an exact solver's size cap."""

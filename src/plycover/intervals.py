@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import Infeasible, UnsortedInput
+from .errors import Infeasible
 from .geom import EventClass, WeightedInterval, as_x, line_pairs, pair_ranks
 from .slabs import CoverSolution
 
@@ -70,21 +70,23 @@ def _scaled(pairs):
 
 @dataclass
 class PreparedIntervals:
+    """A line instance, given in any order, cut into strips: strip i lies
+    between events[i - 1] and events[i], the last after the last event."""
     orig_idx: list        # input position of each kept interval, ascending
     events: list          # (x rank, cls, 0, kept index) for both sides, sorted
     right_pos: list       # position of each kept interval's right event
     weights: list         # kept interval weights times weight_scale
     weight_scale: int     # W: the lcm of the weight denominators
-    rep_strip: list       # each occupied strip once, ascending
+    has_point: list       # per strip: does some point lie in it
 
 
 def prepare_instance(points, intervals) -> PreparedIntervals:
-    """Strip layout plus per-strip point dedup, on coordinate ranks.
+    """Strip layout and the strips that hold a point, on coordinate ranks.
 
-    Requires points sorted by x and intervals sorted by right endpoint;
-    exact duplicate intervals collapse to their minimum-weight copy.  Both
-    lists may hold objects or the exact int pairs of `geom.line_pairs`;
-    pairs are checked as `WeightedInterval` checks its values.
+    Points and intervals may come in any order; exact duplicate intervals
+    collapse to their minimum-weight copy.  Both lists may hold objects or
+    the exact int pairs of `geom.line_pairs`; pairs are checked as
+    `WeightedInterval` checks its values.
     """
     coords, ivs = line_pairs(points, intervals)
     n, m = len(coords), len(ivs)
@@ -92,10 +94,6 @@ def prepare_instance(points, intervals) -> PreparedIntervals:
     coords += [s[1] for s in ivs]
     rk = pair_ranks(coords)
     xs, los, his = rk[:n], rk[n:n + m], rk[n + m:]
-    if xs != sorted(xs):
-        raise UnsortedInput("points must be sorted by x")
-    if his != sorted(his):
-        raise UnsortedInput("intervals must be sorted by right endpoint")
     ws, w_scale = _scaled([s[2] for s in ivs])
     if any(map(operator.ge, los, his)):
         raise ValueError("interval needs lo < hi")
@@ -119,15 +117,11 @@ def prepare_instance(points, intervals) -> PreparedIntervals:
         if cls == _RIGHT:
             right_pos[q] = pos
 
-    rep_strip = []
-    last = -1
+    has_point = [False] * (len(events) + 1)
     for x in xs:
-        i = bisect_left(events, (x, _POINT, 0))
-        if i != last:
-            rep_strip.append(i)
-            last = i
+        has_point[bisect_left(events, (x, _POINT, 0))] = True
     return PreparedIntervals(keep, events, right_pos, [ws[i] for i in keep],
-                             w_scale, rep_strip)
+                             w_scale, has_point)
 
 
 class DagVertex(NamedTuple):
@@ -167,9 +161,7 @@ def build_dag(prep: PreparedIntervals, mode: str = "mmsc") -> IntervalDag:
     events = prep.events
     k = len(events)
 
-    has_point = [False] * (k + 1)
-    for i in prep.rep_strip:
-        has_point[i] = True
+    has_point = prep.has_point
     pref = [0] * (k + 2)
     for i in range(k + 1):
         pref[i + 1] = pref[i] + has_point[i]

@@ -1,12 +1,15 @@
 """Deterministic SVG rendering of instances and optional solutions."""
 from __future__ import annotations
 
-from .slabs import CoverSolution, assign_slabs
+import math
+
+from .slabs import assign_slabs
 
 SCALE = 40.0
 MARGIN = 1.0
 POINT_R = 3.0
 PALETTE = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00", "#a65628")
+_TOO_FAR = "cannot draw: coordinates exceed the float range"
 
 
 def _f(v) -> str:
@@ -16,13 +19,9 @@ def _f(v) -> str:
 def _solution_parts(solution):
     if solution is None:
         return set(), {}
-    if isinstance(solution, CoverSolution):
-        chosen = solution.chosen
-        colors = solution.colors or {}
-    else:
-        chosen = solution.get("chosen", [])
-        colors = solution.get("colors") or {}
-    return set(chosen), {int(k): int(v) for k, v in colors.items()}
+    colors = solution.get("colors") or {}
+    return (set(solution.get("chosen", [])),
+            {int(k): int(v) for k, v in colors.items()})
 
 
 def _object_style(idx, chosen, colors) -> str:
@@ -35,33 +34,42 @@ def _object_style(idx, chosen, colors) -> str:
 
 
 def render_svg(instance, solution=None) -> str:
-    """SVG document string; byte-identical for identical inputs."""
+    """SVG document string; byte-identical for identical inputs.
+
+    `solution` is None or a solution file's dict.  Raises ValueError when
+    the drawing does not fit in floats: a coordinate or the width or
+    height beyond the float range."""
     chosen, colors = _solution_parts(solution)
     kind = instance.kind
-    pts_xy = []
-    if kind == "intervals":
-        pts_xy = [(float(x), 0.0) for x in instance.points]
-        rows = [(float(s.lo), float(s.hi), 0.5 * (i + 1))
-                for i, s in enumerate(instance.objects)]
-        xs = [x for x, _ in pts_xy] + [v for lo, hi, _ in rows for v in (lo, hi)]
-        ys = [0.0] + [y for _, _, y in rows]
-    else:
-        pts_xy = [(float(p.x), float(p.y)) for p in instance.points]
-        xs = [x for x, _ in pts_xy]
-        ys = [y for _, y in pts_xy]
-        for o in instance.objects:
-            if kind == "rects":
-                xs += [float(o.left), float(o.right)]
-                ys += [float(o.bottom), float(o.top)]
-            else:
-                xs += [o.center.x - 0.5, o.center.x + 0.5]
-                ys += [o.center.y - 0.5, o.center.y + 0.5]
+    try:
+        if kind == "intervals":
+            pts_xy = [(float(x), 0.0) for x in instance.points]
+            rows = [(float(s.lo), float(s.hi), 0.5 * (i + 1))
+                    for i, s in enumerate(instance.objects)]
+            xs = [x for x, _ in pts_xy] + [v for lo, hi, _ in rows
+                                           for v in (lo, hi)]
+            ys = [0.0] + [y for _, _, y in rows]
+        else:
+            pts_xy = [(float(p.x), float(p.y)) for p in instance.points]
+            xs = [x for x, _ in pts_xy]
+            ys = [y for _, y in pts_xy]
+            for o in instance.objects:
+                if kind == "rects":
+                    xs += [float(o.left), float(o.right)]
+                    ys += [float(o.bottom), float(o.top)]
+                else:
+                    xs += [o.center.x - 0.5, o.center.x + 0.5]
+                    ys += [o.center.y - 0.5, o.center.y + 0.5]
+    except OverflowError:
+        raise ValueError(_TOO_FAR) from None
     if not xs:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     width = (x1 - x0 + 2 * MARGIN) * SCALE
     height = (y1 - y0 + 2 * MARGIN) * SCALE
+    if not math.isfinite(width + height):
+        raise ValueError(_TOO_FAR)
 
     def sx(x):
         return (float(x) - x0 + MARGIN) * SCALE

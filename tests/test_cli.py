@@ -54,6 +54,20 @@ class TestSolveCheck:
         assert data["chosen"] == [0, 2, 3]
         assert main(["check", "--in", str(inst), "--solution", str(sol)]) == 0
 
+    def test_intervals_in_any_order(self, tmp_path, capsys):
+        # points and intervals need not be sorted
+        inst = tmp_path / "inst.jsonl"
+        sol = tmp_path / "sol.json"
+        inst.write_text('{"kind":"intervals"}\n{"p":["3"]}\n{"p":["1"]}\n'
+                        '{"i":["0","2","1"]}\n{"i":["2","4","1"]}\n')
+        for command in ("solve", "oracle"):
+            assert main([command, "--kind", "intervals", "--in", str(inst),
+                         "--out", str(sol)]) == 0
+            capsys.readouterr()
+            assert main(["check", "--in", str(inst),
+                         "--solution", str(sol)]) == 0
+            assert capsys.readouterr().out == "ok: 2 objects, objective 2\n"
+
     def test_tampered_solution_reports_uncovered_point(self, tmp_path, capsys):
         inst = tmp_path / "trap.jsonl"
         sol = tmp_path / "sol.json"
@@ -497,6 +511,35 @@ class TestRenderBench:
         lines = out.read_text().splitlines()
         assert sum('stroke="#fdae6b"' in ln for ln in lines) == 4
         assert len(lines) < 30
+
+    _HUGE = "1" + "0" * 400
+
+    @pytest.mark.parametrize("kind, body", [
+        ("rects", '{"p":["%s","1/2"]}\n{"r":["%s","0","1"]}\n'
+         % (_HUGE, _HUGE)),
+        ("intervals", '{"p":["%s"]}\n{"i":["0","%s","1"]}\n'
+         % (_HUGE, _HUGE)),
+        ("disks", '{"p":[1e308,0.0]}\n{"p":[-1e308,0.0]}\n'
+         '{"d":[1e308,0.0]}\n{"d":[-1e308,0.0]}\n')],
+        ids=["rects", "intervals", "disks"])
+    def test_render_refuses_coordinates_beyond_floats(self, tmp_path, capsys,
+                                                      kind, body):
+        # such files solve and check; only the drawing needs floats
+        inst = tmp_path / "inst.jsonl"
+        sol = tmp_path / "sol.json"
+        out = tmp_path / "pic.svg"
+        inst.write_text('{"kind":"%s"}\n%s' % (kind, body))
+        assert main(["solve", "--kind", kind, "--in", str(inst),
+                     "--out", str(sol)]) == 0
+        assert main(["check", "--in", str(inst), "--solution", str(sol)]) == 0
+        for argv in ([], ["--solution", str(sol)]):
+            capsys.readouterr()
+            assert main(["render", "--in", str(inst), "--out", str(out),
+                         *argv]) == 1
+            err = capsys.readouterr().err
+            assert err == ("error: cannot draw: coordinates exceed the "
+                           "float range\n")
+            assert not out.exists()
 
     def test_bench_csv_columns(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -8,7 +8,7 @@ import dag_reference
 from conftest import greedy_trap_instance
 from test_degenerate import _gritty_intervals
 
-from plycover.errors import Infeasible, UnsortedInput
+from plycover.errors import Infeasible
 from plycover.geom import (Point, WeightedInterval, as_x, line_pairs,
                            pair_ranks)
 from plycover.instances import Instance, dumps, generate, loads
@@ -39,7 +39,7 @@ _BIG_PRIMES = _primes(300, 100_000)
 class TestPrepare:
     def test_points_in_one_strip_collapse(self):
         prep = prepare_instance([F(1, 4), F(1, 2), F(3, 4)], [iv(0, 1)])
-        assert len(prep.rep_strip) == 1
+        assert sum(prep.has_point) == 1
 
     def test_single_interval_three_strips(self):
         prep = prepare_instance([], [iv(0, 1)])
@@ -48,14 +48,6 @@ class TestPrepare:
     def test_fixture_has_nine_strips(self):
         points, intervals = greedy_trap_instance()
         assert len(prepare_instance(points, intervals).events) + 1 == 9
-
-    def test_unsorted_points_rejected(self):
-        with pytest.raises(UnsortedInput):
-            prepare_instance([F(2), F(1)], [iv(0, 3)])
-
-    def test_unsorted_intervals_rejected(self):
-        with pytest.raises(UnsortedInput):
-            prepare_instance([], [iv(0, 5), iv(1, 2)])
 
     def test_duplicates_collapse_to_min_weight(self):
         ivs = [iv(0, 1, 7), iv(0, 1, 3), iv(0, 1, 5)]
@@ -107,8 +99,8 @@ class TestPrepare:
         prep = prepare_instance(points, ivs)
         bound = len(points) + 2 * m
         assert all(0 <= x < bound for x, _, _, _ in prep.events)
-        assert all(0 <= i < len(prep.events) + 1 for i in prep.rep_strip)
-        assert len(prep.rep_strip) == len(points)
+        assert len(prep.has_point) == len(prep.events) + 1
+        assert sum(prep.has_point) == len(points)
 
 
 class TestBuildDag:
@@ -274,6 +266,49 @@ class TestAgainstReferenceDp:
                     assert v == DagVertex(V1, v.strip, v.q, weight=v.weight)
                 else:
                     assert v == DagVertex(V2, v.strip, v.q, v.r, v.weight)
+
+
+class TestAnyInputOrder:
+    def test_shuffled_input_solves_as_sorted(self):
+        # points and intervals in any order: the same optimum as the
+        # generated (sorted) order and as the oracle, the reference DP's
+        # path and value, and the DAG size bound
+        rng = random.Random(48)
+        solved = moved = 0
+        for seed in range(150):
+            inst = generate("intervals", rng.randint(0, 16),
+                            rng.randint(1, 10),
+                            rng.choice(["uniform", "clustered", "chain"]),
+                            seed=seed + 700,
+                            allow_uncovered=rng.random() < 0.2)
+            ivs = inst.objects
+            levels = rng.choice([None, 1, 2])  # as generated, all 0, 0 or 1
+            if levels:
+                ivs = [WeightedInterval(s.lo, s.hi, F(rng.randrange(levels)))
+                       for s in ivs]
+            points = rng.sample(inst.points, len(inst.points))
+            shuffled = rng.sample(ivs, len(ivs))
+            moved += points != inst.points or shuffled != ivs
+            prep = prepare_instance(points, shuffled)
+            for mode in ("mmsc", "mpc"):
+                dag = build_dag(prep, mode)
+                bound = 4 * dag.n_intervals + 5 * dag.n_overlaps + 2
+                assert len(dag.vertices) <= bound, (seed, mode)
+                res = bottleneck_path(dag)
+                assert res == dag_reference.bottleneck_path(dag), (seed, mode)
+                if res is None:
+                    with pytest.raises(Infeasible):
+                        exact_intervals(points, shuffled, mode)
+                    continue
+                sol = solve_intervals(points, shuffled, mode)
+                opt, _ = exact_intervals(points, shuffled, mode)
+                assert sol.objective == opt, (seed, mode)
+                assert sol.objective == solve_intervals(
+                    inst.points, ivs, mode).objective, (seed, mode)
+                assert evaluate_objective(
+                    points, [shuffled[i] for i in sol.chosen], mode) == opt
+                solved += 1
+        assert moved > 120 and solved > 200
 
 
 class TestSolve:

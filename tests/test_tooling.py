@@ -16,7 +16,7 @@ from plycover.instances import (_ARITY, Instance, dumps, generate, load,
                                 loads, rational_pair, save)
 from plycover.intervals import (DagVertex, count_overlapping_pairs,
                                 solve_intervals)
-from plycover.slabs import CoverSolution, assign_slabs, solve_mpc
+from plycover.slabs import assign_slabs, solve_mpc
 from plycover.svg import render_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -274,8 +274,8 @@ class TestSvg:
     def test_six_color_classes_get_six_fills(self):
         disks = [UnitDisk(Point(2.0 * i, 0.5)) for i in range(6)]
         inst = Instance("disks", [Point(2.0 * i, 0.5) for i in range(6)], disks)
-        sol = CoverSolution(list(range(6)), 1,
-                            colors={i: i + 1 for i in range(6)})
+        sol = {"kind": "3color", "chosen": list(range(6)), "objective": 1,
+               "colors": {str(i): i + 1 for i in range(6)}}
         root = ET.fromstring(render_svg(inst, sol))
         objects = root.find("%sg[@id='objects']" % SVG_NS)
         fills = {el.get("fill") for el in objects}

@@ -172,9 +172,10 @@ def _read_solution(path) -> dict:
         raise _UsageError("solution file needs \"objective\", an int or a "
                           "rational string")
     colors = sol.get("colors")
-    if kind == "3color" and not (
+    if ("colors" in sol or kind == "3color") and not (
             isinstance(colors, dict) and all(
-                k.isdigit() and type(v) is int for k, v in colors.items())):
+                k.isascii() and k.isdecimal() and type(v) is int
+                for k, v in colors.items())):
         raise _UsageError("solution file needs \"colors\", a map from "
                           "chosen index to int color")
     return sol

@@ -24,11 +24,15 @@ the events, masks and depth oracle.  A set bit of a cover mask is a
 that can be uncovered; `uncovered` names the first such point in sweep
 order, or is None, and when there is one no search is run.
 
-`run` is the one search loop.  States are memoized per strip, and each
-keeps the union of the first path that reaches it, so every slab's result
-is inclusion-minimal (see `run`).  Rectangles and disks step with
-`successors`; the 3-color search (`tricolor`) steps over triples of class
-masks on the disk problem.
+`run` is the one search loop.  It holds one strip's states at a time, a
+dict from key to the union of the first path that reaches it, and
+crosses each event with one call of a per-event step that returns the
+next strip's dict.  Keeping first paths makes every slab's result
+inclusion-minimal (see `run`).  The 3-color step (`tricolor`) works on
+triples of class masks over the disk problem and looks each event's
+constants up once.  Rectangles and disks step with `_mpc_step`, which
+still calls `successors` once per state, where perfbench/tracing.py
+counts the states.
 """
 from __future__ import annotations
 
@@ -58,7 +62,7 @@ def bits(mask: int) -> list:
 
 class StripState(NamedTuple):
     strip: int
-    mask: int          # members; the 3-color search keeps its class masks
+    mask: int          # members
     union: int = 0     # chosen objects on the first path to this state
 
     @property
@@ -191,16 +195,33 @@ def successors(problem: StripProblem, state: StripState) -> list[StripState]:
     return out
 
 
+def _mpc_step(problem: StripProblem, i: int, states: dict) -> dict:
+    """The states of strip i + 1 reached from strip i's, for rectangles
+    and disks: `successors` of each state, visited in dict order."""
+    # one `successors` call per state, because perfbench/tracing.py counts
+    # states by wrapping it; an event-major rect and disk step waits for a
+    # state count the search reports itself (ROADMAP item 1)
+    nxt = {}
+    for key, union in states.items():
+        for _, k, u in successors(problem, _new(StripState, (i, key, union))):
+            if k not in nxt:
+                nxt[k] = u
+    return nxt
+
+
 def run(problem: StripProblem, step, start):
     """Forward search source -> sink: the union of the first path that
     reaches the `start` state again after the last strip, or None.
 
-    `step(problem, state)` yields (strip, key, union) successors, skipping
-    the entering object (rank 0) before taking it; each key of the next
-    strip keeps the union of the first successor to reach it.  A strip's
-    states are visited in the order they were first reached, so by
-    induction each key keeps its least decision path: the least rank
-    sequence, in sweep order.  Dict insertion order decides.
+    A strip's states are a dict from key to the union of the first path
+    that reached it.  `step(problem, i, states)` crosses event i for the
+    whole strip at once and returns strip i + 1's dict: it visits the
+    states in dict order, offers each one's successors skipping the
+    entering object (rank 0) before taking it, and enters a key on its
+    first arrival only.  So a strip's states are visited in the order
+    they were first reached, and by induction each key keeps its least
+    decision path: the least rank sequence, in sweep order.  Dict
+    insertion order decides.
 
     So a result is inclusion-minimal: if it still covered the slab without
     some chosen q, skipping q at its left side and deciding as before
@@ -211,18 +232,13 @@ def run(problem: StripProblem, step, start):
         return None
     states = {start: start}
     for i in range(len(problem.events)):
-        nxt = {}
-        for key, union in states.items():
-            for _, k, u in step(problem, _new(StripState, (i, key, union))):
-                if k not in nxt:
-                    nxt[k] = u
-        if not nxt:
+        states = step(problem, i, states)
+        if not states:
             return None
-        states = nxt
     return states.get(start)
 
 
 def search(problem: StripProblem):
     """The chosen index union of a cover of the slab points, or None."""
-    union = run(problem, successors, 0)
+    union = run(problem, _mpc_step, 0)
     return None if union is None else bits(union)

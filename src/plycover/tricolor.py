@@ -21,9 +21,11 @@ disjoint from, so it may join a class iff the class mask misses its
 conflict mask.  A state is a triple of class masks in canonical order
 (nonempty classes by mask value, empties last), with a triple of unions;
 coverage is tested on the OR of the classes against the strip's cover
-masks.  A step emits keep, then joins to classes 0, 1, 2: the ranks 0 to
-3 of `run`'s least decision path.  The problem's depth oracle is never
-queried, so its disk arrangement is never listed.
+masks.  `_step` crosses one event for all of a strip's states, reading
+the event's constants once; it visits the states in dict order and emits
+keep, then joins to classes 0, 1, 2: the ranks 0 to 3 of `run`'s least
+decision path.  The problem's depth oracle is never queried, so its disk
+arrangement is never listed.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from .errors import Infeasible
 from .geom import EventClass, membership_at, ply_disks  # noqa: F401
 from .slabs import (CoverSolution, assign_slabs,  # noqa: F401
                     search_slabs)
-from .stripdag import bits, covered, run
+from .stripdag import bits, run
 
 _EMPTY = (0, 0, 0)
 
@@ -51,37 +53,64 @@ def _canonical(c, u):
     return tuple(c), tuple(u)
 
 
-def _step(problem, state):
-    """Successors (strip, classes, unions) of a canonical 3-color state: an
-    entering disk joins no class or one class it meets no member of, and a
-    leaving disk leaves its class."""
-    strip, classes, unions = state
-    ev = problem.events[strip]
+def _step(problem, i, states):
+    """Strip i + 1's canonical 3-color states from strip i's: an entering
+    disk joins no class or one class it meets no member of, and a leaving
+    disk leaves its class.
+
+    Strip i + 1's cover masks are taken after event i, so they hold a
+    disk that enters there and miss one that leaves.  At a left event the
+    masks that miss the entering bit (`rest`) must be met by every
+    successor, and those that hold it (`held`) only by keep: a join
+    meets them all.  At a right event a state's members meet the masks
+    exactly when they do without the leaving disk, so coverage is tested
+    before the removal."""
+    ev = problem.events[i]
     bit = 1 << ev.obj
-    nxt = strip + 1
-    cover = problem.strip_cover[nxt]
-    active = classes[0] | classes[1] | classes[2]
+    cover = problem.strip_cover[i + 1]
+    nxt = {}
     if ev.cls != EventClass.LEFT_SIDE:
-        if not active & bit:
-            return [(nxt, classes, unions)] if covered(active, cover) else []
-        if not covered(active ^ bit, cover):
-            return []
-        return [(nxt, *_canonical([c & ~bit for c in classes], list(unions)))]
-    out = [(nxt, classes, unions)] if covered(active, cover) else []
-    if not covered(active | bit, cover):
-        return out
+        for classes, unions in states.items():
+            active = classes[0] | classes[1] | classes[2]
+            for c in cover:
+                if not active & c:
+                    break
+            else:
+                if active & bit:
+                    classes, unions = _canonical([c & ~bit for c in classes],
+                                                 list(unions))
+                if classes not in nxt:
+                    nxt[classes] = unions
+        return nxt
+    rest = [c for c in cover if not c & bit]
+    held = [c for c in cover if c & bit]
     conflict = problem.meets[ev.obj]
-    for a in range(3):
-        cls = classes[a]
-        if cls and (cls.bit_count() >= PER_STRIP_FACTOR or cls & conflict):
-            continue
-        grown, grown_u = list(classes), list(unions)
-        grown[a] = cls | bit
-        grown_u[a] |= bit
-        out.append((nxt, *_canonical(grown, grown_u)))
-        if not cls:
-            break  # the empty classes come last and are interchangeable
-    return out
+    for classes, unions in states.items():
+        active = classes[0] | classes[1] | classes[2]
+        for c in rest:
+            if not active & c:
+                break
+        else:
+            for c in held:
+                if not active & c:
+                    break
+            else:
+                if classes not in nxt:
+                    nxt[classes] = unions
+            for a in range(3):
+                cls = classes[a]
+                if cls and (cls.bit_count() >= PER_STRIP_FACTOR
+                            or cls & conflict):
+                    continue
+                grown, grown_u = list(classes), list(unions)
+                grown[a] = cls | bit
+                grown_u[a] |= bit
+                key, u = _canonical(grown, grown_u)
+                if key not in nxt:
+                    nxt[key] = u
+                if not cls:
+                    break  # empty classes come last and are interchangeable
+    return nxt
 
 
 def solve_slab_3color(points, disks, problem=None):

@@ -151,6 +151,32 @@ class TestSolveCheck:
         assert "Traceback" not in err
         assert not (tmp_path / "pic.svg").exists()
 
+    @pytest.mark.parametrize("body", [
+        '{"kind":"disks","chosen":[0],"objective":1,"colors":5}',
+        '{"kind":"disks","chosen":[0],"objective":1,"colors":{"0":[1]}}',
+        '{"kind":"disks","chosen":[0],"objective":1,"colors":{"0":1.7}}',
+        '{"kind":"3color","chosen":[0],"objective":1,"colors":{"²":1}}'],
+        ids=["not-a-map", "list-color", "float-color", "superscript-key"])
+    @pytest.mark.parametrize("command", ["check", "render"])
+    def test_malformed_colors_are_refused(self, tmp_path, capsys, body,
+                                          command):
+        # a colors field is checked for every kind; "²" is a digit to
+        # str.isdigit but no decimal that int() reads
+        inst = tmp_path / "disk.jsonl"
+        sol = tmp_path / "sol.json"
+        out = tmp_path / "pic.svg"
+        inst.write_text('{"kind":"disks"}\n{"p":[0.0,0.0]}\n'
+                        '{"d":[0.0,0.0]}\n')
+        sol.write_text(body)
+        capsys.readouterr()
+        extra = ["--out", str(out)] if command == "render" else []
+        assert main([command, "--in", str(inst), "--solution", str(sol),
+                     *extra]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: solution file needs \"colors\", a map from chosen "
+            "index to int color\n")
+        assert not out.exists()
+
     def test_intervals_third_weights_round_trip(self, tmp_path):
         inst = tmp_path / "inst.jsonl"
         sol = tmp_path / "sol.json"

@@ -2,7 +2,8 @@
 (`strip_reference`): the same covers, classes and failures on seeded fuzz,
 and the disk arrangement against `disk_depth_within`.  Each slab's result
 is inclusion-minimal.  A slab's problem built once and searched at every
-budget of its ladder gives what a fresh build at each budget gives."""
+budget of its ladder gives what a fresh build at each budget gives.  The
+search takes one step call per strip event."""
 import math
 import random
 from collections import Counter
@@ -14,11 +15,11 @@ import strip_reference as ref
 from conftest import forced_pair_disks, nudged
 
 from plycover import disks as disks_mod
-from plycover import stripdag
+from plycover import stripdag, tricolor
 from plycover.disks import (DiskArrangement, dedupe_disks, disk_slab_problem,
                             disk_spans, solve_slab_disks)
 from plycover.errors import Infeasible
-from plycover.geom import (Point, UnitDisk, UnitRect,
+from plycover.geom import (EventClass, Point, UnitDisk, UnitRect,
                            disk_depth_within, disks_disjoint, ply_disks)
 from plycover.instances import generate
 from plycover.rects import rect_slab_problem, rect_spans, solve_slab_rects
@@ -108,6 +109,53 @@ def _private_point_instances(seed):
     return points or [disks[0].center], disks
 
 
+# seven centres in [0, 1] x [0, 2.9], pairwise more than 1 apart: a
+# column of disks centred there, shifted into a slab's centre band, are
+# pairwise disjoint and all cross the vertical line through the column
+_COLUMN = [(1, 0), (0, 0.16), (1, 1.01), (0, 1.17), (0.64, 1.96), (0, 2.75),
+           (1, 2.9)]
+
+
+def _column_instances(seed):
+    """20 to 32 disks clustered in columns of five to seven from
+    `_COLUMN`, on a dyadic x grid so that a column's x-extrema meet, with
+    a few stray disks.  The disk at (0, 1/2) puts slab 1's centre band at
+    [3/2, 9/2), where the columns sit.  About four in five of the other
+    disks get a point that they alone contain if one is found, else some
+    point inside them.  Each third seed adds four disks that pairwise
+    meet, with a private point each in slab 1, so that slab has no
+    3-colorable cover."""
+    rng = random.Random(seed)
+    disks = [UnitDisk(Point(0.0, 0.5))]
+    x = 0.0
+    while len(disks) < 20:
+        x += rng.choice((1.25, 1.5, 1.75, 2.0))
+        disks += [UnitDisk(Point(x - 0.5 + cx, 1.5 + cy))
+                  for cx, cy in rng.sample(_COLUMN, rng.randint(5, 7))]
+        for _ in range(rng.randint(0, 2)):
+            disks.append(UnitDisk(Point(round(x + rng.uniform(-1, 1), 3),
+                                        round(rng.uniform(1.5, 4.4), 3))))
+    points = [Point(0.0, 0.5)]
+    for d in disks[1:]:
+        if rng.random() < 0.2:
+            continue
+        for _ in range(30):
+            a = rng.uniform(0, 2 * math.pi)
+            r = 0.49 * math.sqrt(rng.random())
+            p = Point(d.center.x + r * math.cos(a),
+                      d.center.y + r * math.sin(a))
+            if sum(e.contains(p) for e in disks) == 1:
+                break
+        points.append(p)
+    if seed % 3 == 0:
+        ox, oy = x + 2.5, rng.uniform(2.4, 2.9)
+        for dx, dy in ((0, 0), (0.6, 0), (0, 0.6), (0.6, 0.6)):
+            disks.append(UnitDisk(Point(ox + dx, oy + dy)))
+            points.append(Point(ox + dx + (dx - 0.3), oy + dy + (dy - 0.3)))
+    rng.shuffle(disks)
+    return points, disks
+
+
 class TestAgainstTupleEngine:
     def test_rects(self):
         solved = failed = 0
@@ -182,6 +230,78 @@ class TestAgainstTupleEngine:
                 solved += got is not None
                 failed += got is None
         assert solved > 50 and failed > 30
+
+    def test_3color_dense(self, monkeypatch):
+        # classes that reach seven disks in one strip, and right events
+        # that take disks out of classes
+        widest = removed = 0
+        step = tricolor._step
+
+        def spy(problem, i, states):
+            nonlocal widest, removed
+            ev = problem.events[i]
+            for classes in states:
+                widest = max(widest, *(c.bit_count() for c in classes))
+                removed += (ev.cls == EventClass.RIGHT_SIDE and any(
+                    c >> ev.obj & 1 for c in classes))
+            return step(problem, i, states)
+        monkeypatch.setattr(tricolor, "_step", spy)
+        solved = failed = 0
+        for seed in range(12):
+            for pts, objs in _slabs(*_column_instances(seed), "disks"):
+                got = solve_slab_3color(pts, objs)
+                assert got == ref.solve_slab_3color(pts, objs), seed
+                solved += got is not None
+                failed += got is None
+        assert solved > 20 and failed >= 4
+        assert widest == 7 and removed > 10_000
+
+
+class TestStepShape:
+    """`run` crosses each event with one step call over the whole strip;
+    the mpc step still asks `successors` once per state."""
+
+    def test_3color_steps_once_per_event(self, monkeypatch):
+        crossed = []
+        step = tricolor._step
+
+        def spy(problem, i, states):
+            crossed.append((problem, i))
+            return step(problem, i, states)
+        monkeypatch.setattr(tricolor, "_step", spy)
+        steps = 0
+        for seed in (0, 3, 5):
+            for pts, objs in _slabs(*_column_instances(seed), "disks"):
+                problem = disk_slab_problem(pts, objs)
+                crossed.clear()
+                solve_slab_3color(pts, objs, problem)
+                assert all(p is problem for p, _ in crossed)
+                assert [i for _, i in crossed] == list(range(len(crossed)))
+                assert len(crossed) <= len(problem.events)
+                steps += len(crossed)
+        assert steps > 100
+
+    @pytest.mark.parametrize("kind", ["rects", "disks"])
+    def test_mpc_asks_successors_once_per_state(self, monkeypatch, kind):
+        asked, sizes = [], []
+        successors, step = stripdag.successors, stripdag._mpc_step
+
+        def spy_successors(problem, state):
+            asked.append(state.strip)
+            return successors(problem, state)
+
+        def spy_step(problem, i, states):
+            sizes.append((i, len(states)))
+            return step(problem, i, states)
+        monkeypatch.setattr(stripdag, "successors", spy_successors)
+        monkeypatch.setattr(stripdag, "_mpc_step", spy_step)
+        solve = solve_slab_rects if kind == "rects" else solve_slab_disks
+        for seed in range(6):
+            for pts, objs in _live_slabs(kind, seed):
+                for ell in (1, 2, 3):
+                    solve(pts, objs, ell)
+        assert sum(n for _, n in sizes) > 1000
+        assert asked == [i for i, n in sizes for _ in range(n)]
 
 
 def _live_slabs(kind, seed):

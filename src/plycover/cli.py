@@ -2,11 +2,18 @@
 
 Exit codes: 0 success, 1 usage or IO error, 2 infeasible, 3 ply budget
 exceeded.
+
+A command runs with the cyclic garbage collector paused.  The loader and
+the interval DAG allocate many small tuples and lists, which the collector
+would scan again and again to free nothing, since a solve makes no
+reference cycles.  Memory is still freed by reference counting, and
+`main` leaves the collector as it found it.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 import time
@@ -132,7 +139,7 @@ def _cmd_gen(args) -> int:
 
 
 def _check_colors(inst, sol) -> str | None:
-    colors = {int(k): v for k, v in sol["colors"].items()}
+    colors = sol["colors"]
     if any(not 1 <= c <= 6 for c in colors.values()):
         return "color out of range 1..6"
     by_class: dict[int, list] = {}
@@ -145,7 +152,8 @@ def _check_colors(inst, sol) -> str | None:
 
 
 def _read_solution(path) -> dict:
-    """The solution file as a dict, refused unless its fields are usable."""
+    """The solution file as a dict, refused unless its fields are usable;
+    its colors map, if any, is keyed by int index."""
     with open(path) as fh:
         text = fh.read()
     try:
@@ -172,23 +180,32 @@ def _read_solution(path) -> dict:
         raise _UsageError("solution file needs \"objective\", an int or a "
                           "rational string")
     colors = sol.get("colors")
-    if ("colors" in sol or kind == "3color") and not (
-            isinstance(colors, dict) and all(
+    if "colors" in sol or kind == "3color":
+        bad = _UsageError("solution file needs \"colors\", a map from "
+                          "chosen index to int color")
+        if not (isinstance(colors, dict) and all(
                 k.isascii() and k.isdecimal() and type(v) is int
                 for k, v in colors.items())):
-        raise _UsageError("solution file needs \"colors\", a map from "
-                          "chosen index to int color")
+            raise bad
+        try:
+            sol["colors"] = {int(k): v for k, v in colors.items()}
+        except ValueError:  # int() refuses more than 4,300 digits
+            raise bad from None
+        if len(sol["colors"]) != len(colors):  # "1" and "01"
+            raise bad
     return sol
 
 
 def _load_solved(args):
     """(instance, solution) of `--in` and `--solution`, refused unless the
-    solution's kind and chosen indices fit the instance and a 3-color
-    solution's colors map partitions its chosen set."""
+    solution's kind and chosen indices fit the instance and its colors map
+    colors only chosen objects: for 3-color, every chosen object."""
     sol = _read_solution(args.solution)
-    if sol["kind"] == "3color" and (sorted(int(k) for k in sol["colors"])
-                                    != sorted(sol["chosen"])):
+    colors = sol.get("colors")
+    if sol["kind"] == "3color" and sorted(colors) != sorted(sol["chosen"]):
         raise _UsageError("colors do not partition the chosen set")
+    if colors is not None and not set(colors) <= set(sol["chosen"]):
+        raise _UsageError("colors name an object that is not chosen")
     inst = _load_instance(args.infile, sol["kind"])
     if any(not 0 <= i < len(inst.objects) for i in sol["chosen"]):
         raise _UsageError("chosen index out of range")
@@ -262,7 +279,9 @@ def _cmd_bench(args) -> int:
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built on first use and then reused."""
-    p = _Parser(prog="plycover", description=__doc__)
+    # --help shows the commands and exit codes, not the note on the collector
+    p = _Parser(prog="plycover",
+                description="\n\n".join(__doc__.split("\n\n")[:2]))
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, kinds=SOLVE_KINDS):
@@ -317,8 +336,13 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    gc_was_enabled = gc.isenabled()
     try:
         args = parser.parse_args(argv)
+        # A warmed-up solve of each kind makes no reference cycles, so the
+        # collector's passes over its many small tuples and lists free
+        # nothing, and pausing it for the command cannot grow memory.
+        gc.disable()
         return args.func(args)
     except _UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
@@ -335,6 +359,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as e:
         print("budget exceeded: %s" % e, file=sys.stderr)
         return EXIT_BUDGET
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -2,22 +2,29 @@
 
 Rational coordinates are serialized as "p/q" strings so files round-trip
 losslessly; disk coordinates stay floats.  The loader reads every rational
-into an exact (num, den) int pair (`rational_pair`).  A rect or interval
-file keeps those pairs, which `slabs.solve_mpc` and
-`intervals.solve_intervals` take as they are, so a solve makes no
-`Fraction`, `UnitRect` or `WeightedInterval` between the file and the
-objective; the `points` and `objects` lists are built only when read.
-Each record line is decoded by one `raw_decode` call into the C JSON
-scanner; only a line it does not take whole goes through `json.loads`, for
-its refusal.  Generated points are covered by construction unless
-explicitly allowed to be uncovered.
+into an exact (num, den) int pair.  A rect or interval file keeps those
+pairs, which `slabs.solve_mpc` and `intervals.solve_intervals` take as they
+are, so a solve makes no `Fraction`, `UnitRect` or `WeightedInterval`
+between the file and the objective; the `points` and `objects` lists are
+built only when read.
+
+`loads` has two paths, chosen by the text alone.  A file whose first line
+is the header and whose every other line is a record written exactly as
+`dumps` writes it is parsed whole: one anchored `findall` per record tag,
+then one C-level `map` per value column, and the checks run column by
+column.  Every other file, or one with a value that fails a check, goes
+through the per-line loop, which decodes each non-blank line with
+`json.loads` and owns every refusal.  Generated points are covered by
+construction unless explicitly allowed to be uncovered.
 """
 from __future__ import annotations
 
 import json
 import math
 import random
+import re
 from fractions import Fraction
+from operator import floordiv, lt, mul
 from typing import Optional
 
 from .geom import (Point, UnitDisk, UnitRect, WeightedInterval, line_pairs,
@@ -130,11 +137,6 @@ def _json(lineno: int, ln: str):
         raise ValueError("line %d: %s" % (lineno, e)) from None
 
 
-# a record line's decode: the C scanner without `json.loads`' wrapper calls
-_decode = json.JSONDecoder().raw_decode
-_JSON_WS = " \t\n\r"
-
-
 def _finite_point(x, y) -> Point:
     x, y = float(x), float(y)
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -178,46 +180,15 @@ def _checked_rect(vals) -> tuple:
     return left, bottom, width
 
 
-def loads(text: str) -> Instance:
-    """Parse an instance file; a malformed line raises ValueError naming it.
-
-    Each record is checked for its tag, a list of the right length, and
-    values that convert: exact rationals for rects and intervals, finite
-    floats for disks.  JSON booleans are refused in every record.  A rect
-    or interval file is kept as exact int pairs (see `Instance`), checked
-    here as `UnitRect` or `WeightedInterval` would check them.
-
-    Lines are those of `str.splitlines`, and each holds one JSON value.  A
-    record line is decoded by `raw_decode` on the line stripped of JSON
-    whitespace and taken when the decode ends at the line's end.  Any
-    other line is skipped when blank and otherwise goes through `_json`,
-    so a refusal carries the text of `json.loads`, nesting past the
-    recursion limit included.
-    """
-    rows = enumerate(text.splitlines(), 1)
-    for lineno, ln in rows:
-        if ln.strip():
-            head = _json(lineno, ln)
-            break
-    else:
-        raise ValueError("empty instance file")
-    kind = head.get("kind") if type(head) is dict else None
-    if kind not in KINDS:
-        raise ValueError("unknown instance kind: %r" % (kind,))
+def _per_line(lines: list, start: int, kind: str) -> tuple:
+    """(points, objects) of the record lines from index `start` on: each
+    non-blank line is decoded by `_json` and checked on its own."""
     arity = _ARITY[kind]
     points, objects = [], []
-    for lineno, ln in rows:
-        # a line json.loads takes is one value between JSON whitespace;
-        # anything else, blank lines too, goes the long way
-        s = ln.strip(_JSON_WS)
-        try:
-            rec, end = _decode(s)
-        except (ValueError, RecursionError):
-            end = -1
-        if end != len(s):
-            if not ln.strip():
-                continue
-            rec = _json(lineno, ln)
+    for lineno, ln in enumerate(lines[start:], start + 1):
+        if not ln.strip():
+            continue
+        rec = _json(lineno, ln)
         tag = next(iter(rec)) if type(rec) is dict and len(rec) == 1 else None
         if tag not in arity:
             raise ValueError("line %d: not a %s record: %s"
@@ -250,6 +221,105 @@ def loads(text: str) -> Instance:
             # empty or negative shapes are refused as the objects would
             raise ValueError("line %d: bad %r record: %s"
                              % (lineno, tag, e)) from None
+    return points, objects
+
+
+# A record line as `dumps` writes it: no whitespace, a rational as "p" or
+# "p/q" in ASCII digits, a disk coordinate as a JSON number with a fraction
+# or an exponent, which JSON itself would read with float().  A record is
+# never a file's first line, so each pattern starts at the "\n" before it.
+_RATIONAL = r'"(-?[0-9]+)(?:/([0-9]+))?"'
+_EXP = r"[eE][-+]?[0-9]+"
+_FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:%s)?|%s))" % (_EXP, _EXP)
+# per kind: the patterns of its point and its object records, which `re`
+# compiles on first use and caches, so importing compiles none of them
+_CANONICAL = {kind: [r'\n\{"%s":\[%s\]\}$' % (
+    tag, ",".join([_FLOAT if kind == "disks" else _RATIONAL] * n))
+    for tag, n in _ARITY[kind].items()] for kind in KINDS}
+
+
+def _columns(rows: list, width: int) -> list:
+    """The `width` group columns of the rows one pattern's `findall` gave."""
+    return list(zip(*rows)) or [()] * width
+
+
+def _whole_file(text: str, kind: str, nrecords: int):
+    """(points, objects) of a file whose `nrecords` lines after the header
+    are all records as `dumps` writes them, each value passing its check;
+    None for any other file.
+
+    A match is a whole "\\n"-delimited line and holds no line break, so it
+    is a line of `str.splitlines` too; when the matches number `nrecords`
+    they are every record line.  Values are converted, and checked as the
+    per-line loop checks them, a column at a time.
+    """
+    point_rows, object_rows = (re.findall(p, text, re.M)
+                               for p in _CANONICAL[kind])
+    if len(point_rows) + len(object_rows) != nrecords:
+        return None
+    pa, oa = _ARITY[kind].values()
+    if kind == "disks":
+        x, y, cx, cy = (list(map(float, c)) for c in
+                        _columns(point_rows, pa) + _columns(object_rows, oa))
+        if not all(map(math.isfinite, x + y + cx + cy)):  # "1e999"
+            return None
+        return (list(map(Point, x, y)),
+                list(map(UnitDisk, map(Point, cx, cy))))
+    cols = _columns(point_rows, 2 * pa) + _columns(object_rows, 2 * oa)
+    try:
+        nums = [list(map(int, c)) for c in cols[::2]]
+        dens = [[int(d) if d else 1 for d in c] for c in cols[1::2]]
+    except ValueError:  # int() refuses more than 4,300 digits
+        return None
+    if any(0 in d for d in dens):
+        return None
+    if kind == "rects":
+        if min(nums[4], default=1) <= 0:  # the widths
+            return None
+    elif min(nums[3], default=0) < 0 or not all(map(  # weights, lo < hi
+            lt, map(mul, nums[1], dens[2]), map(mul, nums[2], dens[1]))):
+        return None
+    for i, (n, d) in enumerate(zip(nums, dens)):
+        g = list(map(math.gcd, n, d))
+        if g.count(1) != len(g):  # not all in lowest terms
+            nums[i] = list(map(floordiv, n, g))
+            dens[i] = list(map(floordiv, d, g))
+    pairs = list(map(zip, nums, dens))
+    if kind == "intervals":
+        return list(pairs[0]), list(zip(*pairs[1:]))
+    return list(zip(*pairs[:2])), list(zip(*pairs[2:]))
+
+
+def loads(text: str) -> Instance:
+    """Parse an instance file; a malformed line raises ValueError naming it.
+
+    Each record is checked for its tag, a list of the right length, and
+    values that convert: exact rationals for rects and intervals, finite
+    floats for disks.  JSON booleans are refused in every record.  A rect
+    or interval file is kept as exact int pairs (see `Instance`), checked
+    here as `UnitRect` or `WeightedInterval` would check them.
+
+    Lines are those of `str.splitlines`, and each holds one JSON value; the
+    header is the first non-blank one.  When the header is the first line
+    and every other line is a record as `dumps` writes it, the file is
+    parsed whole (`_whole_file`).  Any other file, or one with a value that
+    fails a check there, goes through the per-line loop (`_per_line`),
+    which skips blank lines and decodes each other line with `_json`, so a
+    refusal names its line and carries the text of `json.loads`.  Both
+    paths give the same instance.
+    """
+    lines = text.splitlines()
+    start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    if start is None:
+        raise ValueError("empty instance file")
+    head = _json(start + 1, lines[start])
+    kind = head.get("kind") if type(head) is dict else None
+    if kind not in KINDS:
+        raise ValueError("unknown instance kind: %r" % (kind,))
+    parsed = _whole_file(text, kind, len(lines) - 1) if start == 0 else None
+    if parsed is None:
+        parsed = _per_line(lines, start + 1, kind)
+    points, objects = parsed
     seed, meta = head.get("seed"), head.get("meta")
     if kind == "disks":
         return Instance(kind, points, objects, seed, meta)

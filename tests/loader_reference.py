@@ -1,10 +1,10 @@
 """Tests-only instance loader that decodes every line with `json.loads`.
 
-This is the per-line loop that `instances.loads` replaced with one
-`raw_decode` per record line: it runs every non-blank line through
-`instances._json`.  The differential tests require the production loader
-to return the same instance, or raise the same `ValueError` text, as this
-one on every file.
+This is the per-line loop of `instances.loads` run on every file: every
+non-blank line goes through `instances._json`, where `instances.loads`
+parses a file that `dumps` could have written in one pass.  The
+differential tests require the production loader to return the same
+instance, or raise the same `ValueError` text, as this one on every file.
 """
 from __future__ import annotations
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from fractions import Fraction as F
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import greedy_trap_instance, nudged
 
+from plycover import cli
 from plycover.cli import main
 from plycover.geom import (Point, UnitDisk, UnitRect, WeightedInterval,
                            disks_cover, disks_disjoint,
@@ -155,13 +157,19 @@ class TestSolveCheck:
         '{"kind":"disks","chosen":[0],"objective":1,"colors":5}',
         '{"kind":"disks","chosen":[0],"objective":1,"colors":{"0":[1]}}',
         '{"kind":"disks","chosen":[0],"objective":1,"colors":{"0":1.7}}',
-        '{"kind":"3color","chosen":[0],"objective":1,"colors":{"²":1}}'],
-        ids=["not-a-map", "list-color", "float-color", "superscript-key"])
+        '{"kind":"3color","chosen":[0],"objective":1,"colors":{"²":1}}',
+        '{"kind":"3color","chosen":[0],"objective":1,"colors":{"%s":1}}'
+        % ("0" * 4401),
+        '{"kind":"disks","chosen":[0],"objective":1,'
+        '"colors":{"0":1,"00":2}}'],
+        ids=["not-a-map", "list-color", "float-color", "superscript-key",
+             "oversized-key", "repeated-index"])
     @pytest.mark.parametrize("command", ["check", "render"])
     def test_malformed_colors_are_refused(self, tmp_path, capsys, body,
                                           command):
         # a colors field is checked for every kind; "²" is a digit to
-        # str.isdigit but no decimal that int() reads
+        # str.isdigit but no decimal that int() reads, and int() refuses
+        # a key of more than 4,300 digits
         inst = tmp_path / "disk.jsonl"
         sol = tmp_path / "sol.json"
         out = tmp_path / "pic.svg"
@@ -175,6 +183,31 @@ class TestSolveCheck:
         assert capsys.readouterr().err == (
             "usage error: solution file needs \"colors\", a map from chosen "
             "index to int color\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,records", [
+        ("rects", '{"p":["1/2","1/2"]}\n{"r":["0","0","1"]}\n'
+                  '{"r":["3","0","1"]}\n'),
+        ("disks", '{"p":[0.0,0.0]}\n{"d":[0.0,0.0]}\n{"d":[3.0,0.0]}\n'),
+        ("intervals", '{"p":["1"]}\n{"i":["0","2","1"]}\n'
+                      '{"i":["3","4","1"]}\n')],
+        ids=["rects", "disks", "intervals"])
+    @pytest.mark.parametrize("command", ["check", "render"])
+    def test_colors_of_unchosen_objects_are_refused(self, tmp_path, capsys,
+                                                    kind, records, command):
+        # a colors map may color chosen objects only, for every kind
+        inst = tmp_path / "inst.jsonl"
+        sol = tmp_path / "sol.json"
+        out = tmp_path / "pic.svg"
+        inst.write_text('{"kind":"%s"}\n%s' % (kind, records))
+        sol.write_text('{"kind":"%s","chosen":[0],"objective":1,'
+                       '"colors":{"0":1,"1":2}}' % kind)
+        capsys.readouterr()
+        extra = ["--out", str(out)] if command == "render" else []
+        assert main([command, "--in", str(inst), "--solution", str(sol),
+                     *extra]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: colors name an object that is not chosen\n")
         assert not out.exists()
 
     def test_intervals_third_weights_round_trip(self, tmp_path):
@@ -588,3 +621,72 @@ class TestRenderBench:
         main(["solve", "--kind", "rects", "--timing", "--in", str(inst),
               "--out", str(sol)])
         assert "wallclock_ms" in json.loads(sol.read_text())
+
+
+class TestCollectorPause:
+    """A command runs with the cyclic garbage collector paused, and leaves
+    it as it found it."""
+
+    def _exits(self, tmp_path):
+        """(argv, exit code) of one command per way `main` can return."""
+        from conftest import forced_pair_rects
+        ok, uncovered, pair = (tmp_path / n for n in ("ok.jsonl",
+                                                      "uncovered.jsonl",
+                                                      "pair.jsonl"))
+        save(generate("intervals", 6, 6, "uniform", seed=1), ok)
+        save(generate("rects", 3, 3, "uniform", seed=1,
+                      allow_uncovered=True), uncovered)
+        save(Instance("rects", *forced_pair_rects()), pair)
+        out = str(tmp_path / "s.json")
+        return [(["solve", "--kind", "intervals", "--in", str(ok),
+                  "--out", out], 0),
+                (["solve", "--kind", "rects", "--mode", "mmsc",
+                  "--in", str(ok), "--out", out], 1),
+                (["solve", "--kind", "rects", "--in",
+                  str(tmp_path / "nope.jsonl"), "--out", out], 1),
+                (["solve", "--kind", "rects", "--in", str(uncovered),
+                  "--out", out], 2),
+                (["solve", "--kind", "rects", "--ell-max", "1",
+                  "--in", str(pair), "--out", out], 3)]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored_on_every_exit(self, tmp_path, capsys,
+                                             monkeypatch, enabled):
+        seen = []
+        solve_intervals = cli.solve_intervals
+
+        def watched(*args):
+            seen.append(gc.isenabled())
+            return solve_intervals(*args)
+
+        def crash(*args):
+            raise RuntimeError("crash")
+
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            monkeypatch.setattr(cli, "solve_intervals", watched)
+            for argv, code in self._exits(tmp_path):
+                assert main(argv) == code, argv
+                assert gc.isenabled() is enabled, argv
+            assert seen == [False]
+            monkeypatch.setattr(cli, "solve_intervals", crash)
+            with pytest.raises(RuntimeError, match="crash"):
+                main(self._exits(tmp_path)[0][0])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("kind", ["rects", "disks", "3color",
+                                      "intervals"])
+    def test_a_solve_leaves_no_cyclic_garbage(self, tmp_path, kind):
+        # so pausing the collector for a command cannot grow memory
+        inst, out = tmp_path / "inst.jsonl", tmp_path / "sol.json"
+        save(generate("disks" if kind == "3color" else kind, 40, 30,
+                      "clustered", seed=3), inst)
+        argv = ["solve", "--kind", kind, "--in", str(inst),
+                "--out", str(out)]
+        assert main(argv) == 0  # warm-up: lazy imports and caches
+        gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == 0

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 import plycover
-from plycover import cli
+from plycover import cli, instances
 from plycover.geom import Point, UnitDisk, UnitRect, WeightedInterval
 from plycover.instances import (_ARITY, Instance, dumps, generate, load,
                                 loads, rational_pair, save)
@@ -136,14 +136,15 @@ class TestRationalPair:
 
 def _load_outcome(load, text):
     """What a loader makes of a file: the instance's contents, or the text
-    of the ValueError it raises."""
+    of the ValueError it raises.  The lists are compared by repr, which
+    tells a disk's -0.0 from 0.0."""
     try:
         inst = load(text)
     except ValueError as e:
         return "refused", str(e)
     pairs = None if inst.kind == "disks" else inst.pairs
-    return (inst.kind, pairs, inst.points, inst.objects, inst.seed,
-            inst.meta)
+    return (inst.kind, pairs, repr(inst.points), repr(inst.objects),
+            inst.seed, inst.meta)
 
 
 _VALUES = {"rects": ['"1/3"', '"-5/3"', '"2"', "0", "7", "0.5", "-2.75"],
@@ -194,11 +195,48 @@ def _fuzz_line(rng, kind, rec):
     return rec
 
 
+# what may follow a record's values in one edit of a canonical file: each
+# value as the per-line loop reads it, most of them off the whole-file path
+_CANONICAL_EDITS = {
+    "rational": ['"2/4"', '"-6/4"', '"007/08"', '"-0"', '"0/5"', '"1/0"',
+                 '"0/0"', '"%s"' % ("1" * 4301), '"3/%s"' % ("7" * 4301),
+                 '"3/"', '"+3"', '"-3/-4"', "2", '"\\u0033"',
+                 '"\u0663/\u0664"'],
+    "disks": ["-0", "0", "7", "1e999", "-1e999", "1E-3", "2.5e+1", "-0.0",
+              "1.", ".5", "01.5", "1e400", "5e-324", "NaN", '"1.5"']}
+
+
+def _edit_canonical(rng, kind, text):
+    """`text`, a file `dumps` wrote, with at most one edit, which a file's
+    whole parse must either take as the per-line loop does or leave to it."""
+    lines = text.split("\n")   # dumps ends the file with "\n"
+    records = range(1, len(lines) - 1)
+    edit = rng.randrange(6)
+    if edit == 0 or not records:
+        return text
+    i = rng.choice(records)
+    if edit == 1:      # a line break, a blank line or JSON whitespace
+        lines[i] += rng.choice(["\r", "\x85", "\u2028", "\n", " "])
+        return "\n".join(lines)
+    (tag, vals), = json.loads(lines[i]).items()
+    tokens = [json.dumps(v) for v in vals]
+    if edit == 2:      # one value
+        tokens[rng.randrange(len(tokens))] = rng.choice(
+            _CANONICAL_EDITS["disks" if kind == "disks" else "rational"])
+    elif edit == 3 and len(tokens) == 3:   # a width or weight
+        tokens[2] = rng.choice(['"0"', '"-1"', '"-1/3"', '"0/7"'])
+    elif edit == 4 and tag == "i":         # lo >= hi
+        tokens[:2] = rng.choice([tokens[1::-1], tokens[:1] * 2])
+    else:
+        return text
+    lines[i] = '{"%s":[%s]}' % (tag, ",".join(tokens))
+    return "\n".join(lines)
+
+
 class TestLoaderAgainstPerLineJson:
     def test_fuzzed_files_load_alike(self):
-        # the loader decodes record lines with raw_decode on the line
-        # stripped of JSON whitespace; every file must give the instance,
-        # or the refusal text, of a json.loads per line
+        # every file must give the instance, or the refusal text, of a
+        # json.loads per line
         from loader_reference import loads as loads_per_line
         rng = random.Random(14)
         loaded = refused = 0
@@ -220,6 +258,39 @@ class TestLoaderAgainstPerLineJson:
             else:
                 loaded += 1
         assert loaded > 500 and refused > 500
+
+    def test_near_canonical_files_load_alike(self, monkeypatch):
+        # a file `dumps` wrote, with at most one edit, on either side of
+        # the boundary of the whole-file parse
+        from loader_reference import loads as loads_per_line
+        per_line = []
+        loop = instances._per_line
+
+        def watched(*args):
+            per_line.append(args)
+            return loop(*args)
+
+        monkeypatch.setattr(instances, "_per_line", watched)
+        rng = random.Random(20)
+        files = whole = refused = 0
+        for _ in range(1500):
+            kind = rng.choice(("rects", "disks", "intervals"))
+            dist = rng.choice(("uniform", "clustered", "chain"
+                               if kind == "intervals" else "slab-stress"))
+            canonical = dumps(generate(kind, rng.randint(0, 6),
+                                       rng.randint(1, 6), dist,
+                                       seed=rng.randrange(100)))
+            text = _edit_canonical(rng, kind, canonical)
+            before = len(per_line)
+            want = _load_outcome(loads_per_line, text)
+            assert _load_outcome(loads, text) == want, text
+            files += 1
+            whole += len(per_line) == before
+            # every file dumps writes is parsed whole
+            assert text != canonical or len(per_line) == before
+            refused += want[0] == "refused"
+        assert whole >= files / 3
+        assert files - whole > 300 and refused > 200
 
 
 class TestGenerate:
@@ -319,9 +390,14 @@ def test_interval_solve_builds_no_interval_objects(tmp_path, monkeypatch):
     assert F(sol["objective"]) == want.objective
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a per-value or per-object constructor was called")
+
+
 def test_interval_solve_takes_the_fast_paths(tmp_path, monkeypatch):
-    # record lines are decoded by raw_decode, not one json.loads each, and
-    # build_dag makes its vertices without DagVertex's generated __new__
+    # a file `dumps` wrote is parsed whole: json.loads decodes the header
+    # only and no value goes through rational_pair; build_dag makes its
+    # vertices without DagVertex's generated __new__
     for dist, seed, mode in (("uniform", 6, "mmsc"), ("clustered", 7, "mpc"),
                              ("chain", 8, "mmsc")):
         inst = generate("intervals", 40, 30, dist, seed=seed)
@@ -335,15 +411,13 @@ def test_interval_solve_takes_the_fast_paths(tmp_path, monkeypatch):
             calls.append(args)
             return json_loads(*args, **kwargs)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("DagVertex.__new__ called")
-
         with monkeypatch.context() as patched:
             patched.setattr(json, "loads", counted)
-            patched.setattr(DagVertex, "__new__", refuse)
+            patched.setattr(instances, "rational_pair", _refuse)
+            patched.setattr(DagVertex, "__new__", _refuse)
             assert cli.main(["solve", "--kind", "intervals", "--mode", mode,
                              "--in", str(path), "--out", str(out)]) == 0
-        assert len(calls) <= 1
+        assert len(calls) == 1
         sol = json.loads(out.read_text())
         assert sol["chosen"] == want.chosen
         assert F(sol["objective"]) == want.objective
@@ -351,21 +425,29 @@ def test_interval_solve_takes_the_fast_paths(tmp_path, monkeypatch):
 
 def test_rect_solve_builds_no_rect_objects(tmp_path, monkeypatch):
     # `plycover solve --kind rects` runs from the loaded int pairs: no
-    # UnitRect, and no Fraction, is made between the file and the objective
+    # UnitRect, and no Fraction, is made between the file and the
+    # objective, and a file `dumps` wrote is parsed whole, with no
+    # rational_pair call and no json.loads past the header
     for dist, seed in (("uniform", 6), ("clustered", 7), ("slab-stress", 8)):
         inst = generate("rects", 40, 30, dist, seed=seed)
         want = solve_mpc(inst.points, inst.objects, "rects")
         path, out = tmp_path / "inst.jsonl", tmp_path / "sol.json"
         save(inst, path)
+        calls = []
+        json_loads = json.loads
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("UnitRect or Fraction built")
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return json_loads(*args, **kwargs)
 
         with monkeypatch.context() as patched:
-            patched.setattr(UnitRect, "__post_init__", refuse)
-            patched.setattr(F, "__new__", refuse)
+            patched.setattr(json, "loads", counted)
+            patched.setattr(instances, "rational_pair", _refuse)
+            patched.setattr(UnitRect, "__post_init__", _refuse)
+            patched.setattr(F, "__new__", _refuse)
             assert cli.main(["solve", "--kind", "rects", "--in", str(path),
                              "--out", str(out)]) == 0
+        assert len(calls) == 1
         sol = json.loads(out.read_text())
         assert sol["chosen"] == want.chosen
         assert sol["objective"] == want.objective

@@ -11,7 +11,7 @@ from .errors import (BudgetExceeded, Infeasible, InstanceTooLarge,
                      PlyCoverError)
 from .geom import (EventClass, Point, UnitDisk, UnitRect,
                    WeightedInterval, disks_disjoint, membership_at, ply_disks,
-                   ply_rects, verify_cover)
+                   ply_rects)
 from .instances import Instance, generate, load, loads, save, dumps
 from .intervals import (IntervalDag, bottleneck_path, build_dag,
                         prepare_instance, solve_intervals)
@@ -26,5 +26,5 @@ __all__ = [
     "WeightedInterval", "assign_slabs", "bottleneck_path", "build_dag",
     "disks_disjoint", "dumps", "generate", "load", "loads", "membership_at",
     "ply_disks", "ply_rects", "prepare_instance", "save", "solve_3color",
-    "solve_intervals", "solve_mpc", "verify_cover",
+    "solve_intervals", "solve_mpc",
 ]

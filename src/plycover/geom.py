@@ -258,14 +258,6 @@ def membership_at(p, objects: Sequence, weighted: bool = False):
     return total
 
 
-def verify_cover(points, chosen) -> bool:
-    """True iff every point is contained in at least one chosen object."""
-    for p in points:
-        if not any(o.contains(p) for o in chosen):
-            return False
-    return True
-
-
 def _max_stab_closed(spans) -> int:
     # closed spans: a start sorts before an end at the same coordinate,
     # so abutting spans count as overlapping

@@ -7,16 +7,19 @@ contains its top, middle, or bottom point.
 
 The strip search is `stripdag`'s.  A rectangle may meet another when their
 closed boxes intersect, which is exactly when it can raise the depth
-inside it.
+inside it.  Closed boxes have Helly number 2 (Danzer, Grunbaum & Klee,
+"Helly's theorem and its relatives", 1963): boxes that pairwise meet share
+a point, as their x-spans do and their y-spans do.  So the search decides
+ply by cliques of the meet masks (`stripdag.has_clique`), with no oracle.
 """
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-# ply_rects stays bound here so that perfbench/tracing.py can wrap it
+# ply_rects and rect_depth_within stay bound for perfbench/tracing.py to wrap
 from .geom import (Point, UnitRect, ply_rects,  # noqa: F401
                    rect_depth_within)
-from .stripdag import PlyCache, StripProblem, bits, build_problem, search
+from .stripdag import StripProblem, build_problem, search
 
 __all__ = ["rect_spans", "rect_slab_problem", "solve_slab_rects",
            "PER_STRIP_FACTOR"]
@@ -40,11 +43,8 @@ def rect_slab_problem(points: Sequence[Point],
         ql, qr, qb, qt = sides[q]
         return left <= qr and right >= ql and bottom <= qt and top >= qb
 
-    def added(members, q):
-        return rect_depth_within([rects[i] for i in bits(members)], rects[q])
-
-    return build_problem(points, rects, rect_spans(rects), meets,
-                         PlyCache(added), PER_STRIP_FACTOR)
+    return build_problem(points, rects, rect_spans(rects), meets, None,
+                         PER_STRIP_FACTOR)
 
 
 def solve_slab_rects(points: Sequence[Point], rects: Sequence[UnitRect],

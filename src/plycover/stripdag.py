@@ -10,16 +10,19 @@ or adds the object whose left side does.
 `build_problem` sorts the side events of the objects' x-spans, which each
 object kind states once (`rects.rect_spans`, `disks.disk_spans`), and
 makes one sweep over them.  It gives every strip point its cover mask, the
-objects crossing its strip that contain it, and every object q its meet
-mask, the objects crossing q's left side that may meet q.  A state then
-covers its strip iff it meets each cover mask of the strip.  Adding q
-keeps ply within ell without asking the depth oracle when fewer than ell
-members may meet q, because the depth inside q is then at most 1 plus
-that count.  A successor also respects the per-strip cap.
+objects crossing its strip that contain it, and every object its meet
+mask, the objects active with it that may meet it.  A state then covers
+its strip iff it meets each cover mask of the strip.  A reached state has
+ply at most ell, as it grew by tested additions and a removal cannot
+raise ply, and adding q makes new depth only inside q: 1 plus at most the
+count of members meeting q.  For rectangles it is 1 plus the most of
+those that pairwise meet, as closed boxes that pairwise meet share a
+point (`rects`), and `has_clique` decides; disks ask `PlyCache`.  A
+successor also respects the per-strip cap.
 
 None of that depends on the budget, so a slab's problem is built once and
 `StripProblem.at` applies each budget of its ell ladder to a view sharing
-the events, masks and depth oracle.  A set bit of a cover mask is a
+the events, masks and disk depth oracle.  A set bit of a cover mask is a
 `contains` test that held, so a point with the empty mask is the only kind
 that can be uncovered; `uncovered` names the first such point in sweep
 order, or is None, and when there is one no search is run.
@@ -75,15 +78,9 @@ _new = tuple.__new__
 
 
 class PlyCache:
-    """The ply test for adding one object to a member set.
-
-    Adding q can create new depth only inside q, and every state the
-    search reaches has ply at most ell: it grew only by additions that
-    passed this test, and a removal cannot raise ply.  So members | q keeps
-    ply within ell iff its depth inside q does, and `with_added` returns
-    that depth.  No member set is ever asked about twice, so nothing is
-    memoized; the name and method are what perfbench/tracing.py wraps.
-    """
+    """The disk ply test: `with_added` is the depth inside q of members |
+    q.  No member set is asked twice, so nothing is memoized; the name and
+    method are what perfbench/tracing.py wraps."""
 
     def __init__(self, added_depth: Callable[[int, int], int]):
         self._added = added_depth
@@ -97,7 +94,7 @@ class StripProblem:
     events: list                 # sorted SideEvents; k of them
     strip_cover: list            # k + 1 per-strip lists of point cover masks
     meets: list                  # per object, the mask of objects it may meet
-    ply: Optional[PlyCache]      # None for 3-color
+    ply: Optional[PlyCache]      # None: decide ply by cliques (rects)
     factor: int                  # members per strip per unit of budget
     uncovered: object            # first point with the empty mask, or None
     ell: int
@@ -124,9 +121,9 @@ def build_problem(points, objects, spans, meets, ply, factor) -> StripProblem:
     """One sweep over the side events of the objects' `(left, right, y)`
     spans: `objects[o].contains(p)` gives each strip point its cover mask
     over the objects crossing its strip, and `meets(o, q)` gives each
-    object q the mask of the objects crossing its left side that it may
-    meet.  The problem is at ell = 1; `StripProblem.at` sets a budget, and
-    the per-strip cap is `factor * ell`."""
+    object the mask of the objects active with it that it may meet.  The
+    problem is at ell = 1; `StripProblem.at` sets a budget, and the
+    per-strip cap is `factor * ell`."""
     events = side_events(spans)
     strip_points = [[] for _ in range(len(events) + 1)]
     for p in points:  # strip i lies between events i - 1 and i
@@ -156,6 +153,7 @@ def build_problem(points, objects, spans, meets, ply, factor) -> StripProblem:
             for o in active:
                 if meets(o, q):
                     m |= 1 << o
+                    meet[o] |= 1 << q
             meet[q] = m
             active.append(q)
         else:
@@ -170,6 +168,16 @@ def covered(mask: int, cover: list) -> bool:
         if not mask & c:
             return False
     return True
+
+
+def has_clique(meets: list, mask: int, k: int) -> bool:
+    """True iff `mask` holds k objects that pairwise meet by `meets`."""
+    while mask.bit_count() >= k > 1:
+        low = mask & -mask
+        mask ^= low
+        if has_clique(meets, mask & meets[low.bit_length() - 1], k - 1):
+            return True
+    return mask.bit_count() >= k
 
 
 def successors(problem: StripProblem, state: StripState) -> list[StripState]:
@@ -187,9 +195,10 @@ def successors(problem: StripProblem, state: StripState) -> list[StripState]:
     if (ev.cls != EventClass.LEFT_SIDE or members.bit_count() >= problem.cap
             or not covered(members | bit, cover)):
         return out
-    ell = problem.ell
-    if ((members & problem.meets[ev.obj]).bit_count() >= ell
-            and problem.ply.with_added(members, ev.obj) > ell):
+    ell, near = problem.ell, members & problem.meets[ev.obj]
+    if near.bit_count() >= ell and (
+            has_clique(problem.meets, near, ell) if problem.ply is None
+            else problem.ply.with_added(members, ev.obj) > ell):
         return out
     out.append(_new(StripState, (nxt, members | bit, union | bit)))
     return out
@@ -200,7 +209,7 @@ def _mpc_step(problem: StripProblem, i: int, states: dict) -> dict:
     and disks: `successors` of each state, visited in dict order."""
     # one `successors` call per state, because perfbench/tracing.py counts
     # states by wrapping it; an event-major rect and disk step waits for a
-    # state count the search reports itself (ROADMAP item 1)
+    # state count the search reports itself (ROADMAP item 3, after item 2)
     nxt = {}
     for key, union in states.items():
         for _, k, u in successors(problem, _new(StripState, (i, key, union))):

@@ -1,13 +1,13 @@
 """2-approximate 3-colorable unit-disk covering.
 
 Each slab is searched for a cover splittable into three classes of pairwise
-disjoint disks (a class has ply 1, so at most 8 of its disks cross any
-strip).  Slabs at even distance from the lowest one take colors 1-3, the
-others 4-6; disks of same-colored classes two slabs apart cannot touch, so
-every color class stays pairwise disjoint globally.  A solution 3-colorable
-globally restricts to a 3-colorable cover of every slab, hence a failed
-slab proves global infeasibility and the 6-colorable output is at most a
-factor 2 from the optimum.
+disjoint disks (at most 8 of a class cross a strip, as in `disks`; the
+conflict test bounds them).  Slabs at even distance from the lowest take
+colors 1-3, the others 4-6; disks of same-colored classes two slabs apart
+cannot touch, so every color class stays pairwise disjoint globally.  A
+solution 3-colorable globally restricts to a 3-colorable cover of every
+slab, hence a failed slab proves global infeasibility and the 6-colorable
+output is at most a factor 2 from the optimum.
 
 `slabs.search_slabs` runs the slabs, as it does for the ply solvers: it
 dedupes the disks, searches each slab over its live disks only, and
@@ -16,23 +16,23 @@ suffice.  A slab's ladder here has one rung.
 
 The slab search is `stripdag.run` on the disk strip problem
 (`disks.disk_slab_problem`), whose meet masks serve as conflict masks: an
-entering disk's mask holds the disks crossing its left side that it is not
-disjoint from, so it may join a class iff the class mask misses its
-conflict mask.  A state is a triple of class masks in canonical order
-(nonempty classes by mask value, empties last), with a triple of unions;
-coverage is tested on the OR of the classes against the strip's cover
-masks.  `_step` crosses one event for all of a strip's states, reading
-the event's constants once; it visits the states in dict order and emits
-keep, then joins to classes 0, 1, 2: the ranks 0 to 3 of `run`'s least
-decision path.  The problem's depth oracle is never queried, so its disk
-arrangement is never listed.
+entering disk's mask holds the active disks that it is not disjoint from,
+so it may join a class iff the class mask misses its conflict mask.  A
+state is a triple of class masks in canonical order (nonempty classes by
+mask value, empties last), with a triple of unions; coverage is tested on
+the OR of the classes against the strip's cover masks.  `_step` crosses
+one event for all of a strip's states, reading the event's constants
+once; it visits the states in dict order and emits keep, then joins to
+classes 0, 1, 2: the ranks 0 to 3 of `run`'s least decision path.  The
+problem's depth oracle is never queried, so its disk arrangement is never
+listed.
 """
 from __future__ import annotations
 
 # canonical_rotation, rotate_instance, assign_slabs and membership_at stay
 # bound here so that perfbench/tracing.py can wrap them; nothing calls them
-from .disks import (PER_STRIP_FACTOR, canonical_rotation,  # noqa: F401
-                    disk_slab_problem, rotate_instance)
+from .disks import (canonical_rotation, disk_slab_problem,  # noqa: F401
+                    rotate_instance)
 from .errors import Infeasible
 from .geom import EventClass, membership_at, ply_disks  # noqa: F401
 from .slabs import (CoverSolution, assign_slabs,  # noqa: F401
@@ -99,8 +99,7 @@ def _step(problem, i, states):
                     nxt[classes] = unions
             for a in range(3):
                 cls = classes[a]
-                if cls and (cls.bit_count() >= PER_STRIP_FACTOR
-                            or cls & conflict):
+                if cls & conflict:
                     continue
                 grown, grown_u = list(classes), list(unions)
                 grown[a] = cls | bit

@@ -4,7 +4,21 @@ from __future__ import annotations
 import math
 from fractions import Fraction as F
 
-from plycover.geom import Point, UnitDisk, UnitRect, WeightedInterval
+from plycover.geom import (Point, UnitDisk, UnitRect, WeightedInterval,
+                           disks_cover, rects_cover)
+from plycover.intervals import chosen_loads
+
+
+def covers(points, chosen) -> bool:
+    """True iff every point lies in some chosen object, by the cover sweep
+    that `plycover check` runs for the objects' kind."""
+    if not chosen:
+        return not points
+    if isinstance(chosen[0], UnitDisk):
+        return all(disks_cover(points, chosen))
+    if isinstance(chosen[0], WeightedInterval):
+        return min(chosen_loads(points, chosen)[0]) > 0
+    return all(rects_cover(points, chosen))
 
 
 def greedy_trap_instance():

@@ -18,7 +18,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import greedy_trap_instance, k4_clique, ply3_not_3colorable
+from conftest import (covers, greedy_trap_instance, k4_clique,
+                      ply3_not_3colorable)
 from depth_reference import grid_depth_disks
 
 import plycover
@@ -26,7 +27,7 @@ from plycover.cli import main
 from plycover.disks import dedupe_disks, disk_spans, solve_slab_disks
 from plycover.errors import Infeasible
 from plycover.geom import (EventClass, Point, UnitDisk, disks_disjoint,
-                           ply_disks, ply_rects, verify_cover)
+                           ply_disks, ply_rects)
 from plycover.instances import Instance, generate, save
 from plycover.intervals import build_dag, prepare_instance, solve_intervals
 from plycover.oracle import (exact_3color_cover, exact_intervals,
@@ -181,7 +182,7 @@ def test_criterion_3_rect_approximation():
     for inst, opt, _ in _rect_results():
         sol = solve_mpc(inst.points, inst.objects, "rects")
         chosen = [inst.objects[i] for i in sol.chosen]
-        assert verify_cover(inst.points, chosen)
+        assert covers(inst.points, chosen)
         assert sol.objective == ply_rects(chosen)
         assert sol.objective <= 2 * opt
         for slab in assign_slabs(inst.points, inst.objects, "rects"):
@@ -196,7 +197,7 @@ def test_criterion_4_disk_approximation():
     for inst, opt, _ in _disk_results():
         sol = solve_mpc(inst.points, inst.objects, "disks")
         chosen = [inst.objects[i] for i in sol.chosen]
-        assert verify_cover(inst.points, chosen)
+        assert covers(inst.points, chosen)
         assert sol.objective == ply_disks(chosen)
         assert grid_depth_disks(chosen, pitch=0.01) <= sol.objective
         assert sol.objective <= 2 * opt
@@ -306,7 +307,7 @@ def test_criterion_6_three_color():
         for members in classes.values():
             for a, b in itertools.combinations(members, 2):
                 assert disks_disjoint(dks[a], dks[b])
-        assert verify_cover(pts, [dks[i] for i in sol.chosen])
+        assert covers(pts, [dks[i] for i in sol.chosen])
     assert feasible and infeasible, "need both sides of the iff exercised"
     _report(6, "3-color feasibility matches the oracle on 100 single-band "
                "instances (%d feasible / %d infeasible) plus both fixed "
@@ -364,7 +365,7 @@ def test_criterion_8_scalability():
     rect_time = time.perf_counter() - t0
     assert rect_time < 5.0
     assert sol.objective <= 2  # OPT = 1 by construction
-    assert verify_cover(stress.points, [stress.objects[i] for i in sol.chosen])
+    assert covers(stress.points, [stress.objects[i] for i in sol.chosen])
     _report(8, "chain doubling ratios %s all < 3, DAG size ratios %s all "
                "<= 2.1; m=200 single-band rectangles solved in %.2f s" %
                (["%.2f" % r for r in ratios], ["%.3f" % g for g in growth],

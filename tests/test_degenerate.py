@@ -9,10 +9,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import covers
 from plycover.cli import main
 from plycover.errors import Infeasible
 from plycover.geom import (Point, UnitDisk, UnitRect, WeightedInterval,
-                           disks_disjoint, ply_disks, ply_rects, verify_cover)
+                           disks_disjoint, ply_disks, ply_rects)
 from plycover.instances import Instance, save
 from plycover.intervals import solve_intervals
 from plycover.oracle import exact_3color_cover, exact_intervals, exact_min_ply
@@ -69,7 +70,7 @@ def test_interval_solver_on_integer_grid_matches_oracle():
                 assert sol.objective == opt, (seed, mixed, mode)
                 assert type(sol.objective) is F
                 chosen = [ivs[i] for i in sol.chosen]
-                assert verify_cover(pts, chosen)
+                assert covers(pts, chosen)
 
 
 def _gritty_rects(rng):
@@ -94,7 +95,7 @@ def test_rect_pipeline_on_half_integer_grid_matches_oracle():
         opt, _ = exact_min_ply(pts, rects, "rects")
         sol = solve_mpc(pts, rects, "rects")
         chosen = [rects[i] for i in sol.chosen]
-        assert verify_cover(pts, chosen), seed
+        assert covers(pts, chosen), seed
         assert sol.objective == ply_rects(chosen)
         assert sol.objective <= 2 * opt, (seed, sol.objective, opt)
 
@@ -138,7 +139,7 @@ def test_rect_pipeline_on_mixed_denominators_matches_oracle():
         opt, _ = exact_min_ply(pts, rects, "rects")
         sol = solve_mpc(pts, rects, "rects")
         chosen = [rects[i] for i in sol.chosen]
-        assert verify_cover(pts, chosen), seed
+        assert covers(pts, chosen), seed
         assert type(sol.objective) is int
         assert sol.objective == ply_rects(chosen)
         assert sol.objective <= 2 * opt, (seed, sol.objective, opt)
@@ -184,7 +185,7 @@ def _check_disk_pipelines(pts, disks, seed):
         return
     sol = solve_mpc(pts, disks, "disks")
     chosen = [disks[i] for i in sol.chosen]
-    assert verify_cover(pts, chosen), seed
+    assert covers(pts, chosen), seed
     assert sol.objective == ply_disks(chosen)
     assert sol.objective <= 2 * opt, (seed, sol.objective, opt)
     witness = exact_3color_cover(pts, disks)
@@ -193,7 +194,7 @@ def _check_disk_pipelines(pts, disks, seed):
     except Infeasible:
         assert witness is None, seed
         return
-    assert verify_cover(pts, [disks[i] for i in sol.chosen]), seed
+    assert covers(pts, [disks[i] for i in sol.chosen]), seed
     for color in set(sol.colors.values()):
         cls = [disks[i] for i, c in sol.colors.items() if c == color]
         assert all(disks_disjoint(a, b)

@@ -1,11 +1,10 @@
 import math
 import random
 
-from conftest import forced_pair_disks
+from conftest import covers, forced_pair_disks
 
 from plycover.disks import dedupe_disks, disk_spans, solve_slab_disks
-from plycover.geom import (EventClass, Point, UnitDisk, ply_disks,
-                           verify_cover)
+from plycover.geom import EventClass, Point, UnitDisk, ply_disks
 from plycover.instances import generate
 from plycover.oracle import exact_min_ply
 from plycover.slabs import assign_slabs, solve_mpc
@@ -69,7 +68,7 @@ class TestSolveSlab:
                     assert (res is not None) == (ell >= opt)
                     if res is not None:
                         chosen = [objs[i] for i in res]
-                        assert verify_cover(slab.points, chosen)
+                        assert covers(slab.points, chosen)
                         assert ply_disks(chosen) <= ell
 
     def test_strip_capacity_bound_on_optimal_solutions(self):

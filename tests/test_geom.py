@@ -9,8 +9,7 @@ from depth_reference import grid_depth_disks
 
 from plycover.geom import (Point, UnitDisk, UnitRect, WeightedInterval,
                            disks_disjoint, membership_at, ply_disks,
-                           ply_rects, rect_depth_within, rects_cover,
-                           verify_cover)
+                           ply_rects, rect_depth_within, rects_cover)
 from plycover.stripdag import SideEvent
 
 
@@ -173,17 +172,6 @@ class TestDisjoint:
 
     def test_touching_closed_disks_are_not_disjoint(self):
         assert not disks_disjoint(UnitDisk(Point(0.0, 0.0)), UnitDisk(Point(1.0, 0.0)))
-
-
-class TestVerifyCover:
-    def test_empty(self):
-        assert verify_cover([], [])
-
-    def test_hit(self):
-        assert verify_cover([Point(F(1, 2), F(1, 2))], [sq(0, 0)])
-
-    def test_miss(self):
-        assert not verify_cover([Point(F(5), F(5))], [sq(0, 0)])
 
 
 class TestSideEvent:

@@ -3,13 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import greedy_trap_instance, k4_clique
+from conftest import covers, greedy_trap_instance, k4_clique
 from depth_reference import grid_depth_disks
 from oracle_reference import exhaustive_min_ply
 
 from plycover.errors import Infeasible, InstanceTooLarge
 from plycover.geom import (Point, UnitDisk, UnitRect, WeightedInterval,
-                           ply_disks, ply_rects, verify_cover)
+                           ply_disks, ply_rects)
 from plycover.instances import generate
 from plycover.oracle import exact_3color_cover, exact_intervals, exact_min_ply
 
@@ -50,7 +50,7 @@ class TestMinPly:
             ref_opt, _ = exhaustive_min_ply(inst.points, inst.objects, kind)
             assert opt == ref_opt
             chosen = [inst.objects[i] for i in wit]
-            assert verify_cover(inst.points, chosen)
+            assert covers(inst.points, chosen)
             ply = ply_rects(chosen) if kind == "rects" else ply_disks(chosen)
             assert ply == opt
 
@@ -93,7 +93,7 @@ class TestIntervals:
         opt, wit = exact_intervals(points, ivs, "mmsc")
         assert opt == 2
         assert wit == [0, 1]
-        assert verify_cover(points, [ivs[i] for i in wit])
+        assert covers(points, [ivs[i] for i in wit])
 
     def test_infeasible(self):
         with pytest.raises(Infeasible):

@@ -3,11 +3,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import forced_pair_rects
+from conftest import covers, forced_pair_rects
 
 from plycover.errors import BudgetExceeded, Infeasible
 from plycover.geom import (EventClass, Point, UnitRect, ply_rects,
-                           rect_pairs, verify_cover)
+                           rect_pairs)
 from plycover.instances import Instance, dumps, generate, loads
 from plycover.oracle import exact_min_ply
 from plycover.rects import rect_slab_problem, rect_spans, solve_slab_rects
@@ -104,7 +104,7 @@ class TestFuzzAgainstOracle:
                 opt, _ = exact_min_ply(pts, objs, "rects")
                 res = solve_slab_rects(pts, objs, opt)
                 chosen = [objs[i] for i in res]
-                assert verify_cover(pts, chosen)
+                assert covers(pts, chosen)
                 assert ply_rects(chosen) <= opt
 
     def test_strip_capacity_bound_on_optimal_solutions(self):
@@ -226,7 +226,7 @@ class TestPairsAgainstObjects:
                     opt, _ = exact_min_ply(points, rects, "rects")
                     assert want[1] <= 2 * opt, seed
                     chosen = [rects[i] for i in want[0]]
-                    assert verify_cover(points, chosen), seed
+                    assert covers(points, chosen), seed
                     assert ply_rects(chosen) == want[1], seed
         assert odd_shared > 30 and infeasible > 30 and budget > 10
 

@@ -12,14 +12,14 @@ from plycover import stripdag, tricolor
 from plycover.disks import dedupe_disks, disk_spans
 from plycover.errors import BudgetExceeded, Infeasible
 from plycover.geom import (Box, Point, UnitDisk, UnitRect, disks_disjoint,
-                           ply_rects, verify_cover)
+                           ply_rects)
 from plycover.instances import generate
 from plycover.oracle import exact_min_ply
 from plycover.rects import rect_spans
 from plycover.slabs import assign_slabs, live_objects, solve_mpc
 from plycover.tricolor import solve_3color
 
-from conftest import (forced_pair_disks, forced_pair_rects, nudged,
+from conftest import (covers, forced_pair_disks, forced_pair_rects, nudged,
                       ply3_not_3colorable, triangle_3colorable)
 
 
@@ -224,8 +224,7 @@ class TestSolveMpc:
             inst = generate(kind, rng.randint(1, 12), rng.randint(1, 8),
                             rng.choice(["uniform", "clustered"]), seed=seed)
             sol = solve_mpc(inst.points, inst.objects, kind)
-            assert verify_cover(inst.points,
-                                [inst.objects[i] for i in sol.chosen])
+            assert covers(inst.points, [inst.objects[i] for i in sol.chosen])
 
     def test_union_ply_bounded_by_twice_max_slab_ply(self):
         rng = random.Random(13)

@@ -1,9 +1,10 @@
 """The bitmask strip engine against the tuple engine it replaced
 (`strip_reference`): the same covers, classes and failures on seeded fuzz,
-and the disk arrangement against `disk_depth_within`.  Each slab's result
-is inclusion-minimal.  A slab's problem built once and searched at every
-budget of its ladder gives what a fresh build at each budget gives.  The
-search takes one step call per strip event."""
+the disk arrangement against `disk_depth_within`, and the rect clique
+test against both rect depth oracles, on symmetric meet masks.  Each
+slab's result is inclusion-minimal.  A slab's problem built once and
+searched at every budget of its ladder gives what a fresh build at each
+budget gives.  The search takes one step call per strip event."""
 import math
 import random
 from collections import Counter
@@ -11,6 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import depth_reference
 import strip_reference as ref
 from conftest import forced_pair_disks, nudged
 
@@ -20,11 +22,12 @@ from plycover.disks import (DiskArrangement, dedupe_disks, disk_slab_problem,
                             disk_spans, solve_slab_disks)
 from plycover.errors import Infeasible
 from plycover.geom import (EventClass, Point, UnitDisk, UnitRect,
-                           disk_depth_within, disks_disjoint, ply_disks)
+                           disk_depth_within, disks_disjoint, ply_disks,
+                           rect_depth_within)
 from plycover.instances import generate
 from plycover.rects import rect_slab_problem, rect_spans, solve_slab_rects
 from plycover.slabs import assign_slabs, live_objects, solve_mpc
-from plycover.stripdag import bits
+from plycover.stripdag import bits, has_clique
 from plycover.tricolor import solve_3color, solve_slab_3color
 
 
@@ -350,6 +353,87 @@ class TestInclusionMinimal:
                                    for p in pts), (seed, q)
                 chosen_total += len(got or ())
         assert chosen_total > 300
+
+
+def _left_events(problem):
+    """(q, mask of the objects active at q's left side) per left event."""
+    active = 0
+    for ev in problem.events:
+        if ev.cls == EventClass.LEFT_SIDE:
+            yield ev.obj, active
+            active |= 1 << ev.obj
+        else:
+            active &= ~(1 << ev.obj)
+
+
+def _grid_rects(rng):
+    """Rects on a half-unit grid, some repeated: touching sides, shared
+    corners, and boxes that a neighbour clips to a segment or a point."""
+    rects = [UnitRect(F(rng.randint(0, 6), 2), F(rng.randint(0, 4), 2),
+                      F(rng.randint(1, 4), 2))
+             for _ in range(rng.randint(2, 10))]
+    for _ in range(rng.randint(0, 2)):
+        rects.append(rng.choice(rects))
+    rng.shuffle(rects)
+    return rects
+
+
+class TestCliqueTest:
+    """Closed boxes that pairwise meet share a point, so the depth inside
+    an added rect q is 1 plus the clique number of the meet graph on the
+    members that meet q: `has_clique` on the meet masks decides ply."""
+
+    def test_matches_rect_depth_within(self):
+        seen = Counter()
+        for seed in range(300):
+            rng = random.Random(seed)
+            rects = _grid_rects(rng)
+            problem = rect_slab_problem([], rects)
+            meets = problem.meets
+            for q, active in _left_events(problem):
+                members = active & rng.getrandbits(len(rects))
+                near = members & meets[q]
+                boxes = [rects[i] for i in bits(members)] + [rects[q]]
+                depth = rect_depth_within(boxes, rects[q])
+                assert depth == depth_reference.rect_depth_within(
+                    boxes, rects[q]), seed
+                for ell in (1, 2, 3, 4):
+                    got = has_clique(meets, near, ell)
+                    assert got == (depth > ell), (seed, q, ell)
+                    seen[ell, got] += near.bit_count() >= ell
+        # at ell = 1 any member meeting q is too deep; above it, both
+        # answers occur where the count alone cannot decide
+        assert seen[1, False] == 0 and seen[1, True] > 1000
+        assert all(seen[ell, got] > 10 for ell in (2, 3, 4)
+                   for got in (True, False))
+
+    @pytest.mark.parametrize("kind", ["rects", "disks"])
+    def test_meets_are_symmetric(self, kind):
+        together = 0
+        for seed in range(100):
+            rng = random.Random(seed)
+            if kind == "rects":
+                objs = _grid_rects(rng)
+                problem = rect_slab_problem([], objs)
+
+                def meet(a, b):
+                    return not (a.right < b.left or b.right < a.left
+                                or a.top < b.bottom or b.top < a.bottom)
+            else:
+                objs = _disk_instances(seed)[1]
+                problem = disk_slab_problem([], objs)
+
+                def meet(a, b):
+                    return not disks_disjoint(a, b)
+            pairs = {(o, q) for q, active in _left_events(problem)
+                     for o in bits(active)}
+            for o in range(len(objs)):
+                for q in range(len(objs)):
+                    paired = (o, q) in pairs or (q, o) in pairs
+                    want = paired and meet(objs[o], objs[q])
+                    assert problem.meets[o] >> q & 1 == want, (seed, o, q)
+                    together += paired
+        assert together > 200
 
 
 def test_bits():

@@ -9,8 +9,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import covers
+
 import plycover
-from plycover import cli, instances
+from plycover import cli, geom, instances, stripdag
+from plycover import disks as disks_mod
+from plycover import rects as rects_mod
 from plycover.geom import Point, UnitDisk, UnitRect, WeightedInterval
 from plycover.instances import (_ARITY, Instance, dumps, generate, load,
                                 loads, rational_pair, save)
@@ -311,10 +315,9 @@ class TestGenerate:
             assert len(assign_slabs(inst.points, inst.objects, kind)) == 1
 
     def test_points_covered_by_construction(self):
-        from plycover.geom import verify_cover
         for kind in ("rects", "disks", "intervals"):
             inst = generate(kind, 20, 6, "uniform", seed=5)
-            assert verify_cover(inst.points, inst.objects)
+            assert covers(inst.points, inst.objects)
 
     def test_invalid_distribution(self):
         with pytest.raises(ValueError):
@@ -451,6 +454,43 @@ def test_rect_solve_builds_no_rect_objects(tmp_path, monkeypatch):
         sol = json.loads(out.read_text())
         assert sol["chosen"] == want.chosen
         assert sol["objective"] == want.objective
+
+
+def test_rect_solve_asks_no_depth_oracle(tmp_path, monkeypatch):
+    # rects decide the ply of an added rect by cliques of the meet masks:
+    # a solve whose slabs climb to ell >= 2 calls no rect depth oracle and
+    # no PlyCache, while a disk solve still asks PlyCache.with_added
+    for kind, mod in (("rects", rects_mod), ("disks", disks_mod)):
+        inst = generate(kind, 40, 30, "clustered", seed=7)
+        path, out = tmp_path / "inst.jsonl", tmp_path / "sol.json"
+        save(inst, path)
+        calls = {"ell": [], "has_clique": [], "with_added": [], "depth": []}
+
+        def spied(name, fn):
+            def wrapped(*args):
+                calls[name].append(args)
+                return fn(*args)
+            return wrapped
+        slab_solve = "solve_slab_" + kind
+        with monkeypatch.context() as patched:
+            patched.setattr(mod, slab_solve,
+                            spied("ell", getattr(mod, slab_solve)))
+            patched.setattr(stripdag, "has_clique",
+                            spied("has_clique", stripdag.has_clique))
+            patched.setattr(stripdag.PlyCache, "with_added",
+                            spied("with_added", stripdag.PlyCache.with_added))
+            for depth_mod in (geom, rects_mod):
+                patched.setattr(depth_mod, "rect_depth_within",
+                                spied("depth", geom.rect_depth_within))
+            assert cli.main(["solve", "--kind", kind, "--in", str(path),
+                             "--out", str(out)]) == 0
+        assert max(ell for _, _, ell, _ in calls["ell"]) >= 2
+        assert calls["depth"] == []
+        if kind == "rects":
+            assert max(k for _, _, k in calls["has_clique"]) >= 2
+            assert calls["with_added"] == []
+        else:
+            assert calls["has_clique"] == [] and calls["with_added"]
 
 
 def test_benchmark_tracer_wraps_the_solvers(tmp_path):

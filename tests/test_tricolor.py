@@ -4,10 +4,11 @@ import re
 
 import pytest
 
-from conftest import k4_clique, ply3_not_3colorable, triangle_3colorable
+from conftest import (covers, k4_clique, ply3_not_3colorable,
+                      triangle_3colorable)
 
 from plycover.errors import Infeasible
-from plycover.geom import Point, UnitDisk, disks_disjoint, verify_cover
+from plycover.geom import Point, UnitDisk, disks_disjoint
 from plycover.instances import generate
 from plycover.oracle import exact_3color_cover, exact_min_ply
 from plycover.tricolor import solve_3color, solve_slab_3color
@@ -37,7 +38,7 @@ class TestSolve3Color:
         sol = solve_3color(points, disks)
         assert set(sol.colors.values()) <= {1, 2, 3}
         assert sorted(sol.colors) == sol.chosen
-        assert verify_cover(points, [disks[i] for i in sol.chosen])
+        assert covers(points, [disks[i] for i in sol.chosen])
 
     def test_two_slab_instance_disjoint_classes(self):
         disks = [UnitDisk(Point(0.5, 0.7)), UnitDisk(Point(1.1, 0.7)),
@@ -52,7 +53,7 @@ class TestSolve3Color:
         for members in by_class.values():
             for a, b in itertools.combinations(members, 2):
                 assert disks_disjoint(disks[a], disks[b])
-        assert verify_cover(points, [disks[i] for i in sol.chosen])
+        assert covers(points, [disks[i] for i in sol.chosen])
 
     def test_uncoverable_point_is_infeasible(self):
         with pytest.raises(Infeasible, match=r"Point\(x=9.0, y=9.0\)"):
@@ -118,8 +119,8 @@ class TestSolve3Color:
                 feasible = False
             assert feasible == (witness is not None)
             if feasible:
-                assert verify_cover(inst.points,
-                                    [inst.objects[i] for i in sol.chosen])
+                assert covers(inst.points,
+                              [inst.objects[i] for i in sol.chosen])
 
     def test_oracle_feasible_implies_solver_feasible_multislab(self):
         rng = random.Random(33)
@@ -130,5 +131,4 @@ class TestSolve3Color:
             if witness is None:
                 continue
             sol = solve_3color(inst.points, inst.objects)  # must not raise
-            assert verify_cover(inst.points,
-                                [inst.objects[i] for i in sol.chosen])
+            assert covers(inst.points, [inst.objects[i] for i in sol.chosen])

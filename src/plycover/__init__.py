@@ -10,8 +10,7 @@ oracles.
 from .errors import (BudgetExceeded, Infeasible, InstanceTooLarge,
                      PlyCoverError)
 from .geom import (EventClass, Point, UnitDisk, UnitRect,
-                   WeightedInterval, disks_disjoint, membership_at, ply_disks,
-                   ply_rects)
+                   WeightedInterval, disks_disjoint, ply_disks, ply_rects)
 from .instances import Instance, generate, load, loads, save, dumps
 from .intervals import (IntervalDag, bottleneck_path, build_dag,
                         prepare_instance, solve_intervals)
@@ -24,7 +23,7 @@ __all__ = [
     "InstanceTooLarge", "IntervalDag", "PlyCoverError", "Point",
     "SlabInstance", "UnitDisk", "UnitRect",
     "WeightedInterval", "assign_slabs", "bottleneck_path", "build_dag",
-    "disks_disjoint", "dumps", "generate", "load", "loads", "membership_at",
+    "disks_disjoint", "dumps", "generate", "load", "loads",
     "ply_disks", "ply_rects", "prepare_instance", "save", "solve_3color",
     "solve_intervals", "solve_mpc",
 ]

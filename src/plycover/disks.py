@@ -15,11 +15,13 @@ cell's centre, so a ply-ell solution has at most ell disks in a cell and
 
 The strip search is `stripdag`'s, on member masks, with cover masks from
 `UnitDisk.contains`; a disk may meet another when they are not
-`disks_disjoint`.  Its depth oracle is a `DiskArrangement` of the
-candidate points of `geom.disk_candidates`, listed on its first query.  A
-slab's problem is built once and every budget of its ell ladder searches
-a view of it (`StripProblem.at`).  The 3-color search (`tricolor`) runs on
-the same problem and never queries its depth oracle.
+`disks_disjoint`.  Closed disks in the plane have Helly number 3: disks
+of which every three share a point all share one.  So the search decides
+ply by cliques of the meet masks whose triples pass
+`geom.disks_share_point` (`stripdag.has_clique`), with no oracle and no
+arrangement.  A slab's problem is built once and every budget of its ell
+ladder searches a view of it (`StripProblem.at`).  The 3-color search
+(`tricolor`) runs on the same problem.
 
 Disk extrema and points that share an x-coordinate are ordered as
 rectangle sides are, symbolically by `(x, EventClass, y, obj)`: lefts
@@ -31,10 +33,10 @@ from __future__ import annotations
 from typing import Optional
 
 # ply_disks and disk_depth_within stay bound here so that
-# perfbench/tracing.py can wrap them; the search uses DiskArrangement
-from .geom import (disk_candidates, disk_depth_within,  # noqa: F401
-                   disks_disjoint, ply_disks)
-from .stripdag import PlyCache, StripProblem, build_problem, search
+# perfbench/tracing.py can wrap them; nothing calls them
+from .geom import (disk_depth_within, disks_disjoint,  # noqa: F401
+                   disks_share_point, ply_disks)
+from .stripdag import StripProblem, build_problem, search
 
 PER_STRIP_FACTOR = 8
 
@@ -53,48 +55,12 @@ def disk_spans(disks) -> list:
     return [(d.center.x - 0.5, d.center.x + 0.5, d.center.y) for d in disks]
 
 
-class DiskArrangement:
-    """The candidate points of a slab's disks, listed per disk.
-
-    Each disk q keeps the distinct masks of the disks holding a candidate
-    of `disk_candidates` that q holds.  Given a mask of disks holding q,
-    the depth within q is the largest count of mask disks in one of them:
-    every such candidate lies in q, and the depth is attained at a
-    candidate made by mask disks alone (see `geom.ply_disks`), which q
-    holds.  The masks are listed on the first query, so a search that
-    never asks (3-color) never pays for them.
-    """
-
-    def __init__(self, disks):
-        self._disks, self._within = disks, None
-
-    def _list(self) -> list:
-        self._within = within = [set() for _ in self._disks]
-        for holders in disk_candidates(self._disks):
-            cont = 0
-            for k in holders:
-                cont |= 1 << k
-            for k in holders:
-                within[k].add(cont)
-        return within
-
-    def depth_within(self, mask: int, q: int) -> int:
-        """`disk_depth_within` of the disks in `mask`, q among them, over
-        disk q."""
-        within = self._within or self._list()
-        best = 0
-        for cont in within[q]:
-            c = (cont & mask).bit_count()
-            if c > best:
-                best = c
-        return best
-
-
 def disk_slab_problem(points, disks) -> StripProblem:
     disks = list(disks)
     return build_problem(points, disks, disk_spans(disks),
                          lambda o, q: not disks_disjoint(disks[o], disks[q]),
-                         PlyCache(DiskArrangement(disks).depth_within),
+                         lambda a, b, c: disks_share_point(disks[a], disks[b],
+                                                           disks[c]),
                          PER_STRIP_FACTOR)
 
 

@@ -553,3 +553,21 @@ def disks_disjoint(a: UnitDisk, b: UnitDisk) -> bool:
     if _FILTER < v < _INF:
         return True
     return _excess(a.center, b.center, 4) > 0
+
+
+def disks_share_point(a: UnitDisk, b: UnitDisk, c: UnitDisk) -> bool:
+    """True iff the three closed disks share a point, iff the least circle
+    around their centres has radius at most 1/2.  With p, q, r the squared
+    sides and X the cross product, that circle has the longest side as
+    diameter when the triangle is not acute, and is the circumcircle, of
+    radius sqrt(pqr) / (2 |X|), when it is.  On ints over the least common
+    denominator L the tests read max(p, q, r) <= L^2 and pqr <= X^2 L^2."""
+    a, b, c = a.center, b.center, c.center
+    (ax, ay, bx, by, cx, cy), den = _on_ints(a.x, a.y, b.x, b.y, c.x, c.y)
+    ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
+    p, q = ux * ux + uy * uy, vx * vx + vy * vy
+    r = (cx - bx) ** 2 + (cy - by) ** 2
+    if p + q <= r or q + r <= p or r + p <= q:
+        return max(p, q, r) <= den * den
+    x = ux * vy - uy * vx
+    return p * q * r <= x * x * den * den

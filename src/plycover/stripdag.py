@@ -14,18 +14,22 @@ objects crossing its strip that contain it, and every object its meet
 mask, the objects active with it that may meet it.  A state then covers
 its strip iff it meets each cover mask of the strip.  A reached state has
 ply at most ell, as it grew by tested additions and a removal cannot
-raise ply, and adding q makes new depth only inside q: 1 plus at most the
-count of members meeting q.  For rectangles it is 1 plus the most of
-those that pairwise meet, as closed boxes that pairwise meet share a
-point (`rects`), and `has_clique` decides; disks ask `PlyCache`.  A
-successor also respects the per-strip cap.
+raise ply, and adding q makes new depth only inside q: 1 plus the most
+members that share a point with q.  Closed convex sets share a point iff
+every h of them do, h the Helly number (Danzer, Grunbaum & Klee, "Helly's
+theorem and its relatives", 1963).  Boxes have h = 2, so those members are
+a clique of the meet graph; disks in the plane have h = 3, so they are a
+clique whose triples, with q or without, share a point too
+(`geom.disks_share_point`).  `has_clique` decides both kinds from the meet
+masks and the problem's `shares` test, and no candidate point is listed.
+A successor also respects the per-strip cap.
 
 None of that depends on the budget, so a slab's problem is built once and
 `StripProblem.at` applies each budget of its ell ladder to a view sharing
-the events, masks and disk depth oracle.  A set bit of a cover mask is a
-`contains` test that held, so a point with the empty mask is the only kind
-that can be uncovered; `uncovered` names the first such point in sweep
-order, or is None, and when there is one no search is run.
+the events and masks.  A set bit of a cover mask is a `contains` test
+that held, so a point with the empty mask is the only kind that can be
+uncovered; `uncovered` names the first such point in sweep order, or is
+None, and when there is one no search is run.
 
 `run` is the one search loop.  It holds one strip's states at a time, a
 dict from key to the union of the first path that reaches it, and
@@ -77,16 +81,10 @@ class StripState(NamedTuple):
 _new = tuple.__new__
 
 
+# PlyCache.with_added stays bound so that perfbench/tracing.py can wrap
+# it; nothing calls it, as no search has a depth oracle
 class PlyCache:
-    """The disk ply test: `with_added` is the depth inside q of members |
-    q.  No member set is asked twice, so nothing is memoized; the name and
-    method are what perfbench/tracing.py wraps."""
-
-    def __init__(self, added_depth: Callable[[int, int], int]):
-        self._added = added_depth
-
-    def with_added(self, members: int, q: int) -> int:
-        return self._added(members | 1 << q, q)
+    with_added = None
 
 
 @dataclass
@@ -94,7 +92,7 @@ class StripProblem:
     events: list                 # sorted SideEvents; k of them
     strip_cover: list            # k + 1 per-strip lists of point cover masks
     meets: list                  # per object, the mask of objects it may meet
-    ply: Optional[PlyCache]      # None: decide ply by cliques (rects)
+    shares: Optional[Callable]   # (a, b, c) share a point; None: rects
     factor: int                  # members per strip per unit of budget
     uncovered: object            # first point with the empty mask, or None
     ell: int
@@ -117,7 +115,8 @@ def side_events(spans) -> list[SideEvent]:
     return events
 
 
-def build_problem(points, objects, spans, meets, ply, factor) -> StripProblem:
+def build_problem(points, objects, spans, meets, shares,
+                  factor) -> StripProblem:
     """One sweep over the side events of the objects' `(left, right, y)`
     spans: `objects[o].contains(p)` gives each strip point its cover mask
     over the objects crossing its strip, and `meets(o, q)` gives each
@@ -158,7 +157,7 @@ def build_problem(points, objects, spans, meets, ply, factor) -> StripProblem:
             active.append(q)
         else:
             active.remove(q)
-    return StripProblem(events, strip_cover, meet, ply, factor, uncovered,
+    return StripProblem(events, strip_cover, meet, shares, factor, uncovered,
                         1, factor)
 
 
@@ -170,12 +169,27 @@ def covered(mask: int, cover: list) -> bool:
     return True
 
 
-def has_clique(meets: list, mask: int, k: int) -> bool:
-    """True iff `mask` holds k objects that pairwise meet by `meets`."""
+def has_clique(meets: list, mask: int, k: int, shares=None,
+               chosen: tuple = ()) -> bool:
+    """True iff `mask` holds k objects that pairwise meet by `meets` and,
+    given `shares`, of which every three, or two and one of `chosen`,
+    share a point; `mask` objects meet those of `chosen` and share a point
+    with any two.  Picking the lowest a keeps the candidates that meet a
+    and share a point with a and each of `chosen`.  At most the C(|mask|,
+    k) k-subsets are tried, and |mask| is at most the per-strip cap: the
+    cost is exponential only in ell, as the state space is."""
     while mask.bit_count() >= k > 1:
         low = mask & -mask
         mask ^= low
-        if has_clique(meets, mask & meets[low.bit_length() - 1], k - 1):
+        a = low.bit_length() - 1
+        rest = mask & meets[a]
+        if shares is not None and rest.bit_count() >= k - 1:
+            for b in bits(rest):
+                for c in chosen:
+                    if not shares(a, b, c):
+                        rest ^= 1 << b
+                        break
+        if has_clique(meets, rest, k - 1, shares, chosen + (a,)):
             return True
     return mask.bit_count() >= k
 
@@ -195,10 +209,8 @@ def successors(problem: StripProblem, state: StripState) -> list[StripState]:
     if (ev.cls != EventClass.LEFT_SIDE or members.bit_count() >= problem.cap
             or not covered(members | bit, cover)):
         return out
-    ell, near = problem.ell, members & problem.meets[ev.obj]
-    if near.bit_count() >= ell and (
-            has_clique(problem.meets, near, ell) if problem.ply is None
-            else problem.ply.with_added(members, ev.obj) > ell):
+    if has_clique(problem.meets, members & problem.meets[ev.obj],
+                  problem.ell, problem.shares, (ev.obj,)):
         return out
     out.append(_new(StripState, (nxt, members | bit, union | bit)))
     return out

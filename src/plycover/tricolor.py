@@ -20,12 +20,12 @@ entering disk's mask holds the active disks that it is not disjoint from,
 so it may join a class iff the class mask misses its conflict mask.  A
 state is a triple of class masks in canonical order (nonempty classes by
 mask value, empties last), with a triple of unions; coverage is tested on
-the OR of the classes against the strip's cover masks.  `_step` crosses
-one event for all of a strip's states, reading the event's constants
-once; it visits the states in dict order and emits keep, then joins to
-classes 0, 1, 2: the ranks 0 to 3 of `run`'s least decision path.  The
-problem's depth oracle is never queried, so its disk arrangement is never
-listed.
+the OR of the classes against the strip's cover masks.  The meet masks
+alone keep each class pairwise disjoint, so the problem's `shares` test
+is never read.  `_step` crosses one event for all of a strip's states,
+reading the event's constants once; it visits the states in dict order
+and emits keep, then joins to classes 0, 1, 2: the ranks 0 to 3 of
+`run`'s least decision path.
 """
 from __future__ import annotations
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import depth_reference
+from conftest import nudged
 from depth_reference import grid_depth_disks
 
 from plycover.geom import (Point, UnitDisk, UnitRect, WeightedInterval,
-                           disks_disjoint, membership_at, ply_disks,
-                           ply_rects, rect_depth_within, rects_cover)
+                           disks_disjoint, disks_share_point, membership_at,
+                           ply_disks, ply_rects, rect_depth_within,
+                           rects_cover)
 from plycover.stripdag import SideEvent
 
 
@@ -172,6 +176,63 @@ class TestDisjoint:
 
     def test_touching_closed_disks_are_not_disjoint(self):
         assert not disks_disjoint(UnitDisk(Point(0.0, 0.0)), UnitDisk(Point(1.0, 0.0)))
+
+
+def _share(*centres) -> bool:
+    """`disks_share_point` of the disks at these centres, asserted the
+    same in every argument order."""
+    disks = [UnitDisk(Point(x, y)) for x, y in centres]
+    got = {disks_share_point(*[disks[i] for i in order])
+           for order in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0),
+                         (2, 0, 1), (2, 1, 0))}
+    assert len(got) == 1, centres
+    return got.pop()
+
+
+class TestSharePoint:
+    def test_right_triangle_with_hypotenuse_one(self):
+        # the hypotenuse is the least circle's diameter; one ulp up makes
+        # the triangle acute and its circumradius just over 1/2, one ulp
+        # down makes it obtuse
+        assert _share((0.0, 0.0), (1.0, 0.0), (0.5, 0.5))
+        assert not _share((0.0, 0.0), (1.0, 0.0), (0.5, nudged(0.5, 1)))
+        assert _share((0.0, 0.0), (1.0, 0.0), (0.5, nudged(0.5, -1)))
+
+    def test_collinear_centres(self):
+        assert _share((0.0, 0.0), (0.25, 0.0), (1.0, 0.0))
+        assert _share((0.35, -0.35), (0.0, 0.0), (-0.35, 0.35))
+        assert not _share((0.375, -0.375), (0.0, 0.0), (-0.375, 0.375))
+        assert not _share((0.0, 0.0), (0.25, 0.0), (nudged(1.0, 1), 0.0))
+
+    def test_coincident_centres(self):
+        assert _share((0.3, 0.7), (0.3, 0.7), (0.3, 0.7))
+        assert _share((0.0, 0.0), (0.0, 0.0), (0.0, 1.0))
+        assert not _share((0.0, 0.0), (0.0, 0.0), (0.0, nudged(1.0, 1)))
+
+    def test_equilateral(self):
+        # circumradius side / sqrt(3): 0.566 at side 0.98 and 0.497 at
+        # side 0.86, while every two disks meet at both sides
+        for side, want in ((0.98, False), (0.86, True)):
+            assert _share((0.0, 0.0), (side, 0.0),
+                          (side / 2, side * math.sqrt(3) / 2)) == want
+
+    def test_matches_reference_ply(self):
+        # three disks share a point iff their exact ply is 3
+        rng = random.Random(3)
+        both = set()
+        for seed in range(300):
+            scale = (4, 8, None)[seed % 3]
+            if scale:
+                cs = [(rng.randint(0, scale) / scale,
+                       rng.randint(0, scale) / scale) for _ in range(3)]
+            else:
+                cs = [(rng.uniform(0, 1), rng.uniform(0, 1))
+                      for _ in range(3)]
+            want = depth_reference.ply_disks(
+                [UnitDisk(Point(x, y)) for x, y in cs]) == 3
+            assert _share(*cs) == want, cs
+            both.add(want)
+        assert both == {True, False}
 
 
 class TestSideEvent:

@@ -1,10 +1,10 @@
 """The bitmask strip engine against the tuple engine it replaced
 (`strip_reference`): the same covers, classes and failures on seeded fuzz,
-the disk arrangement against `disk_depth_within`, and the rect clique
-test against both rect depth oracles, on symmetric meet masks.  Each
-slab's result is inclusion-minimal.  A slab's problem built once and
-searched at every budget of its ladder gives what a fresh build at each
-budget gives.  The search takes one step call per strip event."""
+and the rect and disk clique tests against both depth oracles of their
+kind, on symmetric meet masks.  Each slab's result is inclusion-minimal.
+A slab's problem built once and searched at every budget of its ladder
+gives what a fresh build at each budget gives.  The search takes one step
+call per strip event, and only the final ply lists disk candidates."""
 import math
 import random
 from collections import Counter
@@ -17,9 +17,8 @@ import strip_reference as ref
 from conftest import forced_pair_disks, nudged
 
 from plycover import disks as disks_mod
-from plycover import stripdag, tricolor
-from plycover.disks import (DiskArrangement, dedupe_disks, disk_slab_problem,
-                            disk_spans, solve_slab_disks)
+from plycover import geom, slabs, stripdag, tricolor
+from plycover.disks import disk_slab_problem, disk_spans, solve_slab_disks
 from plycover.errors import Infeasible
 from plycover.geom import (EventClass, Point, UnitDisk, UnitRect,
                            disk_depth_within, disks_disjoint, ply_disks,
@@ -441,18 +440,42 @@ def test_bits():
     assert bits(1 << 200 | 4) == [2, 200]
 
 
-def _assert_depths_agree(disks):
-    arrangement = DiskArrangement(disks)
-    m = len(disks)
-    for mask in range(1, 1 << m):
-        members = bits(mask)
-        for q in members:
-            assert (arrangement.depth_within(mask, q)
-                    == disk_depth_within([disks[i] for i in members],
-                                         disks[q])), (mask, q)
+def _submasks(mask):
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
 
 
-class TestDiskArrangement:
+def _assert_clique_test_agrees(disks, seen=None):
+    """For every disk q entering the strip search and every set of members
+    active there, `has_clique` with the problem's `shares` test and
+    chosen (q,) says depth > k, k = 1-5, for the depth inside q of the
+    members and q that both disk depth oracles give."""
+    problem = disk_slab_problem([], disks)
+    meets, shares = problem.meets, problem.shares
+    for q, active in _left_events(problem):
+        for members in _submasks(active):
+            held = [disks[i] for i in bits(members)] + [disks[q]]
+            depth = disk_depth_within(held, disks[q])
+            assert depth == depth_reference.disk_depth_within(
+                held, disks[q]), (members, q)
+            near = members & meets[q]
+            for k in range(1, 6):
+                got = has_clique(meets, near, k, shares, (q,))
+                assert got == (depth > k), (members, q, k)
+                if seen is not None:
+                    seen[k, got] += near.bit_count() >= k
+
+
+class TestDiskCliqueTest:
+    """Closed disks in the plane have Helly number 3: disks of which every
+    three share a point all share one.  So the depth inside an added disk
+    q is decided by cliques of the meet masks whose triples, with q or
+    without, pass `geom.disks_share_point`."""
+
     # centres one unit apart along an axis or a diagonal, moved by -1, 0 or
     # 1 ulp: overlapping, tangent (on the axes) or apart
     @pytest.mark.parametrize("ulps", [-1, 0, 1])
@@ -466,29 +489,57 @@ class TestDiskArrangement:
                  UnitDisk(Point(nudged(ox + ux, ulps), oy + uy)),
                  UnitDisk(Point(ox + ux / 2, oy + uy / 2)),
                  UnitDisk(Point(ox + ux / 2 - uy, oy + uy / 2 + ux))]
-        _assert_depths_agree(disks)
-        _assert_depths_agree(disks[::-1])
+        _assert_clique_test_agrees(disks)
+        _assert_clique_test_agrees(disks[::-1])
 
     @pytest.mark.parametrize("ulps", [-1, 0, 1])
     def test_seeded_fuzz(self, ulps):
-        # every fifth set repeats its first disk, every third set also
-        # holds a copy of it one unit away, moved by ulps
-        for seed in range(60):
+        # centres on a quarter grid, an eighth grid or uniform; every fifth
+        # set repeats its first disk, every third set also holds a copy of
+        # it one unit away, moved by ulps
+        seen = Counter()
+        for seed in range(150):
             rng = random.Random(seed)
-            if seed % 2:
+            if seed % 3 == 2:
                 def coord():
-                    return rng.randint(0, 8) / 4
+                    return rng.uniform(0.0, 1.5)
             else:
-                def coord():
-                    return rng.uniform(0.0, 2.5)
+                def coord(scale=4 * (1 + seed % 3)):
+                    return rng.randint(0, 3 * scale // 2) / scale
             disks = [UnitDisk(Point(coord(), coord()))
-                     for _ in range(rng.randint(1, 7))]
+                     for _ in range(rng.randint(2, 7))]
             if seed % 5 == 0:
                 disks.append(disks[0])
             if seed % 3 == 0 and len(disks) < 8:
                 c = disks[0].center
                 disks.append(UnitDisk(Point(nudged(c.x + 1.0, ulps), c.y)))
-            _assert_depths_agree(disks)
+            _assert_clique_test_agrees(disks, seen)
+        # at k = 1 any member meeting q is too deep; above it, both
+        # answers occur where the count of members meeting q cannot decide
+        assert seen[1, False] == 0 and seen[1, True] > 1000
+        assert all(seen[k, got] > 10 for k in (2, 3, 4)
+                   for got in (True, False))
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_three_clusters_need_the_triple_test(self, s):
+        # s disks at each corner of a triangle of side 0.98: every two
+        # clusters meet, but its circumradius 0.566 > 1/2 keeps the three
+        # apart, so a disk q at the centroid sees depth 2s + 1, while the
+        # meet masks alone hold a clique of all 3s members
+        corners = [(0.0, 0.0), (0.98, 0.0), (0.49, 0.98 * math.sqrt(3) / 2)]
+        disks = [UnitDisk(Point(x + 0.001 * i, y))
+                 for x, y in corners for i in range(s)]
+        disks.append(UnitDisk(Point(0.49, 0.98 * math.sqrt(3) / 6)))
+        q = len(disks) - 1
+        held = list(disks)
+        assert disk_depth_within(held, disks[q]) == 2 * s + 1
+        problem = disk_slab_problem([], disks)
+        near = problem.meets[q]
+        assert near == (1 << q) - 1
+        k = 2 * s + 1
+        assert has_clique(problem.meets, near, k)
+        assert not has_clique(problem.meets, near, k, problem.shares, (q,))
+        assert has_clique(problem.meets, near, k - 1, problem.shares, (q,))
 
 
 def _ladder(pts, objs, build, solve):
@@ -521,7 +572,7 @@ class TestLadderReuse:
                 climbed += got[0] is None and got[2] is not None
         assert climbed > 20
 
-    def test_one_arrangement_and_one_event_sort_per_slab(self, monkeypatch):
+    def test_one_event_sort_per_slab(self, monkeypatch):
         # two slabs, each needing ell = 2; `stripdag.side_events` makes the
         # one sort of a problem's events
         calls = Counter()
@@ -533,8 +584,7 @@ class TestLadderReuse:
                 calls[name] += 1
                 return fn(*args, **kwargs)
             monkeypatch.setattr(mod, name, wrapped)
-        for mod, name in ((disks_mod, "DiskArrangement"),
-                          (stripdag, "side_events"),
+        for mod, name in ((stripdag, "side_events"),
                           (disks_mod, "solve_slab_disks")):
             counted(mod, name)
         pts, dks = forced_pair_disks()
@@ -543,38 +593,45 @@ class TestLadderReuse:
                        for d in dks]
         assert len(assign_slabs(points, disks, "disks")) == 2
         assert solve_mpc(points, disks, "disks").chosen == [0, 1, 2, 3]
-        assert calls == {"DiskArrangement": 2, "side_events": 2,
-                         "solve_slab_disks": 4}
+        assert calls == {"side_events": 2, "solve_slab_disks": 4}
 
-    def test_arrangement_is_listed_only_when_queried(self, monkeypatch):
-        # 3-color searches the disk problem but never asks its depth
-        # oracle, so it lists no arrangement; a ply search lists at most
-        # one per slab
-        calls = []
-        real = disks_mod.disk_candidates
+    def test_only_the_final_ply_lists_candidates(self, monkeypatch):
+        # neither the ply search nor 3-color lists the candidate points of
+        # the disk arrangement: `geom.disk_candidates` is called only by
+        # the `ply_disks` of the chosen disks, once per solve
+        calls, inside, ells = [], [], []
+        real, slab_solve = geom.disk_candidates, disks_mod.solve_slab_disks
 
         def counted(disks):
-            calls.append(len(disks))
+            calls.append(bool(inside))
             return real(disks)
-        monkeypatch.setattr(disks_mod, "disk_candidates", counted)
+        monkeypatch.setattr(geom, "disk_candidates", counted)
+        monkeypatch.setattr(disks_mod, "solve_slab_disks",
+                            lambda *args: ells.append(args[2])
+                            or slab_solve(*args))
+        for mod in (slabs, tricolor):
+            def final_ply(disks, ply=mod.ply_disks):
+                inside.append(True)
+                try:
+                    return ply(disks)
+                finally:
+                    inside.pop()
+            monkeypatch.setattr(mod, "ply_disks", final_ply)
         rng = random.Random(0x1A2)
-        listed = 0
         for seed in range(30):
             inst = generate("disks", rng.randint(4, 30), rng.randint(4, 24),
                             ("uniform", "clustered", "slab-stress")[seed % 3],
                             seed=seed)
+            solves = 1
             try:
                 solve_3color(inst.points, inst.objects)
+                solves += 1
             except Infeasible:
                 pass
-            assert calls == [], seed
-            uniq, _ = dedupe_disks(inst.objects)
-            slabs = assign_slabs(inst.points, uniq, "disks")
             solve_mpc(inst.points, inst.objects, "disks")
-            assert len(calls) <= len(slabs), seed
-            listed += len(calls)
+            assert calls == [True] * solves, seed
             calls.clear()
-        assert listed > 10
+        assert ells.count(2) > 10
 
     def test_uncovered_flag(self):
         disks = [UnitDisk(Point(0.0, 0.5)), UnitDisk(Point(2.0, 0.5))]

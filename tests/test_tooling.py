@@ -456,10 +456,11 @@ def test_rect_solve_builds_no_rect_objects(tmp_path, monkeypatch):
         assert sol["objective"] == want.objective
 
 
-def test_rect_solve_asks_no_depth_oracle(tmp_path, monkeypatch):
-    # rects decide the ply of an added rect by cliques of the meet masks:
-    # a solve whose slabs climb to ell >= 2 calls no rect depth oracle and
-    # no PlyCache, while a disk solve still asks PlyCache.with_added
+def test_solve_asks_no_depth_oracle(tmp_path, monkeypatch):
+    # rects and disks decide the ply of an added object by cliques of the
+    # meet masks, disks with their triples sharing a point too: a solve
+    # whose slabs climb to ell >= 2 asks `has_clique` at k >= 2 and calls
+    # no depth oracle, rect or disk, and no PlyCache
     for kind, mod in (("rects", rects_mod), ("disks", disks_mod)):
         inst = generate(kind, 40, 30, "clustered", seed=7)
         path, out = tmp_path / "inst.jsonl", tmp_path / "sol.json"
@@ -479,18 +480,17 @@ def test_rect_solve_asks_no_depth_oracle(tmp_path, monkeypatch):
                             spied("has_clique", stripdag.has_clique))
             patched.setattr(stripdag.PlyCache, "with_added",
                             spied("with_added", stripdag.PlyCache.with_added))
-            for depth_mod in (geom, rects_mod):
-                patched.setattr(depth_mod, "rect_depth_within",
-                                spied("depth", geom.rect_depth_within))
+            for depth_mod, name in ((geom, "rect_depth_within"),
+                                    (rects_mod, "rect_depth_within"),
+                                    (geom, "disk_depth_within"),
+                                    (disks_mod, "disk_depth_within")):
+                patched.setattr(depth_mod, name,
+                                spied("depth", getattr(geom, name)))
             assert cli.main(["solve", "--kind", kind, "--in", str(path),
                              "--out", str(out)]) == 0
-        assert max(ell for _, _, ell, _ in calls["ell"]) >= 2
-        assert calls["depth"] == []
-        if kind == "rects":
-            assert max(k for _, _, k in calls["has_clique"]) >= 2
-            assert calls["with_added"] == []
-        else:
-            assert calls["has_clique"] == [] and calls["with_added"]
+        assert max(args[2] for args in calls["ell"]) >= 2
+        assert max(args[2] for args in calls["has_clique"]) >= 2
+        assert calls["depth"] == [] and calls["with_added"] == []
 
 
 def test_benchmark_tracer_wraps_the_solvers(tmp_path):

@@ -19,9 +19,10 @@ The strip search is `stripdag`'s, on member masks, with cover masks from
 of which every three share a point all share one.  So the search decides
 ply by cliques of the meet masks whose triples pass
 `geom.disks_share_point` (`stripdag.has_clique`), with no oracle and no
-arrangement.  A slab's problem is built once and every budget of its ell
-ladder searches a view of it (`StripProblem.at`).  The 3-color search
-(`tricolor`) runs on the same problem.
+arrangement; like `contains` and `disks_disjoint`, that test is a float
+filter with an exact int fallback.  A slab's problem is built once and
+every budget of its ell ladder searches a view of it (`StripProblem.at`).
+The 3-color search (`tricolor`) runs on the same problem.
 
 Disk extrema and points that share an x-coordinate are ordered as
 rectangle sides are, symbolically by `(x, EventClass, y, obj)`: lefts

@@ -561,8 +561,33 @@ def disks_share_point(a: UnitDisk, b: UnitDisk, c: UnitDisk) -> bool:
     sides and X the cross product, that circle has the longest side as
     diameter when the triangle is not acute, and is the circumcircle, of
     radius sqrt(pqr) / (2 |X|), when it is.  On ints over the least common
-    denominator L the tests read max(p, q, r) <= L^2 and pqr <= X^2 L^2."""
+    denominator L the tests read max(p, q, r) <= L^2 and pqr <= X^2 L^2.
+
+    Floats decide first.  p, q and r from float differences are each off
+    by at most 4u of their value, u = 2**-53, so a float max beyond 1 +
+    1e-9 is a side longer than 1.  Below that all three are about 1 at
+    most, so t = p + q + r - 2 max (positive iff acute), X^2 and pqr are
+    off by under 1e-14, and beyond the filter 1e-12 each sign is exact.
+    Right and near-threshold triangles, overflow and underflow fall to
+    the ints."""
     a, b, c = a.center, b.center, c.center
+    ux, uy, vx, vy = b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y
+    wx, wy = c.x - b.x, c.y - b.y
+    p, q, r = ux * ux + uy * uy, vx * vx + vy * vy, wx * wx + wy * wy
+    big = max(p, q, r)
+    if 1 + 1e-9 < big < _INF:
+        return False
+    if big < 2:
+        t = p + q + r - 2 * big
+        if t < -_FILTER and big < 1 - _FILTER:
+            return True
+        if t > _FILTER:
+            x = ux * vy - uy * vx
+            v = p * q * r - x * x
+            if v < -_FILTER:
+                return True
+            if v > _FILTER:
+                return False
     (ax, ay, bx, by, cx, cy), den = _on_ints(a.x, a.y, b.x, b.y, c.x, c.y)
     ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
     p, q = ux * ux + uy * uy, vx * vx + vy * vy

@@ -12,17 +12,22 @@ object kind states once (`rects.rect_spans`, `disks.disk_spans`), and
 makes one sweep over them.  It gives every strip point its cover mask, the
 objects crossing its strip that contain it, and every object its meet
 mask, the objects active with it that may meet it.  A state then covers
-its strip iff it meets each cover mask of the strip.  A reached state has
-ply at most ell, as it grew by tested additions and a removal cannot
-raise ply, and adding q makes new depth only inside q: 1 plus the most
-members that share a point with q.  Closed convex sets share a point iff
-every h of them do, h the Helly number (Danzer, Grunbaum & Klee, "Helly's
-theorem and its relatives", 1963).  Boxes have h = 2, so those members are
-a clique of the meet graph; disks in the plane have h = 3, so they are a
-clique whose triples, with q or without, share a point too
-(`geom.disks_share_point`).  `has_clique` decides both kinds from the meet
-masks and the problem's `shares` test, and no candidate point is listed.
-A successor also respects the per-strip cap.
+its strip iff it meets each cover mask of the strip.  Event i's step
+`(left, bit, obj, rest, held)` splits strip i + 1's masks by the event's
+bit: a state missing a `rest` mask has no successor, as taking obj cannot
+meet it either, and keep must meet `held` too.  An object that leaves
+holds no mask of the next strip, so a right event's `held` is empty.
+
+A reached state has ply at most ell, as it grew by tested additions and a
+removal cannot raise ply, and adding q makes new depth only inside q: 1
+plus the most members that share a point with q.  Closed convex sets
+share a point iff every h of them do, h the Helly number (Danzer,
+Grunbaum & Klee, "Helly's theorem and its relatives", 1963).  Boxes have
+h = 2, so those members are a clique of the meet graph; disks in the
+plane have h = 3, so they are a clique whose triples, with q or without,
+share a point too (`geom.disks_share_point`).  `has_clique` decides both
+kinds from the meet masks and the problem's `shares` test, and no
+candidate point is listed.  A successor also respects the per-strip cap.
 
 None of that depends on the budget, so a slab's problem is built once and
 `StripProblem.at` applies each budget of its ell ladder to a view sharing
@@ -36,10 +41,11 @@ dict from key to the union of the first path that reaches it, and
 crosses each event with one call of a per-event step that returns the
 next strip's dict.  Keeping first paths makes every slab's result
 inclusion-minimal (see `run`).  The 3-color step (`tricolor`) works on
-triples of class masks over the disk problem and looks each event's
-constants up once.  Rectangles and disks step with `_mpc_step`, which
-still calls `successors` once per state, where perfbench/tracing.py
-counts the states.
+triples of class masks over the disk problem and reads each event's step
+once.  Rectangles and disks step with `_mpc_step`, which calls
+`successors` once per state, where perfbench/tracing.py counts the
+states; `successors` reads the event's step, and asks `has_clique` only
+when ell > 1 and at least ell members meet the entering object.
 """
 from __future__ import annotations
 
@@ -90,7 +96,7 @@ class PlyCache:
 @dataclass
 class StripProblem:
     events: list                 # sorted SideEvents; k of them
-    strip_cover: list            # k + 1 per-strip lists of point cover masks
+    steps: list                  # per event, (left, bit, obj, rest, held)
     meets: list                  # per object, the mask of objects it may meet
     shares: Optional[Callable]   # (a, b, c) share a point; None: rects
     factor: int                  # members per strip per unit of budget
@@ -119,7 +125,8 @@ def build_problem(points, objects, spans, meets, shares,
                   factor) -> StripProblem:
     """One sweep over the side events of the objects' `(left, right, y)`
     spans: `objects[o].contains(p)` gives each strip point its cover mask
-    over the objects crossing its strip, and `meets(o, q)` gives each
+    over the objects crossing its strip, which the step of the event
+    before the strip splits by its bit, and `meets(o, q)` gives each
     object the mask of the objects active with it that it may meet.  The
     problem is at ell = 1; `StripProblem.at` sets a budget, and the
     per-strip cap is `factor * ell`."""
@@ -129,7 +136,7 @@ def build_problem(points, objects, spans, meets, shares,
         i = bisect_left(events, (p.x, EventClass.INPUT_POINT, p.y))
         strip_points[i].append(p)
     meet = [0] * len(objects)
-    strip_cover = []
+    steps = []
     uncovered = None
     active = []
     for i, pts in enumerate(strip_points):
@@ -142,31 +149,28 @@ def build_problem(points, objects, spans, meets, shares,
             if not m and uncovered is None:
                 uncovered = p
             masks.add(m)
-        strip_cover.append(list(masks))
+        if i:  # event i - 1 leads into this strip
+            rest, held = [], []
+            for c in masks:
+                (held if c & bit else rest).append(c)
+            steps.append((left, bit, q, rest, held))
         if i == len(events):
             break
         ev = events[i]
-        q = ev.obj
-        if ev.cls == EventClass.LEFT_SIDE:
+        q, bit = ev.obj, 1 << ev.obj
+        left = ev.cls == EventClass.LEFT_SIDE
+        if left:
             m = 0
             for o in active:
                 if meets(o, q):
                     m |= 1 << o
-                    meet[o] |= 1 << q
+                    meet[o] |= bit
             meet[q] = m
             active.append(q)
         else:
             active.remove(q)
-    return StripProblem(events, strip_cover, meet, shares, factor, uncovered,
-                        1, factor)
-
-
-def covered(mask: int, cover: list) -> bool:
-    """True iff the objects in `mask` cover a strip with these cover masks."""
-    for c in cover:
-        if not mask & c:
-            return False
-    return True
+    return StripProblem(events, steps, meet, shares, factor, uncovered, 1,
+                        factor)
 
 
 def has_clique(meets: list, mask: int, k: int, shares=None,
@@ -197,20 +201,25 @@ def has_clique(meets: list, mask: int, k: int, shares=None,
 def successors(problem: StripProblem, state: StripState) -> list[StripState]:
     """Valid states one strip to the right of `state`."""
     strip, members, union = state
-    ev = problem.events[strip]
-    bit = 1 << ev.obj
+    left, bit, q, rest, held = problem.steps[strip]
+    for c in rest:  # taking q cannot meet these either
+        if not members & c:
+            return []
     nxt = strip + 1
-    cover = problem.strip_cover[nxt]
-    if ev.cls != EventClass.LEFT_SIDE:
-        members &= ~bit
+    if not left:
+        return [_new(StripState, (nxt, members & ~bit, union))]
     out = []
-    if covered(members, cover):
+    for c in held:
+        if not members & c:
+            break
+    else:
         out.append(_new(StripState, (nxt, members, union)))
-    if (ev.cls != EventClass.LEFT_SIDE or members.bit_count() >= problem.cap
-            or not covered(members | bit, cover)):
+    if members.bit_count() >= problem.cap:
         return out
-    if has_clique(problem.meets, members & problem.meets[ev.obj],
-                  problem.ell, problem.shares, (ev.obj,)):
+    near = members & problem.meets[q]
+    ell = problem.ell
+    if near.bit_count() >= ell and (ell == 1 or has_clique(
+            problem.meets, near, ell, problem.shares, (q,))):
         return out
     out.append(_new(StripState, (nxt, members | bit, union | bit)))
     return out

@@ -23,9 +23,9 @@ mask value, empties last), with a triple of unions; coverage is tested on
 the OR of the classes against the strip's cover masks.  The meet masks
 alone keep each class pairwise disjoint, so the problem's `shares` test
 is never read.  `_step` crosses one event for all of a strip's states,
-reading the event's constants once; it visits the states in dict order
-and emits keep, then joins to classes 0, 1, 2: the ranks 0 to 3 of
-`run`'s least decision path.
+reading the event's step (`StripProblem.steps`) and conflict mask once;
+it visits the states in dict order and emits keep, then joins to classes
+0, 1, 2: the ranks 0 to 3 of `run`'s least decision path.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 from .disks import (canonical_rotation, disk_slab_problem,  # noqa: F401
                     rotate_instance)
 from .errors import Infeasible
-from .geom import EventClass, membership_at, ply_disks  # noqa: F401
+from .geom import membership_at, ply_disks  # noqa: F401
 from .slabs import (CoverSolution, assign_slabs,  # noqa: F401
                     search_slabs)
 from .stripdag import bits, run
@@ -58,21 +58,18 @@ def _step(problem, i, states):
     disk joins no class or one class it meets no member of, and a leaving
     disk leaves its class.
 
-    Strip i + 1's cover masks are taken after event i, so they hold a
-    disk that enters there and miss one that leaves.  At a left event the
-    masks that miss the entering bit (`rest`) must be met by every
-    successor, and those that hold it (`held`) only by keep: a join
-    meets them all.  At a right event a state's members meet the masks
-    exactly when they do without the leaving disk, so coverage is tested
-    before the removal."""
-    ev = problem.events[i]
-    bit = 1 << ev.obj
-    cover = problem.strip_cover[i + 1]
+    Event i's step splits strip i + 1's cover masks by its bit.  At a
+    left event the masks that miss the entering bit (`rest`) must be met
+    by every successor, and those that hold it (`held`) only by keep: a
+    join meets them all.  At a right event every mask is in `rest`, and a
+    state's members meet it exactly when they do without the leaving
+    disk, so coverage is tested before the removal."""
+    left, bit, obj, rest, held = problem.steps[i]
     nxt = {}
-    if ev.cls != EventClass.LEFT_SIDE:
+    if not left:
         for classes, unions in states.items():
             active = classes[0] | classes[1] | classes[2]
-            for c in cover:
+            for c in rest:
                 if not active & c:
                     break
             else:
@@ -82,9 +79,7 @@ def _step(problem, i, states):
                 if classes not in nxt:
                     nxt[classes] = unions
         return nxt
-    rest = [c for c in cover if not c & bit]
-    held = [c for c in cover if c & bit]
-    conflict = problem.meets[ev.obj]
+    conflict = problem.meets[obj]
     for classes, unions in states.items():
         active = classes[0] | classes[1] | classes[2]
         for c in rest:

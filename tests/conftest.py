@@ -99,5 +99,7 @@ def forced_pair_disks():
 
 
 def nudged(v: float, ulps: int) -> float:
-    """The float v moved by `ulps` units in the last place, -1, 0 or 1."""
-    return math.nextafter(v, math.copysign(math.inf, ulps)) if ulps else v
+    """The float v moved by `ulps` units in the last place."""
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return v

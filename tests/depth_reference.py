@@ -2,10 +2,11 @@
 
 `oracle.py` uses the production ply functions, so these straightforward
 versions are what the rewritten ones are checked against: the exact
-candidate-point scans for rectangles and disks, and a dense-grid depth
-sampler for disks (the only user of numpy).  The disk scans are exact on
-ints, with no float filter, and test every disk against every candidate,
-its own disks included.
+candidate-point scans for rectangles and disks, the int test of whether
+three disks share a point, and a dense-grid depth sampler for disks (the
+only user of numpy).  The disk scans are exact on ints, with no float
+filter, and test every disk against every candidate, its own disks
+included.
 """
 from __future__ import annotations
 
@@ -122,6 +123,22 @@ def disk_depth_within(disks: Sequence[UnitDisk], region: UnitDisk) -> int:
     return max((sum(_holds(c, p, big) for c in cs[:-1])
                 for p in _candidates(cs, big) if _holds(cs[-1], p, big)),
                default=0)
+
+
+def disks_share_point(a: UnitDisk, b: UnitDisk, c: UnitDisk) -> bool:
+    """Three closed disks share a point iff the least circle around their
+    centres has radius at most 1/2, on ints with no float filter: the
+    longest side is at most 1 when the triangle is not acute, and pqr <=
+    X^2 (the circumradius test) when it is, p, q, r the squared sides and
+    X the cross product."""
+    ((ax, ay), (bx, by), (cx, cy)), den = _scaled([a, b, c])
+    ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
+    p, q = ux * ux + uy * uy, vx * vx + vy * vy
+    r = (cx - bx) ** 2 + (cy - by) ** 2
+    if p + q <= r or q + r <= p or r + p <= q:
+        return max(p, q, r) <= den * den
+    x = ux * vy - uy * vx
+    return p * q * r <= x * x * den * den
 
 
 def grid_depth_disks(disks: Sequence[UnitDisk], pitch: float = 0.01) -> int:

@@ -235,6 +235,51 @@ class TestSharePoint:
         assert both == {True, False}
 
 
+def _share_triples(rng):
+    """Centre triples for the float filter of `disks_share_point`: random,
+    near its thresholds, degenerate, far apart and tiny."""
+    def jitter(cs):  # each coordinate moved by -4 to 4 ulps
+        return [(nudged(x, rng.randint(-4, 4)), nudged(y, rng.randint(-4, 4)))
+                for x, y in cs]
+    for _ in range(400):
+        yield [(rng.uniform(0, 1.2), rng.uniform(0, 1.2)) for _ in range(3)]
+        # equilateral of side sqrt(3)/2, whose circumradius is 1/2
+        ox, oy = rng.randint(-8, 8) / 4, rng.randint(-8, 8) / 4
+        side = math.sqrt(3) / 2
+        yield jitter([(ox, oy), (ox + side, oy), (ox + side / 2, oy + 0.75)])
+        # a right angle on a circle of diameter 1
+        a = rng.uniform(0, 2 * math.pi)
+        yield jitter([(ox, oy), (ox + 1.0, oy),
+                      (ox + 0.5 + 0.5 * math.cos(a), oy + 0.5 * math.sin(a))])
+        # collinear centres, the outer two about 1 apart, and coincident
+        t, far = rng.uniform(0, 1), nudged(1.0, rng.randint(-4, 4))
+        ux, uy = far * math.cos(a), far * math.sin(a)
+        yield [(ox, oy), (ox + t * ux, oy + t * uy), (ox + ux, oy + uy)]
+        yield [(ox, oy), (ox, oy), rng.choice(((ox, oy), (ox, oy + far)))]
+        # far apart: differences or their squares overflow
+        big = rng.choice((1e16, 1e300, 1.7e308))
+        yield [(rng.choice((-big, 0.0, big)) + rng.uniform(0, 1),
+                rng.choice((-big, 0.0, big)) + rng.uniform(0, 1))
+               for _ in range(3)]
+        # tiny: the squared sides underflow
+        yield [(1e-200 * rng.uniform(-1, 1), 1e-200 * rng.uniform(-1, 1))
+               for _ in range(3)]
+
+
+class TestShareFilter:
+    def test_matches_the_int_test(self):
+        # the filtered test against the int test it filters, in every
+        # argument order, on 2,800 seeded triples
+        rng = random.Random(0x5EED)
+        answers = set()
+        for cs in _share_triples(rng):
+            want = depth_reference.disks_share_point(
+                *[UnitDisk(Point(x, y)) for x, y in cs])
+            assert _share(*cs) == want, cs
+            answers.add(want)
+        assert answers == {True, False}
+
+
 class TestSideEvent:
     keys = st.tuples(st.integers(-4, 4), st.integers(0, 2), st.integers(-4, 4),
                      st.integers(0, 2))

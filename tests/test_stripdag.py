@@ -306,6 +306,45 @@ class TestStepShape:
         assert asked == [i for i, n in sizes for _ in range(n)]
 
 
+class TestStepTable:
+    """`steps[i]` splits the cover masks of strip i + 1 by event i's bit:
+    `rest` misses it and `held` holds it, and a leaving object holds no
+    mask of the strip after it."""
+
+    @pytest.mark.parametrize("kind", ["rects", "disks"])
+    def test_split_of_the_next_strip(self, kind):
+        build, make = ((rect_slab_problem, _rect_instances) if kind == "rects"
+                       else (disk_slab_problem, _disk_instances))
+        split = Counter()
+        for seed in range(80):
+            for pts, objs in _slabs(*make(seed), kind):
+                problem = build(pts, objs)
+                events = problem.events
+                assert len(problem.steps) == len(events)
+                for i, (left, bit, obj, rest, held) in enumerate(
+                        problem.steps):
+                    ev = events[i]
+                    assert (left, bit, obj) == (
+                        ev.cls == EventClass.LEFT_SIDE, 1 << ev.obj, ev.obj)
+                    # the objects whose left side and not right side is
+                    # among events 0..i, and the points past exactly those
+                    sides = Counter(e.obj for e in events[:i + 1])
+                    active = [o for o, n in sides.items() if n == 1]
+                    masks = {sum(1 << o for o in active
+                                 if objs[o].contains(p))
+                             for p in pts
+                             if sum(e < (p.x, EventClass.INPUT_POINT, p.y)
+                                    for e in events) == i + 1}
+                    assert sorted(rest) == sorted(m for m in masks
+                                                  if not m & bit)
+                    assert sorted(held) == sorted(m for m in masks if m & bit)
+                    assert left or not held
+                    split[left, bool(rest), bool(held)] += 1
+        assert all(split[True, r, h] > 10 for r in (True, False)
+                   for h in (True, False))
+        assert split[False, True, False] > 10
+
+
 def _live_slabs(kind, seed):
     """The slabs of a seeded instance as `search_slabs` searches them: each
     slab's points with its live objects only."""
@@ -540,6 +579,34 @@ class TestDiskCliqueTest:
         assert has_clique(problem.meets, near, k)
         assert not has_clique(problem.meets, near, k, problem.shares, (q,))
         assert has_clique(problem.meets, near, k - 1, problem.shares, (q,))
+
+
+def test_floats_decide_the_share_test(monkeypatch):
+    # on the slab problems of seeded disk instances, the int fallback of
+    # `geom.disks_share_point` runs for under 1% of its calls
+    calls, on_ints, inside = [0], [0], []
+    share, ints = disks_mod.disks_share_point, geom._on_ints
+
+    def spy_share(*args):
+        calls[0] += 1
+        inside.append(True)
+        try:
+            return share(*args)
+        finally:
+            inside.pop()
+
+    def spy_ints(*vs):
+        on_ints[0] += bool(inside)
+        return ints(*vs)
+    monkeypatch.setattr(disks_mod, "disks_share_point", spy_share)
+    monkeypatch.setattr(geom, "_on_ints", spy_ints)
+    for seed in range(40):
+        for pts, objs in _live_slabs("disks", seed):
+            problem = disk_slab_problem(pts, objs)
+            for ell in (1, 2, 3):
+                solve_slab_disks(pts, objs, ell, problem)
+    assert calls[0] > 1000
+    assert on_ints[0] < 0.01 * calls[0]
 
 
 def _ladder(pts, objs, build, solve):

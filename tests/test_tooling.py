@@ -493,10 +493,12 @@ def test_solve_asks_no_depth_oracle(tmp_path, monkeypatch):
         assert calls["depth"] == [] and calls["with_added"] == []
 
 
-def test_benchmark_tracer_wraps_the_solvers(tmp_path):
+def test_benchmark_tracer_wraps_the_solvers(tmp_path, monkeypatch):
     # perfbench/tracing.py wraps solver functions by name from outside;
     # a renamed or re-signed one makes `--trace 1` crash in install(), and
-    # one no longer called leaves its span at zero
+    # one no longer called leaves its span at zero.  It counts strip
+    # states by wrapping `successors`, so that count is exactly the states
+    # the mpc step is handed
     here = os.path.dirname(os.path.abspath(__file__))
     sys.path.insert(0, os.path.join(os.path.dirname(here), "perfbench"))
     try:
@@ -505,6 +507,12 @@ def test_benchmark_tracer_wraps_the_solvers(tmp_path):
         sys.path.pop(0)
     from plycover.slabs import solve_mpc
     from plycover.tricolor import solve_3color
+    states, step = [0], stripdag._mpc_step
+
+    def spy_step(problem, i, strip_states):
+        states[0] += len(strip_states)
+        return step(problem, i, strip_states)
+    monkeypatch.setattr(stripdag, "_mpc_step", spy_step)
     ivs = tmp_path / "ivs.jsonl"
     save(generate("intervals", 20, 16, "uniform", seed=5), ivs)
     tracer = tracing.Tracer()
@@ -525,7 +533,7 @@ def test_benchmark_tracer_wraps_the_solvers(tmp_path):
                  "intervals.build_dag_s", "intervals.bottleneck_s"):
         assert counts[span] > 0, span
     assert counts["intervals.dag_vertices"] > 0
-    assert counts["stripdag.states"] > 0
+    assert counts["stripdag.states"] == states[0] > 0
     assert counts["slabs.slab_solves"] > 0
     assert counts["tricolor.slab_solves"] > 0
     assert 0 < counts["stripdag.width_over_cap_max"] <= 1

@@ -12,18 +12,14 @@ from .errors import (BudgetExceeded, Infeasible, InstanceTooLarge,
 from .geom import (EventClass, Point, UnitDisk, UnitRect,
                    WeightedInterval, disks_disjoint, ply_disks, ply_rects)
 from .instances import Instance, generate, load, loads, save, dumps
-from .intervals import (IntervalDag, bottleneck_path, build_dag,
-                        prepare_instance, solve_intervals)
-from .slabs import CoverSolution, SlabInstance, assign_slabs, solve_mpc
+from .intervals import solve_intervals
+from .slabs import CoverSolution, solve_mpc
 from .tricolor import solve_3color
 
 __all__ = [
-    "BudgetExceeded", "CoverSolution", "EventClass",
-    "Infeasible", "Instance",
-    "InstanceTooLarge", "IntervalDag", "PlyCoverError", "Point",
-    "SlabInstance", "UnitDisk", "UnitRect",
-    "WeightedInterval", "assign_slabs", "bottleneck_path", "build_dag",
-    "disks_disjoint", "dumps", "generate", "load", "loads",
-    "ply_disks", "ply_rects", "prepare_instance", "save", "solve_3color",
+    "BudgetExceeded", "CoverSolution", "EventClass", "Infeasible",
+    "Instance", "InstanceTooLarge", "PlyCoverError", "Point", "UnitDisk",
+    "UnitRect", "WeightedInterval", "disks_disjoint", "dumps", "generate",
+    "load", "loads", "ply_disks", "ply_rects", "save", "solve_3color",
     "solve_intervals", "solve_mpc",
 ]

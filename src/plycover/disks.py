@@ -33,17 +33,16 @@ from __future__ import annotations
 
 from typing import Optional
 
-# ply_disks and disk_depth_within stay bound here so that
-# perfbench/tracing.py can wrap them; nothing calls them
-from .geom import (disk_depth_within, disks_disjoint,  # noqa: F401
-                   disks_share_point, ply_disks)
+from .geom import disks_disjoint, disks_share_point
 from .stripdag import StripProblem, build_problem, search
 
 PER_STRIP_FACTOR = 8
 
-# canonical_rotation and rotate_instance stay bound here so that
-# perfbench/tracing.py can wrap them; nothing calls them
+# None placeholders for the names perfbench/tracing.py wraps here: the
+# search calls no depth routine, the final ply is `slabs`'s and
+# `tricolor`'s, and no input is rotated
 canonical_rotation = rotate_instance = None
+disk_depth_within = ply_disks = None
 
 
 def disk_spans(disks) -> list:

@@ -1,8 +1,10 @@
 """Geometric primitives shared by every solver.
 
 Points, unit-height rectangles, unit disks, weighted intervals, closed-set
-membership tests, and exact maximum-depth (ply) computations.  Every object
-is a closed set: a point on the boundary belongs to the object.
+containment and cover tests, and one exact depth routine per 2-D kind:
+the ply, the maximum depth over the plane (`ply_rects`, `ply_disks`).
+Every object is a closed set: a point on the boundary belongs to the
+object.
 
 Rectangles and intervals carry exact rational coordinates, and their
 predicates only compare coordinates, so the solvers take their inputs as
@@ -245,19 +247,6 @@ class EventClass(IntEnum):
     RIGHT_SIDE = 2
 
 
-def membership_at(p, objects: Sequence, weighted: bool = False):
-    """Number (or weight sum) of objects containing p, closed containment."""
-    kinds = {type(o) for o in objects}
-    if len(kinds) > 1:
-        names = sorted(k.__name__ for k in kinds)
-        raise ValueError("mixed object kinds: %s" % ", ".join(names))
-    total = Fraction(0) if weighted else 0
-    for o in objects:
-        if o.contains(p):
-            total += getattr(o, "weight", 1) if weighted else 1
-    return total
-
-
 def _max_stab_closed(spans) -> int:
     # closed spans: a start sorts before an end at the same coordinate,
     # so abutting spans count as overlapping
@@ -277,15 +266,24 @@ def _max_stab_closed(spans) -> int:
     return best
 
 
-def _max_depth_boxes(boxes) -> int:
-    """Exact maximum depth of closed boxes given as (left, right, bottom, top).
+def _sides(r) -> tuple:
+    if r.__class__ is Box:
+        return r
+    return (r.left, r.left + r.width, r.bottom, r.bottom + 1)
 
-    An x-sweep over the side events, lefts before rights at equal x.  The
-    active set only grows between two removals, so its y-spans are reduced
-    to a 1-D maximum stabbing count once, just before the first removal
-    after an addition: that set contains the active set at every left side
-    since the previous removal.
+
+def ply_rects(rects: Sequence[UnitRect]) -> int:
+    """Exact maximum depth of the closed-rectangle arrangement.
+
+    The depth of a closed arrangement is attained at a left side, so an
+    x-sweep over the side events, lefts before rights at equal x, that
+    evaluates the active y-spans there is exact.  The active set only
+    grows between two removals, so its y-spans are reduced to a 1-D
+    maximum stabbing count once, just before the first removal after an
+    addition: that set contains the active set at every left side since
+    the previous removal.
     """
+    boxes = [_sides(r) for r in rects]
     events = []
     for i, (left, right, _, _) in enumerate(boxes):
         events.append((left, 0, i))
@@ -304,22 +302,6 @@ def _max_depth_boxes(boxes) -> int:
         grown = False
         del active[i]
     return best
-
-
-def _sides(r) -> tuple:
-    if r.__class__ is Box:
-        return r
-    return (r.left, r.left + r.width, r.bottom, r.bottom + 1)
-
-
-def ply_rects(rects: Sequence[UnitRect]) -> int:
-    """Exact maximum depth of the closed-rectangle arrangement.
-
-    The depth of a closed arrangement is attained at a left side, so a
-    sweep over the side events that evaluates the active y-spans there is
-    exact.
-    """
-    return _max_depth_boxes([_sides(r) for r in rects])
 
 
 def rects_cover(points, rects: Sequence[UnitRect]) -> list:
@@ -358,23 +340,6 @@ def rects_cover(points, rects: Sequence[UnitRect]) -> list:
             tree[k] += step
             k += k & -k
     return out
-
-
-def rect_depth_within(rects: Sequence[UnitRect], region: UnitRect) -> int:
-    """Maximum depth of `rects` over the points of the closed `region`.
-
-    Only rectangles meeting `region` can contain a point of it, and inside
-    `region` each acts as its clipped (closed, possibly flat) box, so this
-    is the depth of the clipped boxes.
-    """
-    rl, rr, rb, rt = _sides(region)
-    boxes = []
-    for r in rects:
-        left, right, bottom, top = _sides(r)
-        if left <= rr and right >= rl and bottom <= rt and top >= rb:
-            boxes.append((max(left, rl), min(right, rr),
-                          max(bottom, rb), min(top, rt)))
-    return _max_depth_boxes(boxes)
 
 
 def _pair_points(a: Point, b: Point) -> list:
@@ -525,20 +490,6 @@ def disks_pairwise_disjoint(disks: Sequence[UnitDisk]) -> bool:
     cells = _unit_cells(disks)
     return all(k <= i or disks_disjoint(d, disks[k])
                for i, d in enumerate(disks) for k in _near(cells, d.center))
-
-
-def disk_depth_within(disks: Sequence[UnitDisk], region: UnitDisk) -> int:
-    """Maximum depth of `disks` over the points of the closed disk `region`.
-
-    The depth of the disks meeting `region`, with the region added as one
-    more disk, taken at the candidates that region holds; by the argument
-    of `ply_disks` the maximum over the region is attained at one of them.
-    """
-    near = [d for d in disks if not disks_disjoint(d, region)]
-    r = len(near)
-    return max((len(holders) - 1
-                for holders in disk_candidates(near + [region])
-                if r in holders), default=0)
 
 
 def disks_disjoint(a: UnitDisk, b: UnitDisk) -> bool:

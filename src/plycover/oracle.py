@@ -3,13 +3,18 @@
 Branch-and-bound minimum ply cover, exhaustive 3-colorable cover search,
 and subset enumeration for weighted intervals.  Size caps keep full test
 sweeps fast; instances above a cap are refused rather than solved slowly.
+
+The minimum ply cover prices each branch by the ply of its chosen objects
+with the new one added, by the one depth routine of the kind (`geom`).
+That is the depth inside the added object where it exceeds the ply
+before: ply(S + q) = max(ply(S), depth inside q).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .errors import Infeasible, InstanceTooLarge
-from .geom import as_x, disk_depth_within, disks_disjoint, rect_depth_within
+from .geom import as_x, disks_disjoint, ply_disks, ply_rects
 
 MAX_MIN_PLY = 20
 MAX_3COLOR = 12
@@ -39,7 +44,8 @@ def exact_min_ply(points, objects, kind):
 
     Prunes a branch once its partial ply reaches the incumbent (ply never
     decreases when objects are added) or once the remaining objects cannot
-    complete the cover.
+    complete the cover.  A branch is priced by the ply of its chosen
+    objects, the same `ply_rects` / `ply_disks` that the solvers report.
     """
     if kind not in ("rects", "disks"):
         raise ValueError("kind must be 'rects' or 'disks'")
@@ -47,7 +53,7 @@ def exact_min_ply(points, objects, kind):
         raise InstanceTooLarge("at most %d objects" % MAX_MIN_PLY)
     points = list(points)
     objects = list(objects)
-    added_depth = rect_depth_within if kind == "rects" else disk_depth_within
+    ply_of = ply_rects if kind == "rects" else ply_disks
     n, m = len(points), len(objects)
     full = (1 << n) - 1
     masks = _cover_masks(points, objects)
@@ -72,7 +78,7 @@ def exact_min_ply(points, objects, kind):
         if i == m or (covered | suffix[i]) != full:
             return
         obj = objects[i]
-        new_ply = max(cur_ply, added_depth(chosen_objs + [obj], obj))
+        new_ply = ply_of(chosen_objs + [obj])
         if best[0] is None or new_ply < best[0]:
             chosen.append(i)
             chosen_objs.append(obj)

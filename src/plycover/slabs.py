@@ -40,9 +40,14 @@ from typing import Optional
 from . import disks as _disks
 from . import rects as _rects
 from .errors import BudgetExceeded, Infeasible
-# membership_at stays bound here so that perfbench/tracing.py can wrap it
-from .geom import (Box, Point, membership_at, pair_point,  # noqa: F401
-                   pair_ranks, ply_disks, ply_rects, rect_pairs)
+from .geom import (Box, Point, pair_point, pair_ranks, ply_disks, ply_rects,
+                   rect_pairs)
+
+# a None placeholder for the name perfbench/tracing.py wraps as the
+# coverage precheck: the strip problems' cover masks name an uncovered
+# point, so no point is scanned against the objects
+membership_at = None
+
 
 @dataclass(frozen=True)
 class SlabInstance:

@@ -21,6 +21,11 @@ def covers(points, chosen) -> bool:
     return all(rects_cover(points, chosen))
 
 
+def depth_at(p, objects) -> int:
+    """The number of the closed objects that contain the point p."""
+    return sum(o.contains(p) for o in objects)
+
+
 def greedy_trap_instance():
     """The 5-point, 4-interval instance on which a greedy left-to-right
     dynamic program picks membership 4 while the optimum is 3."""

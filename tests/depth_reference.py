@@ -1,12 +1,13 @@
-"""Tests-only depth references, independent of the sweeps in `geom`.
+"""Tests-only depth references, independent of the sweeps in `geom`:
+no function here calls one of them.
 
 `oracle.py` uses the production ply functions, so these straightforward
 versions are what the rewritten ones are checked against: the exact
-candidate-point scans for rectangles and disks, the int test of whether
-three disks share a point, and a dense-grid depth sampler for disks (the
-only user of numpy).  The disk scans are exact on ints, with no float
-filter, and test every disk against every candidate, its own disks
-included.
+candidate-point scans for rectangles and disks, the ply and the depth
+inside a region, the int test of whether three disks share a point, and
+a dense-grid depth sampler for disks (the only user of numpy).  The disk
+scans are exact on ints, with no float filter, and test every disk
+against every candidate, its own disks included.
 """
 from __future__ import annotations
 
@@ -14,7 +15,14 @@ from typing import Sequence
 
 import numpy as np
 
-from plycover.geom import UnitDisk, UnitRect, _max_stab_closed
+from plycover.geom import UnitDisk, UnitRect
+
+
+def _stab_closed(spans) -> int:
+    """The most closed spans (lo, hi) holding one value: the count at
+    every lo, where the deepest closed value can be taken."""
+    return max((sum(lo <= y <= hi for lo, hi in spans) for y, _ in spans),
+               default=0)
 
 
 def ply_rects(rects: Sequence[UnitRect]) -> int:
@@ -26,7 +34,7 @@ def ply_rects(rects: Sequence[UnitRect]) -> int:
     for x in xs:
         spans = [(r.bottom, r.top) for r in rects if r.left <= x <= r.right]
         if len(spans) > best:
-            best = max(best, _max_stab_closed(spans))
+            best = max(best, _stab_closed(spans))
     return best
 
 

@@ -4,7 +4,7 @@ engine in `stripdag`.
 This is the engine the bitmask one replaced: states keyed by sorted member
 tuples, unions merged as tuples and compared with tuple `<`, coverage
 tested point by point with the objects' `contains`, and ply through a
-tuple-keyed cache over the `geom` depth functions.  The 3-color search is
+tuple-keyed cache over the `geom` ply functions.  The 3-color search is
 its own loop over triples of class tuples.  The side events are built here
 too, in the documented sweep order `(x, EventClass, y, obj)`.  The
 differential tests require the production engine to return exactly what
@@ -24,8 +24,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from plycover.geom import (EventClass, disk_depth_within, disks_disjoint,
-                           ply_disks, ply_rects, rect_depth_within)
+from plycover.geom import EventClass, disks_disjoint, ply_disks, ply_rects
 
 
 class Event(NamedTuple):
@@ -67,26 +66,18 @@ def merge_member(members: tuple, q: int) -> tuple:
 
 
 class PlyCache:
-    """Memoized exact ply per member tuple; additions reuse the parent."""
+    """Memoized exact ply per member tuple."""
 
-    def __init__(self, full: Callable[[tuple], int],
-                 added_depth: Callable[[tuple, int], int]):
+    def __init__(self, full: Callable[[tuple], int]):
         self._full = full
-        self._added = added_depth
         self._vals = {(): 0}
 
-    def value(self, members: tuple) -> int:
-        v = self._vals.get(members)
-        if v is None:
-            v = self._vals[members] = self._full(members)
-        return v
-
     def with_added(self, members: tuple, q: int) -> int:
+        """The ply of the members with q added."""
         key = merge_member(members, q)
         v = self._vals.get(key)
         if v is None:
-            v = max(self.value(members), self._added(key, q))
-            self._vals[key] = v
+            v = self._vals[key] = self._full(key)
         return v
 
 
@@ -188,12 +179,9 @@ def solve_slab_rects(points, rects, ell):
     def full(members):
         return ply_rects([rects[i] for i in members])
 
-    def added(members, q):
-        return rect_depth_within([rects[i] for i in members], rects[q])
-
     return search(build_problem(points, rect_events(rects),
                                 lambda o, p: rects[o].contains(p),
-                                PlyCache(full, added), 3 * ell, ell))
+                                PlyCache(full), 3 * ell, ell))
 
 
 def solve_slab_disks(points, disks, ell):
@@ -202,12 +190,9 @@ def solve_slab_disks(points, disks, ell):
     def full(members):
         return ply_disks([disks[i] for i in members])
 
-    def added(members, q):
-        return disk_depth_within([disks[i] for i in members], disks[q])
-
     return search(build_problem(points, disk_events(disks),
                                 lambda o, p: disks[o].contains(p),
-                                PlyCache(full, added), 8 * ell, ell))
+                                PlyCache(full), 8 * ell, ell))
 
 
 _EMPTY = ((), (), ())

@@ -7,50 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import depth_reference
-from conftest import nudged
+from conftest import depth_at, nudged
 from depth_reference import grid_depth_disks
 
 from plycover.geom import (Point, UnitDisk, UnitRect, WeightedInterval,
-                           disks_disjoint, disks_share_point, membership_at,
-                           ply_disks, ply_rects, rect_depth_within,
-                           rects_cover)
+                           disks_disjoint, disks_share_point, ply_disks,
+                           ply_rects, rects_cover)
 from plycover.stripdag import SideEvent
 
 
 def sq(left, bottom):
     return UnitRect(F(left), F(bottom))
-
-
-class TestMembership:
-    def test_empty(self):
-        assert membership_at(Point(F(0), F(0)), []) == 0
-
-    def test_interior(self):
-        assert membership_at(Point(F(1, 2), F(1, 2)), [sq(0, 0)]) == 1
-
-    def test_shared_edge_of_closed_squares_counts_twice(self):
-        both = [sq(0, 0), sq(1, 0)]
-        assert membership_at(Point(F(1), F(1, 2)), both) == 2
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(ValueError, match="mixed"):
-            membership_at(Point(0.0, 0.0), [sq(0, 0), UnitDisk(Point(0.0, 0.0))])
-
-    def test_weighted_sum_for_intervals(self):
-        ivs = [WeightedInterval(F(0), F(2), F(3)), WeightedInterval(F(1), F(4), F(5))]
-        assert membership_at(F(3, 2), ivs, weighted=True) == 8
-        assert membership_at(F(3, 2), ivs) == 2
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_monotone_in_object_set(self, data):
-        coords = st.integers(-8, 24)
-        small = data.draw(st.lists(st.tuples(coords, coords), max_size=5))
-        extra = data.draw(st.lists(st.tuples(coords, coords), max_size=5))
-        a = [UnitRect(F(x, 8), F(y, 8)) for x, y in small]
-        b = a + [UnitRect(F(x, 8), F(y, 8)) for x, y in extra]
-        p = Point(F(data.draw(coords), 8), F(data.draw(coords), 8))
-        assert membership_at(p, a) <= membership_at(p, b)
 
 
 class TestPlyRects:
@@ -79,19 +46,14 @@ class TestPlyRects:
         reported = ply_rects(rects)
         for _ in range(200):
             p = Point(F(rng.randint(-8, 40), 8), F(rng.randint(-8, 40), 8))
-            assert membership_at(p, rects) <= reported
-
-    def test_depth_within_region(self):
-        rects = [sq(0, 0), UnitRect(F(1, 2), F(0)), sq(5, 5)]
-        assert rect_depth_within(rects, rects[0]) == 2
-        assert rect_depth_within(rects, rects[2]) == 1
+            assert depth_at(p, rects) <= reported
 
     def test_staggered_squares_reach_ply_three_off_points(self):
         # input points see membership at most 2, yet the ply is 3
         rects = [sq(0, 0), UnitRect(F(2, 5), F(0)), UnitRect(F(4, 5), F(0))]
         points = [Point(F(1, 2), F(1, 2)), Point(F(6, 5), F(1, 2))]
         assert ply_rects(rects) == 3
-        assert max(membership_at(p, rects) for p in points) == 2
+        assert max(depth_at(p, rects) for p in points) == 2
 
 
 def _sampler_depth(rects):
@@ -110,7 +72,7 @@ def _sampler_depth(rects):
                 for x in (il, ir):
                     for y in (ib, it):
                         cands.append(Point(x, y))
-    return max((membership_at(p, rects) for p in cands), default=0)
+    return max((depth_at(p, rects) for p in cands), default=0)
 
 
 class TestPlyDisks:

@@ -3,13 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import covers, greedy_trap_instance, k4_clique
+import depth_reference
+from conftest import covers, greedy_trap_instance, k4_clique, nudged
 from depth_reference import grid_depth_disks
 from oracle_reference import exhaustive_min_ply
 
 from plycover.errors import Infeasible, InstanceTooLarge
 from plycover.geom import (Point, UnitDisk, UnitRect, WeightedInterval,
-                           ply_disks, ply_rects)
+                           ply_disks)
 from plycover.instances import generate
 from plycover.oracle import exact_3color_cover, exact_intervals, exact_min_ply
 
@@ -41,18 +42,68 @@ class TestMinPly:
             exact_min_ply([Point(F(9), F(9))], [UnitRect(F(0), F(0))], "rects")
 
     def test_pruned_matches_unpruned(self):
+        # uniform instances, then degenerate ones, where the ply of a grown
+        # set is decided on shared sides and corners, flat overlaps,
+        # tangencies and copies; the witness's ply is taken by the
+        # reference scans
         rng = random.Random(51)
+        cases = []
         for seed in range(20):
             kind = "rects" if seed % 2 else "disks"
             inst = generate(kind, rng.randint(1, 10), rng.randint(1, 8),
                             "uniform", seed=seed)
-            opt, wit = exact_min_ply(inst.points, inst.objects, kind)
-            ref_opt, _ = exhaustive_min_ply(inst.points, inst.objects, kind)
+            cases.append((kind, inst.points, inst.objects))
+        cases += [_degenerate_rects(seed) for seed in range(60)]
+        cases += [_degenerate_disks(seed, ulps) for seed in range(30)
+                  for ulps in (-1, 0, 1)]
+        for kind, points, objects in cases:
+            opt, wit = exact_min_ply(points, objects, kind)
+            ref_opt, _ = exhaustive_min_ply(points, objects, kind)
             assert opt == ref_opt
-            chosen = [inst.objects[i] for i in wit]
-            assert covers(inst.points, chosen)
-            ply = ply_rects(chosen) if kind == "rects" else ply_disks(chosen)
+            chosen = [objects[i] for i in wit]
+            assert covers(points, chosen)
+            ply = (depth_reference.ply_rects(chosen) if kind == "rects"
+                   else depth_reference.ply_disks(chosen))
             assert ply == opt
+
+
+def _degenerate_rects(seed):
+    """Rects on a half-unit grid, some repeated: touching sides, shared
+    corners, and overlaps a neighbour clips to a segment or a point; the
+    points sit on their corners and side midpoints."""
+    rng = random.Random(seed)
+    rects = [UnitRect(F(rng.randint(0, 6), 2), F(rng.randint(0, 4), 2),
+                      F(rng.randint(1, 4), 2))
+             for _ in range(rng.randint(2, 9))]
+    rects += [rng.choice(rects) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(rects)
+    spots = sorted({Point(x, y) for r in rects
+                    for x in (r.left, (r.left + r.right) / 2, r.right)
+                    for y in (r.bottom, r.top)}, key=lambda p: (p.x, p.y))
+    return "rects", rng.sample(spots, rng.randint(1, min(8, len(spots)))), \
+        rects
+
+
+def _degenerate_disks(seed, ulps):
+    """Disks centred on a half-unit grid, so that many are exactly one
+    apart, with copies one unit away moved by ulps and coincident copies;
+    the points are centres and midpoints of centres that some disk holds."""
+    rng = random.Random(seed)
+    disks = [UnitDisk(Point(rng.randint(0, 4) / 2, rng.randint(0, 3) / 2))
+             for _ in range(rng.randint(2, 7))]
+    for _ in range(rng.randint(1, 2)):
+        c = rng.choice(disks).center
+        dx, dy = rng.choice(((1.0, 0.0), (0.0, 1.0)))
+        disks.append(UnitDisk(Point(nudged(c.x + dx, ulps), c.y + dy)))
+    disks += [rng.choice(disks) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(disks)
+    cs = [d.center for d in disks]
+    spots = [Point(x, y) for x, y in sorted({((a.x + b.x) / 2,
+                                              (a.y + b.y) / 2)
+                                             for a in cs for b in cs})]
+    spots = [p for p in spots if any(d.contains(p) for d in disks)]
+    return "disks", rng.sample(spots, rng.randint(1, min(8, len(spots)))), \
+        disks
 
 
 class TestThreeColor:

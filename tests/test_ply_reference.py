@@ -1,7 +1,7 @@
-"""The sweep and window ply functions in `geom` against the plain scans
-they replaced (kept in `depth_reference`): exact equality on seeded fuzz
-and on degenerate arrangements, disks also at exact tangency and one ulp
-either side of it."""
+"""The ply functions in `geom` against the plain scans they replaced (kept
+in `depth_reference`): exact equality on seeded fuzz and on degenerate
+arrangements, disks also at exact tangency and one ulp either side of
+it."""
 import itertools
 import math
 import random
@@ -14,8 +14,7 @@ import depth_reference as ref
 from conftest import nudged
 
 from plycover.geom import (Point, UnitDisk, UnitRect, disk_candidates,
-                           disk_depth_within, ply_disks, ply_rects,
-                           rect_depth_within)
+                           ply_disks, ply_rects)
 
 
 def _rect(rng, step):
@@ -30,15 +29,11 @@ def _rect_sets(seed):
     rects = [_rect(rng, step) for _ in range(rng.randint(0, 14))]
     if rects and rng.random() < 0.3:
         rects += rng.sample(rects, rng.randint(1, len(rects)))
-    regions = rects[:3] + [_rect(rng, step)]
-    return rects, regions
+    return rects
 
 
-def _assert_rects_agree(rects, regions):
+def _assert_rects_agree(rects):
     assert ply_rects(rects) == ref.ply_rects(rects)
-    for region in regions:
-        assert (rect_depth_within(rects, region)
-                == ref.rect_depth_within(rects, region))
 
 
 # the offsets of the near-tangent columns, in ulps of the moved coordinate:
@@ -90,23 +85,19 @@ def _disk_sets(seed):
              for _ in range(rng.randint(0, 14))]
     if disks and rng.random() < 0.3:
         disks += rng.sample(disks, rng.randint(1, len(disks)))
-    regions = disks[:3] + [UnitDisk(Point(coord(), coord()))]
-    return disks, regions
+    return disks
 
 
-def _assert_disks_agree(disks, regions):
+def _assert_disks_agree(disks):
     assert (sorted(sorted(h) for h in disk_candidates(disks))
             == ref.candidate_holders(disks))
     assert ply_disks(disks) == ref.ply_disks(disks)
-    for region in regions:
-        assert (disk_depth_within(disks, region)
-                == ref.disk_depth_within(disks, region))
 
 
 class TestRects:
     def test_seeded_fuzz(self):
         for seed in range(300):
-            _assert_rects_agree(*_rect_sets(seed))
+            _assert_rects_agree(_rect_sets(seed))
 
     def test_shared_and_abutting_sides(self):
         rects = [UnitRect(F(0), F(0)), UnitRect(F(1), F(0)),
@@ -115,16 +106,16 @@ class TestRects:
                  UnitRect(F(0), F(0), F(2))]
         for k in range(1, len(rects) + 1):
             for sub in itertools.combinations(rects, k):
-                _assert_rects_agree(list(sub), rects)
+                _assert_rects_agree(list(sub))
 
     def test_duplicates(self):
         r = UnitRect(F(1, 3), F(2, 7), F(5, 4))
         for k in range(1, 5):
-            _assert_rects_agree([r] * k, [r, UnitRect(F(2), F(2))])
+            _assert_rects_agree([r] * k)
         assert ply_rects([r] * 4) == 4
 
     def test_empty(self):
-        _assert_rects_agree([], [UnitRect(F(0), F(0))])
+        _assert_rects_agree([])
 
 
 class TestDisks:
@@ -133,11 +124,11 @@ class TestDisks:
         # every third set also holds a copy of its first disk one unit
         # away, moved by ulps
         for seed in range(200):
-            disks, regions = _disk_sets(seed)
+            disks = _disk_sets(seed)
             if disks and seed % 3 == 0:
                 disks.append(_tangent_copy(disks[0], ulps,
                                            DIRECTIONS[seed % 4]))
-            _assert_disks_agree(disks, regions)
+            _assert_disks_agree(disks)
 
     def test_quarter_grid(self):
         # centres on a small quarter grid: many circles meet at one point,
@@ -147,7 +138,7 @@ class TestDisks:
             rng = random.Random(seed)
             disks = [UnitDisk(Point(*c))
                      for c in rng.sample(grid, rng.randint(3, 9))]
-            _assert_disks_agree(disks, disks[:3] + [rng.choice(disks)])
+            _assert_disks_agree(disks)
 
     def test_holders_half_a_unit_away_in_x(self, decimal60):
         # at 2**40 a float ulp is 2**-12, so the float meeting points are
@@ -168,7 +159,7 @@ class TestDisks:
                     if (Decimal(x) - px) * side > Decimal(0.5):
                         x = math.nextafter(x, -side * math.inf)
                     disks.append(UnitDisk(Point(x, float(py))))
-            _assert_disks_agree(disks, disks)
+            _assert_disks_agree(disks)
 
     def test_holders_of_near_tangent_meeting_points(self, decimal60):
         # circles a hair from tangent, in rounded directions: the float
@@ -186,7 +177,7 @@ class TestDisks:
                     disks.append(UnitDisk(Point(
                         float(px + Decimal(0.5 * math.cos(phi))),
                         float(py + Decimal(0.5 * math.sin(phi))))))
-            _assert_disks_agree(disks, disks[:3])
+            _assert_disks_agree(disks)
 
     @pytest.mark.parametrize("ulps", ULPS)
     @pytest.mark.parametrize("direction", DIRECTIONS)
@@ -199,8 +190,8 @@ class TestDisks:
                              -1.5 + direction[1] / 2))
         disks = [a, b, mid]
         for sub in itertools.combinations(disks, 2):
-            _assert_disks_agree(list(sub), disks)
-        _assert_disks_agree(disks, disks)
+            _assert_disks_agree(list(sub))
+        _assert_disks_agree(disks)
         if direction[1] == 0.0:
             assert ply_disks([a, b]) == (1 if ulps > 0 else 2)
             assert ply_disks(disks) == (2 if ulps > 0 else 3)
@@ -211,10 +202,10 @@ class TestDisks:
         a, b = UnitDisk(Point(0.0, 0.0)), UnitDisk(Point(0.7, 0.1))
         near = UnitDisk(Point(nudged(0.0, ulps), 0.0))
         for k in range(1, 4):
-            _assert_disks_agree([a] * k + [b], [a, b])
-            _assert_disks_agree([a] * k + [near, b], [a, near, b])
+            _assert_disks_agree([a] * k + [b])
+            _assert_disks_agree([a] * k + [near, b])
         assert ply_disks([a] * 3 + [b]) == 4
         assert ply_disks([a] * 3 + [near, b]) == 5
 
     def test_empty(self):
-        _assert_disks_agree([], [UnitDisk(Point(0.0, 0.0))])
+        _assert_disks_agree([])

@@ -1,10 +1,11 @@
 """The bitmask strip engine against the tuple engine it replaced
 (`strip_reference`): the same covers, classes and failures on seeded fuzz,
-and the rect and disk clique tests against both depth oracles of their
-kind, on symmetric meet masks.  Each slab's result is inclusion-minimal.
-A slab's problem built once and searched at every budget of its ladder
-gives what a fresh build at each budget gives.  The search takes one step
-call per strip event, and only the final ply lists disk candidates."""
+and the rect and disk clique tests against the reference depth scans of
+their kind (`depth_reference`), on symmetric meet masks.  Each slab's
+result is inclusion-minimal.  A slab's problem built once and searched at
+every budget of its ladder gives what a fresh build at each budget gives.
+The search takes one step call per strip event, and only the final ply
+lists disk candidates."""
 import math
 import random
 from collections import Counter
@@ -21,8 +22,7 @@ from plycover import geom, slabs, stripdag, tricolor
 from plycover.disks import disk_slab_problem, disk_spans, solve_slab_disks
 from plycover.errors import Infeasible
 from plycover.geom import (EventClass, Point, UnitDisk, UnitRect,
-                           disk_depth_within, disks_disjoint, ply_disks,
-                           rect_depth_within)
+                           disks_disjoint, ply_disks)
 from plycover.instances import generate
 from plycover.rects import rect_slab_problem, rect_spans, solve_slab_rects
 from plycover.slabs import assign_slabs, live_objects, solve_mpc
@@ -432,9 +432,7 @@ class TestCliqueTest:
                 members = active & rng.getrandbits(len(rects))
                 near = members & meets[q]
                 boxes = [rects[i] for i in bits(members)] + [rects[q]]
-                depth = rect_depth_within(boxes, rects[q])
-                assert depth == depth_reference.rect_depth_within(
-                    boxes, rects[q]), seed
+                depth = depth_reference.rect_depth_within(boxes, rects[q])
                 for ell in (1, 2, 3, 4):
                     got = has_clique(meets, near, ell)
                     assert got == (depth > ell), (seed, q, ell)
@@ -492,15 +490,13 @@ def _assert_clique_test_agrees(disks, seen=None):
     """For every disk q entering the strip search and every set of members
     active there, `has_clique` with the problem's `shares` test and
     chosen (q,) says depth > k, k = 1-5, for the depth inside q of the
-    members and q that both disk depth oracles give."""
+    members and q that the reference scan gives."""
     problem = disk_slab_problem([], disks)
     meets, shares = problem.meets, problem.shares
     for q, active in _left_events(problem):
         for members in _submasks(active):
             held = [disks[i] for i in bits(members)] + [disks[q]]
-            depth = disk_depth_within(held, disks[q])
-            assert depth == depth_reference.disk_depth_within(
-                held, disks[q]), (members, q)
+            depth = depth_reference.disk_depth_within(held, disks[q])
             near = members & meets[q]
             for k in range(1, 6):
                 got = has_clique(meets, near, k, shares, (q,))
@@ -571,7 +567,7 @@ class TestDiskCliqueTest:
         disks.append(UnitDisk(Point(0.49, 0.98 * math.sqrt(3) / 6)))
         q = len(disks) - 1
         held = list(disks)
-        assert disk_depth_within(held, disks[q]) == 2 * s + 1
+        assert depth_reference.disk_depth_within(held, disks[q]) == 2 * s + 1
         problem = disk_slab_problem([], disks)
         near = problem.meets[q]
         assert near == (1 << q) - 1

@@ -12,7 +12,7 @@ import pytest
 from conftest import covers
 
 import plycover
-from plycover import cli, geom, instances, stripdag
+from plycover import cli, instances, stripdag
 from plycover import disks as disks_mod
 from plycover import rects as rects_mod
 from plycover.geom import Point, UnitDisk, UnitRect, WeightedInterval
@@ -460,12 +460,12 @@ def test_solve_asks_no_depth_oracle(tmp_path, monkeypatch):
     # rects and disks decide the ply of an added object by cliques of the
     # meet masks, disks with their triples sharing a point too: a solve
     # whose slabs climb to ell >= 2 asks `has_clique` at k >= 2 and calls
-    # no depth oracle, rect or disk, and no PlyCache
+    # no PlyCache
     for kind, mod in (("rects", rects_mod), ("disks", disks_mod)):
         inst = generate(kind, 40, 30, "clustered", seed=7)
         path, out = tmp_path / "inst.jsonl", tmp_path / "sol.json"
         save(inst, path)
-        calls = {"ell": [], "has_clique": [], "with_added": [], "depth": []}
+        calls = {"ell": [], "has_clique": [], "with_added": []}
 
         def spied(name, fn):
             def wrapped(*args):
@@ -480,17 +480,11 @@ def test_solve_asks_no_depth_oracle(tmp_path, monkeypatch):
                             spied("has_clique", stripdag.has_clique))
             patched.setattr(stripdag.PlyCache, "with_added",
                             spied("with_added", stripdag.PlyCache.with_added))
-            for depth_mod, name in ((geom, "rect_depth_within"),
-                                    (rects_mod, "rect_depth_within"),
-                                    (geom, "disk_depth_within"),
-                                    (disks_mod, "disk_depth_within")):
-                patched.setattr(depth_mod, name,
-                                spied("depth", getattr(geom, name)))
             assert cli.main(["solve", "--kind", kind, "--in", str(path),
                              "--out", str(out)]) == 0
         assert max(args[2] for args in calls["ell"]) >= 2
         assert max(args[2] for args in calls["has_clique"]) >= 2
-        assert calls["depth"] == [] and calls["with_added"] == []
+        assert calls["with_added"] == []
 
 
 def test_benchmark_tracer_wraps_the_solvers(tmp_path, monkeypatch):
@@ -539,38 +533,71 @@ def test_benchmark_tracer_wraps_the_solvers(tmp_path, monkeypatch):
     assert 0 < counts["stripdag.width_over_cap_max"] <= 1
 
 
-def test_no_stale_module_imports():
-    # every module-level import in the package is used in its module,
-    # listed in its __all__, or kept bound for perfbench/tracing.py to wrap
-    here = os.path.dirname(os.path.abspath(__file__))
-    sys.path.insert(0, os.path.join(os.path.dirname(here), "perfbench"))
-    try:
-        import tracing
-    finally:
-        sys.path.pop(0)
-    pinned = {(mod.__name__, attr) for mod, attr, _ in tracing.SPANS}
+def _package_trees():
+    """(module name, parsed source) for every module of the package."""
     pkg = os.path.dirname(plycover.__file__)
-    stale = []
     for fname in sorted(os.listdir(pkg)):
-        if not fname.endswith(".py"):
-            continue
-        module = "plycover" if fname == "__init__.py" else \
-            "plycover." + fname[:-3]
-        with open(os.path.join(pkg, fname)) as fh:
-            tree = ast.parse(fh.read())
-        bound, exported = [], set()
+        if fname.endswith(".py"):
+            module = "plycover" if fname == "__init__.py" else \
+                "plycover." + fname[:-3]
+            with open(os.path.join(pkg, fname)) as fh:
+                yield module, ast.parse(fh.read())
+
+
+def _exported(tree) -> set:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["__all__"]):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_stale_module_imports():
+    # every module-level import in the package is used in its module or
+    # listed in its __all__; no name is imported only to be wrapped from
+    # outside
+    stale = []
+    for module, tree in _package_trees():
+        bound = []
         for node in tree.body:
             if isinstance(node, ast.Import):
                 bound += [a.asname or a.name.split(".")[0] for a in node.names]
             elif (isinstance(node, ast.ImportFrom)
                   and node.module != "__future__"):
                 bound += [a.asname or a.name for a in node.names]
-            elif (isinstance(node, ast.Assign)
-                  and [getattr(t, "id", None) for t in node.targets]
-                  == ["__all__"]):
-                exported = set(ast.literal_eval(node.value))
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         stale += ["%s.%s" % (module, name) for name in bound
-                  if name not in used | exported
-                  and (module, name) not in pinned]
+                  if name not in used | _exported(tree)]
     assert stale == []
+
+
+def _referenced_name(node):
+    # an import binds a name but does not use it
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def test_no_dead_definitions():
+    # every top-level def and class in the package is referenced outside
+    # its own body somewhere in the package, or listed in an __all__;
+    # `stripdag.PlyCache` is the one stub kept for perfbench/tracing.py
+    defined, exported = [], set()
+    owners = {}   # name -> the top-level definitions it appears in
+    for module, tree in _package_trees():
+        exported |= _exported(tree)
+        for node in tree.body:
+            owner = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                owner = (module, node.name)
+                defined.append(owner)
+            for n in ast.walk(node):
+                owners.setdefault(_referenced_name(n), set()).add(owner)
+    stub = ("plycover.stripdag", "PlyCache")
+    dead = ["%s.%s" % d for d in defined
+            if not owners.get(d[1], set()) - {d}
+            and d[1] not in exported and d != stub]
+    assert dead == []

@@ -11,13 +11,56 @@ from conftest import depth_at, nudged
 from depth_reference import grid_depth_disks
 
 from plycover.geom import (Point, UnitDisk, UnitRect, WeightedInterval,
-                           disks_disjoint, disks_share_point, ply_disks,
-                           ply_rects, rects_cover)
+                           disks_cover, disks_disjoint, disks_share_point,
+                           ply_disks, ply_rects, rects_cover)
+from plycover.intervals import chosen_loads
 from plycover.stripdag import SideEvent
 
 
 def sq(left, bottom):
     return UnitRect(F(left), F(bottom))
+
+
+class TestMembership:
+    """Closed point membership as the package counts it: the cover sweeps
+    of rects and disks, and the per-point loads of chosen intervals."""
+
+    def test_empty(self):
+        p = Point(F(0), F(0))
+        assert rects_cover([p], []) == [False]
+        assert disks_cover([Point(0.0, 0.0)], []) == [False]
+        assert chosen_loads([F(0)], [])[:2] == ([0], [0])
+
+    def test_interior(self):
+        assert rects_cover([Point(F(1, 2), F(1, 2))], [sq(0, 0)]) == [True]
+        assert disks_cover([Point(0.1, 0.2)], [UnitDisk(Point(0.0, 0.0))]) \
+            == [True]
+
+    def test_shared_edge_of_closed_squares_counts_twice(self):
+        both = [sq(0, 0), sq(1, 0)]
+        edge = Point(F(1), F(1, 2))
+        assert rects_cover([edge], both[:1]) == rects_cover([edge], both[1:]) \
+            == [True]
+        assert depth_at(edge, both) == 2
+
+    def test_weighted_sum_for_intervals(self):
+        ivs = [WeightedInterval(F(0), F(2), F(3)), WeightedInterval(F(1), F(4), F(5))]
+        counts, loads, w_scale = chosen_loads([F(3, 2), F(4), F(9, 2)], ivs)
+        assert counts == [2, 1, 0]
+        assert [F(w, w_scale) for w in loads] == [8, 5, 0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_monotone_in_object_set(self, data):
+        coords = st.integers(-8, 24)
+        small = data.draw(st.lists(st.tuples(coords, coords), max_size=5))
+        extra = data.draw(st.lists(st.tuples(coords, coords), max_size=5))
+        a = [UnitRect(F(x, 8), F(y, 8)) for x, y in small]
+        b = a + [UnitRect(F(x, 8), F(y, 8)) for x, y in extra]
+        p = Point(F(data.draw(coords), 8), F(data.draw(coords), 8))
+        assert rects_cover([p], a) == [depth_at(p, a) > 0]
+        assert rects_cover([p], a)[0] <= rects_cover([p], b)[0]
+        assert depth_at(p, a) <= ply_rects(a) <= ply_rects(b)
 
 
 class TestPlyRects:
@@ -47,6 +90,17 @@ class TestPlyRects:
         for _ in range(200):
             p = Point(F(rng.randint(-8, 40), 8), F(rng.randint(-8, 40), 8))
             assert depth_at(p, rects) <= reported
+
+    def test_depth_within_region(self):
+        # the ply with one more rectangle q is the larger of the old ply
+        # and the depth inside q, which the exact oracle prices by
+        rects = [sq(0, 0), UnitRect(F(1, 2), F(0)), sq(5, 5)]
+        assert depth_reference.rect_depth_within(rects, rects[0]) == 2
+        assert depth_reference.rect_depth_within(rects, rects[2]) == 1
+        for q in rects + [UnitRect(F(1), F(1, 2)), sq(4, 4)]:
+            assert ply_rects(rects + [q]) == max(
+                ply_rects(rects), depth_reference.rect_depth_within(
+                    rects + [q], q))
 
     def test_staggered_squares_reach_ply_three_off_points(self):
         # input points see membership at most 2, yet the ply is 3

@@ -117,6 +117,18 @@ class TestRects:
     def test_empty(self):
         _assert_rects_agree([])
 
+    def test_one_more_rect_adds_its_region_depth(self):
+        # ply(S + [q]) = max(ply(S), depth of S + [q] inside q): the
+        # identity by which the exact oracle prices a branch, here with
+        # q a member of S, a copy of one, or a fresh rectangle
+        for seed in range(80):
+            rects = _rect_sets(seed)
+            fresh = _rect(random.Random(~seed), 2)
+            for q in rects[:2] + [fresh]:
+                grown = rects + [q]
+                assert ply_rects(grown) == max(
+                    ply_rects(rects), ref.rect_depth_within(grown, q))
+
 
 class TestDisks:
     @pytest.mark.parametrize("ulps", ULPS)
@@ -209,3 +221,17 @@ class TestDisks:
 
     def test_empty(self):
         _assert_disks_agree([])
+
+    @pytest.mark.parametrize("ulps", ULPS)
+    def test_one_more_disk_adds_its_region_depth(self, ulps):
+        # ply(S + [q]) = max(ply(S), depth of S + [q] inside q), with q a
+        # member of S, or one unit from one and moved by ulps
+        for seed in range(60):
+            disks = _disk_sets(seed)
+            if not disks:
+                continue
+            tangent = _tangent_copy(disks[-1], ulps, DIRECTIONS[seed % 4])
+            for q in (disks[0], tangent):
+                grown = disks + [q]
+                assert ply_disks(grown) == max(
+                    ply_disks(disks), ref.disk_depth_within(grown, q))

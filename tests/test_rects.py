@@ -278,6 +278,15 @@ class TestPairPath:
         inst.objects = inst.objects[:2]
         assert inst.pairs[1] == file_pairs[1][:2]
 
+    def test_mixed_kinds_rejected(self):
+        # a file holds objects of its header's kind only
+        for kind, rec in (("rects", '{"d":[0.5,0.5]}'),
+                          ("disks", '{"r":["0","0","1"]}'),
+                          ("intervals", '{"r":["0","0","1"]}')):
+            with pytest.raises(ValueError) as e:
+                loads('{"kind":"%s"}\n%s\n' % (kind, rec))
+            assert str(e.value) == "line 2: not a %s record: %s" % (kind, rec)
+
     def test_refusals_match_the_objects(self):
         # a rect file is kept as int pairs, so the loader itself refuses
         # what UnitRect and Fraction would, with the same text

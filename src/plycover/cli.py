@@ -173,7 +173,7 @@ def _read_solution(path) -> dict:
     objective = sol.get("objective")
     if type(objective) is str:
         try:
-            Fraction(objective)
+            inst_mod.rational_pair(objective)
         except (ValueError, ZeroDivisionError):
             objective = None
     if type(objective) not in (int, str):

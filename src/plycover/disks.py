@@ -25,9 +25,9 @@ every budget of its ell ladder searches a view of it (`StripProblem.at`).
 The 3-color search (`tricolor`) runs on the same problem.
 
 Disk extrema and points that share an x-coordinate are ordered as
-rectangle sides are, symbolically by `(x, EventClass, y, obj)`: lefts
-before points before rights.  The solvers run on the input as given, and
-no input is refused as degenerate.
+rectangle sides are, symbolically by `geom.sweep_events`: lefts before
+points before rights, then by y and index.  The solvers run on the input
+as given, and no input is refused as degenerate.
 """
 from __future__ import annotations
 

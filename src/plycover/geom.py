@@ -247,17 +247,30 @@ class EventClass(IntEnum):
     RIGHT_SIDE = 2
 
 
-def _max_stab_closed(spans) -> int:
-    # closed spans: a start sorts before an end at the same coordinate,
-    # so abutting spans count as overlapping
-    events = []
-    for lo, hi in spans:
-        events.append((lo, 0))
-        events.append((hi, 1))
+_LEFT, _POINT, _RIGHT = (EventClass.LEFT_SIDE, EventClass.INPUT_POINT,
+                         EventClass.RIGHT_SIDE)
+
+
+def sweep_events(spans, points=()) -> list:
+    """The sorted sweep events `(x, EventClass, y, i)` of the i-th `(left,
+    right, y)` span, one per side, and of the i-th `(x, y)` point.
+
+    At equal x, lefts come before points before rights, so every span is
+    closed: it is active at each point on its sides.  Then y and the index
+    decide.  Every sweep of the package takes its order from here."""
+    events = [(x, _POINT, y, i) for i, (x, y) in enumerate(points)]
+    for i, (left, right, y) in enumerate(spans):
+        events.append((left, _LEFT, y, i))
+        events.append((right, _RIGHT, y, i))
     events.sort()
+    return events
+
+
+def _max_stab_closed(spans) -> int:
+    """The most closed `(lo, hi, y)` spans that share a coordinate."""
     best = cur = 0
-    for _, end in events:
-        if end:
+    for _, cls, _, _ in sweep_events(spans):
+        if cls == _RIGHT:
             cur -= 1
         else:
             cur += 1
@@ -276,25 +289,21 @@ def ply_rects(rects: Sequence[UnitRect]) -> int:
     """Exact maximum depth of the closed-rectangle arrangement.
 
     The depth of a closed arrangement is attained at a left side, so an
-    x-sweep over the side events, lefts before rights at equal x, that
-    evaluates the active y-spans there is exact.  The active set only
-    grows between two removals, so its y-spans are reduced to a 1-D
-    maximum stabbing count once, just before the first removal after an
-    addition: that set contains the active set at every left side since
-    the previous removal.
+    x-sweep over the side events (`sweep_events`) that evaluates the
+    active y-spans there is exact.  The active set only grows between two
+    removals, so its y-spans are reduced to a 1-D maximum stabbing count
+    once, just before the first removal after an addition: that set
+    contains the active set at every left side since the previous removal.
     """
     boxes = [_sides(r) for r in rects]
-    events = []
-    for i, (left, right, _, _) in enumerate(boxes):
-        events.append((left, 0, i))
-        events.append((right, 1, i))
-    events.sort()
+    ys = [(bottom, top, 0) for _, _, bottom, top in boxes]
     active = {}
     grown = False
     best = 0
-    for _, side, i in events:
-        if side == 0:
-            active[i] = boxes[i][2:]
+    for _, cls, _, i in sweep_events([(left, right, 0)
+                                      for left, right, _, _ in boxes]):
+        if cls == _LEFT:
+            active[i] = ys[i]
             grown = True
             continue
         if grown and len(active) > best:
@@ -307,13 +316,14 @@ def ply_rects(rects: Sequence[UnitRect]) -> int:
 def rects_cover(points, rects: Sequence[UnitRect]) -> list:
     """For each point, whether some closed rectangle of height 1 contains it.
 
-    One x-sweep over the points and the rectangles' sides, lefts before
-    points before rights at equal x, so every rectangle is closed.  An
-    active rectangle contains a point iff its bottom lies in
-    [y - 1, y]; a Fenwick tree counts the active bottoms by rank.
+    One x-sweep over the points and the rectangles' sides (`sweep_events`,
+    no y tie-break needed), so every rectangle is closed.  An active
+    rectangle contains a point iff its bottom lies in [y - 1, y]; a Fenwick
+    tree counts the active bottoms by rank, which it looks up by index.
     """
     bottoms = sorted({r.bottom for r in rects})
     tree = [0] * (len(bottoms) + 1)
+    rank = [bisect_left(bottoms, r.bottom) + 1 for r in rects]
 
     def below(i):  # active bottoms of rank < i
         total = 0
@@ -322,20 +332,17 @@ def rects_cover(points, rects: Sequence[UnitRect]) -> list:
             i &= i - 1
         return total
 
-    events = [(p.x, 1, i) for i, p in enumerate(points)]
-    for r in rects:
-        b = bisect_left(bottoms, r.bottom) + 1
-        events.append((r.left, 0, b))
-        events.append((r.left + r.width, 2, b))
-    events.sort()
+    events = sweep_events([(r.left, r.left + r.width, 0) for r in rects],
+                          [(p.x, 0) for p in points])
     out = [False] * len(points)
-    for _, cls, k in events:
-        if cls == 1:
-            y = points[k].y
-            out[k] = (below(bisect_right(bottoms, y))
+    for _, cls, _, i in events:
+        if cls == _POINT:
+            y = points[i].y
+            out[i] = (below(bisect_right(bottoms, y))
                       > below(bisect_left(bottoms, y - 1)))
             continue
-        step = 1 if cls == 0 else -1
+        step = 1 if cls == _LEFT else -1
+        k = rank[i]
         while k < len(tree):
             tree[k] += step
             k += k & -k

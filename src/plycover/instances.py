@@ -23,6 +23,7 @@ import json
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 from operator import floordiv, lt, mul
 from typing import Optional
@@ -147,9 +148,13 @@ def _finite_point(x, y) -> Point:
 def rational_pair(v) -> tuple:
     """The exact (num, den) int pair of a record value: lowest terms, den > 0.
 
-    Accepts and refuses exactly what `Fraction(v)` does.  Plain ASCII "p/q"
-    and "p" strings (digits, a leading "-" on p, q not zero) are split and
-    read with `int`; every other value goes through `Fraction`.
+    Accepts and refuses exactly what `Fraction(v)` does, but refuses a
+    decimal exponent larger in magnitude than `sys.get_int_max_str_digits()`
+    (when nonzero), the limit `int` puts on a digit string: `Fraction`
+    would compute 10 ** exponent, which for "1e100000000" takes minutes.
+    Plain ASCII "p/q" and "p" strings (digits, a leading "-" on p, q not
+    zero) are split and read with `int`; every other value goes through
+    `Fraction`.
     """
     if type(v) is str and v.isascii():
         num, slash, den = v.partition("/")
@@ -161,6 +166,16 @@ def rational_pair(v) -> tuple:
                 if den:
                     g = math.gcd(num, den)
                     return (num, den) if g == 1 else (num // g, den // g)
+    if type(v) is str:
+        _, e, exp = v.replace("E", "e").rpartition("e")
+        limit = sys.get_int_max_str_digits()
+        try:
+            big = e and limit and abs(int(exp)) > limit
+        except ValueError:  # no exponent that Fraction would take
+            big = False
+        if big:
+            raise ValueError("decimal exponent beyond %d in magnitude"
+                             % limit)
     return Fraction(v).as_integer_ratio()
 
 

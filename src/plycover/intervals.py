@@ -27,9 +27,9 @@ denominators, which keeps sums exact.  A solve from a file therefore makes
 no `Fraction` between the file and the objective, Fraction(best, W), that
 `solve_intervals` returns.
 
-The per-vertex loops call no Python-level wrapper: `build_dag` makes each
-`DagVertex` with `tuple.__new__`, passing all five fields, and
-`bottleneck_path` reads the weights from one flat list and needs no
+Every sweep here takes its events and their order from
+`geom.sweep_events`.  A DAG vertex is a plain `(kind, strip, q, r, weight)`
+tuple; `bottleneck_path` reads the weights from one flat list and needs no
 tie-break (see its docstring).
 
 Memory: each of the m scaled weights has about as many bits as W, and W
@@ -44,13 +44,14 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from itertools import accumulate
+from typing import Optional, Sequence
 
 from .errors import Infeasible
-from .geom import EventClass, WeightedInterval, as_x, line_pairs, pair_ranks
+from .geom import (EventClass, WeightedInterval, as_x, line_pairs, pair_ranks,
+                   sweep_events)
 from .slabs import CoverSolution
 
 MODES = ("mmsc", "mpc")
@@ -107,36 +108,23 @@ def prepare_instance(points, intervals) -> PreparedIntervals:
             best[key] = i
     keep = sorted(best.values())
 
-    events = []
-    for q, i in enumerate(keep):
-        events.append((los[i], _LEFT, 0, q))
-        events.append((his[i], _RIGHT, 0, q))
-    events.sort()
+    events, has_point = [], [False]
     right_pos = [0] * len(keep)
-    for pos, (_, cls, _, q) in enumerate(events):
+    for ev in sweep_events([(los[i], his[i], 0) for i in keep],
+                           [(x, 0) for x in xs]):
+        _, cls, _, q = ev
+        if cls == _POINT:
+            has_point[-1] = True
+            continue
         if cls == _RIGHT:
-            right_pos[q] = pos
-
-    has_point = [False] * (len(events) + 1)
-    for x in xs:
-        has_point[bisect_left(events, (x, _POINT, 0))] = True
+            right_pos[q] = len(events)
+        events.append(ev)
+        has_point.append(False)
     return PreparedIntervals(keep, events, right_pos, [ws[i] for i in keep],
                              w_scale, has_point)
 
 
-class DagVertex(NamedTuple):
-    kind: int             # V0 / V1 / V2
-    strip: int            # entry strip
-    q: int = -1
-    r: int = -1
-    weight: int = 0       # times PreparedIntervals.weight_scale
-
-
-_weight = operator.itemgetter(4)   # DagVertex.weight
-
-# DagVertex(kind, strip, q, r, weight) without the generated Python
-# __new__, for the build loop; every field is passed
-_new = tuple.__new__
+_weight = operator.itemgetter(4)   # a vertex's weight
 
 
 @dataclass
@@ -152,7 +140,9 @@ class IntervalDag:
 def build_dag(prep: PreparedIntervals, mode: str = "mmsc") -> IntervalDag:
     """Vertex-weighted strip graph whose bottleneck path is an optimum.
 
-    Vertex weights are ints: the real weight times `prep.weight_scale`."""
+    A vertex is a `(kind, strip, q, r, weight)` tuple: its kind V0, V1 or
+    V2, its entry strip, its intervals (-1 where it has none) and its
+    weight, an int: the real weight times `prep.weight_scale`."""
     if mode not in MODES:
         raise ValueError("mode must be one of %r" % (MODES,))
     mpc = mode == "mpc"
@@ -162,12 +152,10 @@ def build_dag(prep: PreparedIntervals, mode: str = "mmsc") -> IntervalDag:
     k = len(events)
 
     has_point = prep.has_point
-    pref = [0] * (k + 2)
-    for i in range(k + 1):
-        pref[i + 1] = pref[i] + has_point[i]
+    pref = [0, *accumulate(has_point)]  # strips before i holding a point
 
     # vertex i is vertices[i] with out-edges adj[i]; both grow together
-    vertices: list[DagVertex] = []
+    vertices: list[tuple] = []
     adj: list[list[int]] = []
     add_vertex = vertices.append
     add_adj = adj.append
@@ -176,7 +164,7 @@ def build_dag(prep: PreparedIntervals, mode: str = "mmsc") -> IntervalDag:
     source = None
     if not has_point[0]:
         source = 0
-        add_vertex(_new(DagVertex, (V0, 0, -1, -1, 0)))
+        add_vertex((V0, 0, -1, -1, 0))
         add_adj([])
     prev_v0 = source
     prev_v1: dict[int, int] = {}
@@ -195,14 +183,13 @@ def build_dag(prep: PreparedIntervals, mode: str = "mmsc") -> IntervalDag:
         cur_v0 = None
         if not has_point[i2]:
             cur_v0 = len(vertices)
-            add_vertex(_new(DagVertex, (V0, i2, -1, -1, 0)))
+            add_vertex((V0, i2, -1, -1, 0))
             add_adj([])
         weighted = mpc or has_point[i2]
         cur_v1 = {}
         for q in active:
             cur_v1[q] = len(vertices)
-            add_vertex(_new(DagVertex,
-                            (V1, i2, q, -1, wt[q] if weighted else 0)))
+            add_vertex((V1, i2, q, -1, wt[q] if weighted else 0))
             add_adj([])
         created_v2 = {}
         if is_left:
@@ -218,7 +205,7 @@ def build_dag(prep: PreparedIntervals, mode: str = "mmsc") -> IntervalDag:
                     else:
                         w = 0
                     vid = len(vertices)
-                    add_vertex(_new(DagVertex, (V2, i2, q, q0, w)))
+                    add_vertex((V2, i2, q, q0, w))
                     add_adj([])
                     created_v2[q] = vid
                     pending_v2.setdefault(q, []).append((vid, q0))
@@ -303,12 +290,11 @@ def solve_intervals(points, intervals, mode: str = "mmsc") -> CoverSolution:
     path, value = res
     chosen = set()
     for vi in path:
-        v = dag.vertices[vi]
-        if v.kind == V1:
-            chosen.add(v.q)
-        elif v.kind == V2:
-            chosen.add(v.q)
-            chosen.add(v.r)
+        kind, _, q, r, _ = dag.vertices[vi]
+        if kind != V0:
+            chosen.add(q)
+            if kind == V2:
+                chosen.add(r)
     return CoverSolution(sorted(prep.orig_idx[q] for q in chosen),
                          Fraction(value, prep.weight_scale))
 
@@ -318,20 +304,15 @@ def chosen_loads(points, chosen: Sequence[WeightedInterval]):
     chosen intervals containing it and their weight sum times W, the lcm of
     the weight denominators.
 
-    One sort of the points with the chosen endpoints: at equal
-    coordinates left endpoints come first and right endpoints last, so
-    every interval is closed.
+    One sweep over the points and the chosen endpoints (`sweep_events`),
+    so every interval is closed.
     """
     ws, w_scale = _scaled([s.weight.as_integer_ratio() for s in chosen])
-    events = [(as_x(p), _POINT, i) for i, p in enumerate(points)]
-    for j, s in enumerate(chosen):
-        events.append((s.lo, _LEFT, j))
-        events.append((s.hi, _RIGHT, j))
-    events.sort()
     counts = [0] * len(points)
     loads = [0] * len(points)
     count = load = 0
-    for _, cls, k in events:
+    for _, cls, _, k in sweep_events([(s.lo, s.hi, 0) for s in chosen],
+                                     [(as_x(p), 0) for p in points]):
         if cls == _LEFT:
             count += 1
             load += ws[k]
@@ -361,15 +342,10 @@ def evaluate_objective(points, chosen: Sequence[WeightedInterval],
 
 def count_overlapping_pairs(intervals) -> int:
     """Number of closed-overlap pairs (edges of the interval graph)."""
-    events = []
-    for i, s in enumerate(intervals):
-        events.append((s.lo, EventClass.LEFT_SIDE, 0, i))
-        events.append((s.hi, EventClass.RIGHT_SIDE, 0, i))
-    events.sort()
     active = 0
     total = 0
-    for _, cls, _, _ in events:
-        if cls == EventClass.LEFT_SIDE:
+    for _, cls, _, _ in sweep_events([(s.lo, s.hi, 0) for s in intervals]):
+        if cls == _LEFT:
             total += active
             active += 1
         else:

@@ -7,9 +7,9 @@ members are the chosen objects crossing that strip, held as an int bitmask
 keeps the members, drops the object whose right side sits on the boundary,
 or adds the object whose left side does.
 
-`build_problem` sorts the side events of the objects' x-spans, which each
-object kind states once (`rects.rect_spans`, `disks.disk_spans`), and
-makes one sweep over them.  It gives every strip point its cover mask, the
+`build_problem` makes one sweep (`geom.sweep_events`) over the points and
+the x-spans that each object kind states once (`rects.rect_spans`,
+`disks.disk_spans`).  It gives every strip point its cover mask, the
 objects crossing its strip that contain it, and every object its meet
 mask, the objects active with it that may meet it.  A state then covers
 its strip iff it meets each cover mask of the strip.  Event i's step
@@ -49,18 +49,10 @@ when ell > 1 and at least ell members meet the entering object.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
-from .geom import EventClass
-
-
-class SideEvent(NamedTuple):
-    x: object
-    cls: int
-    y: object
-    obj: int
+from .geom import EventClass, sweep_events
 
 
 def bits(mask: int) -> list:
@@ -95,7 +87,7 @@ class PlyCache:
 
 @dataclass
 class StripProblem:
-    events: list                 # sorted SideEvents; k of them
+    events: list                 # side events of `sweep_events`; k of them
     steps: list                  # per event, (left, bit, obj, rest, held)
     meets: list                  # per object, the mask of objects it may meet
     shares: Optional[Callable]   # (a, b, c) share a point; None: rects
@@ -109,66 +101,46 @@ class StripProblem:
         return replace(self, ell=ell, cap=self.factor * ell)
 
 
-def side_events(spans) -> list[SideEvent]:
-    """One event per side of each object's `(left, right, y)` span, in
-    sweep order `(x, EventClass, y, obj)`: lefts before points before
-    rights at equal x, then by y and index."""
-    events = []
-    for i, (left, right, y) in enumerate(spans):
-        events.append(SideEvent(left, EventClass.LEFT_SIDE, y, i))
-        events.append(SideEvent(right, EventClass.RIGHT_SIDE, y, i))
-    events.sort()
-    return events
-
-
 def build_problem(points, objects, spans, meets, shares,
                   factor) -> StripProblem:
-    """One sweep over the side events of the objects' `(left, right, y)`
-    spans: `objects[o].contains(p)` gives each strip point its cover mask
-    over the objects crossing its strip, which the step of the event
-    before the strip splits by its bit, and `meets(o, q)` gives each
-    object the mask of the objects active with it that it may meet.  The
-    problem is at ell = 1; `StripProblem.at` sets a budget, and the
-    per-strip cap is `factor * ell`."""
-    events = side_events(spans)
-    strip_points = [[] for _ in range(len(events) + 1)]
-    for p in points:  # strip i lies between events i - 1 and i
-        i = bisect_left(events, (p.x, EventClass.INPUT_POINT, p.y))
-        strip_points[i].append(p)
+    """One sweep (`geom.sweep_events`) over the points and the sides of
+    the objects' `(left, right, y)` spans: `objects[o].contains(p)` gives
+    each strip point its cover mask over the objects crossing its strip,
+    which the step of the event before the strip splits by its bit, and
+    `meets(o, q)` gives each object the mask of the objects active with it
+    that it may meet.  The problem is at ell = 1; `StripProblem.at` sets a
+    budget, and the per-strip cap is `factor * ell`."""
     meet = [0] * len(objects)
-    steps = []
+    events, steps, active = [], [], []
     uncovered = None
-    active = []
-    for i, pts in enumerate(strip_points):
-        masks = set()
-        for p in pts:
-            m = 0
+    bit, rest, held, seen = 0, [], [], set()  # strip 0 follows no event
+    for ev in sweep_events(spans, [(p.x, p.y) for p in points]):
+        _, cls, _, i = ev
+        if cls == EventClass.INPUT_POINT:
+            p, m = points[i], 0
             for o in active:
                 if objects[o].contains(p):
                     m |= 1 << o
             if not m and uncovered is None:
                 uncovered = p
-            masks.add(m)
-        if i:  # event i - 1 leads into this strip
-            rest, held = [], []
-            for c in masks:
-                (held if c & bit else rest).append(c)
-            steps.append((left, bit, q, rest, held))
-        if i == len(events):
-            break
-        ev = events[i]
-        q, bit = ev.obj, 1 << ev.obj
-        left = ev.cls == EventClass.LEFT_SIDE
+            if m not in seen:
+                seen.add(m)
+                (held if m & bit else rest).append(m)
+            continue
+        events.append(ev)
+        bit, rest, held, seen = 1 << i, [], [], set()
+        left = cls == EventClass.LEFT_SIDE
+        steps.append((left, bit, i, rest, held))  # filled by the next strip
         if left:
             m = 0
             for o in active:
-                if meets(o, q):
+                if meets(o, i):
                     m |= 1 << o
                     meet[o] |= bit
-            meet[q] = m
-            active.append(q)
+            meet[i] = m
+            active.append(i)
         else:
-            active.remove(q)
+            active.remove(i)
     return StripProblem(events, steps, meet, shares, factor, uncovered, 1,
                         factor)
 

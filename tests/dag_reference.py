@@ -1,8 +1,9 @@
 """Tests-only bottleneck DP over an `intervals.IntervalDag`.
 
 This is the loop that `intervals.bottleneck_path` replaced: it reads each
-weight through its `DagVertex`, and a tie goes to the predecessor with the
-smaller sort id (strip, kind, q, r), compared explicitly.  The
+weight from its `(kind, strip, q, r, weight)` vertex tuple, and a tie goes
+to the predecessor with the smaller sort id (strip, kind, q, r), compared
+explicitly.  The
 differential tests require the production DP, which keeps the first
 predecessor in creation order, to return the same path and value.
 """
@@ -18,19 +19,19 @@ def bottleneck_path(dag):
     n = len(vertices)
 
     def sort_id(i):
-        v = vertices[i]
-        return (v.strip, v.kind, v.q, v.r)
+        kind, strip, q, r, _ = vertices[i]
+        return (strip, kind, q, r)
 
     best = [None] * n
     pred = [-1] * n
-    best[dag.source] = vertices[dag.source].weight
+    best[dag.source] = vertices[dag.source][4]
     for u, nbrs in enumerate(dag.adj):
         bu = best[u]
         if bu is None:
             continue
         uid = sort_id(u)
         for v in nbrs:
-            w = vertices[v].weight
+            w = vertices[v][4]
             cand = bu if bu >= w else w
             bv = best[v]
             if bv is None or cand < bv or (

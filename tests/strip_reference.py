@@ -6,9 +6,9 @@ tuples, unions merged as tuples and compared with tuple `<`, coverage
 tested point by point with the objects' `contains`, and ply through a
 tuple-keyed cache over the `geom` ply functions.  The 3-color search is
 its own loop over triples of class tuples.  The side events are built here
-too, in the documented sweep order `(x, EventClass, y, obj)`.  The
-differential tests require the production engine to return exactly what
-these return, and to cut the same strips.
+too, as plain tuples in the documented sweep order `(x, EventClass, y,
+obj)`.  The differential tests require the production engine to return
+exactly what these return, and to cut the same strips.
 
 Each state carries its decision path, a tuple of per-boundary ranks, and
 keeps the union of the least path that reaches it.  In the ply search the
@@ -27,19 +27,12 @@ from typing import Callable, NamedTuple
 from plycover.geom import EventClass, disks_disjoint, ply_disks, ply_rects
 
 
-class Event(NamedTuple):
-    x: object
-    cls: int
-    y: object
-    obj: int
-
-
 def _events(sides) -> list:
     # the documented sweep order (x, EventClass, y, obj): lefts before
     # points before rights at equal x
     return sorted(e for i, (left, right, y) in enumerate(sides)
-                  for e in (Event(left, EventClass.LEFT_SIDE, y, i),
-                            Event(right, EventClass.RIGHT_SIDE, y, i)))
+                  for e in ((left, EventClass.LEFT_SIDE, y, i),
+                            (right, EventClass.RIGHT_SIDE, y, i)))
 
 
 def rect_events(rects) -> list:
@@ -118,10 +111,9 @@ def _covers_all(problem, members, pts) -> bool:
 
 def successors(problem: StripProblem, state: StripState) -> list:
     """(successor state, rank) pairs; the rank is 1 iff q is added."""
-    ev = problem.events[state.strip]
-    q = ev.obj
+    _, cls, _, q = problem.events[state.strip]
     members = state.members
-    if ev.cls == EventClass.LEFT_SIDE:
+    if cls == EventClass.LEFT_SIDE:
         cands = [(members, False)]
         if len(members) < problem.cap:
             cands.append((merge_member(members, q), True))
@@ -215,9 +207,8 @@ def solve_slab_3color(points, disks):
         return _EMPTY
     # canonical classes -> (least path, unions)
     states = {_EMPTY: ((), _EMPTY)}
-    for b, ev in enumerate(events):
-        q = ev.obj
-        is_left = ev.cls == EventClass.LEFT_SIDE
+    for b, (_, side, _, q) in enumerate(events):
+        is_left = side == EventClass.LEFT_SIDE
         pts = strip_points[b + 1]
         nxt = {}
         for classes in sorted(states):

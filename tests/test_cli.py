@@ -1,6 +1,9 @@
 import gc
 import json
 import random
+import signal
+import sys
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +16,21 @@ from plycover.geom import (Point, UnitDisk, UnitRect, WeightedInterval,
                            disks_cover, disks_disjoint,
                            disks_pairwise_disjoint, ply_disks)
 from plycover.instances import Instance, generate, load, save
+
+
+@contextmanager
+def _alarm(seconds):
+    """Fail the test with an error if its body runs past `seconds`."""
+    def expired(signum, frame):
+        raise TimeoutError("still running after %d s" % seconds)
+
+    old = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def _fig_instance():
@@ -96,6 +114,46 @@ class TestSolveCheck:
         assert main(["check", "--in", str(inst), "--solution", str(sol)]) == 1
         assert "mismatch" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("value", ["1e100000000", "-1e-100000000",
+                                       "1.5E+99999999"])
+    def test_huge_decimal_exponents_are_refused_at_once(self, tmp_path,
+                                                        capsys, value):
+        # Fraction would compute 10 ** exponent for minutes; the loader and
+        # `check` refuse an exponent past int()'s digit limit instead
+        inst, sol = tmp_path / "inst.jsonl", tmp_path / "sol.json"
+        records = {"rects": '{"p":["1/2","1/2"]}\n{"r":["0","%s","1"]}',
+                   "intervals": '{"p":["1/2"]}\n{"i":["%s","1","1"]}'}
+        with _alarm(10):
+            for kind, body in records.items():
+                inst.write_text('{"kind":"%s"}\n%s\n' % (kind, body % value))
+                capsys.readouterr()
+                assert main(["solve", "--kind", kind, "--in", str(inst),
+                             "--out", str(sol)]) == 1
+                tag = "r" if kind == "rects" else "i"
+                assert capsys.readouterr().err == (
+                    "error: line 3: bad %r record: decimal exponent beyond "
+                    "%d in magnitude\n" % (tag, sys.get_int_max_str_digits()))
+            save(_fig_instance(), inst)
+            sol.write_text('{"kind":"intervals","chosen":[0,2,3],'
+                           '"objective":"%s"}' % value)
+            assert main(["check", "--in", str(inst),
+                         "--solution", str(sol)]) == 1
+            assert capsys.readouterr().err.startswith("usage error:")
+
+    def test_exponents_within_the_limit_load_exactly(self, tmp_path, capsys):
+        inst, sol = tmp_path / "inst.jsonl", tmp_path / "sol.json"
+        inst.write_text('{"kind":"rects"}\n{"p":["1e300","2e-3"]}\n'
+                        '{"r":["1e300","0","1"]}\n')
+        assert load(inst).points == [Point(F(10) ** 300, F(1, 500))]
+        assert main(["solve", "--kind", "rects", "--in", str(inst),
+                     "--out", str(sol)]) == 0
+        save(_fig_instance(), inst)
+        sol.write_text('{"kind":"intervals","chosen":[0,2,3],'
+                       '"objective":"0.03e2"}')
+        capsys.readouterr()
+        assert main(["check", "--in", str(inst), "--solution", str(sol)]) == 0
+        assert capsys.readouterr().out == "ok: 3 objects, objective 0.03e2\n"
 
     @pytest.mark.parametrize("body", [
         '[1]', '"x"', '{"kind":"intervals","chosen":[0,2,3]}',

@@ -4,11 +4,11 @@ import random
 from conftest import covers, forced_pair_disks
 
 from plycover.disks import dedupe_disks, disk_spans, solve_slab_disks
-from plycover.geom import EventClass, Point, UnitDisk, ply_disks
+from plycover.geom import (EventClass, Point, UnitDisk, ply_disks,
+                           sweep_events)
 from plycover.instances import generate
 from plycover.oracle import exact_min_ply
 from plycover.slabs import assign_slabs, solve_mpc
-from plycover.stripdag import side_events
 from plycover.tricolor import solve_3color
 
 EIGHT_POINTS = [(sx * 0.25, sy) for sx in (-1, 1)
@@ -30,8 +30,8 @@ class TestTies:
         dks = [UnitDisk(Point(1.0, 0.0)), UnitDisk(Point(1.0, 2.5))]
         pts = [Point(1.0, 0.0), Point(1.0, 2.5), Point(0.5, 0.0),
                Point(1.5, 2.5)]
-        events = side_events(disk_spans(dks))
-        assert [(e.cls, e.obj) for e in events] == [
+        events = sweep_events(disk_spans(dks))
+        assert [(e[1], e[3]) for e in events] == [
             (EventClass.LEFT_SIDE, 0), (EventClass.LEFT_SIDE, 1),
             (EventClass.RIGHT_SIDE, 0), (EventClass.RIGHT_SIDE, 1)]
         sol = solve_mpc(pts, dks, "disks")
@@ -81,10 +81,10 @@ class TestSolveSlab:
             for slab in slabs:
                 objs = [inst.objects[i] for i in slab.objects]
                 opt, wit = exact_min_ply(slab.points, objs, "disks")
-                events = side_events(disk_spans(objs))
+                events = sweep_events(disk_spans(objs))
                 left, right = {}, {}
                 for pos, e in enumerate(events):
-                    (left if e.cls == EventClass.LEFT_SIDE else right)[e.obj] = pos
+                    (left if e[1] == EventClass.LEFT_SIDE else right)[e[3]] = pos
                 for i in range(len(events) + 1):
                     count = sum(1 for o in wit if left[o] < i <= right[o])
                     assert count <= 8 * opt

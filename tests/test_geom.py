@@ -10,11 +10,11 @@ import depth_reference
 from conftest import depth_at, nudged
 from depth_reference import grid_depth_disks
 
-from plycover.geom import (Point, UnitDisk, UnitRect, WeightedInterval,
-                           disks_cover, disks_disjoint, disks_share_point,
-                           ply_disks, ply_rects, rects_cover)
+from plycover.geom import (EventClass, Point, UnitDisk, UnitRect,
+                           WeightedInterval, disks_cover, disks_disjoint,
+                           disks_share_point, ply_disks, ply_rects,
+                           rects_cover, sweep_events)
 from plycover.intervals import chosen_loads
-from plycover.stripdag import SideEvent
 
 
 def sq(left, bottom):
@@ -175,6 +175,10 @@ class TestRectsCover:
             points += [Point(int(p.x), float(p.y)) for p in points[:2]]
             want = [any(r.contains(p) for r in rects) for p in points]
             assert rects_cover(points, rects) == want, seed
+            # closed boxes are deepest at some (left, bottom) corner pair
+            assert ply_rects(rects) == max(
+                (depth_at(Point(a.left, b.bottom), rects)
+                 for a in rects for b in rects), default=0), seed
 
     def test_abutting_squares(self):
         rects = [sq(0, 0), sq(1, 0), sq(0, 1)]
@@ -296,26 +300,38 @@ class TestShareFilter:
         assert answers == {True, False}
 
 
-class TestSideEvent:
-    keys = st.tuples(st.integers(-4, 4), st.integers(0, 2), st.integers(-4, 4),
-                     st.integers(0, 2))
+_L, _P, _R = (EventClass.LEFT_SIDE, EventClass.INPUT_POINT,
+              EventClass.RIGHT_SIDE)
+
+
+class TestSweepEvents:
+    coords = st.integers(-4, 4)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(keys, min_size=2, max_size=6))
-    def test_strict_total_order(self, raw):
-        ks = [SideEvent(F(x), c, F(y), o) for x, c, y, o in raw]
-        for a in ks:
-            for b in ks:
-                assert (a < b) + (b < a) + (a == b) == 1
-                for c in ks:
-                    if a < b and b < c:
-                        assert a < c
+    @given(st.lists(st.tuples(coords, st.integers(0, 3), coords), max_size=5),
+           st.lists(st.tuples(coords, coords), max_size=5))
+    def test_one_event_per_side_and_point_in_sweep_order(self, spans, points):
+        spans = [(F(a), F(a + w), F(y)) for a, w, y in spans]
+        points = [(F(x), F(y)) for x, y in points]
+        events = sweep_events(spans, points)
+        want = ([(left, _L, y, i) for i, (left, _, y) in enumerate(spans)]
+                + [(right, _R, y, i) for i, (_, right, y) in enumerate(spans)]
+                + [(x, _P, y, j) for j, (x, y) in enumerate(points)])
+        assert sorted(events) == sorted(want)
+        assert all(type(e) is tuple for e in events)
+        # at equal x lefts, then points, then rights; then y, then index
+        rank = {_L: 0, _P: 1, _R: 2}
+        keys = [(x, rank[cls], y, i) for x, cls, y, i in events]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
-    def test_side_ordering_at_equal_x(self):
-        left = SideEvent(F(1), 0, F(0), 2)
-        point = SideEvent(F(1), 1, F(-9), 1)
-        right = SideEvent(F(1), 2, F(-9), 0)
-        assert left < point < right
+    def test_lefts_points_rights_at_equal_x_then_y_then_index(self):
+        # at x = 1 a right side low, points between, left sides high
+        spans = [(F(0), F(1), F(-9)), (F(1), F(2), F(5)), (F(1), F(3), F(5))]
+        points = [(F(1), F(0)), (F(1), F(-1)), (F(1), F(-1))]
+        assert [(cls, i) for _, cls, _, i in sweep_events(spans, points)] == [
+            (_L, 0), (_L, 1), (_L, 2), (_P, 1), (_P, 2), (_P, 0), (_R, 0),
+            (_R, 1), (_R, 2)]
+        assert sweep_events([]) == []
 
 
 def test_invariants_validation():

@@ -12,7 +12,7 @@ from plycover.errors import Infeasible
 from plycover.geom import (Point, WeightedInterval, as_x, line_pairs,
                            pair_ranks)
 from plycover.instances import Instance, dumps, generate, loads
-from plycover.intervals import (V0, V1, V2, DagVertex, IntervalDag,
+from plycover.intervals import (V0, V1, V2, IntervalDag,
                                 bottleneck_path, build_dag, chosen_loads,
                                 count_overlapping_pairs, evaluate_objective,
                                 prepare_instance, solve_intervals)
@@ -109,28 +109,28 @@ class TestBuildDag:
         dag = build_dag(prep, "mmsc")
         path, value = bottleneck_path(dag)
         assert value == 5
-        kinds = [dag.vertices[i].kind for i in path]
+        kinds = [dag.vertices[i][0] for i in path]
         assert kinds == [0, 1, 0]
 
     def test_disjoint_intervals_have_no_pair_vertices(self):
         prep = prepare_instance([], [iv(0, 1), iv(2, 3)])
         dag = build_dag(prep, "mmsc")
-        assert all(v.kind != V2 for v in dag.vertices)
+        assert all(v[0] != V2 for v in dag.vertices)
         assert dag.n_overlaps == 0
 
     def test_fixture_pair_vertex_weight_three(self):
         points, intervals = greedy_trap_instance()
         dag = build_dag(prepare_instance(points, intervals), "mmsc")
-        pairs = [v for v in dag.vertices if v.kind == V2 and v.q == 0 and v.r == 2]
+        pairs = [v for v in dag.vertices if v[0] == V2 and v[2:4] == (0, 2)]
         assert len(pairs) == 1
-        assert pairs[0].weight == 3
+        assert pairs[0][4] == 3
 
     def test_mpc_weights_apply_without_points(self):
         prep = prepare_instance([], [iv(0, 2, 4), iv(1, 3, 6)])
         mmsc = build_dag(prep, "mmsc")
         mpc = build_dag(prep, "mpc")
-        assert all(v.weight == 0 for v in mmsc.vertices)
-        assert max(v.weight for v in mpc.vertices) == 10
+        assert all(v[4] == 0 for v in mmsc.vertices)
+        assert max(v[4] for v in mpc.vertices) == 10
 
     def test_vertex_weights_are_scaled_by_weight_scale(self):
         ivs = [iv(0, 2, F(1, 3)), iv(1, 3, F(2, 7)), iv(2, 5, F(2, 5)),
@@ -140,14 +140,14 @@ class TestBuildDag:
         for mode in ("mmsc", "mpc"):
             dag = build_dag(prep, mode)
             seen = set()
-            for v in dag.vertices:
-                real = F(v.weight, prep.weight_scale)
-                if v.kind == V2 and v.weight:
-                    assert real == ivs[v.q].weight + ivs[v.r].weight
-                    seen.add(v.kind)
-                elif v.weight:
-                    assert real == ivs[v.q].weight
-                    seen.add(v.kind)
+            for kind, _, q, r, weight in dag.vertices:
+                real = F(weight, prep.weight_scale)
+                if kind == V2 and weight:
+                    assert real == ivs[q].weight + ivs[r].weight
+                    seen.add(kind)
+                elif weight:
+                    assert real == ivs[q].weight
+                    seen.add(kind)
             assert seen == {1, 2}
             _, value = bottleneck_path(dag)
             assert F(value, prep.weight_scale) == \
@@ -171,7 +171,7 @@ class TestBuildDag:
 
 
 def _chain_dag(weights):
-    vertices = [DagVertex(0, i, weight=F(w)) for i, w in enumerate(weights)]
+    vertices = [(V0, i, -1, -1, F(w)) for i, w in enumerate(weights)]
     adj = [[i + 1] for i in range(len(weights) - 1)] + [[]]
     return IntervalDag(vertices, adj, 0, len(weights) - 1, 0, 0)
 
@@ -180,14 +180,14 @@ def _enumerate_paths(dag):
     out = []
 
     def walk(u, acc):
-        acc = max(acc, dag.vertices[u].weight)
+        acc = max(acc, dag.vertices[u][4])
         if u == dag.sink:
             out.append(acc)
             return
         for v in dag.adj[u]:
             walk(v, acc)
 
-    walk(dag.source, dag.vertices[dag.source].weight)
+    walk(dag.source, dag.vertices[dag.source][4])
     return out
 
 
@@ -196,7 +196,7 @@ class TestBottleneck:
         assert bottleneck_path(_chain_dag([0, 5, 0]))[1] == 5
 
     def test_parallel_chains(self):
-        vertices = [DagVertex(0, i, weight=F(w))
+        vertices = [(V0, i, -1, -1, F(w))
                     for i, w in enumerate([0, 3, 4, 0])]
         adj = [[1, 2], [3], [3], []]
         dag = IntervalDag(vertices, adj, 0, 3, 0, 0)
@@ -205,7 +205,7 @@ class TestBottleneck:
         assert path == [0, 1, 3]
 
     def test_unreachable_sink(self):
-        vertices = [DagVertex(0, 0), DagVertex(0, 1)]
+        vertices = [(V0, 0, -1, -1, 0), (V0, 1, -1, -1, 0)]
         dag = IntervalDag(vertices, [[], []], 0, 1, 0, 0)
         assert bottleneck_path(dag) is None
 
@@ -213,7 +213,7 @@ class TestBottleneck:
         for seed in range(60):
             rng = random.Random(seed)
             n = rng.randint(2, 12)
-            vertices = [DagVertex(0, i, weight=F(rng.randint(0, 9)))
+            vertices = [(V0, i, -1, -1, F(rng.randint(0, 9)))
                         for i in range(n)]
             adj = [[] for _ in range(n)]
             for i in range(n - 1):
@@ -253,19 +253,20 @@ class TestAgainstReferenceDp:
             solved += want is not None
         assert solved > 100
 
-    def test_vertices_are_the_constructors(self):
-        # build_dag makes its vertices with tuple.__new__; each must be the
-        # DagVertex its constructor gives, unused fields at their defaults
-        assert DagVertex(V0, 3) == (V0, 3, -1, -1, 0)
+    def test_vertices_are_plain_tuples(self):
+        # a vertex is a plain (kind, strip, q, r, weight) tuple, with -1
+        # for the intervals it does not have and weight 0 on a V0
         for _, dag in _seeded_dags():
             for v in dag.vertices:
-                assert type(v) is DagVertex
-                if v.kind == V0:
-                    assert v == DagVertex(V0, v.strip)
-                elif v.kind == V1:
-                    assert v == DagVertex(V1, v.strip, v.q, weight=v.weight)
+                assert type(v) is tuple and len(v) == 5
+                kind, strip, q, r, weight = v
+                assert kind in (V0, V1, V2) and 0 <= strip
+                if kind == V0:
+                    assert (q, r, weight) == (-1, -1, 0)
+                elif kind == V1:
+                    assert q >= 0 and r == -1
                 else:
-                    assert v == DagVertex(V2, v.strip, v.q, v.r, v.weight)
+                    assert q >= 0 and r >= 0 and q != r
 
 
 class TestAnyInputOrder:
@@ -389,6 +390,9 @@ class TestSolve:
                             for x in xs), default=0)
                 got = evaluate_objective(pts, ivs, mode)
                 assert got == want and type(got) is F, (seed, mode)
+            assert count_overlapping_pairs(ivs) == sum(
+                a.lo <= b.hi and b.lo <= a.hi
+                for i, a in enumerate(ivs) for b in ivs[i + 1:]), seed
 
     def test_many_coprime_weight_denominators(self):
         # 300 distinct prime weight denominators: W has about 5000 bits

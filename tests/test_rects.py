@@ -7,12 +7,12 @@ from conftest import covers, forced_pair_rects
 
 from plycover.errors import BudgetExceeded, Infeasible
 from plycover.geom import (EventClass, Point, UnitRect, ply_rects,
-                           rect_pairs)
+                           rect_pairs, sweep_events)
 from plycover.instances import Instance, dumps, generate, loads
 from plycover.oracle import exact_min_ply
 from plycover.rects import rect_slab_problem, rect_spans, solve_slab_rects
 from plycover.slabs import assign_slabs, solve_mpc
-from plycover.stripdag import StripState, side_events, successors
+from plycover.stripdag import StripState, successors
 
 
 def sq(left, bottom):
@@ -21,17 +21,17 @@ def sq(left, bottom):
 
 class TestStrips:
     def test_one_square_three_strips(self):
-        assert len(side_events(rect_spans([sq(0, 0)]))) + 1 == 3
+        assert len(sweep_events(rect_spans([sq(0, 0)]))) + 1 == 3
 
     def test_two_disjoint_squares_five_strips(self):
-        assert len(side_events(rect_spans([sq(0, 0), sq(3, 0)]))) + 1 == 5
+        assert len(sweep_events(rect_spans([sq(0, 0), sq(3, 0)]))) + 1 == 5
 
     def test_shared_left_x_breaks_ties_by_y(self):
-        ev = side_events(rect_spans([sq(0, 0), UnitRect(F(0), F(3, 2))]))
+        ev = sweep_events(rect_spans([sq(0, 0), UnitRect(F(0), F(3, 2))]))
         assert len(ev) + 1 == 5
-        assert [e.cls for e in ev] == [EventClass.LEFT_SIDE, EventClass.LEFT_SIDE,
-                                       EventClass.RIGHT_SIDE, EventClass.RIGHT_SIDE]
-        assert ev[0].y < ev[1].y and ev[2].y < ev[3].y
+        assert [e[1] for e in ev] == [EventClass.LEFT_SIDE, EventClass.LEFT_SIDE,
+                                      EventClass.RIGHT_SIDE, EventClass.RIGHT_SIDE]
+        assert ev[0][2] < ev[1][2] and ev[2][2] < ev[3][2]
 
 
 class TestSuccessors:
@@ -55,7 +55,7 @@ class TestSuccessors:
         r2 = UnitRect(F(1, 2), F(0))
         prob = rect_slab_problem([], [sq(0, 0), r2])
         ev = prob.events
-        assert ev[1].obj == 1 and ev[1].cls == EventClass.LEFT_SIDE
+        assert ev[1][3] == 1 and ev[1][1] == EventClass.LEFT_SIDE
         out = successors(prob, StripState(1, 0b1, 0b1))
         assert [s.members for s in out] == [(0,)]  # {0,1} exceeds ply 1
 
@@ -115,7 +115,7 @@ class TestFuzzAgainstOracle:
                             "slab-stress", seed=seed + 900)
             for pts, objs in _slab_restriction(inst):
                 opt, wit = exact_min_ply(pts, objs, "rects")
-                events = side_events(rect_spans(objs))
+                events = sweep_events(rect_spans(objs))
                 chosen = set(wit)
                 for counts in _strip_counts(events, len(objs), chosen):
                     assert counts <= 3 * opt
@@ -125,10 +125,10 @@ def _strip_counts(events, m, chosen):
     left = {}
     right = {}
     for pos, e in enumerate(events):
-        if e.cls == EventClass.LEFT_SIDE:
-            left[e.obj] = pos
+        if e[1] == EventClass.LEFT_SIDE:
+            left[e[3]] = pos
         else:
-            right[e.obj] = pos
+            right[e[3]] = pos
     for i in range(len(events) + 1):
         yield sum(1 for o in chosen if left[o] < i <= right[o])
 

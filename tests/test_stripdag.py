@@ -241,11 +241,11 @@ class TestAgainstTupleEngine:
 
         def spy(problem, i, states):
             nonlocal widest, removed
-            ev = problem.events[i]
+            _, cls, _, q = problem.events[i]
             for classes in states:
                 widest = max(widest, *(c.bit_count() for c in classes))
-                removed += (ev.cls == EventClass.RIGHT_SIDE and any(
-                    c >> ev.obj & 1 for c in classes))
+                removed += (cls == EventClass.RIGHT_SIDE and any(
+                    c >> q & 1 for c in classes))
             return step(problem, i, states)
         monkeypatch.setattr(tricolor, "_step", spy)
         solved = failed = 0
@@ -323,12 +323,12 @@ class TestStepTable:
                 assert len(problem.steps) == len(events)
                 for i, (left, bit, obj, rest, held) in enumerate(
                         problem.steps):
-                    ev = events[i]
+                    _, cls, _, q = events[i]
                     assert (left, bit, obj) == (
-                        ev.cls == EventClass.LEFT_SIDE, 1 << ev.obj, ev.obj)
+                        cls == EventClass.LEFT_SIDE, 1 << q, q)
                     # the objects whose left side and not right side is
                     # among events 0..i, and the points past exactly those
-                    sides = Counter(e.obj for e in events[:i + 1])
+                    sides = Counter(e[3] for e in events[:i + 1])
                     active = [o for o, n in sides.items() if n == 1]
                     masks = {sum(1 << o for o in active
                                  if objs[o].contains(p))
@@ -396,12 +396,12 @@ class TestInclusionMinimal:
 def _left_events(problem):
     """(q, mask of the objects active at q's left side) per left event."""
     active = 0
-    for ev in problem.events:
-        if ev.cls == EventClass.LEFT_SIDE:
-            yield ev.obj, active
-            active |= 1 << ev.obj
+    for _, cls, _, q in problem.events:
+        if cls == EventClass.LEFT_SIDE:
+            yield q, active
+            active |= 1 << q
         else:
-            active &= ~(1 << ev.obj)
+            active &= ~(1 << q)
 
 
 def _grid_rects(rng):
@@ -636,7 +636,7 @@ class TestLadderReuse:
         assert climbed > 20
 
     def test_one_event_sort_per_slab(self, monkeypatch):
-        # two slabs, each needing ell = 2; `stripdag.side_events` makes the
+        # two slabs, each needing ell = 2; `geom.sweep_events` makes the
         # one sort of a problem's events
         calls = Counter()
 
@@ -647,7 +647,7 @@ class TestLadderReuse:
                 calls[name] += 1
                 return fn(*args, **kwargs)
             monkeypatch.setattr(mod, name, wrapped)
-        for mod, name in ((stripdag, "side_events"),
+        for mod, name in ((stripdag, "sweep_events"),
                           (disks_mod, "solve_slab_disks")):
             counted(mod, name)
         pts, dks = forced_pair_disks()
@@ -656,7 +656,7 @@ class TestLadderReuse:
                        for d in dks]
         assert len(assign_slabs(points, disks, "disks")) == 2
         assert solve_mpc(points, disks, "disks").chosen == [0, 1, 2, 3]
-        assert calls == {"side_events": 2, "solve_slab_disks": 4}
+        assert calls == {"sweep_events": 2, "solve_slab_disks": 4}
 
     def test_only_the_final_ply_lists_candidates(self, monkeypatch):
         # neither the ply search nor 3-color lists the candidate points of

@@ -1,10 +1,12 @@
 import ast
+import fractions
 import json
 import os
 import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -12,14 +14,13 @@ import pytest
 from conftest import covers
 
 import plycover
-from plycover import cli, instances, stripdag
+from plycover import cli, geom, instances, intervals, stripdag
 from plycover import disks as disks_mod
 from plycover import rects as rects_mod
 from plycover.geom import Point, UnitDisk, UnitRect, WeightedInterval
 from plycover.instances import (_ARITY, Instance, dumps, generate, load,
                                 loads, rational_pair, save)
-from plycover.intervals import (DagVertex, count_overlapping_pairs,
-                                solve_intervals)
+from plycover.intervals import count_overlapping_pairs, solve_intervals
 from plycover.slabs import assign_slabs, solve_mpc
 from plycover.svg import render_svg
 
@@ -107,7 +108,16 @@ def _pair_or_none(parse, v):
 
 
 def _fraction_pair(v):
+    """Fraction's pair of v, or None where Fraction refuses v or where its
+    decimal exponent, as Fraction's own pattern reads it, is larger in
+    magnitude than the int digit limit, which rational_pair refuses."""
+    m = type(v) is str and fractions._RATIONAL_FORMAT.match(v)
+    if m and m.group("exp") and _LIMIT and abs(int(m.group("exp"))) > _LIMIT:
+        return None
     return _pair_or_none(lambda x: F(x).as_integer_ratio(), v)
+
+
+_LIMIT = sys.get_int_max_str_digits()
 
 
 class TestRationalPair:
@@ -128,6 +138,15 @@ class TestRationalPair:
             assert got == want, v
             assert got is None or (type(got[0]) is int
                                    and type(got[1]) is int)
+
+    def test_exponents_up_to_the_digit_limit(self):
+        # 10 ** 4300 has 4301 digits, but it is never written as digits
+        for v in ("1e%d" % _LIMIT, "-2.5E-%d" % _LIMIT, "1e+0%d" % _LIMIT):
+            assert rational_pair(v) == F(v).as_integer_ratio()
+        for v in ("1e%d" % (_LIMIT + 1), "-2.5E-%d" % (_LIMIT + 1),
+                  "1e1_%d" % _LIMIT):
+            with pytest.raises(ValueError, match="^decimal exponent beyond"):
+                rational_pair(v)
 
     def test_random_strings_match_fraction(self):
         rng = random.Random(8)
@@ -400,27 +419,33 @@ def _refuse(*args, **kwargs):
 def test_interval_solve_takes_the_fast_paths(tmp_path, monkeypatch):
     # a file `dumps` wrote is parsed whole: json.loads decodes the header
     # only and no value goes through rational_pair; build_dag makes its
-    # vertices without DagVertex's generated __new__
+    # vertices as plain tuples, with no per-vertex class
     for dist, seed, mode in (("uniform", 6, "mmsc"), ("clustered", 7, "mpc"),
                              ("chain", 8, "mmsc")):
         inst = generate("intervals", 40, 30, dist, seed=seed)
         want = solve_intervals(inst.points, inst.objects, mode)
         path, out = tmp_path / "inst.jsonl", tmp_path / "sol.json"
         save(inst, path)
-        calls = []
-        json_loads = json.loads
+        calls, dags = [], []
+        json_loads, build_dag = json.loads, intervals.build_dag
 
         def counted(*args, **kwargs):
             calls.append(args)
             return json_loads(*args, **kwargs)
 
+        def kept(*args, **kwargs):
+            dags.append(build_dag(*args, **kwargs))
+            return dags[-1]
+
         with monkeypatch.context() as patched:
             patched.setattr(json, "loads", counted)
             patched.setattr(instances, "rational_pair", _refuse)
-            patched.setattr(DagVertex, "__new__", _refuse)
+            patched.setattr(intervals, "build_dag", kept)
             assert cli.main(["solve", "--kind", "intervals", "--mode", mode,
                              "--in", str(path), "--out", str(out)]) == 0
         assert len(calls) == 1
+        assert len(dags) == 1 and dags[0].vertices
+        assert {type(v) for v in dags[0].vertices} == {tuple}
         sol = json.loads(out.read_text())
         assert sol["chosen"] == want.chosen
         assert F(sol["objective"]) == want.objective
@@ -454,6 +479,61 @@ def test_rect_solve_builds_no_rect_objects(tmp_path, monkeypatch):
         sol = json.loads(out.read_text())
         assert sol["chosen"] == want.chosen
         assert sol["objective"] == want.objective
+
+
+def test_one_sweep_event_builder_call_per_sweep(tmp_path, monkeypatch):
+    # every sweep takes its events and their order from `geom.sweep_events`:
+    # spied at every name it is bound under, each of the seven sweeps calls
+    # it exactly once per invocation, over a solve of each kind, `check` on
+    # rects and intervals, and `bench`
+    real = geom.sweep_events
+    sweeps = [stripdag.build_problem, intervals.prepare_instance,
+              intervals.chosen_loads, intervals.count_overlapping_pairs,
+              geom.ply_rects, geom._max_stab_closed, geom.rects_cover]
+    names = {fn.__code__: fn.__name__ for fn in sweeps}
+    invoked, frames = Counter(), []
+
+    def spy(*args, **kwargs):
+        frames.append(sys._getframe(1))
+        return real(*args, **kwargs)
+
+    bound = []
+    for name, mod in sorted(sys.modules.items()):
+        if name.split(".")[0] == "plycover":
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, spy)
+                    bound.append("%s.%s" % (name, attr))
+    assert bound == ["plycover.geom.sweep_events",
+                     "plycover.intervals.sweep_events",
+                     "plycover.stripdag.sweep_events"]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            invoked[names[frame.f_code]] += 1
+
+    inst, sol = tmp_path / "inst.jsonl", tmp_path / "sol.json"
+    runs = [("rects", "mpc", True), ("disks", "mpc", False),
+            ("3color", "mpc", False), ("intervals", "mmsc", True),
+            ("intervals", "mpc", True)]
+    sys.setprofile(profile)
+    try:
+        for kind, mode, check in runs:
+            gen = "disks" if kind == "3color" else kind
+            save(generate(gen, 30, 20, "clustered", seed=3), inst)
+            assert cli.main(["solve", "--kind", kind, "--mode", mode,
+                             "--in", str(inst), "--out", str(sol)]) == 0
+            if check:
+                assert cli.main(["check", "--in", str(inst),
+                                 "--solution", str(sol)]) == 0
+        assert cli.main(["bench", "--kind", "intervals", "--sizes", "20",
+                         "--out", str(tmp_path / "bench.csv")]) == 0
+    finally:
+        sys.setprofile(None)
+    calls = Counter(map(id, frames))
+    assert set(calls.values()) == {1}
+    assert Counter(f.f_code.co_name for f in frames) == invoked
+    assert set(invoked) == set(names.values())
 
 
 def test_solve_asks_no_depth_oracle(tmp_path, monkeypatch):

@@ -9,17 +9,17 @@ oracles.
 
 from .errors import (BudgetExceeded, Infeasible, InstanceTooLarge,
                      PlyCoverError)
-from .geom import (EventClass, Point, UnitDisk, UnitRect,
-                   WeightedInterval, disks_disjoint, ply_disks, ply_rects)
+from .geom import (Point, UnitDisk, UnitRect, WeightedInterval,
+                   disks_disjoint, ply_disks, ply_rects)
 from .instances import Instance, generate, load, loads, save, dumps
 from .intervals import solve_intervals
 from .slabs import CoverSolution, solve_mpc
 from .tricolor import solve_3color
 
 __all__ = [
-    "BudgetExceeded", "CoverSolution", "EventClass", "Infeasible",
-    "Instance", "InstanceTooLarge", "PlyCoverError", "Point", "UnitDisk",
-    "UnitRect", "WeightedInterval", "disks_disjoint", "dumps", "generate",
-    "load", "loads", "ply_disks", "ply_rects", "save", "solve_3color",
+    "BudgetExceeded", "CoverSolution", "Infeasible", "Instance",
+    "InstanceTooLarge", "PlyCoverError", "Point", "UnitDisk", "UnitRect",
+    "WeightedInterval", "disks_disjoint", "dumps", "generate", "load",
+    "loads", "ply_disks", "ply_rects", "save", "solve_3color",
     "solve_intervals", "solve_mpc",
 ]

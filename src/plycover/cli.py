@@ -258,8 +258,6 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.kind != "intervals":
-        raise _UsageError("bench supports --kind intervals only")
     sizes = [int(s) for s in args.sizes.split(",") if s]
     rows = ["kind,n,m,M,objective,wallclock_ms,seed"]
     for m in sizes:
@@ -324,7 +322,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_render)
 
     sp = sub.add_parser("bench", help="doubling experiment, CSV output")
-    sp.add_argument("--kind", default="intervals")
+    sp.add_argument("--kind", default="intervals", choices=("intervals",))
     sp.add_argument("--dist", default="chain",
                     choices=inst_mod.DISTRIBUTIONS)
     sp.add_argument("--sizes", default="1024,2048,4096,8192")

@@ -44,21 +44,15 @@ class Point:
     y: object
 
 
-def as_x(p):
-    """The coordinate of a point on the line, given as a Point or a number."""
-    return p.x if isinstance(p, Point) else p
-
-
 def line_pairs(points, intervals):
     """Points on the line and weighted intervals as exact int pairs.
 
     Returns ([(num, den) per point], [(lo, hi, weight) per interval, each a
     (num, den) pair]).  An element already in that form is kept as it is;
-    Points, numbers and WeightedIntervals are converted exactly with
-    `as_integer_ratio`, which gives lowest terms and den > 0.
+    numbers (int, float, Fraction) and WeightedIntervals are converted
+    exactly with `as_integer_ratio`, which gives lowest terms and den > 0.
     """
-    xs = [p if type(p) is tuple else as_x(p).as_integer_ratio()
-          for p in points]
+    xs = [x if type(x) is tuple else x.as_integer_ratio() for x in points]
     ivs = [s if type(s) is tuple else (s.lo.as_integer_ratio(),
                                        s.hi.as_integer_ratio(),
                                        s.weight.as_integer_ratio())
@@ -234,8 +228,6 @@ class WeightedInterval:
             raise ValueError("interval weight must be nonnegative")
 
     def contains(self, x) -> bool:
-        if isinstance(x, Point):
-            x = x.x
         return self.lo <= x <= self.hi
 
 

@@ -39,19 +39,21 @@ class Instance:
     """A problem instance: its kind, points and objects, plus the seed and
     meta data of a generated one.
 
-    A rect or interval instance read by `loads` keeps its values as exact
-    int pairs (`pairs`); `points` and `objects` are built from them the
-    first time they are read.
+    A rect or interval instance may instead be given as exact int pairs,
+    as `loads` gives it: `pairs=(points, objects)` in the form the `pairs`
+    property returns, with both lists passed as None.  They are built from
+    the pairs the first time they are read.
     """
 
-    def __init__(self, kind: str, points: list, objects: list,
-                 seed: Optional[int] = None, meta: Optional[dict] = None):
+    def __init__(self, kind: str, points: Optional[list],
+                 objects: Optional[list], seed: Optional[int] = None,
+                 meta: Optional[dict] = None, *, pairs=None):
         self.kind = kind
         self.points = points
         self.objects = objects
         self.seed = seed
         self.meta = meta
-        self._pairs = None
+        self._pairs = pairs
 
     @property
     def points(self) -> list:
@@ -338,9 +340,7 @@ def loads(text: str) -> Instance:
     seed, meta = head.get("seed"), head.get("meta")
     if kind == "disks":
         return Instance(kind, points, objects, seed, meta)
-    inst = Instance(kind, None, None, seed, meta)
-    inst._pairs = points, objects
-    return inst
+    return Instance(kind, None, None, seed, meta, pairs=(points, objects))
 
 
 def save(inst: Instance, path) -> None:

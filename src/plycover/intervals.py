@@ -16,8 +16,8 @@ most two out-edges each, where M counts overlapping pairs.
 
 Every predicate runs on Python ints.  The solver starts from exact
 (num, den) int pairs (`geom.line_pairs`): `instances.loads` reads an
-interval file straight into them, and ints, Fractions, floats (taken
-exactly), Points and WeightedIntervals are converted with
+interval file straight into them, and points given as ints, Fractions or
+floats (taken exactly) and WeightedIntervals are converted with
 `as_integer_ratio`.  `prepare_instance` maps each point x and interval
 endpoint to its rank among all of them: coordinates are only compared,
 never added, so ranks order and tie exactly as the rationals they stand
@@ -50,7 +50,7 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 from .errors import Infeasible
-from .geom import (EventClass, WeightedInterval, as_x, line_pairs, pair_ranks,
+from .geom import (EventClass, WeightedInterval, line_pairs, pair_ranks,
                    sweep_events)
 from .slabs import CoverSolution
 
@@ -85,9 +85,10 @@ def prepare_instance(points, intervals) -> PreparedIntervals:
     """Strip layout and the strips that hold a point, on coordinate ranks.
 
     Points and intervals may come in any order; exact duplicate intervals
-    collapse to their minimum-weight copy.  Both lists may hold objects or
-    the exact int pairs of `geom.line_pairs`; pairs are checked as
-    `WeightedInterval` checks its values.
+    collapse to their minimum-weight copy.  Points are numbers and
+    intervals WeightedIntervals, or either is given as the exact int pairs
+    of `geom.line_pairs`; pairs are checked as `WeightedInterval` checks
+    its values.
     """
     coords, ivs = line_pairs(points, intervals)
     n, m = len(coords), len(ivs)
@@ -281,7 +282,8 @@ def bottleneck_path(dag: IntervalDag):
 def solve_intervals(points, intervals, mode: str = "mmsc") -> CoverSolution:
     """Exact optimum cover by weighted intervals for either objective.
 
-    Takes objects or exact int pairs, as `prepare_instance` does."""
+    Takes numbers and WeightedIntervals or exact int pairs, as
+    `prepare_instance` does."""
     prep = prepare_instance(points, intervals)
     dag = build_dag(prep, mode)
     res = bottleneck_path(dag)
@@ -300,9 +302,9 @@ def solve_intervals(points, intervals, mode: str = "mmsc") -> CoverSolution:
 
 
 def chosen_loads(points, chosen: Sequence[WeightedInterval]):
-    """(counts, loads, W): per point (a Point or a number), the number of
-    chosen intervals containing it and their weight sum times W, the lcm of
-    the weight denominators.
+    """(counts, loads, W): per point, a number, the number of chosen
+    intervals containing it and their weight sum times W, the lcm of the
+    weight denominators.
 
     One sweep over the points and the chosen endpoints (`sweep_events`),
     so every interval is closed.
@@ -312,7 +314,7 @@ def chosen_loads(points, chosen: Sequence[WeightedInterval]):
     loads = [0] * len(points)
     count = load = 0
     for _, cls, _, k in sweep_events([(s.lo, s.hi, 0) for s in chosen],
-                                     [(as_x(p), 0) for p in points]):
+                                     [(x, 0) for x in points]):
         if cls == _LEFT:
             count += 1
             load += ws[k]

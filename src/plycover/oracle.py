@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import Infeasible, InstanceTooLarge
-from .geom import as_x, disks_disjoint, ply_disks, ply_rects
+from .geom import disks_disjoint, ply_disks, ply_rects
 
 MAX_MIN_PLY = 20
 MAX_3COLOR = 12
@@ -144,15 +144,15 @@ def exact_3color_cover(points, disks):
 def exact_intervals(points, intervals, mode: str = "mmsc"):
     """Exact optimum over all covering subsets: (objective, chosen indices).
 
-    The membership objective is evaluated at the input points; the ply
-    objective at every interval left endpoint, where the maximum depth of
-    closed intervals is always attained.
+    The points are numbers.  The membership objective is evaluated at
+    them; the ply objective at every interval left endpoint, where the
+    maximum depth of closed intervals is always attained.
     """
     if mode not in ("mmsc", "mpc"):
         raise ValueError("mode must be 'mmsc' or 'mpc'")
     if len(intervals) > MAX_INTERVALS:
         raise InstanceTooLarge("at most %d intervals" % MAX_INTERVALS)
-    xs = [as_x(p) for p in points]
+    xs = list(points)
     intervals = list(intervals)
     n, m = len(xs), len(intervals)
     full = (1 << n) - 1

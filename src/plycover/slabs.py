@@ -51,13 +51,12 @@ membership_at = None
 
 @dataclass(frozen=True)
 class SlabInstance:
-    """Slab `index`, [offset + 2 index, offset + 2 index + 2): its points
-    as given, their indices in the input, and the indices of the objects
-    it holds.  The offset is an exact (num, den) pair."""
+    """Slab `index`, [offset + 2 index, offset + 2 index + 2): the indices
+    of its points and of the objects it holds, in the input.  The offset
+    is an exact (num, den) pair."""
 
     index: int
     offset: tuple
-    points: list
     point_indices: list
     objects: list  # indices into the global object list
 
@@ -129,9 +128,7 @@ def assign_slabs(points, objects, kind) -> list[SlabInstance]:
     by_slab: dict[int, list] = {}
     for k, y in enumerate(ys):
         by_slab.setdefault(index(y), []).append(k)
-    slabs = {j: SlabInstance(j, off, [points[k] for k in by_slab[j]],
-                             by_slab[j], [])
-             for j in sorted(by_slab)}
+    slabs = {j: SlabInstance(j, off, by_slab[j], []) for j in sorted(by_slab)}
     for i, (ylo, yhi) in enumerate(spans):
         j = index(ylo)
         slab = slabs.get(j)

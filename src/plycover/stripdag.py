@@ -31,7 +31,7 @@ candidate point is listed.  A successor also respects the per-strip cap.
 
 None of that depends on the budget, so a slab's problem is built once and
 `StripProblem.at` applies each budget of its ell ladder to a view sharing
-the events and masks.  A set bit of a cover mask is a `contains` test
+the steps and masks.  A set bit of a cover mask is a `contains` test
 that held, so a point with the empty mask is the only kind that can be
 uncovered; `uncovered` names the first such point in sweep order, or is
 None, and when there is one no search is run.
@@ -87,8 +87,7 @@ class PlyCache:
 
 @dataclass
 class StripProblem:
-    events: list                 # side events of `sweep_events`; k of them
-    steps: list                  # per event, (left, bit, obj, rest, held)
+    steps: list                  # per side event, (left, bit, obj, rest, held)
     meets: list                  # per object, the mask of objects it may meet
     shares: Optional[Callable]   # (a, b, c) share a point; None: rects
     factor: int                  # members per strip per unit of budget
@@ -111,11 +110,10 @@ def build_problem(points, objects, spans, meets, shares,
     that it may meet.  The problem is at ell = 1; `StripProblem.at` sets a
     budget, and the per-strip cap is `factor * ell`."""
     meet = [0] * len(objects)
-    events, steps, active = [], [], []
+    steps, active = [], []
     uncovered = None
     bit, rest, held, seen = 0, [], [], set()  # strip 0 follows no event
-    for ev in sweep_events(spans, [(p.x, p.y) for p in points]):
-        _, cls, _, i = ev
+    for _, cls, _, i in sweep_events(spans, [(p.x, p.y) for p in points]):
         if cls == EventClass.INPUT_POINT:
             p, m = points[i], 0
             for o in active:
@@ -127,7 +125,6 @@ def build_problem(points, objects, spans, meets, shares,
                 seen.add(m)
                 (held if m & bit else rest).append(m)
             continue
-        events.append(ev)
         bit, rest, held, seen = 1 << i, [], [], set()
         left = cls == EventClass.LEFT_SIDE
         steps.append((left, bit, i, rest, held))  # filled by the next strip
@@ -141,7 +138,7 @@ def build_problem(points, objects, spans, meets, shares,
             active.append(i)
         else:
             active.remove(i)
-    return StripProblem(events, steps, meet, shares, factor, uncovered, 1,
+    return StripProblem(steps, meet, shares, factor, uncovered, 1,
                         factor)
 
 
@@ -233,7 +230,7 @@ def run(problem: StripProblem, step, start):
     if problem.uncovered is not None:
         return None
     states = {start: start}
-    for i in range(len(problem.events)):
+    for i in range(len(problem.steps)):
         states = step(problem, i, states)
         if not states:
             return None

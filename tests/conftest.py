@@ -21,6 +21,11 @@ def covers(points, chosen) -> bool:
     return all(rects_cover(points, chosen))
 
 
+def slab_points(points, slab) -> list:
+    """The points of a `slabs.SlabInstance`, by its point indices."""
+    return [points[k] for k in slab.point_indices]
+
+
 def depth_at(p, objects) -> int:
     """The number of the closed objects that contain the point p."""
     return sum(o.contains(p) for o in objects)

@@ -62,6 +62,4 @@ def loads(text: str) -> Instance:
     seed, meta = head.get("seed"), head.get("meta")
     if kind == "disks":
         return Instance(kind, points, objects, seed, meta)
-    inst = Instance(kind, None, None, seed, meta)
-    inst._pairs = points, objects
-    return inst
+    return Instance(kind, None, None, seed, meta, pairs=(points, objects))

@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (covers, greedy_trap_instance, k4_clique,
-                      ply3_not_3colorable)
+                      ply3_not_3colorable, slab_points)
 from depth_reference import grid_depth_disks
 
 import plycover
@@ -185,9 +185,10 @@ def test_criterion_3_rect_approximation():
         assert sol.objective == ply_rects(chosen)
         assert sol.objective <= 2 * opt
         for slab in assign_slabs(inst.points, inst.objects, "rects"):
+            pts = slab_points(inst.points, slab)
             objs = [inst.objects[i] for i in slab.objects]
-            slab_opt, _ = exact_min_ply(slab.points, objs, "rects")
-            assert solve_slab_rects(slab.points, objs, slab_opt) is not None
+            slab_opt, _ = exact_min_ply(pts, objs, "rects")
+            assert solve_slab_rects(pts, objs, slab_opt) is not None
     _report(3, "200 rectangle instances: verified cover, ply <= 2*OPT, "
                "per-slab completeness at the slab optimum")
 
@@ -202,9 +203,10 @@ def test_criterion_4_disk_approximation():
         assert sol.objective <= 2 * opt
         uniq, _ = dedupe_disks(inst.objects)
         for slab in assign_slabs(inst.points, uniq, "disks"):
+            pts = slab_points(inst.points, slab)
             objs = [uniq[i] for i in slab.objects]
-            slab_opt, _ = exact_min_ply(slab.points, objs, "disks")
-            assert solve_slab_disks(slab.points, objs, slab_opt) is not None
+            slab_opt, _ = exact_min_ply(pts, objs, "disks")
+            assert solve_slab_disks(pts, objs, slab_opt) is not None
     _report(4, "200 disk instances: verified cover, ply <= 2*OPT, grid "
                "sampler never exceeds the candidate-point ply")
 

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import covers
+from conftest import covers, slab_points
 from plycover.cli import main
 from plycover.errors import Infeasible
 from plycover.geom import (Point, UnitDisk, UnitRect, WeightedInterval,
@@ -36,8 +36,8 @@ def _on_grid(g):
 def _gritty_intervals(rng, mixed=False):
     """Integer-grid instance; with `mixed`, moved by `_on_grid`, with
     weights 1/3, 1/6 and 1/100043 among the choices.  Points come as
-    Fractions, Points, ints or floats (on the integer grid) and as
-    Fractions or Points (mixed)."""
+    Fractions, ints or floats (on the integer grid) and as Fractions
+    (mixed)."""
     at = _on_grid if mixed else F
     weights = (0, 0, 1, 2, 5)
     if mixed:
@@ -53,7 +53,7 @@ def _gritty_intervals(rng, mixed=False):
     grid = sorted(rng.choice(ivs).lo if rng.random() < 0.3
                   else at(rng.randint(0, 10)) for _ in range(n))
     grid = [x for x in grid if any(s.contains(x) for s in ivs)]
-    forms = (F, lambda x: Point(x, 0))
+    forms = (F,)
     if not mixed:
         forms += (int, float)
     return [rng.choice(forms)(x) for x in grid], ivs
@@ -146,7 +146,8 @@ def test_rect_pipeline_on_mixed_denominators_matches_oracle():
         opts = {}
         for s in assign_slabs(pts, rects, "rects"):
             objs = [rects[i] for i in s.objects]
-            opts[s.index] = exact_min_ply(s.points, objs, "rects")[0]
+            opts[s.index] = exact_min_ply(slab_points(pts, s), objs,
+                                          "rects")[0]
         bound = max(v + opts.get(j + 1, 0) for j, v in opts.items())
         assert sol.objective <= bound, (seed, sol.objective, opts)
 

@@ -1,7 +1,7 @@
 import math
 import random
 
-from conftest import covers, forced_pair_disks
+from conftest import covers, forced_pair_disks, slab_points
 
 from plycover.disks import dedupe_disks, disk_spans, solve_slab_disks
 from plycover.geom import (EventClass, Point, UnitDisk, ply_disks,
@@ -61,14 +61,15 @@ class TestSolveSlab:
                             "slab-stress", seed=seed)
             slabs = assign_slabs(inst.points, inst.objects, "disks")
             for slab in slabs:
+                pts = slab_points(inst.points, slab)
                 objs = [inst.objects[i] for i in slab.objects]
-                opt, _ = exact_min_ply(slab.points, objs, "disks")
+                opt, _ = exact_min_ply(pts, objs, "disks")
                 for ell in range(1, opt + 2):
-                    res = solve_slab_disks(slab.points, objs, ell)
+                    res = solve_slab_disks(pts, objs, ell)
                     assert (res is not None) == (ell >= opt)
                     if res is not None:
                         chosen = [objs[i] for i in res]
-                        assert covers(slab.points, chosen)
+                        assert covers(pts, chosen)
                         assert ply_disks(chosen) <= ell
 
     def test_strip_capacity_bound_on_optimal_solutions(self):
@@ -80,7 +81,8 @@ class TestSolveSlab:
             slabs = assign_slabs(inst.points, inst.objects, "disks")
             for slab in slabs:
                 objs = [inst.objects[i] for i in slab.objects]
-                opt, wit = exact_min_ply(slab.points, objs, "disks")
+                opt, wit = exact_min_ply(slab_points(inst.points, slab),
+                                         objs, "disks")
                 events = sweep_events(disk_spans(objs))
                 left, right = {}, {}
                 for pos, e in enumerate(events):

@@ -9,8 +9,7 @@ from conftest import greedy_trap_instance
 from test_degenerate import _gritty_intervals
 
 from plycover.errors import Infeasible
-from plycover.geom import (Point, WeightedInterval, as_x, line_pairs,
-                           pair_ranks)
+from plycover.geom import WeightedInterval, line_pairs, pair_ranks
 from plycover.instances import Instance, dumps, generate, loads
 from plycover.intervals import (V0, V1, V2, IntervalDag,
                                 bottleneck_path, build_dag, chosen_loads,
@@ -95,7 +94,7 @@ class TestPrepare:
         m = 150
         ivs = [iv(F(2 * i) + F(1, _BIG_PRIMES[2 * i]),
                   F(2 * i + 3) + F(1, _BIG_PRIMES[2 * i + 1])) for i in range(m)]
-        points = [ivs[0].lo, Point(F(5, 2), 0), 7, 7.5, ivs[-1].hi]
+        points = [ivs[0].lo, F(5, 2), 7, 7.5, ivs[-1].hi]
         prep = prepare_instance(points, ivs)
         bound = len(points) + 2 * m
         assert all(0 <= x < bound for x, _, _, _ in prep.events)
@@ -378,7 +377,7 @@ class TestSolve:
                 ivs.append(WeightedInterval(lo, lo + F(rng.randint(1, 8), 4),
                                             rng.choice((0, 1, F(1, 3),
                                                         F(2, 7), 5))))
-            pts = [rng.choice((F, lambda x: Point(x, 0), float))(
+            pts = [rng.choice((F, float))(
                 F(rng.randint(-20, 30), 8)) for _ in range(rng.randint(0, 12))]
             counts, loads, w_scale = chosen_loads(pts, ivs)
             for p, c, load in zip(pts, counts, loads):
@@ -472,7 +471,7 @@ def _file_instances():
                            rng.randint(1, 30), dist, seed=seed + 500)
     for seed in range(60):
         points, ivs = _gritty_intervals(random.Random(seed), mixed=True)
-        yield Instance("intervals", [as_x(p) for p in points], ivs)
+        yield Instance("intervals", points, ivs)
 
 
 class TestPairPath:
@@ -498,7 +497,7 @@ class TestPairPath:
         points, ivs = greedy_trap_instance()
         inst = Instance("intervals", points, ivs)
         xs, pairs = inst.pairs
-        assert [F(*x) for x in xs] == [as_x(p) for p in points]
+        assert [F(*x) for x in xs] == points
         assert [WeightedInterval(F(*lo), F(*hi), F(*w))
                 for lo, hi, w in pairs] == ivs
         assert solve_intervals(xs, pairs).chosen == [0, 2, 3]

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import covers, forced_pair_rects
+from conftest import covers, forced_pair_rects, slab_points
 
 from plycover.errors import BudgetExceeded, Infeasible
 from plycover.geom import (EventClass, Point, UnitRect, ply_rects,
@@ -54,8 +54,8 @@ class TestSuccessors:
     def test_ply_budget_prunes_overlapping_take(self):
         r2 = UnitRect(F(1, 2), F(0))
         prob = rect_slab_problem([], [sq(0, 0), r2])
-        ev = prob.events
-        assert ev[1][3] == 1 and ev[1][1] == EventClass.LEFT_SIDE
+        left, _, obj, _, _ = prob.steps[1]
+        assert left and obj == 1
         out = successors(prob, StripState(1, 0b1, 0b1))
         assert [s.members for s in out] == [(0,)]  # {0,1} exceeds ply 1
 
@@ -77,7 +77,8 @@ class TestSolveSlab:
 def _slab_restriction(inst):
     slabs = assign_slabs(inst.points, inst.objects, "rects")
     for slab in slabs:
-        yield slab.points, [inst.objects[i] for i in slab.objects]
+        yield (slab_points(inst.points, slab),
+               [inst.objects[i] for i in slab.objects])
 
 
 class TestFuzzAgainstOracle:

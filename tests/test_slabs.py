@@ -20,7 +20,7 @@ from plycover.slabs import assign_slabs, live_objects, solve_mpc
 from plycover.tricolor import solve_3color
 
 from conftest import (covers, forced_pair_disks, forced_pair_rects, nudged,
-                      ply3_not_3colorable, triangle_3colorable)
+                      ply3_not_3colorable, slab_points, triangle_3colorable)
 
 
 def sq(left, bottom):
@@ -52,7 +52,7 @@ class TestAssignSlabs:
         pts = [Point(F(1, 4), F(1, 4)), Point(F(3, 4), F(3, 4))]
         slabs = assign_slabs(pts, [sq(0, 0)], "rects")
         assert len(slabs) == 1
-        assert len(slabs[0].points) == 2
+        assert slabs[0].point_indices == [0, 1]
         assert slabs[0].objects == [0]
 
     def test_far_points_make_two_slabs(self):
@@ -83,7 +83,8 @@ class TestAssignSlabs:
             inst = generate("rects", rng.randint(1, 15), rng.randint(1, 10),
                             "uniform", seed=seed)
             slabs = assign_slabs(inst.points, inst.objects, "rects")
-            assert sum(len(s.points) for s in slabs) == len(inst.points)
+            assert sorted(k for s in slabs for k in s.point_indices) == list(
+                range(len(inst.points)))
 
     def test_objects_span_at_most_two_consecutive_slabs(self):
         rng = random.Random(4)
@@ -126,7 +127,7 @@ class TestAssignSlabs:
                             for d in objects
                             for y in (d.center.y - 0.5, d.center.y + 0.5))
             slabs = assign_slabs(points, objects, kind)
-            got = [(s.index, *_bounds(s), s.points, s.objects)
+            got = [(s.index, *_bounds(s), slab_points(points, s), s.objects)
                    for s in slabs]
             assert got == _assign_reference(points, objects, kind), seed
             if kind == "disks":
@@ -308,10 +309,11 @@ class TestPerSlabBudgets:
                            % lower.index):
             solve_mpc(points, rects, "rects", ell_max=1)
         to_rank = dict(zip(points, _ranked(points, rects)[0]))
-        assert searched == [[to_rank[p] for p in lower.points]]
+        assert searched == [[to_rank[p] for p in slab_points(points, lower)]]
         searched.clear()
         assert solve_mpc(points, rects, "rects", ell_max=2).objective == 2
-        assert searched[-1] == [to_rank[p] for p in upper.points]
+        assert searched[-1] == [to_rank[p]
+                                for p in slab_points(points, upper)]
 
     def test_rects_within_adjacent_slab_optima(self):
         rng = random.Random(0x51AB)
@@ -323,7 +325,8 @@ class TestPerSlabBudgets:
             opts = {}
             for s in assign_slabs(inst.points, inst.objects, "rects"):
                 objs = [inst.objects[i] for i in s.objects]
-                opts[s.index] = exact_min_ply(s.points, objs, "rects")[0]
+                opts[s.index] = exact_min_ply(slab_points(inst.points, s),
+                                              objs, "rects")[0]
             assert sol.objective <= _slab_bound(opts), seed
 
     def test_disks_within_adjacent_slab_optima(self):
@@ -337,7 +340,8 @@ class TestPerSlabBudgets:
             opts = {}
             for s in assign_slabs(inst.points, uniq, "disks"):
                 objs = [uniq[i] for i in s.objects]
-                opts[s.index] = exact_min_ply(s.points, objs, "disks")[0]
+                opts[s.index] = exact_min_ply(slab_points(inst.points, s),
+                                              objs, "disks")[0]
             assert sol.objective <= _slab_bound(opts), seed
 
 
@@ -453,7 +457,7 @@ class TestHalfOpenRectSlabs:
             for s in slabs:
                 y_lo, y_hi = _bounds(s)
                 assert (y_lo, y_hi) == (2 * s.index, 2 * s.index + 2)
-                for p in s.points:
+                for p in slab_points(points, s):
                     assert y_lo <= p.y < y_hi, seed
                     for i, r in enumerate(rects):
                         if r.contains(p):
@@ -464,7 +468,7 @@ class TestHalfOpenRectSlabs:
             for js in where.values():
                 assert js in ([js[0]], [js[0], js[0] + 1]), seed
             sol = solve_mpc(points, rects, "rects")
-            opts = {s.index: exact_min_ply(s.points,
+            opts = {s.index: exact_min_ply(slab_points(points, s),
                                            [rects[i] for i in s.objects],
                                            "rects")[0]
                     for s in slabs}
@@ -572,7 +576,8 @@ class TestLiveObjects:
             if obj_kind == "disks":
                 objects, _ = dedupe_disks(objects)
             for s in assign_slabs(inst.points, objects, obj_kind):
-                n = len(_brute_live(s.points, objects, s.objects))
+                n = len(_brute_live(slab_points(inst.points, s), objects,
+                                    s.objects))
                 live += n
                 dead += len(s.objects) - n
             try:
@@ -622,10 +627,11 @@ class TestLiveObjects:
             assert (live_objects(points, rects, every, spans)
                     == _brute_live(points, rects, every)), seed
             for s in assign_slabs(points, rects, "rects"):
-                want = _brute_live(s.points, rects, s.objects)
-                assert live_objects(s.points, rects, s.objects,
+                slab_pts = slab_points(points, s)
+                want = _brute_live(slab_pts, rects, s.objects)
+                assert live_objects(slab_pts, rects, s.objects,
                                     spans) == want, seed
-                pts = [to_rank[p] for p in s.points]
+                pts = [to_rank[p] for p in slab_pts]
                 assert live_objects(pts, boxes, s.objects, box_spans) == want
                 assert _brute_live(pts, boxes, s.objects) == want
 
@@ -638,5 +644,6 @@ class TestLiveObjects:
             assert (live_objects(points, disks, every, spans)
                     == _brute_live(points, disks, every)), seed
             for s in assign_slabs(points, disks, "disks"):
-                assert (live_objects(s.points, disks, s.objects, spans)
-                        == _brute_live(s.points, disks, s.objects)), seed
+                pts = slab_points(points, s)
+                assert (live_objects(pts, disks, s.objects, spans)
+                        == _brute_live(pts, disks, s.objects)), seed

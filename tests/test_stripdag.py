@@ -32,7 +32,18 @@ from plycover.tricolor import solve_3color, solve_slab_3color
 
 def _slabs(points, objects, kind):
     for slab in assign_slabs(points, objects, kind):
-        yield slab.points, [objects[i] for i in slab.objects]
+        yield ([points[k] for k in slab.point_indices],
+               [objects[i] for i in slab.objects])
+
+
+def _sides(problem):
+    """(left, object) of each side event of a strip problem, in sweep
+    order: the order of its events."""
+    return [(left, obj) for left, _, obj, _, _ in problem.steps]
+
+
+def _ref_sides(events):
+    return [(cls == EventClass.LEFT_SIDE, q) for _, cls, _, q in events]
 
 
 def _rect_instances(seed):
@@ -163,8 +174,8 @@ class TestAgainstTupleEngine:
         solved = failed = 0
         for seed in range(150):
             for pts, objs in _slabs(*_rect_instances(seed), "rects"):
-                assert (rect_slab_problem(pts, objs).events
-                        == ref.rect_events(objs)), seed
+                assert (_sides(rect_slab_problem(pts, objs))
+                        == _ref_sides(ref.rect_events(objs))), seed
                 for ell in (1, 2, 3):
                     got = solve_slab_rects(pts, objs, ell)
                     assert got == ref.solve_slab_rects(pts, objs, ell), seed
@@ -178,8 +189,8 @@ class TestAgainstTupleEngine:
             make = (_private_point_instances if seed % 3 == 0
                     else _disk_instances)
             for pts, objs in _slabs(*make(seed), "disks"):
-                assert (disk_slab_problem(pts, objs).events
-                        == ref.disk_events(objs)), seed
+                assert (_sides(disk_slab_problem(pts, objs))
+                        == _ref_sides(ref.disk_events(objs))), seed
                 for ell in (1, 2, 3):
                     got = solve_slab_disks(pts, objs, ell)
                     assert got == ref.solve_slab_disks(pts, objs, ell), seed
@@ -241,10 +252,10 @@ class TestAgainstTupleEngine:
 
         def spy(problem, i, states):
             nonlocal widest, removed
-            _, cls, _, q = problem.events[i]
+            left, _, q, _, _ = problem.steps[i]
             for classes in states:
                 widest = max(widest, *(c.bit_count() for c in classes))
-                removed += (cls == EventClass.RIGHT_SIDE and any(
+                removed += (not left and any(
                     c >> q & 1 for c in classes))
             return step(problem, i, states)
         monkeypatch.setattr(tricolor, "_step", spy)
@@ -279,7 +290,7 @@ class TestStepShape:
                 solve_slab_3color(pts, objs, problem)
                 assert all(p is problem for p, _ in crossed)
                 assert [i for _, i in crossed] == list(range(len(crossed)))
-                assert len(crossed) <= len(problem.events)
+                assert len(crossed) <= len(problem.steps)
                 steps += len(crossed)
         assert steps > 100
 
@@ -313,13 +324,14 @@ class TestStepTable:
 
     @pytest.mark.parametrize("kind", ["rects", "disks"])
     def test_split_of_the_next_strip(self, kind):
-        build, make = ((rect_slab_problem, _rect_instances) if kind == "rects"
-                       else (disk_slab_problem, _disk_instances))
+        build, spans, make = (
+            (rect_slab_problem, rect_spans, _rect_instances) if kind == "rects"
+            else (disk_slab_problem, disk_spans, _disk_instances))
         split = Counter()
         for seed in range(80):
             for pts, objs in _slabs(*make(seed), kind):
                 problem = build(pts, objs)
-                events = problem.events
+                events = geom.sweep_events(spans(objs))
                 assert len(problem.steps) == len(events)
                 for i, (left, bit, obj, rest, held) in enumerate(
                         problem.steps):
@@ -357,8 +369,9 @@ def _live_slabs(kind, seed):
     objects = inst.objects
     spans = (rect_spans if kind == "rects" else disk_spans)(objects)
     for slab in assign_slabs(inst.points, objects, inst.kind):
-        live = live_objects(slab.points, objects, slab.objects, spans)
-        yield slab.points, [objects[i] for i in live]
+        pts = [inst.points[k] for k in slab.point_indices]
+        live = live_objects(pts, objects, slab.objects, spans)
+        yield pts, [objects[i] for i in live]
 
 
 def _least_rung(solve, pts, objs):
@@ -396,8 +409,8 @@ class TestInclusionMinimal:
 def _left_events(problem):
     """(q, mask of the objects active at q's left side) per left event."""
     active = 0
-    for _, cls, _, q in problem.events:
-        if cls == EventClass.LEFT_SIDE:
+    for left, _, q, _, _ in problem.steps:
+        if left:
             yield q, active
             active |= 1 << q
         else:

@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import fractions
+import importlib
 import json
 import os
 import random
@@ -681,3 +683,41 @@ def test_no_dead_definitions():
             if not owners.get(d[1], set()) - {d}
             and d[1] not in exported and d != stub]
     assert dead == []
+
+
+def test_every_dataclass_field_is_read(tmp_path, monkeypatch):
+    # every field of a dataclass in the package is read as an attribute by
+    # package code while each command runs on small instances of its kind.
+    # Reads are recorded at run time: by name alone, `SlabInstance.points`
+    # would pass as `Instance.points`.  `IntervalDag.n_intervals` and
+    # `n_overlaps` are read only by perfbench/tracing.py, for its DAG size
+    # bound, and are exempt
+    pkg = os.path.dirname(plycover.__file__)
+    classes = {obj for module, _ in _package_trees()
+               for obj in vars(importlib.import_module(module)).values()
+               if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
+    read = set()
+    for cls in classes:
+        def spy(self, name, cls=cls, get=cls.__getattribute__,
+                fields={f.name for f in dataclasses.fields(cls)}):
+            if (name in fields and sys._getframe(1).f_code.co_filename
+                    .startswith(pkg)):
+                read.add("%s.%s" % (cls.__name__, name))
+            return get(self, name)
+        monkeypatch.setattr(cls, "__getattribute__", spy)
+    for kind, dist in (("rects", "clustered"), ("disks", "clustered"),
+                       ("3color", "uniform"), ("intervals", "uniform")):
+        inst, sol = tmp_path / (kind + ".jsonl"), tmp_path / (kind + ".json")
+        save(generate("disks" if kind == "3color" else kind, 24, 16, dist,
+                      seed=7), inst)
+        for mode in ("mpc", "mmsc") if kind == "intervals" else ("mpc",):
+            assert cli.main(["solve", "--kind", kind, "--mode", mode,
+                             "--in", str(inst), "--out", str(sol)]) == 0
+            assert cli.main(["check", "--in", str(inst),
+                             "--solution", str(sol)]) == 0
+        assert cli.main(["render", "--in", str(inst), "--solution", str(sol),
+                         "--out", str(tmp_path / (kind + ".svg"))]) == 0
+    exempt = {"IntervalDag.n_intervals", "IntervalDag.n_overlaps"}
+    fields = {"%s.%s" % (cls.__name__, f.name) for cls in classes
+              for f in dataclasses.fields(cls)}
+    assert sorted(fields - read - exempt) == []

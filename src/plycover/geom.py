@@ -4,7 +4,7 @@ Points, unit-height rectangles, unit disks, weighted intervals, closed-set
 containment and cover tests, and one exact depth routine per 2-D kind:
 the ply, the maximum depth over the plane (`ply_rects`, `ply_disks`).
 Every object is a closed set: a point on the boundary belongs to the
-object.
+object.  Every x-sweep takes its plain tuple events from `sweep_events`.
 
 Rectangles and intervals carry exact rational coordinates, and their
 predicates only compare coordinates, so the solvers take their inputs as
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from enum import IntEnum
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import groupby
@@ -231,29 +230,20 @@ class WeightedInterval:
         return self.lo <= x <= self.hi
 
 
-class EventClass(IntEnum):
-    """Sweep order at one x: left sides first, then input points, then right sides."""
-
-    LEFT_SIDE = 0
-    INPUT_POINT = 1
-    RIGHT_SIDE = 2
-
-
-_LEFT, _POINT, _RIGHT = (EventClass.LEFT_SIDE, EventClass.INPUT_POINT,
-                         EventClass.RIGHT_SIDE)
+LEFT, POINT, RIGHT = 0, 1, 2  # sweep event classes, in their order at one x
 
 
 def sweep_events(spans, points=()) -> list:
-    """The sorted sweep events `(x, EventClass, y, i)` of the i-th `(left,
-    right, y)` span, one per side, and of the i-th `(x, y)` point.
+    """The sorted sweep events `(x, cls, y, i)` of the i-th `(left, right,
+    y)` span, cls LEFT and RIGHT, and of the i-th `(x, y)` point, POINT.
 
-    At equal x, lefts come before points before rights, so every span is
-    closed: it is active at each point on its sides.  Then y and the index
-    decide.  Every sweep of the package takes its order from here."""
-    events = [(x, _POINT, y, i) for i, (x, y) in enumerate(points)]
+    At equal x lefts come before points before rights, as the ints order,
+    so every span is closed: it is active at each point on its sides.
+    Then y and the index decide.  Every sweep takes its order from here."""
+    events = [(x, POINT, y, i) for i, (x, y) in enumerate(points)]
     for i, (left, right, y) in enumerate(spans):
-        events.append((left, _LEFT, y, i))
-        events.append((right, _RIGHT, y, i))
+        events.append((left, LEFT, y, i))
+        events.append((right, RIGHT, y, i))
     events.sort()
     return events
 
@@ -262,7 +252,7 @@ def _max_stab_closed(spans) -> int:
     """The most closed `(lo, hi, y)` spans that share a coordinate."""
     best = cur = 0
     for _, cls, _, _ in sweep_events(spans):
-        if cls == _RIGHT:
+        if cls == RIGHT:
             cur -= 1
         else:
             cur += 1
@@ -294,7 +284,7 @@ def ply_rects(rects: Sequence[UnitRect]) -> int:
     best = 0
     for _, cls, _, i in sweep_events([(left, right, 0)
                                       for left, right, _, _ in boxes]):
-        if cls == _LEFT:
+        if cls == LEFT:
             active[i] = ys[i]
             grown = True
             continue
@@ -328,12 +318,12 @@ def rects_cover(points, rects: Sequence[UnitRect]) -> list:
                           [(p.x, 0) for p in points])
     out = [False] * len(points)
     for _, cls, _, i in events:
-        if cls == _POINT:
+        if cls == POINT:
             y = points[i].y
             out[i] = (below(bisect_right(bottoms, y))
                       > below(bisect_left(bottoms, y - 1)))
             continue
-        step = 1 if cls == _LEFT else -1
+        step = 1 if cls == LEFT else -1
         k = rank[i]
         while k < len(tree):
             tree[k] += step

@@ -50,16 +50,13 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 from .errors import Infeasible
-from .geom import (EventClass, WeightedInterval, line_pairs, pair_ranks,
-                   sweep_events)
+from .geom import (LEFT, POINT, RIGHT, WeightedInterval, line_pairs,
+                   pair_ranks, sweep_events)
 from .slabs import CoverSolution
 
 MODES = ("mmsc", "mpc")
 
 V0, V1, V2 = 0, 1, 2
-
-_LEFT, _POINT, _RIGHT = (EventClass.LEFT_SIDE, EventClass.INPUT_POINT,
-                         EventClass.RIGHT_SIDE)
 
 
 def _scaled(pairs):
@@ -79,10 +76,12 @@ class PreparedIntervals:
     weights: list         # kept interval weights times weight_scale
     weight_scale: int     # W: the lcm of the weight denominators
     has_point: list       # per strip: does some point lie in it
+    uncovered: object     # first point, as given, in no interval, or None
 
 
 def prepare_instance(points, intervals) -> PreparedIntervals:
-    """Strip layout and the strips that hold a point, on coordinate ranks.
+    """Strip layout, the strips that hold a point and the first point in
+    sweep order that no interval covers, if any, on coordinate ranks.
 
     Points and intervals may come in any order; exact duplicate intervals
     collapse to their minimum-weight copy.  Points are numbers and
@@ -111,18 +110,22 @@ def prepare_instance(points, intervals) -> PreparedIntervals:
 
     events, has_point = [], [False]
     right_pos = [0] * len(keep)
+    active, uncovered = 0, None
     for ev in sweep_events([(los[i], his[i], 0) for i in keep],
                            [(x, 0) for x in xs]):
         _, cls, _, q = ev
-        if cls == _POINT:
+        if cls == POINT:
             has_point[-1] = True
+            if not active and uncovered is None:
+                uncovered = points[q]
             continue
-        if cls == _RIGHT:
+        if cls == RIGHT:
             right_pos[q] = len(events)
+        active += 1 if cls == LEFT else -1
         events.append(ev)
         has_point.append(False)
     return PreparedIntervals(keep, events, right_pos, [ws[i] for i in keep],
-                             w_scale, has_point)
+                             w_scale, has_point, uncovered)
 
 
 _weight = operator.itemgetter(4)   # a vertex's weight
@@ -149,9 +152,6 @@ def build_dag(prep: PreparedIntervals, mode: str = "mmsc") -> IntervalDag:
     mpc = mode == "mpc"
     wt = prep.weights
     right_pos = prep.right_pos
-    events = prep.events
-    k = len(events)
-
     has_point = prep.has_point
     pref = [0, *accumulate(has_point)]  # strips before i holding a point
 
@@ -172,9 +172,9 @@ def build_dag(prep: PreparedIntervals, mode: str = "mmsc") -> IntervalDag:
     pending_v2: dict[int, list] = {}
     active: dict[int, None] = {}
 
-    for b, (_, cls, _, q0) in enumerate(events):
+    for b, (_, cls, _, q0) in enumerate(prep.events):
         i2 = b + 1
-        is_left = cls == _LEFT
+        is_left = cls == LEFT
         if is_left:
             n_overlaps += len(active)
             active[q0] = None
@@ -234,8 +234,8 @@ def build_dag(prep: PreparedIntervals, mode: str = "mmsc") -> IntervalDag:
                 adj[vid].append(cur_v1[r])
         prev_v0, prev_v1 = cur_v0, cur_v1
 
-    sink = prev_v0 if k > 0 else source
-    return IntervalDag(vertices, adj, source, sink, len(wt), n_overlaps)
+    # the sink is the last strip's V0: with no events, the source
+    return IntervalDag(vertices, adj, source, prev_v0, len(wt), n_overlaps)
 
 
 def bottleneck_path(dag: IntervalDag):
@@ -283,20 +283,20 @@ def solve_intervals(points, intervals, mode: str = "mmsc") -> CoverSolution:
     """Exact optimum cover by weighted intervals for either objective.
 
     Takes numbers and WeightedIntervals or exact int pairs, as
-    `prepare_instance` does."""
+    `prepare_instance` does.  A point in no interval raises Infeasible
+    naming it, and no DAG is built."""
     prep = prepare_instance(points, intervals)
+    x = prep.uncovered
+    if x is not None:
+        raise Infeasible("point %r is covered by no interval"
+                         % (Fraction(*x) if type(x) is tuple else x,))
     dag = build_dag(prep, mode)
     res = bottleneck_path(dag)
     if res is None:
         raise Infeasible("some point lies in no interval")
     path, value = res
-    chosen = set()
-    for vi in path:
-        kind, _, q, r, _ = dag.vertices[vi]
-        if kind != V0:
-            chosen.add(q)
-            if kind == V2:
-                chosen.add(r)
+    # a vertex's intervals are its q and r, -1 where it has none
+    chosen = {i for vi in path for i in dag.vertices[vi][2:4]} - {-1}
     return CoverSolution(sorted(prep.orig_idx[q] for q in chosen),
                          Fraction(value, prep.weight_scale))
 
@@ -315,10 +315,10 @@ def chosen_loads(points, chosen: Sequence[WeightedInterval]):
     count = load = 0
     for _, cls, _, k in sweep_events([(s.lo, s.hi, 0) for s in chosen],
                                      [(x, 0) for x in points]):
-        if cls == _LEFT:
+        if cls == LEFT:
             count += 1
             load += ws[k]
-        elif cls == _RIGHT:
+        elif cls == RIGHT:
             count -= 1
             load -= ws[k]
         else:
@@ -347,7 +347,7 @@ def count_overlapping_pairs(intervals) -> int:
     active = 0
     total = 0
     for _, cls, _, _ in sweep_events([(s.lo, s.hi, 0) for s in intervals]):
-        if cls == _LEFT:
+        if cls == LEFT:
             total += active
             active += 1
         else:

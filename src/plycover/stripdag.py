@@ -44,15 +44,16 @@ inclusion-minimal (see `run`).  The 3-color step (`tricolor`) works on
 triples of class masks over the disk problem and reads each event's step
 once.  Rectangles and disks step with `_mpc_step`, which calls
 `successors` once per state, where perfbench/tracing.py counts the
-states; `successors` reads the event's step, and asks `has_clique` only
-when ell > 1 and at least ell members meet the entering object.
+states; `successors` reads the event's step, returns `(key, union)`
+pairs, and asks `has_clique` only when ell > 1 and at least ell members
+meet the entering object.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
-from .geom import EventClass, sweep_events
+from .geom import LEFT, POINT, sweep_events
 
 
 def bits(mask: int) -> list:
@@ -66,6 +67,8 @@ def bits(mask: int) -> list:
 
 
 class StripState(NamedTuple):
+    """Only the view of a state that perfbench/tracing.py reads where it
+    wraps `successors`; the search itself holds `key -> union` dicts."""
     strip: int
     mask: int          # members
     union: int = 0     # chosen objects on the first path to this state
@@ -114,7 +117,7 @@ def build_problem(points, objects, spans, meets, shares,
     uncovered = None
     bit, rest, held, seen = 0, [], [], set()  # strip 0 follows no event
     for _, cls, _, i in sweep_events(spans, [(p.x, p.y) for p in points]):
-        if cls == EventClass.INPUT_POINT:
+        if cls == POINT:
             p, m = points[i], 0
             for o in active:
                 if objects[o].contains(p):
@@ -126,7 +129,7 @@ def build_problem(points, objects, spans, meets, shares,
                 (held if m & bit else rest).append(m)
             continue
         bit, rest, held, seen = 1 << i, [], [], set()
-        left = cls == EventClass.LEFT_SIDE
+        left = cls == LEFT
         steps.append((left, bit, i, rest, held))  # filled by the next strip
         if left:
             m = 0
@@ -167,22 +170,22 @@ def has_clique(meets: list, mask: int, k: int, shares=None,
     return mask.bit_count() >= k
 
 
-def successors(problem: StripProblem, state: StripState) -> list[StripState]:
-    """Valid states one strip to the right of `state`."""
+def successors(problem: StripProblem, state: StripState) -> list:
+    """The `(key, union)` pairs of the valid states one strip to the right
+    of `state`: keep (or drop, at a right side) first, then take."""
     strip, members, union = state
     left, bit, q, rest, held = problem.steps[strip]
     for c in rest:  # taking q cannot meet these either
         if not members & c:
             return []
-    nxt = strip + 1
     if not left:
-        return [_new(StripState, (nxt, members & ~bit, union))]
+        return [(members & ~bit, union)]
     out = []
     for c in held:
         if not members & c:
             break
     else:
-        out.append(_new(StripState, (nxt, members, union)))
+        out.append((members, union))
     if members.bit_count() >= problem.cap:
         return out
     near = members & problem.meets[q]
@@ -190,19 +193,19 @@ def successors(problem: StripProblem, state: StripState) -> list[StripState]:
     if near.bit_count() >= ell and (ell == 1 or has_clique(
             problem.meets, near, ell, problem.shares, (q,))):
         return out
-    out.append(_new(StripState, (nxt, members | bit, union | bit)))
+    out.append((members | bit, union | bit))
     return out
 
 
 def _mpc_step(problem: StripProblem, i: int, states: dict) -> dict:
     """The states of strip i + 1 reached from strip i's, for rectangles
-    and disks: `successors` of each state, visited in dict order."""
+    and disks: the `successors` pairs of each state, in dict order."""
     # one `successors` call per state, because perfbench/tracing.py counts
     # states by wrapping it; an event-major rect and disk step waits for a
     # state count the search reports itself (ROADMAP item 3, after item 2)
     nxt = {}
     for key, union in states.items():
-        for _, k, u in successors(problem, _new(StripState, (i, key, union))):
+        for k, u in successors(problem, _new(StripState, (i, key, union))):
             if k not in nxt:
                 nxt[k] = u
     return nxt

@@ -6,9 +6,10 @@ tuples, unions merged as tuples and compared with tuple `<`, coverage
 tested point by point with the objects' `contains`, and ply through a
 tuple-keyed cache over the `geom` ply functions.  The 3-color search is
 its own loop over triples of class tuples.  The side events are built here
-too, as plain tuples in the documented sweep order `(x, EventClass, y,
-obj)`.  The differential tests require the production engine to return
-exactly what these return, and to cut the same strips.
+too, as plain tuples in the documented sweep order `(x, cls, y, obj)`,
+with this module's own event classes.  The differential tests require
+the production engine to return exactly what these return, and to cut
+the same strips.
 
 Each state carries its decision path, a tuple of per-boundary ranks, and
 keeps the union of the least path that reaches it.  In the ply search the
@@ -24,15 +25,16 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from plycover.geom import EventClass, disks_disjoint, ply_disks, ply_rects
+from plycover.geom import disks_disjoint, ply_disks, ply_rects
+
+# the documented sweep order (x, cls, y, obj): lefts before points before
+# rights at equal x
+LEFT, POINT, RIGHT = 0, 1, 2
 
 
 def _events(sides) -> list:
-    # the documented sweep order (x, EventClass, y, obj): lefts before
-    # points before rights at equal x
     return sorted(e for i, (left, right, y) in enumerate(sides)
-                  for e in ((left, EventClass.LEFT_SIDE, y, i),
-                            (right, EventClass.RIGHT_SIDE, y, i)))
+                  for e in ((left, LEFT, y, i), (right, RIGHT, y, i)))
 
 
 def rect_events(rects) -> list:
@@ -87,7 +89,7 @@ class StripProblem:
 def locate_strip_points(points, events) -> list:
     strip_points = [[] for _ in range(len(events) + 1)]
     for p in points:
-        i = bisect_left(events, (p.x, EventClass.INPUT_POINT, p.y))
+        i = bisect_left(events, (p.x, POINT, p.y))
         strip_points[i].append(p)
     return strip_points
 
@@ -113,7 +115,7 @@ def successors(problem: StripProblem, state: StripState) -> list:
     """(successor state, rank) pairs; the rank is 1 iff q is added."""
     _, cls, _, q = problem.events[state.strip]
     members = state.members
-    if cls == EventClass.LEFT_SIDE:
+    if cls == LEFT:
         cands = [(members, False)]
         if len(members) < problem.cap:
             cands.append((merge_member(members, q), True))
@@ -208,7 +210,7 @@ def solve_slab_3color(points, disks):
     # canonical classes -> (least path, unions)
     states = {_EMPTY: ((), _EMPTY)}
     for b, (_, side, _, q) in enumerate(events):
-        is_left = side == EventClass.LEFT_SIDE
+        is_left = side == LEFT
         pts = strip_points[b + 1]
         nxt = {}
         for classes in sorted(states):

@@ -26,7 +26,7 @@ import plycover
 from plycover.cli import main
 from plycover.disks import dedupe_disks, disk_spans, solve_slab_disks
 from plycover.errors import Infeasible
-from plycover.geom import (EventClass, Point, UnitDisk, disks_disjoint,
+from plycover.geom import (LEFT, Point, UnitDisk, disks_disjoint,
                            ply_disks, ply_rects, sweep_events)
 from plycover.instances import Instance, generate, save
 from plycover.intervals import build_dag, prepare_instance, solve_intervals
@@ -94,7 +94,7 @@ def _disk_results():
 def _strip_capacity_ok(events, witness, cap):
     left, right = {}, {}
     for pos, e in enumerate(events):
-        (left if e[1] == EventClass.LEFT_SIDE else right)[e[3]] = pos
+        (left if e[1] == LEFT else right)[e[3]] = pos
     for i in range(len(events) + 1):
         if sum(1 for o in witness if left[o] < i <= right[o]) > cap:
             return False

@@ -297,6 +297,20 @@ class TestExitCodes:
                      "--out", str(sol)])
         assert code == 2
 
+    def test_uncovered_interval_point_is_named(self, tmp_path, capsys):
+        # the first point in sweep order that no interval covers, shown as
+        # its Fraction; 1/2 is covered and 7 comes later
+        inst = tmp_path / "gap.jsonl"
+        inst.write_text('{"kind":"intervals"}\n{"p":["7"]}\n{"p":["5/2"]}\n'
+                        '{"p":["1/2"]}\n{"i":["0","2","1"]}\n')
+        for mode in ("mmsc", "mpc"):
+            capsys.readouterr()
+            assert main(["solve", "--kind", "intervals", "--mode", mode,
+                         "--in", str(inst),
+                         "--out", str(tmp_path / "s.json")]) == 2
+            assert capsys.readouterr().err == (
+                "infeasible: point Fraction(5, 2) is covered by no interval\n")
+
     def test_budget_exceeded_exits_three(self, tmp_path):
         from conftest import forced_pair_rects
         points, rects = forced_pair_rects()

@@ -4,7 +4,7 @@ import random
 from conftest import covers, forced_pair_disks, slab_points
 
 from plycover.disks import dedupe_disks, disk_spans, solve_slab_disks
-from plycover.geom import (EventClass, Point, UnitDisk, ply_disks,
+from plycover.geom import (LEFT, RIGHT, Point, UnitDisk, ply_disks,
                            sweep_events)
 from plycover.instances import generate
 from plycover.oracle import exact_min_ply
@@ -32,8 +32,7 @@ class TestTies:
                Point(1.5, 2.5)]
         events = sweep_events(disk_spans(dks))
         assert [(e[1], e[3]) for e in events] == [
-            (EventClass.LEFT_SIDE, 0), (EventClass.LEFT_SIDE, 1),
-            (EventClass.RIGHT_SIDE, 0), (EventClass.RIGHT_SIDE, 1)]
+            (LEFT, 0), (LEFT, 1), (RIGHT, 0), (RIGHT, 1)]
         sol = solve_mpc(pts, dks, "disks")
         assert sol.chosen == [0, 1] and sol.objective == 1
         assert solve_3color(pts, dks).chosen == [0, 1]
@@ -86,7 +85,7 @@ class TestSolveSlab:
                 events = sweep_events(disk_spans(objs))
                 left, right = {}, {}
                 for pos, e in enumerate(events):
-                    (left if e[1] == EventClass.LEFT_SIDE else right)[e[3]] = pos
+                    (left if e[1] == LEFT else right)[e[3]] = pos
                 for i in range(len(events) + 1):
                     count = sum(1 for o in wit if left[o] < i <= right[o])
                     assert count <= 8 * opt

@@ -10,7 +10,7 @@ import depth_reference
 from conftest import depth_at, nudged
 from depth_reference import grid_depth_disks
 
-from plycover.geom import (EventClass, Point, UnitDisk, UnitRect,
+from plycover.geom import (LEFT, POINT, RIGHT, Point, UnitDisk, UnitRect,
                            WeightedInterval, disks_cover, disks_disjoint,
                            disks_share_point, ply_disks, ply_rects,
                            rects_cover, sweep_events)
@@ -300,10 +300,6 @@ class TestShareFilter:
         assert answers == {True, False}
 
 
-_L, _P, _R = (EventClass.LEFT_SIDE, EventClass.INPUT_POINT,
-              EventClass.RIGHT_SIDE)
-
-
 class TestSweepEvents:
     coords = st.integers(-4, 4)
 
@@ -314,13 +310,14 @@ class TestSweepEvents:
         spans = [(F(a), F(a + w), F(y)) for a, w, y in spans]
         points = [(F(x), F(y)) for x, y in points]
         events = sweep_events(spans, points)
-        want = ([(left, _L, y, i) for i, (left, _, y) in enumerate(spans)]
-                + [(right, _R, y, i) for i, (_, right, y) in enumerate(spans)]
-                + [(x, _P, y, j) for j, (x, y) in enumerate(points)])
+        want = ([(left, LEFT, y, i) for i, (left, _, y) in enumerate(spans)]
+                + [(right, RIGHT, y, i)
+                   for i, (_, right, y) in enumerate(spans)]
+                + [(x, POINT, y, j) for j, (x, y) in enumerate(points)])
         assert sorted(events) == sorted(want)
         assert all(type(e) is tuple for e in events)
         # at equal x lefts, then points, then rights; then y, then index
-        rank = {_L: 0, _P: 1, _R: 2}
+        rank = {LEFT: 0, POINT: 1, RIGHT: 2}
         keys = [(x, rank[cls], y, i) for x, cls, y, i in events]
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
@@ -329,8 +326,8 @@ class TestSweepEvents:
         spans = [(F(0), F(1), F(-9)), (F(1), F(2), F(5)), (F(1), F(3), F(5))]
         points = [(F(1), F(0)), (F(1), F(-1)), (F(1), F(-1))]
         assert [(cls, i) for _, cls, _, i in sweep_events(spans, points)] == [
-            (_L, 0), (_L, 1), (_L, 2), (_P, 1), (_P, 2), (_P, 0), (_R, 0),
-            (_R, 1), (_R, 2)]
+            (LEFT, 0), (LEFT, 1), (LEFT, 2), (POINT, 1), (POINT, 2),
+            (POINT, 0), (RIGHT, 0), (RIGHT, 1), (RIGHT, 2)]
         assert sweep_events([]) == []
 
 

@@ -8,6 +8,7 @@ import dag_reference
 from conftest import greedy_trap_instance
 from test_degenerate import _gritty_intervals
 
+from plycover import intervals as intervals_mod
 from plycover.errors import Infeasible
 from plycover.geom import WeightedInterval, line_pairs, pair_ranks
 from plycover.instances import Instance, dumps, generate, loads
@@ -340,6 +341,54 @@ class TestSolve:
             solve_intervals([F(10)], [iv(0, 1)], "mmsc")
         with pytest.raises(Infeasible):
             solve_intervals([F(1)], [], "mmsc")
+
+    def test_infeasible_names_its_point_and_builds_no_dag(self,
+                                                           monkeypatch):
+        built = []
+
+        def spy(prep, mode="mmsc"):
+            built.append(mode)
+            return build_dag(prep, mode)
+        monkeypatch.setattr(intervals_mod, "build_dag", spy)
+        with pytest.raises(Infeasible,
+                           match=r"^point 10 is covered by no interval$"):
+            solve_intervals([F(1), 10, F(12)], [iv(0, 1)], "mpc")
+        with pytest.raises(Infeasible, match=r"^point Fraction\(3, 2\) "):
+            solve_intervals(*line_pairs([F(3, 2)], [iv(0, 1)]), "mmsc")
+        assert built == []
+        solve_intervals([F(1)], [iv(0, 1)], "mmsc")
+        assert built == ["mmsc"]
+
+    def test_uncovered_is_the_first_in_sweep_order(self):
+        # against a brute force: the least uncovered value, and of equal
+        # values the first given; as given, and a pair for pairs
+        rng = random.Random(27)
+        named = 0
+        for seed in range(200):
+            inst = generate("intervals", rng.randint(0, 12),
+                            rng.randint(1, 8),
+                            rng.choice(["uniform", "clustered", "chain"]),
+                            seed=seed, allow_uncovered=True)
+            points = rng.sample(inst.points, len(inst.points))
+            # equal values as new objects, so that `is` tells them apart
+            points += [F(x) for x in rng.sample(points, min(2, len(points)))]
+            ivs = rng.sample(inst.objects, len(inst.objects))
+            out = [k for k, x in enumerate(points)
+                   if not any(s.lo <= x <= s.hi for s in ivs)]
+            first = min(out, key=lambda k: (points[k], k), default=None)
+            got = prepare_instance(points, ivs).uncovered
+            pair = prepare_instance(*line_pairs(points, ivs)).uncovered
+            if first is None:
+                assert got is None and pair is None, seed
+                continue
+            assert got is points[first], seed
+            assert F(*pair) == points[first], seed
+            with pytest.raises(Infeasible) as err:
+                solve_intervals(points, ivs, rng.choice(["mmsc", "mpc"]))
+            assert str(err.value) == (
+                "point %r is covered by no interval" % (points[first],))
+            named += 1
+        assert named > 50
 
     def test_duplicate_intervals_resolve_to_cheapest_copy(self):
         sol = solve_intervals([F(1)], [iv(0, 2, 9), iv(0, 2, 2)], "mmsc")

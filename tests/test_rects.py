@@ -6,7 +6,7 @@ import pytest
 from conftest import covers, forced_pair_rects, slab_points
 
 from plycover.errors import BudgetExceeded, Infeasible
-from plycover.geom import (EventClass, Point, UnitRect, ply_rects,
+from plycover.geom import (LEFT, RIGHT, Point, UnitRect, ply_rects,
                            rect_pairs, sweep_events)
 from plycover.instances import Instance, dumps, generate, loads
 from plycover.oracle import exact_min_ply
@@ -29,27 +29,28 @@ class TestStrips:
     def test_shared_left_x_breaks_ties_by_y(self):
         ev = sweep_events(rect_spans([sq(0, 0), UnitRect(F(0), F(3, 2))]))
         assert len(ev) + 1 == 5
-        assert [e[1] for e in ev] == [EventClass.LEFT_SIDE, EventClass.LEFT_SIDE,
-                                      EventClass.RIGHT_SIDE, EventClass.RIGHT_SIDE]
+        assert [e[1] for e in ev] == [LEFT, LEFT, RIGHT, RIGHT]
         assert ev[0][2] < ev[1][2] and ev[2][2] < ev[3][2]
 
 
 class TestSuccessors:
+    # `successors` gives the next strip's (members, union) pairs, keep
+    # (or drop) before take
     def test_left_event_offers_keep_and_take(self):
         prob = rect_slab_problem([], [sq(0, 0)])
         out = successors(prob, StripState(0, 0))
-        assert sorted(s.members for s in out) == [(), (0,)]
+        assert out == [(0, 0), (0b1, 0b1)]
 
     def test_right_event_forces_drop(self):
         prob = rect_slab_problem([], [sq(0, 0)])
         out = successors(prob, StripState(1, 0b1, 0b1))
-        assert [s.members for s in out] == [()]
+        assert out == [(0, 0b1)]
 
     def test_uncovered_point_kills_keep_branch(self):
         # point inside the square's strip: the empty set cannot continue
         prob = rect_slab_problem([Point(F(1, 2), F(1, 2))], [sq(0, 0)])
         out = successors(prob, StripState(0, 0))
-        assert [s.members for s in out] == [(0,)]
+        assert out == [(0b1, 0b1)]
 
     def test_ply_budget_prunes_overlapping_take(self):
         r2 = UnitRect(F(1, 2), F(0))
@@ -57,7 +58,7 @@ class TestSuccessors:
         left, _, obj, _, _ = prob.steps[1]
         assert left and obj == 1
         out = successors(prob, StripState(1, 0b1, 0b1))
-        assert [s.members for s in out] == [(0,)]  # {0,1} exceeds ply 1
+        assert out == [(0b1, 0b1)]  # {0,1} exceeds ply 1
 
 
 class TestSolveSlab:
@@ -126,7 +127,7 @@ def _strip_counts(events, m, chosen):
     left = {}
     right = {}
     for pos, e in enumerate(events):
-        if e[1] == EventClass.LEFT_SIDE:
+        if e[1] == LEFT:
             left[e[3]] = pos
         else:
             right[e[3]] = pos

@@ -21,8 +21,7 @@ from plycover import disks as disks_mod
 from plycover import geom, slabs, stripdag, tricolor
 from plycover.disks import disk_slab_problem, disk_spans, solve_slab_disks
 from plycover.errors import Infeasible
-from plycover.geom import (EventClass, Point, UnitDisk, UnitRect,
-                           disks_disjoint, ply_disks)
+from plycover.geom import Point, UnitDisk, UnitRect, disks_disjoint, ply_disks
 from plycover.instances import generate
 from plycover.rects import rect_slab_problem, rect_spans, solve_slab_rects
 from plycover.slabs import assign_slabs, live_objects, solve_mpc
@@ -43,7 +42,7 @@ def _sides(problem):
 
 
 def _ref_sides(events):
-    return [(cls == EventClass.LEFT_SIDE, q) for _, cls, _, q in events]
+    return [(cls == ref.LEFT, q) for _, cls, _, q in events]
 
 
 def _rect_instances(seed):
@@ -336,8 +335,7 @@ class TestStepTable:
                 for i, (left, bit, obj, rest, held) in enumerate(
                         problem.steps):
                     _, cls, _, q = events[i]
-                    assert (left, bit, obj) == (
-                        cls == EventClass.LEFT_SIDE, 1 << q, q)
+                    assert (left, bit, obj) == (cls == geom.LEFT, 1 << q, q)
                     # the objects whose left side and not right side is
                     # among events 0..i, and the points past exactly those
                     sides = Counter(e[3] for e in events[:i + 1])
@@ -345,7 +343,7 @@ class TestStepTable:
                     masks = {sum(1 << o for o in active
                                  if objs[o].contains(p))
                              for p in pts
-                             if sum(e < (p.x, EventClass.INPUT_POINT, p.y)
+                             if sum(e < (p.x, geom.POINT, p.y)
                                     for e in events) == i + 1}
                     assert sorted(rest) == sorted(m for m in masks
                                                   if not m & bit)

@@ -396,6 +396,27 @@ def test_cli_import_leaves_numpy_unloaded():
                           timeout=60).returncode == 0
 
 
+def test_solution_digest_is_repeatable(tmp_path):
+    # tools/solution_digest.py, run from the repository root, prints the
+    # same digest twice and leaves no files behind in its temporary
+    # directory
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    outs = [subprocess.run(
+        [sys.executable, os.path.join("tools", "solution_digest.py"),
+         "--seeds", "1", "--workload", "rects-dense", "--limit", "3"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        check=True).stdout for _ in range(2)]
+    assert outs[0] == outs[1]
+    lines = outs[0].splitlines()
+    assert lines[0] == "# seed 1" and len(lines) == 4
+    for line, case in zip(lines[1:], ("d000", "d001", "d002")):
+        name, rc, sol, err = line.split()
+        assert (name, rc) == ("rects-dense/" + case, "0")
+        assert len(sol) == len(err) == 64
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_interval_solve_builds_no_interval_objects(tmp_path, monkeypatch):
     # `plycover solve --kind intervals` runs from the loaded int pairs
     inst = generate("intervals", 40, 30, "clustered", seed=6)

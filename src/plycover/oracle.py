@@ -1,13 +1,17 @@
 """Independent exact solvers used to cross-check the production ones.
 
-Branch-and-bound minimum ply cover, exhaustive 3-colorable cover search,
-and subset enumeration for weighted intervals.  Size caps keep full test
-sweeps fast; instances above a cap are refused rather than solved slowly.
+Minimum ply cover, 3-colorable cover and the exact interval optima share
+one branch-and-bound search over covering subsets (`_least_cover`); each
+oracle only says how adding an object grows its state and objective.
+Size caps keep full test sweeps fast; instances above a cap are refused
+rather than solved slowly.
 
 The minimum ply cover prices each branch by the ply of its chosen objects
 with the new one added, by the one depth routine of the kind (`geom`).
 That is the depth inside the added object where it exceeds the ply
-before: ply(S + q) = max(ply(S), depth inside q).
+before: ply(S + q) = max(ply(S), depth inside q).  Every 3-colorable
+cover costs 0, so the first one found cuts every later branch and is the
+witness returned.
 """
 from __future__ import annotations
 
@@ -32,113 +36,93 @@ def _cover_masks(points, objects):
     return masks
 
 
-def _suffix_or(masks):
-    out = [0] * (len(masks) + 1)
+def _least_cover(points, objects, cap, noun, zero, start, grow):
+    """Least-objective covering subset: (objective, chosen indices, state),
+    or None when no cover survives the ways of adding that `grow` offers.
+
+    Refuses more than `cap` objects, and raises Infeasible naming the first
+    point, in input order, that no object covers.  Objects are tried in
+    index order, each way of adding object i that `grow(state, i)` lists
+    as (objective, state) before leaving it out, from `zero` and `start`.
+    Objectives never fall as objects are added, so a branch is cut once
+    its objective reaches the incumbent, or once the objects left cannot
+    complete the cover.
+    """
+    if len(objects) > cap:
+        raise InstanceTooLarge("at most %d %ss" % (cap, noun))
+    points = list(points)
+    masks = _cover_masks(points, objects)
+    suffix = [0] * (len(masks) + 1)
     for i in range(len(masks) - 1, -1, -1):
-        out[i] = out[i + 1] | masks[i]
-    return out
+        suffix[i] = suffix[i + 1] | masks[i]
+    for pi, p in enumerate(points):
+        if not suffix[0] >> pi & 1:
+            raise Infeasible("point %r is covered by no %s" % (p, noun))
+    full = (1 << len(points)) - 1
+    best = None
+    chosen: list[int] = []
+
+    def rec(i, covered, objective, state):
+        nonlocal best
+        if best is not None and objective >= best[0]:
+            return
+        if covered == full:
+            best = (objective, list(chosen), state)
+            return
+        if covered | suffix[i] != full:
+            return
+        chosen.append(i)
+        for grown, new_state in grow(state, i):
+            if best is None or grown < best[0]:
+                rec(i + 1, covered | masks[i], grown, new_state)
+        chosen.pop()
+        rec(i + 1, covered, objective, state)
+
+    rec(0, 0, zero, start)
+    return best
 
 
 def exact_min_ply(points, objects, kind):
     """Exact minimum ply cover by branch and bound: (opt, chosen indices).
 
-    Prunes a branch once its partial ply reaches the incumbent (ply never
-    decreases when objects are added) or once the remaining objects cannot
-    complete the cover.  A branch is priced by the ply of its chosen
-    objects, the same `ply_rects` / `ply_disks` that the solvers report.
+    A branch is priced by the ply of its chosen objects, the same
+    `ply_rects` / `ply_disks` that the solvers report.
     """
     if kind not in ("rects", "disks"):
         raise ValueError("kind must be 'rects' or 'disks'")
-    if len(objects) > MAX_MIN_PLY:
-        raise InstanceTooLarge("at most %d objects" % MAX_MIN_PLY)
-    points = list(points)
-    objects = list(objects)
     ply_of = ply_rects if kind == "rects" else ply_disks
-    n, m = len(points), len(objects)
-    full = (1 << n) - 1
-    masks = _cover_masks(points, objects)
-    union = 0
-    for v in masks:
-        union |= v
-    if union != full:
-        raise Infeasible("some point is covered by no object")
-    suffix = _suffix_or(masks)
 
-    best = [None, None]
-    chosen: list[int] = []
-    chosen_objs: list = []
+    def grow(objs, i):
+        objs = objs + [objects[i]]
+        return [(ply_of(objs), objs)]
 
-    def rec(i, covered, cur_ply):
-        if best[0] is not None and cur_ply >= best[0]:
-            return
-        if covered == full:
-            best[0] = cur_ply
-            best[1] = list(chosen)
-            return
-        if i == m or (covered | suffix[i]) != full:
-            return
-        obj = objects[i]
-        new_ply = ply_of(chosen_objs + [obj])
-        if best[0] is None or new_ply < best[0]:
-            chosen.append(i)
-            chosen_objs.append(obj)
-            rec(i + 1, covered | masks[i], new_ply)
-            chosen.pop()
-            chosen_objs.pop()
-        rec(i + 1, covered, cur_ply)
-
-    rec(0, 0, 0)
-    return best[0], best[1]
+    opt, chosen, _ = _least_cover(points, objects, MAX_MIN_PLY, "object",
+                                  0, [], grow)
+    return opt, chosen
 
 
 def exact_3color_cover(points, disks):
     """Covering subset split into three pairwise-disjoint classes, or None.
 
     Searches over covering subsets together with proper 3-colorings of
-    their intersection graphs; extending a partial coloring can never fix
-    a conflict, so conflicting branches are cut immediately.
+    their intersection graphs.  A disk joins each class holding no disk it
+    meets, and only the first empty class, since the classes fill in order
+    and empty ones are interchangeable; extending a partial coloring can
+    never fix a conflict.  None also when some point is covered by no disk.
     """
-    if len(disks) > MAX_3COLOR:
-        raise InstanceTooLarge("at most %d disks" % MAX_3COLOR)
-    points = list(points)
-    disks = list(disks)
-    n, m = len(points), len(disks)
-    full = (1 << n) - 1
-    masks = _cover_masks(points, disks)
-    union = 0
-    for v in masks:
-        union |= v
-    if union != full:
-        return None
-    conflict = [[not disks_disjoint(a, b) for b in disks]
-                for a in disks]
-    suffix = _suffix_or(masks)
-    cols: tuple[list, list, list] = ([], [], [])
-    out = [None]
-
-    def rec(i, covered):
-        if covered == full:
-            out[0] = tuple(tuple(c) for c in cols)
-            return True
-        if i == m or (covered | suffix[i]) != full:
-            return False
-        row = conflict[i]
-        seen_empty = False
-        for a in range(3):
-            c = cols[a]
+    def grow(classes, i):
+        for a, c in enumerate(classes):
+            if all(disks_disjoint(disks[i], disks[j]) for j in c):
+                yield 0, classes[:a] + (c + (i,),) + classes[a + 1:]
             if not c:
-                if seen_empty:
-                    break
-                seen_empty = True
-            if all(not row[j] for j in c):
-                c.append(i)
-                if rec(i + 1, covered | masks[i]):
-                    return True
-                c.pop()
-        return rec(i + 1, covered)
+                break
 
-    rec(0, 0)
-    return out[0]
+    try:
+        best = _least_cover(points, disks, MAX_3COLOR, "disk", 0,
+                            ((), (), ()), grow)
+    except Infeasible:
+        return None
+    return None if best is None else best[2]
 
 
 def exact_intervals(points, intervals, mode: str = "mmsc"):
@@ -150,53 +134,16 @@ def exact_intervals(points, intervals, mode: str = "mmsc"):
     """
     if mode not in ("mmsc", "mpc"):
         raise ValueError("mode must be 'mmsc' or 'mpc'")
-    if len(intervals) > MAX_INTERVALS:
-        raise InstanceTooLarge("at most %d intervals" % MAX_INTERVALS)
     xs = list(points)
-    intervals = list(intervals)
-    n, m = len(xs), len(intervals)
-    full = (1 << n) - 1
-    masks = _cover_masks(xs, intervals)
-    union = 0
-    for v in masks:
-        union |= v
-    if union != full:
-        raise Infeasible("some point lies in no interval")
-    suffix = _suffix_or(masks)
+    eval_xs = xs if mode == "mmsc" else [s.lo for s in intervals]
 
-    eval_xs = xs if mode == "mmsc" else sorted({s.lo for s in intervals})
-    incid = [[e for e, x in enumerate(eval_xs) if s.contains(x)]
-             for s in intervals]
+    def grow(memb, i):
+        s = intervals[i]
+        memb = [v + s.weight if s.contains(x) else v
+                for v, x in zip(memb, eval_xs)]
+        return [(max(memb), memb)]
 
-    memb = [Fraction(0)] * len(eval_xs)
-    best = [None, None]
-    chosen: list[int] = []
-
-    def rec(i, covered, cur_obj):
-        if best[0] is not None and cur_obj >= best[0]:
-            return
-        if covered == full:
-            best[0] = cur_obj
-            best[1] = list(chosen)
-            return
-        if i == m or (covered | suffix[i]) != full:
-            return
-        w = intervals[i].weight
-        new_obj = cur_obj
-        for e in incid[i]:
-            memb[e] += w
-            if memb[e] > new_obj:
-                new_obj = memb[e]
-        if best[0] is None or new_obj < best[0]:
-            chosen.append(i)
-            rec(i + 1, covered | masks[i], new_obj)
-            chosen.pop()
-        for e in incid[i]:
-            memb[e] -= w
-        rec(i + 1, covered, cur_obj)
-
-    rec(0, 0, Fraction(0))
-    if best[0] is None:
-        raise Infeasible("some point lies in no interval")
-    return best[0], best[1]
-
+    opt, chosen, _ = _least_cover(xs, intervals, MAX_INTERVALS, "interval",
+                                  Fraction(0), [Fraction(0)] * len(eval_xs),
+                                  grow)
+    return opt, chosen

@@ -2,12 +2,12 @@
 
 `oracle.exact_min_ply` prunes by branch and bound; this unpruned full
 enumeration over every subset is what its pruning is checked against.
+It computes its own cover masks, so it shares no code with the search.
 """
 from __future__ import annotations
 
 from plycover.errors import Infeasible, InstanceTooLarge
 from plycover.geom import ply_disks, ply_rects
-from plycover.oracle import _cover_masks
 
 
 def exhaustive_min_ply(points, objects, kind):
@@ -19,7 +19,8 @@ def exhaustive_min_ply(points, objects, kind):
     ply_of = ply_rects if kind == "rects" else ply_disks
     n, m = len(points), len(objects)
     full = (1 << n) - 1
-    masks = _cover_masks(points, objects)
+    masks = [sum(1 << k for k, p in enumerate(points) if o.contains(p))
+             for o in objects]
     best = None
     for mask in range(1 << m):
         covered = 0

@@ -339,17 +339,20 @@ def test_criterion_8_scalability():
     try:
         warm = generate("intervals", 512, 512, "chain", seed=77)
         solve_intervals(warm.points, warm.objects, "mmsc")
-        # each size's time is the minimum of 5 repeats, so one preempted
-        # run cannot fake a superlinear doubling step, and each repeat is
-        # rescaled by the reference loop timed beside it, so a slower CPU
-        # state during the larger sizes cannot either
-        times = []
+        # each size's time is the minimum of 5 repeats, taken round-robin
+        # across the sizes, so neither one preempted run nor a slow spell
+        # of a few seconds can fake a superlinear doubling step, and each
+        # repeat is rescaled by the reference loop timed beside it, so a
+        # slower CPU state during the larger sizes cannot either
+        insts = [generate("intervals", 2 ** e, 2 ** e, "chain", seed=77)
+                 for e in range(10, 17)]
+        times = [float("inf")] * len(insts)
+        for _ in range(5):
+            for k, inst in enumerate(insts):
+                times[k] = min(times[k],
+                               _scaled_solve(inst.points, inst.objects))
         sizes = []  # DAG vertices + edges: the same doubling, without a clock
-        for e in range(10, 17):
-            m = 2 ** e
-            inst = generate("intervals", m, m, "chain", seed=77)
-            times.append(min(_scaled_solve(inst.points, inst.objects)
-                             for _ in range(5)))
+        for inst in insts:
             dag = build_dag(prepare_instance(inst.points, inst.objects))
             sizes.append(len(dag.vertices) + sum(map(len, dag.adj)))
         ratios = [b / a for a, b in zip(times, times[1:])]

@@ -594,13 +594,38 @@ class TestCheckDisks:
 
 
 class TestOracleCommand:
-    def test_oracle_solution_passes_check(self, tmp_path):
+    @pytest.mark.parametrize("kind, mode", [
+        ("rects", []), ("disks", []), ("3color", []),
+        ("intervals", ["--mode", "mmsc"]), ("intervals", ["--mode", "mpc"])],
+        ids=["rects", "disks", "3color", "mmsc", "mpc"])
+    def test_oracle_solution_passes_check(self, tmp_path, kind, mode):
         inst = tmp_path / "inst.jsonl"
         sol = tmp_path / "oracle.json"
-        save(generate("rects", 5, 6, "uniform", seed=8), inst)
-        assert main(["oracle", "--kind", "rects", "--in", str(inst),
+        gen_kind = "disks" if kind == "3color" else kind
+        save(generate(gen_kind, 5, 6, "uniform", seed=8), inst)
+        assert main(["oracle", "--kind", kind, *mode, "--in", str(inst),
                      "--out", str(sol)]) == 0
         assert main(["check", "--in", str(inst), "--solution", str(sol)]) == 0
+
+    @pytest.mark.parametrize("kind, body", [
+        ("rects", '{"p":["1/2","1/2"]}\n{"p":["9","5/2"]}\n'
+         '{"r":["0","0","1"]}\n'),
+        ("disks", '{"p":[0.25,0.0]}\n{"p":[3.0,0.5]}\n{"d":[0.0,0.0]}\n'),
+        ("intervals", '{"p":["1/2"]}\n{"p":["7"]}\n{"i":["0","2","1"]}\n')],
+        ids=["rects", "disks", "intervals"])
+    def test_oracle_names_the_uncovered_point_as_solve_does(
+            self, tmp_path, capsys, kind, body):
+        # one point in no object: both commands name it, in the same words
+        inst = tmp_path / "gap.jsonl"
+        inst.write_text('{"kind":"%s"}\n%s' % (kind, body))
+        errs = []
+        for command in ("solve", "oracle"):
+            capsys.readouterr()
+            assert main([command, "--kind", kind, "--in", str(inst),
+                         "--out", str(tmp_path / "s.json")]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[1].startswith("infeasible: point ")
 
     def test_oracle_intervals_fixture(self, tmp_path):
         inst = tmp_path / "trap.jsonl"

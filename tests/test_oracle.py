@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -38,8 +39,13 @@ class TestMinPly:
                              [UnitRect(F(0), F(0))], "rects") == (1, [0])
 
     def test_infeasible(self):
-        with pytest.raises(Infeasible):
-            exact_min_ply([Point(F(9), F(9))], [UnitRect(F(0), F(0))], "rects")
+        # the first uncovered point in input order is named, not (7, 0),
+        # the first in sweep order
+        points = [Point(F(9), F(9)), Point(F(1, 2), F(1, 2)),
+                  Point(F(7), F(0))]
+        with pytest.raises(Infeasible, match=re.escape(
+                "point %r is covered by no object" % (points[0],))):
+            exact_min_ply(points, [UnitRect(F(0), F(0))], "rects")
 
     def test_pruned_matches_unpruned(self):
         # uniform instances, then degenerate ones, where the ply of a grown
@@ -147,8 +153,10 @@ class TestIntervals:
         assert covers(points, [ivs[i] for i in wit])
 
     def test_infeasible(self):
-        with pytest.raises(Infeasible):
-            exact_intervals([F(5)], [WeightedInterval(F(0), F(1))])
+        with pytest.raises(Infeasible, match=re.escape(
+                "point Fraction(5, 1) is covered by no interval")):
+            exact_intervals([F(5), F(1, 2), F(3)],
+                            [WeightedInterval(F(0), F(1))])
 
     def test_mpc_counts_pointless_overlap(self):
         ivs = [WeightedInterval(F(0), F(2), F(2)),

@@ -26,7 +26,7 @@ from .geom import (disks_cover, disks_pairwise_disjoint, ply_disks,
 from .intervals import (chosen_loads, count_overlapping_pairs,
                         evaluate_objective, solve_intervals)
 from .oracle import exact_3color_cover, exact_intervals, exact_min_ply
-from .slabs import solve_mpc
+from .slabs import CoverSolution, solve_mpc
 from .svg import render_svg
 from .tricolor import solve_3color
 
@@ -67,6 +67,22 @@ def _load_instance(path, expect_kind):
     return inst
 
 
+def _write_solution(args, sol, wallclock_ms=None) -> int:
+    """Write `sol` to `--out` as the solution file of `args.kind`, with
+    `wallclock_ms` when it is given."""
+    payload = {"kind": args.kind, "chosen": list(sol.chosen),
+               "objective": _enc_objective(sol.objective)}
+    if args.kind == "intervals":
+        payload["mode"] = args.mode
+    if sol.colors is not None:
+        payload["colors"] = {str(k): v for k, v in sorted(sol.colors.items())}
+    if wallclock_ms is not None:
+        payload["wallclock_ms"] = round(wallclock_ms, 3)
+    with open(args.outfile, "w") as fh:
+        fh.write(_jdump(payload))
+    return EXIT_OK
+
+
 def _cmd_solve(args) -> int:
     if args.mode == "mmsc" and args.kind != "intervals":
         raise _UsageError("--mode mmsc is only valid for --kind intervals")
@@ -87,48 +103,26 @@ def _cmd_solve(args) -> int:
         sol = solve_mpc(inst.points, inst.objects, "disks",
                         ell_max=args.ell_max)
     ms = (time.perf_counter() - t0) * 1000.0
-    payload = {"kind": args.kind, "chosen": list(sol.chosen),
-               "objective": _enc_objective(sol.objective)}
-    if args.kind == "intervals":
-        payload["mode"] = args.mode
-    if sol.colors is not None:
-        payload["colors"] = {str(k): v for k, v in sorted(sol.colors.items())}
-    if args.timing:
-        payload["wallclock_ms"] = round(ms, 3)
-    with open(args.outfile, "w") as fh:
-        fh.write(_jdump(payload))
-    return EXIT_OK
+    return _write_solution(args, sol, ms if args.timing else None)
 
 
 def _cmd_oracle(args) -> int:
     if args.mode == "mmsc" and args.kind != "intervals":
         raise _UsageError("--mode mmsc is only valid for --kind intervals")
     inst = _load_instance(args.infile, args.kind)
-    payload = {"kind": args.kind}
+    colors = None
     if args.kind == "intervals":
         opt, chosen = exact_intervals(inst.points, inst.objects, args.mode)
-        payload["mode"] = args.mode
-        payload["chosen"] = chosen
-        payload["objective"] = _enc_objective(opt)
     elif args.kind == "3color":
         witness = exact_3color_cover(inst.points, inst.objects)
         if witness is None:
             raise Infeasible("no 3-colorable cover exists")
-        colors = {}
-        for a, cls in enumerate(witness):
-            for i in cls:
-                colors[i] = a + 1
-        payload["chosen"] = sorted(colors)
-        payload["colors"] = {str(k): v for k, v in sorted(colors.items())}
-        payload["objective"] = ply_disks([inst.objects[i]
-                                          for i in sorted(colors)])
+        colors = {i: a + 1 for a, cls in enumerate(witness) for i in cls}
+        chosen = sorted(colors)
+        opt = ply_disks([inst.objects[i] for i in chosen])
     else:
         opt, chosen = exact_min_ply(inst.points, inst.objects, args.kind)
-        payload["chosen"] = chosen
-        payload["objective"] = opt
-    with open(args.outfile, "w") as fh:
-        fh.write(_jdump(payload))
-    return EXIT_OK
+    return _write_solution(args, CoverSolution(chosen, opt, colors))
 
 
 def _cmd_gen(args) -> int:

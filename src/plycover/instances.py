@@ -4,9 +4,10 @@ Rational coordinates are serialized as "p/q" strings so files round-trip
 losslessly; disk coordinates stay floats.  The loader reads every rational
 into an exact (num, den) int pair.  A rect or interval file keeps those
 pairs, which `slabs.solve_mpc` and `intervals.solve_intervals` take as they
-are, so a solve makes no `Fraction`, `UnitRect` or `WeightedInterval`
-between the file and the objective; the `points` and `objects` lists are
-built only when read.
+are, so a solve of a file that `dumps` wrote makes no `Fraction`,
+`UnitRect` or `WeightedInterval` between the file and the objective; the
+`points` and `objects` lists are built only when read.  The per-line loop
+reads each value through `Fraction` (`rational_pair`).
 
 `loads` has two paths, chosen by the text alone.  A file whose first line
 is the header and whose every other line is a record written exactly as
@@ -42,15 +43,16 @@ class Instance:
     A rect or interval instance may instead be given as exact int pairs,
     as `loads` gives it: `pairs=(points, objects)` in the form the `pairs`
     property returns, with both lists passed as None.  They are built from
-    the pairs the first time they are read.
+    the pairs the first time they are read.  The lists are set only here;
+    a list that has been read may be edited in place, and `pairs` follows.
     """
 
     def __init__(self, kind: str, points: Optional[list],
                  objects: Optional[list], seed: Optional[int] = None,
                  meta: Optional[dict] = None, *, pairs=None):
         self.kind = kind
-        self.points = points
-        self.objects = objects
+        self._points = points
+        self._objects = objects
         self.seed = seed
         self.meta = meta
         self._pairs = pairs
@@ -64,10 +66,6 @@ class Instance:
                 self._points = [Fraction(*x) for x in self._pairs[0]]
         return self._points
 
-    @points.setter
-    def points(self, points: list):
-        self._points = points
-
     @property
     def objects(self) -> list:
         if self._objects is None:
@@ -77,16 +75,11 @@ class Instance:
                              for o in self._pairs[1]]
         return self._objects
 
-    @objects.setter
-    def objects(self, objects: list):
-        self._objects = objects
-
     @property
     def pairs(self):
         """A rect or interval instance as exact int pairs, the form
         `geom.rect_pairs` or `geom.line_pairs` returns: those read from the
-        file while neither list has been read or assigned, else those of
-        the lists."""
+        file while neither list has been read, else those of the lists."""
         if self._points is None and self._objects is None:
             return self._pairs
         to_pairs = rect_pairs if self.kind == "rects" else line_pairs
@@ -154,20 +147,10 @@ def rational_pair(v) -> tuple:
     decimal exponent larger in magnitude than `sys.get_int_max_str_digits()`
     (when nonzero), the limit `int` puts on a digit string: `Fraction`
     would compute 10 ** exponent, which for "1e100000000" takes minutes.
-    Plain ASCII "p/q" and "p" strings (digits, a leading "-" on p, q not
-    zero) are split and read with `int`; every other value goes through
-    `Fraction`.
+    Only the per-line loop and a solution file's objective read values
+    here; `_whole_file` reads the "p/q" strings that `dumps` writes on
+    its own.
     """
-    if type(v) is str and v.isascii():
-        num, slash, den = v.partition("/")
-        if num.isdigit() or num[:1] == "-" and num[1:].isdigit():
-            if not slash:
-                return int(num), 1
-            if den.isdigit():
-                num, den = int(num), int(den)
-                if den:
-                    g = math.gcd(num, den)
-                    return (num, den) if g == 1 else (num // g, den // g)
     if type(v) is str:
         _, e, exp = v.replace("E", "e").rpartition("e")
         limit = sys.get_int_max_str_digits()

@@ -23,9 +23,9 @@ endpoint to its rank among all of them: coordinates are only compared,
 never added, so ranks order and tie exactly as the rationals they stand
 for, and stay small whatever the denominators.  Weights are added, so they
 are scaled instead: each is multiplied by W, the lcm of the weight
-denominators, which keeps sums exact.  A solve from a file therefore makes
-no `Fraction` between the file and the objective, Fraction(best, W), that
-`solve_intervals` returns.
+denominators, which keeps sums exact.  A solve of a file that
+`instances.dumps` wrote therefore makes no `Fraction` between the file and
+the objective, Fraction(best, W), that `solve_intervals` returns.
 
 Every sweep here takes its events and their order from
 `geom.sweep_events`.  A DAG vertex is a plain `(kind, strip, q, r, weight)`
@@ -76,12 +76,12 @@ class PreparedIntervals:
     weights: list         # kept interval weights times weight_scale
     weight_scale: int     # W: the lcm of the weight denominators
     has_point: list       # per strip: does some point lie in it
-    uncovered: object     # first point, as given, in no interval, or None
+    uncovered: Optional[int]  # least index of a point in no interval, or None
 
 
 def prepare_instance(points, intervals) -> PreparedIntervals:
-    """Strip layout, the strips that hold a point and the first point in
-    sweep order that no interval covers, if any, on coordinate ranks.
+    """Strip layout, the strips that hold a point and the least index of a
+    point that no interval covers, if any, on coordinate ranks.
 
     Points and intervals may come in any order; exact duplicate intervals
     collapse to their minimum-weight copy.  Points are numbers and
@@ -116,8 +116,8 @@ def prepare_instance(points, intervals) -> PreparedIntervals:
         _, cls, _, q = ev
         if cls == POINT:
             has_point[-1] = True
-            if not active and uncovered is None:
-                uncovered = points[q]
+            if not active and (uncovered is None or q < uncovered):
+                uncovered = q
             continue
         if cls == RIGHT:
             right_pos[q] = len(events)
@@ -284,10 +284,10 @@ def solve_intervals(points, intervals, mode: str = "mmsc") -> CoverSolution:
 
     Takes numbers and WeightedIntervals or exact int pairs, as
     `prepare_instance` does.  A point in no interval raises Infeasible
-    naming it, and no DAG is built."""
+    naming the one given first, and no DAG is built."""
     prep = prepare_instance(points, intervals)
-    x = prep.uncovered
-    if x is not None:
+    if prep.uncovered is not None:
+        x = points[prep.uncovered]
         raise Infeasible("point %r is covered by no interval"
                          % (Fraction(*x) if type(x) is tuple else x,))
     dag = build_dag(prep, mode)

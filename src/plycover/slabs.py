@@ -17,10 +17,11 @@ slab at the optimum, so ell_j <= OPT and the union is a 2-approximation.
 The 3-color ladder has one rung.
 
 Every solver fails in one order.  A point covered by no object, in any
-slab, raises Infeasible naming it; the strip problem's cover masks name
-it (`StripProblem.uncovered`), so no point is scanned against the
-objects.  Otherwise the lowest slab whose ladder fails is reported, and
-the slabs above it are built, for that check, but not searched.
+slab, raises Infeasible naming the one given first; the strip problems'
+cover masks find them (`StripProblem.uncovered`), so no point is scanned
+against the objects, and no slab is searched once one is found.
+Otherwise the lowest slab whose ladder fails is reported, and the slabs
+above it are built, for that check, but not searched.
 
 Each slab is searched over its live objects only (`live_objects`): those
 that contain at least one of its points.  This keeps every guarantee.  An
@@ -177,14 +178,15 @@ def search_slabs(points, objects, kind, solve, ell_max):
     its number of live objects or ell_max, whichever is smaller, until a
     result comes back.
 
-    A point covered by no object, in any slab, raises Infeasible naming it
-    as given, as a Point (`geom.pair_point` names a pair).  Otherwise
-    returns (found, failed, searched).  `found` holds (slab index, result,
-    input index of each live object) per slab solved, and `failed` is
-    (slab index, top budget) for the lowest slab whose ladder failed, or
-    None; the slabs above it are built, for the coverage check, but not
-    searched.  `searched[i]` is input object i as searched: its rank Box
-    for a rect, the disk itself for a disk.
+    A point covered by no object, in any slab, raises Infeasible naming
+    the one given first, as a Point (`geom.pair_point` names a pair); no
+    slab is searched once one is found.  Otherwise returns (found, failed,
+    searched).  `found` holds (slab index, result, input index of each
+    live object) per slab solved, and `failed` is (slab index, top budget)
+    for the lowest slab whose ladder failed, or None; the slabs above it
+    are built, for the coverage check, but not searched.  `searched[i]` is
+    input object i as searched: its rank Box for a rect, the disk itself
+    for a disk.
     """
     points, objects = list(points), list(objects)
     if kind == "rects":
@@ -209,18 +211,16 @@ def search_slabs(points, objects, kind, solve, ell_max):
         solve_points, searched = points, objects
         spans, build = (_disks.disk_spans(solve_objects),
                         _disks.disk_slab_problem)
-    found, failed = [], None
+    found, failed, uncovered = [], None, None
     for slab in slabs:
         pts = [solve_points[k] for k in slab.point_indices]
         live = live_objects(pts, solve_objects, slab.objects, spans)
         objs = [solve_objects[i] for i in live]
         problem = build(pts, objs)
         if problem.uncovered is not None:
-            given = points[slab.point_indices[pts.index(problem.uncovered)]]
-            if type(given) is tuple:
-                given = pair_point(given)
-            raise Infeasible("point %r is covered by no object" % (given,))
-        if failed is not None:
+            k = slab.point_indices[problem.uncovered]
+            uncovered = k if uncovered is None else min(uncovered, k)
+        if failed is not None or uncovered is not None:
             continue
         cap = len(objs) if ell_max is None else min(ell_max, len(objs))
         ell, res = 0, None
@@ -231,6 +231,11 @@ def search_slabs(points, objects, kind, solve, ell_max):
             failed = (slab.index, cap)
         else:
             found.append((slab.index, res, [orig[i] for i in live]))
+    if uncovered is not None:
+        given = points[uncovered]
+        if type(given) is tuple:
+            given = pair_point(given)
+        raise Infeasible("point %r is covered by no object" % (given,))
     return found, failed, searched
 
 

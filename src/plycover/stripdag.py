@@ -33,8 +33,8 @@ None of that depends on the budget, so a slab's problem is built once and
 `StripProblem.at` applies each budget of its ell ladder to a view sharing
 the steps and masks.  A set bit of a cover mask is a `contains` test
 that held, so a point with the empty mask is the only kind that can be
-uncovered; `uncovered` names the first such point in sweep order, or is
-None, and when there is one no search is run.
+uncovered; `uncovered` is the least index of such a point, or None, and
+when there is one no search is run.
 
 `run` is the one search loop.  It holds one strip's states at a time, a
 dict from key to the union of the first path that reaches it, and
@@ -94,7 +94,7 @@ class StripProblem:
     meets: list                  # per object, the mask of objects it may meet
     shares: Optional[Callable]   # (a, b, c) share a point; None: rects
     factor: int                  # members per strip per unit of budget
-    uncovered: object            # first point with the empty mask, or None
+    uncovered: Optional[int]     # least index of an empty-mask point, or None
     ell: int
     cap: int                     # max members per strip, factor * ell
 
@@ -122,8 +122,8 @@ def build_problem(points, objects, spans, meets, shares,
             for o in active:
                 if objects[o].contains(p):
                     m |= 1 << o
-            if not m and uncovered is None:
-                uncovered = p
+            if not m and (uncovered is None or i < uncovered):
+                uncovered = i
             if m not in seen:
                 seen.add(m)
                 (held if m & bit else rest).append(m)

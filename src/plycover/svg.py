@@ -41,27 +41,29 @@ def render_svg(instance, solution=None) -> str:
     height beyond the float range."""
     chosen, colors = _solution_parts(solution)
     kind = instance.kind
+    objects = instance.objects
+    # each object's float extent (left, right, bottom, top), which the
+    # bounds, guides and shapes read; interval i is at height 0.5 (i + 1)
     try:
         if kind == "intervals":
             pts_xy = [(float(x), 0.0) for x in instance.points]
-            rows = [(float(s.lo), float(s.hi), 0.5 * (i + 1))
-                    for i, s in enumerate(instance.objects)]
-            xs = [x for x, _ in pts_xy] + [v for lo, hi, _ in rows
-                                           for v in (lo, hi)]
-            ys = [0.0] + [y for _, _, y in rows]
+            boxes = [(float(s.lo), float(s.hi), 0.5 * (i + 1), 0.5 * (i + 1))
+                     for i, s in enumerate(objects)]
         else:
             pts_xy = [(float(p.x), float(p.y)) for p in instance.points]
-            xs = [x for x, _ in pts_xy]
-            ys = [y for _, y in pts_xy]
-            for o in instance.objects:
-                if kind == "rects":
-                    xs += [float(o.left), float(o.right)]
-                    ys += [float(o.bottom), float(o.top)]
-                else:
-                    xs += [o.center.x - 0.5, o.center.x + 0.5]
-                    ys += [o.center.y - 0.5, o.center.y + 0.5]
+            if kind == "rects":
+                boxes = [(float(o.left), float(o.right), float(o.bottom),
+                          float(o.top)) for o in objects]
+            else:
+                boxes = [(o.center.x - 0.5, o.center.x + 0.5,
+                          o.center.y - 0.5, o.center.y + 0.5)
+                         for o in objects]
     except OverflowError:
         raise ValueError(_TOO_FAR) from None
+    xs = [x for x, _ in pts_xy] + [x for b in boxes for x in b[:2]]
+    ys = [y for _, y in pts_xy] + [y for b in boxes for y in b[2:]]
+    if kind == "intervals":
+        ys.append(0.0)  # the axis
     if not xs:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
     x0, x1 = min(xs), max(xs)
@@ -81,22 +83,12 @@ def render_svg(instance, solution=None) -> str:
            'viewBox="0 0 %s %s">' % (_f(width), _f(height), _f(width), _f(height))]
 
     out.append('<g id="guides" stroke="#dddddd" stroke-dasharray="4 3">')
-    guide_xs = []
-    if kind == "rects":
-        for o in instance.objects:
-            guide_xs += [float(o.left), float(o.right)]
-    elif kind == "disks":
-        for o in instance.objects:
-            guide_xs += [o.center.x - 0.5, o.center.x + 0.5]
-    else:
-        for o in instance.objects:
-            guide_xs += [float(o.lo), float(o.hi)]
-    for x in sorted(set(guide_xs)):
+    for x in sorted({x for b in boxes for x in b[:2]}):
         out.append('<line x1="%s" y1="0" x2="%s" y2="%s"/>'
                    % (_f(sx(x)), _f(sx(x)), _f(height)))
     if kind in ("rects", "disks"):
         # the bottom and top of every slab the solvers search
-        slabs = assign_slabs(instance.points, instance.objects, kind)
+        slabs = assign_slabs(instance.points, objects, kind)
         for (on, od), j in sorted({(s.offset, s.index + k)
                                    for s in slabs for k in (0, 1)}):
             yb = (on + 2 * j * od) / od
@@ -108,22 +100,21 @@ def render_svg(instance, solution=None) -> str:
     out.append('</g>')
 
     out.append('<g id="objects" stroke-width="1.5">')
-    for i, o in enumerate(instance.objects):
+    for i, (o, (left, right, _, top)) in enumerate(zip(objects, boxes)):
         style = _object_style(i, chosen, colors)
         if kind == "rects":
             out.append('<rect x="%s" y="%s" width="%s" height="%s" %s/>'
-                       % (_f(sx(o.left)), _f(sy(o.top)),
+                       % (_f(sx(left)), _f(sy(top)),
                           _f(float(o.width) * SCALE), _f(SCALE), style))
         elif kind == "disks":
             out.append('<circle cx="%s" cy="%s" r="%s" %s/>'
                        % (_f(sx(o.center.x)), _f(sy(o.center.y)),
                           _f(0.5 * SCALE), style))
         else:
-            y = 0.5 * (i + 1)
             out.append('<line x1="%s" y1="%s" x2="%s" y2="%s" %s '
                        'stroke-width="5" stroke-linecap="round"/>'
-                       % (_f(sx(o.lo)), _f(sy(y)), _f(sx(o.hi)), _f(sy(y)),
-                          style.replace('fill="none" ', '')))
+                       % (_f(sx(left)), _f(sy(top)), _f(sx(right)),
+                          _f(sy(top)), style.replace('fill="none" ', '')))
     out.append('</g>')
 
     out.append('<g id="points" fill="#000000">')

@@ -275,9 +275,9 @@ class TestSolveCheck:
                      "--dist", "uniform", "--seed", "21",
                      "--out", str(inst)]) == 0
         gen = load(inst)
-        gen.objects = [WeightedInterval(s.lo, s.hi, F(1, 3))
-                       for s in gen.objects]
-        save(gen, inst)
+        save(Instance("intervals", gen.points,
+                      [WeightedInterval(s.lo, s.hi, F(1, 3))
+                       for s in gen.objects], gen.seed, gen.meta), inst)
         for mode in ("mmsc", "mpc"):
             assert main(["solve", "--kind", "intervals", "--mode", mode,
                          "--in", str(inst), "--out", str(sol)]) == 0
@@ -298,8 +298,8 @@ class TestExitCodes:
         assert code == 2
 
     def test_uncovered_interval_point_is_named(self, tmp_path, capsys):
-        # the first point in sweep order that no interval covers, shown as
-        # its Fraction; 1/2 is covered and 7 comes later
+        # the first point in input order that no interval covers, shown as
+        # its Fraction; 5/2 comes first in sweep order and 1/2 is covered
         inst = tmp_path / "gap.jsonl"
         inst.write_text('{"kind":"intervals"}\n{"p":["7"]}\n{"p":["5/2"]}\n'
                         '{"p":["1/2"]}\n{"i":["0","2","1"]}\n')
@@ -309,7 +309,7 @@ class TestExitCodes:
                          "--in", str(inst),
                          "--out", str(tmp_path / "s.json")]) == 2
             assert capsys.readouterr().err == (
-                "infeasible: point Fraction(5, 2) is covered by no interval\n")
+                "infeasible: point Fraction(7, 1) is covered by no interval\n")
 
     def test_budget_exceeded_exits_three(self, tmp_path):
         from conftest import forced_pair_rects
@@ -607,25 +607,30 @@ class TestOracleCommand:
                      "--out", str(sol)]) == 0
         assert main(["check", "--in", str(inst), "--solution", str(sol)]) == 0
 
-    @pytest.mark.parametrize("kind, body", [
+    @pytest.mark.parametrize("kind, body, later", [
         ("rects", '{"p":["1/2","1/2"]}\n{"p":["9","5/2"]}\n'
-         '{"r":["0","0","1"]}\n'),
-        ("disks", '{"p":[0.25,0.0]}\n{"p":[3.0,0.5]}\n{"d":[0.0,0.0]}\n'),
-        ("intervals", '{"p":["1/2"]}\n{"p":["7"]}\n{"i":["0","2","1"]}\n')],
+         '{"r":["0","0","1"]}\n', '{"p":["5","5/2"]}\n'),
+        ("disks", '{"p":[0.25,0.0]}\n{"p":[3.0,0.5]}\n{"d":[0.0,0.0]}\n',
+         '{"p":[2.0,0.0]}\n'),
+        ("intervals", '{"p":["1/2"]}\n{"p":["7"]}\n{"i":["0","2","1"]}\n',
+         '{"p":["5/2"]}\n')],
         ids=["rects", "disks", "intervals"])
     def test_oracle_names_the_uncovered_point_as_solve_does(
-            self, tmp_path, capsys, kind, body):
-        # one point in no object: both commands name it, in the same words
+            self, tmp_path, capsys, kind, body, later):
+        # one point in no object: both commands name it, in the same words;
+        # with a second one, first in sweep order but given later, both
+        # name the one given first
         inst = tmp_path / "gap.jsonl"
-        inst.write_text('{"kind":"%s"}\n%s' % (kind, body))
-        errs = []
-        for command in ("solve", "oracle"):
-            capsys.readouterr()
-            assert main([command, "--kind", kind, "--in", str(inst),
-                         "--out", str(tmp_path / "s.json")]) == 2
-            errs.append(capsys.readouterr().err)
-        assert errs[0] == errs[1]
-        assert errs[1].startswith("infeasible: point ")
+        for text in (body, body + later):
+            inst.write_text('{"kind":"%s"}\n%s' % (kind, text))
+            errs = []
+            for command in ("solve", "oracle"):
+                capsys.readouterr()
+                assert main([command, "--kind", kind, "--in", str(inst),
+                             "--out", str(tmp_path / "s.json")]) == 2
+                errs.append(capsys.readouterr().err)
+            assert errs[0] == errs[1]
+            assert errs[1].startswith("infeasible: point ")
 
     def test_oracle_intervals_fixture(self, tmp_path):
         inst = tmp_path / "trap.jsonl"

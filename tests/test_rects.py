@@ -277,7 +277,7 @@ class TestPairPath:
         inst.points.append(Point(F(100, 3), F(1, 2)))
         assert inst.pairs[0] == file_pairs[0] + [((100, 3), (1, 2))]
         assert inst.pairs[1] == file_pairs[1]
-        inst.objects = inst.objects[:2]
+        del inst.objects[2:]
         assert inst.pairs[1] == file_pairs[1][:2]
 
     def test_mixed_kinds_rejected(self):

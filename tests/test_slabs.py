@@ -212,11 +212,13 @@ class TestSolveMpc:
         points = [Point(0.55, 0.75), Point(9.0, 3.1)]
         with pytest.raises(Infeasible, match=r"Point\(x=9.0, y=3.1\)"):
             solve_mpc(points, disks, "disks")
-        # of two uncovered points in one strip, the first in sweep order
-        # is named, whatever their input order
-        points = [Point(F(7), F(1, 2)), Point(F(5), F(1, 2))]
-        with pytest.raises(Infeasible, match=r"Point\(x=Fraction\(5, 1\)"):
-            solve_mpc(points, [sq(0, 0)], "rects")
+        # of two uncovered points, in one strip or in two slabs, the first
+        # in input order is named, whatever their sweep or slab order
+        for far in (Point(F(5), F(1, 2)), Point(F(5), F(-9))):
+            points = [Point(F(7), F(1, 2)), far]
+            with pytest.raises(Infeasible,
+                               match=r"Point\(x=Fraction\(7, 1\)"):
+                solve_mpc(points, [sq(0, 0)], "rects")
 
     def test_budget_cap_exceeded(self):
         points, rects = forced_pair_rects()

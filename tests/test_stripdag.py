@@ -712,8 +712,10 @@ class TestLadderReuse:
         inside, left, gap, outside = (Point(0.1, 0.5), Point(-1.0, 0.5),
                                       Point(1.0, 0.5), Point(0.0, 1.2))
         assert disk_slab_problem([inside], disks).uncovered is None
+        # the least index of an uncovered point, not the first in sweep order
+        assert disk_slab_problem([gap, left], disks).uncovered == 0
         for p in (left, gap, outside):
             problem = disk_slab_problem([inside, p], disks)
-            assert problem.uncovered == p
+            assert problem.uncovered == 1
             assert solve_slab_disks([inside, p], disks, 3, problem) is None
-            assert problem.at(3).uncovered and problem.at(3).cap == 24
+            assert problem.at(3).uncovered == 1 and problem.at(3).cap == 24

@@ -398,8 +398,8 @@ def test_cli_import_leaves_numpy_unloaded():
 
 def test_solution_digest_is_repeatable(tmp_path):
     # tools/solution_digest.py, run from the repository root, prints the
-    # same digest twice and leaves no files behind in its temporary
-    # directory
+    # same digest twice, with each solution's check and SVG, and leaves no
+    # files behind in its temporary directory
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, TMPDIR=str(tmp_path))
     outs = [subprocess.run(
@@ -411,9 +411,9 @@ def test_solution_digest_is_repeatable(tmp_path):
     lines = outs[0].splitlines()
     assert lines[0] == "# seed 1" and len(lines) == 4
     for line, case in zip(lines[1:], ("d000", "d001", "d002")):
-        name, rc, sol, err = line.split()
-        assert (name, rc) == ("rects-dense/" + case, "0")
-        assert len(sol) == len(err) == 64
+        name, rc, sol, err, check_rc, out, svg = line.split()
+        assert (name, rc, check_rc) == ("rects-dense/" + case, "0", "0")
+        assert len(sol) == len(err) == len(out) == len(svg) == 64
     assert list(tmp_path.iterdir()) == []
 
 

@@ -7,12 +7,16 @@ Run from the repository root:
 For each seed and workload (every one by default) it builds the cases and
 probes of perfbench/workloads.py, saves each instance to a temporary
 directory, and solves it in this process with
-`plycover.cli.main(["solve", ...])` on the package under `src/`.  It
-prints a `# seed S` line per seed, then one line per case:
+`plycover.cli.main(["solve", ...])` on the package under `src/`.  Each
+solution written is then checked (`check --solution`) and drawn
+(`render --solution`).  It prints a `# seed S` line per seed, then one
+line per case:
 
-    workload/case exit sha256(solution) sha256(stderr)
+    workload/case exit sha256(solution) sha256(stderr) \
+        check_exit sha256(check stdout) sha256(svg)
 
-with `-` for a solution that was not written.  The temporary directory's
+with `-` for a solution or SVG that was not written, and for all three
+`check` and `render` fields when no solution was.  The temporary directory's
 path reads `<work>` in stderr, so that two runs can match, and the
 directory is removed at the end.  Compare two checkouts by diffing their
 outputs.  `--limit N` takes the first N cases and probes of each workload.
@@ -33,6 +37,29 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _file_sha(path) -> str:
+    """The sha256 of the file at `path`, or `-` when there is none."""
+    if not os.path.exists(path):
+        return "-"
+    with open(path, "rb") as fh:
+        return _sha(fh.read())
+
+
+def _checked(cli, path, sol) -> str:
+    """`check_exit sha256(check stdout) sha256(svg)` of a written solution;
+    `- - -` when none was written."""
+    if not os.path.exists(sol):
+        return "- - -"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(["check", "--in", path, "--solution", sol])
+        cli.main(["render", "--in", path, "--solution", sol,
+                  "--out", sol + ".svg"])
+    return "%s %s %s" % (rc, _sha(out.getvalue().encode()),
+                         _file_sha(sol + ".svg"))
 
 
 def digest_lines(seeds, workload_names=None, limit=None):
@@ -68,15 +95,11 @@ def digest_lines(seeds, workload_names=None, limit=None):
                     with contextlib.redirect_stderr(err):
                         rc = cli.main(["solve", "--kind", c.kind, "--mode",
                                        c.mode, "--in", path, "--out", sol])
-                    if os.path.exists(sol):
-                        with open(sol, "rb") as fh:
-                            sol_sha = _sha(fh.read())
-                    else:
-                        sol_sha = "-"
                     err_sha = _sha(err.getvalue().replace(work, "<work>")
                                    .encode())
-                    out.append("%s/%s %s %s %s"
-                               % (name, c.name, rc, sol_sha, err_sha))
+                    out.append("%s/%s %s %s %s %s"
+                               % (name, c.name, rc, _file_sha(sol), err_sha,
+                                  _checked(cli, path, sol)))
     finally:
         shutil.rmtree(work, ignore_errors=True)
     return out

@@ -8,6 +8,12 @@ the interval DAG allocate many small tuples and lists, which the collector
 would scan again and again to free nothing, since a solve makes no
 reference cycles.  Memory is still freed by reference counting, and
 `main` leaves the collector as it found it.
+
+Importing this module loads the loader and every solver, but not the
+exact oracles or the SVG writer: `_cmd_oracle` imports `oracle` and
+`_cmd_render` imports `svg`, so a `solve`, `check` or `gen` process never
+compiles them.  The solvers are not deferred per kind: one process that
+solves many files would then start no faster.
 """
 from __future__ import annotations
 
@@ -25,9 +31,7 @@ from .geom import (disks_cover, disks_pairwise_disjoint, ply_disks,
                    ply_rects, rects_cover)
 from .intervals import (chosen_loads, count_overlapping_pairs,
                         evaluate_objective, solve_intervals)
-from .oracle import exact_3color_cover, exact_intervals, exact_min_ply
 from .slabs import CoverSolution, solve_mpc
-from .svg import render_svg
 from .tricolor import solve_3color
 
 EXIT_OK = 0
@@ -107,6 +111,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import exact_3color_cover, exact_intervals, exact_min_ply
     if args.mode == "mmsc" and args.kind != "intervals":
         raise _UsageError("--mode mmsc is only valid for --kind intervals")
     inst = _load_instance(args.infile, args.kind)
@@ -241,6 +246,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .svg import render_svg
     if args.solution:
         inst, sol = _load_solved(args)
     else:

@@ -6,6 +6,16 @@ the ply, the maximum depth over the plane (`ply_rects`, `ply_disks`).
 Every object is a closed set: a point on the boundary belongs to the
 object.  Every x-sweep takes its plain tuple events from `sweep_events`.
 
+The value types `Point`, `UnitRect`, `UnitDisk` and `WeightedInterval`
+are immutable `__slots__` classes on one small base, `_Value`: a value
+equals only a value of its own class with equal fields, hashes as the
+tuple of its fields, prints as `Name(field=value, ...)`, refuses every
+assignment and is copied and pickled through its constructor, which
+normalizes and validates.  They are not `NamedTuple`s, which would equal
+plain tuples and each other.  The package does not import `dataclasses`:
+its import, mostly that of `inspect`, took longer than a whole solve of a
+benchmark file (README, "Start-up").
+
 Rectangles and intervals carry exact rational coordinates, and their
 predicates only compare coordinates, so the solvers take their inputs as
 exact (num, den) int pairs (`rect_pairs`, `line_pairs`), replace each
@@ -23,7 +33,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import groupby
@@ -37,10 +46,49 @@ def _frac(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
-@dataclass(frozen=True)
-class Point:
-    x: object
-    y: object
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the immutable value types.  A value keeps its fields in
+    `__slots__` and is compared, hashed, printed as `Name(field=value,
+    ...)`, copied and pickled through `_key()`, the tuple of its field
+    values in slot order; it equals only a value of its own class, and
+    refuses every assignment."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            "%s=%r" % field for field in zip(self.__slots__, self._key())))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return self.__class__, self._key()
+
+
+class Point(_Value):
+    __slots__ = ("x", "y")
+
+    def __init__(self, x, y):
+        _set(self, "x", x)
+        _set(self, "y", y)
+
+    def _key(self):
+        return (self.x, self.y)
 
 
 def line_pairs(points, intervals):
@@ -83,20 +131,21 @@ def pair_point(p) -> Point:
     return Point(Fraction(*p[0]), Fraction(*p[1]))
 
 
-@dataclass(frozen=True)
-class UnitRect:
-    """Closed axis-aligned rectangle of height exactly 1."""
+class UnitRect(_Value):
+    """Closed axis-aligned rectangle of height exactly 1, its sides
+    Fractions."""
 
-    left: Fraction
-    bottom: Fraction
-    width: Fraction = Fraction(1)
+    __slots__ = ("left", "bottom", "width")
 
-    def __post_init__(self):
-        object.__setattr__(self, "left", _frac(self.left))
-        object.__setattr__(self, "bottom", _frac(self.bottom))
-        object.__setattr__(self, "width", _frac(self.width))
+    def __init__(self, left, bottom, width=1):
+        _set(self, "left", _frac(left))
+        _set(self, "bottom", _frac(bottom))
+        _set(self, "width", _frac(width))
         if self.width <= 0:
             raise ValueError("rectangle width must be positive")
+
+    def _key(self):
+        return (self.left, self.bottom, self.width)
 
     @property
     def right(self) -> Fraction:
@@ -168,11 +217,16 @@ def _ratio_cmp(a, b) -> int:
     return (d > 0) - (d < 0)
 
 
-@dataclass(frozen=True)
-class UnitDisk:
+class UnitDisk(_Value):
     """Closed disk of diameter 1, centred at a Point of floats."""
 
-    center: Point
+    __slots__ = ("center",)
+
+    def __init__(self, center):
+        _set(self, "center", center)
+
+    def _key(self):
+        return (self.center,)
 
     def contains(self, p: Point) -> bool:
         """|p - centre|^2 <= 1/4, decided exactly.
@@ -209,22 +263,23 @@ def _excess(p: Point, c: Point, k: int) -> int:
     return 4 * ((px - cx) ** 2 + (py - cy) ** 2) - k * den * den
 
 
-@dataclass(frozen=True)
-class WeightedInterval:
-    """Closed interval [lo, hi] on the line with a nonnegative weight."""
+class WeightedInterval(_Value):
+    """Closed interval [lo, hi] on the line with a nonnegative weight, all
+    three Fractions."""
 
-    lo: Fraction
-    hi: Fraction
-    weight: Fraction = Fraction(1)
+    __slots__ = ("lo", "hi", "weight")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", _frac(self.lo))
-        object.__setattr__(self, "hi", _frac(self.hi))
-        object.__setattr__(self, "weight", _frac(self.weight))
+    def __init__(self, lo, hi, weight=1):
+        _set(self, "lo", _frac(lo))
+        _set(self, "hi", _frac(hi))
+        _set(self, "weight", _frac(weight))
         if not self.lo < self.hi:
             raise ValueError("interval needs lo < hi")
         if self.weight < 0:
             raise ValueError("interval weight must be nonnegative")
+
+    def _key(self):
+        return (self.lo, self.hi, self.weight)
 
     def contains(self, x) -> bool:
         return self.lo <= x <= self.hi

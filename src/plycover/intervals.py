@@ -44,10 +44,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import Infeasible
 from .geom import (LEFT, POINT, RIGHT, WeightedInterval, line_pairs,
@@ -66,8 +65,7 @@ def _scaled(pairs):
     return [num * (s // den) for num, den in pairs], s
 
 
-@dataclass
-class PreparedIntervals:
+class PreparedIntervals(NamedTuple):
     """A line instance, given in any order, cut into strips: strip i lies
     between events[i - 1] and events[i], the last after the last event."""
     orig_idx: list        # input position of each kept interval, ascending
@@ -131,8 +129,7 @@ def prepare_instance(points, intervals) -> PreparedIntervals:
 _weight = operator.itemgetter(4)   # a vertex's weight
 
 
-@dataclass
-class IntervalDag:
+class IntervalDag(NamedTuple):
     vertices: list
     adj: list
     source: Optional[int]

@@ -40,10 +40,12 @@ def _least_cover(points, objects, cap, noun, zero, start, grow):
     """Least-objective covering subset: (objective, chosen indices, state),
     or None when no cover survives the ways of adding that `grow` offers.
 
-    Refuses more than `cap` objects, and raises Infeasible naming the first
-    point, in input order, that no object covers.  Objects are tried in
-    index order, each way of adding object i that `grow(state, i)` lists
-    as (objective, state) before leaving it out, from `zero` and `start`.
+    Refuses more than `cap` objects, called `noun`s, and raises Infeasible
+    naming the first point, in input order, that no object covers, in the
+    solvers' words: covered by no interval on the line, by no object in the
+    plane.  Objects are tried in index order, each way of adding object i
+    that `grow(state, i)` lists as (objective, state) before leaving it
+    out, from `zero` and `start`.
     Objectives never fall as objects are added, so a branch is cut once
     its objective reaches the incumbent, or once the objects left cannot
     complete the cover.
@@ -57,7 +59,8 @@ def _least_cover(points, objects, cap, noun, zero, start, grow):
         suffix[i] = suffix[i + 1] | masks[i]
     for pi, p in enumerate(points):
         if not suffix[0] >> pi & 1:
-            raise Infeasible("point %r is covered by no %s" % (p, noun))
+            raise Infeasible("point %r is covered by no %s" % (
+                p, "interval" if noun == "interval" else "object"))
     full = (1 << len(points)) - 1
     best = None
     chosen: list[int] = []
@@ -102,13 +105,15 @@ def exact_min_ply(points, objects, kind):
 
 
 def exact_3color_cover(points, disks):
-    """Covering subset split into three pairwise-disjoint classes, or None.
+    """Covering subset split into three pairwise-disjoint classes, or None
+    when no such cover exists.
 
     Searches over covering subsets together with proper 3-colorings of
     their intersection graphs.  A disk joins each class holding no disk it
     meets, and only the first empty class, since the classes fill in order
     and empty ones are interchangeable; extending a partial coloring can
-    never fix a conflict.  None also when some point is covered by no disk.
+    never fix a conflict.  A point covered by no disk raises Infeasible,
+    naming it as `solve_3color` does.
     """
     def grow(classes, i):
         for a, c in enumerate(classes):
@@ -117,11 +122,8 @@ def exact_3color_cover(points, disks):
             if not c:
                 break
 
-    try:
-        best = _least_cover(points, disks, MAX_3COLOR, "disk", 0,
-                            ((), (), ()), grow)
-    except Infeasible:
-        return None
+    best = _least_cover(points, disks, MAX_3COLOR, "disk", 0, ((), (), ()),
+                        grow)
     return None if best is None else best[2]
 
 

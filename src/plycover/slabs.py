@@ -34,9 +34,8 @@ still names it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import disks as _disks
 from . import rects as _rects
@@ -50,8 +49,7 @@ from .geom import (Box, Point, pair_point, pair_ranks, ply_disks, ply_rects,
 membership_at = None
 
 
-@dataclass(frozen=True)
-class SlabInstance:
+class SlabInstance(NamedTuple):
     """Slab `index`, [offset + 2 index, offset + 2 index + 2): the indices
     of its points and of the objects it holds, in the input.  The offset
     is an exact (num, den) pair."""
@@ -62,8 +60,7 @@ class SlabInstance:
     objects: list  # indices into the global object list
 
 
-@dataclass
-class CoverSolution:
+class CoverSolution(NamedTuple):
     chosen: list
     objective: object
     colors: Optional[dict] = None

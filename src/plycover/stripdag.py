@@ -50,7 +50,6 @@ meet the entering object.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 from .geom import LEFT, POINT, sweep_events
@@ -88,8 +87,7 @@ class PlyCache:
     with_added = None
 
 
-@dataclass
-class StripProblem:
+class StripProblem(NamedTuple):
     steps: list                  # per side event, (left, bit, obj, rest, held)
     meets: list                  # per object, the mask of objects it may meet
     shares: Optional[Callable]   # (a, b, c) share a point; None: rects
@@ -100,7 +98,7 @@ class StripProblem:
 
     def at(self, ell: int) -> StripProblem:
         """The same problem under budget ell; nothing is rebuilt."""
-        return replace(self, ell=ell, cap=self.factor * ell)
+        return self._replace(ell=ell, cap=self.factor * ell)
 
 
 def build_problem(points, objects, spans, meets, shares,

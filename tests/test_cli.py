@@ -612,17 +612,20 @@ class TestOracleCommand:
          '{"r":["0","0","1"]}\n', '{"p":["5","5/2"]}\n'),
         ("disks", '{"p":[0.25,0.0]}\n{"p":[3.0,0.5]}\n{"d":[0.0,0.0]}\n',
          '{"p":[2.0,0.0]}\n'),
+        ("3color", '{"p":[0.25,0.0]}\n{"p":[3.0,0.5]}\n{"d":[0.0,0.0]}\n',
+         '{"p":[2.0,0.0]}\n'),
         ("intervals", '{"p":["1/2"]}\n{"p":["7"]}\n{"i":["0","2","1"]}\n',
          '{"p":["5/2"]}\n')],
-        ids=["rects", "disks", "intervals"])
+        ids=["rects", "disks", "3color", "intervals"])
     def test_oracle_names_the_uncovered_point_as_solve_does(
             self, tmp_path, capsys, kind, body, later):
         # one point in no object: both commands name it, in the same words;
         # with a second one, first in sweep order but given later, both
         # name the one given first
         inst = tmp_path / "gap.jsonl"
+        file_kind = "disks" if kind == "3color" else kind
         for text in (body, body + later):
-            inst.write_text('{"kind":"%s"}\n%s' % (kind, text))
+            inst.write_text('{"kind":"%s"}\n%s' % (file_kind, text))
             errs = []
             for command in ("solve", "oracle"):
                 capsys.readouterr()

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -338,3 +340,84 @@ def test_invariants_validation():
         WeightedInterval(F(2), F(1))
     with pytest.raises(ValueError):
         WeightedInterval(F(0), F(1), F(-1))
+
+
+class TestValueTypes:
+    """The four value types compare, hash, print, copy and refuse as the
+    frozen records they have always been."""
+
+    VALUES = [Point(1.5, -2.0), UnitDisk(Point(0.5, 0.0)),
+              UnitRect(F(1, 2), 0), WeightedInterval(0, F(3, 2), 2)]
+    FIELDS = [("x", "y"), ("center",), ("left", "bottom", "width"),
+              ("lo", "hi", "weight")]
+
+    def test_equality(self):
+        assert Point(1, 2) == Point(F(1), F(2)) == Point(x=1, y=2)
+        assert Point(1, 2) != Point(2, 1)
+        assert not Point(1, 2) != Point(1, 2)
+        assert Point(1, 2) != (1, 2) and (1, 2) != Point(1, 2)
+        assert UnitDisk(Point(0.0, 0.0)) == UnitDisk(Point(0.0, 0.0))
+        assert UnitDisk(Point(0.0, 0.0)) != UnitDisk(Point(0.0, 1.0))
+        assert UnitDisk(Point(0.0, 0.0)) != Point(0.0, 0.0)
+        assert UnitRect(0, 0) == UnitRect(F(0), F(0), F(1))
+        assert UnitRect(0, 0, 2) != UnitRect(0, 0)
+        assert UnitRect(0, 1, 1) != WeightedInterval(0, 1, 1)
+        assert UnitRect(0, 1, 1) != (F(0), F(1), F(1))
+        assert WeightedInterval(0, 1) == WeightedInterval(F(0), F(1), 1)
+        assert WeightedInterval(0, 1, 2) != WeightedInterval(0, 1)
+        with pytest.raises(TypeError):
+            Point(0, 0) < Point(1, 1)
+
+    def test_hash_is_the_field_tuple_hash(self):
+        for value, fields in zip(self.VALUES, self.FIELDS):
+            assert hash(value) == hash(tuple(getattr(value, f)
+                                             for f in fields))
+        assert len({Point(1, 2), Point(F(1), F(2)), Point(2, 1)}) == 2
+
+    def test_repr(self):
+        assert [repr(v) for v in self.VALUES] == [
+            "Point(x=1.5, y=-2.0)",
+            "UnitDisk(center=Point(x=0.5, y=0.0))",
+            "UnitRect(left=Fraction(1, 2), bottom=Fraction(0, 1), "
+            "width=Fraction(1, 1))",
+            "WeightedInterval(lo=Fraction(0, 1), hi=Fraction(3, 2), "
+            "weight=Fraction(2, 1))"]
+
+    def test_assignment_is_refused(self):
+        for value, fields in zip(self.VALUES, self.FIELDS):
+            for f in fields + ("other",):
+                with pytest.raises(AttributeError):
+                    setattr(value, f, 0)
+            with pytest.raises(AttributeError):
+                delattr(value, fields[0])
+        assert repr(self.VALUES[0]) == "Point(x=1.5, y=-2.0)"
+
+    def test_copy_and_pickle(self):
+        for value in self.VALUES:
+            copies = [copy.copy(value), copy.deepcopy(value)]
+            copies += [pickle.loads(pickle.dumps(value, protocol))
+                       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for other in copies:
+                assert other == value and type(other) is type(value)
+                assert repr(other) == repr(value)
+
+    def test_fields_become_fractions(self):
+        r = UnitRect(0.5, 2)
+        assert (r.left, r.bottom, r.width) == (F(1, 2), F(2), F(1))
+        s = WeightedInterval("1/3", 1)
+        assert (s.lo, s.hi, s.weight) == (F(1, 3), F(1), F(1))
+        for v in (r.left, r.bottom, r.width, s.lo, s.hi, s.weight):
+            assert type(v) is F
+        assert UnitRect(left=0, bottom=0, width=2).right == 2
+
+    def test_refusals(self):
+        for args in ((0, 0, 0), (0, 0, -1)):
+            with pytest.raises(ValueError,
+                               match="^rectangle width must be positive$"):
+                UnitRect(*args)
+        for args in ((1, 1), (2, 1)):
+            with pytest.raises(ValueError, match="^interval needs lo < hi$"):
+                WeightedInterval(*args)
+        with pytest.raises(ValueError,
+                           match="^interval weight must be nonnegative$"):
+            WeightedInterval(0, 1, -1)

@@ -24,7 +24,7 @@ class TestCaps:
 
     def test_3color_cap(self):
         disks = [UnitDisk(Point(float(i), 0.0)) for i in range(13)]
-        with pytest.raises(InstanceTooLarge):
+        with pytest.raises(InstanceTooLarge, match="^at most 12 disks$"):
             exact_3color_cover([], disks)
 
     def test_intervals_cap(self):
@@ -128,9 +128,13 @@ class TestThreeColor:
         out = exact_3color_cover(points, disks)
         assert out == ((0, 1, 2), (), ())
 
-    def test_uncoverable_returns_none(self):
-        assert exact_3color_cover([Point(9.0, 9.0)],
-                                  [UnitDisk(Point(0.0, 0.0))]) is None
+    def test_uncoverable_raises_infeasible(self):
+        # the first point in input order that no disk covers is named, in
+        # the words of `solve_3color`
+        points = [Point(0.0, 0.0), Point(9.0, 9.0), Point(5.0, 0.0)]
+        with pytest.raises(Infeasible, match=re.escape(
+                "point Point(x=9.0, y=9.0) is covered by no object")):
+            exact_3color_cover(points, [UnitDisk(Point(0.0, 0.0))])
 
 
 class TestIntervals:

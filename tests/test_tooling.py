@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import fractions
 import importlib
 import json
@@ -387,13 +386,29 @@ class TestSvg:
         assert len(list(objects)) == 4
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def test_cli_import_leaves_numpy_unloaded(tmp_path):
+    # a fresh interpreter that imports plycover.cli and solves one file of
+    # each kind loads no numpy (test oracles only), no dataclasses or the
+    # inspect module it pulls in, and neither the oracle nor the SVG code
     src = os.path.dirname(os.path.dirname(plycover.__file__))
-    code = ("import sys, plycover.cli; "
-            "sys.exit('numpy' in sys.modules)")
+    argvs = []
+    for kind in ("rects", "disks", "3color", "intervals"):
+        path = tmp_path / (kind + ".jsonl")
+        save(generate("disks" if kind == "3color" else kind, 12, 8,
+                      "uniform", seed=5), path)
+        argvs.append(["solve", "--kind", kind, "--in", str(path),
+                      "--out", str(tmp_path / (kind + ".json"))])
+    code = ("import sys, plycover.cli\n"
+            "for argv in %r:\n"
+            "    assert plycover.cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in %r if m in sys.modules))"
+            % (argvs, ("numpy", "dataclasses", "inspect", "plycover.oracle",
+                       "plycover.svg")))
     env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code], env=env,
-                          timeout=60).returncode == 0
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60,
+                         check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_solution_digest_is_repeatable(tmp_path):
@@ -424,10 +439,10 @@ def test_interval_solve_builds_no_interval_objects(tmp_path, monkeypatch):
     path, out = tmp_path / "inst.jsonl", tmp_path / "sol.json"
     save(inst, path)
 
-    def refuse(self):
+    def refuse(self, *args, **kwargs):
         raise AssertionError("WeightedInterval built")
 
-    monkeypatch.setattr(WeightedInterval, "__post_init__", refuse)
+    monkeypatch.setattr(WeightedInterval, "__init__", refuse)
     assert cli.main(["solve", "--kind", "intervals", "--mode", "mpc",
                      "--in", str(path), "--out", str(out)]) == 0
     sol = json.loads(out.read_text())
@@ -494,7 +509,7 @@ def test_rect_solve_builds_no_rect_objects(tmp_path, monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(json, "loads", counted)
             patched.setattr(instances, "rational_pair", _refuse)
-            patched.setattr(UnitRect, "__post_init__", _refuse)
+            patched.setattr(UnitRect, "__init__", _refuse)
             patched.setattr(F, "__new__", _refuse)
             assert cli.main(["solve", "--kind", "rects", "--in", str(path),
                              "--out", str(out)]) == 0
@@ -706,26 +721,51 @@ def test_no_dead_definitions():
     assert dead == []
 
 
-def test_every_dataclass_field_is_read(tmp_path, monkeypatch):
-    # every field of a dataclass in the package is read as an attribute by
-    # package code while each command runs on small instances of its kind.
-    # Reads are recorded at run time: by name alone, `SlabInstance.points`
-    # would pass as `Instance.points`.  `IntervalDag.n_intervals` and
-    # `n_overlaps` are read only by perfbench/tracing.py, for its DAG size
-    # bound, and are exempt
+def _record_fields(cls) -> tuple:
+    """The fields of a record (a NamedTuple) or of a value type (on the
+    `geom._Value` base, fields in `__slots__`); () for any other class."""
+    if issubclass(cls, tuple):
+        return getattr(cls, "_fields", ())
+    if issubclass(cls, geom._Value):
+        return cls.__slots__
+    return ()
+
+
+def test_every_record_field_is_read(tmp_path, monkeypatch):
+    # every field of a record or value type in the package is read by
+    # package code, as an attribute or by unpacking a record, while each
+    # command runs on small instances of its kind.  Reads are recorded at
+    # run time: by name alone, `SlabInstance.points` would pass as
+    # `Instance.points`.  A value type's `_key`, through which it is
+    # compared, hashed and printed, is not a reader.
+    # `IntervalDag.n_intervals` and `n_overlaps` are read only by
+    # perfbench/tracing.py, for its DAG size bound, and are exempt
     pkg = os.path.dirname(plycover.__file__)
     classes = {obj for module, _ in _package_trees()
                for obj in vars(importlib.import_module(module)).values()
-               if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
+               if isinstance(obj, type) and _record_fields(obj)}
+    assert {cls.__name__ for cls in classes} >= {
+        "Point", "UnitRect", "UnitDisk", "WeightedInterval",
+        "PreparedIntervals", "IntervalDag", "SlabInstance", "CoverSolution",
+        "StripProblem"}
     read = set()
     for cls in classes:
         def spy(self, name, cls=cls, get=cls.__getattribute__,
-                fields={f.name for f in dataclasses.fields(cls)}):
-            if (name in fields and sys._getframe(1).f_code.co_filename
-                    .startswith(pkg)):
+                fields=set(_record_fields(cls))):
+            code = sys._getframe(1).f_code
+            if (name in fields and code.co_filename.startswith(pkg)
+                    and code.co_name != "_key"):
                 read.add("%s.%s" % (cls.__name__, name))
             return get(self, name)
         monkeypatch.setattr(cls, "__getattribute__", spy)
+        if not issubclass(cls, tuple):
+            continue
+
+        def unpack(self, cls=cls):
+            if sys._getframe(1).f_code.co_filename.startswith(pkg):
+                read.update("%s.%s" % (cls.__name__, f) for f in cls._fields)
+            return tuple.__iter__(self)
+        monkeypatch.setattr(cls, "__iter__", unpack)
     for kind, dist in (("rects", "clustered"), ("disks", "clustered"),
                        ("3color", "uniform"), ("intervals", "uniform")):
         inst, sol = tmp_path / (kind + ".jsonl"), tmp_path / (kind + ".json")
@@ -739,6 +779,6 @@ def test_every_dataclass_field_is_read(tmp_path, monkeypatch):
         assert cli.main(["render", "--in", str(inst), "--solution", str(sol),
                          "--out", str(tmp_path / (kind + ".svg"))]) == 0
     exempt = {"IntervalDag.n_intervals", "IntervalDag.n_overlaps"}
-    fields = {"%s.%s" % (cls.__name__, f.name) for cls in classes
-              for f in dataclasses.fields(cls)}
+    fields = {"%s.%s" % (cls.__name__, f) for cls in classes
+              for f in _record_fields(cls)}
     assert sorted(fields - read - exempt) == []

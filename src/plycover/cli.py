@@ -1,4 +1,4 @@
-"""Command line interface: solve, oracle, gen, check, render, bench.
+"""Command line interface: solve, oracle, gen, check, render.
 
 Exit codes: 0 success, 1 usage or IO error, 2 infeasible, 3 ply budget
 exceeded.
@@ -29,8 +29,8 @@ from . import instances as inst_mod
 from .errors import BudgetExceeded, Infeasible, InstanceTooLarge
 from .geom import (disks_cover, disks_pairwise_disjoint, ply_disks,
                    ply_rects, rects_cover)
-from .intervals import (chosen_loads, count_overlapping_pairs,
-                        evaluate_objective, solve_intervals)
+from .intervals import (MODES, chosen_loads, evaluate_objective,
+                        solve_intervals)
 from .slabs import CoverSolution, solve_mpc
 from .tricolor import solve_3color
 
@@ -164,6 +164,8 @@ def _read_solution(path) -> dict:
     kind = sol.get("kind")
     if kind not in SOLVE_KINDS:
         raise _UsageError("solution file has unknown kind %r" % (kind,))
+    if sol.get("mode", "mmsc") not in MODES:
+        raise _UsageError("solution file has unknown mode %r" % (sol["mode"],))
     chosen = sol.get("chosen")
     if not isinstance(chosen, list) or any(type(i) is not int for i in chosen):
         raise _UsageError("solution file needs \"chosen\", a list of ints")
@@ -257,23 +259,6 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    rows = ["kind,n,m,M,objective,wallclock_ms,seed"]
-    for m in sizes:
-        inst = inst_mod.generate("intervals", m, m, args.dist, args.seed)
-        t0 = time.perf_counter()
-        sol = solve_intervals(inst.points, inst.objects, "mmsc")
-        ms = (time.perf_counter() - t0) * 1000.0
-        overlaps = count_overlapping_pairs(inst.objects)
-        rows.append("intervals,%d,%d,%d,%s,%.3f,%d"
-                    % (len(inst.points), m, overlaps, sol.objective, ms,
-                       args.seed))
-    with open(args.outfile, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
-    return EXIT_OK
-
-
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built on first use and then reused."""
@@ -321,14 +306,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--out", dest="outfile", required=True)
     sp.set_defaults(func=_cmd_render)
 
-    sp = sub.add_parser("bench", help="doubling experiment, CSV output")
-    sp.add_argument("--kind", default="intervals", choices=("intervals",))
-    sp.add_argument("--dist", default="chain",
-                    choices=inst_mod.DISTRIBUTIONS)
-    sp.add_argument("--sizes", default="1024,2048,4096,8192")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", dest="outfile", required=True)
-    sp.set_defaults(func=_cmd_bench)
     return p
 
 

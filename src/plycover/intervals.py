@@ -338,15 +338,3 @@ def evaluate_objective(points, chosen: Sequence[WeightedInterval],
     _, loads, w_scale = chosen_loads(xs, chosen)
     return Fraction(max(loads, default=0), w_scale)
 
-
-def count_overlapping_pairs(intervals) -> int:
-    """Number of closed-overlap pairs (edges of the interval graph)."""
-    active = 0
-    total = 0
-    for _, cls, _, _ in sweep_events([(s.lo, s.hi, 0) for s in intervals]):
-        if cls == LEFT:
-            total += active
-            active += 1
-        else:
-            active -= 1
-    return total

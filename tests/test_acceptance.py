@@ -356,7 +356,13 @@ def test_criterion_8_scalability():
             dag = build_dag(prepare_instance(inst.points, inst.objects))
             sizes.append(len(dag.vertices) + sum(map(len, dag.adj)))
         ratios = [b / a for a, b in zip(times, times[1:])]
-        assert all(r < 3.0 for r in ratios), ratios
+        # each size's minimum scaled time, so a failure shows which step
+        # doubled too slowly and whether one size alone missed its fast runs
+        assert all(r < 3.0 for r in ratios), (
+            "doubling ratios %s; minimum scaled time per m %s"
+            % (["%.2f" % r for r in ratios],
+               ["%d: %.2f" % (len(inst.objects), t)
+                for inst, t in zip(insts, times)]))
         growth = [b / a for a, b in zip(sizes, sizes[1:])]
         assert all(g <= 2.1 for g in growth), growth
     finally:

@@ -173,7 +173,8 @@ class TestSolveCheck:
         '{"kind":"intervals","chosen":[0,99],"objective":"3"}',
         '{"kind":"intervals","chosen":[-1],"objective":"3"}',
         # interval 2 twice: the objective is what counting it twice gives
-        '{"kind":"intervals","chosen":[0,2,2,3],"objective":"4"}'])
+        '{"kind":"intervals","chosen":[0,2,2,3],"objective":"4"}',
+        '{"kind":"intervals","chosen":[0,2,3],"objective":"3","mode":"xyz"}'])
     @pytest.mark.parametrize("command", ["check", "render"])
     def test_malformed_solution_is_refused(self, tmp_path, capsys, body,
                                            command):
@@ -188,6 +189,8 @@ class TestSolveCheck:
         err = capsys.readouterr().err
         assert err.startswith(("usage error:", "error:"))
         assert "Traceback" not in err
+        if '"mode"' in body:
+            assert err == "usage error: solution file has unknown mode 'xyz'\n"
 
     @pytest.mark.parametrize("command", ["check", "render"])
     def test_colors_not_partitioning_chosen_are_refused(self, tmp_path,
@@ -705,19 +708,15 @@ class TestRenderBench:
                            "float range\n")
             assert not out.exists()
 
-    def test_bench_csv_columns(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--kind", "intervals", "--dist", "chain",
-                     "--sizes", "64,128", "--seed", "5",
-                     "--out", str(out)]) == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "kind,n,m,M,objective,wallclock_ms,seed"
-        assert len(lines) == 3
-        assert lines[1].split(",")[3] == "63"  # chain: M = m - 1
-
-    def test_bench_rejects_other_kinds(self, tmp_path):
-        assert main(["bench", "--kind", "rects",
-                     "--out", str(tmp_path / "b.csv")]) == 1
+    def test_bench_is_not_a_command(self, tmp_path, capsys):
+        # the doubling experiment is acceptance criterion 8, not a command
+        out = tmp_path / "b.csv"
+        capsys.readouterr()
+        assert main(["bench", "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:")
+        assert "'solve', 'oracle', 'gen', 'check', 'render')" in err[0]
 
     def test_timing_flag_adds_wallclock(self, tmp_path):
         inst = tmp_path / "inst.jsonl"

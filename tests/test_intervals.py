@@ -14,8 +14,8 @@ from plycover.geom import WeightedInterval, line_pairs, pair_ranks
 from plycover.instances import Instance, dumps, generate, loads
 from plycover.intervals import (V0, V1, V2, IntervalDag,
                                 bottleneck_path, build_dag, chosen_loads,
-                                count_overlapping_pairs, evaluate_objective,
-                                prepare_instance, solve_intervals)
+                                evaluate_objective, prepare_instance,
+                                solve_intervals)
 from plycover.oracle import exact_intervals
 
 
@@ -438,9 +438,6 @@ class TestSolve:
                             for x in xs), default=0)
                 got = evaluate_objective(pts, ivs, mode)
                 assert got == want and type(got) is F, (seed, mode)
-            assert count_overlapping_pairs(ivs) == sum(
-                a.lo <= b.hi and b.lo <= a.hi
-                for i, a in enumerate(ivs) for b in ivs[i + 1:]), seed
 
     def test_many_coprime_weight_denominators(self):
         # 300 distinct prime weight denominators: W has about 5000 bits
@@ -488,14 +485,24 @@ class TestSolve:
                         assert not (a.lo <= b.lo and b.hi <= a.hi)
 
     def test_overlap_count_matches_quadratic_check(self):
+        # the M of the 4m + 5M + 2 bound: closed-overlap pairs among the
+        # intervals left after the dedupe, one per (lo, hi)
         rng = random.Random(45)
-        for seed in range(20):
-            inst = generate("intervals", 0, rng.randint(1, 12), "uniform",
-                            seed=seed)
-            ivs = inst.objects
-            naive = sum(1 for i in range(len(ivs)) for j in range(i + 1, len(ivs))
-                        if max(ivs[i].lo, ivs[j].lo) <= min(ivs[i].hi, ivs[j].hi))
-            assert count_overlapping_pairs(ivs) == naive
+        for seed in range(40):
+            if seed % 2:
+                ivs = generate("intervals", 0, rng.randint(1, 12), "uniform",
+                               seed=seed).objects
+            else:  # abutting endpoints and repeated spans of other weights
+                los = [F(rng.randint(-8, 8), 4)
+                       for _ in range(rng.randint(1, 12))]
+                ivs = [iv(lo, lo + F(rng.randint(1, 8), 4), rng.randint(0, 3))
+                       for lo in los]
+            spans = sorted({(s.lo, s.hi) for s in ivs})
+            naive = sum(1 for i, a in enumerate(spans) for b in spans[i + 1:]
+                        if max(a[0], b[0]) <= min(a[1], b[1]))
+            dag = build_dag(prepare_instance([], ivs))
+            assert dag.n_intervals == len(spans), seed
+            assert dag.n_overlaps == naive, seed
 
 
 def _fraction_load(text):

@@ -21,7 +21,7 @@ from plycover import rects as rects_mod
 from plycover.geom import Point, UnitDisk, UnitRect, WeightedInterval
 from plycover.instances import (_ARITY, Instance, dumps, generate, load,
                                 loads, rational_pair, save)
-from plycover.intervals import count_overlapping_pairs, solve_intervals
+from plycover.intervals import solve_intervals
 from plycover.slabs import assign_slabs, solve_mpc
 from plycover.svg import render_svg
 
@@ -327,7 +327,8 @@ class TestGenerate:
 
     def test_chain_overlap_count(self):
         inst = generate("intervals", 5, 10, "chain", seed=1)
-        assert count_overlapping_pairs(inst.objects) == 9
+        prep = intervals.prepare_instance(inst.points, inst.objects)
+        assert intervals.build_dag(prep).n_overlaps == 9
 
     def test_slab_stress_is_single_slab(self):
         for kind in ("rects", "disks"):
@@ -521,13 +522,13 @@ def test_rect_solve_builds_no_rect_objects(tmp_path, monkeypatch):
 
 def test_one_sweep_event_builder_call_per_sweep(tmp_path, monkeypatch):
     # every sweep takes its events and their order from `geom.sweep_events`:
-    # spied at every name it is bound under, each of the seven sweeps calls
-    # it exactly once per invocation, over a solve of each kind, `check` on
-    # rects and intervals, and `bench`
+    # spied at every name it is bound under, each of the six sweeps calls
+    # it exactly once per invocation, over a solve of each kind and `check`
+    # on rects and intervals
     real = geom.sweep_events
     sweeps = [stripdag.build_problem, intervals.prepare_instance,
-              intervals.chosen_loads, intervals.count_overlapping_pairs,
-              geom.ply_rects, geom._max_stab_closed, geom.rects_cover]
+              intervals.chosen_loads, geom.ply_rects, geom._max_stab_closed,
+              geom.rects_cover]
     names = {fn.__code__: fn.__name__ for fn in sweeps}
     invoked, frames = Counter(), []
 
@@ -564,8 +565,6 @@ def test_one_sweep_event_builder_call_per_sweep(tmp_path, monkeypatch):
             if check:
                 assert cli.main(["check", "--in", str(inst),
                                  "--solution", str(sol)]) == 0
-        assert cli.main(["bench", "--kind", "intervals", "--sizes", "20",
-                         "--out", str(tmp_path / "bench.csv")]) == 0
     finally:
         sys.setprofile(None)
     calls = Counter(map(id, frames))

@@ -22,7 +22,6 @@ import functools
 import gc
 import json
 import sys
-import time
 from fractions import Fraction
 
 from . import instances as inst_mod
@@ -51,18 +50,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _enc_objective(v):
-    return v if isinstance(v, int) else str(Fraction(v))
-
-
-def _dec_objective(v):
-    return v if isinstance(v, int) else Fraction(v)
-
-
-def _jdump(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def _load_instance(path, expect_kind):
     inst = inst_mod.load(path)
     want = "disks" if expect_kind == "3color" else expect_kind
@@ -71,19 +58,20 @@ def _load_instance(path, expect_kind):
     return inst
 
 
-def _write_solution(args, sol, wallclock_ms=None) -> int:
-    """Write `sol` to `--out` as the solution file of `args.kind`, with
-    `wallclock_ms` when it is given."""
+def _write_solution(args, sol) -> int:
+    """Write `sol` to `--out` as the solution file of `args.kind`, the same
+    bytes on every run that finds the same solution."""
+    objective = sol.objective
     payload = {"kind": args.kind, "chosen": list(sol.chosen),
-               "objective": _enc_objective(sol.objective)}
+               "objective": objective if isinstance(objective, int)
+               else str(Fraction(objective))}
     if args.kind == "intervals":
         payload["mode"] = args.mode
     if sol.colors is not None:
         payload["colors"] = {str(k): v for k, v in sorted(sol.colors.items())}
-    if wallclock_ms is not None:
-        payload["wallclock_ms"] = round(wallclock_ms, 3)
     with open(args.outfile, "w") as fh:
-        fh.write(_jdump(payload))
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":"))
+                 + "\n")
     return EXIT_OK
 
 
@@ -96,7 +84,6 @@ def _cmd_solve(args) -> int:
         raise _UsageError("--ell-max must be a positive integer, got %d"
                           % args.ell_max)
     inst = _load_instance(args.infile, args.kind)
-    t0 = time.perf_counter()
     if args.kind == "intervals":
         sol = solve_intervals(*inst.pairs, args.mode)
     elif args.kind == "3color":
@@ -106,8 +93,7 @@ def _cmd_solve(args) -> int:
     else:
         sol = solve_mpc(inst.points, inst.objects, "disks",
                         ell_max=args.ell_max)
-    ms = (time.perf_counter() - t0) * 1000.0
-    return _write_solution(args, sol, ms if args.timing else None)
+    return _write_solution(args, sol)
 
 
 def _cmd_oracle(args) -> int:
@@ -234,7 +220,7 @@ def _cmd_check(args) -> int:
         want = ply_rects(objs)
     else:
         want = ply_disks(objs)
-    if _dec_objective(sol["objective"]) != want:
+    if Fraction(sol["objective"]) != want:  # an int or a rational string
         print("objective mismatch: file says %r, recomputed %r"
               % (sol["objective"], want), file=sys.stderr)
         return EXIT_USAGE
@@ -267,8 +253,8 @@ def _build_parser() -> _Parser:
                 description="\n\n".join(__doc__.split("\n\n")[:2]))
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, kinds=SOLVE_KINDS):
-        sp.add_argument("--kind", required=True, choices=kinds)
+    def common(sp):
+        sp.add_argument("--kind", required=True, choices=SOLVE_KINDS)
         sp.add_argument("--in", dest="infile", required=True)
         sp.add_argument("--out", dest="outfile", required=True)
         sp.add_argument("--mode", choices=("mpc", "mmsc"), default="mpc")
@@ -276,8 +262,6 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("solve", help="run the approximation/exact solver")
     common(sp)
     sp.add_argument("--ell-max", type=int, default=None)
-    sp.add_argument("--timing", action="store_true",
-                    help="record wallclock_ms in the solution file")
     sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("oracle", help="run the exact brute-force solver")

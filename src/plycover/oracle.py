@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .errors import Infeasible, InstanceTooLarge
 from .geom import disks_disjoint, ply_disks, ply_rects
+from .intervals import MODES
 
 MAX_MIN_PLY = 20
 MAX_3COLOR = 12
@@ -134,8 +135,8 @@ def exact_intervals(points, intervals, mode: str = "mmsc"):
     them; the ply objective at every interval left endpoint, where the
     maximum depth of closed intervals is always attained.
     """
-    if mode not in ("mmsc", "mpc"):
-        raise ValueError("mode must be 'mmsc' or 'mpc'")
+    if mode not in MODES:
+        raise ValueError("mode must be one of %r" % (MODES,))
     xs = list(points)
     eval_xs = xs if mode == "mmsc" else [s.lo for s in intervals]
 

@@ -300,6 +300,33 @@ class TestExitCodes:
                      "--out", str(sol)])
         assert code == 2
 
+    @pytest.mark.parametrize("kind, seed, noun", [
+        ("rects", 3, "object"), ("intervals", 2, "interval")],
+        ids=["rects", "intervals"])
+    def test_gen_allow_uncovered_end_to_end(self, tmp_path, capsys, kind,
+                                            seed, noun):
+        # gen --allow-uncovered writes a file with points in no object;
+        # solve and oracle both refuse it, naming the uncovered point
+        # given first.  For rects seed 3 that point is not the first
+        # uncovered one in sweep order
+        from conftest import covers
+        inst = tmp_path / "gap.jsonl"
+        assert main(["gen", "--kind", kind, "-n", "6", "-m", "4",
+                     "--seed", str(seed), "--allow-uncovered",
+                     "--out", str(inst)]) == 0
+        loaded = load(inst)
+        uncovered = [p for p in loaded.points
+                     if not covers([p], loaded.objects)]
+        assert uncovered
+        want = "infeasible: point %r is covered by no %s\n" % (uncovered[0],
+                                                               noun)
+        for command in ("solve", "oracle"):
+            capsys.readouterr()
+            assert main([command, "--kind", kind, "--in", str(inst),
+                         "--out", str(tmp_path / "s.json")]) == 2
+            assert capsys.readouterr().err == want
+        assert not (tmp_path / "s.json").exists()
+
     def test_uncovered_interval_point_is_named(self, tmp_path, capsys):
         # the first point in input order that no interval covers, shown as
         # its Fraction; 5/2 comes first in sweep order and 1/2 is covered
@@ -650,15 +677,29 @@ class TestOracleCommand:
 
 
 class TestRenderBench:
-    def test_render_writes_svg(self, tmp_path):
+    def test_render_writes_svg(self, tmp_path, capsys):
+        # solution files once carried "wallclock_ms"; such a file still
+        # checks and renders as the same solution without the field
         inst = tmp_path / "inst.jsonl"
-        out = tmp_path / "pic.svg"
-        sol = tmp_path / "sol.json"
+        sol, old = tmp_path / "sol.json", tmp_path / "old.json"
         save(generate("disks", 4, 4, "uniform", seed=3), inst)
-        main(["solve", "--kind", "disks", "--in", str(inst), "--out", str(sol)])
-        assert main(["render", "--in", str(inst), "--solution", str(sol),
-                     "--out", str(out)]) == 0
-        assert out.read_text().startswith("<svg")
+        assert main(["solve", "--kind", "disks", "--in", str(inst),
+                     "--out", str(sol)]) == 0
+        body = json.loads(sol.read_text())
+        assert "wallclock_ms" not in body
+        old.write_text(json.dumps({**body, "wallclock_ms": 12.5}))
+        svgs, oks = [], []
+        for path in (sol, old):
+            capsys.readouterr()
+            assert main(["check", "--in", str(inst),
+                         "--solution", str(path)]) == 0
+            oks.append(capsys.readouterr().out)
+            out = tmp_path / (path.stem + ".svg")
+            assert main(["render", "--in", str(inst), "--solution",
+                         str(path), "--out", str(out)]) == 0
+            svgs.append(out.read_bytes())
+        assert oks[0].startswith("ok: ") and oks[1] == oks[0]
+        assert svgs[0].startswith(b"<svg") and svgs[1] == svgs[0]
 
     @pytest.mark.parametrize("kind", ["disks", "rects"])
     def test_render_draws_only_the_searched_slabs(self, tmp_path, kind):
@@ -718,13 +759,18 @@ class TestRenderBench:
         assert len(err) == 1 and err[0].startswith("usage error:")
         assert "'solve', 'oracle', 'gen', 'check', 'render')" in err[0]
 
-    def test_timing_flag_adds_wallclock(self, tmp_path):
+    def test_timing_is_not_an_option(self, tmp_path, capsys):
+        # a solution file holds the answer and no clock reading
         inst = tmp_path / "inst.jsonl"
         sol = tmp_path / "sol.json"
         save(generate("rects", 3, 3, "uniform", seed=2), inst)
-        main(["solve", "--kind", "rects", "--timing", "--in", str(inst),
-              "--out", str(sol)])
-        assert "wallclock_ms" in json.loads(sol.read_text())
+        capsys.readouterr()
+        assert main(["solve", "--kind", "rects", "--timing", "--in",
+                     str(inst), "--out", str(sol)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:")
+        assert "--timing" in err[0]
+        assert not sol.exists()
 
 
 class TestCollectorPause:

@@ -13,6 +13,7 @@ from plycover.errors import Infeasible, InstanceTooLarge
 from plycover.geom import (Point, UnitDisk, UnitRect, WeightedInterval,
                            ply_disks)
 from plycover.instances import generate
+from plycover.intervals import evaluate_objective
 from plycover.oracle import exact_3color_cover, exact_intervals, exact_min_ply
 
 
@@ -170,6 +171,16 @@ class TestIntervals:
         mpc, _ = exact_intervals(points, ivs, "mpc")
         assert mmsc == 3
         assert mpc == 5  # the overlap region holds no point but both weights
+
+    def test_unknown_mode_is_refused_as_the_solver_refuses_it(self):
+        # the oracle and the solver own one list of modes, and one message
+        ivs = [WeightedInterval(F(0), F(2))]
+        errors = []
+        for run in (exact_intervals, evaluate_objective):
+            with pytest.raises(ValueError) as err:
+                run([F(1)], ivs, "xyz")
+            errors.append(str(err.value))
+        assert errors == ["mode must be one of ('mmsc', 'mpc')"] * 2
 
 
 class TestGridSampler:

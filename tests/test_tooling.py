@@ -720,6 +720,29 @@ def test_no_dead_definitions():
     assert dead == []
 
 
+def test_every_cli_option_is_exercised():
+    # every option of every command is written out, as a string literal,
+    # in some test or tool: an option nothing runs is an option to delete
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    literals = set()
+    for folder in ("tests", "tools"):
+        for dirpath, _, fnames in os.walk(os.path.join(root, folder)):
+            for fname in fnames:
+                if fname.endswith(".py"):
+                    with open(os.path.join(dirpath, fname)) as fh:
+                        tree = ast.parse(fh.read())
+                    literals |= {n.value for n in ast.walk(tree)
+                                 if isinstance(n, ast.Constant)
+                                 and isinstance(n.value, str)}
+    commands, = [a.choices for a in cli._build_parser()._actions
+                 if a.choices and a.dest == "command"]
+    assert sorted(commands) == ["check", "gen", "oracle", "render", "solve"]
+    unused = ["%s %s" % (name, opt) for name, sp in sorted(commands.items())
+              for action in sp._actions for opt in action.option_strings
+              if opt not in ("-h", "--help") and opt not in literals]
+    assert unused == []
+
+
 def _record_fields(cls) -> tuple:
     """The fields of a record (a NamedTuple) or of a value type (on the
     `geom._Value` base, fields in `__slots__`); () for any other class."""

@@ -34,6 +34,7 @@ still names it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from math import floor, inf
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
@@ -66,31 +67,41 @@ class CoverSolution(NamedTuple):
     colors: Optional[dict] = None
 
 
-def _slab_ys(points, objects, kind) -> tuple:
-    """(point ys, object y-spans (bottom, top), least y or bottom) of an
-    instance, each y an exact (num, den) pair; the least is (0, 1) when
-    there is none.  Rects may be given as Points and UnitRects or as the
-    int pairs of `geom.rect_pairs`; a disk's span is cy -/+ 1/2, from its
-    float's `as_integer_ratio`."""
-    if kind == "rects":
-        pts, rects = rect_pairs(points, objects)
-        ys = [y for _, y in pts]
-        spans = [(b, (b[0] + b[1], b[1])) for _, b, _ in rects]
-    elif kind == "disks":
-        ys = [p.y.as_integer_ratio() for p in points]
-        spans = []
-        for d in objects:
-            n, den = d.center.y.as_integer_ratio()
-            spans.append(((2 * n - den, 2 * den), (2 * n + den, 2 * den)))
-    else:
-        raise ValueError("kind must be 'rects' or 'disks'")
-    lows = ys + [lo for lo, _ in spans]
-    on, od = lows[0] if lows else (0, 1)
-    for yn, yd in lows:
-        # yn/yd < on/od, whatever the signs of the denominators
+def _index(y, off) -> int:
+    """floor((y - off) / 2), the slab of y, on the exact (num, den) pairs
+    y and off."""
+    (yn, yd), (on, od) = y, off
+    return (yn * od - on * yd) // (2 * yd * od)
+
+
+def _least(pairs) -> tuple:
+    """The least of the (num, den) pairs, the first of equal ones, whatever
+    the signs of the denominators; (0, 1) when there is none."""
+    on, od = pairs[0] if pairs else (0, 1)
+    for yn, yd in pairs:
         if (yn * od - on * yd) * yd * od < 0:
             on, od = yn, yd
-    return ys, spans, (on, od)
+    return on, od
+
+
+def _disk_indices(vs, h, off, tol) -> list:
+    """The slab of v + h/2, h in (-1, 0, 1), for each disk coordinate v of
+    vs: the floor of the float q = (v - fl(off - h/2)) / 2 when q mod 1
+    lies in (tol, 1 - tol), else `_index` on v's exact pair.  A tol not
+    below 1/2, as `assign_slabs` passes when some coordinate is not a
+    float, leaves every v to the ints with no float arithmetic."""
+    if not tol < 0.5:
+        return [_index(_half_shifted(v, h), off) for v in vs]
+    on, od = off
+    o, hi = (2 * on - h * od) / (2 * od), 1 - tol
+    return [floor(q) if tol < (q := (v - o) * 0.5) % 1.0 < hi
+            else _index(_half_shifted(v, h), off) for v in vs]
+
+
+def _half_shifted(v, h) -> tuple:
+    # v + h/2 as an exact (num, den) pair
+    n, d = v.as_integer_ratio()
+    return 2 * n + h * d, 2 * d
 
 
 def assign_slabs(points, objects, kind) -> list[SlabInstance]:
@@ -101,9 +112,21 @@ def assign_slabs(points, objects, kind) -> list[SlabInstance]:
     bottom, and holds the points with j = floor((y - off) / 2).  An
     object's y-span [ylo, yhi] has height 1, so it reaches into the slab j
     of ylo and, when yhi's slab is above j, into slab j + 1, and into no
-    other.  Rects may be given as Points and UnitRects or as exact int
-    pairs (`geom.rect_pairs`).  All of it is computed on the exact int
-    pairs of `_slab_ys`, and no Fraction is made.
+    other.  The offset is an exact (num, den) pair.  Rects may be given as
+    Points and UnitRects or as exact int pairs (`geom.rect_pairs`), and
+    their slabs are computed on those pairs; no Fraction is made.
+
+    Disks take the offset from the float minima of the point ys and the
+    centre ys, one `as_integer_ratio` each, and index in floats: each y -
+    off (a point y, or a centre y -/+ 1/2) is q = (v - o) / 2 in floats,
+    o the correctly rounded off - h/2 and v the float centre or point y.
+    With M the largest |v|, |off - h/2| <= M + 1, so o, the difference
+    and q are off by at most (3M + 2) u / 2 in all, u = 2**-53 (halving
+    is exact but for subnormals), and q mod 1 by u more.  Where q mod 1
+    lies farther than tol = 4 (M + 1) u from 0 and 1, floor(q) is the
+    exact slab; elsewhere, and when q is not finite or a coordinate is
+    not a float (ints and Fractions from API callers), the exact pairs
+    decide (`_index`).
 
     Coordinates and predicates are exact and the slabs half-open, so no
     offset search is needed to keep objects off the boundaries.  Every
@@ -115,25 +138,36 @@ def assign_slabs(points, objects, kind) -> list[SlabInstance]:
     the line's closed segment [off + 2j, off + 2j + 2] (3*ell), and a disk
     attached to slab j has its centre in [off + 2j - 1/2, off + 2j + 5/2)
     (8*ell, see `disks`)."""
-    ys, spans, off = _slab_ys(points, objects, kind)
-    on, od = off
-    od2 = 2 * od
-
-    def index(y):
-        # floor((y - off) / 2), on ints
-        yn, yd = y
-        return (yn * od - on * yd) // (yd * od2)
+    if kind == "rects":
+        pts, rects = rect_pairs(points, objects)
+        off = _least([y for _, y in pts] + [b for _, b, _ in rects])
+        at = [_index(y, off) for _, y in pts]
+        bottoms = [_index(b, off) for _, b, _ in rects]
+        tops = [_index((b[0] + b[1], b[1]), off) for _, b, _ in rects]
+    elif kind == "disks":
+        ys = [p.y for p in points]
+        cys = [d.center.y for d in objects]
+        lows = [min(ys).as_integer_ratio()] if ys else []
+        if cys:
+            lows.append(_half_shifted(min(cys), -1))
+        off = _least(lows)
+        vs, tol = ys + cys, inf
+        if vs and {float}.issuperset(map(type, vs)):
+            tol = (max(max(vs), -min(vs)) + 1) * 2.0 ** -51
+        at, bottoms, tops = (_disk_indices(v, h, off, tol) for v, h in
+                             ((ys, 0), (cys, -1), (cys, 1)))
+    else:
+        raise ValueError("kind must be 'rects' or 'disks'")
     by_slab: dict[int, list] = {}
-    for k, y in enumerate(ys):
-        by_slab.setdefault(index(y), []).append(k)
+    for k, j in enumerate(at):
+        by_slab.setdefault(j, []).append(k)
     slabs = {j: SlabInstance(j, off, by_slab[j], []) for j in sorted(by_slab)}
-    for i, (ylo, yhi) in enumerate(spans):
-        j = index(ylo)
+    for i, j in enumerate(bottoms):
         slab = slabs.get(j)
         if slab is not None:
             slab.objects.append(i)
         slab = slabs.get(j + 1)
-        if slab is not None and index(yhi) > j:
+        if slab is not None and tops[i] > j:
             slab.objects.append(i)
     return list(slabs.values())
 

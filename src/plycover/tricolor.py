@@ -18,14 +18,17 @@ The slab search is `stripdag.run` on the disk strip problem
 (`disks.disk_slab_problem`), whose meet masks serve as conflict masks: an
 entering disk's mask holds the active disks that it is not disjoint from,
 so it may join a class iff the class mask misses its conflict mask.  A
-state is a triple of class masks in canonical order (nonempty classes by
-mask value, empties last), with a triple of unions; coverage is tested on
-the OR of the classes against the strip's cover masks.  The meet masks
-alone keep each class pairwise disjoint, so the problem's `shares` test
-is never read.  `_step` crosses one event for all of a strip's states,
-reading the event's step (`StripProblem.steps`) and conflict mask once;
-it visits the states in dict order and emits keep, then joins to classes
-0, 1, 2: the ranks 0 to 3 of `run`'s least decision path.
+state is a triple of class masks in canonical order, the order a stable
+sort by mask value with empties last gives, with a triple of unions (an
+emptied class keeps its union); coverage is tested on the OR of the
+classes against the strip's cover masks.  The meet masks alone keep each
+class pairwise disjoint, so the problem's `shares` test is never read.
+`_step` crosses one event for all of a strip's states, reading the
+event's step (`StripProblem.steps`) and conflict mask once; it visits
+the states in dict order and emits keep, then joins to classes 0, 1, 2:
+the ranks 0 to 3 of `run`'s least decision path.  An event changes one
+class of a state, so `_placed` builds each successor's key directly,
+with no sort.
 """
 from __future__ import annotations
 
@@ -43,15 +46,16 @@ _EMPTY = (0, 0, 0)
 membership_at = canonical_rotation = rotate_instance = assign_slabs = None
 
 
-def _canonical(c, u):
-    # collapse the 3! symmetry: a stable sort of the class list c by mask
-    # value, empties last; the union list u follows the same permutation
-    for a, b in ((0, 1), (1, 2), (0, 1)):
-        x, y = c[a], c[b]
-        if y and (not x or y < x):
-            c[a], c[b] = y, x
-            u[a], u[b] = u[b], u[a]
-    return tuple(c), tuple(u)
+def _placed(v, u, x, ux, y, uy):
+    # the canonical key of class v (union u) and the classes x and y, in
+    # canonical order: v goes before the first of x, y that is empty or,
+    # when v is nonempty, of larger mask.  An emptied v came from a
+    # nonempty class, so it precedes every empty one in index order
+    if not x or 0 < v < x:
+        return (v, x, y), (u, ux, uy)
+    if not y or 0 < v < y:
+        return (x, v, y), (ux, u, uy)
+    return (x, y, v), (ux, uy, u)
 
 
 def _step(problem, i, states):
@@ -64,25 +68,38 @@ def _step(problem, i, states):
     by every successor, and those that hold it (`held`) only by keep: a
     join meets them all.  At a right event every mask is in `rest`, and a
     state's members meet it exactly when they do without the leaving
-    disk, so coverage is tested before the removal."""
+    disk, so coverage is tested before the removal.
+
+    Only one class changes, so each successor's key is built in place
+    (`_placed`): the two other classes keep their canonical order, and
+    the changed one is placed among them as the stable sort by mask
+    value, empties last, places it.  A join tries class 0, then class 1
+    when class 0 is nonempty, then class 2 when class 1 is: empty classes
+    are interchangeable, so only the first is tried."""
     left, bit, obj, rest, held = problem.steps[i]
     nxt = {}
     if not left:
         for classes, unions in states.items():
-            active = classes[0] | classes[1] | classes[2]
+            c0, c1, c2 = classes
+            active = c0 | c1 | c2
             for c in rest:
                 if not active & c:
                     break
             else:
                 if active & bit:
-                    classes, unions = _canonical([c & ~bit for c in classes],
-                                                 list(unions))
-                if classes not in nxt:
-                    nxt[classes] = unions
+                    u0, u1, u2 = unions
+                    if c0 & bit:
+                        classes, unions = _placed(c0 ^ bit, u0, c1, u1, c2, u2)
+                    elif c1 & bit:
+                        classes, unions = _placed(c1 ^ bit, u1, c0, u0, c2, u2)
+                    else:
+                        classes, unions = _placed(c2 ^ bit, u2, c0, u0, c1, u1)
+                nxt.setdefault(classes, unions)
         return nxt
     conflict = problem.meets[obj]
     for classes, unions in states.items():
-        active = classes[0] | classes[1] | classes[2]
+        c0, c1, c2 = classes
+        active = c0 | c1 | c2
         for c in rest:
             if not active & c:
                 break
@@ -91,20 +108,14 @@ def _step(problem, i, states):
                 if not active & c:
                     break
             else:
-                if classes not in nxt:
-                    nxt[classes] = unions
-            for a in range(3):
-                cls = classes[a]
-                if cls & conflict:
-                    continue
-                grown, grown_u = list(classes), list(unions)
-                grown[a] = cls | bit
-                grown_u[a] |= bit
-                key, u = _canonical(grown, grown_u)
-                if key not in nxt:
-                    nxt[key] = u
-                if not cls:
-                    break  # empty classes come last and are interchangeable
+                nxt.setdefault(classes, unions)
+            u0, u1, u2 = unions
+            if not c0 & conflict:
+                nxt.setdefault(*_placed(c0 | bit, u0 | bit, c1, u1, c2, u2))
+            if c0 and not c1 & conflict:
+                nxt.setdefault(*_placed(c1 | bit, u1 | bit, c0, u0, c2, u2))
+            if c1 and not c2 & conflict:
+                nxt.setdefault(*_placed(c2 | bit, u2 | bit, c0, u0, c1, u1))
     return nxt
 
 

@@ -18,6 +18,11 @@ search it is 0 to keep and a + 1 to join class a, with the classes in
 canonical order: by mask value, sum(1 << i), empties last.  States are
 visited in sorted order, so the rule stands apart from any insertion
 order.
+
+`mask_step_3color` is the 3-color step on class masks that
+`tricolor._step` replaced: it copies each state's class and union lists
+and sorts every successor (`_mask_canonical`).  The per-event tests
+require the production step to return the same dict, in the same order.
 """
 from __future__ import annotations
 
@@ -257,3 +262,68 @@ def solve_slab_3color(points, disks):
         states = nxt
     best = states.get(_EMPTY)
     return None if best is None else best[1]
+
+
+def _mask_canonical(c, u):
+    # collapse the 3! symmetry: a stable sort of the class list c by mask
+    # value, empties last; the union list u follows the same permutation
+    for a, b in ((0, 1), (1, 2), (0, 1)):
+        x, y = c[a], c[b]
+        if y and (not x or y < x):
+            c[a], c[b] = y, x
+            u[a], u[b] = u[b], u[a]
+    return tuple(c), tuple(u)
+
+
+def mask_step_3color(problem, i, states):
+    """Strip i + 1's canonical 3-color states from strip i's: an entering
+    disk joins no class or one class it meets no member of, and a leaving
+    disk leaves its class.
+
+    Event i's step splits strip i + 1's cover masks by its bit.  At a
+    left event the masks that miss the entering bit (`rest`) must be met
+    by every successor, and those that hold it (`held`) only by keep: a
+    join meets them all.  At a right event every mask is in `rest`, and a
+    state's members meet it exactly when they do without the leaving
+    disk, so coverage is tested before the removal."""
+    left, bit, obj, rest, held = problem.steps[i]
+    nxt = {}
+    if not left:
+        for classes, unions in states.items():
+            active = classes[0] | classes[1] | classes[2]
+            for c in rest:
+                if not active & c:
+                    break
+            else:
+                if active & bit:
+                    classes, unions = _mask_canonical(
+                        [c & ~bit for c in classes], list(unions))
+                if classes not in nxt:
+                    nxt[classes] = unions
+        return nxt
+    conflict = problem.meets[obj]
+    for classes, unions in states.items():
+        active = classes[0] | classes[1] | classes[2]
+        for c in rest:
+            if not active & c:
+                break
+        else:
+            for c in held:
+                if not active & c:
+                    break
+            else:
+                if classes not in nxt:
+                    nxt[classes] = unions
+            for a in range(3):
+                cls = classes[a]
+                if cls & conflict:
+                    continue
+                grown, grown_u = list(classes), list(unions)
+                grown[a] = cls | bit
+                grown_u[a] |= bit
+                key, u = _mask_canonical(grown, grown_u)
+                if key not in nxt:
+                    nxt[key] = u
+                if not cls:
+                    break  # empty classes come last and are interchangeable
+    return nxt

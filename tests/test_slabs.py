@@ -194,6 +194,90 @@ def _disks_near_boundaries(rng):
     return points, disks
 
 
+def _rows(points, objects, kind):
+    """`assign_slabs` in the form of `_assign_reference`."""
+    return [(s.index, *_bounds(s), slab_points(points, s), s.objects)
+            for s in assign_slabs(points, objects, kind)]
+
+
+def _disks_off_grid(rng):
+    """A point at a random y0, the offset, and disks and points a few ulps
+    off the slab boundaries y0 + 2j, at magnitudes up to 2**48: the float
+    differences round, some of them onto a boundary."""
+    y0 = rng.uniform(-1, 1) * rng.choice((1, 2 ** 20, 2 ** 48))
+
+    def near(shift):
+        return nudged(y0 + shift, rng.randint(-3, 3))
+    disks = [UnitDisk(Point(rng.uniform(0, 4), near(
+        2 * rng.randint(1, 3) + rng.choice((0.5, -0.5)))))
+        for _ in range(rng.randint(1, 12))]
+    points = [Point(rng.uniform(0, 4), near(2 * rng.randint(1, 3)))
+              for _ in range(rng.randint(0, 8))]
+    return [Point(0.0, y0)] + points, disks
+
+
+class TestFloatSlabIndex:
+    """Disk slabs are indexed in floats, and on the exact pairs
+    (`slabs._index`) only where the float quotient lies near an integer,
+    is not finite, or a coordinate is not a float."""
+
+    @pytest.fixture
+    def exact(self, monkeypatch):
+        calls, index = [0], slabs_mod._index
+
+        def spy(*args):
+            calls[0] += 1
+            return index(*args)
+        monkeypatch.setattr(slabs_mod, "_index", spy)
+        return calls
+
+    def test_floats_index_seeded_disks(self, exact):
+        # on workload-like disk instances the ints index under 1% of the
+        # point ys, disk bottoms and disk tops
+        rng = random.Random(0xF10)
+        values = 0
+        for seed in range(60):
+            m = rng.randint(40, 120)
+            inst = generate("disks", m, m, ("clustered", "uniform",
+                                            "slab-stress")[seed % 3],
+                            seed=seed)
+            assign_slabs(inst.points, inst.objects, "disks")
+            values += len(inst.points) + 2 * len(inst.objects)
+        assert values > 10000
+        assert exact[0] < 0.01 * values
+
+    def test_ints_decide_near_boundaries(self, exact):
+        rng = random.Random(0xB0D)
+        for seed in range(100):
+            points, objects = _disks_near_boundaries(rng)
+            assert _rows(points, objects, "disks") == _assign_reference(
+                points, objects, "disks"), seed
+        assert exact[0] > 0
+
+    def test_rounded_differences_match_the_reference(self, exact):
+        rng = random.Random(0x1A6)
+        for seed in range(200):
+            points, objects = _disks_off_grid(rng)
+            assert _rows(points, objects, "disks") == _assign_reference(
+                points, objects, "disks"), seed
+        assert exact[0] > 0
+
+    @pytest.mark.parametrize("y", [1, F(1, 3), 10 ** 400])
+    def test_non_float_coordinates_go_to_the_ints(self, exact, y):
+        points = [Point(0.5, 0.25), Point(0.5, y)]
+        objects = [UnitDisk(Point(0.5, 0.5)), UnitDisk(Point(0.5, y))]
+        assert _rows(points, objects, "disks") == _assign_reference(
+            points, objects, "disks")
+        assert exact[0] == 6
+
+    @pytest.mark.parametrize("y, error", [(math.inf, OverflowError),
+                                          (math.nan, ValueError)])
+    def test_non_finite_coordinates_raise_as_exact_pairs_do(self, y, error):
+        with pytest.raises(error):
+            assign_slabs([Point(0.5, 0.25), Point(0.5, y)],
+                         [UnitDisk(Point(0.5, 0.5))], "disks")
+
+
 class TestSolveMpc:
     def test_single_point_single_square(self):
         sol = solve_mpc([Point(F(1, 2), F(1, 2))], [sq(0, 0)], "rects")

@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -431,6 +432,35 @@ def test_solution_digest_is_repeatable(tmp_path):
         assert (name, rc, check_rc) == ("rects-dense/" + case, "0", "0")
         assert len(sol) == len(err) == len(out) == len(svg) == 64
     assert list(tmp_path.iterdir()) == []
+
+
+def test_ab_pairs_summary_on_canned_results():
+    # tools/ab_pairs.py prints each side's median [q1, q3] per end-to-end
+    # metric, the change of the medians, and the pairs the change won in
+    # the metric's better direction, ties counting for neither side
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, os.path.join(root, "tools"))
+    try:
+        import ab_pairs
+    finally:
+        sys.path.pop(0)
+    spec = {"end_to_end": [
+        {"name": "batch_s", "unit": "s", "better": "lower"},
+        {"name": "verified_share", "unit": "share", "better": "higher"}]}
+    base = [(1.0, 0.99), (1.2, 1.0), (1.1, 1.0), (1.3, 1.0), (1.4, 1.0)]
+    change = [(0.9, 1.0), (1.0, 1.0), (1.2, 0.98), (1.0, 1.0), (1.4, 1.0)]
+    pairs = [({"batch_s": b, "verified_share": bv},
+              {"batch_s": c, "verified_share": cv})
+             for (b, bv), (c, cv) in zip(base, change)]
+    head, batch, share = ab_pairs.summary(spec, pairs)
+    assert head.split()[:2] == ["metric", "base"]
+    number = r"[-+]?\d+(?:\.\d+)?"
+    assert batch.startswith("batch_s [s] ")
+    assert [float(v) for v in re.findall(number, batch)] == [
+        1.2, 1.1, 1.3, 1.0, 1.0, 1.2, -16.7, 3, 5]
+    assert share.startswith("verified_share [share] ")
+    assert [float(v) for v in re.findall(number, share)] == [
+        1, 1, 1, 1, 1, 1, 0.0, 1, 5]
 
 
 def test_interval_solve_builds_no_interval_objects(tmp_path, monkeypatch):

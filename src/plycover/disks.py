@@ -31,8 +31,6 @@ as given, and no input is refused as degenerate.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 from .geom import disks_disjoint, disks_share_point
 from .stripdag import StripProblem, build_problem, search
 
@@ -64,14 +62,10 @@ def disk_slab_problem(points, disks) -> StripProblem:
                          PER_STRIP_FACTOR)
 
 
-def solve_slab_disks(points, disks, ell: int,
-                     problem: Optional[StripProblem] = None):
+def solve_slab_disks(points, disks, ell: int, problem: StripProblem):
     """Indices of a cover of the slab points with ply <= ell, or None.
 
-    `problem`, this slab's `disk_slab_problem`, is searched at ell instead
-    of building it again."""
-    if problem is None:
-        problem = disk_slab_problem(points, disks)
+    `problem`, this slab's `disk_slab_problem`, is searched at ell."""
     return search(problem.at(ell))
 
 

@@ -303,19 +303,6 @@ def sweep_events(spans, points=()) -> list:
     return events
 
 
-def _max_stab_closed(spans) -> int:
-    """The most closed `(lo, hi, y)` spans that share a coordinate."""
-    best = cur = 0
-    for _, cls, _, _ in sweep_events(spans):
-        if cls == RIGHT:
-            cur -= 1
-        else:
-            cur += 1
-            if cur > best:
-                best = cur
-    return best
-
-
 def _sides(r) -> tuple:
     if r.__class__ is Box:
         return r
@@ -328,12 +315,21 @@ def ply_rects(rects: Sequence[UnitRect]) -> int:
     The depth of a closed arrangement is attained at a left side, so an
     x-sweep over the side events (`sweep_events`) that evaluates the
     active y-spans there is exact.  The active set only grows between two
-    removals, so its y-spans are reduced to a 1-D maximum stabbing count
-    once, just before the first removal after an addition: that set
-    contains the active set at every left side since the previous removal.
+    removals, so it is recounted once, just before the first removal
+    after an addition: that set contains the active set at every left
+    side since the previous removal.
+
+    The recount rests on one premise: the boxes sort their bottoms and
+    their tops in the same order (bottom <= bottom' iff top <= top'), as
+    boxes of equal height do, and so do rank `Box`es, whose bottoms and
+    tops are ranked together.  The boxes that hold a deepest y all hold
+    the lowest top t among them, say of box [b, t], and by the premise
+    the boxes holding t are exactly those whose bottom lies in [b, t].
+    So the recount is the most bottoms in one active box's [bottom, top],
+    by bisection on the sorted bottoms.
     """
     boxes = [_sides(r) for r in rects]
-    ys = [(bottom, top, 0) for _, _, bottom, top in boxes]
+    ys = [(bottom, top) for _, _, bottom, top in boxes]
     active = {}
     grown = False
     best = 0
@@ -344,7 +340,9 @@ def ply_rects(rects: Sequence[UnitRect]) -> int:
             grown = True
             continue
         if grown and len(active) > best:
-            best = max(best, _max_stab_closed(active.values()))
+            bs = sorted([b for b, _ in active.values()])
+            best = max(best, *[bisect_right(bs, t) - bisect_left(bs, b)
+                               for b, t in active.values()])
         grown = False
         del active[i]
     return best
@@ -386,13 +384,14 @@ def rects_cover(points, rects: Sequence[UnitRect]) -> list:
     return out
 
 
-def _pair_points(a: Point, b: Point) -> list:
-    """The points where the circles of the disks centred at a and b meet,
-    as (x, y, tol, s): a float approximation, its filter bound and s.
+def _pair_points(da: UnitDisk, db: UnitDisk) -> list:
+    """The points where the circles of the disks da and db, centred at a
+    and b, meet, as (x, y, tol, s): a float approximation, its filter
+    bound and s.
 
     Let D = b - a, M = (a + b) / 2, J = (-D_y, D_x) and E = (1 - |D|^2) /
     (4 |D|^2).  The circles meet at M + s sqrt(E) J, s = +1 and -1, when 0
-    < |D|^2 <= 1, decided as in `disks_disjoint`; at tangency the two are
+    < |D|^2 <= 1, decided by `disks_disjoint`; at tangency the two are
     M.  A disk centred at c holds the point iff X + s Y sqrt(E) <= 0, X =
     |M - c|^2 - |D|^2 / 4 and Y = 2 (M - c).J (`_exact_holds`).
 
@@ -409,14 +408,14 @@ def _pair_points(a: Point, b: Point) -> list:
     every test is exact, where it exceeds 1; it also widens the point's
     holder window.
     """
+    if disks_disjoint(da, db):
+        return []
+    a, b = da.center, db.center
     dx = b.x - a.x
     dy = b.y - a.y
     if dx == 0.0 and dy == 0.0:
         return []  # one circle
     d2 = dx * dx + dy * dy
-    v = d2 - 1.0
-    if v >= -_FILTER and (_FILTER < v < _INF or _excess(a, b, 4) > 0):
-        return []
     mx = a.x + dx / 2.0
     my = a.y + dy / 2.0
     h = math.sqrt(max(0.25 - d2 / 4.0, 0.0))
@@ -472,7 +471,7 @@ def disk_candidates(disks: Sequence[UnitDisk]) -> list:
                           if k != i and disks[k].contains(c)])
         for j in order[a + 1:bisect_right(xs, c.x + 1.0)]:
             lo, hi = (i, j) if i < j else (j, i)
-            for px, py, tol, s in _pair_points(cs[lo], cs[hi]):
+            for px, py, tol, s in _pair_points(disks[lo], disks[hi]):
                 holders = [lo, hi]
                 reach = 0.5 + tol
                 for k in order[bisect_left(xs, px - reach):

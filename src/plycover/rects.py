@@ -14,7 +14,7 @@ ply by cliques of the meet masks (`stripdag.has_clique`), with no oracle.
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .geom import Point, UnitRect
 from .stripdag import StripProblem, build_problem, search
@@ -50,11 +50,8 @@ def rect_slab_problem(points: Sequence[Point],
 
 
 def solve_slab_rects(points: Sequence[Point], rects: Sequence[UnitRect],
-                     ell: int, problem: Optional[StripProblem] = None):
+                     ell: int, problem: StripProblem):
     """Indices of a cover of the slab points with ply <= ell, or None.
 
-    `problem`, this slab's `rect_slab_problem`, is searched at ell instead
-    of building it again."""
-    if problem is None:
-        problem = rect_slab_problem(points, rects)
+    `problem`, this slab's `rect_slab_problem`, is searched at ell."""
     return search(problem.at(ell))

@@ -32,7 +32,6 @@ with no sort.
 """
 from __future__ import annotations
 
-from .disks import disk_slab_problem
 from .errors import Infeasible
 from .geom import ply_disks
 from .slabs import CoverSolution, search_slabs
@@ -119,12 +118,10 @@ def _step(problem, i, states):
     return nxt
 
 
-def solve_slab_3color(points, disks, problem=None):
+def solve_slab_3color(points, disks, problem):
     """Three pairwise-disjoint-within classes jointly covering the slab
     points, as disk index tuples, or None when no 3-colorable cover exists.
-    `problem` is this slab's `disks.disk_slab_problem`, if already built."""
-    if problem is None:
-        problem = disk_slab_problem(points, disks)
+    `problem` is this slab's `disks.disk_slab_problem`."""
     unions = run(problem, _step, _EMPTY)
     return None if unions is None else tuple(tuple(bits(u)) for u in unions)
 

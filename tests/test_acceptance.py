@@ -24,7 +24,8 @@ from depth_reference import grid_depth_disks
 
 import plycover
 from plycover.cli import main
-from plycover.disks import dedupe_disks, disk_spans, solve_slab_disks
+from plycover.disks import (dedupe_disks, disk_slab_problem, disk_spans,
+                            solve_slab_disks)
 from plycover.errors import Infeasible
 from plycover.geom import (LEFT, Point, UnitDisk, disks_disjoint,
                            ply_disks, ply_rects, sweep_events)
@@ -32,7 +33,7 @@ from plycover.instances import Instance, generate, save
 from plycover.intervals import build_dag, prepare_instance, solve_intervals
 from plycover.oracle import (exact_3color_cover, exact_intervals,
                              exact_min_ply)
-from plycover.rects import rect_spans, solve_slab_rects
+from plycover.rects import rect_slab_problem, rect_spans, solve_slab_rects
 from plycover.slabs import assign_slabs, solve_mpc
 from plycover.tricolor import solve_3color
 
@@ -188,7 +189,8 @@ def test_criterion_3_rect_approximation():
             pts = slab_points(inst.points, slab)
             objs = [inst.objects[i] for i in slab.objects]
             slab_opt, _ = exact_min_ply(pts, objs, "rects")
-            assert solve_slab_rects(pts, objs, slab_opt) is not None
+            assert solve_slab_rects(pts, objs, slab_opt, rect_slab_problem(
+                pts, objs)) is not None
     _report(3, "200 rectangle instances: verified cover, ply <= 2*OPT, "
                "per-slab completeness at the slab optimum")
 
@@ -206,7 +208,8 @@ def test_criterion_4_disk_approximation():
             pts = slab_points(inst.points, slab)
             objs = [uniq[i] for i in slab.objects]
             slab_opt, _ = exact_min_ply(pts, objs, "disks")
-            assert solve_slab_disks(pts, objs, slab_opt) is not None
+            assert solve_slab_disks(pts, objs, slab_opt, disk_slab_problem(
+                pts, objs)) is not None
     _report(4, "200 disk instances: verified cover, ply <= 2*OPT, grid "
                "sampler never exceeds the candidate-point ply")
 

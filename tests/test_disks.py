@@ -3,7 +3,8 @@ import random
 
 from conftest import covers, forced_pair_disks, slab_points
 
-from plycover.disks import dedupe_disks, disk_spans, solve_slab_disks
+from plycover.disks import (dedupe_disks, disk_slab_problem, disk_spans,
+                            solve_slab_disks)
 from plycover.geom import (LEFT, RIGHT, Point, UnitDisk, ply_disks,
                            sweep_events)
 from plycover.instances import generate
@@ -45,13 +46,16 @@ class TestTies:
 
 class TestSolveSlab:
     def test_single_point_single_disk(self):
-        assert solve_slab_disks([Point(0.5, 0.5)], [UnitDisk(Point(0.5, 0.5))], 1) == [0]
+        points, disks = [Point(0.5, 0.5)], [UnitDisk(Point(0.5, 0.5))]
+        problem = disk_slab_problem(points, disks)
+        assert solve_slab_disks(points, disks, 1, problem) == [0]
 
     def test_forced_pair_needs_budget_two(self):
         points, disks = forced_pair_disks()
         assert exact_min_ply(points, disks, "disks")[0] == 2
-        assert solve_slab_disks(points, disks, 1) is None
-        assert solve_slab_disks(points, disks, 2) == [0, 1]
+        problem = disk_slab_problem(points, disks)
+        assert solve_slab_disks(points, disks, 1, problem) is None
+        assert solve_slab_disks(points, disks, 2, problem) == [0, 1]
 
     def test_success_iff_oracle_budget(self):
         rng = random.Random(7)
@@ -63,8 +67,9 @@ class TestSolveSlab:
                 pts = slab_points(inst.points, slab)
                 objs = [inst.objects[i] for i in slab.objects]
                 opt, _ = exact_min_ply(pts, objs, "disks")
+                problem = disk_slab_problem(pts, objs)
                 for ell in range(1, opt + 2):
-                    res = solve_slab_disks(pts, objs, ell)
+                    res = solve_slab_disks(pts, objs, ell, problem)
                     assert (res is not None) == (ell >= opt)
                     if res is not None:
                         chosen = [objs[i] for i in res]

@@ -13,8 +13,9 @@ import pytest
 import depth_reference as ref
 from conftest import nudged
 
-from plycover.geom import (Point, UnitDisk, UnitRect, disk_candidates,
+from plycover.geom import (Box, Point, UnitDisk, UnitRect, disk_candidates,
                            ply_disks, ply_rects)
+from plycover.slabs import search_slabs
 
 
 def _rect(rng, step):
@@ -116,6 +117,27 @@ class TestRects:
 
     def test_empty(self):
         _assert_rects_agree([])
+
+    def test_equal_height_premise(self):
+        # `ply_rects` counts the bottoms in each active box's [bottom, top],
+        # exact when bottoms and tops sort alike: on UnitRects, on the
+        # rank Boxes that `slabs.search_slabs` searches (its third result;
+        # with no points, no slab is searched), and on the long-lived
+        # interleaved boxes of ROADMAP item 11
+        shared = [UnitRect(F(0), F(0)), UnitRect(F(1), F(0)),
+                  UnitRect(F(0), F(1)), UnitRect(F(1, 2), F(1, 2), F(1, 2)),
+                  UnitRect(F(1, 4), F(3, 4), F(3, 4))]
+        sets = [_rect_sets(seed) for seed in range(600)]
+        sets += [shared, shared * 3, [shared[3]] * 4]
+        for k, rects in enumerate(sets):
+            boxes = search_slabs([], rects, "rects", None, None)[2]
+            want = ref.ply_rects(rects)
+            assert ply_rects(rects) == want, k
+            assert ply_rects(boxes) == ref.ply_rects(boxes) == want, k
+        for m in (1, 2, 7, 8, 15, 60, 300):
+            boxes = [Box(2 * i, 2 * i + m + 1, i % 7, i % 7 + 1)
+                     for i in range(m)]
+            assert ply_rects(boxes) == ref.ply_rects(boxes), m
 
     def test_one_more_rect_adds_its_region_depth(self):
         # ply(S + [q]) = max(ply(S), depth of S + [q] inside q): the

@@ -63,16 +63,21 @@ class TestSuccessors:
 
 class TestSolveSlab:
     def test_single_point_single_square(self):
-        assert solve_slab_rects([Point(F(1, 2), F(1, 2))], [sq(0, 0)], 1) == [0]
+        points, rects = [Point(F(1, 2), F(1, 2))], [sq(0, 0)]
+        problem = rect_slab_problem(points, rects)
+        assert solve_slab_rects(points, rects, 1, problem) == [0]
 
     def test_forced_pair_needs_budget_two(self):
         points, rects = forced_pair_rects()
         assert exact_min_ply(points, rects, "rects")[0] == 2
-        assert solve_slab_rects(points, rects, 1) is None
-        assert solve_slab_rects(points, rects, 2) == [0, 1]
+        problem = rect_slab_problem(points, rects)
+        assert solve_slab_rects(points, rects, 1, problem) is None
+        assert solve_slab_rects(points, rects, 2, problem) == [0, 1]
 
     def test_point_left_of_everything_is_infeasible(self):
-        assert solve_slab_rects([Point(F(-5), F(0))], [sq(0, 0)], 3) is None
+        points, rects = [Point(F(-5), F(0))], [sq(0, 0)]
+        problem = rect_slab_problem(points, rects)
+        assert solve_slab_rects(points, rects, 3, problem) is None
 
 
 def _slab_restriction(inst):
@@ -90,8 +95,9 @@ class TestFuzzAgainstOracle:
                             "slab-stress", seed=seed)
             for pts, objs in _slab_restriction(inst):
                 opt, _ = exact_min_ply(pts, objs, "rects")
+                problem = rect_slab_problem(pts, objs)
                 for ell in range(1, opt + 2):
-                    res = solve_slab_rects(pts, objs, ell)
+                    res = solve_slab_rects(pts, objs, ell, problem)
                     if ell < opt:
                         assert res is None
                     else:
@@ -104,7 +110,8 @@ class TestFuzzAgainstOracle:
                             "slab-stress", seed=seed + 500)
             for pts, objs in _slab_restriction(inst):
                 opt, _ = exact_min_ply(pts, objs, "rects")
-                res = solve_slab_rects(pts, objs, opt)
+                res = solve_slab_rects(pts, objs, opt,
+                                       rect_slab_problem(pts, objs))
                 chosen = [objs[i] for i in res]
                 assert covers(pts, chosen)
                 assert ply_rects(chosen) <= opt

@@ -385,7 +385,7 @@ class TestPerSlabBudgets:
         searched = []
         real = rects_mod.solve_slab_rects
 
-        def spy(pts, objs, ell, problem=None):
+        def spy(pts, objs, ell, problem):
             searched.append(pts)
             return real(pts, objs, ell, problem)
 

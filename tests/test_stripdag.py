@@ -173,10 +173,11 @@ class TestAgainstTupleEngine:
         solved = failed = 0
         for seed in range(150):
             for pts, objs in _slabs(*_rect_instances(seed), "rects"):
-                assert (_sides(rect_slab_problem(pts, objs))
+                problem = rect_slab_problem(pts, objs)
+                assert (_sides(problem)
                         == _ref_sides(ref.rect_events(objs))), seed
                 for ell in (1, 2, 3):
-                    got = solve_slab_rects(pts, objs, ell)
+                    got = solve_slab_rects(pts, objs, ell, problem)
                     assert got == ref.solve_slab_rects(pts, objs, ell), seed
                     solved += got is not None
                     failed += got is None
@@ -188,10 +189,11 @@ class TestAgainstTupleEngine:
             make = (_private_point_instances if seed % 3 == 0
                     else _disk_instances)
             for pts, objs in _slabs(*make(seed), "disks"):
-                assert (_sides(disk_slab_problem(pts, objs))
+                problem = disk_slab_problem(pts, objs)
+                assert (_sides(problem)
                         == _ref_sides(ref.disk_events(objs))), seed
                 for ell in (1, 2, 3):
-                    got = solve_slab_disks(pts, objs, ell)
+                    got = solve_slab_disks(pts, objs, ell, problem)
                     assert got == ref.solve_slab_disks(pts, objs, ell), seed
                     solved += got is not None
                     failed += got is None
@@ -208,8 +210,9 @@ class TestAgainstTupleEngine:
                  UnitDisk(Point(0.0, 0.5))]
         points = [Point(0.0, -0.45), Point(0.0, 1.45), Point(0.45, 0.5)]
         assert ply_disks(disks) == (2 if ulps > 0 else 3)
+        problem = disk_slab_problem(points, disks)
         for ell in (1, 2, 3):
-            got = solve_slab_disks(points, disks, ell)
+            got = solve_slab_disks(points, disks, ell, problem)
             assert got == ref.solve_slab_disks(points, disks, ell)
             assert got == (None if ell < ply_disks(disks) else [0, 1, 2])
 
@@ -222,22 +225,25 @@ class TestAgainstTupleEngine:
         disks = [UnitDisk(Point(0.0, 0.0)),
                  UnitDisk(Point(nudged(1.0, ulps), 0.0))]
         points = [Point(-0.45, 0.0), Point(1.45, 0.0)]
+        problem = disk_slab_problem(points, disks)
         if ulps > 0:
             assert disks_disjoint(*disks) and ply_disks(disks) == 1
-            assert solve_slab_disks(points, disks, 1) == [0, 1]
-            assert solve_slab_3color(points, disks) == ((0, 1), (), ())
+            assert solve_slab_disks(points, disks, 1, problem) == [0, 1]
+            assert solve_slab_3color(points, disks, problem) == (
+                (0, 1), (), ())
             return
         assert not disks_disjoint(*disks) and ply_disks(disks) == 2
-        assert solve_slab_disks(points, disks, 1) is None
-        assert solve_slab_disks(points, disks, 2) == [0, 1]
-        assert solve_slab_3color(points, disks) == ((1,), (0,), ())
+        assert solve_slab_disks(points, disks, 1, problem) is None
+        assert solve_slab_disks(points, disks, 2, problem) == [0, 1]
+        assert solve_slab_3color(points, disks, problem) == ((1,), (0,), ())
 
     def test_3color(self):
         solved = failed = 0
         for seed in range(200):
             make = _private_point_instances if seed % 2 else _disk_instances
             for pts, objs in _slabs(*make(seed), "disks"):
-                got = solve_slab_3color(pts, objs)
+                got = solve_slab_3color(pts, objs,
+                                        disk_slab_problem(pts, objs))
                 assert got == ref.solve_slab_3color(pts, objs), seed
                 solved += got is not None
                 failed += got is None
@@ -261,7 +267,8 @@ class TestAgainstTupleEngine:
         solved = failed = 0
         for seed in range(12):
             for pts, objs in _slabs(*_column_instances(seed), "disks"):
-                got = solve_slab_3color(pts, objs)
+                got = solve_slab_3color(pts, objs,
+                                        disk_slab_problem(pts, objs))
                 assert got == ref.solve_slab_3color(pts, objs), seed
                 solved += got is not None
                 failed += got is None
@@ -307,11 +314,14 @@ class TestStepShape:
             return step(problem, i, states)
         monkeypatch.setattr(stripdag, "successors", spy_successors)
         monkeypatch.setattr(stripdag, "_mpc_step", spy_step)
-        solve = solve_slab_rects if kind == "rects" else solve_slab_disks
+        solve, build = ((solve_slab_rects, rect_slab_problem)
+                        if kind == "rects"
+                        else (solve_slab_disks, disk_slab_problem))
         for seed in range(6):
             for pts, objs in _live_slabs(kind, seed):
+                problem = build(pts, objs)
                 for ell in (1, 2, 3):
-                    solve(pts, objs, ell)
+                    solve(pts, objs, ell, problem)
         assert sum(n for _, n in sizes) > 1000
         assert asked == [i for i, n in sizes for _ in range(n)]
 
@@ -372,9 +382,9 @@ def _live_slabs(kind, seed):
         yield pts, [objects[i] for i in live]
 
 
-def _least_rung(solve, pts, objs):
+def _least_rung(solve, pts, objs, problem):
     for ell in range(1, len(objs) + 1):
-        got = solve(pts, objs, ell)
+        got = solve(pts, objs, ell, problem)
         if got is not None:
             return got
     return None
@@ -389,13 +399,16 @@ class TestInclusionMinimal:
         chosen_total = 0
         for seed in range(120):
             for pts, objs in _live_slabs(kind, seed):
-                if kind == "3color":
-                    got = solve_slab_3color(pts, objs)
-                    got = got and [i for cls in got for i in cls]
+                if kind == "rects":
+                    got = _least_rung(solve_slab_rects, pts, objs,
+                                      rect_slab_problem(pts, objs))
+                elif kind == "disks":
+                    got = _least_rung(solve_slab_disks, pts, objs,
+                                      disk_slab_problem(pts, objs))
                 else:
-                    solve = (solve_slab_rects if kind == "rects"
-                             else solve_slab_disks)
-                    got = _least_rung(solve, pts, objs)
+                    got = solve_slab_3color(pts, objs,
+                                            disk_slab_problem(pts, objs))
+                    got = got and [i for cls in got for i in cls]
                 for q in got or ():
                     rest = [objs[i] for i in got if i != q]
                     assert not all(any(o.contains(p) for o in rest)
@@ -621,7 +634,8 @@ def _ladder(pts, objs, build, solve):
     fresh build at each ell and against a second pass."""
     problem = build(pts, objs)
     got = [solve(pts, objs, ell, problem) for ell in (1, 2, 3)]
-    assert got == [solve(pts, objs, ell) for ell in (1, 2, 3)]
+    assert got == [solve(pts, objs, ell, build(pts, objs))
+                   for ell in (1, 2, 3)]
     assert [solve(pts, objs, ell, problem) for ell in (3, 1, 2)] == [
         got[2], got[0], got[1]]
     return got

@@ -552,13 +552,12 @@ def test_rect_solve_builds_no_rect_objects(tmp_path, monkeypatch):
 
 def test_one_sweep_event_builder_call_per_sweep(tmp_path, monkeypatch):
     # every sweep takes its events and their order from `geom.sweep_events`:
-    # spied at every name it is bound under, each of the six sweeps calls
+    # spied at every name it is bound under, each of the five sweeps calls
     # it exactly once per invocation, over a solve of each kind and `check`
     # on rects and intervals
     real = geom.sweep_events
     sweeps = [stripdag.build_problem, intervals.prepare_instance,
-              intervals.chosen_loads, geom.ply_rects, geom._max_stab_closed,
-              geom.rects_cover]
+              intervals.chosen_loads, geom.ply_rects, geom.rects_cover]
     names = {fn.__code__: fn.__name__ for fn in sweeps}
     invoked, frames = Counter(), []
 

@@ -21,17 +21,21 @@ from plycover.tricolor import solve_3color, solve_slab_3color
 
 class TestSlabSolver:
     def test_single_point_single_disk(self):
-        out = solve_slab_3color([Point(0.5, 0.5)], [UnitDisk(Point(0.5, 0.5))])
+        points, disks = [Point(0.5, 0.5)], [UnitDisk(Point(0.5, 0.5))]
+        out = solve_slab_3color(points, disks,
+                                disk_slab_problem(points, disks))
         assert out == ((0,), (), ())
 
     def test_k4_clique_has_no_3coloring(self):
         points, disks = k4_clique()
-        assert solve_slab_3color(points, disks) is None
+        assert solve_slab_3color(points, disks,
+                                 disk_slab_problem(points, disks)) is None
         assert exact_3color_cover(points, disks) is None
 
     def test_triangle_uses_one_disk_per_class(self):
         points, disks = triangle_3colorable()
-        out = solve_slab_3color(points, disks)
+        out = solve_slab_3color(points, disks,
+                                disk_slab_problem(points, disks))
         assert out is not None
         assert sorted(len(c) for c in out) == [1, 1, 1]
         assert exact_3color_cover(points, disks) is not None

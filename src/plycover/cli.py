@@ -26,8 +26,7 @@ from fractions import Fraction
 
 from . import instances as inst_mod
 from .errors import BudgetExceeded, Infeasible, InstanceTooLarge
-from .geom import (disks_cover, disks_pairwise_disjoint, ply_disks,
-                   ply_rects, rects_cover)
+from .geom import disks_cover, ply_disks, ply_rects, rects_cover
 from .intervals import (MODES, chosen_loads, evaluate_objective,
                         solve_intervals)
 from .slabs import CoverSolution, solve_mpc
@@ -131,7 +130,7 @@ def _check_colors(inst, sol) -> str | None:
     for i, c in colors.items():
         by_class.setdefault(c, []).append(i)
     for c, members in sorted(by_class.items()):
-        if not disks_pairwise_disjoint([inst.objects[i] for i in members]):
+        if ply_disks([inst.objects[i] for i in members]) > 1:
             return "color class %d is not pairwise disjoint" % c
     return None
 

@@ -27,12 +27,16 @@ predicates are exact too: each is a sign test, decided in floats when the
 float value lies farther from its threshold than a bound on its rounding
 error, and on ints otherwise (Shewchuk, "Adaptive precision floating-point
 arithmetic and fast robust geometric predicates", DCG 1997).  Where two
-circles meet is held symbolically (`_pair_points`).
+circles meet is held symbolically (`_pair_points`), and `ply_disks`
+counts the disks at each centre and at each such point, listing none:
+unit-disk depth is decided at circle meeting points (Chazelle and Lee,
+"On a circle placement problem", Computing 1986).
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import groupby
@@ -448,31 +452,24 @@ def _exact_holds(a: Point, b: Point, s: int, c: Point) -> bool:
     return x2 <= z2 if x > 0 else z2 <= x2
 
 
-def disk_candidates(disks: Sequence[UnitDisk]) -> list:
-    """The candidate points of the closed-disk arrangement, each as the
-    list of the indices of the disks holding it.
+def _meeting_depths(disks: Sequence[UnitDisk]):
+    """The number of disks holding each point where two circles meet
+    (`_pair_points`), for each pair (lo, hi) in index order.
 
-    The candidates are every centre and, for each pair (lo, hi) in index
-    order, the points where their circles meet (`_pair_points`).  A
-    point's own disks hold it and are not tested.  With disks sorted by
+    A point's own disks hold it and are not tested.  With disks sorted by
     centre x, only pairs with |dx| <= 1 meet, and only disks with |cx - x|
-    <= 1/2 hold a point at x; the float windows fl(x + 1) and fl(x -/+ 1/2)
-    of a centre x need no slack, as rounding is monotone, and a meeting
-    point's window is widened by its filter bound.
+    <= 1/2 + tol hold a meeting point at x, tol its filter bound; the
+    float window fl(x + 1) of a centre x needs no slack, as rounding is
+    monotone.
     """
     cs = [d.center for d in disks]
     order = sorted(range(len(cs)), key=lambda i: cs[i].x)
     xs = [cs[i].x for i in order]
-    out = []
     for a, i in enumerate(order):
-        c = cs[i]
-        out.append([i] + [k for k in order[bisect_left(xs, c.x - 0.5):
-                                           bisect_right(xs, c.x + 0.5)]
-                          if k != i and disks[k].contains(c)])
-        for j in order[a + 1:bisect_right(xs, c.x + 1.0)]:
+        for j in order[a + 1:bisect_right(xs, cs[i].x + 1.0)]:
             lo, hi = (i, j) if i < j else (j, i)
             for px, py, tol, s in _pair_points(disks[lo], disks[hi]):
-                holders = [lo, hi]
+                depth = 2
                 reach = 0.5 + tol
                 for k in order[bisect_left(xs, px - reach):
                                bisect_right(xs, px + reach)]:
@@ -483,56 +480,49 @@ def disk_candidates(disks: Sequence[UnitDisk]) -> list:
                     v = dx * dx + dy * dy - 0.25
                     if v < -tol or (not tol < v < _INF and _exact_holds(
                             cs[lo], cs[hi], s, ck)):
-                        holders.append(k)
-                out.append(holders)
-    return out
+                        depth += 1
+                yield depth
 
 
 def ply_disks(disks: Sequence[UnitDisk]) -> int:
-    """Maximum depth of the closed-disk arrangement.
+    """Maximum depth of the closed-disk arrangement: the larger of the most
+    disks sharing one centre and the most holding one point where two
+    circles meet (`_meeting_depths`).
 
-    Evaluated at the candidate points of `disk_candidates` only: every disk
-    center plus every point where two circles meet.  The disks holding a
-    deepest point meet in a compact convex set, whose boundary has a vertex
-    where two circles meet, a candidate, or which is one whole disk, whose
-    centre is a candidate.
+    This is exact.  Let H be the disks holding a deepest point.  If they
+    all share one centre, the depth is that centre's multiplicity.
+    Otherwise their intersection K is compact and convex, and it is not a
+    whole disk, as no unit disk holds another.  So the boundary of K, or
+    the single point K shrinks to at a tangency, has a point on the
+    circles of two disks of H with distinct centres: where arcs of two
+    circles meet, or, for a single point, where a second circle must pass
+    lest K hold a neighbourhood of it in one disk.  That point is one of
+    the two disks' meeting points, and every disk of H holds it.
     """
-    return max(map(len, disk_candidates(disks)), default=0)
-
-
-def _unit_cells(disks) -> dict:
-    """The indices of the disks by the unit grid cell (floor cx, floor cy)
-    of their centres.  A closed disk holding a point, or meeting another
-    disk, has its centre within 1 of it in x and in y, so in one of the
-    nine cells around the point's or the centre's own; floor is exact."""
-    cells = {}
-    for i, d in enumerate(disks):
-        c = d.center
-        cells.setdefault((math.floor(c.x), math.floor(c.y)), []).append(i)
-    return cells
-
-
-def _near(cells, p) -> list:
-    """The indices in `_unit_cells` of the nine cells around p."""
-    i, j = math.floor(p.x), math.floor(p.y)
-    return [k for a in (i - 1, i, i + 1) for b in (j - 1, j, j + 1)
-            for k in cells.get((a, b), ())]
+    most = max(Counter([(d.center.x, d.center.y) for d in disks]).values(),
+               default=0)
+    return max(most, max(_meeting_depths(disks), default=0))
 
 
 def disks_cover(points, disks: Sequence[UnitDisk]) -> list:
-    """For each point, whether some closed disk contains it; each point is
-    tested against the disks of the cells around it only."""
-    cells = _unit_cells(disks)
-    return [any(disks[k].contains(p) for k in _near(cells, p))
-            for p in points]
+    """For each point, whether some closed disk contains it.
 
-
-def disks_pairwise_disjoint(disks: Sequence[UnitDisk]) -> bool:
-    """True iff no two of the closed disks share a point; each disk is
-    tested against the later disks of the cells around its centre only."""
-    cells = _unit_cells(disks)
-    return all(k <= i or disks_disjoint(d, disks[k])
-               for i, d in enumerate(disks) for k in _near(cells, d.center))
+    The disks are filed by the unit grid cell (floor cx, floor cy) of their
+    centres; floor is exact.  A closed disk holding a point has its centre
+    within 1/2 of it in x and in y, so in one of the nine cells around the
+    point's own, and each point is tested against those cells' disks only.
+    """
+    cells = {}
+    for d in disks:
+        c = d.center
+        cells.setdefault((math.floor(c.x), math.floor(c.y)), []).append(d)
+    out = []
+    for p in points:
+        i, j = math.floor(p.x), math.floor(p.y)
+        out.append(any(d.contains(p) for a in (i - 1, i, i + 1)
+                       for b in (j - 1, j, j + 1)
+                       for d in cells.get((a, b), ())))
+    return out
 
 
 def disks_disjoint(a: UnitDisk, b: UnitDisk) -> bool:

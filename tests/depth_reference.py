@@ -109,12 +109,12 @@ def _holds(c, cand, big) -> bool:
     return _sign_of_roots(a, 4 * q, b, big * big - q) <= 0
 
 
-def candidate_holders(disks: Sequence[UnitDisk]) -> list:
-    """For every candidate point, the sorted indices of the disks holding
+def meeting_depths(disks: Sequence[UnitDisk]) -> list:
+    """For every point where two circles meet, the number of disks holding
     it; the list sorted."""
     cs, big = _scaled(disks)
-    return sorted([k for k, c in enumerate(cs) if _holds(c, p, big)]
-                  for p in _candidates(cs, big))
+    return sorted(sum(_holds(c, p, big) for c in cs)
+                  for p in _candidates(cs, big)[len(cs):])
 
 
 def ply_disks(disks: Sequence[UnitDisk]) -> int:

@@ -13,8 +13,7 @@ from conftest import greedy_trap_instance, nudged
 from plycover import cli
 from plycover.cli import main
 from plycover.geom import (Point, UnitDisk, UnitRect, WeightedInterval,
-                           disks_cover, disks_disjoint,
-                           disks_pairwise_disjoint, ply_disks)
+                           disks_cover, disks_disjoint, ply_disks)
 from plycover.instances import Instance, generate, load, save
 
 
@@ -564,18 +563,35 @@ def _tangent_disks_and_edge_points(rng):
 
 
 class TestCheckDisks:
-    """`check` tests each point and each color-class pair only against
-    nearby disks, and decides as the all-pairs loops do."""
+    """`check` tests each point only against nearby disks, and each color
+    class by its ply, and decides as the all-pairs loops do."""
 
     def test_matches_brute_force_loops(self, tmp_path, capsys):
         rng = random.Random(0xC4EC)
         inst, sol = tmp_path / "inst.jsonl", tmp_path / "s.json"
+
+        def check(points, disks, colors):
+            save(Instance("disks", points, disks), inst)
+            sol.write_text(json.dumps({
+                "kind": "3color", "chosen": sorted(colors),
+                "colors": {str(i): c for i, c in colors.items()},
+                "objective": ply_disks([disks[i] for i in sorted(colors)])}))
+            capsys.readouterr()
+            rc = main(["check", "--in", str(inst), "--solution", str(sol)])
+            return rc, capsys.readouterr().err
+
+        # one class of two disks: coincident and exactly 1 apart share a
+        # point, 1 + 5e-10 apart do not
+        clash = (1, "color class 1 is not pairwise disjoint\n")
+        for dx, want in ((0.0, clash), (1.0, clash), (1.0 + 5e-10, (0, ""))):
+            a, b = UnitDisk(Point(0.0, 0.0)), UnitDisk(Point(dx, 0.0))
+            assert (ply_disks([a, b]) <= 1) == _brute_disjoint([a, b])
+            assert check([a.center], [a, b], {0: 1, 1: 1}) == want, dx
         verdicts = set()
         for seed in range(400):
             points, disks = _tangent_disks_and_edge_points(rng)
             assert disks_cover(points, disks) == _brute_cover(points, disks)
-            assert (disks_pairwise_disjoint(disks)
-                    == _brute_disjoint(disks)), seed
+            assert (ply_disks(disks) <= 1) == _brute_disjoint(disks), seed
             chosen = sorted(rng.sample(range(len(disks)),
                                        rng.randint(1, len(disks))))
             colors = {i: rng.randint(1, 6) for i in chosen}
@@ -585,14 +601,7 @@ class TestCheckDisks:
                 # colors are checked too
                 points = [p for p, h in zip(points, _brute_cover(points, objs))
                           if h]
-            save(Instance("disks", points, disks), inst)
-            sol.write_text(json.dumps({
-                "kind": "3color", "chosen": chosen,
-                "colors": {str(i): c for i, c in colors.items()},
-                "objective": ply_disks(objs)}))
-            capsys.readouterr()
-            rc = main(["check", "--in", str(inst), "--solution", str(sol)])
-            err = capsys.readouterr().err
+            rc, err = check(points, disks, colors)
             hit = _brute_cover(points, objs)
             clashing = [c for c in sorted(set(colors.values()))
                         if not _brute_disjoint([disks[i] for i in chosen

@@ -1,7 +1,8 @@
 """The ply functions in `geom` against the plain scans they replaced (kept
 in `depth_reference`): exact equality on seeded fuzz and on degenerate
 arrangements, disks also at exact tangency and one ulp either side of
-it."""
+it, at every point where two circles meet, and where the disk ply comes
+from a centre's multiplicity alone."""
 import itertools
 import math
 import random
@@ -13,8 +14,8 @@ import pytest
 import depth_reference as ref
 from conftest import nudged
 
-from plycover.geom import (Box, Point, UnitDisk, UnitRect, disk_candidates,
-                           ply_disks, ply_rects)
+from plycover import geom
+from plycover.geom import Box, Point, UnitDisk, UnitRect, ply_disks, ply_rects
 from plycover.slabs import search_slabs
 
 
@@ -90,8 +91,8 @@ def _disk_sets(seed):
 
 
 def _assert_disks_agree(disks):
-    assert (sorted(sorted(h) for h in disk_candidates(disks))
-            == ref.candidate_holders(disks))
+    # every holder decision at every point where two circles meet
+    assert sorted(geom._meeting_depths(disks)) == ref.meeting_depths(disks)
     assert ply_disks(disks) == ref.ply_disks(disks)
 
 
@@ -243,6 +244,33 @@ class TestDisks:
 
     def test_empty(self):
         _assert_disks_agree([])
+
+    def test_ply_is_a_centre_multiplicity_or_a_meeting_depth(self):
+        # `ply_disks` takes the most disks on one centre or at one point
+        # where two circles meet: k copies far from a crossing pair, where
+        # the multiplicity alone gives the ply; a chain whose deepest point
+        # is one tangency; copies of a crossing pair, which hold the pair's
+        # meeting points on their own circles; and 0 and 1 disks
+        assert ply_disks([]) == 0
+        rng = random.Random(0xC0DE)
+        for seed in range(80):
+            x, y = rng.randint(-40, 40) / 8, rng.randint(-40, 40) / 8
+            ux, uy = rng.choice(((1.0, 0.0), (0.0, 1.0)))
+            a = UnitDisk(Point(x, y))
+            crossing = UnitDisk(Point(x + rng.randint(1, 7) / 8,
+                                      y + rng.randint(-3, 3) / 8))
+            far = UnitDisk(Point(x + 10.0, y - 10.0))
+            k, j, l = 2 + seed % 4, rng.randint(1, 4), rng.randint(1, 4)
+            chain = [UnitDisk(Point(x + t * ux, y + t * uy))
+                     for t in (-1.25, 0.0, 1.0, 2.25, 3.5)]
+            cases = [([a], 1), ([a, crossing] + [far] * k, k),
+                     (chain[:1] + [chain[1]] * j + [chain[2]] * l
+                      + chain[3:], j + l),
+                     ([a] * j + [crossing] * l, j + l)]
+            for disks, want in cases:
+                rng.shuffle(disks)
+                assert ply_disks(disks) == want == ref.ply_disks(disks), seed
+                _assert_disks_agree(disks)
 
     @pytest.mark.parametrize("ulps", ULPS)
     def test_one_more_disk_adds_its_region_depth(self, ulps):

@@ -5,7 +5,7 @@ their kind (`depth_reference`), on symmetric meet masks.  Each slab's
 result is inclusion-minimal.  A slab's problem built once and searched at
 every budget of its ladder gives what a fresh build at each budget gives.
 The search takes one step call per strip event, and only the final ply
-lists disk candidates."""
+counts the disks at circle meeting points."""
 import math
 import random
 from collections import Counter
@@ -683,17 +683,17 @@ class TestLadderReuse:
         assert solve_mpc(points, disks, "disks").chosen == [0, 1, 2, 3]
         assert calls == {"sweep_events": 2, "solve_slab_disks": 4}
 
-    def test_only_the_final_ply_lists_candidates(self, monkeypatch):
-        # neither the ply search nor 3-color lists the candidate points of
-        # the disk arrangement: `geom.disk_candidates` is called only by
-        # the `ply_disks` of the chosen disks, once per solve
+    def test_only_the_final_ply_counts_meeting_points(self, monkeypatch):
+        # neither the ply search nor 3-color takes depths at the points
+        # where circles meet: `geom._meeting_depths` is called only by the
+        # `ply_disks` of the chosen disks, once per solve
         calls, inside, ells = [], [], []
-        real, slab_solve = geom.disk_candidates, disks_mod.solve_slab_disks
+        real, slab_solve = geom._meeting_depths, disks_mod.solve_slab_disks
 
         def counted(disks):
             calls.append(bool(inside))
             return real(disks)
-        monkeypatch.setattr(geom, "disk_candidates", counted)
+        monkeypatch.setattr(geom, "_meeting_depths", counted)
         monkeypatch.setattr(disks_mod, "solve_slab_disks",
                             lambda *args: ells.append(args[2])
                             or slab_solve(*args))

@@ -11,8 +11,14 @@ strip: none (v0), one (v1), or an overlapping pair (v2).  The bottleneck
 an optimum; for the ply objective the v1/v2 weights simply apply whether
 or not the strip holds a point.
 
-The graph has at most 2m+1 v0, (2m-1)+4M v1, and M v2 vertices, with at
-most two out-edges each, where M counts overlapping pairs.
+The graph is implicit.  It would have at most 2m+1 v0, (2m-1)+4M v1 and
+M v2 vertices, with at most two out-edges each, where M counts
+overlapping pairs; `bottleneck_path` walks it in one sweep over the strips
+without building it.  The sweep holds the current strip's v0, one v1 per
+active interval and the v2 pairs not yet closed, each with its bottleneck
+value and a link into the chosen intervals of its best path.  It takes
+O(n + m + M) time, and its memory holds only the live vertices and the
+links of their paths.
 
 Every predicate runs on Python ints.  The solver starts from exact
 (num, den) int pairs (`geom.line_pairs`): `instances.loads` reads an
@@ -28,24 +34,23 @@ denominators, which keeps sums exact.  A solve of a file that
 the objective, Fraction(best, W), that `solve_intervals` returns.
 
 Every sweep here takes its events and their order from
-`geom.sweep_events`.  A DAG vertex is a plain `(kind, strip, q, r, weight)`
-tuple; `bottleneck_path` reads the weights from one flat list and needs no
-tie-break (see its docstring).
+`geom.sweep_events`.  On a tie `bottleneck_path` keeps the first
+predecessor in the order the graph's vertices would be made (see its
+docstring); the tests hold it to an explicit graph and DP.
 
 Memory: each of the m scaled weights has about as many bits as W, and W
 grows with the number of distinct coprime weight denominators, so the
 weights take O(m * bits(W)) memory.  With 4000 uniform intervals weighted
 over 4000 distinct primes near 1e5 (a W of 67,617 bits), one `plycover
-solve` process on CPython 3.11 peaked at 96 MB (mmsc) and 112 MB (mpc),
-against 28 MB for the same intervals with integer weights.  Such files
-are valid and are never refused.
+solve` process on CPython 3.11 peaked at 56 MB in either mode, against
+20 MB for the same intervals with integer weights.  Such files are valid
+and are never refused.
 """
 from __future__ import annotations
 
 import math
 import operator
 from fractions import Fraction
-from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import Infeasible
@@ -54,8 +59,6 @@ from .geom import (LEFT, POINT, RIGHT, WeightedInterval, line_pairs,
 from .slabs import CoverSolution
 
 MODES = ("mmsc", "mpc")
-
-V0, V1, V2 = 0, 1, 2
 
 
 def _scaled(pairs):
@@ -126,154 +129,96 @@ def prepare_instance(points, intervals) -> PreparedIntervals:
                              w_scale, has_point, uncovered)
 
 
-_weight = operator.itemgetter(4)   # a vertex's weight
+# a None placeholder for the name perfbench/tracing.py wraps as the graph
+# build: `bottleneck_path` sweeps the strips and builds no graph
+build_dag = None
 
 
-class IntervalDag(NamedTuple):
-    vertices: list
-    adj: list
-    source: Optional[int]
-    sink: Optional[int]
-    n_intervals: int      # intervals after dedup
-    n_overlaps: int       # overlapping pairs among them
+def bottleneck_path(prep: PreparedIntervals, mode: str = "mmsc"):
+    """(kept indices on a minimax source-to-sink path, value), or None
+    when the sink is unreachable: one sweep over `prep.events` that holds
+    only the live vertices of the strip graph.  The value is in weight
+    units, so the real optimum is Fraction(value, prep.weight_scale).
 
-
-def build_dag(prep: PreparedIntervals, mode: str = "mmsc") -> IntervalDag:
-    """Vertex-weighted strip graph whose bottleneck path is an optimum.
-
-    A vertex is a `(kind, strip, q, r, weight)` tuple: its kind V0, V1 or
-    V2, its entry strip, its intervals (-1 where it has none) and its
-    weight, an int: the real weight times `prep.weight_scale`."""
+    A live vertex is (value, link), or None when unreachable; a link is a
+    shared `(interval, parent link)` tuple, so the chosen set is read off
+    at the sink.  A strip weighs its v1 and v2 vertices when it holds a
+    point, or always for mpc, and `seen` counts the strips swept so far
+    that weigh.  The sweep holds the strip's v0; each active q's v1 as
+    (value, link, seen when set), to which q's weight still applies if a
+    strip has weighed since; and per q its pending v2 pairs (r, value
+    before the pair's weight, q's link, strip made, seen then).  Ties keep
+    the first predecessor in the graph's creation order: a new v0 keeps
+    the previous v0 over the leaving v1, and a v1 at a right event takes
+    the pending pair only if that pair was made before the previous strip.
+    """
     if mode not in MODES:
         raise ValueError("mode must be one of %r" % (MODES,))
     mpc = mode == "mpc"
     wt = prep.weights
     right_pos = prep.right_pos
     has_point = prep.has_point
-    pref = [0, *accumulate(has_point)]  # strips before i holding a point
-
-    # vertex i is vertices[i] with out-edges adj[i]; both grow together
-    vertices: list[tuple] = []
-    adj: list[list[int]] = []
-    add_vertex = vertices.append
-    add_adj = adj.append
-
-    n_overlaps = 0
-    source = None
-    if not has_point[0]:
-        source = 0
-        add_vertex((V0, 0, -1, -1, 0))
-        add_adj([])
-    prev_v0 = source
-    prev_v1: dict[int, int] = {}
-    pending_v2: dict[int, list] = {}
-    active: dict[int, None] = {}
-
-    for b, (_, cls, _, q0) in enumerate(prep.events):
-        i2 = b + 1
-        is_left = cls == LEFT
-        if is_left:
-            n_overlaps += len(active)
-            active[q0] = None
-        else:
-            del active[q0]
-
-        cur_v0 = None
-        if not has_point[i2]:
-            cur_v0 = len(vertices)
-            add_vertex((V0, i2, -1, -1, 0))
-            add_adj([])
-        weighted = mpc or has_point[i2]
-        cur_v1 = {}
-        for q in active:
-            cur_v1[q] = len(vertices)
-            add_vertex((V1, i2, q, -1, wt[q] if weighted else 0))
-            add_adj([])
-        created_v2 = {}
-        if is_left:
+    v0 = None if has_point[0] else (0, None)
+    seen = 1 if mpc or has_point[0] else 0
+    v1: dict[int, Optional[tuple]] = {}
+    pending: dict[int, list] = {}
+    for strip, (_, cls, _, q0) in enumerate(prep.events, 1):
+        weighs = mpc or has_point[strip]
+        if cls == LEFT:
             end0 = right_pos[q0]
-            for q in active:
-                # pair vertex only when q ends before q0 does (no nesting)
-                end = right_pos[q]
-                if q != q0 and end < end0:
-                    # mmsc: the pair counts only if a point lies in some
-                    # strip i2..end that both intervals span
-                    if mpc or pref[end + 1] > pref[i2]:
-                        w = wt[q] + wt[q0]
-                    else:
-                        w = 0
-                    vid = len(vertices)
-                    add_vertex((V2, i2, q, q0, w))
-                    add_adj([])
-                    created_v2[q] = vid
-                    pending_v2.setdefault(q, []).append((vid, q0))
-
-        if is_left:
-            if prev_v0 is not None:
-                if cur_v0 is not None:
-                    adj[prev_v0].append(cur_v0)
-                adj[prev_v0].append(cur_v1[q0])
-            for q, vid in prev_v1.items():
-                adj[vid].append(cur_v1[q])
-                pair = created_v2.get(q)
-                if pair is not None:
-                    adj[vid].append(pair)
-        else:
-            if prev_v0 is not None and cur_v0 is not None:
-                adj[prev_v0].append(cur_v0)
-            for q, vid in prev_v1.items():
-                if q == q0:
-                    if cur_v0 is not None:
-                        adj[vid].append(cur_v0)
+            for q, cur in v1.items():
+                # a pair only when q ends before q0 does (no nesting)
+                if cur is None or right_pos[q] >= end0:
+                    continue
+                val, link, since = cur
+                if seen > since and wt[q] > val:
+                    val = wt[q]
+                pair = (q0, val, link, strip, seen)
+                pairs = pending.get(q)
+                if pairs is None:
+                    pending[q] = [pair]
                 else:
-                    adj[vid].append(cur_v1[q])
-            for vid, r in pending_v2.pop(q0, ()):
-                adj[vid].append(cur_v1[r])
-        prev_v0, prev_v1 = cur_v0, cur_v1
+                    pairs.append(pair)
+            v1[q0] = None if v0 is None else (v0[0], (q0, v0[1]), seen)
+            if has_point[strip]:
+                v0 = None
+        else:
+            cur = v1.pop(q0)
+            if has_point[strip]:
+                v0 = None
+            elif cur is not None:
+                val, link, since = cur
+                if seen > since and wt[q0] > val:
+                    val = wt[q0]
+                if v0 is None or val < v0[0]:
+                    v0 = (val, link)
+            for r, val, link, made, made_seen in pending.pop(q0, ()):
+                # mmsc: the pair counts only if a point lies in some strip
+                # that both intervals span, made..strip - 1
+                if seen > made_seen and wt[q0] + wt[r] > val:
+                    val = wt[q0] + wt[r]
+                if weighs and wt[r] > val:
+                    val = wt[r]
+                cur = v1[r]
+                if cur is not None:
+                    cval, _, since = cur
+                    if (weighs or seen > since) and wt[r] > cval:
+                        cval = wt[r]
+                    if cval < val or (cval == val and made >= strip - 1):
+                        continue
+                v1[r] = (val, (r, link), seen)
+        if weighs:
+            seen += 1
 
-    # the sink is the last strip's V0: with no events, the source
-    return IntervalDag(vertices, adj, source, prev_v0, len(wt), n_overlaps)
-
-
-def bottleneck_path(dag: IntervalDag):
-    """Minimax-weight source-to-sink path: (vertex index list, value), or
-    None when the sink is unreachable.  The value is in the DAG's vertex
-    weight units, so the real optimum is Fraction(value,
-    prep.weight_scale).
-
-    A vertex keeps the first predecessor, in creation order, to reach its
-    best value, which is also its least (strip, kind, q, r): a vertex has
-    at most two predecessors, made in that order.  A V0 has the V0 one
-    strip back and, at a right event, the leaving V1 made after it; a V1
-    has its V1 one strip back and, at a right event, the pending V2 pair,
-    made after it or at an earlier strip; a V2 has only its q's V1.
-    """
-    if dag.source is None or dag.sink is None:
+    # the sink is the last strip's v0
+    if v0 is None:
         return None
-    vertices = dag.vertices
-    n = len(vertices)
-    weight = list(map(_weight, vertices))
-    best = [None] * n
-    pred = [-1] * n
-    best[dag.source] = weight[dag.source]
-    for u, nbrs in enumerate(dag.adj):  # creation order is topological
-        bu = best[u]
-        if bu is None:
-            continue
-        for v in nbrs:
-            w = weight[v]
-            cand = bu if bu >= w else w
-            bv = best[v]
-            if bv is None or cand < bv:
-                best[v] = cand
-                pred[v] = u
-    if best[dag.sink] is None:
-        return None
-    path = [dag.sink]
-    while path[-1] != dag.source:
-        path.append(pred[path[-1]])
-    path.reverse()
-    return path, best[dag.sink]
+    value, link = v0
+    kept = []
+    while link is not None:
+        q, link = link
+        kept.append(q)
+    return kept[::-1], value
 
 
 def solve_intervals(points, intervals, mode: str = "mmsc") -> CoverSolution:
@@ -281,20 +226,17 @@ def solve_intervals(points, intervals, mode: str = "mmsc") -> CoverSolution:
 
     Takes numbers and WeightedIntervals or exact int pairs, as
     `prepare_instance` does.  A point in no interval raises Infeasible
-    naming the one given first, and no DAG is built."""
+    naming the one given first, before any path is searched."""
     prep = prepare_instance(points, intervals)
     if prep.uncovered is not None:
         x = points[prep.uncovered]
         raise Infeasible("point %r is covered by no interval"
                          % (Fraction(*x) if type(x) is tuple else x,))
-    dag = build_dag(prep, mode)
-    res = bottleneck_path(dag)
+    res = bottleneck_path(prep, mode)
     if res is None:
         raise Infeasible("some point lies in no interval")
-    path, value = res
-    # a vertex's intervals are its q and r, -1 where it has none
-    chosen = {i for vi in path for i in dag.vertices[vi][2:4]} - {-1}
-    return CoverSolution(sorted(prep.orig_idx[q] for q in chosen),
+    kept, value = res
+    return CoverSolution(sorted(prep.orig_idx[q] for q in kept),
                          Fraction(value, prep.weight_scale))
 
 

@@ -20,6 +20,7 @@ import pytest
 
 from conftest import (covers, greedy_trap_instance, k4_clique,
                       ply3_not_3colorable, slab_points)
+from dag_reference import build_dag
 from depth_reference import grid_depth_disks
 
 import plycover
@@ -30,7 +31,7 @@ from plycover.errors import Infeasible
 from plycover.geom import (LEFT, Point, UnitDisk, disks_disjoint,
                            ply_disks, ply_rects, sweep_events)
 from plycover.instances import Instance, generate, save
-from plycover.intervals import build_dag, prepare_instance, solve_intervals
+from plycover.intervals import prepare_instance, solve_intervals
 from plycover.oracle import (exact_3color_cover, exact_intervals,
                              exact_min_ply)
 from plycover.rects import rect_slab_problem, rect_spans, solve_slab_rects

@@ -1,19 +1,20 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
 import dag_reference
 from conftest import greedy_trap_instance
+from dag_reference import V0, V1, V2, IntervalDag, build_dag
 from test_degenerate import _gritty_intervals
 
 from plycover import intervals as intervals_mod
 from plycover.errors import Infeasible
 from plycover.geom import WeightedInterval, line_pairs, pair_ranks
 from plycover.instances import Instance, dumps, generate, loads
-from plycover.intervals import (V0, V1, V2, IntervalDag,
-                                bottleneck_path, build_dag, chosen_loads,
+from plycover.intervals import (bottleneck_path, chosen_loads,
                                 evaluate_objective, prepare_instance,
                                 solve_intervals)
 from plycover.oracle import exact_intervals
@@ -104,13 +105,15 @@ class TestPrepare:
 
 
 class TestBuildDag:
+    # the tests-only reference graph of `dag_reference`
     def test_single_interval_single_point(self):
         prep = prepare_instance([F(1, 2)], [iv(0, 1, 5)])
         dag = build_dag(prep, "mmsc")
-        path, value = bottleneck_path(dag)
+        path, value = dag_reference.bottleneck_path(dag)
         assert value == 5
         kinds = [dag.vertices[i][0] for i in path]
         assert kinds == [0, 1, 0]
+        assert bottleneck_path(prep, "mmsc") == ([0], 5 * prep.weight_scale)
 
     def test_disjoint_intervals_have_no_pair_vertices(self):
         prep = prepare_instance([], [iv(0, 1), iv(2, 3)])
@@ -149,7 +152,7 @@ class TestBuildDag:
                     assert real == ivs[q].weight
                     seen.add(kind)
             assert seen == {1, 2}
-            _, value = bottleneck_path(dag)
+            _, value = dag_reference.bottleneck_path(dag)
             assert F(value, prep.weight_scale) == \
                 solve_intervals([F(1, 2), F(3, 2), F(9, 2)], ivs, mode).objective
 
@@ -166,8 +169,13 @@ class TestBuildDag:
             assert len(dag.vertices) <= 4 * m + 5 * ov + 2
 
     def test_bad_mode_rejected(self):
+        prep = prepare_instance([], [iv(0, 1)])
         with pytest.raises(ValueError):
-            build_dag(prepare_instance([], [iv(0, 1)]), "minsum")
+            build_dag(prep, "minsum")
+        with pytest.raises(ValueError, match="mode must be one of"):
+            bottleneck_path(prep, "minsum")
+        with pytest.raises(ValueError, match="mode must be one of"):
+            solve_intervals([], [iv(0, 1)], "minsum")
 
 
 def _chain_dag(weights):
@@ -192,22 +200,23 @@ def _enumerate_paths(dag):
 
 
 class TestBottleneck:
+    # the reference DP over hand-built graphs
     def test_chain(self):
-        assert bottleneck_path(_chain_dag([0, 5, 0]))[1] == 5
+        assert dag_reference.bottleneck_path(_chain_dag([0, 5, 0]))[1] == 5
 
     def test_parallel_chains(self):
         vertices = [(V0, i, -1, -1, F(w))
                     for i, w in enumerate([0, 3, 4, 0])]
         adj = [[1, 2], [3], [3], []]
         dag = IntervalDag(vertices, adj, 0, 3, 0, 0)
-        path, value = bottleneck_path(dag)
+        path, value = dag_reference.bottleneck_path(dag)
         assert value == 3
         assert path == [0, 1, 3]
 
     def test_unreachable_sink(self):
         vertices = [(V0, 0, -1, -1, 0), (V0, 1, -1, -1, 0)]
         dag = IntervalDag(vertices, [[], []], 0, 1, 0, 0)
-        assert bottleneck_path(dag) is None
+        assert dag_reference.bottleneck_path(dag) is None
 
     def test_random_dags_match_path_enumeration(self):
         for seed in range(60):
@@ -222,58 +231,72 @@ class TestBottleneck:
                     if rng.random() < 0.3:
                         adj[i].append(j)
             dag = IntervalDag(vertices, adj, 0, n - 1, 0, 0)
-            _, value = bottleneck_path(dag)
+            _, value = dag_reference.bottleneck_path(dag)
             assert value == min(_enumerate_paths(dag))
 
 
-def _seeded_dags():
-    """(mode, dag) over seeded instances, some with every weight 0 or in
-    {0, 1} so that most paths tie, some with uncovered points."""
-    rng = random.Random(14)
-    for seed in range(120):
+def _seeded_instances(count, salt):
+    """(points, intervals) of `count` seeded instances, points and
+    intervals shuffled, some with every weight 0 or in {0, 1} so that most
+    paths tie, some with uncovered points."""
+    rng = random.Random(salt)
+    for seed in range(count):
         inst = generate("intervals", rng.randint(0, 24), rng.randint(1, 16),
                         rng.choice(["uniform", "clustered", "chain"]),
-                        seed=seed, allow_uncovered=rng.random() < 0.2)
+                        seed=seed + salt,
+                        allow_uncovered=rng.random() < 0.2)
         ivs = inst.objects
         levels = rng.choice([None, 1, 2])  # as generated, all 0, 0 or 1
         if levels:
             ivs = [WeightedInterval(s.lo, s.hi, F(rng.randrange(levels)))
                    for s in ivs]
-        prep = prepare_instance(inst.points, ivs)
-        for mode in ("mmsc", "mpc"):
-            yield mode, build_dag(prep, mode)
+        yield (rng.sample(inst.points, len(inst.points)),
+               rng.sample(ivs, len(ivs)))
 
 
 class TestAgainstReferenceDp:
     def test_same_path_and_value(self):
-        solved = 0
-        for mode, dag in _seeded_dags():
-            want = dag_reference.bottleneck_path(dag)
-            assert bottleneck_path(dag) == want, mode
-            solved += want is not None
-        assert solved > 100
+        # the sweep's chosen set and value equal the reference path's over
+        # the reference graph, whose DP breaks ties by sort id explicitly,
+        # on 4,000 solves; tie-heavy weights make either tie rule show
+        solved = infeasible = 0
+        for points, ivs in _seeded_instances(2000, 14):
+            prep = prepare_instance(points, ivs)
+            for mode in ("mmsc", "mpc"):
+                want = dag_reference.solve(prep, mode)
+                if want is None:
+                    with pytest.raises(Infeasible):
+                        solve_intervals(points, ivs, mode)
+                    infeasible += 1
+                    continue
+                sol = solve_intervals(points, ivs, mode)
+                assert (sol.chosen, sol.objective) == want, mode
+                solved += 1
+        assert solved > 3000 and infeasible > 300
 
     def test_vertices_are_plain_tuples(self):
-        # a vertex is a plain (kind, strip, q, r, weight) tuple, with -1
-        # for the intervals it does not have and weight 0 on a V0
-        for _, dag in _seeded_dags():
-            for v in dag.vertices:
-                assert type(v) is tuple and len(v) == 5
-                kind, strip, q, r, weight = v
-                assert kind in (V0, V1, V2) and 0 <= strip
-                if kind == V0:
-                    assert (q, r, weight) == (-1, -1, 0)
-                elif kind == V1:
-                    assert q >= 0 and r == -1
-                else:
-                    assert q >= 0 and r >= 0 and q != r
+        # a reference vertex is a plain (kind, strip, q, r, weight) tuple,
+        # with -1 for the intervals it does not have and weight 0 on a V0
+        for points, ivs in _seeded_instances(120, 15):
+            for mode in ("mmsc", "mpc"):
+                dag = build_dag(prepare_instance(points, ivs), mode)
+                for v in dag.vertices:
+                    assert type(v) is tuple and len(v) == 5
+                    kind, strip, q, r, weight = v
+                    assert kind in (V0, V1, V2) and 0 <= strip
+                    if kind == V0:
+                        assert (q, r, weight) == (-1, -1, 0)
+                    elif kind == V1:
+                        assert q >= 0 and r == -1
+                    else:
+                        assert q >= 0 and r >= 0 and q != r
 
 
 class TestAnyInputOrder:
     def test_shuffled_input_solves_as_sorted(self):
         # points and intervals in any order: the same optimum as the
-        # generated (sorted) order and as the oracle, the reference DP's
-        # path and value, and the DAG size bound
+        # generated (sorted) order and as the oracle, the reference path's
+        # chosen set and value, and the reference graph's size bound
         rng = random.Random(48)
         solved = moved = 0
         for seed in range(150):
@@ -295,13 +318,14 @@ class TestAnyInputOrder:
                 dag = build_dag(prep, mode)
                 bound = 4 * dag.n_intervals + 5 * dag.n_overlaps + 2
                 assert len(dag.vertices) <= bound, (seed, mode)
-                res = bottleneck_path(dag)
-                assert res == dag_reference.bottleneck_path(dag), (seed, mode)
-                if res is None:
+                want = dag_reference.solve(prep, mode)
+                if want is None:
+                    assert bottleneck_path(prep, mode) is None
                     with pytest.raises(Infeasible):
                         exact_intervals(points, shuffled, mode)
                     continue
                 sol = solve_intervals(points, shuffled, mode)
+                assert (sol.chosen, sol.objective) == want, (seed, mode)
                 opt, _ = exact_intervals(points, shuffled, mode)
                 assert sol.objective == opt, (seed, mode)
                 assert sol.objective == solve_intervals(
@@ -310,6 +334,30 @@ class TestAnyInputOrder:
                     points, [shuffled[i] for i in sol.chosen], mode) == opt
                 solved += 1
         assert moved > 120 and solved > 200
+
+
+class TestSweepMemory:
+    def test_sweep_peak_is_a_third_of_prepare_at_most(self):
+        # clock-free: tracemalloc counts only what each call allocates, so
+        # the whole process's resident memory cannot hide the sweep's.  The
+        # sweep holds the live vertices of one strip and the pending pairs,
+        # never the graph, so on 32,768 intervals its peak stays well below
+        # that of the strip layout it reads.  One mode per distribution
+        # keeps the traced sweeps few
+        for dist, mode in (("chain", "mpc"), ("uniform", "mmsc"),
+                           ("clustered", "mmsc")):
+            inst = generate("intervals", 32768, 32768, dist, seed=77)
+            tracemalloc.start()
+            try:
+                prep = prepare_instance(inst.points, inst.objects)
+                _, prep_peak = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                held, _ = tracemalloc.get_traced_memory()
+                assert bottleneck_path(prep, mode) is not None
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert 3 * (peak - held) < prep_peak, (dist, mode)
 
 
 class TestSolve:
@@ -344,12 +392,13 @@ class TestSolve:
 
     def test_infeasible_names_its_point_and_builds_no_dag(self,
                                                            monkeypatch):
+        # the uncovered point is named before any path is searched
         built = []
 
         def spy(prep, mode="mmsc"):
             built.append(mode)
-            return build_dag(prep, mode)
-        monkeypatch.setattr(intervals_mod, "build_dag", spy)
+            return bottleneck_path(prep, mode)
+        monkeypatch.setattr(intervals_mod, "bottleneck_path", spy)
         with pytest.raises(Infeasible,
                            match=r"^point 10 is covered by no interval$"):
             solve_intervals([F(1), 10, F(12)], [iv(0, 1)], "mpc")

@@ -431,7 +431,9 @@ def _gen_intervals(rng, n, m, dist, allow_uncovered):
             lo = c + _f8(rng, -12, 4)
             ivs.append(WeightedInterval(lo, lo + _f8(rng, 4, 24),
                                         Fraction(rng.randint(1, 9))))
-    ivs.sort(key=lambda s: (s.hi, s.lo, s.weight))
+    # float keys first: float() keeps every order, and the exact values
+    # break its ties, so this is the (hi, lo, weight) order, cheaper
+    ivs.sort(key=lambda s: (float(s.hi), s.hi, float(s.lo), s.lo, s.weight))
     points = []
     for _ in range(n):
         if allow_uncovered:
@@ -441,7 +443,7 @@ def _gen_intervals(rng, n, m, dist, allow_uncovered):
         else:
             s = ivs[rng.randrange(len(ivs))]
             points.append(s.lo + (s.hi - s.lo) * Fraction(rng.randint(0, 16), 16))
-    points.sort()
+    points.sort(key=lambda x: (float(x), x))
     return points, ivs
 
 

@@ -40,13 +40,13 @@ when there is one no search is run.
 dict from key to the union of the first path that reaches it, and
 crosses each event with one call of a per-event step that returns the
 next strip's dict.  Keeping first paths makes every slab's result
-inclusion-minimal (see `run`).  The 3-color step (`tricolor`) works on
-triples of class masks over the disk problem and reads each event's step
-once.  Rectangles and disks step with `_mpc_step`, which calls
-`successors` once per state, where perfbench/tracing.py counts the
-states; `successors` reads the event's step, returns `(key, union)`
-pairs, and asks `has_clique` only when ell > 1 and at least ell members
-meet the entering object.
+inclusion-minimal (see `run`).  Both steps are event-major: they read
+the event's step once and cross it for the whole strip.  The 3-color
+step (`tricolor`) works on triples of class masks over the disk problem;
+rectangles and disks step with `_mpc_step`, which asks `has_clique` only
+when ell > 1 and at least ell members meet the entering object.
+`successors` is a None placeholder for the per-state step that
+perfbench/tracing.py still wraps.
 """
 from __future__ import annotations
 
@@ -65,26 +65,14 @@ def bits(mask: int) -> list:
     return out
 
 
-class StripState(NamedTuple):
-    """Only the view of a state that perfbench/tracing.py reads where it
-    wraps `successors`; the search itself holds `key -> union` dicts."""
-    strip: int
-    mask: int          # members
-    union: int = 0     # chosen objects on the first path to this state
-
-    @property
-    def members(self) -> tuple:
-        return tuple(bits(self.mask))
-
-
-# StripState(a, b, c) without the generated Python __new__, for hot loops
-_new = tuple.__new__
-
-
-# PlyCache.with_added stays bound so that perfbench/tracing.py can wrap
-# it; nothing calls it, as no search has a depth oracle
+# PlyCache.with_added and successors stay bound so that
+# perfbench/tracing.py can wrap them; nothing calls them, as no search has
+# a depth oracle and the steps cross each event for the whole strip
 class PlyCache:
     with_added = None
+
+
+successors = None
 
 
 class StripProblem(NamedTuple):
@@ -168,44 +156,44 @@ def has_clique(meets: list, mask: int, k: int, shares=None,
     return mask.bit_count() >= k
 
 
-def successors(problem: StripProblem, state: StripState) -> list:
-    """The `(key, union)` pairs of the valid states one strip to the right
-    of `state`: keep (or drop, at a right side) first, then take."""
-    strip, members, union = state
-    left, bit, q, rest, held = problem.steps[strip]
-    for c in rest:  # taking q cannot meet these either
-        if not members & c:
-            return []
-    if not left:
-        return [(members & ~bit, union)]
-    out = []
-    for c in held:
-        if not members & c:
-            break
-    else:
-        out.append((members, union))
-    if members.bit_count() >= problem.cap:
-        return out
-    near = members & problem.meets[q]
-    ell = problem.ell
-    if near.bit_count() >= ell and (ell == 1 or has_clique(
-            problem.meets, near, ell, problem.shares, (q,))):
-        return out
-    out.append((members | bit, union | bit))
-    return out
-
-
 def _mpc_step(problem: StripProblem, i: int, states: dict) -> dict:
     """The states of strip i + 1 reached from strip i's, for rectangles
-    and disks: the `successors` pairs of each state, in dict order."""
-    # one `successors` call per state, because perfbench/tracing.py counts
-    # states by wrapping it; an event-major rect and disk step waits for a
-    # state count the search reports itself (ROADMAP item 3, after item 2)
+    and disks: each state, in dict order, offers keep (or drop, at a right
+    side) before take.
+
+    A state that misses a `rest` mask has no successor, as taking the
+    entering object cannot meet it either; keep must meet the `held`
+    masks too.  Take respects the per-strip cap, and adding q makes new
+    depth only inside q, so it keeps ply within ell unless ell members
+    that meet q form a clique (`has_clique`)."""
+    left, bit, q, rest, held = problem.steps[i]
     nxt = {}
-    for key, union in states.items():
-        for k, u in successors(problem, _new(StripState, (i, key, union))):
-            if k not in nxt:
-                nxt[k] = u
+    if not left:
+        for members, union in states.items():
+            for c in rest:
+                if not members & c:
+                    break
+            else:
+                nxt.setdefault(members & ~bit, union)
+        return nxt
+    cap, ell, meets, shares = (problem.cap, problem.ell, problem.meets,
+                               problem.shares)
+    meet = meets[q]
+    for members, union in states.items():
+        for c in rest:
+            if not members & c:
+                break
+        else:
+            for c in held:
+                if not members & c:
+                    break
+            else:
+                nxt.setdefault(members, union)
+            if members.bit_count() < cap:
+                near = members & meet
+                if near.bit_count() < ell or ell > 1 and not has_clique(
+                        meets, near, ell, shares, (q,)):
+                    nxt.setdefault(members | bit, union | bit)
     return nxt
 
 

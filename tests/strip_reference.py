@@ -21,8 +21,11 @@ order.
 
 `mask_step_3color` is the 3-color step on class masks that
 `tricolor._step` replaced: it copies each state's class and union lists
-and sorts every successor (`_mask_canonical`).  The per-event tests
-require the production step to return the same dict, in the same order.
+and sorts every successor (`_mask_canonical`).  `mask_step_mpc` is the
+rect and disk step that `stripdag._mpc_step` replaced: it asks
+`mask_successors` once per state, which reads the event's step again for
+each.  The per-event tests require the production steps to return the
+same dicts, in the same order.
 """
 from __future__ import annotations
 
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from plycover.geom import disks_disjoint, ply_disks, ply_rects
+from plycover.stripdag import has_clique
 
 # the documented sweep order (x, cls, y, obj): lefts before points before
 # rights at equal x
@@ -326,4 +330,44 @@ def mask_step_3color(problem, i, states):
                     nxt[key] = u
                 if not cls:
                     break  # empty classes come last and are interchangeable
+    return nxt
+
+
+def mask_successors(problem, state) -> list:
+    """The `(key, union)` pairs of the valid states one strip to the right
+    of `state`, a `(strip, members, union)` triple of masks: keep (or
+    drop, at a right side) first, then take."""
+    strip, members, union = state
+    left, bit, q, rest, held = problem.steps[strip]
+    for c in rest:  # taking q cannot meet these either
+        if not members & c:
+            return []
+    if not left:
+        return [(members & ~bit, union)]
+    out = []
+    for c in held:
+        if not members & c:
+            break
+    else:
+        out.append((members, union))
+    if members.bit_count() >= problem.cap:
+        return out
+    near = members & problem.meets[q]
+    ell = problem.ell
+    if near.bit_count() >= ell and (ell == 1 or has_clique(
+            problem.meets, near, ell, problem.shares, (q,))):
+        return out
+    out.append((members | bit, union | bit))
+    return out
+
+
+def mask_step_mpc(problem, i, states):
+    """The states of strip i + 1 reached from strip i's, for rectangles
+    and disks: the `mask_successors` pairs of each state, in dict
+    order."""
+    nxt = {}
+    for key, union in states.items():
+        for k, u in mask_successors(problem, (i, key, union)):
+            if k not in nxt:
+                nxt[k] = u
     return nxt

@@ -336,6 +336,22 @@ class TestAnyInputOrder:
         assert moved > 120 and solved > 200
 
 
+@pytest.mark.parametrize("dist", ["chain", "uniform", "clustered"])
+def test_generated_intervals_come_sorted(dist):
+    # the generator sorts on float keys first; the order is still that of
+    # the exact (hi, lo, weight) keys and of the exact points
+    rng = random.Random(37)
+    tied = 0
+    for seed in range(40):
+        inst = generate("intervals", rng.randint(0, 60), rng.randint(1, 200),
+                        dist, seed=seed, allow_uncovered=seed % 2 == 1)
+        ivs = inst.objects
+        assert ivs == sorted(ivs, key=lambda s: (s.hi, s.lo, s.weight))
+        assert inst.points == sorted(inst.points)
+        tied += len(ivs) - len({s.hi for s in ivs})
+    assert dist == "chain" or tied > 100
+
+
 class TestSweepMemory:
     def test_sweep_peak_is_a_third_of_prepare_at_most(self):
         # clock-free: tracemalloc counts only what each call allocates, so

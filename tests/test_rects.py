@@ -12,7 +12,7 @@ from plycover.instances import Instance, dumps, generate, loads
 from plycover.oracle import exact_min_ply
 from plycover.rects import rect_slab_problem, rect_spans, solve_slab_rects
 from plycover.slabs import assign_slabs, solve_mpc
-from plycover.stripdag import StripState, successors
+from plycover.stripdag import _mpc_step
 
 
 def sq(left, bottom):
@@ -33,32 +33,32 @@ class TestStrips:
         assert ev[0][2] < ev[1][2] and ev[2][2] < ev[3][2]
 
 
-class TestSuccessors:
-    # `successors` gives the next strip's (members, union) pairs, keep
-    # (or drop) before take
+class TestStep:
+    # `_mpc_step(problem, i, {members: union})` gives the next strip's
+    # members -> union dict, keep (or drop) before take
     def test_left_event_offers_keep_and_take(self):
         prob = rect_slab_problem([], [sq(0, 0)])
-        out = successors(prob, StripState(0, 0))
-        assert out == [(0, 0), (0b1, 0b1)]
+        out = _mpc_step(prob, 0, {0: 0})
+        assert list(out.items()) == [(0, 0), (0b1, 0b1)]
 
     def test_right_event_forces_drop(self):
         prob = rect_slab_problem([], [sq(0, 0)])
-        out = successors(prob, StripState(1, 0b1, 0b1))
-        assert out == [(0, 0b1)]
+        out = _mpc_step(prob, 1, {0b1: 0b1})
+        assert list(out.items()) == [(0, 0b1)]
 
     def test_uncovered_point_kills_keep_branch(self):
         # point inside the square's strip: the empty set cannot continue
         prob = rect_slab_problem([Point(F(1, 2), F(1, 2))], [sq(0, 0)])
-        out = successors(prob, StripState(0, 0))
-        assert out == [(0b1, 0b1)]
+        out = _mpc_step(prob, 0, {0: 0})
+        assert list(out.items()) == [(0b1, 0b1)]
 
     def test_ply_budget_prunes_overlapping_take(self):
         r2 = UnitRect(F(1, 2), F(0))
         prob = rect_slab_problem([], [sq(0, 0), r2])
         left, _, obj, _, _ = prob.steps[1]
         assert left and obj == 1
-        out = successors(prob, StripState(1, 0b1, 0b1))
-        assert out == [(0b1, 0b1)]  # {0,1} exceeds ply 1
+        out = _mpc_step(prob, 1, {0b1: 0b1})
+        assert list(out.items()) == [(0b1, 0b1)]  # {0,1} exceeds ply 1
 
 
 class TestSolveSlab:

@@ -4,7 +4,8 @@ and the rect and disk clique tests against the reference depth scans of
 their kind (`depth_reference`), on symmetric meet masks.  Each slab's
 result is inclusion-minimal.  A slab's problem built once and searched at
 every budget of its ladder gives what a fresh build at each budget gives.
-The search takes one step call per strip event, and only the final ply
+The search takes one step call per strip event, each rect and disk step
+gives what the per-state step it replaced gives, and only the final ply
 counts the disks at circle meeting points."""
 import math
 import random
@@ -277,8 +278,8 @@ class TestAgainstTupleEngine:
 
 
 class TestStepShape:
-    """`run` crosses each event with one step call over the whole strip;
-    the mpc step still asks `successors` once per state."""
+    """`run` crosses each event with one step call over the whole strip,
+    for the 3-color step and the rect and disk step alike."""
 
     def test_3color_steps_once_per_event(self, monkeypatch):
         crossed = []
@@ -301,29 +302,66 @@ class TestStepShape:
         assert steps > 100
 
     @pytest.mark.parametrize("kind", ["rects", "disks"])
-    def test_mpc_asks_successors_once_per_state(self, monkeypatch, kind):
-        asked, sizes = [], []
-        successors, step = stripdag.successors, stripdag._mpc_step
+    def test_mpc_steps_once_per_event(self, monkeypatch, kind):
+        crossed = []
+        step = stripdag._mpc_step
 
-        def spy_successors(problem, state):
-            asked.append(state.strip)
-            return successors(problem, state)
-
-        def spy_step(problem, i, states):
-            sizes.append((i, len(states)))
+        def spy(problem, i, states):
+            crossed.append((problem, i, len(states)))
             return step(problem, i, states)
-        monkeypatch.setattr(stripdag, "successors", spy_successors)
-        monkeypatch.setattr(stripdag, "_mpc_step", spy_step)
+        monkeypatch.setattr(stripdag, "_mpc_step", spy)
         solve, build = ((solve_slab_rects, rect_slab_problem)
                         if kind == "rects"
                         else (solve_slab_disks, disk_slab_problem))
+        steps = states = 0
         for seed in range(6):
             for pts, objs in _live_slabs(kind, seed):
                 problem = build(pts, objs)
                 for ell in (1, 2, 3):
+                    crossed.clear()
                     solve(pts, objs, ell, problem)
-        assert sum(n for _, n in sizes) > 1000
-        assert asked == [i for i, n in sizes for _ in range(n)]
+                    assert all(p.steps is problem.steps and p.ell == ell
+                               for p, _, _ in crossed)
+                    assert len({id(p) for p, _, _ in crossed}) <= 1
+                    assert [i for _, i, _ in crossed] == list(
+                        range(len(crossed)))
+                    assert len(crossed) <= len(problem.steps)
+                    steps += len(crossed)
+                    states += sum(n for _, _, n in crossed)
+        assert steps > 100 and states > 1000
+
+    @pytest.mark.parametrize("kind", ["rects", "disks"])
+    def test_mpc_step_matches_the_per_state_step(self, kind):
+        # after every event the event-major step gives the keys and
+        # unions, in the same dict order, that the per-state step it
+        # replaced gives (`strip_reference.mask_step_mpc`), so every key
+        # keeps its first path; it stands in for a state count until the
+        # search reports its own
+        build = rect_slab_problem if kind == "rects" else disk_slab_problem
+        events = states_seen = took_clique = 0
+        for seed in range(6):
+            for pts, objs in _live_slabs(kind, seed):
+                base = build(pts, objs)
+                for ell in (1, 2, 3):
+                    problem = base.at(ell)
+                    if problem.uncovered is not None:
+                        continue
+                    states = {0: 0}
+                    for i in range(len(problem.steps)):
+                        want = ref.mask_step_mpc(problem, i, states)
+                        got = stripdag._mpc_step(problem, i, states)
+                        assert list(got.items()) == list(want.items()), (
+                            seed, ell, i)
+                        events += 1
+                        states_seen += len(states)
+                        left, _, q, _, _ = problem.steps[i]
+                        took_clique += left and ell > 1 and any(
+                            (k & problem.meets[q]).bit_count() >= ell
+                            for k in states)
+                        states = want
+                        if not states:
+                            break
+        assert events > 400 and states_seen > 1000 and took_clique > 20
 
 
 class TestStepTable:

@@ -438,7 +438,8 @@ def test_solution_digest_is_repeatable(tmp_path):
 def test_ab_pairs_summary_on_canned_results():
     # tools/ab_pairs.py prints each side's median [q1, q3] per end-to-end
     # metric, the change of the medians, and the pairs the change won in
-    # the metric's better direction, ties counting for neither side
+    # the metric's better direction, ties counting for neither side, under
+    # a header that says whether setup_s includes compiling the source
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     sys.path.insert(0, os.path.join(root, "tools"))
     try:
@@ -462,6 +463,13 @@ def test_ab_pairs_summary_on_canned_results():
     assert share.startswith("verified_share [share] ")
     assert [float(v) for v in re.findall(number, share)] == [
         1, 1, 1, 1, 1, 1, 0.0, 1, 5]
+    # the header says whether every setup_s sample compiles the source
+    assert ab_pairs.bytecode_note({"PYTHONDONTWRITEBYTECODE": "1"}) == (
+        "PYTHONDONTWRITEBYTECODE set: setup_s includes compiling the "
+        "package source")
+    for environ in ({}, {"PYTHONDONTWRITEBYTECODE": ""}):
+        assert ab_pairs.bytecode_note(environ).startswith(
+            "PYTHONDONTWRITEBYTECODE unset: ")
 
 
 def test_interval_solve_builds_no_interval_objects(tmp_path, monkeypatch):
@@ -629,9 +637,10 @@ def test_solve_asks_no_depth_oracle(tmp_path, monkeypatch):
 def test_benchmark_tracer_wraps_the_solvers(tmp_path, monkeypatch):
     # perfbench/tracing.py wraps solver functions by name from outside;
     # a renamed or re-signed one makes `--trace 1` crash in install(), and
-    # one no longer called leaves its span at zero.  It counts strip
-    # states by wrapping `successors`, so that count is exactly the states
-    # the mpc step is handed
+    # one no longer called leaves its span at zero.  The rect and disk
+    # step is event-major, so `stripdag.successors` is a None placeholder
+    # and the tracer's strip-state counts read 0; the mpc step is still
+    # handed states, and `stripdag.search_s` still times the search
     here = os.path.dirname(os.path.abspath(__file__))
     sys.path.insert(0, os.path.join(os.path.dirname(here), "perfbench"))
     try:
@@ -670,10 +679,12 @@ def test_benchmark_tracer_wraps_the_solvers(tmp_path, monkeypatch):
     # metric the tracer never set
     assert counts.get("intervals.build_dag_s", 0) == 0
     assert counts.get("intervals.dag_vertices", 0) == 0
-    assert counts["stripdag.states"] == states[0] > 0
+    assert states[0] > 0 and counts["stripdag.search_s"] > 0
+    for name in ("stripdag.states", "stripdag.states_per_strip_max",
+                 "stripdag.width_over_cap_max"):
+        assert counts.get(name, 0) == 0, name
     assert counts["slabs.slab_solves"] > 0
     assert counts["tricolor.slab_solves"] > 0
-    assert 0 < counts["stripdag.width_over_cap_max"] <= 1
 
 
 def _package_trees():

@@ -12,8 +12,11 @@ each side's own copy in its own directory, one after the other; the side
 that runs first alternates from pair to pair.  At the end it prints, for
 each end-to-end metric of BENCHMARK.json, each side's median [q1, q3]
 over the pairs, the change of the medians, and how many pairs the change
-won (ties count for neither).  A run whose answers were wrong is named on
-standard error.  The temporary directory is removed at the end.
+won (ties count for neither).  The header says whether
+PYTHONDONTWRITEBYTECODE is set, as then no bytecode is cached and every
+`setup_s` sample includes compiling the package source.  A run whose
+answers were wrong is named on standard error.  The temporary directory
+is removed at the end.
 """
 from __future__ import annotations
 
@@ -57,6 +60,16 @@ def summary(spec, pairs) -> list:
                      "%3d/%-3d" % ("%s [%s]" % (name, m["unit"]), bm, b1, b3,
                                    cm, c1, c3, rel, wins, len(pairs)))
     return lines
+
+
+def bytecode_note(environ) -> str:
+    """Whether `setup_s` includes compiling the package source, as it does
+    on every sample when the environment `environ` sets
+    PYTHONDONTWRITEBYTECODE."""
+    if environ.get("PYTHONDONTWRITEBYTECODE"):
+        return ("PYTHONDONTWRITEBYTECODE set: setup_s includes compiling "
+                "the package source")
+    return "PYTHONDONTWRITEBYTECODE unset: setup_s reads cached bytecode"
 
 
 def _archive(rev, dest):
@@ -106,8 +119,9 @@ def main(argv=None) -> int:
                      got[ROOT][first]), file=sys.stderr)
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    print("# %s seed %d, %d pairs of %d s, base %s against the working tree"
-          % (args.workload, args.seed, args.pairs, args.seconds, args.base))
+    print("# %s seed %d, %d pairs of %d s, base %s against the working "
+          "tree; %s" % (args.workload, args.seed, args.pairs, args.seconds,
+                        args.base, bytecode_note(os.environ)))
     for line in summary(spec, pairs):
         print(line)
     return 0
